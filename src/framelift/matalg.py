@@ -135,17 +135,32 @@ def operator_norm(A: np.ndarray, p, w=None, n_samples: int = 64, seed: int = 0):
         return _induced_norm_exact(T, p)
     if not 1 < p < np.inf:
         raise ValueError("p must lie in [1, inf]")
+    return norm_bracket(T, p, _induced_norm_exact(T, 2), n_samples, seed)
+
+
+def norm_bracket(T: np.ndarray, p, n2: float, n_samples: int = 64, seed: int = 0) -> tuple:
+    """(lower, upper) bracket for the l^p induced norm of T, 1 < p < inf.
+
+    n2 is the exact 2-norm of T. Callers that know it without an SVD of T
+    (a low-rank update of the identity, a product of thin factors) pass it
+    in; :func:`operator_norm` computes it.
+    """
+    upper = interpolated_upper(T, p, n2)
+    return (_sampled_norm_lower(T, p, n_samples, seed), upper)
+
+
+def interpolated_upper(T: np.ndarray, p, n2: float) -> float:
+    """Riesz-Thorin bound on the l^p induced norm of T from its exact
+    p = 1, inf norms and its 2-norm n2, for 1 < p < inf."""
+    if not 1 < p < np.inf:
+        raise ValueError("p must lie in [1, inf]")
     n1 = _induced_norm_exact(T, 1)
-    n2 = _induced_norm_exact(T, 2)
     ninf = _induced_norm_exact(T, np.inf)
     if p < 2:
         theta = 2.0 - 2.0 / p
-        upper = n1 ** (1 - theta) * n2**theta
-    else:
-        theta = 1.0 - 2.0 / p
-        upper = n2 ** (1 - theta) * ninf**theta
-    lower = _sampled_norm_lower(T, p, n_samples, seed)
-    return (lower, upper)
+        return n1 ** (1 - theta) * n2**theta
+    theta = 1.0 - 2.0 / p
+    return n2 ** (1 - theta) * ninf**theta
 
 
 def schur_constant(idx: IndexSet, s: float) -> float:

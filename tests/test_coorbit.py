@@ -1,11 +1,14 @@
 """Coorbit norms, coercivity, and the lifting constants machinery."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+from framelift import matalg
 from framelift.coorbit import (
     CoorbitSpace,
+    _SplitCore,
     coercivity_check,
     coorbit_norm,
     duality_pairing,
@@ -14,8 +17,9 @@ from framelift.coorbit import (
     lifting_theorem_pipeline,
     operator_norm_between,
 )
-from framelift.frames import onb, random_frame
-from framelift.multipliers import multiplier
+from framelift.frames import gram, onb, random_frame
+from framelift.gabor import TFLattice, gabor_system
+from framelift.multipliers import galerkin, multiplier
 from framelift.weights import Weight, weighted_norm
 from tests.conftest import random_vector
 
@@ -205,3 +209,174 @@ class TestPipeline:
         entry = report.per_p_results["2"]
         assert report.lower == entry["lower"]
         assert report.upper == entry["upper"]
+
+
+def _gabor(N: int, t_mu: float, t_m: float = 0.0):
+    """Gabor frame on Z_N at redundancy 4 with polynomial mu and m."""
+    lat = TFLattice.balanced(N, 4)
+    psi = gabor_system(lat.N, lat.a, lat.b).frame
+    idx = psi.index_set
+    return psi, Weight.polynomial(idx, t_mu).values, Weight.polynomial(idx, t_m).values
+
+
+def _dense_steps(psi, muv, mv, ps) -> dict:
+    """Steps (i), (iv) and (v) on the dense n x n splitting matrix.
+
+    The reference route: SVDs of the mu-conjugated B and B_rev, B^{-1} from
+    np.linalg.inv, and operator norms of the conjugated B and B^{-1}.
+    """
+    n = psi.n
+    cross = gram(psi, psi.canonical_dual())
+    M_mu = multiplier(muv, psi).matrix
+    M_rec = multiplier(1.0 / muv, psi).matrix
+
+    def split(O):
+        return galerkin(O, psi, psi).entries + (np.eye(n) - cross)
+
+    def verdict(B):
+        sv = np.linalg.svd(matalg.conjugate(B, np.sqrt(muv)), compute_uv=False)
+        return sv[-1] / sv[0], bool(sv[-1] > matalg.INVERTIBILITY_RTOL * sv[0])
+
+    B = split(M_rec @ M_mu)
+    ratio, invertible = verdict(B)
+    w = mv * np.sqrt(muv)
+    B_inv = np.linalg.inv(B) if invertible else None
+    step_iv = {}
+    for p in ps:
+        entry = {"B_norm": matalg.operator_norm(B, p, w=w)}
+        if invertible:
+            entry["B_inv_norm"] = matalg.operator_norm(B_inv, p, w=w)
+        step_iv["inf" if p == np.inf else str(p)] = entry
+    return {
+        "ratio": ratio,
+        "invertible": invertible,
+        "reverse_invertible": verdict(split(M_mu @ M_rec))[1],
+        "step_iv": step_iv,
+    }
+
+
+def _random_case(n: int, d: int, weighted: bool):
+    rng = np.random.default_rng(7 * n + d)
+    psi = random_frame(rng, n, d)
+    mu = rng.uniform(0.5, 2.0, n)
+    m = rng.uniform(0.5, 3.0, n) if weighted else np.ones(n)
+    return psi, mu, m
+
+
+PS = (1, 2, 3, np.inf)
+
+
+class TestLowRankSplitting:
+    """The pipeline factors k x k cores of B = I + C (M_{1/mu} M_mu - S^{-1}) D."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_no_nxn_factorization(self, monkeypatch, weighted):
+        psi, mu, m = _gabor(32, 2.0, 1.0 if weighted else 0.0)
+        n = psi.n
+        assert (n, psi.d) == (128, 32)
+        square = []
+
+        def counting(name, fn):
+            def wrapper(a, *args, **kwargs):
+                if np.shape(a)[-2:] == (n, n):
+                    square.append(name)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for mod, names in ((np.linalg, ("svd", "inv", "eigh", "eigvalsh", "qr")), (scipy.linalg, ("eigh",))):
+            for name in names:
+                monkeypatch.setattr(mod, name, counting(f"{mod.__name__}.{name}", getattr(mod, name)))
+        report = lifting_theorem_pipeline(psi, mu, m=m, ps=PS)
+        assert report.verdicts["all_steps"]
+        assert square == []
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("gabor", 16, 2.0, 0.0),
+            ("gabor", 16, 6.0, 0.0),
+            ("gabor", 32, 2.0, 0.0),
+            ("gabor", 32, 6.0, 0.0),
+            ("gabor", 16, 2.0, 1.0),
+            ("random", 24, 8, False),
+            ("random", 12, 8, False),
+            ("random", 24, 8, True),
+        ],
+        ids=lambda c: "-".join(str(x) for x in c),
+    )
+    def test_matches_dense_reference(self, case):
+        kind, a, b, c = case
+        psi, mu, m = _gabor(a, b, c) if kind == "gabor" else _random_case(a, b, c)
+        report = lifting_theorem_pipeline(psi, mu, m=m, ps=PS)
+        ref = _dense_steps(psi, mu, m, PS)
+        v = report.verdicts
+        assert v["B_invertible_l2_sqrt_mu"] == ref["invertible"]
+        assert v["B_reverse_invertible"] == ref["reverse_invertible"]
+        assert v["verdicts_agree"]
+        # The dense route drifts once B is badly conditioned. At N = 16,
+        # t_mu = 6 (cond 4e7) its sigma_min / sigma_max sits 3e-10 off a
+        # 40-digit mpmath value, and its p = 1 and p = 3 inverse norms 8e-13
+        # and 1.7e-12; the core route matches all three to 1.4e-13. So below
+        # cond 1e6 the ratio is compared to 1e-10 and the inverse norms to
+        # 1e-12; above it only the inverse norms, to 1e-11.
+        well_conditioned = ref["ratio"] >= 1e-6
+        if well_conditioned:
+            assert report.residuals["B_sigma_min_over_max"] == pytest.approx(ref["ratio"], rel=1e-10, abs=0)
+        inv_rtol = 1e-12 if well_conditioned else 1e-11
+        for key, want in ref["step_iv"].items():
+            got = report.residuals["step_iv"][key]
+            assert set(got) == set(want) | ({"condition_bracket"} if "B_inv_norm" in want else set())
+            np.testing.assert_allclose(np.ravel(got["B_norm"]), np.ravel(want["B_norm"]), rtol=1e-12)
+            if "B_inv_norm" in want:
+                fwd, rev = np.ravel(want["B_norm"]), np.ravel(want["B_inv_norm"])
+                np.testing.assert_allclose(np.ravel(got["B_inv_norm"]), rev, rtol=inv_rtol)
+                bracket = (fwd[0] * rev[0], fwd[-1] * rev[-1])
+                np.testing.assert_allclose(got["condition_bracket"], bracket, rtol=inv_rtol)
+
+    def test_inverse_norm_matches_mpmath_where_the_sigma_min_shortcut_does_not(self):
+        # Gabor N = 8 (n = 32, d = 8), mu = (1+|x|)^4, m = (1+|x|)^2: B on
+        # l^2_{m sqrt(mu)} has cond between 1e6 and 1e7, set by the weights.
+        psi, mu, m = _gabor(8, 4.0, 2.0)
+        w = m * np.sqrt(mu)
+        report = lifting_theorem_pipeline(psi, mu, m=m, ps=(2,))
+        got = report.residuals["step_iv"]["2"]["B_inv_norm"]
+
+        mpmath.mp.dps = 40
+        V = mpmath.matrix(psi.vectors.tolist())
+        Vh = V.H
+
+        def mult(sym):
+            return V * mpmath.diag([mpmath.mpf(float(x)) for x in sym]) * Vh
+
+        B = Vh * (mult(1.0 / mu) * mult(mu) - (V * Vh) ** -1) * V
+        for i in range(psi.n):
+            B[i, i] += 1
+            for j in range(psi.n):
+                B[i, j] *= mpmath.mpf(float(w[i])) / mpmath.mpf(float(w[j]))
+        sv = mpmath.svd_c(B, compute_uv=False)
+        sv = [sv[i] for i in range(psi.n)]
+        want = float(1 / min(sv))
+        assert 1e6 < float(max(sv) / min(sv)) < 1e7
+
+        tol = 3e-14
+        assert got == pytest.approx(want, rel=tol)
+        # 1/sigma_min from a values-only SVD misses the reference, of the
+        # k x k core as of the dense conjugated matrix.
+        dual = psi.canonical_dual()
+        ZD = multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix @ psi.synthesis_matrix
+        core = _SplitCore(psi.analysis_matrix, ZD - dual.synthesis_matrix, w)
+        cross = gram(psi, dual)
+        B_dense = galerkin(multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix, psi, psi).entries
+        B_dense = matalg.conjugate(B_dense + (np.eye(psi.n) - cross), w)
+        for K in (core.K, B_dense):
+            shortcut = 1.0 / np.linalg.svd(K, compute_uv=False)[-1]
+            assert shortcut != pytest.approx(want, rel=tol)
+
+    def test_step_v_is_the_adjoint_identity(self):
+        # Gabor N = 64, mu = (1+|x|)^14: scaled by max|B| the residual of
+        # B_rev = B^H lands above rtol; the entrywise bound puts it at rounding.
+        psi, mu, _ = _gabor(64, 14.0)
+        report = lifting_theorem_pipeline(psi, mu, ps=(2,))
+        assert report.residuals["step_v_adjoint_identity"] <= 1e-14
+        assert report.verdicts["verdicts_agree"]
