@@ -47,7 +47,6 @@ from .gabor import (
     stft,
     tf_shift,
 )
-from .kernels import JIT_ENABLED
 from .matalg import (
     DecayProfile,
     conjugate,
@@ -80,7 +79,6 @@ __all__ = [
     "Frame",
     "GaborSystem",
     "IndexSet",
-    "JIT_ENABLED",
     "LiftingReport",
     "Multiplier",
     "NotAFrameError",

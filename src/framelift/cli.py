@@ -10,7 +10,6 @@ Design constraints the code must honor:
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -20,10 +19,10 @@ import numpy as np
 
 from . import fock as fock_mod
 from . import frames, gabor, matalg, multipliers
-from .coorbit import coercivity_check, lifting_theorem_pipeline
+from .coorbit import coercivity_check, condition_ratios, pipeline_entry
 from .weights import Weight
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_TOL = 1e-10
 CSV_COLUMNS = ("size", "p", "weight", "lower", "upper", "condition", "verdict")
 
@@ -148,13 +147,19 @@ def _parse_ps(cfg) -> list:
         raise ConfigError("'ps' must be a nonempty list")
     out = []
     for p in ps:
-        if p in ("inf", "Infinity"):
+        if p in ("inf", "Infinity") or (isinstance(p, float) and p == np.inf):
             out.append(np.inf)
-        elif isinstance(p, (int, float)) and p >= 1:
+        elif isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 1:
             out.append(float(p) if p != int(p) else int(p))
         else:
             raise ConfigError(f"unsupported p value: {p!r}")
     return out
+
+
+def _parse_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
 
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
@@ -201,59 +206,6 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     return 0 if ok else 1
 
 
-def _single_size_gabor(cfg, N, ps, seed):
-    kwargs = dict(
-        t_mu=float(cfg.get("mu", {}).get("t", 2.0)),
-        t_check=float(cfg.get("t_check", 2.0)),
-        s=float(cfg.get("s", 4.0)),
-        ps=ps,
-        m_t=float(cfg.get("m", {}).get("t", 0.0)) if cfg.get("m") else 0.0,
-        seed=seed,
-    )
-    if "a_ratio" in cfg or "b_ratio" in cfg:
-        kwargs["a_ratio"] = cfg.get("a_ratio")
-        kwargs["b_ratio"] = cfg.get("b_ratio", cfg.get("a_ratio"))
-    else:
-        kwargs["redundancy"] = int(cfg.get("redundancy", 4))
-    return gabor.gabor_lifting_experiment([N], **kwargs)
-
-
-def _single_size_fock(cfg, R, ps, seed):
-    return fock_mod.fock_lifting_experiment(
-        float(_require(cfg, "delta", (int, float), "fock")),
-        [R],
-        t_mu=float(cfg.get("mu", {}).get("t", 2.0)),
-        m_t=float(cfg.get("m", {}).get("t", 0.0)) if cfg.get("m") else 0.0,
-        ps=ps,
-        s=float(cfg.get("s", 4.0)),
-        margin=float(cfg.get("margin", 0.5)),
-        jitter=float(cfg.get("jitter", 0.0)),
-        seed=seed,
-    )
-
-
-def _merge_reports(parts: list) -> dict:
-    merged = dict(parts[0])
-    merged["entries"] = [e for part in parts for e in part["entries"]]
-    for key in ("decay_scaling", "gram_decay_scaling", "window_decay"):
-        if key in merged and isinstance(merged[key], dict):
-            acc = {}
-            for part in parts:
-                sub = part.get(key, {})
-                for k, v in sub.items():
-                    if isinstance(v, dict) and k in acc and isinstance(acc[k], dict):
-                        acc[k].update(v)
-                    else:
-                        acc[k] = v
-            merged[key] = acc
-    conds = [e["condition"] for e in merged["entries"] if e.get("status") == "ok"]
-    ratios = [conds[i + 1] / conds[i] for i in range(len(conds) - 1)] if len(conds) > 1 else []
-    for key in ("condition_ratios", "condition_growths"):
-        if key in merged:
-            merged[key] = ratios
-    return merged
-
-
 def _entry_rows(entry: dict, ps: list, size_key: str) -> list:
     rows = []
     label = entry[size_key]
@@ -287,81 +239,90 @@ def _entry_rows(entry: dict, ps: list, size_key: str) -> list:
     return rows
 
 
-def cmd_lift(cfg: dict, out_dir: Path, seed: int, tol: float, threads: int) -> int:
-    kind = cfg["kind"]
-    ps = _parse_ps(cfg)
-    if kind == "gabor":
-        sizes = _require(cfg, "Ns", list, "gabor")
-        runner, size_key = _single_size_gabor, "N"
-    elif kind == "fock":
-        sizes = _require(cfg, "R_list", list, "fock")
-        runner, size_key = _single_size_fock, "R"
-    elif kind == "custom-frame":
-        return _lift_custom(cfg, out_dir, seed, ps)
-    else:
-        raise ConfigError(f"unknown lift kind '{kind}'")
+def _sizes(cfg: dict, key: str, kind: str) -> list:
+    sizes = _require(cfg, key, list, kind)
     if not sizes:
         raise ConfigError("experiment needs at least one size")
+    return sizes
 
-    def run(size):
-        return runner(cfg, size, ps, seed)
 
-    try:
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(run, sizes))
+def _exponent(cfg: dict, key: str, default: float) -> float:
+    """The exponent t of the polynomial weight spec ``cfg[key]``."""
+    spec = cfg.get(key)
+    if not spec:
+        return default
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'{key}' must be a weight object")
+    return float(spec.get("t", default))
+
+
+def _run_experiment(cfg: dict, ps: list, seed: int):
+    """One library call over every configured size: (report, size key).
+
+    A custom frame is a one-size lift whose entry is keyed by n.
+    """
+    kind = cfg["kind"]
+    s = float(cfg.get("s", 4.0))
+    if kind == "gabor":
+        kwargs = dict(
+            t_mu=_exponent(cfg, "mu", 2.0),
+            t_check=float(cfg.get("t_check", 2.0)),
+            s=s,
+            ps=ps,
+            m_t=_exponent(cfg, "m", 0.0),
+            seed=seed,
+        )
+        if "a_ratio" in cfg or "b_ratio" in cfg:
+            kwargs["a_ratio"] = cfg.get("a_ratio")
+            kwargs["b_ratio"] = cfg.get("b_ratio", cfg.get("a_ratio"))
         else:
-            parts = [run(size) for size in sizes]
+            kwargs["redundancy"] = int(cfg.get("redundancy", 4))
+        return gabor.gabor_lifting_experiment(_sizes(cfg, "Ns", kind), **kwargs), "N"
+    if kind == "fock":
+        report = fock_mod.fock_lifting_experiment(
+            float(_require(cfg, "delta", (int, float), "fock")),
+            _sizes(cfg, "R_list", kind),
+            t_mu=_exponent(cfg, "mu", 2.0),
+            m_t=_exponent(cfg, "m", 0.0),
+            ps=ps,
+            s=s,
+            margin=float(cfg.get("margin", 0.5)),
+            jitter=float(cfg.get("jitter", 0.0)),
+            seed=seed,
+        )
+        return report, "R"
+    if kind == "custom-frame":
+        frame = build_frame(_require(cfg, "frame", dict, "custom-frame"), seed)
+        mu = build_weight(cfg.get("mu", {"type": "constant", "c": 1.0}), frame)
+        m = build_weight(cfg.get("m"), frame)
+        entry = {"size": frame.n}
+        pipeline_entry(entry, frame, mu, m=m, ps=ps, s=s, seed=seed)
+        return {"entries": [entry], "condition_ratios": condition_ratios([entry])}, "size"
+    raise ConfigError(f"unknown lift kind '{kind}'")
+
+
+def cmd_lift(cfg: dict, out_dir: Path, seed: int) -> int:
+    ps = _parse_ps(cfg)
+    try:
+        report, size_key = _run_experiment(cfg, ps, seed)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"experiment parameters invalid: {exc}") from exc
 
-    merged = _merge_reports(parts)
-    merged["schema_version"] = SCHEMA_VERSION
-    merged["seed"] = seed
-    merged["config"] = cfg
+    report["schema_version"] = SCHEMA_VERSION
+    report["seed"] = seed
+    report["config"] = cfg
     rows = []
-    for entry in merged["entries"]:
+    for entry in report["entries"]:
         rows.extend(_entry_rows(entry, ps, size_key))
         _dump_json(
             out_dir / f"lift_{size_key}{entry[size_key]}.json",
             {"schema_version": SCHEMA_VERSION, "seed": seed, "entry": entry},
         )
-    _dump_json(out_dir / "lift_report.json", merged)
+    _dump_json(out_dir / "lift_report.json", report)
     _write_table(out_dir, rows)
-    any_ok = any(e.get("status") == "ok" for e in merged["entries"])
-    return 0 if any_ok else 1
-
-
-def _lift_custom(cfg: dict, out_dir: Path, seed: int, ps: list) -> int:
-    frame = build_frame(_require(cfg, "frame", dict, "custom-frame"), seed)
-    mu = build_weight(cfg.get("mu", {"type": "constant", "c": 1.0}), frame)
-    m = build_weight(cfg.get("m"), frame)
-    try:
-        rep = lifting_theorem_pipeline(
-            frame, mu, m=m, ps=ps, s=float(cfg.get("s", 4.0)), seed=seed
-        )
-    except frames.NotAFrameError as exc:
-        entry = {
-            "size": frame.n,
-            "status": "not_a_frame",
-            "lower": exc.lower,
-            "upper": exc.upper,
-        }
-        _dump_json(
-            out_dir / "lift_report.json",
-            {"schema_version": SCHEMA_VERSION, "seed": seed, "config": cfg, "entries": [entry]},
-        )
-        _write_table(out_dir, _entry_rows(entry, ps, "size"))
-        return 1
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "config": cfg,
-        "entries": [{"size": frame.n, "status": "ok", "report": rep.to_dict(), "condition": rep.condition}],
-    }
-    _dump_json(out_dir / "lift_report.json", payload)
-    _write_table(out_dir, rep.csv_rows(frame.n))
-    return 0
+    return 0 if any(e["status"] == "ok" for e in report["entries"]) else 1
 
 
 def cmd_export(cfg: dict, out_dir: Path, seed: int) -> int:
@@ -407,20 +368,20 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="path to a JSON config")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
-        sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-        sp.add_argument("--threads", type=int, default=1, help="parallel experiment sizes")
+        if name == "verify":
+            sp.add_argument("--tol", type=float, default=None, help="tolerance override")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        tol = args.tol if args.tol is not None else float(cfg.get("tol", DEFAULT_TOL))
+        seed = _parse_seed(args.seed if args.seed is not None else cfg.get("seed", 0))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "verify":
+            tol = args.tol if args.tol is not None else float(cfg.get("tol", DEFAULT_TOL))
             return cmd_verify(cfg, out_dir, seed, tol)
         if args.command == "lift":
-            return cmd_lift(cfg, out_dir, seed, tol, max(1, args.threads))
+            return cmd_lift(cfg, out_dir, seed)
         return cmd_export(cfg, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

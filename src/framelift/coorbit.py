@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matalg
-from .frames import Frame, gram
+from .frames import Frame, NotAFrameError, gram
 from .multipliers import galerkin, multiplier
 from .weights import Weight, moderateness_constant, weighted_norm
 
@@ -288,22 +288,6 @@ class LiftingReport:
             "metadata": self.metadata,
         }
 
-    def csv_rows(self, size_label) -> list:
-        rows = []
-        for key, entry in self.per_p_results.items():
-            rows.append(
-                {
-                    "size": size_label,
-                    "p": key,
-                    "weight": entry.get("weight", "m*sqrt(mu)"),
-                    "lower": entry["lower"],
-                    "upper": entry["upper"],
-                    "condition": entry["condition"],
-                    "verdict": "ok" if self.verdicts.get("all_steps", True) else "fail",
-                }
-            )
-        return rows
-
 
 def _p_key(p) -> str:
     return "inf" if p == np.inf else str(p)
@@ -528,3 +512,27 @@ def lifting_theorem_pipeline(
         and report.lower > 0
     )
     return report
+
+
+def pipeline_entry(entry: dict, psi: Frame, mu, **kwargs):
+    """Run :func:`lifting_theorem_pipeline` on ``psi`` and fill ``entry``.
+
+    On success the entry gets ``status: "ok"``, the report as a dict and its
+    headline condition, and the report is returned; ``entry["report"]``
+    shares its dicts with it, so metadata added to the report afterwards
+    lands in the entry. A family that is not a frame becomes a
+    ``"not_a_frame"`` entry quoting the frame bounds, and None is returned.
+    """
+    try:
+        rep = lifting_theorem_pipeline(psi, mu, **kwargs)
+    except NotAFrameError as exc:
+        entry.update(status="not_a_frame", lower=exc.lower, upper=exc.upper, condition=float("inf"))
+        return None
+    entry.update(status="ok", report=rep.to_dict(), condition=rep.condition)
+    return rep
+
+
+def condition_ratios(entries) -> list:
+    """Ratios of successive headline conditions over the entries that ran."""
+    conds = [e["condition"] for e in entries if e["status"] == "ok"]
+    return [b / a for a, b in zip(conds, conds[1:])]

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matalg
-from .coorbit import lifting_theorem_pipeline
-from .frames import Frame, NotAFrameError
+from .coorbit import condition_ratios, pipeline_entry
+from .frames import Frame
 from .multipliers import multiplier
 from .weights import IndexSet, Weight, moderateness_constant
 
@@ -282,6 +282,7 @@ def fock_lifting_experiment(
             "bulk_bounds": [float(A), float(B)],
             "density_proxy": beurling_density_lower(lat),
         }
+        entries.append(entry)
         if not verdict_frame.is_frame:
             entry["status"] = "not_a_frame"
             entry["note"] = (
@@ -290,35 +291,23 @@ def fock_lifting_experiment(
                 "sub-critical regime (frames require density above one)"
             )
             entry["condition"] = float("inf")
-            entries.append(entry)
             continue
         core = bulk_frame(lat, K1)
         idx = core.index_set
         mu = Weight.polynomial(idx, t_mu)
         m = Weight.polynomial(idx, m_t) if m_t else None
-        try:
-            rep = lifting_theorem_pipeline(core, mu, m=m, ps=ps, s=s, seed=seed)
-        except NotAFrameError as exc:
-            entry["status"] = "not_a_frame"
+        rep = pipeline_entry(entry, core, mu, m=m, ps=ps, s=s, seed=seed)
+        del core  # release its cached Gram and dual before the next size runs
+        if rep is None:
             entry["note"] = "core compression lost the frame property"
-            entry["lower"] = exc.lower
-            entry["upper"] = exc.upper
-            entry["condition"] = float("inf")
-            entries.append(entry)
             continue
         rep.metadata["mu_subexponential_constant"] = moderateness_constant(
             mu, 1.0, profile="subexponential", beta=1.0
         )
-        entry["status"] = "ok"
-        entry["report"] = rep.to_dict()
-        entry["condition"] = rep.condition
-        entries.append(entry)
         decay_scaling[str(R)] = {
             str(se): matalg.decay_constant(fock_gram_exact(lat), se, lat.index_set()).constant
             for se in (2.0, s, 6.0)
         }
-    conds = [e["condition"] for e in entries if e["status"] == "ok"]
-    growths = [conds[i + 1] / conds[i] for i in range(len(conds) - 1)] if len(conds) > 1 else []
     return {
         "kind": "fock_lifting",
         "delta": delta,
@@ -327,6 +316,6 @@ def fock_lifting_experiment(
         "s": s,
         "ps": ["inf" if p == np.inf else p for p in ps],
         "entries": entries,
-        "condition_growths": growths,
+        "condition_ratios": condition_ratios(entries),
         "gram_decay_scaling": decay_scaling,
     }

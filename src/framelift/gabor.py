@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matalg
-from .coorbit import lifting_theorem_pipeline
-from .frames import Frame, NotAFrameError
+from .coorbit import condition_ratios, pipeline_entry
+from .frames import Frame
 from .weights import TORUS, IndexSet, Weight, moderateness_constant
 
 WINDOW_PERIODIZATION = 3  # tail terms below 1e-12 for N >= 4
@@ -194,37 +194,27 @@ def gabor_lifting_experiment(
     for N in Ns:
         lat = _lattice_for(int(N), redundancy, a_ratio, b_ratio)
         sys_ = gabor_system(lat.N, lat.a, lat.b)
+        A, Bb = sys_.frame.bounds
         entry = {
             "N": int(N),
             "a": lat.a,
             "b": lat.b,
             "n_vectors": lat.n,
             "redundancy": lat.redundancy,
+            "frame_bounds": [float(A), float(Bb)],
         }
-        try:
-            A, Bb = sys_.frame.bounds
-            entry["frame_bounds"] = [float(A), float(Bb)]
-            if not sys_.frame.is_frame:
-                raise NotAFrameError(A, Bb)
-            idx_raw = sys_.frame.index_set
-            mu = Weight.polynomial(idx_raw, t_mu)
-            m = Weight.polynomial(idx_raw, m_t) if m_t else None
-            rep = lifting_theorem_pipeline(sys_.frame, mu, m=m, ps=ps, s=s, seed=seed)
-            rep.metadata["window_decay_constants"] = {
-                str(se): stft_decay_constant(sys_.window, se, normalized=True)
-                for se in (2.0, 4.0, 6.0, 8.0)
-            }
-            rep.metadata["interplay"] = moderate_interplay_check(sys_, t_check, s)
-            entry["status"] = "ok"
-            entry["report"] = rep.to_dict()
-            entry["condition"] = rep.condition
-        except NotAFrameError as exc:
-            entry["status"] = "not_a_frame"
-            entry["lower"] = exc.lower
-            entry["upper"] = exc.upper
-            entry["condition"] = float("inf")
-            entries.append(entry)
+        entries.append(entry)
+        idx_raw = sys_.frame.index_set
+        mu = Weight.polynomial(idx_raw, t_mu)
+        m = Weight.polynomial(idx_raw, m_t) if m_t else None
+        rep = pipeline_entry(entry, sys_.frame, mu, m=m, ps=ps, s=s, seed=seed)
+        if rep is None:
             continue
+        rep.metadata["window_decay_constants"] = {
+            str(se): stft_decay_constant(sys_.window, se, normalized=True)
+            for se in (2.0, 4.0, 6.0, 8.0)
+        }
+        rep.metadata["interplay"] = moderate_interplay_check(sys_, t_check, s)
         idx_norm = lat.index_set(normalized=True)
         G = sys_.frame.gram_matrix
         Gd = sys_.frame.canonical_dual().gram_matrix
@@ -232,16 +222,15 @@ def gabor_lifting_experiment(
         decay_norm_dual[str(N)] = matalg.decay_constant(Gd, s, idx_norm).constant
         decay_raw[str(N)] = matalg.decay_constant(G, s, idx_raw).constant
         window_decay[str(N)] = rep.metadata["window_decay_constants"]
-        entries.append(entry)
-    conds = [e["condition"] for e in entries if e["status"] == "ok"]
-    ratios = [conds[i + 1] / conds[i] for i in range(len(conds) - 1)] if len(conds) > 1 else []
+        # Release this size's n x n arrays before the next size runs.
+        del G, Gd, idx_norm
     return {
         "kind": "gabor_lifting",
         "t_mu": t_mu,
         "s": s,
         "ps": ["inf" if p == np.inf else p for p in ps],
         "entries": entries,
-        "condition_ratios": ratios,
+        "condition_ratios": condition_ratios(entries),
         "decay_scaling": {
             "s": s,
             "gram_normalized": decay_norm,

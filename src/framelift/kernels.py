@@ -1,31 +1,15 @@
 """Array kernels for pairwise-distance and decay scans.
 
-Every kernel exists in two versions: a plain numpy implementation and a
-numba-compiled loop, both importable under explicit names so tests and the
-benchmark harness can compare them. The unsuffixed names are the dispatch:
-kernels where the compiled loop measurably wins use it when numba is
-available and the environment variable ``FRAMELIFT_DISABLE_JIT`` is unset
-(or "0"); the rest stay on numpy regardless.
-
-Dense linear algebra (eigendecompositions, SVD, matrix products) is not
-handled here; BLAS/LAPACK already saturate those paths.
+One numpy implementation per kernel. The distance scans are a few percent
+of a lifting run; dense linear algebra (eigendecompositions, SVD, matrix
+products) is not handled here, since BLAS/LAPACK already saturate those
+paths.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via FRAMELIFT_DISABLE_JIT
-    HAS_NUMBA = False
-
-JIT_ENABLED = HAS_NUMBA and os.environ.get("FRAMELIFT_DISABLE_JIT", "0") != "1"
-
-
-def pairwise_dist_numpy(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
+def pairwise_dist(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
     """All pairwise distances between rows of ``pts`` (shape (n, D)).
 
     ``period > 0`` selects the torus metric: coordinatewise circular
@@ -38,7 +22,7 @@ def pairwise_dist_numpy(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def dist_from_numpy(pts: np.ndarray, ref: np.ndarray, period: float = 0.0) -> np.ndarray:
+def dist_from(pts: np.ndarray, ref: np.ndarray, period: float = 0.0) -> np.ndarray:
     """Distances from each row of ``pts`` to the single point ``ref``."""
     diff = np.abs(pts - ref[None, :])
     if period > 0.0:
@@ -47,18 +31,18 @@ def dist_from_numpy(pts: np.ndarray, ref: np.ndarray, period: float = 0.0) -> np
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def decay_max_numpy(absa: np.ndarray, dist: np.ndarray, s: float) -> float:
+def decay_max(absa: np.ndarray, dist: np.ndarray, s: float) -> float:
     """max over (k,l) of |a_kl| * (1 + dist_kl)**s."""
     return float((absa * (1.0 + dist) ** s).max())
 
 
-def moderateness_max_numpy(values: np.ndarray, dist: np.ndarray, t: float) -> float:
+def moderateness_max(values: np.ndarray, dist: np.ndarray, t: float) -> float:
     """max over (k,l) of m_k / ((1 + dist_kl)**t * m_l)."""
     ratio = values[:, None] / values[None, :]
     return float((ratio / (1.0 + dist) ** t).max())
 
 
-def moderateness_max_subexp_numpy(
+def moderateness_max_subexp(
     values: np.ndarray, dist: np.ndarray, alpha: float, beta: float
 ) -> float:
     """max over (k,l) of m_k / (exp(alpha * dist_kl**beta) * m_l)."""
@@ -66,135 +50,6 @@ def moderateness_max_subexp_numpy(
     return float((ratio / np.exp(alpha * dist**beta)).max())
 
 
-def schur_kappa_numpy(dist: np.ndarray, s: float) -> float:
+def schur_kappa(dist: np.ndarray, s: float) -> float:
     """max over k of sum_l (1 + dist_kl)**(-s)."""
     return float(((1.0 + dist) ** (-s)).sum(axis=1).max())
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _pairwise_dist_jit(pts, period):
-        n, ndim = pts.shape
-        out = np.empty((n, n), dtype=np.float64)
-        for i in range(n):
-            out[i, i] = 0.0
-            for j in range(i + 1, n):
-                acc = 0.0
-                for k in range(ndim):
-                    d = abs(pts[i, k] - pts[j, k])
-                    if period > 0.0:
-                        d = d % period
-                        if d > period - d:
-                            d = period - d
-                    acc += d * d
-                r = np.sqrt(acc)
-                out[i, j] = r
-                out[j, i] = r
-        return out
-
-    @njit(cache=True)
-    def _dist_from_jit(pts, ref, period):
-        n, ndim = pts.shape
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            acc = 0.0
-            for k in range(ndim):
-                d = abs(pts[i, k] - ref[k])
-                if period > 0.0:
-                    d = d % period
-                    if d > period - d:
-                        d = period - d
-                acc += d * d
-            out[i] = np.sqrt(acc)
-        return out
-
-    @njit(cache=True)
-    def _decay_max_jit(absa, dist, s):
-        n, m = absa.shape
-        best = 0.0
-        for i in range(n):
-            for j in range(m):
-                v = absa[i, j] * (1.0 + dist[i, j]) ** s
-                if v > best:
-                    best = v
-        return best
-
-    @njit(cache=True)
-    def _moderateness_max_jit(values, dist, t):
-        n = values.shape[0]
-        best = 0.0
-        for i in range(n):
-            for j in range(n):
-                v = values[i] / ((1.0 + dist[i, j]) ** t * values[j])
-                if v > best:
-                    best = v
-        return best
-
-    @njit(cache=True)
-    def _moderateness_max_subexp_jit(values, dist, alpha, beta):
-        n = values.shape[0]
-        best = 0.0
-        for i in range(n):
-            for j in range(n):
-                v = values[i] / (np.exp(alpha * dist[i, j] ** beta) * values[j])
-                if v > best:
-                    best = v
-        return best
-
-    @njit(cache=True)
-    def _schur_kappa_jit(dist, s):
-        n = dist.shape[0]
-        best = 0.0
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc += (1.0 + dist[i, j]) ** (-s)
-            if acc > best:
-                best = acc
-        return best
-
-    def pairwise_dist_jit(pts, period=0.0):
-        return _pairwise_dist_jit(np.ascontiguousarray(pts, dtype=np.float64), float(period))
-
-    def dist_from_jit(pts, ref, period=0.0):
-        return _dist_from_jit(
-            np.ascontiguousarray(pts, dtype=np.float64),
-            np.ascontiguousarray(ref, dtype=np.float64),
-            float(period),
-        )
-
-    def decay_max_jit(absa, dist, s):
-        return float(_decay_max_jit(np.ascontiguousarray(absa), np.ascontiguousarray(dist), float(s)))
-
-    def moderateness_max_jit(values, dist, t):
-        return float(
-            _moderateness_max_jit(np.ascontiguousarray(values), np.ascontiguousarray(dist), float(t))
-        )
-
-    def moderateness_max_subexp_jit(values, dist, alpha, beta):
-        return float(
-            _moderateness_max_subexp_jit(
-                np.ascontiguousarray(values), np.ascontiguousarray(dist), float(alpha), float(beta)
-            )
-        )
-
-    def schur_kappa_jit(dist, s):
-        return float(_schur_kappa_jit(np.ascontiguousarray(dist), float(s)))
-
-
-# Dispatch is per kernel: benchmarks/bench_kernels.py shows the compiled
-# distance scans winning by an order of magnitude, while the max-reduction
-# kernels are dominated by elementwise pow and run faster through numpy's
-# vectorized path. Only measured winners take the compiled route.
-if JIT_ENABLED:
-    pairwise_dist = pairwise_dist_jit
-    dist_from = dist_from_jit
-else:
-    pairwise_dist = pairwise_dist_numpy
-    dist_from = dist_from_numpy
-
-decay_max = decay_max_numpy
-moderateness_max = moderateness_max_numpy
-moderateness_max_subexp = moderateness_max_subexp_numpy
-schur_kappa = schur_kappa_numpy

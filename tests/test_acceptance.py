@@ -195,7 +195,7 @@ def test_criterion_6_fock():
         for e in out["entries"]:
             assert e["status"] == "ok", e
             assert e["report"]["lower"] > 0
-        for growth in out["condition_growths"]:
+        for growth in out["condition_ratios"]:
             assert growth < 1.5
 
 

@@ -9,8 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framelift.cli import main
-from framelift.frames import Frame
+from framelift import cli
+from framelift.cli import _entry_rows, main
+from framelift.coorbit import pipeline_entry
+from framelift.fock import fock_lifting_experiment
+from framelift.frames import Frame, random_frame
+from framelift.gabor import gabor_lifting_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -96,6 +100,55 @@ class TestConfigErrors:
         )
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_infinity_token_in_ps_reads_as_inf(self, tmp_path):
+        # json accepts the bare token Infinity; it means p = inf, like "Infinity".
+        p = tmp_path / "infp.json"
+        p.write_text(
+            '{"kind": "custom-frame", "frame": {"type": "onb", "d": 4}, "ps": [2, Infinity]}'
+        )
+        assert main(["lift", "--config", str(p), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "lifting_table.csv", newline="") as fh:
+            assert [r["p"] for r in csv.DictReader(fh)] == ["2", "inf"]
+
+    def test_bool_p_value_is_rejected(self, tmp_path):
+        cfg = _write(
+            tmp_path,
+            "boolp.json",
+            {"kind": "custom-frame", "frame": {"type": "onb", "d": 4}, "ps": [True]},
+        )
+        assert main(["lift", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_non_object_weight_spec_is_rejected(self, tmp_path):
+        cfg = _write(tmp_path, "badmu.json", {"kind": "gabor", "Ns": [16], "mu": 2})
+        assert main(["lift", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("verify", "verify_onb.json"),
+            ("lift", "lift_scalar_onb.json"),
+            ("export", "export_gabor_frame.json"),
+        ],
+    )
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, config):
+        argv = [command, "--config", str(CONFIGS / config), "--out", str(tmp_path)]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        cfg = dict(_read_json(CONFIGS / config), seed=-1)
+        argv[2] = _write(tmp_path, "negseed.json", cfg)
+        assert main(argv) == 2
+
+    @pytest.mark.parametrize(
+        "command, flag", [("lift", "--tol"), ("export", "--tol"), ("lift", "--threads")]
+    )
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [command, "--config", str(CONFIGS / "lift_gabor.json"), "--out", str(tmp_path)]
+                + [flag, "1"]
+            )
+        assert exc.value.code == 2
+
     def test_unknown_frame_type(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -151,6 +204,71 @@ class TestLift:
             assert float(r["lower"]) == pytest.approx(1.0, abs=1e-10)
             assert float(r["upper"]) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "config, experiment",
+        [
+            (
+                "lift_gabor.json",
+                lambda cfg: gabor_lifting_experiment(
+                    cfg["Ns"], redundancy=4, t_mu=2.0, ps=[2], s=4.0, seed=0
+                ),
+            ),
+            (
+                "lift_fock.json",
+                lambda cfg: fock_lifting_experiment(
+                    0.8, cfg["R_list"], t_mu=2.0, ps=[2], s=4.0, margin=0.5, seed=1
+                ),
+            ),
+        ],
+    )
+    def test_report_is_one_library_call(self, tmp_path, config, experiment):
+        cfg = _read_json(CONFIGS / config)
+        out = tmp_path / "cli"
+        assert main(["lift", "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+        want = dict(experiment(cfg), schema_version=cli.SCHEMA_VERSION, seed=cfg["seed"], config=cfg)
+        cli._dump_json(tmp_path / "want.json", want)
+        assert (out / "lift_report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_custom_frame_that_is_not_a_frame_fails(self, tmp_path):
+        # 4 Gabor vectors cannot span C^16.
+        cfg = _write(
+            tmp_path,
+            "nonframe.json",
+            {
+                "kind": "custom-frame",
+                "frame": {"type": "gabor", "N": 16, "a": 8, "b": 8},
+                "ps": [1, 2],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["lift", "--config", cfg, "--out", str(out)]) == 1
+        with open(out / "lifting_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["p"] for r in rows] == ["1", "2"]
+        for r in rows:
+            assert (r["size"], r["verdict"], r["condition"]) == ("4", "fail", "inf")
+        entry = _read_json(out / "lift_size4.json")["entry"]
+        assert entry["status"] == "not_a_frame"
+        assert entry["condition"] == float("inf")
+        assert entry["lower"] <= 1e-8 * entry["upper"]
+
+
+class TestRows:
+    def test_report_round_trips_to_dict_and_rows(self, rng):
+        fr = random_frame(rng, 8, 4)
+        mu = rng.uniform(0.5, 2.0, 8)
+        entry = {"size": "N=8"}
+        report = pipeline_entry(entry, fr, mu, ps=(2, np.inf))
+        d = entry["report"]
+        assert d["lower"] == report.lower
+        assert "metadata" in d and "moderateness" in d
+        rows = _entry_rows(entry, [2, np.inf], "size")
+        assert {r["p"] for r in rows} == {"2", "inf"}
+        for r in rows:
+            assert set(r) == {"size", "p", "weight", "lower", "upper", "condition", "verdict"}
+            assert r["size"] == "N=8"
+            assert r["verdict"] == "ok"
+
 
 class TestExport:
     def test_frame_round_trips_through_export(self, tmp_path):
@@ -199,29 +317,14 @@ class TestExport:
 
 
 class TestDeterminism:
-    def _run_lift(self, out, threads=1):
-        rc = main(
-            [
-                "lift",
-                "--config",
-                str(CONFIGS / "lift_gabor.json"),
-                "--out",
-                str(out),
-                "--threads",
-                str(threads),
-            ]
-        )
+    def _run_lift(self, out):
+        rc = main(["lift", "--config", str(CONFIGS / "lift_gabor.json"), "--out", str(out)])
         assert rc == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         a = self._run_lift(tmp_path / "a")
         b = self._run_lift(tmp_path / "b")
-        assert a == b
-
-    def test_threaded_run_matches_serial(self, tmp_path):
-        a = self._run_lift(tmp_path / "serial")
-        b = self._run_lift(tmp_path / "threaded", threads=3)
         assert a == b
 
 

@@ -174,20 +174,6 @@ class TestPipeline:
         assert 0 < report.lower <= report.upper
         assert report.condition == pytest.approx(report.upper / report.lower)
 
-    def test_report_round_trips_to_dict_and_rows(self, rng):
-        fr = random_frame(rng, 8, 4)
-        mu = rng.uniform(0.5, 2.0, 8)
-        report = lifting_theorem_pipeline(fr, mu, ps=(2, np.inf))
-        d = report.to_dict()
-        assert d["lower"] == report.lower
-        assert "metadata" in d and "moderateness" in d
-        rows = report.csv_rows("N=8")
-        assert {r["p"] for r in rows} == {"2", "inf"}
-        for r in rows:
-            assert set(r) == {"size", "p", "weight", "lower", "upper", "condition", "verdict"}
-            assert r["size"] == "N=8"
-            assert r["verdict"] == "ok"
-
     def test_exponential_weight_is_flagged_not_fatal(self, rng):
         fr = onb(8)
         k = np.arange(8.0)

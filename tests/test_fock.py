@@ -189,7 +189,7 @@ class TestExperiment:
             rtol=1e-9,
         )
         np.testing.assert_allclose(
-            out["condition_growths"], [conds[1] / conds[0], conds[2] / conds[1]], rtol=1e-12
+            out["condition_ratios"], [conds[1] / conds[0], conds[2] / conds[1]], rtol=1e-12
         )
         for e in out["entries"]:
             assert e["status"] == "ok"
@@ -200,7 +200,7 @@ class TestExperiment:
         for e in out["entries"]:
             assert e["status"] == "not_a_frame"
             assert "density" in e["note"]
-        assert out["condition_growths"] == []
+        assert out["condition_ratios"] == []
 
     def test_jittered_lattice_frozen_condition(self):
         out = fock_lifting_experiment(0.8, [2.0], ps=(2,), jitter=0.1, seed=1)

@@ -1,8 +1,4 @@
-"""Kernel-level checks: both implementations, their agreement, and the env switch."""
-
-import os
-import subprocess
-import sys
+"""Kernel-level checks against direct numpy formulas."""
 
 import numpy as np
 import pytest
@@ -12,7 +8,7 @@ from framelift import kernels
 
 def test_pairwise_dist_euclidean_against_direct(rng):
     pts = rng.uniform(-5, 5, size=(40, 2))
-    got = kernels.pairwise_dist_numpy(pts)
+    got = kernels.pairwise_dist(pts)
     want = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     np.testing.assert_allclose(got, want, atol=1e-14)
     assert got.shape == (40, 40)
@@ -22,7 +18,7 @@ def test_pairwise_dist_euclidean_against_direct(rng):
 def test_pairwise_dist_torus_wraps():
     # On Z_16 the points 0 and 15 are neighbors, not 15 apart.
     pts = np.array([[0.0], [15.0], [8.0]])
-    d = kernels.pairwise_dist_numpy(pts, period=16.0)
+    d = kernels.pairwise_dist(pts, period=16.0)
     assert d[0, 1] == pytest.approx(1.0)
     assert d[0, 2] == pytest.approx(8.0)
     assert d[1, 2] == pytest.approx(7.0)
@@ -30,79 +26,33 @@ def test_pairwise_dist_torus_wraps():
 
 def test_dist_from_matches_pairwise_row(rng):
     pts = rng.uniform(0, 10, size=(25, 3))
-    full = kernels.pairwise_dist_numpy(pts)
-    row = kernels.dist_from_numpy(pts, pts[7])
+    full = kernels.pairwise_dist(pts)
+    row = kernels.dist_from(pts, pts[7])
     np.testing.assert_allclose(row, full[7], atol=1e-14)
 
 
 def test_decay_max_is_the_weighted_sup(rng):
     pts = rng.uniform(0, 6, size=(15, 2))
-    dist = kernels.pairwise_dist_numpy(pts)
+    dist = kernels.pairwise_dist(pts)
     absa = np.abs(rng.standard_normal((15, 15)))
     want = float((absa * (1.0 + dist) ** 3.5).max())
-    assert kernels.decay_max_numpy(absa, dist, 3.5) == pytest.approx(want, rel=1e-14)
+    assert kernels.decay_max(absa, dist, 3.5) == pytest.approx(want, rel=1e-14)
 
 
 def test_moderateness_profiles(rng):
     pts = np.arange(9, dtype=float)[:, None]
-    dist = kernels.pairwise_dist_numpy(pts)
+    dist = kernels.pairwise_dist(pts)
     vals = np.exp(pts[:, 0] / 3.0)
-    poly = kernels.moderateness_max_numpy(vals, dist, 2.0)
+    poly = kernels.moderateness_max(vals, dist, 2.0)
     want = float((vals[:, None] / (vals[None, :] * (1.0 + dist) ** 2)).max())
     assert poly == pytest.approx(want, rel=1e-14)
-    sub = kernels.moderateness_max_subexp_numpy(vals, dist, 1.0, 1.0)
+    sub = kernels.moderateness_max_subexp(vals, dist, 1.0, 1.0)
     want_sub = float((vals[:, None] / (vals[None, :] * np.exp(dist))).max())
     assert sub == pytest.approx(want_sub, rel=1e-14)
 
 
 def test_schur_kappa_is_max_row_sum():
     pts = np.array([[0.0], [1.0]])
-    dist = kernels.pairwise_dist_numpy(pts)
+    dist = kernels.pairwise_dist(pts)
     # rows are 1/(1+0) + 1/(1+1) = 1.5 each
-    assert kernels.schur_kappa_numpy(dist, 1.0) == pytest.approx(1.5)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("period", [0.0, 7.0])
-def test_jit_and_numpy_paths_agree(rng, period):
-    pts = rng.uniform(0, 7, size=(30, 2))
-    d_np = kernels.pairwise_dist_numpy(pts, period)
-    d_jit = kernels.pairwise_dist_jit(pts, period)
-    np.testing.assert_allclose(d_jit, d_np, atol=1e-13)
-
-    ref = rng.uniform(0, 7, size=2)
-    np.testing.assert_allclose(
-        kernels.dist_from_jit(pts, ref, period), kernels.dist_from_numpy(pts, ref, period), atol=1e-13
-    )
-
-    absa = np.abs(rng.standard_normal((30, 30)))
-    vals = 1.0 + np.abs(rng.standard_normal(30))
-    assert kernels.decay_max_jit(absa, d_np, 4.0) == pytest.approx(
-        kernels.decay_max_numpy(absa, d_np, 4.0), rel=1e-13
-    )
-    assert kernels.moderateness_max_jit(vals, d_np, 2.0) == pytest.approx(
-        kernels.moderateness_max_numpy(vals, d_np, 2.0), rel=1e-13
-    )
-    assert kernels.moderateness_max_subexp_jit(vals, d_np, 0.5, 1.0) == pytest.approx(
-        kernels.moderateness_max_subexp_numpy(vals, d_np, 0.5, 1.0), rel=1e-13
-    )
-    assert kernels.schur_kappa_jit(d_np, 3.0) == pytest.approx(
-        kernels.schur_kappa_numpy(d_np, 3.0), rel=1e-13
-    )
-
-
-def test_disable_jit_env_flag_forces_numpy_path():
-    code = (
-        "from framelift import kernels; "
-        "assert not kernels.JIT_ENABLED; "
-        "assert kernels.pairwise_dist is kernels.pairwise_dist_numpy"
-    )
-    env = dict(os.environ, FRAMELIFT_DISABLE_JIT="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_jit_dispatch_when_enabled():
-    if kernels.JIT_ENABLED:
-        assert kernels.pairwise_dist is kernels.pairwise_dist_jit
-    else:
-        assert kernels.pairwise_dist is kernels.pairwise_dist_numpy
+    assert kernels.schur_kappa(dist, 1.0) == pytest.approx(1.5)
