@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fock as fock_mod
 from . import frames, gabor, matalg, multipliers
-from .coorbit import coercivity_check, condition_ratios, pipeline_entry
+from .coorbit import _p_key, coercivity_check, condition_ratios, pipeline_entry
 from .weights import Weight
 
 SCHEMA_VERSION = 2
@@ -162,6 +162,13 @@ def _parse_seed(seed) -> int:
     return seed
 
 
+def _parse_nonnegative(value, key: str) -> float:
+    """A finite nonnegative number from the config or the command line."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < np.inf:
+        raise ConfigError(f"'{key}' must be a finite nonnegative number, got {value!r}")
+    return float(value)
+
+
 def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     frame = build_frame(_require(cfg, "frame", dict, "verify"), seed)
     mu = build_weight(cfg.get("mu", {"type": "constant", "c": 1.0}), frame)
@@ -170,7 +177,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
         raise ConfigError("'weights' must be a list")
     weights = [build_weight(wspec, frame) for wspec in wspecs]
     ps = _parse_ps(cfg)
-    s = float(cfg.get("s", 4.0))
+    s = _parse_nonnegative(cfg.get("s", 4.0), "s")
 
     identities = frames.gram_identities_check(frame, rtol=tol)
     coercivity = coercivity_check(frame, mu, seed=seed, tol=max(tol, 1e-12))
@@ -228,7 +235,7 @@ def _entry_rows(entry: dict, ps: list, size_key: str) -> list:
             rows.append(
                 {
                     "size": label,
-                    "p": "inf" if p == np.inf else str(p),
+                    "p": _p_key(p),
                     "weight": "m*sqrt(mu)",
                     "lower": None,
                     "upper": None,
@@ -262,7 +269,7 @@ def _run_experiment(cfg: dict, ps: list, seed: int):
     A custom frame is a one-size lift whose entry is keyed by n.
     """
     kind = cfg["kind"]
-    s = float(cfg.get("s", 4.0))
+    s = _parse_nonnegative(cfg.get("s", 4.0), "s")
     if kind == "gabor":
         kwargs = dict(
             t_mu=_exponent(cfg, "mu", 2.0),
@@ -335,8 +342,7 @@ def cmd_export(cfg: dict, out_dir: Path, seed: int) -> int:
     if what == "frame":
         if fmt != "json":
             raise ConfigError("frames export as JSON only")
-        payload = {"schema_version": SCHEMA_VERSION, **frame.to_dict()}
-        write_atomic(out_dir / f"{name}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _dump_json(out_dir / f"{name}.json", {"schema_version": SCHEMA_VERSION, **frame.to_dict()})
         return 0
     if what == "gram":
         target = frame.gram_matrix
@@ -347,7 +353,7 @@ def cmd_export(cfg: dict, out_dir: Path, seed: int) -> int:
         raise ConfigError(f"unknown export target '{what}'")
     if fmt == "json":
         payload = {"schema_version": SCHEMA_VERSION, **matalg.matrix_to_json(target)}
-        write_atomic(out_dir / f"{name}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _dump_json(out_dir / f"{name}.json", payload)
     else:
         matalg.save_matrix_csv(target, out_dir / f"{name}_real.csv", out_dir / f"{name}_imag.csv")
     return 0
@@ -378,8 +384,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "verify":
-            tol = args.tol if args.tol is not None else float(cfg.get("tol", DEFAULT_TOL))
-            return cmd_verify(cfg, out_dir, seed, tol)
+            tol = args.tol if args.tol is not None else cfg.get("tol", DEFAULT_TOL)
+            return cmd_verify(cfg, out_dir, seed, _parse_nonnegative(tol, "tol"))
         if args.command == "lift":
             return cmd_lift(cfg, out_dir, seed)
         return cmd_export(cfg, out_dir, seed)

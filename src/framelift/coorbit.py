@@ -9,10 +9,11 @@ The lifting question asks for the best constants in
 
 For p = 2 both constants are exact generalized singular values. For
 p in {1, inf} they are bracketed: certified outer bounds come from the
-pseudo-inverse factorization (B^dagger B = I for an injective coefficient
-map B), certified inner bounds from a seeded randomized scan. Other p get
-outer bounds by interpolating the exact p = 1, 2, inf norms. Brackets are
-part of every report; nothing outside {2} is claimed exact.
+left-inverse factorization (B^+ B = I for an injective coefficient map B;
+a map that is not injective gives the trivial bound), inner bounds from a
+seeded randomized scan. Other p get outer bounds by interpolating the exact
+p = 1, 2, inf norms. Brackets are part of every report; nothing outside {2}
+is claimed exact.
 """
 
 import functools
@@ -24,21 +25,12 @@ import scipy.linalg
 from . import matalg
 from .frames import Frame, NotAFrameError, gram
 from .multipliers import galerkin, multiplier
-from .weights import Weight, moderateness_constant, weighted_norm
+from .weights import Weight, moderateness_constant, weight_values, weighted_norm
 
 N_SAMPLES = 256
 # Reporting flag only: a pairwise moderateness constant above this makes the
 # weight behave non-polynomially at desk scale (nothing fails on it).
 MODERATE_FLAG = 1e3
-
-
-def _wvals(m, n: int) -> np.ndarray:
-    if m is None:
-        return np.ones(n)
-    v = m.values if isinstance(m, Weight) else np.asarray(m, dtype=float)
-    if v.shape != (n,):
-        raise ValueError("weight length does not match frame size")
-    return v
 
 
 @dataclass
@@ -54,7 +46,7 @@ class CoorbitSpace:
 def coorbit_norm(space: CoorbitSpace, f) -> float:
     """||f||_{H^p_m} = weighted l^p_m norm of canonical-dual coefficients."""
     dual = space.frame.canonical_dual()
-    return weighted_norm(dual.analysis(f), space.p, _wvals(space.m, space.frame.n))
+    return weighted_norm(dual.analysis(f), space.p, space.m)
 
 
 def duality_pairing(f, g, space: CoorbitSpace) -> complex:
@@ -64,20 +56,17 @@ def duality_pairing(f, g, space: CoorbitSpace) -> complex:
 
 
 class _Factored:
-    """An n x d coefficient map with its factorizations made on first use.
+    """An n x d coefficient map with its left inverse made on first use.
 
     :func:`map_constants` accepts these in place of arrays, so a caller that
     needs several p for one pair of maps (the lifting pipeline) factors
-    each map once.
+    each map once. The map need not be injective: one that fails the
+    injectivity test has no left inverse, and the bound that needs it is
+    reported as the trivial one.
     """
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix)
-
-    @functools.cached_property
-    def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudo-inverse, rank cut at matalg.RANK_RTOL."""
-        return matalg.pseudo_inverse(self.matrix)
 
     @functools.cached_property
     def left_inverse(self):
@@ -112,41 +101,29 @@ def _product_norm(L: np.ndarray, R: np.ndarray, p) -> float:
     return matalg.interpolated_upper(T, p, n2)
 
 
-def _row_norms(rows: np.ndarray, p) -> np.ndarray:
-    """The l^p norm of each row; one row per sample."""
-    a = np.abs(rows)
-    if p == np.inf:
-        return a.max(axis=1)
-    return (a**p).sum(axis=1) ** (1.0 / p)
-
-
 def map_constants(A, B, p, n_samples: int = N_SAMPLES, seed: int = 0) -> dict:
     """Best constants L, U with L ||Bf||_p <= ||Af||_p <= U ||Bf||_p.
 
-    B must be injective (it always is for dual-coefficient maps). A and B
-    are n x d arrays or :class:`_Factored` maps, which keep their
+    A and B are n x d arrays or :class:`_Factored` maps, which keep their
     factorizations across calls. Returns bracket pairs
     {"lower": (lo, hi), "upper": (lo, hi)}; for p = 2 the brackets have
-    zero width.
+    zero width. For p != 2 the certified sides are ||A B^+||_p and
+    1 / ||B A^+||_p, with B^+ and A^+ the left inverses of
+    :class:`_Factored`; a map that fails its injectivity test gives the
+    trivial side instead, upper = inf for B and lower = 0 for A. The inner
+    sides come from :func:`matalg.sampled_ratios`.
     """
     A, B = _factored(A), _factored(B)
     Am, Bm = A.matrix, B.matrix
-    d = Am.shape[1]
     if p == 2:
         w = scipy.linalg.eigh(Am.conj().T @ Am, Bm.conj().T @ Bm, eigvals_only=True)
         lo = float(np.sqrt(max(w[0], 0.0)))
         hi = float(np.sqrt(max(w[-1], 0.0)))
         return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
-    upper_cert = _product_norm(Am, B.pinv, p)
-    A_inv = A.left_inverse
+    B_inv, A_inv = B.left_inverse, A.left_inverse
+    upper_cert = _product_norm(Am, B_inv, p) if B_inv is not None else np.inf
     lower_cert = 1.0 / _product_norm(Bm, A_inv, p) if A_inv is not None else 0.0
-    # Row i is f_i: d real parts, then d imaginary parts, drawn in sample
-    # order, so a seed fixes each f_i whatever n_samples is.
-    draws = np.random.default_rng(seed).standard_normal((n_samples, 2, d))
-    F = draws[:, 0] + 1j * draws[:, 1]
-    den = _row_norms(F @ Bm.T, p)
-    keep = den != 0
-    ratios = _row_norms(F[keep] @ Am.T, p) / den[keep]
+    ratios = matalg.sampled_ratios(Am, Bm, p, n_samples, seed)
     up_samp = float(np.max(ratios, initial=0.0))
     lo_samp = float(np.min(ratios, initial=np.inf))
     return {"lower": (lower_cert, lo_samp), "upper": (up_samp, upper_cert), "p": p}
@@ -155,8 +132,8 @@ def map_constants(A, B, p, n_samples: int = N_SAMPLES, seed: int = 0) -> dict:
 def _coefficient_maps(psi: Frame, T, m_out, m_in):
     dual = psi.canonical_dual()
     Cd = dual.analysis_matrix
-    wout = _wvals(m_out, psi.n)
-    win = _wvals(m_in, psi.n)
+    wout = weight_values(m_out, psi.n)
+    win = weight_values(m_in, psi.n)
     A = wout[:, None] * (Cd @ np.asarray(T))
     B = win[:, None] * Cd
     return A, B
@@ -182,7 +159,7 @@ def equivalence_constants(
         raise ValueError("frames must share the ambient dimension")
     if not alt_frame.is_frame:
         raise ValueError("alt_frame is not a frame")
-    mvals = _wvals(space.m, space.frame.n)
+    mvals = weight_values(space.m, space.frame.n)
     if alt_frame.n != space.frame.n:
         raise ValueError("equivalence needs equally indexed frames")
     dual = space.frame.canonical_dual()
@@ -205,7 +182,7 @@ def coercivity_check(psi: Frame, mu, n_random: int = 100, seed: int = 0, tol: fl
     the constants relative to ||f||^2_{H^2_sqrt(mu)} come from the
     generalized eigenvalue problem between the two quadratic forms.
     """
-    muv = _wvals(mu, psi.n)
+    muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
         raise ValueError("mu must be strictly positive")
     M = multiplier(muv, psi).matrix
@@ -225,8 +202,7 @@ def coercivity_check(psi: Frame, mu, n_random: int = 100, seed: int = 0, tol: fl
     rel = (float(np.sqrt(max(w[0], 0.0))), float(np.sqrt(w[-1])))
     # sigma_min of M_mu : H^2_sqrt(mu) -> H^2_{1/sqrt(mu)} certifies bijectivity.
     A, B = _coefficient_maps(psi, M, 1.0 / np.sqrt(muv), np.sqrt(muv))
-    sw = scipy.linalg.eigh(A.conj().T @ A, B.conj().T @ B, eigvals_only=True)
-    sigma_min = float(np.sqrt(max(sw[0], 0.0)))
+    sigma_min = map_constants(A, B, 2)["lower"][0]
     return {
         "identity_residual": worst,
         "identity_ok": worst < tol,
@@ -251,10 +227,10 @@ def lifting_constants(
     The returned floats are the certified outer bounds, so they are exact
     for p = 2 and safe (lower <= true lower, upper >= true upper) otherwise.
     """
-    muv = _wvals(mu, psi.n)
+    muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
         raise ValueError("mu must be strictly positive")
-    mv = _wvals(m, psi.n)
+    mv = weight_values(m, psi.n)
     A, B = _lifting_maps(psi, multiplier(muv, psi).matrix, muv, mv)
     c = map_constants(A, B, p, n_samples, seed)
     if detail:
@@ -343,16 +319,6 @@ class _SplitCore:
         return out
 
 
-def _norm_given_two_norm(T, p, n2: float):
-    """Induced l^p norm of T as matalg.operator_norm gives it, with the
-    2-norm n2 supplied; T is only read for p != 2."""
-    if p == 2:
-        return n2
-    if p in (1, np.inf):
-        return matalg.operator_norm(T, p)
-    return matalg.norm_bracket(T, p, n2)
-
-
 def lifting_theorem_pipeline(
     psi: Frame, mu, m=None, ps=(2,), s: float = 4.0, seed: int = 0, rtol: float = 1e-10
 ) -> LiftingReport:
@@ -380,10 +346,10 @@ def lifting_theorem_pipeline(
     multiplier, the coefficient maps and their factorizations are built once
     and shared across p.
     """
-    muv = _wvals(mu, psi.n)
+    muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
         raise ValueError("pipeline precondition failed: mu > 0")
-    mv = _wvals(m, psi.n)
+    mv = weight_values(m, psi.n)
     dual = psi.canonical_dual()
     G = psi.gram_matrix
     cross = gram(psi, dual)
@@ -464,15 +430,12 @@ def lifting_theorem_pipeline(
     Bw = matalg.conjugate(B_split, w_msqmu) if need_entries else None
     Bw_inv = core_w.inverse() if need_entries and invertible else None
     for p in ps:
-        fwd = _norm_given_two_norm(Bw, p, core_w.sigma[1])
+        fwd = matalg.operator_norm(Bw, p, n2=core_w.sigma[1])
         entry = {"B_norm": fwd}
         if invertible:
-            rev = _norm_given_two_norm(Bw_inv, p, core_w.inverse_norm)
+            rev = matalg.operator_norm(Bw_inv, p, n2=core_w.inverse_norm)
             entry["B_inv_norm"] = rev
-            lo = fwd if not isinstance(fwd, tuple) else fwd[0]
-            hi = fwd if not isinstance(fwd, tuple) else fwd[1]
-            rlo = rev if not isinstance(rev, tuple) else rev[0]
-            rhi = rev if not isinstance(rev, tuple) else rev[1]
+            (lo, hi), (rlo, rhi) = (v if isinstance(v, tuple) else (v, v) for v in (fwd, rev))
             entry["condition_bracket"] = (lo * rlo, hi * rhi)
         report.residuals.setdefault("step_iv", {})[_p_key(p)] = entry
     del Bw, Bw_inv

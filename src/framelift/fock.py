@@ -28,7 +28,7 @@ from . import matalg
 from .coorbit import condition_ratios, pipeline_entry
 from .frames import Frame
 from .multipliers import multiplier
-from .weights import IndexSet, Weight, moderateness_constant
+from .weights import IndexSet, Weight, moderateness_constant, weight_values
 
 GRAM_MATCH_WARN = 1e-8
 
@@ -196,6 +196,13 @@ def beurling_density_lower(lattice: FockLattice, radii=None) -> float:
     return beurling_density_table(lattice, radii)[-1]["min_density"]
 
 
+def _symbol_on(lam: np.ndarray, mu) -> np.ndarray:
+    """The values of the symbol mu on the lattice points; a scalar is constant."""
+    if not isinstance(mu, Weight):
+        mu = np.broadcast_to(np.asarray(mu, dtype=float), lam.shape)
+    return weight_values(mu, len(lam))
+
+
 def _display_assembly(lam: np.ndarray, mu: np.ndarray, degree: int, half: bool) -> np.ndarray:
     # Normalized-monomial matrix elements of F -> sum mu_l F(l) e^{pi conj(l) z} w(l),
     # with weight w = e^{-pi |l|^2} (section display) or e^{-pi |l|^2 / 2} (intro).
@@ -221,7 +228,7 @@ def fock_multiplier(lattice: FockLattice, mu, Dmax=None, convention: str = "kern
     if Dmax is None:
         Dmax = default_degree(lattice.R)
     lam = lattice.points
-    muv = mu.values if isinstance(mu, Weight) else np.asarray(mu, dtype=float) * np.ones(len(lam))
+    muv = _symbol_on(lam, mu)
     if np.any(muv <= 0):
         raise ValueError("mu must be strictly positive on the lattice")
     if convention == "kernel":
@@ -236,7 +243,7 @@ def fock_multiplier_report(lattice: FockLattice, mu, Dmax=None) -> dict:
     if Dmax is None:
         Dmax = default_degree(lattice.R)
     lam = lattice.points
-    muv = mu.values if isinstance(mu, Weight) else np.asarray(mu, dtype=float) * np.ones(len(lam))
+    muv = _symbol_on(lam, mu)
     abstract = multiplier(muv, embed_truncated(lattice, Dmax)).matrix
     section = _display_assembly(lam, muv, Dmax, half=False)
     intro = _display_assembly(lam, muv, Dmax, half=True)

@@ -135,11 +135,26 @@ class Weight:
             json.dump(self.to_dict(), fh, sort_keys=True)
 
 
-def _weight_values(m, n: int) -> np.ndarray:
+def weight_values(m, n: int) -> np.ndarray:
+    """The values of the weight ``m`` on n indices.
+
+    ``m`` is a :class:`Weight`, an array of length n, or None for the unit
+    weight.
+    """
+    if m is None:
+        return np.ones(n)
     vals = m.values if isinstance(m, Weight) else np.asarray(m, dtype=float)
     if vals.shape != (n,):
         raise ValueError("weight length does not match sequence length")
     return vals
+
+
+def lp_norms(X, p) -> np.ndarray:
+    """The l^p norm of X along its last axis; p = np.inf gives the max."""
+    a = np.abs(X)
+    if p == np.inf:
+        return a.max(axis=-1)
+    return (a**p).sum(axis=-1) ** (1.0 / p)
 
 
 def weighted_norm(c, p, m) -> float:
@@ -148,23 +163,20 @@ def weighted_norm(c, p, m) -> float:
     ``p = np.inf`` (or the string "inf") gives sup_k m_k |c_k|.
     """
     c = np.asarray(c)
-    vals = _weight_values(m, c.shape[0])
+    vals = weight_values(m, c.shape[0])
     if isinstance(p, str):
         if p != "inf":
             raise ValueError(f"unknown p {p!r}")
         p = np.inf
     if p != np.inf and p < 1:
         raise ValueError("p must lie in [1, inf]")
-    weighted = vals * np.abs(c)
-    if p == np.inf:
-        return float(weighted.max())
-    return float((weighted**p).sum() ** (1.0 / p))
+    return float(lp_norms(vals * np.abs(c), p))
 
 
 def diag_lift(c, mu) -> np.ndarray:
     """The diagonal map c |-> (mu_k c_k): an isometry l^p_{mu m} -> l^p_m."""
     c = np.asarray(c)
-    vals = _weight_values(mu, c.shape[0])
+    vals = weight_values(mu, c.shape[0])
     return vals * c
 
 

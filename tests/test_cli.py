@@ -139,6 +139,25 @@ class TestConfigErrors:
         assert main(argv) == 2
 
     @pytest.mark.parametrize(
+        "command, config, override, flags",
+        [
+            ("verify", "verify_onb.json", {"tol": "abc"}, []),
+            ("verify", "verify_onb.json", {"tol": True}, []),
+            ("verify", "verify_onb.json", {"tol": -1}, []),
+            ("verify", "verify_onb.json", {}, ["--tol", "-1"]),
+            ("verify", "verify_onb.json", {}, ["--tol", "nan"]),
+            ("verify", "verify_onb.json", {}, ["--tol", "inf"]),
+            ("verify", "verify_onb.json", {"s": "x"}, []),
+            ("lift", "lift_scalar_onb.json", {"s": True}, []),
+            ("lift", "lift_scalar_onb.json", {"s": -4.0}, []),
+        ],
+    )
+    def test_bad_tol_or_s_is_a_config_error(self, tmp_path, capsys, command, config, override, flags):
+        cfg = _write(tmp_path, "bad.json", dict(_read_json(CONFIGS / config), **override))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)] + flags) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, flag", [("lift", "--tol"), ("export", "--tol"), ("lift", "--threads")]
     )
     def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path, command, flag):

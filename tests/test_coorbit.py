@@ -15,6 +15,7 @@ from framelift.coorbit import (
     equivalence_constants,
     lifting_constants,
     lifting_theorem_pipeline,
+    map_constants,
     operator_norm_between,
 )
 from framelift.frames import gram, onb, random_frame
@@ -86,6 +87,11 @@ class TestCoercivity:
         assert res["bijective"]
         assert res["sigma_min_weighted"] > 0
 
+    def test_sigma_min_weighted_is_the_p2_lifting_lower_constant(self, rng, small_frame):
+        mu = rng.uniform(0.5, 2.0, small_frame.n)
+        res = coercivity_check(small_frame, mu)
+        assert res["sigma_min_weighted"] == lifting_constants(small_frame, mu, p=2)[0]
+
     def test_relative_constants_match_manual_pencil(self, small_frame):
         mu = np.linspace(0.5, 2.5, small_frame.n)
         res = coercivity_check(small_frame, mu)
@@ -153,6 +159,16 @@ class TestLiftingConstants:
             assert ll <= lh + 1e-12
             assert ul <= uh + 1e-12
             assert lh <= uh + 1e-12
+
+    @pytest.mark.parametrize("p", [1, 3, np.inf])
+    def test_rank_deficient_B_gives_an_infinite_upper_bound(self, rng, p):
+        # B f = 0 for f = (1, 0, -1) while A f != 0: no finite upper constant.
+        A = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        B = A.copy()
+        B[:, 2] = B[:, 0]
+        c = map_constants(A, B, p)
+        assert c["upper"][1] == np.inf
+        assert 0 < c["lower"][0] <= c["lower"][1] <= c["upper"][0] < np.inf
 
     def test_nonpositive_symbol_rejected(self, small_frame):
         mu = np.ones(small_frame.n)

@@ -115,8 +115,21 @@ class TestOperatorNorm:
         lo, hi = matalg.operator_norm(A, 1.5)
         assert 0 < lo <= hi
         # the bracket must contain a densely sampled lower estimate
-        dense = matalg._sampled_norm_lower(A, 1.5, 512, seed=5)
+        dense = matalg.sampled_ratios(A, None, 1.5, 512, seed=5).max()
         assert dense <= hi * (1 + 1e-12)
+
+    def test_scan_keeps_the_draw_order_of_a_per_vector_loop(self):
+        # The reference draws each f as n real parts, then n imaginary parts,
+        # and takes one matrix-vector product per draw.
+        A = cmat(np.random.default_rng(11), 12)
+        draws = np.random.default_rng(0)
+        best = 0.0
+        for _ in range(64):
+            v = draws.standard_normal(12) + 1j * draws.standard_normal(12)
+            num = float((np.abs(A @ v) ** 3).sum() ** (1 / 3))
+            best = max(best, num / float((np.abs(v) ** 3).sum() ** (1 / 3)))
+        lo, _ = matalg.operator_norm(A, 3)
+        assert lo == pytest.approx(best, rel=1e-15, abs=0)
 
     def test_diagonal_matrix_all_p_agree(self):
         D = np.diag([3.0, -1.0, 2.0])
