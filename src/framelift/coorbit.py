@@ -7,13 +7,13 @@ The lifting question asks for the best constants in
     lower * ||f||_{H^p_{m sqrt(mu)}} <= ||M_mu f||_{H^p_{m/sqrt(mu)}}
                                       <= upper * ||f||_{H^p_{m sqrt(mu)}}.
 
-For p = 2 both constants are exact generalized singular values. For
-p in {1, inf} they are bracketed: certified outer bounds come from the
-left-inverse factorization (B^+ B = I for an injective coefficient map B;
-a map that is not injective gives the trivial bound), inner bounds from a
-seeded randomized scan. Other p get outer bounds by interpolating the exact
-p = 1, 2, inf norms. Brackets are part of every report; nothing outside {2}
-is claimed exact.
+For p = 2 both constants are exact generalized singular values when both
+coefficient maps are injective. Otherwise, and for p in {1, inf}, they are
+bracketed: certified outer bounds come from the left-inverse factorization
+(B^+ B = I for an injective coefficient map B; a map that is not injective
+gives the trivial bound), inner bounds from a seeded randomized scan.
+Other p get outer bounds by interpolating the exact p = 1, 2, inf norms.
+Brackets are part of every report; nothing outside {2} is claimed exact.
 """
 
 import functools
@@ -24,7 +24,7 @@ import scipy.linalg
 
 from . import matalg
 from .frames import Frame, NotAFrameError, gram
-from .multipliers import galerkin, multiplier
+from .multipliers import _SplitCore, invertibility_matrix, multiplier
 from .weights import Weight, moderateness_constant, weight_values, weighted_norm
 
 N_SAMPLES = 256
@@ -88,17 +88,16 @@ def _factored(M) -> _Factored:
 def _product_norm(L: np.ndarray, R: np.ndarray, p) -> float:
     """Induced l^p norm of the n x n product L R (upper end for 1 < p < inf).
 
-    L is n x d and R is d x n. The 2-norm needed for 1 < p < inf comes
+    L is n x d and R is d x n. The 2-norm, needed for 1 < p < inf, comes
     from the n x d matrix L r^H, where R^H = q r is a thin QR: L R =
     (L r^H) q^H and q^H has orthonormal rows, so both share their singular
     values and no n x n factorization is needed.
     """
-    T = L @ R
     if p in (1, np.inf):
-        return matalg.operator_norm(T, p)
+        return matalg.operator_norm(L @ R, p)
     r = np.linalg.qr(R.conj().T)[1]
     n2 = float(np.linalg.svd(L @ r.conj().T, compute_uv=False)[0])
-    return matalg.interpolated_upper(T, p, n2)
+    return n2 if p == 2 else matalg.interpolated_upper(L @ R, p, n2)
 
 
 def map_constants(A, B, p, n_samples: int = N_SAMPLES, seed: int = 0) -> dict:
@@ -106,21 +105,22 @@ def map_constants(A, B, p, n_samples: int = N_SAMPLES, seed: int = 0) -> dict:
 
     A and B are n x d arrays or :class:`_Factored` maps, which keep their
     factorizations across calls. Returns bracket pairs
-    {"lower": (lo, hi), "upper": (lo, hi)}; for p = 2 the brackets have
-    zero width. For p != 2 the certified sides are ||A B^+||_p and
-    1 / ||B A^+||_p, with B^+ and A^+ the left inverses of
+    {"lower": (lo, hi), "upper": (lo, hi)}. For p = 2 with both maps
+    injective the brackets have zero width: the constants are exact
+    generalized singular values. Otherwise the certified sides are
+    ||A B^+||_p and 1 / ||B A^+||_p, with B^+ and A^+ the left inverses of
     :class:`_Factored`; a map that fails its injectivity test gives the
     trivial side instead, upper = inf for B and lower = 0 for A. The inner
     sides come from :func:`matalg.sampled_ratios`.
     """
     A, B = _factored(A), _factored(B)
     Am, Bm = A.matrix, B.matrix
-    if p == 2:
+    B_inv, A_inv = B.left_inverse, A.left_inverse
+    if p == 2 and B_inv is not None and A_inv is not None:
         w = scipy.linalg.eigh(Am.conj().T @ Am, Bm.conj().T @ Bm, eigvals_only=True)
         lo = float(np.sqrt(max(w[0], 0.0)))
         hi = float(np.sqrt(max(w[-1], 0.0)))
         return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
-    B_inv, A_inv = B.left_inverse, A.left_inverse
     upper_cert = _product_norm(Am, B_inv, p) if B_inv is not None else np.inf
     lower_cert = 1.0 / _product_norm(Bm, A_inv, p) if A_inv is not None else 0.0
     ratios = matalg.sampled_ratios(Am, Bm, p, n_samples, seed)
@@ -269,56 +269,6 @@ def _p_key(p) -> str:
     return "inf" if p == np.inf else str(p)
 
 
-def _extremes(sv: np.ndarray, n: int) -> tuple:
-    """(sigma_min, sigma_max) of an n x n matrix that is a k x k core with
-    singular values sv on ran(Q) and the identity on its complement."""
-    if sv.shape[0] < n:
-        sv = np.append(sv, 1.0)
-    return float(sv.min()), float(sv.max())
-
-
-class _SplitCore:
-    """diag(w) B diag(1/w) for B = I + C Z D, held as a k x k core.
-
-    With X = diag(w) C (n x d) and Y = Z D diag(1/w) (d x n), a thin QR Q
-    of [X, Y^H] has k = min(n, 2d) orthonormal columns spanning both
-    factors, so I + X Y is K = I_k + (Q^H X)(Y Q) on ran(Q) and the identity
-    on its complement. This is the compression behind the
-    Sherman-Morrison-Woodbury formula (Golub & Van Loan, Matrix
-    Computations). The singular values are those of K, plus 1 when k < n;
-    the inverse is I + Q (K^{-1} - I) Q^H.
-    """
-
-    def __init__(self, C: np.ndarray, ZD: np.ndarray, w: np.ndarray):
-        X = w[:, None] * C
-        Y = ZD / w[None, :]
-        self.n = X.shape[0]
-        self.Q = np.linalg.qr(np.hstack([X, Y.conj().T]))[0]
-        self.K = np.eye(self.Q.shape[1]) + (self.Q.conj().T @ X) @ (Y @ self.Q)
-        self.sigma = _extremes(np.linalg.svd(self.K, compute_uv=False), self.n)
-
-    @functools.cached_property
-    def K_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.K)
-
-    @functools.cached_property
-    def inverse_norm(self) -> float:
-        """||(diag(w) B diag(1/w))^{-1}||_2 = max(sigma_max(K^{-1}), 1).
-
-        Taken from the explicit K^{-1}, not as 1/sigma_min(K): a
-        values-only SVD loses relative accuracy in sigma_min when B is
-        badly scaled, while the LU-based inverse keeps it.
-        """
-        return _extremes(np.linalg.svd(self.K_inv, compute_uv=False), self.n)[1]
-
-    def inverse(self) -> np.ndarray:
-        """The n x n matrix (diag(w) B diag(1/w))^{-1} = I + Q (K^{-1} - I) Q^H."""
-        core = self.K_inv - np.eye(self.K.shape[0])
-        out = (self.Q @ core) @ self.Q.conj().T
-        out[np.diag_indices(self.n)] += 1.0
-        return out
-
-
 def lifting_theorem_pipeline(
     psi: Frame, mu, m=None, ps=(2,), s: float = 4.0, seed: int = 0, rtol: float = 1e-10
 ) -> LiftingReport:
@@ -328,7 +278,7 @@ def lifting_theorem_pipeline(
     Since Mat(O) = C O D and G_{Psi,Psid} = C S^{-1} D, it is the identity
     plus a term of rank d: B = I + C (M_{1/mu} M_mu - S^{-1}) D. Every
     factorization therefore acts on a k x k core with k <= 2d (see
-    :class:`_SplitCore`), never on an n x n matrix.
+    :class:`framelift.multipliers._SplitCore`), never on an n x n matrix.
 
     Steps: (i) test invertibility of B on l^2_sqrt(mu) from the singular
     values of its core; (ii) profile the decay of the five Gram matrices the
@@ -390,13 +340,12 @@ def lifting_theorem_pipeline(
     # Step (i): the splitting matrix and its invertibility on l^2_sqrt(mu).
     M_mu = multiplier(muv, psi).matrix
     M_rec = multiplier(1.0 / muv, psi).matrix
-    C, D = psi.analysis_matrix, psi.synthesis_matrix
-    B_split = galerkin(M_rec @ M_mu, psi, psi).entries + (np.eye(n) - cross)
-    ZD = M_rec @ M_mu @ D - dual.synthesis_matrix  # (M_{1/mu} M_mu - S^{-1}) D
+    O = M_rec @ M_mu
+    B_split = invertibility_matrix(O, psi)
     sqmu = np.sqrt(muv)
-    core = _SplitCore(C, ZD, sqmu)
+    core = _SplitCore(O, psi, w=sqmu)
     sv_min, sv_max = core.sigma
-    invertible = bool(sv_min > matalg.INVERTIBILITY_RTOL * sv_max)
+    invertible = core.invertible()
     report.verdicts["B_invertible_l2_sqrt_mu"] = invertible
     report.residuals["B_sigma_min_over_max"] = sv_min / sv_max
 
@@ -425,7 +374,7 @@ def lifting_theorem_pipeline(
 
     # Step (iv): condition of B on each requested l^p_{m sqrt(mu)}.
     w_msqmu = mv * sqmu
-    core_w = core if np.array_equal(w_msqmu, sqmu) else _SplitCore(C, ZD, w_msqmu)
+    core_w = core if np.array_equal(w_msqmu, sqmu) else _SplitCore(O, psi, w=w_msqmu)
     need_entries = any(p != 2 for p in ps)
     Bw = matalg.conjugate(B_split, w_msqmu) if need_entries else None
     Bw_inv = core_w.inverse() if need_entries and invertible else None
@@ -442,8 +391,9 @@ def lifting_theorem_pipeline(
 
     # Step (v): the reversed composition is B^H, so it is invertible exactly
     # when B is.
-    B_rev = galerkin(M_mu @ M_rec, psi, psi).entries + (np.eye(n) - cross)
+    B_rev = invertibility_matrix(M_mu @ M_rec, psi)
     B_rev -= B_split.conj().T
+    C, D = psi.analysis_matrix, psi.synthesis_matrix
     bound = float((np.abs(C) @ (np.abs(M_rec) @ np.abs(M_mu)) @ np.abs(D)).max()) + 1.0
     step5 = float(np.abs(B_rev).max()) / bound
     del B_rev, B_split

@@ -13,13 +13,18 @@ def pairwise_dist(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
     """All pairwise distances between rows of ``pts`` (shape (n, D)).
 
     ``period > 0`` selects the torus metric: coordinatewise circular
-    distance modulo ``period``, then the Euclidean norm.
+    distance modulo ``period``, then the Euclidean norm. The squares are
+    summed one coordinate at a time, so no (n, n, D) temporary is built.
     """
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    if period > 0.0:
-        diff = diff % period
-        diff = np.minimum(diff, period - diff)
-    return np.sqrt((diff * diff).sum(axis=-1))
+    pts = np.asarray(pts, dtype=float)
+    sq = np.zeros((pts.shape[0], pts.shape[0]))
+    for col in pts.T:
+        diff = np.abs(col[:, None] - col[None, :])
+        if period > 0.0:
+            diff %= period
+            np.minimum(diff, period - diff, out=diff)
+        sq += diff * diff
+    return np.sqrt(sq, out=sq)
 
 
 def dist_from(pts: np.ndarray, ref: np.ndarray, period: float = 0.0) -> np.ndarray:

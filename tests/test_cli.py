@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -349,6 +350,9 @@ class TestDeterminism:
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
+        # The child imports the same framelift sources as this process.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [
                 sys.executable,
@@ -362,6 +366,7 @@ class TestConsoleEntry:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert (tmp_path / "identities.json").exists()

@@ -8,7 +8,6 @@ import scipy.linalg
 from framelift import matalg
 from framelift.coorbit import (
     CoorbitSpace,
-    _SplitCore,
     coercivity_check,
     coorbit_norm,
     duality_pairing,
@@ -20,7 +19,7 @@ from framelift.coorbit import (
 )
 from framelift.frames import gram, onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
-from framelift.multipliers import galerkin, multiplier
+from framelift.multipliers import _SplitCore, galerkin, multiplier
 from framelift.weights import Weight, weighted_norm
 from tests.conftest import random_vector
 
@@ -160,7 +159,7 @@ class TestLiftingConstants:
             assert ul <= uh + 1e-12
             assert lh <= uh + 1e-12
 
-    @pytest.mark.parametrize("p", [1, 3, np.inf])
+    @pytest.mark.parametrize("p", [1, 2, 3, np.inf])
     def test_rank_deficient_B_gives_an_infinite_upper_bound(self, rng, p):
         # B f = 0 for f = (1, 0, -1) while A f != 0: no finite upper constant.
         A = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
@@ -169,6 +168,16 @@ class TestLiftingConstants:
         c = map_constants(A, B, p)
         assert c["upper"][1] == np.inf
         assert 0 < c["lower"][0] <= c["lower"][1] <= c["upper"][0] < np.inf
+
+    @pytest.mark.parametrize("p", [1, 2, 3, np.inf])
+    def test_rank_deficient_A_gives_a_zero_lower_bound(self, rng, p):
+        # A f = 0 for f = (1, 0, -1) while B f != 0: the best lower constant is 0.
+        B = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        A = B.copy()
+        A[:, 2] = A[:, 0]
+        c = map_constants(A, B, p)
+        assert c["lower"][0] == 0.0
+        assert 0 < c["lower"][1] <= c["upper"][0] <= c["upper"][1] < np.inf
 
     def test_nonpositive_symbol_rejected(self, small_frame):
         mu = np.ones(small_frame.n)
@@ -366,8 +375,7 @@ class TestLowRankSplitting:
         # 1/sigma_min from a values-only SVD misses the reference, of the
         # k x k core as of the dense conjugated matrix.
         dual = psi.canonical_dual()
-        ZD = multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix @ psi.synthesis_matrix
-        core = _SplitCore(psi.analysis_matrix, ZD - dual.synthesis_matrix, w)
+        core = _SplitCore(multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix, psi, w=w)
         cross = gram(psi, dual)
         B_dense = galerkin(multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix, psi, psi).entries
         B_dense = matalg.conjugate(B_dense + (np.eye(psi.n) - cross), w)

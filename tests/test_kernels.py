@@ -24,6 +24,20 @@ def test_pairwise_dist_torus_wraps():
     assert d[1, 2] == pytest.approx(7.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("period", [0.0, 7.5])
+def test_pairwise_dist_equals_the_broadcast_formula(rng, dim, period):
+    # The per-coordinate sum adds the same squares in the same order as a
+    # sum over the last axis of an (n, n, D) broadcast, so the two agree
+    # bit for bit.
+    pts = rng.uniform(-10, 10, size=(30, dim))
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    if period > 0.0:
+        diff = diff % period
+        diff = np.minimum(diff, period - diff)
+    assert np.array_equal(kernels.pairwise_dist(pts, period), np.sqrt((diff * diff).sum(axis=-1)))
+
+
 def test_dist_from_matches_pairwise_row(rng):
     pts = rng.uniform(0, 10, size=(25, 3))
     full = kernels.pairwise_dist(pts)

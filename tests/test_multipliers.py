@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from framelift import matalg
+from framelift.coorbit import operator_norm_between
 from framelift.frames import onb, random_frame
+from framelift.gabor import TFLattice, gabor_system
 from framelift.multipliers import (
     Slots,
+    _SplitCore,
     galerkin,
     galerkin_pinv_crosscheck,
     invertibility_matrix,
@@ -145,6 +150,76 @@ class TestInvertibility:
             B = invertibility_matrix(O, small_frame, slots)
             assert np.linalg.matrix_rank(B) == small_frame.n
 
+    def test_verdicts_make_no_nxn_factorization(self, monkeypatch):
+        lat = TFLattice.balanced(32, 4)
+        psi = gabor_system(lat.N, lat.a, lat.b).frame
+        n = psi.n
+        assert (n, psi.d) == (128, 32)
+        M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi).matrix
+        square = []
+
+        def counting(name, fn):
+            def wrapper(a, *args, **kwargs):
+                if np.shape(a)[-2:] == (n, n):
+                    square.append(name)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for mod, names in ((np.linalg, ("svd", "inv", "eigh", "eigvalsh", "qr")), (scipy.linalg, ("eigh",))):
+            for name in names:
+                monkeypatch.setattr(mod, name, counting(f"{mod.__name__}.{name}", getattr(mod, name)))
+        v = invertibility_verdicts(M, psi)
+        assert all(v.values())
+        assert square == []
+
+
+def _dense_extremes(B):
+    sv = np.linalg.svd(B, compute_uv=False)
+    return sv[-1], sv[0]
+
+
+class TestSplitCore:
+    """The k x k core of B_O against a dense SVD of invertibility_matrix."""
+
+    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8), (8, 8)], ids=["2d<n", "2d>n", "onb"])
+    @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_extremes_match_dense_svd(self, n, d, slots, weighted):
+        rng = np.random.default_rng(11 * n + d)
+        psi = random_frame(rng, n, d, kind="onb" if n == d else "generic")
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        O = _random_operator(rng, d)
+        core = _SplitCore(O, psi, slots, w)
+        B = invertibility_matrix(O, psi, slots)
+        lo, hi = _dense_extremes(B if w is None else matalg.conjugate(B, w))
+        assert core.sigma == pytest.approx((lo, hi), rel=1e-10, abs=0)
+        assert core.invertible() == matalg.is_invertible(B if w is None else matalg.conjugate(B, w))
+        assert core.invertible()
+
+    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
+    @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
+    def test_rank_one_operator_is_singular_in_both_routes(self, n, d, slots):
+        rng = np.random.default_rng(3 * n + d)
+        psi = random_frame(rng, n, d)
+        f = random_vector(rng, d)
+        O = np.outer(f, f.conj())
+        core = _SplitCore(O, psi, slots)
+        lo, hi = _dense_extremes(invertibility_matrix(O, psi, slots))
+        assert core.sigma[1] == pytest.approx(hi, rel=1e-10)
+        assert core.sigma[0] < 1e-12 * core.sigma[1]
+        assert lo < 1e-12 * hi
+        assert not core.invertible()
+
+    def test_invertibility_matrix_rounds_like_the_plain_sum(self, rng, small_frame):
+        O = _random_operator(rng, small_frame.d)
+        dual = small_frame.canonical_dual()
+        for slots in Slots:
+            left, right = (small_frame if s == "frame" else dual for s in slots.value)
+            cross = small_frame.analysis_matrix @ dual.synthesis_matrix
+            plain = galerkin(O, left, right).entries + (np.eye(small_frame.n) - cross)
+            assert np.array_equal(invertibility_matrix(O, small_frame, slots), plain)
+
 
 class TestSpectralInvariance:
     def test_suite_reports_constants_per_weight_and_p(self, rng, small_frame):
@@ -162,6 +237,19 @@ class TestSpectralInvariance:
             assert entry["invertible"] is True
             ilo, ihi = entry["inverse_norm"]
             assert 0 < ilo <= ihi
+
+    def test_suite_entries_equal_the_one_shot_norms(self, rng, small_frame):
+        mu = _random_symbol(rng, small_frame.n)
+        M = multiplier(mu, small_frame).matrix
+        ws = [Weight.constant(small_frame.index_set, 1.0), Weight.polynomial(small_frame.index_set, 1.0)]
+        ps = [1, 2, 3, np.inf]
+        rep = spectral_invariance_suite(M, small_frame, weights=ws, ps=ps, s=4.0)
+        inv = np.linalg.inv(M)
+        for i, w in enumerate(ws):
+            for p in ps:
+                entry = rep["constants"][f"w{i}_p{p}"]
+                assert entry["norm"] == operator_norm_between(M, small_frame, p, m_in=w, m_out=w)
+                assert entry["inverse_norm"] == operator_norm_between(inv, small_frame, p, m_in=w, m_out=w)
 
     def test_suite_flags_singular_operator(self, rng, small_frame):
         f = random_vector(rng, small_frame.d)
