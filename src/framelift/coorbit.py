@@ -56,7 +56,8 @@ def duality_pairing(f, g, space: CoorbitSpace) -> complex:
 
 
 class _Factored:
-    """An n x d coefficient map with its left inverse made on first use.
+    """An n x d coefficient map with its injectivity test and left inverse
+    made on first use.
 
     :func:`map_constants` accepts these in place of arrays, so a caller that
     needs several p for one pair of maps (the lifting pipeline) factors
@@ -67,16 +68,35 @@ class _Factored:
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix)
+        self._s = None  # singular values, once computed
+
+    @property
+    def injective(self) -> bool:
+        """d singular values with s_min > RANK_RTOL * s_max.
+
+        The test is relative, so rescaling the map cannot change it. It
+        reads the singular values of the left inverse's SVD when that was
+        made first, else a values-only SVD: p = 2 alone computes no
+        singular vectors.
+        """
+        if self._s is None:
+            self._s = np.linalg.svd(self.matrix, compute_uv=False)
+        s = self._s
+        return bool(s.shape[0] == self.matrix.shape[1] and s[-1] > matalg.RANK_RTOL * s[0])
 
     @functools.cached_property
     def left_inverse(self):
         """The pseudo-inverse if the map is injective, else None.
 
-        One thin SVD decides injectivity and, when it holds, gives the
-        pseudo-inverse V diag(1/s) U^H with no singular value cut.
+        One thin SVD gives, when the map is injective, the pseudo-inverse
+        V diag(1/s) U^H with no singular value cut.
         """
+        if self._s is not None and not self.injective:
+            return None
         u, s, vh = np.linalg.svd(self.matrix, full_matrices=False)
-        if not s[-1] > matalg.RANK_RTOL * max(s[0], 1.0):
+        if self._s is None:
+            self._s = s
+        if not self.injective:
             return None
         return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
 
@@ -107,20 +127,21 @@ def map_constants(A, B, p, n_samples: int = N_SAMPLES, seed: int = 0) -> dict:
     factorizations across calls. Returns bracket pairs
     {"lower": (lo, hi), "upper": (lo, hi)}. For p = 2 with both maps
     injective the brackets have zero width: the constants are exact
-    generalized singular values. Otherwise the certified sides are
-    ||A B^+||_p and 1 / ||B A^+||_p, with B^+ and A^+ the left inverses of
-    :class:`_Factored`; a map that fails its injectivity test gives the
+    generalized singular values; the injectivity test is relative, so these
+    do not move when both maps are rescaled. Otherwise the certified sides
+    are ||A B^+||_p and 1 / ||B A^+||_p, with B^+ and A^+ the left inverses
+    of :class:`_Factored`; a map that fails its injectivity test gives the
     trivial side instead, upper = inf for B and lower = 0 for A. The inner
     sides come from :func:`matalg.sampled_ratios`.
     """
     A, B = _factored(A), _factored(B)
     Am, Bm = A.matrix, B.matrix
-    B_inv, A_inv = B.left_inverse, A.left_inverse
-    if p == 2 and B_inv is not None and A_inv is not None:
+    if p == 2 and B.injective and A.injective:
         w = scipy.linalg.eigh(Am.conj().T @ Am, Bm.conj().T @ Bm, eigvals_only=True)
         lo = float(np.sqrt(max(w[0], 0.0)))
         hi = float(np.sqrt(max(w[-1], 0.0)))
         return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
+    B_inv, A_inv = B.left_inverse, A.left_inverse
     upper_cert = _product_norm(Am, B_inv, p) if B_inv is not None else np.inf
     lower_cert = 1.0 / _product_norm(Bm, A_inv, p) if A_inv is not None else 0.0
     ratios = matalg.sampled_ratios(Am, Bm, p, n_samples, seed)
@@ -225,7 +246,9 @@ def lifting_constants(
 
     Returns (lower, upper); with ``detail=True`` the full bracket record.
     The returned floats are the certified outer bounds, so they are exact
-    for p = 2 and safe (lower <= true lower, upper >= true upper) otherwise.
+    for p = 2 when both coefficient maps pass the injectivity test of
+    :class:`_Factored` (which a rescaled m or mu does not change) and safe
+    (lower <= true lower, upper >= true upper) otherwise.
     """
     muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
@@ -341,7 +364,7 @@ def lifting_theorem_pipeline(
     M_mu = multiplier(muv, psi).matrix
     M_rec = multiplier(1.0 / muv, psi).matrix
     O = M_rec @ M_mu
-    B_split = invertibility_matrix(O, psi)
+    B_split = invertibility_matrix(O, psi, cross=cross)
     sqmu = np.sqrt(muv)
     core = _SplitCore(O, psi, w=sqmu)
     sv_min, sv_max = core.sigma
@@ -391,7 +414,7 @@ def lifting_theorem_pipeline(
 
     # Step (v): the reversed composition is B^H, so it is invertible exactly
     # when B is.
-    B_rev = invertibility_matrix(M_mu @ M_rec, psi)
+    B_rev = invertibility_matrix(M_mu @ M_rec, psi, cross=cross)
     B_rev -= B_split.conj().T
     C, D = psi.analysis_matrix, psi.synthesis_matrix
     bound = float((np.abs(C) @ (np.abs(M_rec) @ np.abs(M_mu)) @ np.abs(D)).max()) + 1.0

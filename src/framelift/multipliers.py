@@ -91,19 +91,24 @@ def _pick(frame: Frame, which: str) -> Frame:
 
 
 def invertibility_matrix(
-    O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI
+    O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, cross=None
 ) -> np.ndarray:
     """B_O = Mat(O) + (I - G_{Psi,Psid}) with the requested slot assignment.
 
     O is invertible on C^d exactly when B_O is invertible on C^n, for every
     slot choice; the default (Psi, Psi) matches the composed-multiplier
-    splitting used by the lifting pipeline. The sum is assembled in place as
-    -G, then + 1 on the diagonal, then + Mat(O), which rounds exactly like
-    Mat(O) + (I - G) and holds one n x n temporary fewer.
+    splitting used by the lifting pipeline. ``cross`` is G_{Psi,Psid} when
+    the caller already holds it (it is read, not changed). The sum is
+    assembled in place as -G, then + 1 on the diagonal, then + Mat(O),
+    which rounds exactly like Mat(O) + (I - G) and holds one n x n
+    temporary fewer.
     """
     left, right = (_pick(psi, w) for w in slots.value)
-    out = gram(psi, psi.canonical_dual())  # a fresh product, negated in place
-    np.negative(out, out=out)
+    if cross is None:
+        out = gram(psi, psi.canonical_dual())
+        np.negative(out, out=out)
+    else:
+        out = np.negative(cross)
     out[np.diag_indices(psi.n)] += 1.0
     out += galerkin(O, left, right).entries
     return out
@@ -133,8 +138,11 @@ class _SplitCore:
     """
 
     def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None):
+        O = np.asarray(O)
+        if O.shape != (psi.d, psi.d):
+            raise ValueError("operator shape does not match the frame pair")
         left, right = slots.value
-        ZD = np.asarray(O) @ _pick(psi, right).synthesis_matrix
+        ZD = O @ _pick(psi, right).synthesis_matrix
         if left == "dual":
             ZD = np.linalg.solve(psi.frame_operator, ZD)
         ZD = ZD - psi.canonical_dual().synthesis_matrix

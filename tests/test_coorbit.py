@@ -91,6 +91,13 @@ class TestCoercivity:
         res = coercivity_check(small_frame, mu)
         assert res["sigma_min_weighted"] == lifting_constants(small_frame, mu, p=2)[0]
 
+    def test_sigma_min_weighted_does_not_see_the_scale_of_mu(self, rng, small_frame):
+        mu = rng.uniform(0.5, 2.0, small_frame.n)
+        base = coercivity_check(small_frame, mu)["sigma_min_weighted"]
+        res = coercivity_check(small_frame, 1e-22 * mu)
+        assert res["sigma_min_weighted"] == pytest.approx(base, rel=1e-9)
+        assert res["bijective"]
+
     def test_relative_constants_match_manual_pencil(self, small_frame):
         mu = np.linspace(0.5, 2.5, small_frame.n)
         res = coercivity_check(small_frame, mu)
@@ -159,6 +166,23 @@ class TestLiftingConstants:
             assert ul <= uh + 1e-12
             assert lh <= uh + 1e-12
 
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    @pytest.mark.parametrize("scaled", ["m", "mu"])
+    def test_constants_do_not_see_a_tiny_scale_of_m_or_mu(self, rng, small_frame, p, scaled):
+        # m -> c m rescales both coefficient maps by c and mu -> c mu by
+        # sqrt(c), here 1e-12 and 1e-11: the constants cannot move, and at
+        # p = 2 they stay exact.
+        mu = rng.uniform(0.5, 2.0, small_frame.n)
+        m = rng.uniform(0.5, 2.0, small_frame.n)
+        base = lifting_constants(small_frame, mu, m=m, p=p, detail=True)
+        kw = {"mu": 1e-22 * mu, "m": m} if scaled == "mu" else {"mu": mu, "m": 1e-12 * m}
+        rec = lifting_constants(small_frame, p=p, detail=True, **kw)
+        for side in ("lower", "upper"):
+            assert rec[side] == pytest.approx(base[side], rel=1e-9)
+        if p == 2:
+            assert rec["lower"][0] == rec["lower"][1] > 0
+            assert rec["upper"][0] == rec["upper"][1] < np.inf
+
     @pytest.mark.parametrize("p", [1, 2, 3, np.inf])
     def test_rank_deficient_B_gives_an_infinite_upper_bound(self, rng, p):
         # B f = 0 for f = (1, 0, -1) while A f != 0: no finite upper constant.
@@ -178,6 +202,15 @@ class TestLiftingConstants:
         c = map_constants(A, B, p)
         assert c["lower"][0] == 0.0
         assert 0 < c["lower"][1] <= c["upper"][0] <= c["upper"][1] < np.inf
+
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_wide_maps_are_not_injective(self, rng, p):
+        # a 3 x 5 map has three nonzero singular values and a kernel
+        A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        B = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        c = map_constants(A, B, p)
+        assert c["lower"][0] == 0.0
+        assert c["upper"][1] == np.inf
 
     def test_nonpositive_symbol_rejected(self, small_frame):
         mu = np.ones(small_frame.n)

@@ -150,6 +150,13 @@ class TestInvertibility:
             B = invertibility_matrix(O, small_frame, slots)
             assert np.linalg.matrix_rank(B) == small_frame.n
 
+    def test_operator_shape_checked(self, rng, small_frame):
+        # (1, d) would broadcast against the d x n dual synthesis matrix
+        d = small_frame.d
+        for shape in ((1, d), (d, d + 1), (d - 1, d - 1)):
+            with pytest.raises(ValueError, match="operator shape"):
+                invertibility_verdicts(rng.standard_normal(shape), small_frame)
+
     def test_verdicts_make_no_nxn_factorization(self, monkeypatch):
         lat = TFLattice.balanced(32, 4)
         psi = gabor_system(lat.N, lat.a, lat.b).frame
@@ -219,6 +226,9 @@ class TestSplitCore:
             cross = small_frame.analysis_matrix @ dual.synthesis_matrix
             plain = galerkin(O, left, right).entries + (np.eye(small_frame.n) - cross)
             assert np.array_equal(invertibility_matrix(O, small_frame, slots), plain)
+            held = cross.copy()
+            assert np.array_equal(invertibility_matrix(O, small_frame, slots, cross=cross), plain)
+            assert np.array_equal(cross, held)
 
 
 class TestSpectralInvariance:
