@@ -55,7 +55,6 @@ from .matalg import (
     pseudo_inverse,
     schur_constant,
     schur_product_constant,
-    verify_weighted_invertibility,
     weighted_pseudo_inverse,
 )
 from .multipliers import (
@@ -124,7 +123,6 @@ __all__ = [
     "spectral_invariance_suite",
     "stft",
     "tf_shift",
-    "verify_weighted_invertibility",
     "weighted_norm",
     "weighted_pseudo_inverse",
     "__version__",

@@ -180,16 +180,19 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     s = _parse_nonnegative(cfg.get("s", 4.0), "s")
 
     identities = frames.gram_identities_check(frame, rtol=tol)
-    coercivity = coercivity_check(frame, mu, seed=seed, tol=max(tol, 1e-12))
     M = multipliers.multiplier(mu, frame).matrix
+    coercivity = coercivity_check(frame, mu, seed=seed, tol=max(tol, 1e-12), M=M)
     suite = multipliers.spectral_invariance_suite(M, frame, weights, ps, s)
 
     residuals = {k: v for k, v in identities.items() if isinstance(v, float)}
     residuals["coercivity_identity"] = coercivity["identity_residual"]
+    # M_mu = C^H diag(mu) C, so the extreme eigenvalues of M_mu behind the
+    # ambient constants are the squared extreme singular values of the
+    # n x d matrix diag(sqrt(mu)) C: a second, independent route to them.
     amb = coercivity["ambient_constants"]
-    ev = np.linalg.eigvalsh(M)
+    sv2 = np.linalg.svd(np.sqrt(mu.values)[:, None] * frame.analysis_matrix, compute_uv=False) ** 2
     residuals["coercivity_extremes_agreement"] = float(
-        max(abs(amb[0] - ev[0]), abs(amb[1] - ev[-1])) / max(1.0, abs(ev[-1]))
+        max(abs(amb[0] - sv2[-1]), abs(amb[1] - sv2[0])) / max(1.0, sv2[0])
     )
     b_verdicts = multipliers.invertibility_verdicts(M, frame)
     residuals["invertibility_verdict_mismatch"] = float(
@@ -254,12 +257,18 @@ def _sizes(cfg: dict, key: str, kind: str) -> list:
 
 
 def _exponent(cfg: dict, key: str, default: float) -> float:
-    """The exponent t of the polynomial weight spec ``cfg[key]``."""
+    """The exponent t of the polynomial weight spec ``cfg[key]``.
+
+    Gabor and Fock lifts build their weights per size from t alone, so any
+    other weight type is a config error rather than a silent polynomial.
+    """
     spec = cfg.get(key)
-    if not spec:
+    if spec is None:
         return default
     if not isinstance(spec, dict):
         raise ConfigError(f"'{key}' must be a weight object")
+    if spec.get("type") != "polynomial":
+        raise ConfigError(f"'{key}' on a {cfg['kind']} lift must be a polynomial weight")
     return float(spec.get("t", default))
 
 

@@ -195,18 +195,22 @@ def equivalence_constants(
     }
 
 
-def coercivity_check(psi: Frame, mu, n_random: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
+def coercivity_check(
+    psi: Frame, mu, n_random: int = 100, seed: int = 0, tol: float = 1e-12, M=None
+) -> dict:
     """The sesquilinear coercivity identity and its two-sided constants.
 
     [f,f] = <M_mu f, f> = sum_k mu_k |<f,psi_k>|^2 is checked on random
     draws; the ambient constants are the eigenvalue extremes of M_mu, and
     the constants relative to ||f||^2_{H^2_sqrt(mu)} come from the
-    generalized eigenvalue problem between the two quadratic forms.
+    generalized eigenvalue problem between the two quadratic forms. ``M``
+    is the matrix of M_mu when the caller already holds it.
     """
     muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
         raise ValueError("mu must be strictly positive")
-    M = multiplier(muv, psi).matrix
+    if M is None:
+        M = multiplier(muv, psi).matrix
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_random):

@@ -176,40 +176,60 @@ def _rel(err: float, scale: float) -> float:
     return err / max(1.0, scale)
 
 
+def _max_abs(A: np.ndarray) -> float:
+    return float(np.abs(A).max())
+
+
 def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     """Residuals of the Gram identities and the coefficient-space projection laws.
 
     Checks G_Psi G_Psid = G_{Psi,Psid}, the two pseudo-inverse identities
     G_{Psi,Psid} = G^dagger G and G_Psid = (G^dagger)^2 G, and that
-    P = G_{Psi,Psid} is the orthogonal projection fixing ran(C_Psi) and
-    killing ker(D_Psi).
+    P = G_{Psi,Psid} = C Dd is the orthogonal projection fixing ran(C_Psi)
+    and killing ker(D_Psi). C, D are the analysis and synthesis matrices of
+    the frame, Cd, Dd those of its canonical dual; each residual is the
+    entrywise max modulus of the matrix below, divided by max(1, scale):
+
+        product_identity        C((D Cd) Dd) - P              scale max|G|
+        pinv_cross              (U s^-2)((U^H C) D) - P
+        pinv_dual               (U s^-4)((U^H C) D) - Cd Dd   scale max|G_Psid|
+        idempotent              C((Dd C) Dd) - P
+        self_adjoint            P - P^H
+        fixes_analysis_range    C(Dd C) - C                   scale max|C|
+        kills_synthesis_kernel  C(Dd - (Dd U) U^H)
+        splitting               D - (D C) Dd
+
+    with C = U diag(s) W^H a thin SVD, so G = U s^2 U^H and G^dagger =
+    U s^-2 U^H without a rank cut: canonical_dual() has already found
+    S = D C of full rank. ker(D_Psi) = ran(U)^perp, so the last two are 0
+    when n = d. projection_rank is the rounded trace of P = trace(Dd C).
+    Every matrix product has d among its dimensions, and the SVD of the
+    n x d matrix C is the one factorization: no n x n matrix is factorized.
     """
     dual = frame.canonical_dual()
-    G = frame.gram_matrix
-    Gd = dual.gram_matrix
-    P = gram(frame, dual)
-    Gp = np.linalg.pinv(G, rcond=1e-12, hermitian=True)
-    scale = float(np.abs(G).max())
-    C = frame.analysis_matrix
+    C, D = frame.analysis_matrix, frame.synthesis_matrix
+    Cd, Dd = dual.analysis_matrix, dual.synthesis_matrix
     n, d = C.shape
+    U, s, _ = np.linalg.svd(C, full_matrices=False)
+    P = C @ Dd
+    DdC = Dd @ C
+    UhCD = (U.conj().T @ C) @ D
+    Gd = Cd @ Dd
     resid = {
-        "product_identity": _rel(float(np.abs(G @ Gd - P).max()), scale),
-        "pinv_cross": _rel(float(np.abs(Gp @ G - P).max()), 1.0),
-        "pinv_dual": _rel(float(np.abs(Gp @ Gp @ G - Gd).max()), float(np.abs(Gd).max())),
-        "idempotent": _rel(float(np.abs(P @ P - P).max()), 1.0),
-        "self_adjoint": _rel(float(np.abs(P - P.conj().T).max()), 1.0),
-        "fixes_analysis_range": _rel(float(np.abs(P @ C - C).max()), float(np.abs(C).max())),
+        "product_identity": _rel(_max_abs(C @ ((D @ Cd) @ Dd) - P), _max_abs(C @ D)),
+        "pinv_cross": _max_abs((U * s**-2) @ UhCD - P),
+        "pinv_dual": _rel(_max_abs((U * s**-4) @ UhCD - Gd), _max_abs(Gd)),
+        "idempotent": _max_abs(C @ (DdC @ Dd) - P),
+        "self_adjoint": _max_abs(P - P.conj().T),
+        "fixes_analysis_range": _rel(_max_abs(C @ DdC - C), _max_abs(C)),
     }
-    # ker(D_Psi) from the right-singular vectors of the synthesis matrix.
-    _, sv, vh = np.linalg.svd(frame.synthesis_matrix)
-    null = vh[np.sum(sv > sv[0] * 1e-12) :].conj().T
-    if null.shape[1] > 0:
-        resid["kills_synthesis_kernel"] = float(np.abs(P @ null).max())
-        resid["splitting"] = float(np.abs(frame.synthesis_matrix @ (np.eye(n) - P)).max())
+    if n > d:
+        resid["kills_synthesis_kernel"] = _max_abs(C @ (Dd - (Dd @ U) @ U.conj().T))
+        resid["splitting"] = _max_abs(D - (D @ C) @ Dd)
     else:
         resid["kills_synthesis_kernel"] = 0.0
         resid["splitting"] = 0.0
-    resid["projection_rank"] = int(np.round(np.trace(P).real))
+    resid["projection_rank"] = int(np.round(np.trace(DdC).real))
     resid["ok"] = all(v < rtol for k, v in resid.items() if k != "projection_rank")
     return resid
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .weights import IndexSet, Weight, lp_norms, weight_values
+from .weights import IndexSet, lp_norms, weight_values
 
 # Singular values at or below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-10
@@ -170,50 +170,6 @@ def schur_product_constant(idx: IndexSet, s: float) -> float:
     d = idx.distance_matrix()
     w = (1.0 + d) ** (-float(s))
     return float(((1.0 + d) ** float(s) * (w @ w)).max())
-
-
-def verify_weighted_invertibility(B: np.ndarray, mu, s: float, test_weights, ps) -> dict:
-    """Invertibility of B on l^2_mu and its norms across l^p_{mu m}.
-
-    Checks sigma_min of the mu-conjugated matrix, builds the inverse through
-    the conjugated matrix, confirms it two-sidedly, and tabulates induced
-    norms of B and B^{-1} on l^p_{mu*m} for each supplied weight m and each
-    p. Precondition failures are reported, not raised.
-    """
-    B = np.asarray(B)
-    n = B.shape[0]
-    muv = weight_values(mu, n)
-    Bmu = conjugate(B, muv)
-    sv = np.linalg.svd(Bmu, compute_uv=False)
-    report = {
-        "sigma_min": float(sv[-1]),
-        "sigma_max": float(sv[0]),
-        "invertible_on_l2_mu": bool(sv[-1] > INVERTIBILITY_RTOL * sv[0]),
-        "decay_constant_Bmu": None,
-        "norms": {},
-        "ok": False,
-    }
-    if isinstance(mu, Weight):
-        report["decay_constant_Bmu"] = decay_constant(Bmu, s, mu.index_set).constant
-    if not report["invertible_on_l2_mu"]:
-        report["failure"] = "B is not invertible on l^2_mu"
-        return report
-    C = conjugate(np.linalg.inv(Bmu), 1.0 / muv)
-    resid = max(
-        float(np.abs(C @ B - np.eye(n)).max()),
-        float(np.abs(B @ C - np.eye(n)).max()),
-    )
-    report["inverse_residual"] = resid
-    for i, m in enumerate(test_weights):
-        mv = weight_values(m, n)
-        w = muv * mv
-        for p in ps:
-            key = f"w{i}_p{p}"
-            norm_B = operator_norm(B, p, w=w)
-            norm_C = operator_norm(C, p, w=w)
-            report["norms"][key] = {"B": norm_B, "inverse": norm_C}
-    report["ok"] = resid < 1e-10
-    return report
 
 
 def matrix_to_json(A: np.ndarray) -> dict:

@@ -62,6 +62,13 @@ class TestVerify:
         assert rc == 1
         assert (tmp_path / "identities.json").exists()
 
+    def test_makes_no_nxn_factorization(self, tmp_path, nxn_factorizations):
+        cfg = CONFIGS / "verify_gabor32.json"  # Gabor N = 32, a = 2, b = 4: n = 128, d = 32
+        square = nxn_factorizations(128)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert _read_json(tmp_path / "identities.json")["frame"]["n"] == 128
+        assert square == []
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -168,6 +175,21 @@ class TestConfigErrors:
                 + [flag, "1"]
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("config", ["lift_gabor.json", "lift_fock.json"])
+    @pytest.mark.parametrize("key", ["mu", "m"])
+    @pytest.mark.parametrize(
+        "spec",
+        [{"type": "constant", "c": 1.0}, {"type": "values", "values": [1.0]}, {"t": 2.0}, {}],
+        ids=["constant", "values", "no-type", "empty"],
+    )
+    def test_family_lift_weight_must_be_polynomial(self, tmp_path, capsys, config, key, spec):
+        # Gabor and Fock lifts read only t; any other spec used to run as a
+        # polynomial weight and exit 0.
+        cfg = _write(tmp_path, "notpoly.json", dict(_read_json(CONFIGS / config), **{key: spec}))
+        assert main(["lift", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "lift_report.json").exists()
 
     def test_unknown_frame_type(self, tmp_path):
         cfg = _write(

@@ -125,6 +125,77 @@ class TestGramIdentities:
         np.testing.assert_allclose(P @ kvec, 0, atol=1e-10)
 
 
+def _dense_gram_identities(frame, rtol=1e-10):
+    """The n x n reference route: pinv of G, a full SVD of D for ker(D_Psi),
+    and n x n x n products."""
+    dual = frame.canonical_dual()
+    G = frame.gram_matrix
+    Gd = dual.gram_matrix
+    P = gram(frame, dual)
+    Gp = np.linalg.pinv(G, rcond=1e-12, hermitian=True)
+    C = frame.analysis_matrix
+    n = C.shape[0]
+    resid = {
+        "product_identity": float(np.abs(G @ Gd - P).max()) / max(1.0, float(np.abs(G).max())),
+        "pinv_cross": float(np.abs(Gp @ G - P).max()),
+        "pinv_dual": float(np.abs(Gp @ Gp @ G - Gd).max()) / max(1.0, float(np.abs(Gd).max())),
+        "idempotent": float(np.abs(P @ P - P).max()),
+        "self_adjoint": float(np.abs(P - P.conj().T).max()),
+        "fixes_analysis_range": float(np.abs(P @ C - C).max()) / max(1.0, float(np.abs(C).max())),
+    }
+    _, sv, vh = np.linalg.svd(frame.synthesis_matrix)
+    null = vh[np.sum(sv > sv[0] * 1e-12) :].conj().T
+    if null.shape[1] > 0:
+        resid["kills_synthesis_kernel"] = float(np.abs(P @ null).max())
+        resid["splitting"] = float(np.abs(frame.synthesis_matrix @ (np.eye(n) - P)).max())
+    else:
+        resid["kills_synthesis_kernel"] = 0.0
+        resid["splitting"] = 0.0
+    resid["projection_rank"] = int(np.round(np.trace(P).real))
+    resid["ok"] = all(v < rtol for k, v in resid.items() if k != "projection_rank")
+    return resid
+
+
+IDENTITY_CASES = ["generic-2d<n", "generic-2d>n", "tight", "onb", "gabor"]
+
+
+def _identity_case(name: str) -> Frame:
+    rng = np.random.default_rng(IDENTITY_CASES.index(name))
+    if name == "generic-2d<n":
+        return random_frame(rng, 24, 8)
+    if name == "generic-2d>n":
+        return random_frame(rng, 14, 8)
+    if name == "tight":
+        return random_frame(rng, 12, 4, kind="tight")
+    if name == "onb":
+        return random_frame(rng, 8, 8, kind="onb")
+    return gabor_system(16, 2, 4).frame
+
+
+class TestGramIdentitiesInDSpace:
+    """gram_identities_check against the dense n x n formulas it replaced."""
+
+    @pytest.mark.parametrize("case", IDENTITY_CASES)
+    def test_matches_dense_route(self, case):
+        fr = _identity_case(case)
+        got, want = gram_identities_check(fr), _dense_gram_identities(fr)
+        assert got.keys() == want.keys()
+        assert got["ok"] is want["ok"] is True
+        assert got["projection_rank"] == want["projection_rank"] == fr.d
+        for key in want.keys() - {"ok", "projection_rank"}:
+            assert abs(got[key] - want[key]) <= 1e-12, key
+
+    @pytest.mark.parametrize("case", IDENTITY_CASES)
+    def test_perturbed_dual_fails_both_routes(self, monkeypatch, case):
+        fr = _identity_case(case)
+        dual = fr.canonical_dual()
+        noise = np.random.default_rng(5).standard_normal((2, fr.d, fr.n))
+        bad = Frame(dual.vectors + 1e-6 * (noise[0] + 1j * noise[1]), dual.index_set)
+        monkeypatch.setattr(fr, "canonical_dual", lambda: bad)
+        assert gram_identities_check(fr)["ok"] is False
+        assert _dense_gram_identities(fr)["ok"] is False
+
+
 class TestSerialization:
     def test_json_round_trip_preserves_gram(self, small_frame, tmp_path):
         path = tmp_path / "frame.json"

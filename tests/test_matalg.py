@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from framelift import matalg
 from framelift.fock import fock_gram_exact
-from framelift.weights import IndexSet, Weight
+from framelift.weights import IndexSet
 
 
 def cmat(rng, n, m=None):
@@ -191,25 +191,6 @@ class TestSchurConstants:
             * matalg.decay_constant(B, s, idx).constant
         )
         assert matalg.decay_constant(A @ B, s, idx).constant <= bound * (1 + 1e-10)
-
-
-class TestVerifyWeightedInvertibility:
-    def test_happy_path_reports_inverse_and_norms(self, rng):
-        B = cmat(rng, 6) + 4.0 * np.eye(6)
-        idx = IndexSet(np.arange(6.0))
-        mu = Weight.polynomial(idx, 2.0)
-        m = Weight.constant(idx)
-        rep = matalg.verify_weighted_invertibility(B, mu, 4.0, [m], [1, 2, np.inf])
-        assert rep["ok"] and rep["invertible_on_l2_mu"]
-        assert rep["inverse_residual"] < 1e-10
-        assert rep["decay_constant_Bmu"] > 0
-        assert set(rep["norms"]) == {"w0_p1", "w0_p2", "w0_pinf"}
-
-    def test_singular_matrix_reported_not_raised(self, rng):
-        B = np.outer(cmat(rng, 5, 1), cmat(rng, 1, 5))
-        rep = matalg.verify_weighted_invertibility(B, np.ones(5), 4.0, [np.ones(5)], [2])
-        assert not rep["ok"]
-        assert rep["failure"] == "B is not invertible on l^2_mu"
 
 
 class TestSerialization:
