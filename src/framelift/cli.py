@@ -20,9 +20,9 @@ import numpy as np
 from . import fock as fock_mod
 from . import frames, gabor, matalg, multipliers
 from .coorbit import _p_key, coercivity_check, condition_ratios, pipeline_entry
-from .weights import Weight
+from .weights import CHECK_SPEC, UNIT_SPEC, Weight
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_TOL = 1e-10
 CSV_COLUMNS = ("size", "p", "weight", "lower", "upper", "condition", "verdict")
 
@@ -124,21 +124,12 @@ def build_frame(spec, seed: int) -> frames.Frame:
     raise ConfigError(f"unknown frame type '{kind}'")
 
 
-def build_weight(spec, frame: frames.Frame):
-    if spec is None:
-        return None
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("weight spec must be an object with a 'type'")
+def _weight(key: str, spec, frame: frames.Frame) -> Weight:
+    """The weight ``spec`` on the frame's index set; ``key`` names it in errors."""
     try:
-        if spec["type"] == "constant":
-            return Weight.constant(frame.index_set, float(spec.get("c", 1.0)))
-        if spec["type"] == "polynomial":
-            return Weight.polynomial(frame.index_set, float(spec["t"]))
-        if spec["type"] == "values":
-            return Weight(np.asarray(spec["values"], dtype=float), frame.index_set)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad weight spec: {exc}") from exc
-    raise ConfigError(f"unknown weight type '{spec['type']}'")
+        return Weight.from_spec(spec, frame.index_set)
+    except ValueError as exc:
+        raise ConfigError(f"'{key}': {exc}") from exc
 
 
 def _parse_ps(cfg) -> list:
@@ -171,11 +162,11 @@ def _parse_nonnegative(value, key: str) -> float:
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     frame = build_frame(_require(cfg, "frame", dict, "verify"), seed)
-    mu = build_weight(cfg.get("mu", {"type": "constant", "c": 1.0}), frame)
-    wspecs = cfg.get("weights", [{"type": "polynomial", "t": 1.0}])
+    mu = _weight("mu", cfg.get("mu", UNIT_SPEC), frame)
+    wspecs = cfg.get("weights", [CHECK_SPEC])
     if not isinstance(wspecs, list):
         raise ConfigError("'weights' must be a list")
-    weights = [build_weight(wspec, frame) for wspec in wspecs]
+    weights = [_weight(f"weights[{i}]", wspec, frame) for i, wspec in enumerate(wspecs)]
     ps = _parse_ps(cfg)
     s = _parse_nonnegative(cfg.get("s", 4.0), "s")
 
@@ -256,22 +247,6 @@ def _sizes(cfg: dict, key: str, kind: str) -> list:
     return sizes
 
 
-def _exponent(cfg: dict, key: str, default: float) -> float:
-    """The exponent t of the polynomial weight spec ``cfg[key]``.
-
-    Gabor and Fock lifts build their weights per size from t alone, so any
-    other weight type is a config error rather than a silent polynomial.
-    """
-    spec = cfg.get(key)
-    if spec is None:
-        return default
-    if not isinstance(spec, dict):
-        raise ConfigError(f"'{key}' must be a weight object")
-    if spec.get("type") != "polynomial":
-        raise ConfigError(f"'{key}' on a {cfg['kind']} lift must be a polynomial weight")
-    return float(spec.get("t", default))
-
-
 def _run_experiment(cfg: dict, ps: list, seed: int):
     """One library call over every configured size: (report, size key).
 
@@ -279,27 +254,26 @@ def _run_experiment(cfg: dict, ps: list, seed: int):
     """
     kind = cfg["kind"]
     s = _parse_nonnegative(cfg.get("s", 4.0), "s")
+    # Absent weight keys take each family driver's own defaults.
+    specs = {key: cfg[key] for key in ("mu", "m") if key in cfg}
     if kind == "gabor":
-        kwargs = dict(
-            t_mu=_exponent(cfg, "mu", 2.0),
+        report = gabor.gabor_lifting_experiment(
+            _sizes(cfg, "Ns", kind),
+            redundancy=int(cfg.get("redundancy", 4)),
+            a_ratio=cfg.get("a_ratio"),
+            b_ratio=cfg.get("b_ratio"),
+            **specs,
             t_check=float(cfg.get("t_check", 2.0)),
             s=s,
             ps=ps,
-            m_t=_exponent(cfg, "m", 0.0),
             seed=seed,
         )
-        if "a_ratio" in cfg or "b_ratio" in cfg:
-            kwargs["a_ratio"] = cfg.get("a_ratio")
-            kwargs["b_ratio"] = cfg.get("b_ratio", cfg.get("a_ratio"))
-        else:
-            kwargs["redundancy"] = int(cfg.get("redundancy", 4))
-        return gabor.gabor_lifting_experiment(_sizes(cfg, "Ns", kind), **kwargs), "N"
+        return report, "N"
     if kind == "fock":
         report = fock_mod.fock_lifting_experiment(
             float(_require(cfg, "delta", (int, float), "fock")),
             _sizes(cfg, "R_list", kind),
-            t_mu=_exponent(cfg, "mu", 2.0),
-            m_t=_exponent(cfg, "m", 0.0),
+            **specs,
             ps=ps,
             s=s,
             margin=float(cfg.get("margin", 0.5)),
@@ -309,8 +283,8 @@ def _run_experiment(cfg: dict, ps: list, seed: int):
         return report, "R"
     if kind == "custom-frame":
         frame = build_frame(_require(cfg, "frame", dict, "custom-frame"), seed)
-        mu = build_weight(cfg.get("mu", {"type": "constant", "c": 1.0}), frame)
-        m = build_weight(cfg.get("m"), frame)
+        mu = _weight("mu", cfg.get("mu", UNIT_SPEC), frame)
+        m = _weight("m", cfg.get("m", UNIT_SPEC), frame)
         entry = {"size": frame.n}
         pipeline_entry(entry, frame, mu, m=m, ps=ps, s=s, seed=seed)
         return {"entries": [entry], "condition_ratios": condition_ratios([entry])}, "size"
@@ -356,7 +330,7 @@ def cmd_export(cfg: dict, out_dir: Path, seed: int) -> int:
     if what == "gram":
         target = frame.gram_matrix
     elif what == "multiplier":
-        mu = build_weight(cfg.get("mu", {"type": "constant", "c": 1.0}), frame)
+        mu = _weight("mu", cfg.get("mu", UNIT_SPEC), frame)
         target = multipliers.multiplier(mu, frame).matrix
     else:
         raise ConfigError(f"unknown export target '{what}'")

@@ -28,7 +28,7 @@ from . import matalg
 from .coorbit import condition_ratios, pipeline_entry
 from .frames import Frame
 from .multipliers import multiplier
-from .weights import IndexSet, Weight, moderateness_constant, weight_values
+from .weights import SYMBOL_SPEC, UNIT_SPEC, IndexSet, Weight, moderateness_constant, weight_values
 
 GRAM_MATCH_WARN = 1e-8
 
@@ -196,13 +196,6 @@ def beurling_density_lower(lattice: FockLattice, radii=None) -> float:
     return beurling_density_table(lattice, radii)[-1]["min_density"]
 
 
-def _symbol_on(lam: np.ndarray, mu) -> np.ndarray:
-    """The values of the symbol mu on the lattice points; a scalar is constant."""
-    if not isinstance(mu, Weight):
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), lam.shape)
-    return weight_values(mu, len(lam))
-
-
 def _display_assembly(lam: np.ndarray, mu: np.ndarray, degree: int, half: bool) -> np.ndarray:
     # Normalized-monomial matrix elements of F -> sum mu_l F(l) e^{pi conj(l) z} w(l),
     # with weight w = e^{-pi |l|^2} (section display) or e^{-pi |l|^2 / 2} (intro).
@@ -228,7 +221,7 @@ def fock_multiplier(lattice: FockLattice, mu, Dmax=None, convention: str = "kern
     if Dmax is None:
         Dmax = default_degree(lattice.R)
     lam = lattice.points
-    muv = _symbol_on(lam, mu)
+    muv = weight_values(mu, len(lam))
     if np.any(muv <= 0):
         raise ValueError("mu must be strictly positive on the lattice")
     if convention == "kernel":
@@ -243,7 +236,7 @@ def fock_multiplier_report(lattice: FockLattice, mu, Dmax=None) -> dict:
     if Dmax is None:
         Dmax = default_degree(lattice.R)
     lam = lattice.points
-    muv = _symbol_on(lam, mu)
+    muv = weight_values(mu, len(lam))
     abstract = multiplier(muv, embed_truncated(lattice, Dmax)).matrix
     section = _display_assembly(lam, muv, Dmax, half=False)
     intro = _display_assembly(lam, muv, Dmax, half=True)
@@ -260,8 +253,8 @@ def fock_multiplier_report(lattice: FockLattice, mu, Dmax=None) -> dict:
 def fock_lifting_experiment(
     delta: float,
     R_list,
-    t_mu: float = 2.0,
-    m_t: float = 0.0,
+    mu: dict = SYMBOL_SPEC,
+    m: dict = UNIT_SPEC,
     ps=(2,),
     s: float = 4.0,
     margin: float = 0.5,
@@ -270,8 +263,11 @@ def fock_lifting_experiment(
 ) -> dict:
     """Per-R frame verdict at the Landau count, lifting pipeline on the core.
 
-    A lattice that fails the frame test (sub-critical density) produces a
-    failure entry quoting the measured density proxy instead of raising.
+    ``mu`` and ``m`` are weight specs (:meth:`Weight.from_spec`), read on
+    each R's lattice points; the default mu is (1 + |lambda|)^2 and the
+    default m is 1. A lattice that fails the frame test (sub-critical
+    density) produces a failure entry quoting the measured density proxy
+    instead of raising.
     """
     entries = []
     decay_scaling = {}
@@ -280,6 +276,9 @@ def fock_lifting_experiment(
         K0 = bulk_dimension(lat.R)
         K1 = core_dimension(lat.R, margin)
         verdict_frame = bulk_frame(lat, K0)
+        core = bulk_frame(lat, K1)
+        # Read on every R, so a bad spec fails even where no frame runs.
+        mu_w, m_w = (Weight.from_spec(spec, core.index_set) for spec in (mu, m))
         A, B = verdict_frame.bounds
         entry = {
             "R": float(R),
@@ -299,17 +298,13 @@ def fock_lifting_experiment(
             )
             entry["condition"] = float("inf")
             continue
-        core = bulk_frame(lat, K1)
-        idx = core.index_set
-        mu = Weight.polynomial(idx, t_mu)
-        m = Weight.polynomial(idx, m_t) if m_t else None
-        rep = pipeline_entry(entry, core, mu, m=m, ps=ps, s=s, seed=seed)
+        rep = pipeline_entry(entry, core, mu_w, m=m_w, ps=ps, s=s, seed=seed)
         del core  # release its cached Gram and dual before the next size runs
         if rep is None:
             entry["note"] = "core compression lost the frame property"
             continue
         rep.metadata["mu_subexponential_constant"] = moderateness_constant(
-            mu, 1.0, profile="subexponential", beta=1.0
+            mu_w, 1.0, profile="subexponential", beta=1.0
         )
         decay_scaling[str(R)] = {
             str(se): matalg.decay_constant(fock_gram_exact(lat), se, lat.index_set()).constant
@@ -319,7 +314,6 @@ def fock_lifting_experiment(
         "kind": "fock_lifting",
         "delta": delta,
         "margin": margin,
-        "t_mu": t_mu,
         "s": s,
         "ps": ["inf" if p == np.inf else p for p in ps],
         "entries": entries,

@@ -247,8 +247,10 @@ def reconstruct(frame: Frame, f, via: str = "dual_coefficients") -> np.ndarray:
 def random_frame(rng: np.random.Generator, n: int, d: int, kind: str = "generic") -> Frame:
     """Random test frames: "generic" (Gaussian columns), "tight", or "onb".
 
-    Tight frames are built from the first d rows of a random unitary, scaled
-    so that A = B = n / d; "onb" requires n = d.
+    Tight frames are the first d columns of the Q factor of a random n x n
+    Gaussian, conjugate-transposed and scaled so that A = B = n / d; "onb"
+    requires n = d. Those columns depend on the first d columns of the draw
+    alone, so only they are factored.
     """
     if n < d:
         raise ValueError("need n >= d")
@@ -261,11 +263,8 @@ def random_frame(rng: np.random.Generator, n: int, d: int, kind: str = "generic"
         if kind == "onb" and n != d:
             raise ValueError("an orthonormal basis needs n = d")
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        Q, _ = np.linalg.qr(M)
-        V = Q[:, :d].conj().T * np.sqrt(n / d)
-        if kind == "onb":
-            V = Q.conj().T
-        return Frame(V)
+        Q = np.linalg.qr(M[:, :d])[0]
+        return Frame(Q.conj().T * np.sqrt(n / d))
     raise ValueError(f"unknown frame kind {kind!r}")
 
 

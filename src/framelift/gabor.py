@@ -21,7 +21,7 @@ import numpy as np
 from . import matalg
 from .coorbit import condition_ratios, pipeline_entry
 from .frames import Frame
-from .weights import TORUS, IndexSet, Weight, moderateness_constant
+from .weights import SYMBOL_SPEC, TORUS, UNIT_SPEC, IndexSet, Weight, moderateness_constant
 
 WINDOW_PERIODIZATION = 3  # tail terms below 1e-12 for N >= 4
 
@@ -163,9 +163,12 @@ def moderate_interplay_check(system: GaborSystem, t: float, s: float) -> dict:
 
 
 def _lattice_for(N: int, redundancy, a_ratio, b_ratio) -> TFLattice:
-    if a_ratio is not None and b_ratio is not None:
-        return TFLattice(N, max(1, N // int(a_ratio)), max(1, N // int(b_ratio)))
-    return TFLattice.balanced(N, redundancy)
+    """a = N / a_ratio, b = N / b_ratio; a ratio given alone stands for both."""
+    if a_ratio is None and b_ratio is None:
+        return TFLattice.balanced(N, redundancy)
+    a_ratio = b_ratio if a_ratio is None else a_ratio
+    b_ratio = a_ratio if b_ratio is None else b_ratio
+    return TFLattice(N, max(1, N // int(a_ratio)), max(1, N // int(b_ratio)))
 
 
 def gabor_lifting_experiment(
@@ -173,20 +176,20 @@ def gabor_lifting_experiment(
     redundancy: int = 4,
     a_ratio=None,
     b_ratio=None,
-    t_mu: float = 2.0,
+    mu: dict = SYMBOL_SPEC,
     t_check: float = 2.0,
     s: float = 4.0,
     ps=(2,),
-    m_t: float = 0.0,
+    m: dict = UNIT_SPEC,
     seed: int = 0,
 ) -> dict:
     """Lifting pipeline per N plus the N-scaling condition table.
 
-    mu is the polynomial weight (1 + dist(lambda, 0))^{t_mu} on the raw
-    torus lattice; m defaults to 1 (m_t = 0). Non-frame lattices become
-    failure entries instead of exceptions. Decay constants are tabulated
-    in both raw and normalized metrics; only the normalized ones are
-    comparable across N.
+    ``mu`` and ``m`` are weight specs (:meth:`Weight.from_spec`), read on
+    each N's raw torus lattice; the default mu is (1 + dist(lambda, 0))^2
+    and the default m is 1. Non-frame lattices become failure entries
+    instead of exceptions. Decay constants are tabulated in both raw and
+    normalized metrics; only the normalized ones are comparable across N.
     """
     entries = []
     decay_norm, decay_norm_dual, decay_raw = {}, {}, {}
@@ -205,9 +208,8 @@ def gabor_lifting_experiment(
         }
         entries.append(entry)
         idx_raw = sys_.frame.index_set
-        mu = Weight.polynomial(idx_raw, t_mu)
-        m = Weight.polynomial(idx_raw, m_t) if m_t else None
-        rep = pipeline_entry(entry, sys_.frame, mu, m=m, ps=ps, s=s, seed=seed)
+        mu_w, m_w = (Weight.from_spec(spec, idx_raw) for spec in (mu, m))
+        rep = pipeline_entry(entry, sys_.frame, mu_w, m=m_w, ps=ps, s=s, seed=seed)
         if rep is None:
             continue
         rep.metadata["window_decay_constants"] = {
@@ -226,7 +228,6 @@ def gabor_lifting_experiment(
         del G, Gd, idx_norm
     return {
         "kind": "gabor_lifting",
-        "t_mu": t_mu,
         "s": s,
         "ps": ["inf" if p == np.inf else p for p in ps],
         "entries": entries,

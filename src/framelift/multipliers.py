@@ -23,14 +23,7 @@ import numpy as np
 
 from . import matalg
 from .frames import Frame, gram
-from .weights import Weight, weight_values
-
-
-def _symbol_values(symbol, n: int) -> np.ndarray:
-    v = symbol.values if isinstance(symbol, Weight) else np.asarray(symbol)
-    if v.shape != (n,):
-        raise ValueError("symbol length does not match frame size")
-    return v
+from .weights import weight_values
 
 
 class Multiplier:
@@ -40,7 +33,7 @@ class Multiplier:
             raise ValueError("frames must share the ambient dimension")
         if phi.n != psi.n:
             raise ValueError("frames must have the same number of vectors")
-        self.symbol = _symbol_values(symbol, psi.n)
+        self.symbol = weight_values(symbol, psi.n)
         self.psi = psi
         self.phi = phi
         self.matrix = phi.synthesis_matrix @ (self.symbol[:, None] * psi.analysis_matrix)

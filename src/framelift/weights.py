@@ -6,6 +6,11 @@ positive sequence over such a set. Together they define the norms
 ``||c||_{p,m} = ||m * c||_p`` (with ``p = inf`` as a genuine distinguished
 value) and the diagnostics used throughout: the diagonal lifting map and
 pairwise moderateness constants.
+
+This module owns weight specs, the JSON objects ``{"type": "constant" |
+"polynomial" | "values", ...}`` that name a weight without its index set:
+:meth:`Weight.from_spec` is their one reader, and :func:`weight_values` the
+one coercer of weights and symbols to their values.
 """
 
 import json
@@ -16,6 +21,11 @@ from . import kernels
 
 EUCLIDEAN = "euclidean"
 TORUS = "torus"
+
+# The weight specs the commands default to; read-only, shared by every caller.
+UNIT_SPEC = {"type": "constant", "c": 1.0}
+SYMBOL_SPEC = {"type": "polynomial", "t": 2.0}  # mu of the Gabor and Fock lifts
+CHECK_SPEC = {"type": "polynomial", "t": 1.0}  # the weight verify checks by default
 
 
 class IndexSet:
@@ -80,14 +90,14 @@ class IndexSet:
 
 
 class Weight:
-    """Strictly positive sequence over an index set."""
+    """Finite, strictly positive sequence over an index set."""
 
     def __init__(self, values, index_set: IndexSet):
         vals = np.asarray(values, dtype=float)
         if vals.shape != (len(index_set),):
             raise ValueError("weight length does not match index set size")
-        if not np.all(vals > 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all((vals > 0) & (vals < np.inf)):
+            raise ValueError("weights must be finite and strictly positive")
         self.values = vals
         self.index_set = index_set
 
@@ -116,6 +126,30 @@ class Weight:
         """The weight (1 + dist(k, center))^t, default center is the origin."""
         return cls((1.0 + index_set.distance_to(center)) ** t, index_set)
 
+    @classmethod
+    def from_spec(cls, spec, index_set: IndexSet) -> "Weight":
+        """The weight a spec names, on ``index_set``.
+
+        ``spec`` is ``{"type": "constant", "c": c}`` (c defaults to 1),
+        ``{"type": "polynomial", "t": t}`` (see :meth:`polynomial`) or
+        ``{"type": "values", "values": [...]}`` with one value per index.
+        Anything else, and a spec whose values are not finite and strictly
+        positive, raises ValueError.
+        """
+        if not isinstance(spec, dict) or "type" not in spec:
+            raise ValueError("weight spec must be an object with a 'type'")
+        kind = spec["type"]
+        try:
+            if kind == "constant":
+                return cls.constant(index_set, float(spec.get("c", 1.0)))
+            if kind == "polynomial":
+                return cls.polynomial(index_set, float(spec["t"]))
+            if kind == "values":
+                return cls(spec["values"], index_set)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad {kind} weight: {exc}") from exc
+        raise ValueError(f"unknown weight type {kind!r}")
+
     def to_dict(self) -> dict:
         d = self.index_set.to_dict()
         d["values"] = self.values.tolist()
@@ -136,13 +170,15 @@ class Weight:
 
 
 def weight_values(m, n: int) -> np.ndarray:
-    """The values of the weight ``m`` on n indices.
+    """The values of the weight or symbol ``m`` on n indices.
 
     ``m`` is a :class:`Weight`, an array of length n, or None for the unit
     weight.
     """
     if m is None:
         return np.ones(n)
+    if np.iscomplexobj(m):
+        raise ValueError("weights and symbols must be real")
     vals = m.values if isinstance(m, Weight) else np.asarray(m, dtype=float)
     if vals.shape != (n,):
         raise ValueError("weight length does not match sequence length")

@@ -161,7 +161,9 @@ def test_criterion_4_coercivity():
 
 def test_criterion_5_gabor_uniformity():
     with criterion(5, "Gabor lifting uniformity across N", budget=300.0):
-        out = gabor_lifting_experiment([16, 32, 64, 128], t_mu=2.0, ps=(2,), seed=0)
+        out = gabor_lifting_experiment(
+            [16, 32, 64, 128], mu={"type": "polynomial", "t": 2.0}, ps=(2,), seed=0
+        )
         assert len(out["entries"]) == 4
         for e in out["entries"]:
             assert e["status"] == "ok", e
@@ -191,7 +193,9 @@ def test_criterion_6_fock():
         sub = fock_lifting_experiment(1.2, [2.0], ps=(2,))
         assert sub["entries"][0]["status"] == "not_a_frame"
 
-        out = fock_lifting_experiment(0.8, [1.5, 2.0, 2.5], t_mu=2.0, ps=(2,))
+        out = fock_lifting_experiment(
+            0.8, [1.5, 2.0, 2.5], mu={"type": "polynomial", "t": 2.0}, ps=(2,)
+        )
         for e in out["entries"]:
             assert e["status"] == "ok", e
             assert e["report"]["lower"] > 0

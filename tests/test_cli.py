@@ -176,20 +176,77 @@ class TestConfigErrors:
             )
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("config", ["lift_gabor.json", "lift_fock.json"])
+    @pytest.mark.parametrize("config, first_n", [("lift_gabor.json", 64), ("lift_fock.json", 9)])
     @pytest.mark.parametrize("key", ["mu", "m"])
-    @pytest.mark.parametrize(
-        "spec",
-        [{"type": "constant", "c": 1.0}, {"type": "values", "values": [1.0]}, {"t": 2.0}, {}],
-        ids=["constant", "values", "no-type", "empty"],
-    )
-    def test_family_lift_weight_must_be_polynomial(self, tmp_path, capsys, config, key, spec):
-        # Gabor and Fock lifts read only t; any other spec used to run as a
-        # polynomial weight and exit 0.
-        cfg = _write(tmp_path, "notpoly.json", dict(_read_json(CONFIGS / config), **{key: spec}))
-        assert main(["lift", "--config", cfg, "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("spec", ["constant", "values", "no-type", "empty"])
+    def test_family_lift_reads_weight_specs(self, tmp_path, capsys, config, first_n, key, spec):
+        # Every size reads the spec on its own index set: a constant runs, a
+        # values spec as long as the first size's index set runs on that
+        # size alone and fails on the second, and a spec without a type fails.
+        spec = {
+            "constant": {"type": "constant", "c": 1.0},
+            "values": {"type": "values", "values": [1.0] * first_n},
+            "no-type": {"t": 2.0},
+            "empty": {},
+        }[spec]
+        base = dict(_read_json(CONFIGS / config), **{key: spec})
+        if spec.get("type") == "values":
+            sizes = "Ns" if "Ns" in base else "R_list"
+            one = _write(tmp_path, "one.json", dict(base, **{sizes: base[sizes][:1]}))
+            assert main(["lift", "--config", one, "--out", str(tmp_path / "one")]) == 0
+        rc = main(["lift", "--config", _write(tmp_path, "spec.json", base), "--out", str(tmp_path)])
+        if spec.get("type") == "constant":
+            assert rc == 0
+            return
+        assert rc == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "lift_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "config, override",
+        [
+            ("verify_onb.json", {"mu": None}),
+            ("verify_onb.json", {"weights": [None]}),
+            ("export_gabor_frame.json", {"what": "multiplier", "mu": None}),
+            ("lift_scalar_onb.json", {"mu": None}),
+            ("lift_scalar_onb.json", {"m": None}),
+            ("lift_gabor.json", {"mu": None}),
+            ("lift_gabor.json", {"m": None}),
+            ("lift_fock.json", {"mu": None}),
+            ("lift_fock.json", {"m": None}),
+            ("lift_fock_subcritical.json", {"mu": None}),
+        ],
+        ids=[
+            "verify-mu", "verify-weights", "export-mu", "custom-mu", "custom-m",
+            "gabor-mu", "gabor-m", "fock-mu", "fock-m", "fock-no-frame-mu",
+        ],
+    )
+    def test_null_weight_spec_is_a_config_error(self, tmp_path, capsys, config, override):
+        cfg = dict(_read_json(CONFIGS / config), **override)
+        command = {"verify": "verify", "export": "export"}.get(cfg["kind"], "lift")
+        path = _write(tmp_path, "null.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key, spec",
+        [
+            ("verify_onb.json", "mu", '{"type": "polynomial", "t": 1e400}'),
+            ("lift_scalar_onb.json", "mu", '{"type": "constant", "c": 1e400}'),
+            ("lift_scalar_onb.json", "m", '{"type": "values", "values": [1e400%s]}' % (", 1" * 11)),
+        ],
+        ids=["t", "c", "values"],
+    )
+    def test_non_finite_weight_is_a_config_error(self, tmp_path, capsys, config, key, spec):
+        # json reads 1e400 as inf.
+        text = json.dumps(dict(_read_json(CONFIGS / config), **{key: "@"})).replace('"@"', spec)
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        command = "verify" if config.startswith("verify") else "lift"
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: '{key}':" in err
+        assert "finite" in err
 
     def test_unknown_frame_type(self, tmp_path):
         cfg = _write(
@@ -252,13 +309,13 @@ class TestLift:
             (
                 "lift_gabor.json",
                 lambda cfg: gabor_lifting_experiment(
-                    cfg["Ns"], redundancy=4, t_mu=2.0, ps=[2], s=4.0, seed=0
+                    cfg["Ns"], redundancy=4, mu=cfg["mu"], m=cfg["m"], ps=[2], s=4.0, seed=0
                 ),
             ),
             (
                 "lift_fock.json",
                 lambda cfg: fock_lifting_experiment(
-                    0.8, cfg["R_list"], t_mu=2.0, ps=[2], s=4.0, margin=0.5, seed=1
+                    0.8, cfg["R_list"], mu=cfg["mu"], ps=[2], s=4.0, margin=0.5, seed=1
                 ),
             ),
         ],
@@ -270,6 +327,41 @@ class TestLift:
         want = dict(experiment(cfg), schema_version=cli.SCHEMA_VERSION, seed=cfg["seed"], config=cfg)
         cli._dump_json(tmp_path / "want.json", want)
         assert (out / "lift_report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_gabor_lift_with_constant_mu_matches_custom_frame(self, tmp_path):
+        mu = {"type": "constant", "c": 3}
+        gabor = _write(tmp_path, "gabor.json", {"kind": "gabor", "Ns": [16], "mu": mu})
+        frame = {"type": "gabor", "N": 16, "a": 2, "b": 2}
+        custom = _write(tmp_path, "custom.json", {"kind": "custom-frame", "frame": frame, "mu": mu})
+        assert main(["lift", "--config", gabor, "--out", str(tmp_path / "gabor")]) == 0
+        assert main(["lift", "--config", custom, "--out", str(tmp_path / "custom")]) == 0
+        want = _read_json(tmp_path / "custom" / "lift_size64.json")["entry"]
+        got = _read_json(tmp_path / "gabor" / "lift_N16.json")["entry"]
+        assert (got["a"], got["b"]) == (2, 2)
+        assert got["report"]["per_p_results"] == want["report"]["per_p_results"]
+
+    def test_fock_lift_with_constant_mu_gives_unit_weight_constants(self, tmp_path):
+        # M_c = c S, and the weights m sqrt(c), m / sqrt(c) scale both sides
+        # of the lifting inequality alike: every constant mu = c gives the
+        # constants of mu = 1.
+        reports = {}
+        for c in (1.0, 5.0):
+            cfg = dict(_read_json(CONFIGS / "lift_fock.json"), mu={"type": "constant", "c": c})
+            out = tmp_path / str(c)
+            path = _write(tmp_path, "fock.json", cfg)
+            assert main(["lift", "--config", path, "--out", str(out)]) == 0
+            reports[c] = _read_json(out / "lift_report.json")["entries"]
+        for unit, scaled in zip(reports[1.0], reports[5.0]):
+            assert scaled["status"] == "ok"
+            for key in ("lower", "upper"):
+                assert scaled["report"][key] == pytest.approx(unit["report"][key], rel=1e-12)
+
+    @pytest.mark.parametrize("key", ["a_ratio", "b_ratio"])
+    def test_lone_lattice_ratio_stands_for_both(self, tmp_path, key):
+        cfg = _write(tmp_path, "ratio.json", {"kind": "gabor", "Ns": [16], key: 4})
+        main(["lift", "--config", cfg, "--out", str(tmp_path)])
+        entry = _read_json(tmp_path / "lift_report.json")["entries"][0]
+        assert (entry["a"], entry["b"]) == (4, 4)
 
     def test_custom_frame_that_is_not_a_frame_fails(self, tmp_path):
         # 4 Gabor vectors cannot span C^16.

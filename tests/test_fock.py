@@ -181,7 +181,9 @@ class TestLattice:
 
 class TestExperiment:
     def test_frozen_conditions_and_growths(self):
-        out = fock_lifting_experiment(0.8, [1.5, 2.0, 2.5], t_mu=2.0, ps=(2,))
+        out = fock_lifting_experiment(
+            0.8, [1.5, 2.0, 2.5], mu={"type": "polynomial", "t": 2.0}, ps=(2,)
+        )
         conds = [e["condition"] for e in out["entries"]]
         np.testing.assert_allclose(
             conds,

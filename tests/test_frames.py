@@ -217,3 +217,22 @@ class TestFactories:
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ValueError):
             random_frame(rng, 6, 3, kind="wavelet")
+
+    @pytest.mark.parametrize("n, d, kind", [(64, 16, "tight"), (256, 32, "tight"), (6, 6, "onb")])
+    def test_tight_frame_factors_only_d_columns(self, monkeypatch, n, d, kind):
+        qr, shapes = np.linalg.qr, []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        fr = random_frame(np.random.default_rng(3), n, d, kind=kind)
+        assert shapes == [(n, d)]
+        # The construction that factored the whole n x n draw: the first d
+        # columns of its Q depend on the first d columns of the draw alone.
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Q = qr(M)[0]
+        want = Q.conj().T if kind == "onb" else Q[:, :d].conj().T * np.sqrt(n / d)
+        np.testing.assert_array_equal(fr.synthesis_matrix, want)

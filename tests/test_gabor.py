@@ -185,7 +185,9 @@ class TestGaborFrame:
 
 class TestExperiment:
     def test_frozen_conditions_and_ratios(self):
-        out = gabor_lifting_experiment([16, 32, 64], t_mu=2.0, ps=(2,), seed=0)
+        out = gabor_lifting_experiment(
+            [16, 32, 64], mu={"type": "polynomial", "t": 2.0}, ps=(2,), seed=0
+        )
         conds = [e["condition"] for e in out["entries"]]
         np.testing.assert_allclose(
             conds,

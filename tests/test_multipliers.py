@@ -65,6 +65,11 @@ class TestMultiplier:
         with pytest.raises(ValueError):
             multiplier(np.ones(small_frame.n + 1), small_frame)
 
+    def test_complex_symbol_rejected(self, small_frame):
+        # Symbols are read like weights; numpy would drop the imaginary part.
+        with pytest.raises(ValueError, match="real"):
+            multiplier(np.full(small_frame.n, 1 + 1j), small_frame)
+
     def test_mismatched_frame_pair_rejected(self, rng, small_frame):
         wrong_d = random_frame(rng, small_frame.n, small_frame.d - 1)
         with pytest.raises(ValueError):

@@ -55,9 +55,40 @@ class TestIndexSet:
 
 
 class TestWeight:
-    def test_positivity_required(self):
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_positivity_required(self, bad):
         with pytest.raises(ValueError):
-            Weight(np.array([1.0, 0.0, 2.0]), line(3))
+            Weight(np.array([1.0, bad, 2.0]), line(3))
+
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            ({"type": "constant"}, [1.0] * 4),
+            ({"type": "constant", "c": 3}, [3.0] * 4),
+            ({"type": "polynomial", "t": 2}, [1.0, 4.0, 9.0, 16.0]),
+            ({"type": "values", "values": [1, 2, 3, 4]}, [1.0, 2.0, 3.0, 4.0]),
+        ],
+    )
+    def test_from_spec_reads_each_type(self, spec, want):
+        np.testing.assert_array_equal(Weight.from_spec(spec, line(4)).values, want)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            None,
+            2.0,
+            {},
+            {"t": 1.0},
+            {"type": "gaussian"},
+            {"type": "polynomial"},
+            {"type": "polynomial", "t": float("inf")},
+            {"type": "constant", "c": None},
+            {"type": "values", "values": [1.0, 2.0]},
+        ],
+    )
+    def test_from_spec_rejects_with_value_error(self, spec):
+        with pytest.raises(ValueError):
+            Weight.from_spec(spec, line(4))
 
     def test_polynomial_weight_values(self):
         w = Weight.polynomial(line(4), 2.0)
