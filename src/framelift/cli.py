@@ -20,7 +20,7 @@ import numpy as np
 from . import fock as fock_mod
 from . import frames, gabor, matalg, multipliers
 from .coorbit import _p_key, coercivity_check, condition_ratios, pipeline_entry
-from .weights import CHECK_SPEC, UNIT_SPEC, Weight
+from .weights import CHECK_SPEC, UNIT_SPEC, SpecError, keyed_weight
 
 SCHEMA_VERSION = 3
 DEFAULT_TOL = 1e-10
@@ -124,14 +124,6 @@ def build_frame(spec, seed: int) -> frames.Frame:
     raise ConfigError(f"unknown frame type '{kind}'")
 
 
-def _weight(key: str, spec, frame: frames.Frame) -> Weight:
-    """The weight ``spec`` on the frame's index set; ``key`` names it in errors."""
-    try:
-        return Weight.from_spec(spec, frame.index_set)
-    except ValueError as exc:
-        raise ConfigError(f"'{key}': {exc}") from exc
-
-
 def _parse_ps(cfg) -> list:
     ps = cfg.get("ps", [2])
     if not isinstance(ps, list) or not ps:
@@ -162,11 +154,11 @@ def _parse_nonnegative(value, key: str) -> float:
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     frame = build_frame(_require(cfg, "frame", dict, "verify"), seed)
-    mu = _weight("mu", cfg.get("mu", UNIT_SPEC), frame)
+    mu = keyed_weight("mu", cfg.get("mu", UNIT_SPEC), frame.index_set)
     wspecs = cfg.get("weights", [CHECK_SPEC])
     if not isinstance(wspecs, list):
         raise ConfigError("'weights' must be a list")
-    weights = [_weight(f"weights[{i}]", wspec, frame) for i, wspec in enumerate(wspecs)]
+    weights = [keyed_weight(f"weights[{i}]", wspec, frame.index_set) for i, wspec in enumerate(wspecs)]
     ps = _parse_ps(cfg)
     s = _parse_nonnegative(cfg.get("s", 4.0), "s")
 
@@ -283,8 +275,8 @@ def _run_experiment(cfg: dict, ps: list, seed: int):
         return report, "R"
     if kind == "custom-frame":
         frame = build_frame(_require(cfg, "frame", dict, "custom-frame"), seed)
-        mu = _weight("mu", cfg.get("mu", UNIT_SPEC), frame)
-        m = _weight("m", cfg.get("m", UNIT_SPEC), frame)
+        mu = keyed_weight("mu", cfg.get("mu", UNIT_SPEC), frame.index_set)
+        m = keyed_weight("m", cfg.get("m", UNIT_SPEC), frame.index_set)
         entry = {"size": frame.n}
         pipeline_entry(entry, frame, mu, m=m, ps=ps, s=s, seed=seed)
         return {"entries": [entry], "condition_ratios": condition_ratios([entry])}, "size"
@@ -295,7 +287,7 @@ def cmd_lift(cfg: dict, out_dir: Path, seed: int) -> int:
     ps = _parse_ps(cfg)
     try:
         report, size_key = _run_experiment(cfg, ps, seed)
-    except ConfigError:
+    except (ConfigError, SpecError):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"experiment parameters invalid: {exc}") from exc
@@ -330,7 +322,7 @@ def cmd_export(cfg: dict, out_dir: Path, seed: int) -> int:
     if what == "gram":
         target = frame.gram_matrix
     elif what == "multiplier":
-        mu = _weight("mu", cfg.get("mu", UNIT_SPEC), frame)
+        mu = keyed_weight("mu", cfg.get("mu", UNIT_SPEC), frame.index_set)
         target = multipliers.multiplier(mu, frame).matrix
     else:
         raise ConfigError(f"unknown export target '{what}'")
@@ -372,7 +364,7 @@ def main(argv=None) -> int:
         if args.command == "lift":
             return cmd_lift(cfg, out_dir, seed)
         return cmd_export(cfg, out_dir, seed)
-    except ConfigError as exc:
+    except (ConfigError, SpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

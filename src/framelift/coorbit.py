@@ -14,20 +14,21 @@ bracketed: certified outer bounds come from the left-inverse factorization
 gives the trivial bound), inner bounds from a seeded randomized scan.
 Other p get outer bounds by interpolating the exact p = 1, 2, inf norms.
 Brackets are part of every report; nothing outside {2} is claimed exact.
+All of these constants come from :func:`framelift.matalg.map_constants`.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import matalg
 from .frames import Frame, NotAFrameError, gram
-from .multipliers import _SplitCore, invertibility_matrix, multiplier
+from .matalg import _Factored, map_constants
+from .multipliers import _coefficient_maps, _SplitCore, invertibility_matrix, multiplier
 from .weights import Weight, moderateness_constant, weight_values, weighted_norm
 
-N_SAMPLES = 256
+# Relative residual below which the pipeline's identities (iii) and (v) hold.
+IDENTITY_RTOL = 1e-10
 # Reporting flag only: a pairwise moderateness constant above this makes the
 # weight behave non-polynomially at desk scale (nothing fails on it).
 MODERATE_FLAG = 1e3
@@ -55,123 +56,14 @@ def duality_pairing(f, g, space: CoorbitSpace) -> complex:
     return complex(np.sum(dual.analysis(f) * np.conj(space.frame.analysis(g))))
 
 
-class _Factored:
-    """An n x d coefficient map with its injectivity test and left inverse
-    made on first use.
-
-    :func:`map_constants` accepts these in place of arrays, so a caller that
-    needs several p for one pair of maps (the lifting pipeline) factors
-    each map once. The map need not be injective: one that fails the
-    injectivity test has no left inverse, and the bound that needs it is
-    reported as the trivial one.
-    """
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix)
-        self._s = None  # singular values, once computed
-
-    @property
-    def injective(self) -> bool:
-        """d singular values with s_min > RANK_RTOL * s_max.
-
-        The test is relative, so rescaling the map cannot change it. It
-        reads the singular values of the left inverse's SVD when that was
-        made first, else a values-only SVD: p = 2 alone computes no
-        singular vectors.
-        """
-        if self._s is None:
-            self._s = np.linalg.svd(self.matrix, compute_uv=False)
-        s = self._s
-        return bool(s.shape[0] == self.matrix.shape[1] and s[-1] > matalg.RANK_RTOL * s[0])
-
-    @functools.cached_property
-    def left_inverse(self):
-        """The pseudo-inverse if the map is injective, else None.
-
-        One thin SVD gives, when the map is injective, the pseudo-inverse
-        V diag(1/s) U^H with no singular value cut.
-        """
-        if self._s is not None and not self.injective:
-            return None
-        u, s, vh = np.linalg.svd(self.matrix, full_matrices=False)
-        if self._s is None:
-            self._s = s
-        if not self.injective:
-            return None
-        return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
-
-
-def _factored(M) -> _Factored:
-    return M if isinstance(M, _Factored) else _Factored(M)
-
-
-def _product_norm(L: np.ndarray, R: np.ndarray, p) -> float:
-    """Induced l^p norm of the n x n product L R (upper end for 1 < p < inf).
-
-    L is n x d and R is d x n. The 2-norm, needed for 1 < p < inf, comes
-    from the n x d matrix L r^H, where R^H = q r is a thin QR: L R =
-    (L r^H) q^H and q^H has orthonormal rows, so both share their singular
-    values and no n x n factorization is needed.
-    """
-    if p in (1, np.inf):
-        return matalg.operator_norm(L @ R, p)
-    r = np.linalg.qr(R.conj().T)[1]
-    n2 = float(np.linalg.svd(L @ r.conj().T, compute_uv=False)[0])
-    return n2 if p == 2 else matalg.interpolated_upper(L @ R, p, n2)
-
-
-def map_constants(A, B, p, n_samples: int = N_SAMPLES, seed: int = 0) -> dict:
-    """Best constants L, U with L ||Bf||_p <= ||Af||_p <= U ||Bf||_p.
-
-    A and B are n x d arrays or :class:`_Factored` maps, which keep their
-    factorizations across calls. Returns bracket pairs
-    {"lower": (lo, hi), "upper": (lo, hi)}. For p = 2 with both maps
-    injective the brackets have zero width: the constants are exact
-    generalized singular values; the injectivity test is relative, so these
-    do not move when both maps are rescaled. Otherwise the certified sides
-    are ||A B^+||_p and 1 / ||B A^+||_p, with B^+ and A^+ the left inverses
-    of :class:`_Factored`; a map that fails its injectivity test gives the
-    trivial side instead, upper = inf for B and lower = 0 for A. The inner
-    sides come from :func:`matalg.sampled_ratios`.
-    """
-    A, B = _factored(A), _factored(B)
-    Am, Bm = A.matrix, B.matrix
-    if p == 2 and B.injective and A.injective:
-        w = scipy.linalg.eigh(Am.conj().T @ Am, Bm.conj().T @ Bm, eigvals_only=True)
-        lo = float(np.sqrt(max(w[0], 0.0)))
-        hi = float(np.sqrt(max(w[-1], 0.0)))
-        return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
-    B_inv, A_inv = B.left_inverse, A.left_inverse
-    upper_cert = _product_norm(Am, B_inv, p) if B_inv is not None else np.inf
-    lower_cert = 1.0 / _product_norm(Bm, A_inv, p) if A_inv is not None else 0.0
-    ratios = matalg.sampled_ratios(Am, Bm, p, n_samples, seed)
-    up_samp = float(np.max(ratios, initial=0.0))
-    lo_samp = float(np.min(ratios, initial=np.inf))
-    return {"lower": (lower_cert, lo_samp), "upper": (up_samp, upper_cert), "p": p}
-
-
-def _coefficient_maps(psi: Frame, T, m_out, m_in):
-    dual = psi.canonical_dual()
-    Cd = dual.analysis_matrix
-    wout = weight_values(m_out, psi.n)
-    win = weight_values(m_in, psi.n)
-    A = wout[:, None] * (Cd @ np.asarray(T))
-    B = win[:, None] * Cd
-    return A, B
-
-
-def operator_norm_between(
-    T: np.ndarray, psi: Frame, p, m_in=None, m_out=None, n_samples: int = N_SAMPLES, seed: int = 0
-) -> tuple:
+def operator_norm_between(T: np.ndarray, psi: Frame, p, m_in=None, m_out=None, seed: int = 0) -> tuple:
     """Bracket for the norm of T : H^p_{m_in} -> H^p_{m_out} over the frame psi."""
     A, B = _coefficient_maps(psi, T, m_out, m_in)
-    c = map_constants(A, B, p, n_samples, seed)
+    c = map_constants(A, B, p, seed)
     return c["upper"]
 
 
-def equivalence_constants(
-    space: CoorbitSpace, alt_frame: Frame, n_samples: int = N_SAMPLES, seed: int = 0
-) -> dict:
+def equivalence_constants(space: CoorbitSpace, alt_frame: Frame, seed: int = 0) -> dict:
     """Best constants between the space norm and alt-frame coefficient norms.
 
     c_low * ||C_Psid f||_{p,m} <= ||C_alt f||_{p,m} <= c_high * ||C_Psid f||_{p,m}.
@@ -186,7 +78,7 @@ def equivalence_constants(
     dual = space.frame.canonical_dual()
     A = mvals[:, None] * alt_frame.analysis_matrix
     B = mvals[:, None] * dual.analysis_matrix
-    c = map_constants(A, B, space.p, n_samples, seed)
+    c = map_constants(A, B, space.p, seed)
     return {
         "c_low": c["lower"][0],
         "c_high": c["upper"][1],
@@ -202,9 +94,10 @@ def coercivity_check(
 
     [f,f] = <M_mu f, f> = sum_k mu_k |<f,psi_k>|^2 is checked on random
     draws; the ambient constants are the eigenvalue extremes of M_mu, and
-    the constants relative to ||f||^2_{H^2_sqrt(mu)} come from the
-    generalized eigenvalue problem between the two quadratic forms. ``M``
-    is the matrix of M_mu when the caller already holds it.
+    the constants relative to ||f||^2_{H^2_sqrt(mu)} are the p = 2
+    constants of :func:`map_constants` between diag(sqrt(mu)) C_Psi and
+    diag(sqrt(mu)) C_Psid, whose Gram matrices are the two quadratic forms.
+    ``M`` is the matrix of M_mu when the caller already holds it.
     """
     muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
@@ -219,20 +112,17 @@ def coercivity_check(
         coeff = float(np.sum(muv * np.abs(psi.analysis(f)) ** 2))
         worst = max(worst, abs(quad - coeff) / max(1.0, abs(coeff)))
     ev = np.linalg.eigvalsh(M)
-    dual = psi.canonical_dual()
-    C, Cd = psi.analysis_matrix, dual.analysis_matrix
-    form_psi = C.conj().T @ (muv[:, None] * C)
-    form_dual = Cd.conj().T @ (muv[:, None] * Cd)
-    w = scipy.linalg.eigh(form_psi, form_dual, eigvals_only=True)
-    rel = (float(np.sqrt(max(w[0], 0.0))), float(np.sqrt(w[-1])))
-    # sigma_min of M_mu : H^2_sqrt(mu) -> H^2_{1/sqrt(mu)} certifies bijectivity.
+    # B = diag(sqrt(mu)) C_Psid is the second map of both calls, factored once.
     A, B = _coefficient_maps(psi, M, 1.0 / np.sqrt(muv), np.sqrt(muv))
+    B = _Factored(B)
+    c = map_constants(np.sqrt(muv)[:, None] * psi.analysis_matrix, B, 2)
+    # sigma_min of M_mu : H^2_sqrt(mu) -> H^2_{1/sqrt(mu)} certifies bijectivity.
     sigma_min = map_constants(A, B, 2)["lower"][0]
     return {
         "identity_residual": worst,
         "identity_ok": worst < tol,
         "ambient_constants": (float(ev[0]), float(ev[-1])),
-        "relative_constants": rel,
+        "relative_constants": (c["lower"][0], c["upper"][1]),
         "sigma_min_weighted": sigma_min,
         "bijective": sigma_min > 0,
     }
@@ -243,9 +133,7 @@ def _lifting_maps(psi: Frame, M_mu: np.ndarray, muv: np.ndarray, mv: np.ndarray)
     return _coefficient_maps(psi, M_mu, mv / np.sqrt(muv), mv * np.sqrt(muv))
 
 
-def lifting_constants(
-    psi: Frame, mu, m=None, p=2, n_samples: int = N_SAMPLES, seed: int = 0, detail: bool = False
-):
+def lifting_constants(psi: Frame, mu, m=None, p=2, seed: int = 0, detail: bool = False):
     """Best constants of M_mu : H^p_{m sqrt(mu)} -> H^p_{m/sqrt(mu)}.
 
     Returns (lower, upper); with ``detail=True`` the full bracket record.
@@ -259,7 +147,7 @@ def lifting_constants(
         raise ValueError("mu must be strictly positive")
     mv = weight_values(m, psi.n)
     A, B = _lifting_maps(psi, multiplier(muv, psi).matrix, muv, mv)
-    c = map_constants(A, B, p, n_samples, seed)
+    c = map_constants(A, B, p, seed)
     if detail:
         c["diagnostics"] = {"mu_min": float(muv.min())}
         return c
@@ -297,7 +185,7 @@ def _p_key(p) -> str:
 
 
 def lifting_theorem_pipeline(
-    psi: Frame, mu, m=None, ps=(2,), s: float = 4.0, seed: int = 0, rtol: float = 1e-10
+    psi: Frame, mu, m=None, ps=(2,), s: float = 4.0, seed: int = 0
 ) -> LiftingReport:
     """Run the invertibility-splitting proof as a computation.
 
@@ -397,7 +285,7 @@ def lifting_theorem_pipeline(
     step3 = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
     del lhs, rhs
     report.residuals["step_iii_identity"] = step3
-    report.verdicts["step_iii_ok"] = bool(step3 < rtol)
+    report.verdicts["step_iii_ok"] = bool(step3 < IDENTITY_RTOL)
 
     # Step (iv): condition of B on each requested l^p_{m sqrt(mu)}.
     w_msqmu = mv * sqmu
@@ -424,7 +312,7 @@ def lifting_theorem_pipeline(
     bound = float((np.abs(C) @ (np.abs(M_rec) @ np.abs(M_mu)) @ np.abs(D)).max()) + 1.0
     step5 = float(np.abs(B_rev).max()) / bound
     del B_rev, B_split
-    adjoint_ok = bool(step5 < rtol)
+    adjoint_ok = bool(step5 < IDENTITY_RTOL)
     report.residuals["step_v_adjoint_identity"] = step5
     report.verdicts["B_reverse_invertible"] = invertible and adjoint_ok
     report.verdicts["verdicts_agree"] = adjoint_ok

@@ -28,7 +28,7 @@ from . import matalg
 from .coorbit import condition_ratios, pipeline_entry
 from .frames import Frame
 from .multipliers import multiplier
-from .weights import SYMBOL_SPEC, UNIT_SPEC, IndexSet, Weight, moderateness_constant, weight_values
+from .weights import SYMBOL_SPEC, UNIT_SPEC, IndexSet, keyed_weight, moderateness_constant, weight_values
 
 GRAM_MATCH_WARN = 1e-8
 
@@ -277,8 +277,9 @@ def fock_lifting_experiment(
         K1 = core_dimension(lat.R, margin)
         verdict_frame = bulk_frame(lat, K0)
         core = bulk_frame(lat, K1)
+        idx = core.index_set  # the lattice points; its distances serve every scan below
         # Read on every R, so a bad spec fails even where no frame runs.
-        mu_w, m_w = (Weight.from_spec(spec, core.index_set) for spec in (mu, m))
+        mu_w, m_w = (keyed_weight(key, spec, idx) for key, spec in (("mu", mu), ("m", m)))
         A, B = verdict_frame.bounds
         entry = {
             "R": float(R),
@@ -306,10 +307,9 @@ def fock_lifting_experiment(
         rep.metadata["mu_subexponential_constant"] = moderateness_constant(
             mu_w, 1.0, profile="subexponential", beta=1.0
         )
-        decay_scaling[str(R)] = {
-            str(se): matalg.decay_constant(fock_gram_exact(lat), se, lat.index_set()).constant
-            for se in (2.0, s, 6.0)
-        }
+        G = fock_gram_exact(lat)
+        decay_scaling[str(R)] = {str(se): matalg.decay_constant(G, se, idx).constant for se in (2.0, s, 6.0)}
+        del G
     return {
         "kind": "fock_lifting",
         "delta": delta,

@@ -21,7 +21,7 @@ import numpy as np
 from . import matalg
 from .coorbit import condition_ratios, pipeline_entry
 from .frames import Frame
-from .weights import SYMBOL_SPEC, TORUS, UNIT_SPEC, IndexSet, Weight, moderateness_constant
+from .weights import SYMBOL_SPEC, TORUS, UNIT_SPEC, IndexSet, Weight, keyed_weight, moderateness_constant
 
 WINDOW_PERIODIZATION = 3  # tail terms below 1e-12 for N >= 4
 
@@ -208,7 +208,7 @@ def gabor_lifting_experiment(
         }
         entries.append(entry)
         idx_raw = sys_.frame.index_set
-        mu_w, m_w = (Weight.from_spec(spec, idx_raw) for spec in (mu, m))
+        mu_w, m_w = (keyed_weight(key, spec, idx_raw) for key, spec in (("mu", mu), ("m", m)))
         rep = pipeline_entry(entry, sys_.frame, mu_w, m=m_w, ps=ps, s=s, seed=seed)
         if rep is None:
             continue
@@ -222,7 +222,7 @@ def gabor_lifting_experiment(
         Gd = sys_.frame.canonical_dual().gram_matrix
         decay_norm[str(N)] = matalg.decay_constant(G, s, idx_norm).constant
         decay_norm_dual[str(N)] = matalg.decay_constant(Gd, s, idx_norm).constant
-        decay_raw[str(N)] = matalg.decay_constant(G, s, idx_raw).constant
+        decay_raw[str(N)] = rep.decay_profiles["G"]  # G on idx_raw at s, from step (ii)
         window_decay[str(N)] = rep.metadata["window_decay_constants"]
         # Release this size's n x n arrays before the next size runs.
         del G, Gd, idx_norm

@@ -13,14 +13,18 @@ pseudo-inverses on weighted spaces are computed through it.
 Induced l^p norms are computed here for the whole package:
 :func:`operator_norm` is exact for p in {1, 2, inf} and a bracket
 otherwise, and :func:`sampled_ratios` is the one seeded scan behind the
-inner side of every bracket, including those of coorbit.map_constants.
+inner side of every bracket. :func:`map_constants` owns the constants
+between two coefficient maps, the lifting constants among them: exact
+generalized singular values at p = 2, certified brackets otherwise.
 """
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import kernels
 from .weights import IndexSet, lp_norms, weight_values
@@ -29,6 +33,9 @@ from .weights import IndexSet, lp_norms, weight_values
 RANK_RTOL = 1e-10
 # Invertibility verdicts use the coarser 1e-8 separation threshold.
 INVERTIBILITY_RTOL = 1e-8
+# Seeded draws behind the inner side of a bracket: map_constants, operator_norm.
+MAP_SAMPLES = 256
+NORM_SAMPLES = 64
 
 
 @dataclass
@@ -61,12 +68,12 @@ def conjugate(A: np.ndarray, mu) -> np.ndarray:
     return (v[:, None] / v[None, :]) * A
 
 
-def pseudo_inverse(A: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse; rank decided at rtol * sigma_max."""
-    return np.linalg.pinv(np.asarray(A), rcond=rtol)
+def pseudo_inverse(A: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse; rank decided at RANK_RTOL * sigma_max."""
+    return np.linalg.pinv(np.asarray(A), rcond=RANK_RTOL)
 
 
-def weighted_pseudo_inverse(A: np.ndarray, mu, rtol: float = RANK_RTOL) -> np.ndarray:
+def weighted_pseudo_inverse(A: np.ndarray, mu) -> np.ndarray:
     """Pseudo-inverse of A as an operator on l^2_mu (same weight both sides).
 
     Least-squares/minimum-norm are taken in the ||diag(mu) . ||_2 norm, which
@@ -75,7 +82,7 @@ def weighted_pseudo_inverse(A: np.ndarray, mu, rtol: float = RANK_RTOL) -> np.nd
     The plain pseudo-inverse does not commute unless A is invertible.
     """
     v = weight_values(mu, np.asarray(A).shape[0])
-    return conjugate(pseudo_inverse(conjugate(A, v), rtol), v**-1)
+    return conjugate(pseudo_inverse(conjugate(A, v)), v**-1)
 
 
 def weighted_adjoint(A: np.ndarray, mu) -> np.ndarray:
@@ -85,10 +92,10 @@ def weighted_adjoint(A: np.ndarray, mu) -> np.ndarray:
     return (np.asarray(A).conj().T * w2[None, :]) / w2[:, None]
 
 
-def is_invertible(A: np.ndarray, rtol: float = INVERTIBILITY_RTOL) -> bool:
-    """sigma_min > rtol * sigma_max on a square matrix."""
+def is_invertible(A: np.ndarray) -> bool:
+    """sigma_min > INVERTIBILITY_RTOL * sigma_max on a square matrix."""
     sv = np.linalg.svd(np.asarray(A), compute_uv=False)
-    return bool(sv[-1] > rtol * sv[0])
+    return bool(sv[-1] > INVERTIBILITY_RTOL * sv[0])
 
 
 def _induced_norm_exact(T: np.ndarray, p) -> float:
@@ -115,12 +122,12 @@ def sampled_ratios(A: np.ndarray, B, p, n_samples: int, seed: int) -> np.ndarray
     return lp_norms(F[keep] @ A.T, p) / den[keep]
 
 
-def operator_norm(A: np.ndarray, p, w=None, n2=None, n_samples: int = 64, seed: int = 0):
+def operator_norm(A: np.ndarray, p, w=None, n2=None, seed: int = 0):
     """Induced norm of A on l^p_w (w = None means unweighted).
 
     p in {1, 2, inf}: exact value as a float. Other p in (1, inf): a
     (lower, upper) bracket; the upper bound interpolates the exact
-    p = 1, 2, inf norms, the lower bound is a randomized scan.
+    p = 1, 2, inf norms, the lower bound is a scan of NORM_SAMPLES draws.
 
     n2, when given, is the exact 2-norm of the (conjugated) matrix, known
     without an SVD of it (a low-rank update of the identity, a product of
@@ -136,7 +143,7 @@ def operator_norm(A: np.ndarray, p, w=None, n2=None, n_samples: int = 64, seed: 
         raise ValueError("p must lie in [1, inf]")
     if n2 is None:
         n2 = _induced_norm_exact(T, 2)
-    lower = float(np.max(sampled_ratios(T, None, p, n_samples, seed), initial=0.0))
+    lower = float(np.max(sampled_ratios(T, None, p, NORM_SAMPLES, seed), initial=0.0))
     return (lower, interpolated_upper(T, p, n2))
 
 
@@ -152,6 +159,101 @@ def interpolated_upper(T: np.ndarray, p, n2: float) -> float:
         return n1 ** (1 - theta) * n2**theta
     theta = 1.0 - 2.0 / p
     return n2 ** (1 - theta) * ninf**theta
+
+
+class _Factored:
+    """An n x d coefficient map with its injectivity test and left inverse
+    made on first use.
+
+    :func:`map_constants` accepts these in place of arrays, so a caller that
+    needs several p for one pair of maps (the lifting pipeline) factors
+    each map once. The map need not be injective: one that fails the
+    injectivity test has no left inverse, and the bound that needs it is
+    reported as the trivial one.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix)
+        self._s = None  # singular values, once computed
+
+    @property
+    def injective(self) -> bool:
+        """d singular values with s_min > RANK_RTOL * s_max.
+
+        The test is relative, so rescaling the map cannot change it. It
+        reads the singular values of the left inverse's SVD when that was
+        made first, else a values-only SVD: p = 2 alone computes no
+        singular vectors.
+        """
+        if self._s is None:
+            self._s = np.linalg.svd(self.matrix, compute_uv=False)
+        s = self._s
+        return bool(s.shape[0] == self.matrix.shape[1] and s[-1] > RANK_RTOL * s[0])
+
+    @functools.cached_property
+    def left_inverse(self):
+        """The pseudo-inverse if the map is injective, else None.
+
+        One thin SVD gives, when the map is injective, the pseudo-inverse
+        V diag(1/s) U^H with no singular value cut.
+        """
+        if self._s is not None and not self.injective:
+            return None
+        u, s, vh = np.linalg.svd(self.matrix, full_matrices=False)
+        if self._s is None:
+            self._s = s
+        if not self.injective:
+            return None
+        return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
+
+
+def _factored(M) -> _Factored:
+    return M if isinstance(M, _Factored) else _Factored(M)
+
+
+def _product_norm(L: np.ndarray, R: np.ndarray, p) -> float:
+    """Induced l^p norm of the n x n product L R (upper end for 1 < p < inf).
+
+    L is n x d and R is d x n. The 2-norm, needed for 1 < p < inf, comes
+    from the n x d matrix L r^H, where R^H = q r is a thin QR: L R =
+    (L r^H) q^H and q^H has orthonormal rows, so both share their singular
+    values and no n x n factorization is needed.
+    """
+    if p in (1, np.inf):
+        return operator_norm(L @ R, p)
+    r = np.linalg.qr(R.conj().T)[1]
+    n2 = float(np.linalg.svd(L @ r.conj().T, compute_uv=False)[0])
+    return n2 if p == 2 else interpolated_upper(L @ R, p, n2)
+
+
+def map_constants(A, B, p, seed: int = 0) -> dict:
+    """Best constants L, U with L ||Bf||_p <= ||Af||_p <= U ||Bf||_p.
+
+    A and B are n x d arrays or :class:`_Factored` maps, which keep their
+    factorizations across calls. Returns bracket pairs
+    {"lower": (lo, hi), "upper": (lo, hi)}. For p = 2 with both maps
+    injective the brackets have zero width: the constants are exact
+    generalized singular values; the injectivity test is relative, so these
+    do not move when both maps are rescaled. Otherwise the certified sides
+    are ||A B^+||_p and 1 / ||B A^+||_p, with B^+ and A^+ the left inverses
+    of :class:`_Factored`; a map that fails its injectivity test gives the
+    trivial side instead, upper = inf for B and lower = 0 for A. The inner
+    sides come from :func:`sampled_ratios` over MAP_SAMPLES draws.
+    """
+    A, B = _factored(A), _factored(B)
+    Am, Bm = A.matrix, B.matrix
+    if p == 2 and B.injective and A.injective:
+        w = scipy.linalg.eigh(Am.conj().T @ Am, Bm.conj().T @ Bm, eigvals_only=True)
+        lo = float(np.sqrt(max(w[0], 0.0)))
+        hi = float(np.sqrt(max(w[-1], 0.0)))
+        return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
+    B_inv, A_inv = B.left_inverse, A.left_inverse
+    upper_cert = _product_norm(Am, B_inv, p) if B_inv is not None else np.inf
+    lower_cert = 1.0 / _product_norm(Bm, A_inv, p) if A_inv is not None else 0.0
+    ratios = sampled_ratios(Am, Bm, p, MAP_SAMPLES, seed)
+    up_samp = float(np.max(ratios, initial=0.0))
+    lo_samp = float(np.min(ratios, initial=np.inf))
+    return {"lower": (lower_cert, lo_samp), "upper": (up_samp, upper_cert), "p": p}
 
 
 def schur_constant(idx: IndexSet, s: float) -> float:

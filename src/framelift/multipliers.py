@@ -23,7 +23,11 @@ import numpy as np
 
 from . import matalg
 from .frames import Frame, gram
+from .matalg import _Factored, map_constants
 from .weights import weight_values
+
+# Residual below which an ordering passes galerkin_pinv_crosscheck.
+CROSSCHECK_RTOL = 1e-8
 
 
 class Multiplier:
@@ -60,6 +64,21 @@ def galerkin(O: np.ndarray, phi: Frame, psi: Frame, operator_ref: str = "") -> G
     if O.shape != (phi.d, psi.d):
         raise ValueError("operator shape does not match the frame pair")
     return GalerkinMatrix(phi.analysis_matrix @ O @ psi.synthesis_matrix, (phi, psi), operator_ref)
+
+
+def _coefficient_maps(psi: Frame, T, m_out, m_in):
+    """The n x d maps A = diag(m_out) C_Psid T and B = diag(m_in) C_Psid.
+
+    Their constants (:func:`map_constants`) are those of T :
+    H^p_{m_in} -> H^p_{m_out} over the frame psi.
+    """
+    dual = psi.canonical_dual()
+    Cd = dual.analysis_matrix
+    wout = weight_values(m_out, psi.n)
+    win = weight_values(m_in, psi.n)
+    A = wout[:, None] * (Cd @ np.asarray(T))
+    B = win[:, None] * Cd
+    return A, B
 
 
 def op_from_matrix(M: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
@@ -147,9 +166,9 @@ class _SplitCore:
         self.K = np.eye(self.Q.shape[1]) + (self.Q.conj().T @ X) @ (Y @ self.Q)
         self.sigma = _extremes(np.linalg.svd(self.K, compute_uv=False), self.n)
 
-    def invertible(self, rtol: float = matalg.INVERTIBILITY_RTOL) -> bool:
-        """sigma_min > rtol * sigma_max, the test of :func:`matalg.is_invertible`."""
-        return bool(self.sigma[0] > rtol * self.sigma[1])
+    def invertible(self) -> bool:
+        """sigma_min > INVERTIBILITY_RTOL * sigma_max, the test of :func:`matalg.is_invertible`."""
+        return bool(self.sigma[0] > matalg.INVERTIBILITY_RTOL * self.sigma[1])
 
     @functools.cached_property
     def K_inv(self) -> np.ndarray:
@@ -173,23 +192,23 @@ class _SplitCore:
         return out
 
 
-def invertibility_verdicts(O: np.ndarray, psi: Frame, rtol: float = matalg.INVERTIBILITY_RTOL) -> dict:
+def invertibility_verdicts(O: np.ndarray, psi: Frame) -> dict:
     """Invertibility of O on C^d versus of B_O on C^n, for all slot choices.
 
     Each B_O verdict is read from its k x k core (:class:`_SplitCore`).
     """
-    out = {"operator": matalg.is_invertible(O, rtol)}
+    out = {"operator": matalg.is_invertible(O)}
     for slots in Slots:
-        out[slots.name] = _SplitCore(O, psi, slots).invertible(rtol)
+        out[slots.name] = _SplitCore(O, psi, slots).invertible()
     return out
 
 
-def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame, rtol: float = 1e-8) -> dict:
+def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame) -> dict:
     """Which dual-slot ordering satisfies Mat(O)^dagger = Mat(O^{-1})?
 
     Candidate A: pinv(Mat^{(Psid,Phid)}(O)) = Mat^{(Phi,Psi)}(O^{-1}).
     Candidate B: pinv(Mat^{(Phid,Psid)}(O)) = Mat^{(Psi,Phi)}(O^{-1}).
-    Returns both residuals and the name of the ordering that holds.
+    Returns both residuals and the names of the orderings below CROSSCHECK_RTOL.
     """
     O = np.asarray(O)
     Oinv = np.linalg.inv(O)
@@ -200,27 +219,23 @@ def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame, rtol: float 
     res["ordering_A"] = float(np.abs(pin_a - galerkin(Oinv, phi, psi).entries).max())
     pin_b = matalg.pseudo_inverse(galerkin(O, phid, psid).entries)
     res["ordering_B"] = float(np.abs(pin_b - galerkin(Oinv, psi, phi).entries).max())
-    passing = [k for k in ("ordering_A", "ordering_B") if res[k] < rtol]
+    passing = [k for k in ("ordering_A", "ordering_B") if res[k] < CROSSCHECK_RTOL]
     res["passing"] = passing
     return res
 
 
-def spectral_invariance_suite(
-    O: np.ndarray, psi: Frame, weights: list, ps: list, s: float, rtol: float = matalg.INVERTIBILITY_RTOL
-) -> dict:
+def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list, s: float) -> dict:
     """Condition constants of O on each coefficient-space H^p_m and verdict agreement.
 
     The operator acts on C^d; its coorbit condition at (p, m) is measured in
     dual-frame coefficient coordinates. In finite dimensions the verdict
     (invertible or not) must agree across all (p, m); the constants may vary.
     """
-    from .coorbit import _coefficient_maps, _Factored, map_constants
-
     O = np.asarray(O)
     dual = psi.canonical_dual()
     g = galerkin(O, psi, dual).entries
     report = {
-        "operator_invertible": matalg.is_invertible(O, rtol),
+        "operator_invertible": matalg.is_invertible(O),
         "galerkin_decay_constant": matalg.decay_constant(g, s, psi.index_set).constant,
         "constants": {},
     }

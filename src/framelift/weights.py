@@ -9,8 +9,10 @@ pairwise moderateness constants.
 
 This module owns weight specs, the JSON objects ``{"type": "constant" |
 "polynomial" | "values", ...}`` that name a weight without its index set:
-:meth:`Weight.from_spec` is their one reader, and :func:`weight_values` the
-one coercer of weights and symbols to their values.
+:meth:`Weight.from_spec` is their one reader, :func:`keyed_weight` reads the
+spec under a config key for every command and lift family, and
+:func:`weight_values` is the one coercer of weights and symbols to their
+values.
 """
 
 import json
@@ -167,6 +169,22 @@ class Weight:
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, sort_keys=True)
+
+
+class SpecError(ValueError):
+    """A config value that names no weight; the message starts with its key."""
+
+
+def keyed_weight(key: str, spec, index_set: IndexSet) -> Weight:
+    """The weight ``spec`` names on ``index_set``, read for the config key ``key``.
+
+    A spec :meth:`Weight.from_spec` rejects raises :class:`SpecError`
+    "'key': reason", so every command names the bad key the same way.
+    """
+    try:
+        return Weight.from_spec(spec, index_set)
+    except ValueError as exc:
+        raise SpecError(f"'{key}': {exc}") from exc
 
 
 def weight_values(m, n: int) -> np.ndarray:

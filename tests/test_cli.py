@@ -234,8 +234,12 @@ class TestConfigErrors:
             ("verify_onb.json", "mu", '{"type": "polynomial", "t": 1e400}'),
             ("lift_scalar_onb.json", "mu", '{"type": "constant", "c": 1e400}'),
             ("lift_scalar_onb.json", "m", '{"type": "values", "values": [1e400%s]}' % (", 1" * 11)),
+            ("lift_gabor.json", "mu", '{"type": "polynomial", "t": 1e400}'),
+            ("lift_gabor.json", "m", '{"type": "constant", "c": 1e400}'),
+            ("lift_fock.json", "mu", '{"type": "constant", "c": 1e400}'),
+            ("lift_fock.json", "m", '{"type": "polynomial", "t": 1e400}'),
         ],
-        ids=["t", "c", "values"],
+        ids=["t", "c", "values", "gabor-mu", "gabor-m", "fock-mu", "fock-m"],
     )
     def test_non_finite_weight_is_a_config_error(self, tmp_path, capsys, config, key, spec):
         # json reads 1e400 as inf.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from framelift import fock, kernels
 from framelift.fock import (
     FockLattice,
     beurling_density_lower,
@@ -18,6 +19,7 @@ from framelift.fock import (
     fock_multiplier_report,
     truncation_residual,
 )
+from framelift.matalg import decay_constant
 
 
 class TestExactGram:
@@ -210,6 +212,31 @@ class TestExperiment:
         assert e["status"] == "ok"
         assert e["condition"] == pytest.approx(1.5197574984075497, rel=1e-9)
         assert e["density_proxy"] == pytest.approx(1.2732395447351628, rel=1e-9)
+
+    def test_decay_table_builds_one_gram_per_radius(self, monkeypatch):
+        # The exact Gram and the index set behind gram_decay_scaling serve
+        # every exponent; the index set is the core's, whose distances the
+        # pipeline's moderateness scan already computed.
+        counts = {"gram": 0, "dist": 0}
+        gram_exact, pairwise_dist = fock.fock_gram_exact, kernels.pairwise_dist
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(fock, "fock_gram_exact", counted("gram", gram_exact))
+        monkeypatch.setattr(kernels, "pairwise_dist", counted("dist", pairwise_dist))
+        out = fock_lifting_experiment(0.8, [2.5], ps=(2,))
+        assert counts["gram"] == 1
+        assert counts["dist"] <= 2
+        lat = FockLattice(0.8, 2.5)
+        want = {
+            str(se): decay_constant(gram_exact(lat), se, lat.index_set()).constant for se in (2.0, 4.0, 6.0)
+        }
+        assert out["gram_decay_scaling"]["2.5"] == want
 
     def test_gram_decay_constants_stable_across_radius(self):
         out = fock_lifting_experiment(0.8, [1.5, 2.0, 2.5], ps=(2,))

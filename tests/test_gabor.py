@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from framelift import matalg
 from framelift.frames import NotAFrameError
 from framelift.gabor import (
     TFLattice,
@@ -206,6 +207,27 @@ class TestExperiment:
         sc = out["decay_scaling"]["gram_normalized"]
         vals = [sc[k] for k in sorted(sc)]
         assert max(vals) / min(vals) < 1.05
+
+    def test_raw_gram_decay_is_the_pipeline_profile(self, monkeypatch):
+        # gram_raw[N] is step (ii)'s profile of G: the same Gram on the same
+        # raw index set at the same s, so the driver does not scan it again.
+        calls = []
+        decay = matalg.decay_constant
+
+        def counted(*args):
+            calls.append(args[1])
+            return decay(*args)
+
+        monkeypatch.setattr(matalg, "decay_constant", counted)
+        out = gabor_lifting_experiment([16, 32], ps=(2,), seed=0)
+        for e in out["entries"]:
+            sys_ = gabor_system(e["N"], e["a"], e["b"])
+            want = decay(sys_.frame.gram_matrix, 4.0, sys_.frame.index_set).constant
+            assert e["report"]["decay_profiles"]["G"] == want
+            assert out["decay_scaling"]["gram_raw"][str(e["N"])] == want
+        # Per size: five Gram profiles in step (ii), two scans in the
+        # interplay check, and the normalized G and dual Gram.
+        assert len(calls) == 9 * 2
 
     def test_critical_lattice_reports_failure_entry(self):
         out = gabor_lifting_experiment([16], a_ratio=4, b_ratio=4, ps=(2,), seed=0)

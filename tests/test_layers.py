@@ -1,0 +1,65 @@
+"""The package's modules form layers: each imports only modules below it.
+
+Every import is read from the source with ast, including imports inside
+functions, so a function-local import cannot hide an upward dependency.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "framelift"
+
+# Bottom to top; a module may import only modules listed before it.
+LAYERS = ("kernels", "weights", "matalg", "frames", "multipliers", "coorbit", "gabor", "fock", "cli")
+
+
+def _package_imports(path: Path) -> set:
+    """Names of the framelift modules the source file imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "framelift" and len(parts) > 1:
+                    found.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and node.module.split(".")[0] == "framelift":
+                parts = node.module.split(".")[1:]
+            elif node.level == 1:
+                parts = node.module.split(".") if node.module else []
+            else:
+                continue
+            if parts:
+                found.add(parts[0])
+            else:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def _modules() -> list:
+    return sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def test_every_module_has_a_layer():
+    assert set(_modules()) == set(LAYERS)
+
+
+@pytest.mark.parametrize("name", _modules())
+def test_imports_only_lower_layers(name):
+    below = set(LAYERS[: LAYERS.index(name)])
+    upward = _package_imports(PACKAGE / f"{name}.py") - below
+    assert not upward, f"{name} imports {sorted(upward)}, which are not below it in {LAYERS}"
+
+
+def test_reader_sees_function_local_imports(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from . import matalg\n"
+        "from .frames import Frame\n"
+        "import framelift.weights\n"
+        "def f():\n"
+        "    from .coorbit import map_constants\n"
+    )
+    assert _package_imports(src) == {"matalg", "frames", "weights", "coorbit"}
