@@ -9,7 +9,6 @@ frames each probe a piece of it.
 
 from .coorbit import (
     CoorbitSpace,
-    LiftingReport,
     coercivity_check,
     coorbit_norm,
     duality_pairing,
@@ -48,7 +47,6 @@ from .gabor import (
     tf_shift,
 )
 from .matalg import (
-    DecayProfile,
     conjugate,
     decay_constant,
     operator_norm,
@@ -73,12 +71,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoorbitSpace",
-    "DecayProfile",
     "FockLattice",
     "Frame",
     "GaborSystem",
     "IndexSet",
-    "LiftingReport",
     "Multiplier",
     "NotAFrameError",
     "Slots",

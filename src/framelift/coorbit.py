@@ -17,7 +17,7 @@ Brackets are part of every report; nothing outside {2} is claimed exact.
 All of these constants come from :func:`framelift.matalg.map_constants`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,9 +95,12 @@ def coercivity_check(
     [f,f] = <M_mu f, f> = sum_k mu_k |<f,psi_k>|^2 is checked on random
     draws; the ambient constants are the eigenvalue extremes of M_mu, and
     the constants relative to ||f||^2_{H^2_sqrt(mu)} are the p = 2
-    constants of :func:`map_constants` between diag(sqrt(mu)) C_Psi and
+    constants of :func:`map_constants` between X = diag(sqrt(mu)) C_Psi and
     diag(sqrt(mu)) C_Psid, whose Gram matrices are the two quadratic forms.
-    ``M`` is the matrix of M_mu when the caller already holds it.
+    ``extremes_agreement`` is the relative gap between the eigenvalue
+    extremes of M_mu and the squared singular value extremes of X, read
+    from the SVD that :func:`map_constants` made of X. ``M`` is the matrix
+    of M_mu when the caller already holds it.
     """
     muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
@@ -115,9 +118,14 @@ def coercivity_check(
     # B = diag(sqrt(mu)) C_Psid is the second map of both calls, factored once.
     A, B = _coefficient_maps(psi, M, 1.0 / np.sqrt(muv), np.sqrt(muv))
     B = _Factored(B)
-    c = map_constants(np.sqrt(muv)[:, None] * psi.analysis_matrix, B, 2)
+    X = _Factored(np.sqrt(muv)[:, None] * psi.analysis_matrix)
+    c = map_constants(X, B, 2)
     # sigma_min of M_mu : H^2_sqrt(mu) -> H^2_{1/sqrt(mu)} certifies bijectivity.
     sigma_min = map_constants(A, B, 2)["lower"][0]
+    # M_mu = X^H X, so its extreme eigenvalues are also the squared extreme
+    # singular values of X: a second, independent route to them.
+    sv2 = X.singular_values**2
+    agreement = max(abs(ev[0] - sv2[-1]), abs(ev[-1] - sv2[0])) / max(1.0, sv2[0])
     return {
         "identity_residual": worst,
         "identity_ok": worst < tol,
@@ -125,6 +133,7 @@ def coercivity_check(
         "relative_constants": (c["lower"][0], c["upper"][1]),
         "sigma_min_weighted": sigma_min,
         "bijective": sigma_min > 0,
+        "extremes_agreement": float(agreement),
     }
 
 
@@ -154,39 +163,13 @@ def lifting_constants(psi: Frame, mu, m=None, p=2, seed: int = 0, detail: bool =
     return c["lower"][0], c["upper"][1]
 
 
-@dataclass
-class LiftingReport:
-    lower: float
-    upper: float
-    condition: float
-    per_p_results: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-    decay_profiles: dict = field(default_factory=dict)
-    moderateness: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "condition": self.condition,
-            "per_p_results": self.per_p_results,
-            "verdicts": self.verdicts,
-            "residuals": self.residuals,
-            "decay_profiles": self.decay_profiles,
-            "moderateness": self.moderateness,
-            "metadata": self.metadata,
-        }
-
-
 def _p_key(p) -> str:
     return "inf" if p == np.inf else str(p)
 
 
 def lifting_theorem_pipeline(
     psi: Frame, mu, m=None, ps=(2,), s: float = 4.0, seed: int = 0
-) -> LiftingReport:
+) -> dict:
     """Run the invertibility-splitting proof as a computation.
 
     The splitting matrix is B = Mat(M_{1/mu} M_mu) + (I - G_{Psi,Psid}).
@@ -210,6 +193,11 @@ def lifting_theorem_pipeline(
     The report then carries lifting constants for every requested p; the
     multiplier, the coefficient maps and their factorizations are built once
     and shared across p.
+
+    Returns the report as a dict: its headline ``lower``, ``upper`` and
+    ``condition`` (those of p = 2 when requested, else of the first p),
+    ``per_p_results``, ``verdicts``, ``residuals``, ``decay_profiles``,
+    ``moderateness`` and ``metadata``.
     """
     muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
@@ -221,8 +209,8 @@ def lifting_theorem_pipeline(
     idx = psi.index_set
     n = psi.n
 
-    report = LiftingReport(lower=0.0, upper=0.0, condition=np.inf)
-    report.metadata = {
+    verdicts, residuals = {}, {}
+    metadata = {
         "n": n,
         "d": psi.d,
         "s": s,
@@ -244,9 +232,10 @@ def lifting_theorem_pipeline(
         "m*sqrt(mu)": mv * np.sqrt(muv),
         "m/sqrt(mu)": mv / np.sqrt(muv),
     }
+    moderateness = {}
     for name, vals in five.items():
         cmod = moderateness_constant(Weight(vals, idx), s)
-        report.moderateness[name] = {
+        moderateness[name] = {
             "constant": cmod,
             "max": float(vals.max()),
             "flagged": bool(cmod > MODERATE_FLAG),
@@ -261,11 +250,12 @@ def lifting_theorem_pipeline(
     core = _SplitCore(O, psi, w=sqmu)
     sv_min, sv_max = core.sigma
     invertible = core.invertible()
-    report.verdicts["B_invertible_l2_sqrt_mu"] = invertible
-    report.residuals["B_sigma_min_over_max"] = sv_min / sv_max
+    verdicts["B_invertible_l2_sqrt_mu"] = invertible
+    residuals["B_sigma_min_over_max"] = sv_min / sv_max
 
     # Step (ii): decay profiles of the five Gram matrices, one conjugated
     # copy alive at a time.
+    decay_profiles = {}
     for name, mat, wt in (
         ("G", G, None),
         ("G^mu", G, muv),
@@ -274,7 +264,7 @@ def lifting_theorem_pipeline(
         ("cross^mu", cross, muv),
     ):
         prof = mat if wt is None else matalg.conjugate(mat, wt)
-        report.decay_profiles[name] = matalg.decay_constant(prof, s, idx).constant
+        decay_profiles[name] = matalg.decay_constant(prof, s, idx)
     del prof
 
     # Step (iii): the conjugation identity, pure matrix algebra.
@@ -284,8 +274,8 @@ def lifting_theorem_pipeline(
     lhs = matalg.conjugate(B_split, muv)
     step3 = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
     del lhs, rhs
-    report.residuals["step_iii_identity"] = step3
-    report.verdicts["step_iii_ok"] = bool(step3 < IDENTITY_RTOL)
+    residuals["step_iii_identity"] = step3
+    verdicts["step_iii_ok"] = bool(step3 < IDENTITY_RTOL)
 
     # Step (iv): condition of B on each requested l^p_{m sqrt(mu)}.
     w_msqmu = mv * sqmu
@@ -301,7 +291,7 @@ def lifting_theorem_pipeline(
             entry["B_inv_norm"] = rev
             (lo, hi), (rlo, rhi) = (v if isinstance(v, tuple) else (v, v) for v in (fwd, rev))
             entry["condition_bracket"] = (lo * rlo, hi * rhi)
-        report.residuals.setdefault("step_iv", {})[_p_key(p)] = entry
+        residuals.setdefault("step_iv", {})[_p_key(p)] = entry
     del Bw, Bw_inv
 
     # Step (v): the reversed composition is B^H, so it is invertible exactly
@@ -313,50 +303,56 @@ def lifting_theorem_pipeline(
     step5 = float(np.abs(B_rev).max()) / bound
     del B_rev, B_split
     adjoint_ok = bool(step5 < IDENTITY_RTOL)
-    report.residuals["step_v_adjoint_identity"] = step5
-    report.verdicts["B_reverse_invertible"] = invertible and adjoint_ok
-    report.verdicts["verdicts_agree"] = adjoint_ok
+    residuals["step_v_adjoint_identity"] = step5
+    verdicts["B_reverse_invertible"] = invertible and adjoint_ok
+    verdicts["verdicts_agree"] = adjoint_ok
 
     # Lifting constants per p, from one multiplier, one pair of coefficient
     # maps and their factorizations.
     A, B = (_Factored(x) for x in _lifting_maps(psi, M_mu, muv, mv))
+    per_p = {}
     for p in ps:
         c = map_constants(A, B, p, seed=seed)
         lo, hi = c["lower"][0], c["upper"][1]
-        report.per_p_results[_p_key(p)] = {
+        per_p[_p_key(p)] = {
             "lower": lo,
             "upper": hi,
             "condition": hi / lo if lo > 0 else np.inf,
             "brackets": {"lower": list(c["lower"]), "upper": list(c["upper"])},
             "weight": "m*sqrt(mu)",
         }
-    head = report.per_p_results.get("2") or next(iter(report.per_p_results.values()))
-    report.lower, report.upper = head["lower"], head["upper"]
-    report.condition = head["condition"]
-    report.verdicts["all_steps"] = bool(
-        report.verdicts["step_iii_ok"]
-        and report.verdicts["B_invertible_l2_sqrt_mu"]
-        and report.verdicts["verdicts_agree"]
-        and report.lower > 0
+    head = per_p.get("2") or next(iter(per_p.values()))
+    verdicts["all_steps"] = bool(
+        verdicts["step_iii_ok"] and invertible and adjoint_ok and head["lower"] > 0
     )
-    return report
+    return {
+        "lower": head["lower"],
+        "upper": head["upper"],
+        "condition": head["condition"],
+        "per_p_results": per_p,
+        "verdicts": verdicts,
+        "residuals": residuals,
+        "decay_profiles": decay_profiles,
+        "moderateness": moderateness,
+        "metadata": metadata,
+    }
 
 
 def pipeline_entry(entry: dict, psi: Frame, mu, **kwargs):
     """Run :func:`lifting_theorem_pipeline` on ``psi`` and fill ``entry``.
 
-    On success the entry gets ``status: "ok"``, the report as a dict and its
-    headline condition, and the report is returned; ``entry["report"]``
-    shares its dicts with it, so metadata added to the report afterwards
-    lands in the entry. A family that is not a frame becomes a
-    ``"not_a_frame"`` entry quoting the frame bounds, and None is returned.
+    On success the entry gets ``status: "ok"``, the report dict and its
+    headline condition, and the report is returned: it is
+    ``entry["report"]``, so metadata a family driver adds to it lands in
+    the entry. A family that is not a frame becomes a ``"not_a_frame"``
+    entry quoting the frame bounds, and None is returned.
     """
     try:
         rep = lifting_theorem_pipeline(psi, mu, **kwargs)
     except NotAFrameError as exc:
         entry.update(status="not_a_frame", lower=exc.lower, upper=exc.upper, condition=float("inf"))
         return None
-    entry.update(status="ok", report=rep.to_dict(), condition=rep.condition)
+    entry.update(status="ok", report=rep, condition=rep["condition"])
     return rep
 
 

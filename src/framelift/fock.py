@@ -18,9 +18,10 @@ whose mass lives outside the sampled disk do not masquerade as asymptotic
 degeneration.
 """
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +47,9 @@ class FockLattice:
         if self.delta <= 0 or self.R <= 0:
             raise ValueError("delta and R must be positive")
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
+        """The lattice points as a read-only complex array, built on first use."""
         idx = int(np.floor(self.R / self.delta))
         pts = []
         for i in range(-idx, idx + 1):
@@ -65,6 +67,7 @@ class FockLattice:
             np.fill_diagonal(diff, np.inf)
             if diff.min() <= 0:
                 raise ValueError("lattice points must be pairwise distinct")
+        lam.flags.writeable = False
         return lam
 
     @property
@@ -304,11 +307,11 @@ def fock_lifting_experiment(
         if rep is None:
             entry["note"] = "core compression lost the frame property"
             continue
-        rep.metadata["mu_subexponential_constant"] = moderateness_constant(
+        rep["metadata"]["mu_subexponential_constant"] = moderateness_constant(
             mu_w, 1.0, profile="subexponential", beta=1.0
         )
         G = fock_gram_exact(lat)
-        decay_scaling[str(R)] = {str(se): matalg.decay_constant(G, se, idx).constant for se in (2.0, s, 6.0)}
+        decay_scaling[str(R)] = {str(se): matalg.decay_constant(G, se, idx) for se in (2.0, s, 6.0)}
         del G
     return {
         "kind": "fock_lifting",

@@ -143,14 +143,6 @@ class Frame:
             return cls.from_dict(json.load(fh))
 
 
-def analysis(frame: Frame, f) -> np.ndarray:
-    return frame.analysis(f)
-
-
-def synthesis(frame: Frame, c) -> np.ndarray:
-    return frame.synthesis(c)
-
-
 def frame_bounds(frame: Frame) -> tuple:
     """(A, B) = extreme eigenvalues of S; raises NotAFrameError below threshold."""
     a, b = frame.bounds

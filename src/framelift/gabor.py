@@ -139,11 +139,10 @@ def stft_decay_constant(g: np.ndarray, s: float, normalized: bool = False) -> fl
     N = g.shape[0]
     V = np.abs(stft(g, g))
     scale = math.sqrt(N) if normalized else 1.0
-    coords = np.array([(x, w) for x in range(N) for w in range(N)], dtype=float)
-    d = np.abs(coords) % N
-    d = np.minimum(d, N - d) / scale
-    dist = np.sqrt((d**2).sum(axis=1))
-    return float(np.max(V.ravel() * (1.0 + dist) ** s))
+    t = np.arange(N, dtype=float)
+    d2 = (np.minimum(t, N - t) / scale) ** 2  # squared torus distance of x (or omega) to 0
+    dist = np.sqrt(d2[:, None] + d2[None, :])
+    return float(np.max(V * (1.0 + dist) ** s))
 
 
 def moderate_interplay_check(system: GaborSystem, t: float, s: float) -> dict:
@@ -156,9 +155,9 @@ def moderate_interplay_check(system: GaborSystem, t: float, s: float) -> dict:
     idx = system.frame.index_set
     mu = Weight.polynomial(idx, t)
     G = system.frame.gram_matrix
-    lhs = matalg.decay_constant(matalg.conjugate(G, mu.values), s, idx).constant
+    lhs = matalg.decay_constant(matalg.conjugate(G, mu.values), s, idx)
     cmod = moderateness_constant(mu, t)
-    rhs = cmod * matalg.decay_constant(G, s + t, idx).constant
+    rhs = cmod * matalg.decay_constant(G, s + t, idx)
     return {"lhs": lhs, "rhs": rhs, "moderateness": cmod, "ok": bool(lhs <= rhs * (1 + 1e-12))}
 
 
@@ -212,18 +211,18 @@ def gabor_lifting_experiment(
         rep = pipeline_entry(entry, sys_.frame, mu_w, m=m_w, ps=ps, s=s, seed=seed)
         if rep is None:
             continue
-        rep.metadata["window_decay_constants"] = {
+        rep["metadata"]["window_decay_constants"] = {
             str(se): stft_decay_constant(sys_.window, se, normalized=True)
             for se in (2.0, 4.0, 6.0, 8.0)
         }
-        rep.metadata["interplay"] = moderate_interplay_check(sys_, t_check, s)
+        rep["metadata"]["interplay"] = moderate_interplay_check(sys_, t_check, s)
         idx_norm = lat.index_set(normalized=True)
         G = sys_.frame.gram_matrix
         Gd = sys_.frame.canonical_dual().gram_matrix
-        decay_norm[str(N)] = matalg.decay_constant(G, s, idx_norm).constant
-        decay_norm_dual[str(N)] = matalg.decay_constant(Gd, s, idx_norm).constant
-        decay_raw[str(N)] = rep.decay_profiles["G"]  # G on idx_raw at s, from step (ii)
-        window_decay[str(N)] = rep.metadata["window_decay_constants"]
+        decay_norm[str(N)] = matalg.decay_constant(G, s, idx_norm)
+        decay_norm_dual[str(N)] = matalg.decay_constant(Gd, s, idx_norm)
+        decay_raw[str(N)] = rep["decay_profiles"]["G"]  # G on idx_raw at s, from step (ii)
+        window_decay[str(N)] = rep["metadata"]["window_decay_constants"]
         # Release this size's n x n arrays before the next size runs.
         del G, Gd, idx_norm
     return {

@@ -21,7 +21,6 @@ generalized singular values at p = 2, certified brackets otherwise.
 import csv
 import functools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,25 +37,13 @@ MAP_SAMPLES = 256
 NORM_SAMPLES = 64
 
 
-@dataclass
-class DecayProfile:
-    s: float
-    constant: float
-    matrix_dims: tuple
-    index_set: IndexSet
-
-    def as_dict(self) -> dict:
-        return {"s": self.s, "constant": self.constant, "dims": list(self.matrix_dims)}
-
-
-def decay_constant(A: np.ndarray, s: float, idx: IndexSet) -> DecayProfile:
+def decay_constant(A: np.ndarray, s: float, idx: IndexSet) -> float:
     """Exact minimal C_s with |a_kl| <= C_s (1 + dist(k,l))^(-s)."""
     A = np.asarray(A)
     n = len(idx)
     if A.shape != (n, n):
         raise ValueError("matrix shape does not match index set size")
-    c = kernels.decay_max(np.abs(A).astype(float), idx.distance_matrix(), float(s))
-    return DecayProfile(s=float(s), constant=c, matrix_dims=A.shape, index_set=idx)
+    return kernels.decay_max(np.abs(A).astype(float), idx.distance_matrix(), float(s))
 
 
 def conjugate(A: np.ndarray, mu) -> np.ndarray:
@@ -122,29 +109,29 @@ def sampled_ratios(A: np.ndarray, B, p, n_samples: int, seed: int) -> np.ndarray
     return lp_norms(F[keep] @ A.T, p) / den[keep]
 
 
-def operator_norm(A: np.ndarray, p, w=None, n2=None, seed: int = 0):
-    """Induced norm of A on l^p_w (w = None means unweighted).
+def operator_norm(A: np.ndarray, p, n2=None, seed: int = 0):
+    """Induced norm of A on l^p. On a weighted space l^p_w, pass
+    ``conjugate(A, w)``.
 
     p in {1, 2, inf}: exact value as a float. Other p in (1, inf): a
     (lower, upper) bracket; the upper bound interpolates the exact
     p = 1, 2, inf norms, the lower bound is a scan of NORM_SAMPLES draws.
 
-    n2, when given, is the exact 2-norm of the (conjugated) matrix, known
-    without an SVD of it (a low-rank update of the identity, a product of
-    thin factors); A is then not read for p = 2.
+    n2, when given, is the exact 2-norm of A, known without an SVD of it
+    (a low-rank update of the identity, a product of thin factors); A is
+    then not read for p = 2.
     """
     if p == 2 and n2 is not None:
         return n2
     A = np.asarray(A)
-    T = A if w is None else conjugate(A, w)
     if p in (1, 2, np.inf):
-        return _induced_norm_exact(T, p)
+        return _induced_norm_exact(A, p)
     if not 1 < p < np.inf:
         raise ValueError("p must lie in [1, inf]")
     if n2 is None:
-        n2 = _induced_norm_exact(T, 2)
-    lower = float(np.max(sampled_ratios(T, None, p, NORM_SAMPLES, seed), initial=0.0))
-    return (lower, interpolated_upper(T, p, n2))
+        n2 = _induced_norm_exact(A, 2)
+    lower = float(np.max(sampled_ratios(A, None, p, NORM_SAMPLES, seed), initial=0.0))
+    return (lower, interpolated_upper(A, p, n2))
 
 
 def interpolated_upper(T: np.ndarray, p, n2: float) -> float:
@@ -175,27 +162,35 @@ class _Factored:
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix)
         self._s = None  # singular values, once computed
+        self.vs_inv = None  # V diag(1/s) of the left inverse's SVD, once made
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """Descending singular values: those of the left inverse's SVD when
+        that was made first, else a values-only SVD. p = 2 alone computes
+        no singular vectors."""
+        if self._s is None:
+            self._s = np.linalg.svd(self.matrix, compute_uv=False)
+        return self._s
 
     @property
     def injective(self) -> bool:
         """d singular values with s_min > RANK_RTOL * s_max.
 
-        The test is relative, so rescaling the map cannot change it. It
-        reads the singular values of the left inverse's SVD when that was
-        made first, else a values-only SVD: p = 2 alone computes no
-        singular vectors.
+        The test is relative, so rescaling the map cannot change it.
         """
-        if self._s is None:
-            self._s = np.linalg.svd(self.matrix, compute_uv=False)
-        s = self._s
+        s = self.singular_values
         return bool(s.shape[0] == self.matrix.shape[1] and s[-1] > RANK_RTOL * s[0])
 
     @functools.cached_property
     def left_inverse(self):
         """The pseudo-inverse if the map is injective, else None.
 
-        One thin SVD gives, when the map is injective, the pseudo-inverse
-        V diag(1/s) U^H with no singular value cut.
+        One thin SVD M = U diag(s) V^H gives, when the map is injective, the
+        pseudo-inverse V diag(1/s) U^H with no singular value cut. Its
+        factor V diag(1/s) is kept as ``vs_inv``: U has orthonormal columns,
+        so L M^+ = (L V diag(1/s)) U^H has the singular values of the
+        n x d matrix L V diag(1/s).
         """
         if self._s is not None and not self.injective:
             return None
@@ -204,6 +199,7 @@ class _Factored:
             self._s = s
         if not self.injective:
             return None
+        self.vs_inv = vh.conj().T * (1.0 / s)[None, :]
         return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
 
 
@@ -211,19 +207,18 @@ def _factored(M) -> _Factored:
     return M if isinstance(M, _Factored) else _Factored(M)
 
 
-def _product_norm(L: np.ndarray, R: np.ndarray, p) -> float:
-    """Induced l^p norm of the n x n product L R (upper end for 1 < p < inf).
+def _product_norm(L: np.ndarray, F: _Factored, p) -> float:
+    """Induced l^p norm of the n x n product L F^+ (upper end for 1 < p < inf).
 
-    L is n x d and R is d x n. The 2-norm, needed for 1 < p < inf, comes
-    from the n x d matrix L r^H, where R^H = q r is a thin QR: L R =
-    (L r^H) q^H and q^H has orthonormal rows, so both share their singular
-    values and no n x n factorization is needed.
+    L is n x d and F^+ is the d x n left inverse of an injective map F. The
+    2-norm, needed for 1 < p < inf, is sigma_max of the n x d matrix
+    L F.vs_inv (see :attr:`_Factored.left_inverse`), so no n x n
+    factorization is needed.
     """
     if p in (1, np.inf):
-        return operator_norm(L @ R, p)
-    r = np.linalg.qr(R.conj().T)[1]
-    n2 = float(np.linalg.svd(L @ r.conj().T, compute_uv=False)[0])
-    return n2 if p == 2 else interpolated_upper(L @ R, p, n2)
+        return operator_norm(L @ F.left_inverse, p)
+    n2 = float(np.linalg.svd(L @ F.vs_inv, compute_uv=False)[0])
+    return n2 if p == 2 else interpolated_upper(L @ F.left_inverse, p, n2)
 
 
 def map_constants(A, B, p, seed: int = 0) -> dict:
@@ -248,8 +243,8 @@ def map_constants(A, B, p, seed: int = 0) -> dict:
         hi = float(np.sqrt(max(w[-1], 0.0)))
         return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
     B_inv, A_inv = B.left_inverse, A.left_inverse
-    upper_cert = _product_norm(Am, B_inv, p) if B_inv is not None else np.inf
-    lower_cert = 1.0 / _product_norm(Bm, A_inv, p) if A_inv is not None else 0.0
+    upper_cert = _product_norm(Am, B, p) if B_inv is not None else np.inf
+    lower_cert = 1.0 / _product_norm(Bm, A, p) if A_inv is not None else 0.0
     ratios = sampled_ratios(Am, Bm, p, MAP_SAMPLES, seed)
     up_samp = float(np.max(ratios, initial=0.0))
     lo_samp = float(np.min(ratios, initial=np.inf))

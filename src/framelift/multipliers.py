@@ -16,7 +16,6 @@ are taken without any n x n factorization.
 """
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -51,19 +50,12 @@ def multiplier(symbol, psi: Frame, phi: Frame | None = None) -> Multiplier:
     return Multiplier(symbol, psi, phi)
 
 
-@dataclass
-class GalerkinMatrix:
-    entries: np.ndarray
-    frames: tuple
-    operator_ref: str = ""
-
-
-def galerkin(O: np.ndarray, phi: Frame, psi: Frame, operator_ref: str = "") -> GalerkinMatrix:
+def galerkin(O: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
     """Mat^{(Phi,Psi)}(O) = C_Phi O D_Psi, entries <O psi_l, phi_k>."""
     O = np.asarray(O)
     if O.shape != (phi.d, psi.d):
         raise ValueError("operator shape does not match the frame pair")
-    return GalerkinMatrix(phi.analysis_matrix @ O @ psi.synthesis_matrix, (phi, psi), operator_ref)
+    return phi.analysis_matrix @ O @ psi.synthesis_matrix
 
 
 def _coefficient_maps(psi: Frame, T, m_out, m_in):
@@ -122,7 +114,7 @@ def invertibility_matrix(
     else:
         out = np.negative(cross)
     out[np.diag_indices(psi.n)] += 1.0
-    out += galerkin(O, left, right).entries
+    out += galerkin(O, left, right)
     return out
 
 
@@ -215,10 +207,10 @@ def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame) -> dict:
     psid = psi.canonical_dual()
     phid = phi.canonical_dual()
     res = {}
-    pin_a = matalg.pseudo_inverse(galerkin(O, psid, phid).entries)
-    res["ordering_A"] = float(np.abs(pin_a - galerkin(Oinv, phi, psi).entries).max())
-    pin_b = matalg.pseudo_inverse(galerkin(O, phid, psid).entries)
-    res["ordering_B"] = float(np.abs(pin_b - galerkin(Oinv, psi, phi).entries).max())
+    pin_a = matalg.pseudo_inverse(galerkin(O, psid, phid))
+    res["ordering_A"] = float(np.abs(pin_a - galerkin(Oinv, phi, psi)).max())
+    pin_b = matalg.pseudo_inverse(galerkin(O, phid, psid))
+    res["ordering_B"] = float(np.abs(pin_b - galerkin(Oinv, psi, phi)).max())
     passing = [k for k in ("ordering_A", "ordering_B") if res[k] < CROSSCHECK_RTOL]
     res["passing"] = passing
     return res
@@ -233,10 +225,10 @@ def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list
     """
     O = np.asarray(O)
     dual = psi.canonical_dual()
-    g = galerkin(O, psi, dual).entries
+    g = galerkin(O, psi, dual)
     report = {
         "operator_invertible": matalg.is_invertible(O),
-        "galerkin_decay_constant": matalg.decay_constant(g, s, psi.index_set).constant,
+        "galerkin_decay_constant": matalg.decay_constant(g, s, psi.index_set),
         "constants": {},
     }
     inv = np.linalg.inv(O) if report["operator_invertible"] else None

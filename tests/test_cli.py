@@ -15,7 +15,8 @@ from framelift.cli import _entry_rows, main
 from framelift.coorbit import pipeline_entry
 from framelift.fock import fock_lifting_experiment
 from framelift.frames import Frame, random_frame
-from framelift.gabor import gabor_lifting_experiment
+from framelift.gabor import gabor_lifting_experiment, gabor_system
+from framelift.weights import Weight
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -68,6 +69,25 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert _read_json(tmp_path / "identities.json")["frame"]["n"] == 128
         assert square == []
+
+    def test_one_svd_of_the_weighted_analysis_matrix(self, tmp_path, monkeypatch):
+        # coercivity_check factors X = diag(sqrt(mu)) C once, and the
+        # extremes cross-check in residuals reads those singular values.
+        psi = gabor_system(32, 2, 4).frame  # verify_gabor32.json's frame, mu t = 2
+        X = np.sqrt(Weight.polynomial(psi.index_set, 2.0).values)[:, None] * psi.analysis_matrix
+        svd, hits = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            if np.shape(a) == X.shape and np.array_equal(a, X):
+                hits.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert main(["verify", "--config", str(CONFIGS / "verify_gabor32.json"), "--out", str(tmp_path)]) == 0
+        assert hits == [False]
+        rep = _read_json(tmp_path / "identities.json")
+        assert rep["residuals"]["coercivity_extremes_agreement"] <= 1e-13
+        assert "extremes_agreement" not in rep["coercivity"]
 
 
 class TestConfigErrors:
@@ -392,14 +412,17 @@ class TestLift:
 
 
 class TestRows:
-    def test_report_round_trips_to_dict_and_rows(self, rng):
+    def test_entry_report_is_the_pipeline_dict_and_rows(self, rng):
         fr = random_frame(rng, 8, 4)
         mu = rng.uniform(0.5, 2.0, 8)
         entry = {"size": "N=8"}
         report = pipeline_entry(entry, fr, mu, ps=(2, np.inf))
-        d = entry["report"]
-        assert d["lower"] == report.lower
-        assert "metadata" in d and "moderateness" in d
+        assert entry["report"] is report
+        assert set(report) == {
+            "lower", "upper", "condition", "per_p_results", "verdicts",
+            "residuals", "decay_profiles", "moderateness", "metadata",
+        }
+        assert entry["condition"] == report["condition"] == report["per_p_results"]["2"]["condition"]
         rows = _entry_rows(entry, [2, np.inf], "size")
         assert {r["p"] for r in rows} == {"2", "inf"}
         for r in rows:

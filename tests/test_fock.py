@@ -180,6 +180,14 @@ class TestLattice:
         back = FockLattice.from_dict(lat.to_dict())
         np.testing.assert_array_equal(back.points, lat.points)
 
+    def test_points_are_cached_and_read_only(self):
+        lat = FockLattice(delta=0.8, R=2.0)
+        assert lat.points is lat.points
+        with pytest.raises(ValueError):
+            lat.points[0] = 1.0
+        with pytest.raises(AttributeError):
+            lat.points = np.zeros(3, dtype=complex)
+
 
 class TestExperiment:
     def test_frozen_conditions_and_growths(self):
@@ -234,9 +242,22 @@ class TestExperiment:
         assert counts["dist"] <= 2
         lat = FockLattice(0.8, 2.5)
         want = {
-            str(se): decay_constant(gram_exact(lat), se, lat.index_set()).constant for se in (2.0, 4.0, 6.0)
+            str(se): decay_constant(gram_exact(lat), se, lat.index_set()) for se in (2.0, 4.0, 6.0)
         }
         assert out["gram_decay_scaling"]["2.5"] == want
+
+    def test_lattice_points_are_built_once_per_radius(self, monkeypatch):
+        built = []
+        points = FockLattice.__dict__["points"]
+        build = points.func
+
+        def counted(lat):
+            built.append(lat.R)
+            return build(lat)
+
+        monkeypatch.setattr(points, "func", counted)
+        fock_lifting_experiment(0.8, [2.5, 8.0], mu={"type": "polynomial", "t": 6.0}, ps=(2,))
+        assert built == [2.5, 8.0]
 
     def test_gram_decay_constants_stable_across_radius(self):
         out = fock_lifting_experiment(0.8, [1.5, 2.0, 2.5], ps=(2,))
