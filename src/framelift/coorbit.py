@@ -178,13 +178,15 @@ def lifting_theorem_pipeline(
     factorization therefore acts on a k x k core with k <= 2d (see
     :class:`framelift.multipliers._SplitCore`), never on an n x n matrix.
 
-    Steps: (i) test invertibility of B on l^2_sqrt(mu) from the singular
-    values of its core; (ii) profile the decay of the five Gram matrices the
-    argument rests on; (iii) confirm the conjugation identity
-    B^mu = G^mu G G^mu + I - G_{Psi,Psid}^mu exactly; (iv) condition B on
-    each requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} come
-    from the core, which step (i) already built when m = 1, and other p read
-    the entries of B and of B^{-1} = I + Q (K^{-1} - I) Q^H; (v) check that
+    Steps: (i) decide invertibility of B on l^2_sqrt(mu) by Rump's a
+    posteriori certificate on its core, reporting sigma_min / sigma_max as a
+    number and the certificate's bound r on ||I - B X||_inf as
+    ``B_certificate_margin`` (invertible when r < 1); (ii) profile the
+    decay of the five Gram matrices the argument rests on; (iii) confirm
+    the conjugation identity B^mu = G^mu G G^mu + I - G_{Psi,Psid}^mu
+    exactly; (iv) condition B on each requested l^p_{m sqrt(mu)}: the p = 2
+    norms of B and B^{-1} come from the core, which step (i) already built
+    when m = 1, and other p read the entries of B and of B^{-1}; (v) check that
     the reversed composition B_rev = Mat(M_mu M_{1/mu}) + (I - G_{Psi,Psid})
     equals B^H, which holds because M_mu, M_{1/mu} and G_{Psi,Psid} are
     Hermitian. The residual is scaled by the entrywise bound
@@ -252,6 +254,7 @@ def lifting_theorem_pipeline(
     invertible = core.invertible()
     verdicts["B_invertible_l2_sqrt_mu"] = invertible
     residuals["B_sigma_min_over_max"] = sv_min / sv_max
+    residuals["B_certificate_margin"] = core.certificate_margin
 
     # Step (ii): decay profiles of the five Gram matrices, one conjugated
     # copy alive at a time.

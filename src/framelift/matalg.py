@@ -16,6 +16,14 @@ otherwise, and :func:`sampled_ratios` is the one seeded scan behind the
 inner side of every bracket. :func:`map_constants` owns the constants
 between two coefficient maps, the lifting constants among them: exact
 generalized singular values at p = 2, certified brackets otherwise.
+
+Invertibility verdicts are a posteriori certificates (Rump, "Verification
+methods: rigorous results using floating-point arithmetic", Acta Numerica
+19, 2010): a square matrix A is invertible when an upper bound r on
+||I - A X||_inf, for some approximate inverse X and with every rounding
+made in evaluating the residual counted, is below 1. :func:`is_invertible`
+is that test on a dense matrix; the splitting matrix of
+:mod:`framelift.multipliers` runs it on its factors.
 """
 
 import csv
@@ -23,15 +31,14 @@ import functools
 import json
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .weights import IndexSet, lp_norms, weight_values
 
 # Singular values at or below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-10
-# Invertibility verdicts use the coarser 1e-8 separation threshold.
-INVERTIBILITY_RTOL = 1e-8
+# Unit roundoff of IEEE double precision, u = 2^-53.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Seeded draws behind the inner side of a bracket: map_constants, operator_norm.
 MAP_SAMPLES = 256
 NORM_SAMPLES = 64
@@ -79,10 +86,72 @@ def weighted_adjoint(A: np.ndarray, mu) -> np.ndarray:
     return (np.asarray(A).conj().T * w2[None, :]) / w2[:, None]
 
 
+def gamma(k) -> float:
+    """gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3): k real roundings compound to at most this
+    relative error."""
+    ku = k * UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def gamma_c(k) -> float:
+    """Entrywise error bound of a complex inner product of length k.
+
+    |fl(x^T y) - x^T y| <= gamma_c(k) |x|^T |y| for complex x, y, in any
+    summation order and with or without fused multiply-adds, provided the
+    product is an ordinary (not Strassen-like) one and nothing underflows.
+    sqrt(2) gamma_{k+2} is Higham's complex bound (Lemma 3.5 and section
+    3.6); BLAS forms real and imaginary parts as real inner products of
+    length 2k, which gives sqrt(2) gamma_{2k}. gamma_c takes
+    sqrt(2) gamma_{2k+2}, above both.
+    """
+    return float(np.sqrt(2.0)) * gamma(2 * k + 2)
+
+
+def abs_chain(vec, *factors) -> np.ndarray:
+    """|F_1| |F_2| ... |F_m| vec for nonnegative vec, one matrix-vector
+    product at a time, so no product of the factors is formed. A factor is
+    a matrix, whose moduli are taken, or a callable on vectors, which must
+    already be a nonnegative map."""
+    for f in reversed(factors):
+        vec = f(vec) if callable(f) else np.abs(f) @ vec
+    return vec
+
+
+def certified_bound(r: float, depth: int) -> float:
+    """r, the float value of a sum of products of nonnegative terms with at
+    most ``depth`` roundings on any path, raised to an upper bound on the
+    exact value; nan (an overflowed evaluation) becomes inf."""
+    r = float(r) * (1.0 + gamma(depth))
+    return r if np.isfinite(r) else np.inf
+
+
+def certificate_margin(A: np.ndarray) -> float:
+    """Upper bound r on ||I - A X||_inf for the square matrix A, X = inv(A).
+
+    The residual is formed as fl(I - fl(A X)), and its rounding is counted:
+    |R - fl(R)| <= gamma_c(n) |A| |X| + u |fl(R)| entrywise. A that LAPACK
+    finds exactly singular gives r = inf.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("invertibility is decided for square matrices")
+    n = A.shape[0]
+    try:
+        X = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return np.inf
+    R = np.eye(n) - A @ X
+    one = np.ones(n)
+    r = (1.0 + gamma(1)) * abs_chain(one, R) + gamma_c(n) * abs_chain(one, A, X)
+    return certified_bound(r.max(), 4 * n + 8)
+
+
 def is_invertible(A: np.ndarray) -> bool:
-    """sigma_min > INVERTIBILITY_RTOL * sigma_max on a square matrix."""
-    sv = np.linalg.svd(np.asarray(A), compute_uv=False)
-    return bool(sv[-1] > INVERTIBILITY_RTOL * sv[0])
+    """Rump's certificate on a dense square matrix: :func:`certificate_margin`
+    below 1 proves A invertible. A singular A never passes: for it every
+    I - A X has an eigenvalue 1."""
+    return bool(certificate_margin(A) < 1.0)
 
 
 def _induced_norm_exact(T: np.ndarray, p) -> float:
@@ -149,29 +218,27 @@ def interpolated_upper(T: np.ndarray, p, n2: float) -> float:
 
 
 class _Factored:
-    """An n x d coefficient map with its injectivity test and left inverse
-    made on first use.
+    """An n x d coefficient map with its one thin SVD M = U diag(s) V^H,
+    made on first use, and what is read from it.
 
     :func:`map_constants` accepts these in place of arrays, so a caller that
     needs several p for one pair of maps (the lifting pipeline) factors
-    each map once. The map need not be injective: one that fails the
-    injectivity test has no left inverse, and the bound that needs it is
-    reported as the trivial one.
+    each map once, whichever p comes first. The map need not be injective:
+    one that fails the injectivity test has no left inverse, and the bound
+    that needs it is reported as the trivial one.
     """
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix)
-        self._s = None  # singular values, once computed
-        self.vs_inv = None  # V diag(1/s) of the left inverse's SVD, once made
+
+    @functools.cached_property
+    def _svd(self) -> tuple:
+        return np.linalg.svd(self.matrix, full_matrices=False)
 
     @property
     def singular_values(self) -> np.ndarray:
-        """Descending singular values: those of the left inverse's SVD when
-        that was made first, else a values-only SVD. p = 2 alone computes
-        no singular vectors."""
-        if self._s is None:
-            self._s = np.linalg.svd(self.matrix, compute_uv=False)
-        return self._s
+        """Descending singular values."""
+        return self._svd[1]
 
     @property
     def injective(self) -> bool:
@@ -183,23 +250,24 @@ class _Factored:
         return bool(s.shape[0] == self.matrix.shape[1] and s[-1] > RANK_RTOL * s[0])
 
     @functools.cached_property
-    def left_inverse(self):
-        """The pseudo-inverse if the map is injective, else None.
+    def vs_inv(self):
+        """V diag(1/s) if the map is injective, else None.
 
-        One thin SVD M = U diag(s) V^H gives, when the map is injective, the
-        pseudo-inverse V diag(1/s) U^H with no singular value cut. Its
-        factor V diag(1/s) is kept as ``vs_inv``: U has orthonormal columns,
-        so L M^+ = (L V diag(1/s)) U^H has the singular values of the
-        n x d matrix L V diag(1/s).
+        U has orthonormal columns, so L M^+ = (L V diag(1/s)) U^H has the
+        singular values of the n x d matrix L V diag(1/s).
         """
-        if self._s is not None and not self.injective:
-            return None
-        u, s, vh = np.linalg.svd(self.matrix, full_matrices=False)
-        if self._s is None:
-            self._s = s
         if not self.injective:
             return None
-        self.vs_inv = vh.conj().T * (1.0 / s)[None, :]
+        _, s, vh = self._svd
+        return vh.conj().T * (1.0 / s)[None, :]
+
+    @functools.cached_property
+    def left_inverse(self):
+        """The pseudo-inverse V diag(1/s) U^H if the map is injective, with
+        no singular value cut, else None."""
+        if self.vs_inv is None:
+            return None
+        u, s, vh = self._svd
         return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
 
 
@@ -212,7 +280,7 @@ def _product_norm(L: np.ndarray, F: _Factored, p) -> float:
 
     L is n x d and F^+ is the d x n left inverse of an injective map F. The
     2-norm, needed for 1 < p < inf, is sigma_max of the n x d matrix
-    L F.vs_inv (see :attr:`_Factored.left_inverse`), so no n x n
+    L F.vs_inv (see :attr:`_Factored.vs_inv`), so no n x n
     factorization is needed.
     """
     if p in (1, np.inf):
@@ -228,9 +296,12 @@ def map_constants(A, B, p, seed: int = 0) -> dict:
     factorizations across calls. Returns bracket pairs
     {"lower": (lo, hi), "upper": (lo, hi)}. For p = 2 with both maps
     injective the brackets have zero width: the constants are exact
-    generalized singular values; the injectivity test is relative, so these
-    do not move when both maps are rescaled. Otherwise the certified sides
-    are ||A B^+||_p and 1 / ||B A^+||_p, with B^+ and A^+ the left inverses
+    generalized singular values, the extreme singular values of the n x d
+    matrix A V diag(1/s) read from B's own thin SVD B = U diag(s) V^H
+    (Van Loan, SIAM J. Numer. Anal. 13, 1976). No Gram matrix A^H A or
+    B^H B is formed, so cond(B) is not squared. The injectivity test is
+    relative, so these do not move when both maps are rescaled. Otherwise
+    the certified sides are ||A B^+||_p and 1 / ||B A^+||_p, with B^+ and A^+ the left inverses
     of :class:`_Factored`; a map that fails its injectivity test gives the
     trivial side instead, upper = inf for B and lower = 0 for A. The inner
     sides come from :func:`sampled_ratios` over MAP_SAMPLES draws.
@@ -238,9 +309,8 @@ def map_constants(A, B, p, seed: int = 0) -> dict:
     A, B = _factored(A), _factored(B)
     Am, Bm = A.matrix, B.matrix
     if p == 2 and B.injective and A.injective:
-        w = scipy.linalg.eigh(Am.conj().T @ Am, Bm.conj().T @ Bm, eigvals_only=True)
-        lo = float(np.sqrt(max(w[0], 0.0)))
-        hi = float(np.sqrt(max(w[-1], 0.0)))
+        sv = np.linalg.svd(Am @ B.vs_inv, compute_uv=False)
+        lo, hi = float(sv[-1]), float(sv[0])
         return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
     B_inv, A_inv = B.left_inverse, A.left_inverse
     upper_cert = _product_norm(Am, B, p) if B_inv is not None else np.inf

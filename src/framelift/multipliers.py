@@ -131,40 +131,128 @@ class _SplitCore:
 
     With L, R in {I, S^{-1}} set by the slots, Mat(O) = C L O R D and
     G_{Psi,Psid} = C S^{-1} D, so B_O = I + C Z D with Z = L O R - S^{-1}:
-    the identity plus a term of rank <= d. With X = diag(w) C (n x d) and
-    Y = Z D diag(1/w) (d x n), a thin QR Q of [X, Y^H] has k = min(n, 2d)
-    orthonormal columns spanning both factors, so I + X Y is
-    K = I_k + (Q^H X)(Y Q) on ran(Q) and the identity on its complement.
-    This is the compression behind the Sherman-Morrison-Woodbury formula
-    (Golub & Van Loan, Matrix Computations). The singular values are those
-    of K, plus 1 when k < n; the inverse is I + Q (K^{-1} - I) Q^H.
-    ``w = None`` is the unit weight.
+    the identity plus a term of rank <= d. The d x n factor Z D is formed
+    from the float inputs C, D = C^H, O, the dual synthesis matrix Dd
+    (= S^{-1} D) and w alone: R D is D or Dd, S^{-1} D is Dd, and a dual
+    left slot takes S^{-1} = Dd Dd^H, so Z D = L O (R D) - Dd. This
+    matrix, rounded nowhere, is the B_O that :meth:`invertible` certifies.
+
+    With X = diag(w) C (n x d) and Y = Z D diag(1/w) (d x n), a thin QR Q
+    of [X, Y^H] has k = 2d < n orthonormal columns spanning both factors,
+    so I + X Y is K = I_k + (Q^H X)(Y Q) on ran(Q) and the identity on its
+    complement. This is the compression behind the Sherman-Morrison-Woodbury
+    formula (Golub & Van Loan, Matrix Computations). The singular values
+    are those of K, plus 1; the inverse is I + Q (K^{-1} - I) Q^H. When
+    2d >= n there is nothing to compress: Q is None and K = I_n + X Y
+    itself. ``w = None`` is the unit weight.
     """
 
     def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None):
         O = np.asarray(O)
         if O.shape != (psi.d, psi.d):
             raise ValueError("operator shape does not match the frame pair")
+        n, d = psi.n, psi.d
         left, right = slots.value
-        ZD = O @ _pick(psi, right).synthesis_matrix
+        Dd = psi.canonical_dual().synthesis_matrix
+        RD = _pick(psi, right).synthesis_matrix
+        P = O @ RD
+        P_err = _scaled(matalg.gamma_c(d), O, RD)
         if left == "dual":
-            ZD = np.linalg.solve(psi.frame_operator, ZD)
-        ZD = ZD - psi.canonical_dual().synthesis_matrix
-        w = weight_values(w, psi.n)
+            L = Dd @ Dd.conj().T
+            L_err = _scaled(matalg.gamma_c(n), Dd, Dd.conj().T)
+            P_err = _left_product_error(L, L_err, P, P_err)
+            P = L @ P
+        w = weight_values(w, n)
         X = w[:, None] * psi.analysis_matrix
-        Y = ZD / w[None, :]
-        self.n = psi.n
-        self.Q = np.linalg.qr(np.hstack([X, Y.conj().T]))[0]
-        self.K = np.eye(self.Q.shape[1]) + (self.Q.conj().T @ X) @ (Y @ self.Q)
-        self.sigma = _extremes(np.linalg.svd(self.K, compute_uv=False), self.n)
+        Y = (P - Dd) / w[None, :]
+
+        def Y_err(v):  # |Y - fl Y| v: P's rounding, then one in P - Dd and one in / w
+            v = v / w
+            return P_err(v) + matalg.gamma(2) * (matalg.abs_chain(v, P) + matalg.abs_chain(v, Dd))
+
+        self.n = n
+        if 2 * d >= n:
+            self.Q = None
+            Xq, Yq = X, Y
+        else:
+            self.Q = np.linalg.qr(np.hstack([X, Y.conj().T]))[0]
+            Xq, Yq = self.Q.conj().T @ X, Y @ self.Q
+        self.K = np.eye(Xq.shape[0]) + Xq @ Yq
+        self.sigma = _extremes(np.linalg.svd(self.K, compute_uv=False), n)
+        try:
+            self.K_inv = np.linalg.inv(self.K)
+        except np.linalg.LinAlgError:  # B_w may be singular; then no verdict closes
+            self.K_inv = None
+        X_err = _scaled(matalg.gamma(1), X)  # |X - fl X|: one rounding per entry
+        self.certificate_margin = np.inf if self.K_inv is None else self._margin(X, Y, Xq, Yq, X_err, Y_err)
+
+    def _margin(self, X, Y, Xq, Yq, X_err, Y_err) -> float:
+        """Upper bound r on ||I - B_w Xt||_inf, Xt = I + Q (K^{-1} - I) Q^H.
+
+        B_w is the float-defined matrix of the class docstring and Xt the
+        approximate inverse made of the float Q and K^{-1}; Q need not be
+        orthonormal. With Xq = Q^H X, Yq = Y Q, F = K^{-1} - I, X_perp =
+        X - Q Xq, Y_perp = Y - Yq Q^H, Delta = Q^H Q - I and the k x k
+        residual G = (I + Xq Yq) K^{-1} - I, exactly
+
+            I - B_w Xt = - X Y_perp Xt - Q G Q^H - Q Xq Yq Delta F Q^H
+                         - X_perp Yq (K^{-1} + Delta F) Q^H,
+
+        and r bounds the row sums of the moduli of the four terms. Every
+        factor is taken from its computed value plus a bound on the rounding
+        made since the inputs: one rounding per entry of X, Y and sums, and
+        gamma_c(k) |a| |b| for a product of inner dimension k (see
+        :func:`matalg.gamma_c`); X_err and Y_err bound it for X and Y. Each
+        product of moduli is applied to a vector, never formed, so the bound
+        costs O(n k (d + k)) and no factorization. With Q = None, Q is the
+        identity, Delta = 0 and X_perp, Y_perp are the rounding in X, Y.
+        """
+        g1, chain = matalg.gamma(1), matalg.abs_chain
+        Q, Kinv = self.Q, self.K_inv
+        k, d = Kinv.shape[0], X.shape[1]
+        F = Kinv - np.eye(k)
+        T = Yq @ Kinv
+        G = F + Xq @ T
+        gc_d, gc_k = matalg.gamma_c(d), matalg.gamma_c(k)
+
+        def G_bound(v):  # |G| v, G exact
+            rounding = g1 * chain(v, F) + gc_d * chain(v, Xq, T) + gc_k * chain(v, Xq, Yq, Kinv)
+            return (1 + g1) * chain(v, G) + rounding
+
+        if Q is None:
+            Qabs = Qh = lambda v: v
+            Delta = lambda v: 0.0 * v
+            X_perp, Y_perp = X_err, Y_err
+        else:
+            Qabs = np.abs(Q)
+            Qh = Qabs.T
+            D_hat = Q.conj().T @ Q - np.eye(k)
+            Xp_hat, Yp_hat = X - Q @ Xq, Y - Yq @ Q.conj().T
+
+            def Delta(v):
+                return (1 + g1) * chain(v, D_hat) + matalg.gamma_c(self.n) * chain(v, Qh, Qabs)
+
+            def X_perp(v):
+                return (1 + g1) * chain(v, Xp_hat) + gc_k * chain(v, Qabs, Xq) + X_err(v)
+
+            def Y_perp(v):
+                return (1 + g1) * chain(v, Yp_hat) + gc_k * chain(v, Yq, Qh) + Y_err(v)
+
+        vq = chain(np.ones(self.n), Qh)
+        Fvq = (1 + g1) * chain(vq, F)  # F = K^{-1} - I is rounded on its diagonal
+        terms = (
+            (1 + g1) * chain(1.0 + chain(Fvq, Qabs), X, Y_perp),
+            chain(G_bound(vq), Qabs),
+            chain(Fvq, Qabs, Xq, Yq, Delta),
+            chain(chain(vq, Kinv) + Delta(Fvq), X_perp, Yq),
+        )
+        return matalg.certified_bound(np.max(sum(terms)), 8 * (self.n + d) + 64)
 
     def invertible(self) -> bool:
-        """sigma_min > INVERTIBILITY_RTOL * sigma_max, the test of :func:`matalg.is_invertible`."""
-        return bool(self.sigma[0] > matalg.INVERTIBILITY_RTOL * self.sigma[1])
-
-    @functools.cached_property
-    def K_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.K)
+        """Rump's certificate: :attr:`certificate_margin` < 1 proves B_w
+        invertible. A singular B_w never passes: for it every I - B_w Xt
+        has an eigenvalue 1. A K that LAPACK finds singular has margin inf."""
+        return bool(self.certificate_margin < 1.0)
 
     @functools.cached_property
     def inverse_norm(self) -> float:
@@ -177,22 +265,39 @@ class _SplitCore:
         return _extremes(np.linalg.svd(self.K_inv, compute_uv=False), self.n)[1]
 
     def inverse(self) -> np.ndarray:
-        """The n x n matrix (diag(w) B_O diag(1/w))^{-1} = I + Q (K^{-1} - I) Q^H."""
+        """The n x n matrix (diag(w) B_O diag(1/w))^{-1}: K^{-1} itself when
+        Q is None, else I + Q (K^{-1} - I) Q^H."""
+        if self.Q is None:
+            return self.K_inv
         core = self.K_inv - np.eye(self.K.shape[0])
         out = (self.Q @ core) @ self.Q.conj().T
         out[np.diag_indices(self.n)] += 1.0
         return out
 
 
+def _scaled(c: float, *factors):
+    """The nonnegative map v -> c |F_1| ... |F_m| v."""
+    return lambda v: c * matalg.abs_chain(v, *factors)
+
+
+def _left_product_error(L, L_err, P, P_err):
+    """Error map of fl(L P) against the exact product of the matrices that
+    L and P approximate, given their error maps: gamma_c |L| |P| +
+    L_err |P| + |L| P_err + L_err P_err."""
+    gc = matalg.gamma_c(L.shape[1])
+    absL, absP = np.abs(L), np.abs(P)
+    return lambda v: gc * (absL @ (absP @ v)) + L_err(absP @ v) + absL @ P_err(v) + L_err(P_err(v))
+
+
 def invertibility_verdicts(O: np.ndarray, psi: Frame) -> dict:
     """Invertibility of O on C^d versus of B_O on C^n, for all slot choices.
 
-    Each B_O verdict is read from its k x k core (:class:`_SplitCore`).
+    Every verdict is Rump's certificate: the operator's from the dense
+    d x d matrix (:func:`matalg.is_invertible`), each B_O verdict from its
+    k x k core (:meth:`_SplitCore.invertible`).
     """
-    out = {"operator": matalg.is_invertible(O)}
-    for slots in Slots:
-        out[slots.name] = _SplitCore(O, psi, slots).invertible()
-    return out
+    cores = {slots.name: _SplitCore(O, psi, slots).invertible() for slots in Slots}
+    return {"operator": matalg.is_invertible(O), **cores}
 
 
 def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame) -> dict:

@@ -71,8 +71,9 @@ class TestVerify:
         assert square == []
 
     def test_one_svd_of_the_weighted_analysis_matrix(self, tmp_path, monkeypatch):
-        # coercivity_check factors X = diag(sqrt(mu)) C once, and the
-        # extremes cross-check in residuals reads those singular values.
+        # coercivity_check factors X = diag(sqrt(mu)) C once, with the one
+        # thin SVD every coefficient map gets, and the extremes cross-check
+        # in residuals reads those singular values.
         psi = gabor_system(32, 2, 4).frame  # verify_gabor32.json's frame, mu t = 2
         X = np.sqrt(Weight.polynomial(psi.index_set, 2.0).values)[:, None] * psi.analysis_matrix
         svd, hits = np.linalg.svd, []
@@ -84,7 +85,7 @@ class TestVerify:
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         assert main(["verify", "--config", str(CONFIGS / "verify_gabor32.json"), "--out", str(tmp_path)]) == 0
-        assert hits == [False]
+        assert hits == [True]
         rep = _read_json(tmp_path / "identities.json")
         assert rep["residuals"]["coercivity_extremes_agreement"] <= 1e-13
         assert "extremes_agreement" not in rep["coercivity"]

@@ -1,10 +1,14 @@
-"""The package's modules form layers: each imports only modules below it.
+"""The package's modules form layers: each imports only modules below it,
+and the runtime needs numpy alone.
 
 Every import is read from the source with ast, including imports inside
 functions, so a function-local import cannot hide an upward dependency.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,27 @@ def test_reader_sees_function_local_imports(tmp_path):
         "    from .coorbit import map_constants\n"
     )
     assert _package_imports(src) == {"matalg", "frames", "weights", "coorbit"}
+
+
+def _third_party_roots(path: Path) -> set:
+    """Top-level names of the absolute imports in a source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("name", _modules() + ["__init__"])
+def test_no_module_imports_scipy(name):
+    assert "scipy" not in _third_party_roots(PACKAGE / f"{name}.py")
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter, so modules this test process already loaded do not count.
+    code = "import sys, framelift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

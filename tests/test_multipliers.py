@@ -173,6 +173,15 @@ class TestInvertibility:
         assert square == []
 
 
+def _forbid_qr(monkeypatch):
+    """With 2d >= n the core is I + X Y itself: no QR may be made."""
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("the core made a QR factorization")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+
+
 def _dense_extremes(B):
     sv = np.linalg.svd(B, compute_uv=False)
     return sv[-1], sv[0]
@@ -184,11 +193,13 @@ class TestSplitCore:
     @pytest.mark.parametrize("n, d", [(24, 8), (14, 8), (8, 8)], ids=["2d<n", "2d>n", "onb"])
     @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_extremes_match_dense_svd(self, n, d, slots, weighted):
+    def test_extremes_match_dense_svd(self, n, d, slots, weighted, monkeypatch):
         rng = np.random.default_rng(11 * n + d)
         psi = random_frame(rng, n, d, kind="onb" if n == d else "generic")
         w = rng.uniform(0.5, 2.0, n) if weighted else None
         O = _random_operator(rng, d)
+        if 2 * d >= n:
+            _forbid_qr(monkeypatch)
         core = _SplitCore(O, psi, slots, w)
         B = invertibility_matrix(O, psi, slots)
         lo, hi = _dense_extremes(B if w is None else matalg.conjugate(B, w))
@@ -198,11 +209,13 @@ class TestSplitCore:
 
     @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
     @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
-    def test_rank_one_operator_is_singular_in_both_routes(self, n, d, slots):
+    def test_rank_one_operator_is_singular_in_both_routes(self, n, d, slots, monkeypatch):
         rng = np.random.default_rng(3 * n + d)
         psi = random_frame(rng, n, d)
         f = random_vector(rng, d)
         O = np.outer(f, f.conj())
+        if 2 * d >= n:
+            _forbid_qr(monkeypatch)
         core = _SplitCore(O, psi, slots)
         lo, hi = _dense_extremes(invertibility_matrix(O, psi, slots))
         assert core.sigma[1] == pytest.approx(hi, rel=1e-10)
@@ -221,6 +234,93 @@ class TestSplitCore:
             held = cross.copy()
             assert np.array_equal(invertibility_matrix(O, small_frame, slots, cross=cross), plain)
             assert np.array_equal(cross, held)
+
+
+def _extended_residual(core, O, psi, slots, w) -> float:
+    """||I - B_w Xt||_inf in extended precision, B_w from the same float
+    inputs as the core (C, D, O, the dual synthesis matrix, w) and Xt =
+    I + Q (K^{-1} - I) Q^H from the core's float Q and K^{-1}."""
+    LD = np.clongdouble
+    n = psi.n
+    left, right = slots.value
+    Dd = psi.canonical_dual().synthesis_matrix.astype(LD)
+    E = (psi.synthesis_matrix if right == "frame" else psi.canonical_dual().synthesis_matrix).astype(LD)
+    P = O.astype(LD) @ E
+    if left == "dual":
+        P = (Dd @ Dd.conj().T) @ P
+    wl = (np.ones(n) if w is None else w).astype(np.longdouble)
+    B = np.eye(n, dtype=LD) + psi.analysis_matrix.astype(LD) @ (P - Dd)
+    Bw = (wl[:, None] / wl[None, :]) * B
+    Kinv = core.K_inv.astype(LD)
+    if core.Q is None:
+        Xt = Kinv
+    else:
+        Q = core.Q.astype(LD)
+        Xt = np.eye(n, dtype=LD) + Q @ (Kinv - np.eye(Kinv.shape[0], dtype=LD)) @ Q.conj().T
+    return float(np.abs(np.eye(n, dtype=LD) - Bw @ Xt).sum(axis=1).max())
+
+
+def _gabor_core(N: int, t_mu: float):
+    lat = TFLattice.balanced(N, 4)
+    psi = gabor_system(lat.N, lat.a, lat.b).frame
+    mu = Weight.polynomial(psi.index_set, t_mu).values
+    O = multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix
+    return _SplitCore(O, psi, w=np.sqrt(mu)), O, psi, np.sqrt(mu)
+
+
+class TestCertificate:
+    """B_O's verdict is Rump's certificate: a bound r on ||I - B_w Xt||_inf below 1."""
+
+    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8), (8, 8)], ids=["2d<n", "2d>n", "onb"])
+    @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
+    def test_margin_bounds_the_extended_precision_residual(self, n, d, slots):
+        # weights over e^-4..e^4 make B_w far from B; the bound still
+        # covers the residual, evaluated with a 64-bit mantissa.
+        rng = np.random.default_rng(5 * n + d)
+        psi = random_frame(rng, n, d, kind="onb" if n == d else "generic")
+        w = np.exp(rng.uniform(-4.0, 4.0, n))
+        O = _random_operator(rng, d)
+        core = _SplitCore(O, psi, slots, w)
+        residual = _extended_residual(core, O, psi, slots, w)
+        assert residual <= core.certificate_margin < 1e-6
+        assert core.invertible()
+
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_ill_conditioned_gabor_splitting_is_certified(self, N):
+        # Gabor, mu = (1+|x|)^6 on l^2_sqrt(mu): sigma_min/sigma_max is
+        # 2.5e-8 at N = 16 and 7.3e-10 at N = 32, and 40-digit mpmath SVDs
+        # agree. The matrix is invertible, and the certificate says so.
+        core, O, psi, w = _gabor_core(N, 6.0)
+        assert core.sigma[0] / core.sigma[1] < 3e-8
+        residual = _extended_residual(core, O, psi, Slots.PSI_PSI, w)
+        assert residual <= core.certificate_margin < 1e-2
+        assert core.invertible()
+
+    def test_float_does_not_close_at_t14(self):
+        # mu = (1+|x|)^14: sigma_min/sigma_max is 7.3e-25, and the float
+        # residual itself is far above 1, so the verdict stays open.
+        core, O, psi, w = _gabor_core(32, 14.0)
+        assert _extended_residual(core, O, psi, Slots.PSI_PSI, w) > 1.0
+        assert core.certificate_margin > 1.0
+        assert not core.invertible()
+
+    def test_exactly_singular_core_gives_infinite_margin(self):
+        # On an orthonormal basis with O = 0, B_O = I - C Dd = 0: LAPACK
+        # finds K singular, and the margin is inf.
+        psi = onb(4)
+        core = _SplitCore(np.zeros((4, 4)), psi)
+        assert core.certificate_margin == np.inf
+        assert not core.invertible()
+
+    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
+    def test_inverse_matches_dense(self, n, d):
+        rng = np.random.default_rng(13 * n + d)
+        psi = random_frame(rng, n, d)
+        w = rng.uniform(0.5, 2.0, n)
+        O = _random_operator(rng, d)
+        core = _SplitCore(O, psi, Slots.PSI_PSI, w)
+        dense = np.linalg.inv(matalg.conjugate(invertibility_matrix(O, psi), w))
+        np.testing.assert_allclose(core.inverse(), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
 class TestSpectralInvariance:
