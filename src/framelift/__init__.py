@@ -7,24 +7,15 @@ two-sided constants, and scaling studies over Gabor and Bargmann-Fock kernel
 frames each probe a piece of it.
 """
 
-from .coorbit import (
-    CoorbitSpace,
-    coercivity_check,
-    coorbit_norm,
-    duality_pairing,
-    equivalence_constants,
-    lifting_constants,
-    lifting_theorem_pipeline,
-    operator_norm_between,
-)
+from .coorbit import FrameFamily, coercivity_check, lifting_constants, lifting_theorem_pipeline, sweep
 from .fock import (
+    FockFamily,
     FockLattice,
     beurling_density_lower,
     beurling_density_table,
     bulk_frame,
     embed_truncated,
     fock_gram_exact,
-    fock_lifting_experiment,
     fock_multiplier,
 )
 from .frames import (
@@ -38,9 +29,9 @@ from .frames import (
     reconstruct,
 )
 from .gabor import (
+    GaborFamily,
     GaborSystem,
     TFLattice,
-    gabor_lifting_experiment,
     gabor_system,
     gaussian_window,
     stft,
@@ -70,9 +61,11 @@ from .weights import IndexSet, Weight, diag_lift, moderateness_constant, weighte
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoorbitSpace",
+    "FockFamily",
     "FockLattice",
     "Frame",
+    "FrameFamily",
+    "GaborFamily",
     "GaborSystem",
     "IndexSet",
     "Multiplier",
@@ -86,17 +79,12 @@ __all__ = [
     "canonical_dual",
     "coercivity_check",
     "conjugate",
-    "coorbit_norm",
     "decay_constant",
     "diag_lift",
-    "duality_pairing",
     "embed_truncated",
-    "equivalence_constants",
     "fock_gram_exact",
-    "fock_lifting_experiment",
     "fock_multiplier",
     "frame_bounds",
-    "gabor_lifting_experiment",
     "gabor_system",
     "galerkin",
     "gaussian_window",
@@ -110,7 +98,6 @@ __all__ = [
     "multiplier",
     "op_from_matrix",
     "operator_norm",
-    "operator_norm_between",
     "pseudo_inverse",
     "random_frame",
     "reconstruct",
@@ -118,6 +105,7 @@ __all__ = [
     "schur_product_constant",
     "spectral_invariance_suite",
     "stft",
+    "sweep",
     "tf_shift",
     "weighted_norm",
     "weighted_pseudo_inverse",

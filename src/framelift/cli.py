@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fock as fock_mod
 from . import frames, gabor, matalg, multipliers
-from .coorbit import _p_key, coercivity_check, condition_ratios, pipeline_entry
+from .coorbit import FrameFamily, _p_key, coercivity_check, sweep
 from .weights import CHECK_SPEC, UNIT_SPEC, SpecError, keyed_weight
 
 SCHEMA_VERSION = 3
@@ -136,6 +136,8 @@ def _parse_ps(cfg) -> list:
             out.append(float(p) if p != int(p) else int(p))
         else:
             raise ConfigError(f"unsupported p value: {p!r}")
+    if len(set(out)) < len(out):
+        raise ConfigError(f"'ps' lists a p value twice: {ps!r}")
     return out
 
 
@@ -233,54 +235,37 @@ def _sizes(cfg: dict, key: str, kind: str) -> list:
     return sizes
 
 
-def _run_experiment(cfg: dict, ps: list, seed: int):
-    """One library call over every configured size: (report, size key).
-
-    A custom frame is a one-size lift whose entry is keyed by n.
-    """
+def _family(cfg: dict, seed: int):
+    """The lift family a config names; a custom frame is a one-size family."""
     kind = cfg["kind"]
-    s = _parse_nonnegative(cfg.get("s", 4.0), "s")
-    # Absent weight keys take each family driver's own defaults.
-    specs = {key: cfg[key] for key in ("mu", "m") if key in cfg}
     if kind == "gabor":
-        report = gabor.gabor_lifting_experiment(
+        return gabor.GaborFamily(
             _sizes(cfg, "Ns", kind),
             redundancy=int(cfg.get("redundancy", 4)),
             a_ratio=cfg.get("a_ratio"),
             b_ratio=cfg.get("b_ratio"),
-            **specs,
             t_check=float(cfg.get("t_check", 2.0)),
-            s=s,
-            ps=ps,
-            seed=seed,
         )
-        return report, "N"
     if kind == "fock":
-        report = fock_mod.fock_lifting_experiment(
-            float(_require(cfg, "delta", (int, float), "fock")),
+        return fock_mod.FockFamily(
+            float(_require(cfg, "delta", (int, float), kind)),
             _sizes(cfg, "R_list", kind),
-            **specs,
-            ps=ps,
-            s=s,
             margin=float(cfg.get("margin", 0.5)),
             jitter=float(cfg.get("jitter", 0.0)),
             seed=seed,
         )
-        return report, "R"
     if kind == "custom-frame":
-        frame = build_frame(_require(cfg, "frame", dict, "custom-frame"), seed)
-        mu = keyed_weight("mu", cfg.get("mu", UNIT_SPEC), frame.index_set)
-        m = keyed_weight("m", cfg.get("m", UNIT_SPEC), frame.index_set)
-        entry = {"size": frame.n}
-        pipeline_entry(entry, frame, mu, m=m, ps=ps, s=s, seed=seed)
-        return {"entries": [entry], "condition_ratios": condition_ratios([entry])}, "size"
+        return FrameFamily(build_frame(_require(cfg, "frame", dict, kind), seed))
     raise ConfigError(f"unknown lift kind '{kind}'")
 
 
 def cmd_lift(cfg: dict, out_dir: Path, seed: int) -> int:
     ps = _parse_ps(cfg)
+    s = _parse_nonnegative(cfg.get("s", 4.0), "s")
     try:
-        report, size_key = _run_experiment(cfg, ps, seed)
+        family = _family(cfg, seed)
+        mu, m = cfg.get("mu", family.mu_default), cfg.get("m", UNIT_SPEC)
+        report = sweep(family, mu, m, ps=ps, s=s, seed=seed)
     except (ConfigError, SpecError):
         raise
     except (ValueError, TypeError) as exc:
@@ -291,9 +276,9 @@ def cmd_lift(cfg: dict, out_dir: Path, seed: int) -> int:
     report["config"] = cfg
     rows = []
     for entry in report["entries"]:
-        rows.extend(_entry_rows(entry, ps, size_key))
+        rows.extend(_entry_rows(entry, ps, family.key))
         _dump_json(
-            out_dir / f"lift_{size_key}{entry[size_key]}.json",
+            out_dir / f"lift_{family.key}{entry[family.key]}.json",
             {"schema_version": SCHEMA_VERSION, "seed": seed, "entry": entry},
         )
     _dump_json(out_dir / "lift_report.json", report)

@@ -1,4 +1,4 @@
-"""Coorbit norms and the lifting-theorem verification pipeline.
+"""The lifting-theorem pipeline and the one sweep that runs it over a family.
 
 The coorbit space H^p_m over a frame Psi is C^d renormed by the weighted
 l^p norm of canonical-dual coefficients: ||f||_{H^p_m} = ||C_Psid f||_{p,m}.
@@ -15,9 +15,13 @@ gives the trivial bound), inner bounds from a seeded randomized scan.
 Other p get outer bounds by interpolating the exact p = 1, 2, inf norms.
 Brackets are part of every report; nothing outside {2} is claimed exact.
 All of these constants come from :func:`framelift.matalg.map_constants`.
+
+:func:`sweep` is the one experiment loop: a family (Gabor, Fock, or one
+given frame) supplies a frame per size, and the sweep reads the weights,
+runs the pipeline and assembles the report.
 """
 
-from dataclasses import dataclass
+from collections import defaultdict
 
 import numpy as np
 
@@ -25,66 +29,13 @@ from . import matalg
 from .frames import Frame, NotAFrameError, gram
 from .matalg import _Factored, map_constants
 from .multipliers import _coefficient_maps, _SplitCore, invertibility_matrix, multiplier
-from .weights import Weight, moderateness_constant, weight_values, weighted_norm
+from .weights import UNIT_SPEC, Weight, keyed_weight, moderateness_constant, weight_values
 
 # Relative residual below which the pipeline's identities (iii) and (v) hold.
 IDENTITY_RTOL = 1e-10
 # Reporting flag only: a pairwise moderateness constant above this makes the
 # weight behave non-polynomially at desk scale (nothing fails on it).
 MODERATE_FLAG = 1e3
-
-
-@dataclass
-class CoorbitSpace:
-    frame: Frame
-    p: float
-    m: object = None
-
-    def norm(self, f) -> float:
-        return coorbit_norm(self, f)
-
-
-def coorbit_norm(space: CoorbitSpace, f) -> float:
-    """||f||_{H^p_m} = weighted l^p_m norm of canonical-dual coefficients."""
-    dual = space.frame.canonical_dual()
-    return weighted_norm(dual.analysis(f), space.p, space.m)
-
-
-def duality_pairing(f, g, space: CoorbitSpace) -> complex:
-    """sum_k <f, psid_k> conj(<g, psi_k>); equals <f, g> by reconstruction."""
-    dual = space.frame.canonical_dual()
-    return complex(np.sum(dual.analysis(f) * np.conj(space.frame.analysis(g))))
-
-
-def operator_norm_between(T: np.ndarray, psi: Frame, p, m_in=None, m_out=None, seed: int = 0) -> tuple:
-    """Bracket for the norm of T : H^p_{m_in} -> H^p_{m_out} over the frame psi."""
-    A, B = _coefficient_maps(psi, T, m_out, m_in)
-    c = map_constants(A, B, p, seed)
-    return c["upper"]
-
-
-def equivalence_constants(space: CoorbitSpace, alt_frame: Frame, seed: int = 0) -> dict:
-    """Best constants between the space norm and alt-frame coefficient norms.
-
-    c_low * ||C_Psid f||_{p,m} <= ||C_alt f||_{p,m} <= c_high * ||C_Psid f||_{p,m}.
-    """
-    if alt_frame.d != space.frame.d:
-        raise ValueError("frames must share the ambient dimension")
-    if not alt_frame.is_frame:
-        raise ValueError("alt_frame is not a frame")
-    mvals = weight_values(space.m, space.frame.n)
-    if alt_frame.n != space.frame.n:
-        raise ValueError("equivalence needs equally indexed frames")
-    dual = space.frame.canonical_dual()
-    A = mvals[:, None] * alt_frame.analysis_matrix
-    B = mvals[:, None] * dual.analysis_matrix
-    c = map_constants(A, B, space.p, seed)
-    return {
-        "c_low": c["lower"][0],
-        "c_high": c["upper"][1],
-        "brackets": c,
-        "p": space.p,
-    }
 
 
 def coercivity_check(
@@ -341,25 +292,69 @@ def lifting_theorem_pipeline(
     }
 
 
-def pipeline_entry(entry: dict, psi: Frame, mu, **kwargs):
-    """Run :func:`lifting_theorem_pipeline` on ``psi`` and fill ``entry``.
+def sweep(family, mu, m, ps=(2,), s: float = 4.0, seed: int = 0) -> dict:
+    """Run :func:`lifting_theorem_pipeline` on every size of ``family``.
 
-    On success the entry gets ``status: "ok"``, the report dict and its
-    headline condition, and the report is returned: it is
-    ``entry["report"]``, so metadata a family driver adds to it lands in
-    the entry. A family that is not a frame becomes a ``"not_a_frame"``
-    entry quoting the frame bounds, and None is returned.
+    ``mu`` and ``m`` are weight specs (:meth:`Weight.from_spec`), read on
+    each size's index set. A family has:
+
+    - ``key``, the entry field that names a size, and ``sizes``;
+    - ``mu_default``, the symbol spec the CLI lifts with when a config has
+      no ``mu``;
+    - ``case(size)``, which builds the entry header and the frame. A header
+      that already has a ``status`` was ruled out by the family, and no
+      pipeline runs on it;
+    - ``extras(entry, frame, mu, s)``, run after a successful pipeline with
+      the read symbol: it may add to ``entry["report"]`` and returns this
+      size's value of each per-size table, by table name;
+    - ``fields(s, ps, tables)``, its top-level report fields.
+
+    Every table is keyed by ``str(entry[key])``. A frame the pipeline
+    rejects becomes a ``"not_a_frame"`` entry quoting its frame bounds.
+    ``condition_ratios`` are the ratios of successive headline conditions
+    over the entries that ran.
     """
-    try:
-        rep = lifting_theorem_pipeline(psi, mu, **kwargs)
-    except NotAFrameError as exc:
-        entry.update(status="not_a_frame", lower=exc.lower, upper=exc.upper, condition=float("inf"))
-        return None
-    entry.update(status="ok", report=rep, condition=rep["condition"])
-    return rep
-
-
-def condition_ratios(entries) -> list:
-    """Ratios of successive headline conditions over the entries that ran."""
+    entries, tables = [], defaultdict(dict)
+    for size in family.sizes:
+        entry, frame = family.case(size)
+        entries.append(entry)
+        # Read on every size, so a bad spec fails even where no pipeline runs.
+        mu_w, m_w = (keyed_weight(key, spec, frame.index_set) for key, spec in (("mu", mu), ("m", m)))
+        if "status" not in entry:
+            try:
+                rep = lifting_theorem_pipeline(frame, mu_w, m=m_w, ps=ps, s=s, seed=seed)
+            except NotAFrameError as exc:
+                entry.update(status="not_a_frame", lower=exc.lower, upper=exc.upper, condition=float("inf"))
+            else:
+                entry.update(status="ok", report=rep, condition=rep["condition"])
+                for name, value in family.extras(entry, frame, mu_w, s).items():
+                    tables[name][str(entry[family.key])] = value
+        # Release this size's frame, its cached n x n arrays and the weights'
+        # index set before the next size is built.
+        del frame, mu_w, m_w
     conds = [e["condition"] for e in entries if e["status"] == "ok"]
-    return [b / a for a, b in zip(conds, conds[1:])]
+    return {
+        **family.fields(s=s, ps=["inf" if p == np.inf else p for p in ps], tables=tables),
+        "entries": entries,
+        "condition_ratios": [b / a for a, b in zip(conds, conds[1:])],
+    }
+
+
+class FrameFamily:
+    """One given frame as a one-size family; its entry is keyed by n."""
+
+    key = "size"
+    mu_default = UNIT_SPEC
+
+    def __init__(self, frame: Frame):
+        self.frame = frame
+        self.sizes = (frame.n,)
+
+    def case(self, n: int):
+        return {"size": n}, self.frame
+
+    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float) -> dict:
+        return {}
+
+    def fields(self, s: float, ps: list, tables: dict) -> dict:
+        return {}

@@ -13,23 +13,23 @@ The frame verdict and the lifting constants ask different questions of the
 truncation. The verdict needs the full bulk C^K0 with K0 = ceil(pi R^2),
 where a sub-critical lattice (delta >= 1 on the square grid) is genuinely
 rank-deficient. Conditioning of the lifting is measured one kernel-width
-further in, on C^K1 with K1 = ceil(pi (R - margin)^2), so boundary kernels
+further in, on C^K1 with K1 = ceil(pi max(R - margin, 0)^2), so boundary kernels
 whose mass lives outside the sampled disk do not masquerade as asymptotic
 degeneration.
 """
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matalg
-from .coorbit import condition_ratios, pipeline_entry
 from .frames import Frame
 from .multipliers import multiplier
-from .weights import SYMBOL_SPEC, UNIT_SPEC, IndexSet, keyed_weight, moderateness_constant, weight_values
+from .weights import SYMBOL_SPEC, IndexSet, Weight, moderateness_constant, weight_values
 
 GRAM_MATCH_WARN = 1e-8
 
@@ -111,8 +111,14 @@ def bulk_dimension(R: float) -> int:
 
 
 def core_dimension(R: float, margin: float = 0.5) -> int:
-    """One kernel width inside the disk: the ambient dimension for constants."""
-    return max(1, math.ceil(np.pi * (R - margin) ** 2))
+    """One kernel width inside the disk: the ambient dimension for constants.
+
+    R - margin is clamped at 0, so a margin of 0 or more never gives a core
+    larger than :func:`bulk_dimension`; a negative margin raises ValueError.
+    """
+    if not margin >= 0:
+        raise ValueError(f"margin must be nonnegative, got {margin!r}")
+    return max(1, math.ceil(np.pi * max(R - margin, 0.0) ** 2))
 
 
 def _coefficients(lam: np.ndarray, degree: int) -> np.ndarray:
@@ -253,46 +259,39 @@ def fock_multiplier_report(lattice: FockLattice, mu, Dmax=None) -> dict:
     }
 
 
-def fock_lifting_experiment(
-    delta: float,
-    R_list,
-    mu: dict = SYMBOL_SPEC,
-    m: dict = UNIT_SPEC,
-    ps=(2,),
-    s: float = 4.0,
-    margin: float = 0.5,
-    jitter: float = 0.0,
-    seed: int = 1,
-) -> dict:
-    """Per-R frame verdict at the Landau count, lifting pipeline on the core.
+class FockFamily:
+    """The Fock lift: per R, a frame verdict at the Landau count, the pipeline on the core.
 
-    ``mu`` and ``m`` are weight specs (:meth:`Weight.from_spec`), read on
-    each R's lattice points; the default mu is (1 + |lambda|)^2 and the
-    default m is 1. A lattice that fails the frame test (sub-critical
-    density) produces a failure entry quoting the measured density proxy
-    instead of raising.
+    ``mu`` is read on each R's lattice points. A lattice that fails the frame
+    test on the bulk (sub-critical density) becomes a failure entry quoting
+    its density proxy. The core's frame operator is a leading principal
+    block of the bulk's, so by Cauchy interlacing the core is a frame
+    whenever the bulk is. ``seed`` also seeds the lattice jitter.
     """
-    entries = []
-    decay_scaling = {}
-    for R in R_list:
-        lat = FockLattice(delta, float(R), jitter=jitter, seed=seed)
-        K0 = bulk_dimension(lat.R)
-        K1 = core_dimension(lat.R, margin)
+
+    key = "R"
+    mu_default = SYMBOL_SPEC
+
+    def __init__(self, delta: float, R_list, margin: float = 0.5, jitter: float = 0.0, seed: int = 1):
+        for R in R_list:
+            if isinstance(R, bool) or not isinstance(R, numbers.Real) or not 0 < R < np.inf:
+                raise ValueError(f"R must be a finite positive number, got {R!r}")
+        self.sizes = [float(R) for R in R_list]
+        self.delta, self.margin, self.jitter, self.seed = delta, margin, jitter, seed
+
+    def case(self, R: float):
+        lat = FockLattice(self.delta, R, jitter=self.jitter, seed=self.seed)
+        K0, K1 = bulk_dimension(R), core_dimension(R, self.margin)
         verdict_frame = bulk_frame(lat, K0)
-        core = bulk_frame(lat, K1)
-        idx = core.index_set  # the lattice points; its distances serve every scan below
-        # Read on every R, so a bad spec fails even where no frame runs.
-        mu_w, m_w = (keyed_weight(key, spec, idx) for key, spec in (("mu", mu), ("m", m)))
         A, B = verdict_frame.bounds
         entry = {
-            "R": float(R),
+            "R": R,
             "n_points": lat.n,
             "K_verdict": K0,
             "K_core": K1,
             "bulk_bounds": [float(A), float(B)],
             "density_proxy": beurling_density_lower(lat),
         }
-        entries.append(entry)
         if not verdict_frame.is_frame:
             entry["status"] = "not_a_frame"
             entry["note"] = (
@@ -301,25 +300,27 @@ def fock_lifting_experiment(
                 "sub-critical regime (frames require density above one)"
             )
             entry["condition"] = float("inf")
-            continue
-        rep = pipeline_entry(entry, core, mu_w, m=m_w, ps=ps, s=s, seed=seed)
-        del core  # release its cached Gram and dual before the next size runs
-        if rep is None:
-            entry["note"] = "core compression lost the frame property"
-            continue
-        rep["metadata"]["mu_subexponential_constant"] = moderateness_constant(
-            mu_w, 1.0, profile="subexponential", beta=1.0
+        return entry, bulk_frame(lat, K1)
+
+    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float) -> dict:
+        """The symbol's subexponential constant, then the exact Gram's decay.
+
+        The core's index set holds each lattice point as (Re, Im), and the
+        pipeline's moderateness scan already computed its distances.
+        """
+        entry["report"]["metadata"]["mu_subexponential_constant"] = moderateness_constant(
+            mu, 1.0, profile="subexponential", beta=1.0
         )
-        G = fock_gram_exact(lat)
-        decay_scaling[str(R)] = {str(se): matalg.decay_constant(G, se, idx) for se in (2.0, s, 6.0)}
-        del G
-    return {
-        "kind": "fock_lifting",
-        "delta": delta,
-        "margin": margin,
-        "s": s,
-        "ps": ["inf" if p == np.inf else p for p in ps],
-        "entries": entries,
-        "condition_ratios": condition_ratios(entries),
-        "gram_decay_scaling": decay_scaling,
-    }
+        idx = frame.index_set
+        G = fock_gram_exact(idx.points[:, 0] + 1j * idx.points[:, 1])
+        return {"gram_decay_scaling": {str(se): matalg.decay_constant(G, se, idx) for se in (2.0, s, 6.0)}}
+
+    def fields(self, s: float, ps: list, tables: dict) -> dict:
+        return {
+            "kind": "fock_lifting",
+            "delta": self.delta,
+            "margin": self.margin,
+            "s": s,
+            "ps": ps,
+            "gram_decay_scaling": tables["gram_decay_scaling"],
+        }

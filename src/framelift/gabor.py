@@ -14,14 +14,14 @@ experiment reports both.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matalg
-from .coorbit import condition_ratios, pipeline_entry
 from .frames import Frame
-from .weights import SYMBOL_SPEC, TORUS, UNIT_SPEC, IndexSet, Weight, keyed_weight, moderateness_constant
+from .weights import SYMBOL_SPEC, TORUS, IndexSet, Weight, moderateness_constant
 
 WINDOW_PERIODIZATION = 3  # tail terms below 1e-12 for N >= 4
 
@@ -145,16 +145,16 @@ def stft_decay_constant(g: np.ndarray, s: float, normalized: bool = False) -> fl
     return float(np.max(V * (1.0 + dist) ** s))
 
 
-def moderate_interplay_check(system: GaborSystem, t: float, s: float) -> dict:
+def moderate_interplay_check(frame: Frame, t: float, s: float) -> dict:
     """decay(G^mu, s) <= moderateness(mu, t) * decay(G, s + t) for mu = w_t.
 
     The pointwise inequality (mu_k / mu_l) |G_kl| <= C_mod (1 + d_kl)^t |G_kl|
     makes this hold for every t-moderate mu; checked here for the polynomial
     weight itself.
     """
-    idx = system.frame.index_set
+    idx = frame.index_set
     mu = Weight.polynomial(idx, t)
-    G = system.frame.gram_matrix
+    G = frame.gram_matrix
     lhs = matalg.decay_constant(matalg.conjugate(G, mu.values), s, idx)
     cmod = moderateness_constant(mu, t)
     rhs = cmod * matalg.decay_constant(G, s + t, idx)
@@ -170,72 +170,64 @@ def _lattice_for(N: int, redundancy, a_ratio, b_ratio) -> TFLattice:
     return TFLattice(N, max(1, N // int(a_ratio)), max(1, N // int(b_ratio)))
 
 
-def gabor_lifting_experiment(
-    Ns,
-    redundancy: int = 4,
-    a_ratio=None,
-    b_ratio=None,
-    mu: dict = SYMBOL_SPEC,
-    t_check: float = 2.0,
-    s: float = 4.0,
-    ps=(2,),
-    m: dict = UNIT_SPEC,
-    seed: int = 0,
-) -> dict:
-    """Lifting pipeline per N plus the N-scaling condition table.
+class GaborFamily:
+    """The Gabor lift: one system on Z_N per N, over a balanced or ratio lattice.
 
-    ``mu`` and ``m`` are weight specs (:meth:`Weight.from_spec`), read on
-    each N's raw torus lattice; the default mu is (1 + dist(lambda, 0))^2
-    and the default m is 1. Non-frame lattices become failure entries
-    instead of exceptions. Decay constants are tabulated in both raw and
-    normalized metrics; only the normalized ones are comparable across N.
+    ``mu`` is read on each N's raw torus lattice. A lattice that is not a
+    frame becomes a failure entry instead of an exception. Decay constants
+    are tabulated in both raw and normalized metrics; only the normalized
+    ones are comparable across N.
     """
-    entries = []
-    decay_norm, decay_norm_dual, decay_raw = {}, {}, {}
-    window_decay = {}
-    for N in Ns:
-        lat = _lattice_for(int(N), redundancy, a_ratio, b_ratio)
-        sys_ = gabor_system(lat.N, lat.a, lat.b)
-        A, Bb = sys_.frame.bounds
+
+    key = "N"
+    mu_default = SYMBOL_SPEC
+
+    def __init__(self, Ns, redundancy: int = 4, a_ratio=None, b_ratio=None, t_check: float = 2.0):
+        for N in Ns:
+            if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+                raise ValueError(f"N must be an integer, got {N!r}")
+        self.sizes = [int(N) for N in Ns]
+        self.redundancy, self.a_ratio, self.b_ratio = redundancy, a_ratio, b_ratio
+        self.t_check = t_check
+
+    def case(self, N: int):
+        lat = _lattice_for(N, self.redundancy, self.a_ratio, self.b_ratio)
+        frame = gabor_system(lat.N, lat.a, lat.b).frame
+        A, B = frame.bounds
         entry = {
-            "N": int(N),
+            "N": N,
             "a": lat.a,
             "b": lat.b,
             "n_vectors": lat.n,
             "redundancy": lat.redundancy,
-            "frame_bounds": [float(A), float(Bb)],
+            "frame_bounds": [float(A), float(B)],
         }
-        entries.append(entry)
-        idx_raw = sys_.frame.index_set
-        mu_w, m_w = (keyed_weight(key, spec, idx_raw) for key, spec in (("mu", mu), ("m", m)))
-        rep = pipeline_entry(entry, sys_.frame, mu_w, m=m_w, ps=ps, s=s, seed=seed)
-        if rep is None:
-            continue
-        rep["metadata"]["window_decay_constants"] = {
-            str(se): stft_decay_constant(sys_.window, se, normalized=True)
-            for se in (2.0, 4.0, 6.0, 8.0)
+        return entry, frame
+
+    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float) -> dict:
+        """Window decay and the interplay check, then the normalized Gram decay."""
+        rep = entry["report"]
+        lat = TFLattice(entry["N"], entry["a"], entry["b"])
+        window = gaussian_window(lat.N)
+        window_decay = {
+            str(se): stft_decay_constant(window, se, normalized=True) for se in (2.0, 4.0, 6.0, 8.0)
         }
-        rep["metadata"]["interplay"] = moderate_interplay_check(sys_, t_check, s)
+        rep["metadata"]["window_decay_constants"] = window_decay
+        rep["metadata"]["interplay"] = moderate_interplay_check(frame, self.t_check, s)
         idx_norm = lat.index_set(normalized=True)
-        G = sys_.frame.gram_matrix
-        Gd = sys_.frame.canonical_dual().gram_matrix
-        decay_norm[str(N)] = matalg.decay_constant(G, s, idx_norm)
-        decay_norm_dual[str(N)] = matalg.decay_constant(Gd, s, idx_norm)
-        decay_raw[str(N)] = rep["decay_profiles"]["G"]  # G on idx_raw at s, from step (ii)
-        window_decay[str(N)] = rep["metadata"]["window_decay_constants"]
-        # Release this size's n x n arrays before the next size runs.
-        del G, Gd, idx_norm
-    return {
-        "kind": "gabor_lifting",
-        "s": s,
-        "ps": ["inf" if p == np.inf else p for p in ps],
-        "entries": entries,
-        "condition_ratios": condition_ratios(entries),
-        "decay_scaling": {
+        return {
+            "gram_normalized": matalg.decay_constant(frame.gram_matrix, s, idx_norm),
+            "dual_gram_normalized": matalg.decay_constant(frame.canonical_dual().gram_matrix, s, idx_norm),
+            "gram_raw": rep["decay_profiles"]["G"],  # G on the raw index set at s, from step (ii)
+            "window_decay": window_decay,
+        }
+
+    def fields(self, s: float, ps: list, tables: dict) -> dict:
+        decay = {name: tables[name] for name in ("gram_normalized", "dual_gram_normalized", "gram_raw")}
+        return {
+            "kind": "gabor_lifting",
             "s": s,
-            "gram_normalized": decay_norm,
-            "dual_gram_normalized": decay_norm_dual,
-            "gram_raw": decay_raw,
-        },
-        "window_decay": window_decay,
-    }
+            "ps": ps,
+            "decay_scaling": {"s": s, **decay},
+            "window_decay": tables["window_decay"],
+        }

@@ -16,23 +16,23 @@ import pytest
 import scipy.linalg
 
 from framelift.cli import main as cli_main
-from framelift.coorbit import coercivity_check, lifting_theorem_pipeline
+from framelift.coorbit import coercivity_check, lifting_theorem_pipeline, sweep
 from framelift.fock import (
+    FockFamily,
     FockLattice,
     beurling_density_lower,
     embed_truncated,
     fock_gram_exact,
-    fock_lifting_experiment,
 )
 from framelift.frames import gram_identities_check, random_frame
-from framelift.gabor import gabor_lifting_experiment
+from framelift.gabor import GaborFamily
 from framelift.multipliers import (
     galerkin,
     invertibility_verdicts,
     multiplier,
     op_from_matrix,
 )
-from framelift.weights import diag_lift, weighted_norm
+from framelift.weights import SYMBOL_SPEC, UNIT_SPEC, diag_lift, weighted_norm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -161,8 +161,8 @@ def test_criterion_4_coercivity():
 
 def test_criterion_5_gabor_uniformity():
     with criterion(5, "Gabor lifting uniformity across N", budget=300.0):
-        out = gabor_lifting_experiment(
-            [16, 32, 64, 128], mu={"type": "polynomial", "t": 2.0}, ps=(2,), seed=0
+        out = sweep(
+            GaborFamily([16, 32, 64, 128]), {"type": "polynomial", "t": 2.0}, UNIT_SPEC, ps=(2,), seed=0
         )
         assert len(out["entries"]) == 4
         for e in out["entries"]:
@@ -190,11 +190,11 @@ def test_criterion_6_fock():
         proxy = beurling_density_lower(FockLattice(delta=0.8, R=2.5))
         assert abs(proxy / 1.5625 - 1.0) < 0.15
 
-        sub = fock_lifting_experiment(1.2, [2.0], ps=(2,))
+        sub = sweep(FockFamily(1.2, [2.0]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=1)
         assert sub["entries"][0]["status"] == "not_a_frame"
 
-        out = fock_lifting_experiment(
-            0.8, [1.5, 2.0, 2.5], mu={"type": "polynomial", "t": 2.0}, ps=(2,)
+        out = sweep(
+            FockFamily(0.8, [1.5, 2.0, 2.5]), {"type": "polynomial", "t": 2.0}, UNIT_SPEC, ps=(2,), seed=1
         )
         for e in out["entries"]:
             assert e["status"] == "ok", e
@@ -205,7 +205,7 @@ def test_criterion_6_fock():
 
 def test_criterion_7_decay_bookkeeping():
     with criterion(7, "Gram decay constants stay bounded in N", budget=120.0):
-        out = gabor_lifting_experiment([32, 64, 128], ps=(2,), seed=0)
+        out = sweep(GaborFamily([32, 64, 128]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)
         gram_c = out["decay_scaling"]["gram_normalized"]
         vals = [gram_c[k] for k in sorted(gram_c)]
         assert max(vals) / min(vals) < 1.25

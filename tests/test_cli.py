@@ -12,11 +12,11 @@ import pytest
 
 from framelift import cli
 from framelift.cli import _entry_rows, main
-from framelift.coorbit import pipeline_entry
-from framelift.fock import fock_lifting_experiment
+from framelift.coorbit import FrameFamily, sweep
+from framelift.fock import FockFamily
 from framelift.frames import Frame, random_frame
-from framelift.gabor import gabor_lifting_experiment, gabor_system
-from framelift.weights import Weight
+from framelift.gabor import GaborFamily, gabor_system
+from framelift.weights import UNIT_SPEC, Weight
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,6 +146,46 @@ class TestConfigErrors:
             {"kind": "custom-frame", "frame": {"type": "onb", "d": 4}, "ps": [True]},
         )
         assert main(["lift", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("ps", [[1, 1, 2], [2, 2.0], ["inf", "Infinity"], [3.5, "inf", 3.5]])
+    def test_duplicate_p_is_a_config_error(self, tmp_path, capsys, ps):
+        # Duplicates are found after normalization: 2 and 2.0 are one p, as are
+        # "inf" and "Infinity".
+        cfg = _write(tmp_path, "dup.json", dict(_read_json(CONFIGS / "lift_scalar_onb.json"), ps=ps))
+        assert main(["lift", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "lifting_table.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, key, sizes",
+        [
+            ("lift_gabor.json", "Ns", "[16.5]"),
+            ("lift_gabor.json", "Ns", "[16.0]"),
+            ("lift_gabor.json", "Ns", "[true]"),
+            ("lift_gabor.json", "Ns", '["16"]'),
+            ("lift_fock.json", "R_list", "[Infinity]"),
+            ("lift_fock.json", "R_list", "[NaN]"),
+            ("lift_fock.json", "R_list", "[0]"),
+            ("lift_fock.json", "R_list", "[2.0, -1]"),
+            ("lift_fock.json", "R_list", '["2.0"]'),
+            ("lift_fock.json", "R_list", "[true]"),
+        ],
+    )
+    def test_invalid_size_is_a_config_error(self, tmp_path, capsys, config, key, sizes):
+        # N is an integer and R a finite positive number; anything else is
+        # rejected before any size runs, not coerced.
+        text = json.dumps(dict(_read_json(CONFIGS / config), **{key: "@"})).replace('"@"', sizes)
+        path = tmp_path / "sizes.json"
+        path.write_text(text)
+        assert main(["lift", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "lift_report.json").exists()
+
+    @pytest.mark.parametrize("margin", [-0.5, -1e-9])
+    def test_negative_margin_is_a_config_error(self, tmp_path, capsys, margin):
+        cfg = _write(tmp_path, "margin.json", dict(_read_json(CONFIGS / "lift_fock.json"), margin=margin))
+        assert main(["lift", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "margin" in capsys.readouterr().err
 
     def test_non_object_weight_spec_is_rejected(self, tmp_path):
         cfg = _write(tmp_path, "badmu.json", {"kind": "gabor", "Ns": [16], "mu": 2})
@@ -333,14 +373,19 @@ class TestLift:
         [
             (
                 "lift_gabor.json",
-                lambda cfg: gabor_lifting_experiment(
-                    cfg["Ns"], redundancy=4, mu=cfg["mu"], m=cfg["m"], ps=[2], s=4.0, seed=0
+                lambda cfg: sweep(
+                    GaborFamily(cfg["Ns"], redundancy=4), cfg["mu"], cfg["m"], ps=[2], s=4.0, seed=0
                 ),
             ),
             (
                 "lift_fock.json",
-                lambda cfg: fock_lifting_experiment(
-                    0.8, cfg["R_list"], mu=cfg["mu"], ps=[2], s=4.0, margin=0.5, seed=1
+                lambda cfg: sweep(
+                    FockFamily(0.8, cfg["R_list"], margin=0.5, seed=1),
+                    cfg["mu"],
+                    UNIT_SPEC,
+                    ps=[2],
+                    s=4.0,
+                    seed=1,
                 ),
             ),
         ],
@@ -388,6 +433,25 @@ class TestLift:
         entry = _read_json(tmp_path / "lift_report.json")["entries"][0]
         assert (entry["a"], entry["b"]) == (4, 4)
 
+    def test_tables_and_files_are_keyed_by_the_entry_size(self, tmp_path):
+        # An integer R is the float R = 4.0 in its entry, its file name and
+        # every per-size table.
+        cfg = _write(tmp_path, "fock.json", dict(_read_json(CONFIGS / "lift_fock.json"), R_list=[2, 2.5]))
+        assert main(["lift", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = _read_json(tmp_path / "lift_report.json")
+        assert [e["R"] for e in report["entries"]] == [2.0, 2.5]
+        assert set(report["gram_decay_scaling"]) == {"2.0", "2.5"}
+        assert (tmp_path / "lift_R2.0.json").exists()
+        with open(tmp_path / "lifting_table.csv", newline="") as fh:
+            assert [r["size"] for r in csv.DictReader(fh)] == ["2.0", "2.5"]
+
+    def test_margin_beyond_the_radius_leaves_a_one_dimensional_core(self, tmp_path):
+        # R - margin is clamped at 0: the core is C^1, inside the bulk C^8.
+        cfg = dict(_read_json(CONFIGS / "lift_fock.json"), R_list=[1.5], margin=4.0)
+        assert main(["lift", "--config", _write(tmp_path, "fock.json", cfg), "--out", str(tmp_path)]) == 0
+        entry = _read_json(tmp_path / "lift_R1.5.json")["entry"]
+        assert (entry["K_core"], entry["K_verdict"], entry["status"]) == (1, 8, "ok")
+
     def test_custom_frame_that_is_not_a_frame_fails(self, tmp_path):
         # 4 Gabor vectors cannot span C^16.
         cfg = _write(
@@ -415,10 +479,11 @@ class TestLift:
 class TestRows:
     def test_entry_report_is_the_pipeline_dict_and_rows(self, rng):
         fr = random_frame(rng, 8, 4)
-        mu = rng.uniform(0.5, 2.0, 8)
-        entry = {"size": "N=8"}
-        report = pipeline_entry(entry, fr, mu, ps=(2, np.inf))
-        assert entry["report"] is report
+        mu = {"type": "values", "values": rng.uniform(0.5, 2.0, 8).tolist()}
+        out = sweep(FrameFamily(fr), mu, UNIT_SPEC, ps=(2, np.inf))
+        assert set(out) == {"entries", "condition_ratios"}
+        [entry] = out["entries"]
+        report = entry["report"]
         assert set(report) == {
             "lower", "upper", "condition", "per_p_results", "verdicts",
             "residuals", "decay_profiles", "moderateness", "metadata",
@@ -428,7 +493,7 @@ class TestRows:
         assert {r["p"] for r in rows} == {"2", "inf"}
         for r in rows:
             assert set(r) == {"size", "p", "weight", "lower", "upper", "condition", "verdict"}
-            assert r["size"] == "N=8"
+            assert r["size"] == 8
             assert r["verdict"] == "ok"
 
 

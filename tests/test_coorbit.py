@@ -7,58 +7,16 @@ import scipy.linalg
 
 from framelift import matalg
 from framelift.coorbit import (
-    CoorbitSpace,
     _lifting_maps,
     coercivity_check,
-    coorbit_norm,
-    duality_pairing,
-    equivalence_constants,
     lifting_constants,
     lifting_theorem_pipeline,
     map_constants,
-    operator_norm_between,
 )
 from framelift.frames import gram, onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
 from framelift.multipliers import _SplitCore, galerkin, multiplier
-from framelift.weights import Weight, weighted_norm
-from tests.conftest import random_vector
-
-
-class TestNormAndPairing:
-    def test_onb_coorbit_norm_is_weighted_sequence_norm(self, rng):
-        fr = onb(6)
-        w = Weight.polynomial(fr.index_set, 1.0)
-        f = random_vector(rng, 6)
-        for p in (1, 2, np.inf):
-            space = CoorbitSpace(fr, p, w)
-            assert coorbit_norm(space, f) == pytest.approx(weighted_norm(f, p, w.values))
-
-    def test_pairing_reproduces_ambient_inner_product(self, rng, small_frame):
-        f = random_vector(rng, small_frame.d)
-        g = random_vector(rng, small_frame.d)
-        space = CoorbitSpace(small_frame, 2)
-        want = np.sum(f * np.conj(g))
-        assert duality_pairing(f, g, space) == pytest.approx(want, abs=1e-12)
-
-    def test_dual_frame_equivalence_is_trivial(self, small_frame):
-        # the space norm is defined through dual coefficients, so offering
-        # the dual itself as the alternative frame must give constants 1
-        space = CoorbitSpace(small_frame, 2)
-        res = equivalence_constants(space, small_frame.canonical_dual())
-        assert res["c_low"] == pytest.approx(1.0, abs=1e-10)
-        assert res["c_high"] == pytest.approx(1.0, abs=1e-10)
-
-    def test_frame_vs_dual_equivalence_brackets_ordered(self, small_frame):
-        space = CoorbitSpace(small_frame, 2)
-        res = equivalence_constants(space, small_frame)
-        assert 0 < res["c_low"] <= res["c_high"]
-
-    def test_identity_operator_norm_on_onb(self, rng):
-        fr = onb(5)
-        lo, hi = operator_norm_between(np.eye(5), fr, 2)
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
+from framelift.weights import Weight
 
 
 class TestCoercivity:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from framelift import fock, kernels
+from framelift.coorbit import sweep
 from framelift.fock import (
+    FockFamily,
     FockLattice,
     beurling_density_lower,
     beurling_density_table,
@@ -14,12 +16,12 @@ from framelift.fock import (
     default_degree,
     embed_truncated,
     fock_gram_exact,
-    fock_lifting_experiment,
     fock_multiplier,
     fock_multiplier_report,
     truncation_residual,
 )
 from framelift.matalg import decay_constant
+from framelift.weights import SYMBOL_SPEC, UNIT_SPEC
 
 
 class TestExactGram:
@@ -84,6 +86,35 @@ class TestTruncation:
         for R, (k0, k1) in table.items():
             assert bulk_dimension(R) == k0
             assert core_dimension(R) == k1
+
+    @pytest.mark.parametrize("R", [0.3, 1.5, 2.5, 8.0])
+    @pytest.mark.parametrize("margin", [0.0, 0.5, 1.5, 4.0, 100.0])
+    def test_core_never_exceeds_bulk(self, R, margin):
+        assert 1 <= core_dimension(R, margin) <= bulk_dimension(R)
+
+    def test_margin_beyond_the_radius_gives_a_one_dimensional_core(self):
+        assert core_dimension(1.5, 4.0) == 1
+        assert core_dimension(1.5, 1.5) == 1
+
+    @pytest.mark.parametrize("margin", [-0.5, -1e-12, float("nan")])
+    def test_negative_margin_is_rejected(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            core_dimension(2.0, margin)
+
+    @pytest.mark.parametrize("delta", [0.8, 1.0, 1.2])
+    @pytest.mark.parametrize("R, margin", [(1.5, 0.5), (2.5, 0.5), (2.5, 2.0), (4.0, 1.0)])
+    def test_core_is_a_frame_whenever_the_bulk_is(self, delta, R, margin):
+        # The core's frame operator is the leading principal block of the
+        # bulk's, so its eigenvalues interlace: bounds only move inward.
+        lat = FockLattice(delta, R)
+        bulk, core = bulk_frame(lat, bulk_dimension(R)), bulk_frame(lat, core_dimension(R, margin))
+        S = bulk.frame_operator
+        block = S[: core.d, : core.d]
+        np.testing.assert_allclose(core.frame_operator, block, rtol=0, atol=1e-14 * np.abs(S).max())
+        (a_bulk, b_bulk), (a_core, b_core) = bulk.bounds, core.bounds
+        assert a_core >= a_bulk - 1e-12 * b_bulk
+        assert b_core <= b_bulk * (1 + 1e-12)
+        assert core.is_frame or not bulk.is_frame
 
     def test_bulk_frame_has_requested_dimension(self):
         lat = FockLattice(delta=0.8, R=1.5)
@@ -191,8 +222,8 @@ class TestLattice:
 
 class TestExperiment:
     def test_frozen_conditions_and_growths(self):
-        out = fock_lifting_experiment(
-            0.8, [1.5, 2.0, 2.5], mu={"type": "polynomial", "t": 2.0}, ps=(2,)
+        out = sweep(
+            FockFamily(0.8, [1.5, 2.0, 2.5]), {"type": "polynomial", "t": 2.0}, UNIT_SPEC, ps=(2,), seed=1
         )
         conds = [e["condition"] for e in out["entries"]]
         np.testing.assert_allclose(
@@ -208,14 +239,14 @@ class TestExperiment:
             assert e["report"]["lower"] > 0
 
     def test_subcritical_density_reports_failures(self):
-        out = fock_lifting_experiment(1.2, [1.5, 2.0], ps=(2,))
+        out = sweep(FockFamily(1.2, [1.5, 2.0]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=1)
         for e in out["entries"]:
             assert e["status"] == "not_a_frame"
             assert "density" in e["note"]
         assert out["condition_ratios"] == []
 
     def test_jittered_lattice_frozen_condition(self):
-        out = fock_lifting_experiment(0.8, [2.0], ps=(2,), jitter=0.1, seed=1)
+        out = sweep(FockFamily(0.8, [2.0], jitter=0.1, seed=1), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=1)
         e = out["entries"][0]
         assert e["status"] == "ok"
         assert e["condition"] == pytest.approx(1.5197574984075497, rel=1e-9)
@@ -237,7 +268,7 @@ class TestExperiment:
 
         monkeypatch.setattr(fock, "fock_gram_exact", counted("gram", gram_exact))
         monkeypatch.setattr(kernels, "pairwise_dist", counted("dist", pairwise_dist))
-        out = fock_lifting_experiment(0.8, [2.5], ps=(2,))
+        out = sweep(FockFamily(0.8, [2.5]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=1)
         assert counts["gram"] == 1
         assert counts["dist"] <= 2
         lat = FockLattice(0.8, 2.5)
@@ -256,11 +287,11 @@ class TestExperiment:
             return build(lat)
 
         monkeypatch.setattr(points, "func", counted)
-        fock_lifting_experiment(0.8, [2.5, 8.0], mu={"type": "polynomial", "t": 6.0}, ps=(2,))
+        sweep(FockFamily(0.8, [2.5, 8.0]), {"type": "polynomial", "t": 6.0}, UNIT_SPEC, ps=(2,), seed=1)
         assert built == [2.5, 8.0]
 
     def test_gram_decay_constants_stable_across_radius(self):
-        out = fock_lifting_experiment(0.8, [1.5, 2.0, 2.5], ps=(2,))
+        out = sweep(FockFamily(0.8, [1.5, 2.0, 2.5]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=1)
         sc = out["gram_decay_scaling"]
         for s_key, want in (("2.0", 1.185617), ("4.0", 3.841400)):
             vals = [sc[R_key][s_key] for R_key in sc if s_key in sc[R_key]]

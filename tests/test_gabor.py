@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from framelift import matalg
+from framelift.coorbit import sweep
 from framelift.frames import NotAFrameError
 from framelift.gabor import (
+    GaborFamily,
     TFLattice,
-    gabor_lifting_experiment,
     gabor_system,
     gaussian_window,
     moderate_interplay_check,
@@ -15,6 +16,7 @@ from framelift.gabor import (
     stft_decay_constant,
     tf_shift,
 )
+from framelift.weights import SYMBOL_SPEC, UNIT_SPEC
 from tests.conftest import random_vector
 
 
@@ -195,16 +197,14 @@ class TestGaborFrame:
 
     def test_moderate_interplay_inequality(self):
         sys = gabor_system(32, 2, 4)
-        res = moderate_interplay_check(sys, t=2.0, s=4.0)
+        res = moderate_interplay_check(sys.frame, t=2.0, s=4.0)
         assert res["ok"]
         assert res["lhs"] <= res["moderateness"] * res["rhs"] + 1e-12
 
 
 class TestExperiment:
     def test_frozen_conditions_and_ratios(self):
-        out = gabor_lifting_experiment(
-            [16, 32, 64], mu={"type": "polynomial", "t": 2.0}, ps=(2,), seed=0
-        )
+        out = sweep(GaborFamily([16, 32, 64]), {"type": "polynomial", "t": 2.0}, UNIT_SPEC, ps=(2,), seed=0)
         conds = [e["condition"] for e in out["entries"]]
         np.testing.assert_allclose(
             conds,
@@ -219,7 +219,7 @@ class TestExperiment:
             assert e["report"]["lower"] > 0
 
     def test_decay_constants_stable_across_sizes(self):
-        out = gabor_lifting_experiment([32, 64], ps=(2,), seed=0)
+        out = sweep(GaborFamily([32, 64]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)
         sc = out["decay_scaling"]["gram_normalized"]
         vals = [sc[k] for k in sorted(sc)]
         assert max(vals) / min(vals) < 1.05
@@ -235,7 +235,7 @@ class TestExperiment:
             return decay(*args)
 
         monkeypatch.setattr(matalg, "decay_constant", counted)
-        out = gabor_lifting_experiment([16, 32], ps=(2,), seed=0)
+        out = sweep(GaborFamily([16, 32]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)
         for e in out["entries"]:
             sys_ = gabor_system(e["N"], e["a"], e["b"])
             want = decay(sys_.frame.gram_matrix, 4.0, sys_.frame.index_set)
@@ -246,7 +246,7 @@ class TestExperiment:
         assert len(calls) == 9 * 2
 
     def test_critical_lattice_reports_failure_entry(self):
-        out = gabor_lifting_experiment([16], a_ratio=4, b_ratio=4, ps=(2,), seed=0)
+        out = sweep(GaborFamily([16], a_ratio=4, b_ratio=4), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)
         entry = out["entries"][0]
         # redundancy 1 with the rank check passing means tiny lower bound or
         # an explicit not_a_frame flag; either way no exception escapes
@@ -254,7 +254,7 @@ class TestExperiment:
         assert out["condition_ratios"] == []
 
     def test_rectangular_ratios_change_the_lattice(self):
-        out = gabor_lifting_experiment([32], a_ratio=16, b_ratio=4, ps=(2,), seed=0)
+        out = sweep(GaborFamily([32], a_ratio=16, b_ratio=4), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)
         e = out["entries"][0]
         assert (e["a"], e["b"]) == (2, 8)
         assert e["n_vectors"] == 32 * 32 // (2 * 8)

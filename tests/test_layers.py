@@ -91,3 +91,22 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+
+def _pipeline_calls(node) -> list:
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == "lifting_theorem_pipeline"
+    ]
+
+
+def test_one_call_site_runs_the_pipeline():
+    # Every lift goes through coorbit.sweep; no second loop calls the pipeline.
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE.glob("*.py")}
+    sites = {name: len(_pipeline_calls(tree)) for name, tree in trees.items()}
+    assert {name: count for name, count in sites.items() if count} == {"coorbit": 1}
+    [sweep] = [node for node in trees["coorbit"].body if getattr(node, "name", None) == "sweep"]
+    assert len(_pipeline_calls(sweep)) == 1
