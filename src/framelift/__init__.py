@@ -16,21 +16,16 @@ from .fock import (
     bulk_frame,
     embed_truncated,
     fock_gram_exact,
-    fock_multiplier,
 )
 from .frames import (
     Frame,
     NotAFrameError,
-    canonical_dual,
-    frame_bounds,
     gram,
     gram_identities_check,
     random_frame,
-    reconstruct,
 )
 from .gabor import (
     GaborFamily,
-    GaborSystem,
     TFLattice,
     gabor_system,
     gaussian_window,
@@ -42,21 +37,16 @@ from .matalg import (
     decay_constant,
     operator_norm,
     pseudo_inverse,
-    schur_constant,
-    schur_product_constant,
-    weighted_pseudo_inverse,
 )
 from .multipliers import (
-    Multiplier,
     Slots,
     galerkin,
     invertibility_matrix,
     invertibility_verdicts,
     multiplier,
-    op_from_matrix,
     spectral_invariance_suite,
 )
-from .weights import IndexSet, Weight, diag_lift, moderateness_constant, weighted_norm
+from .weights import IndexSet, Weight, moderateness_constant
 
 __version__ = "0.1.0"
 
@@ -66,9 +56,7 @@ __all__ = [
     "Frame",
     "FrameFamily",
     "GaborFamily",
-    "GaborSystem",
     "IndexSet",
-    "Multiplier",
     "NotAFrameError",
     "Slots",
     "TFLattice",
@@ -76,15 +64,11 @@ __all__ = [
     "beurling_density_lower",
     "beurling_density_table",
     "bulk_frame",
-    "canonical_dual",
     "coercivity_check",
     "conjugate",
     "decay_constant",
-    "diag_lift",
     "embed_truncated",
     "fock_gram_exact",
-    "fock_multiplier",
-    "frame_bounds",
     "gabor_system",
     "galerkin",
     "gaussian_window",
@@ -96,18 +80,12 @@ __all__ = [
     "lifting_theorem_pipeline",
     "moderateness_constant",
     "multiplier",
-    "op_from_matrix",
     "operator_norm",
     "pseudo_inverse",
     "random_frame",
-    "reconstruct",
-    "schur_constant",
-    "schur_product_constant",
     "spectral_invariance_suite",
     "stft",
     "sweep",
     "tf_shift",
-    "weighted_norm",
-    "weighted_pseudo_inverse",
     "__version__",
 ]

@@ -101,20 +101,23 @@ def _require(cfg: dict, key: str, types, what: str):
     return val
 
 
+# The integer fields of each frame type; _parse_positive_int reads them.
+_FRAME_INTEGERS = {"onb": ("d",), "random": ("n", "d"), "gabor": ("N", "a", "b")}
+
+
 def build_frame(spec, seed: int) -> frames.Frame:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("frame spec must be an object with a 'type'")
     kind = spec["type"]
     try:
+        ints = {key: _parse_positive_int(spec[key], key) for key in _FRAME_INTEGERS.get(kind, ())}
         if kind == "onb":
-            return frames.onb(int(spec["d"]))
+            return frames.onb(ints["d"])
         if kind == "random":
-            rng = np.random.default_rng(int(spec.get("seed", seed)))
-            return frames.random_frame(
-                rng, int(spec["n"]), int(spec["d"]), kind=spec.get("variant", "generic")
-            )
+            rng = np.random.default_rng(_parse_seed(spec.get("seed", seed)))
+            return frames.random_frame(rng, ints["n"], ints["d"], kind=spec.get("variant", "generic"))
         if kind == "gabor":
-            return gabor.gabor_system(int(spec["N"]), int(spec["a"]), int(spec["b"])).frame
+            return gabor.gabor_system(ints["N"], ints["a"], ints["b"])
         if kind == "fock":
             return fock_mod.embed_truncated(fock_mod.FockLattice.from_dict(spec))
         if kind == "json":
@@ -147,6 +150,12 @@ def _parse_seed(seed) -> int:
     return seed
 
 
+def _parse_positive_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"'{key}' must be a positive integer, got {value!r}")
+    return value
+
+
 def _parse_nonnegative(value, key: str) -> float:
     """A finite nonnegative number from the config or the command line."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < np.inf:
@@ -165,7 +174,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     s = _parse_nonnegative(cfg.get("s", 4.0), "s")
 
     identities = frames.gram_identities_check(frame, rtol=tol)
-    M = multipliers.multiplier(mu, frame).matrix
+    M = multipliers.multiplier(mu, frame)
     coercivity = coercivity_check(frame, mu, seed=seed, tol=max(tol, 1e-12), M=M)
     suite = multipliers.spectral_invariance_suite(M, frame, weights, ps, s)
 
@@ -235,20 +244,19 @@ def _sizes(cfg: dict, key: str, kind: str) -> list:
     return sizes
 
 
+_LATTICE_KEYS = ("redundancy", "a_ratio", "b_ratio")
+
+
 def _family(cfg: dict, seed: int):
     """The lift family a config names; a custom frame is a one-size family."""
     kind = cfg["kind"]
     if kind == "gabor":
-        return gabor.GaborFamily(
-            _sizes(cfg, "Ns", kind),
-            redundancy=int(cfg.get("redundancy", 4)),
-            a_ratio=cfg.get("a_ratio"),
-            b_ratio=cfg.get("b_ratio"),
-            t_check=float(cfg.get("t_check", 2.0)),
-        )
+        lattice = {key: _parse_positive_int(cfg[key], key) for key in _LATTICE_KEYS if key in cfg}
+        return gabor.GaborFamily(_sizes(cfg, "Ns", kind), t_check=float(cfg.get("t_check", 2.0)), **lattice)
     if kind == "fock":
+        delta = _parse_nonnegative(_require(cfg, "delta", (int, float), kind), "delta")
         return fock_mod.FockFamily(
-            float(_require(cfg, "delta", (int, float), kind)),
+            delta,
             _sizes(cfg, "R_list", kind),
             margin=float(cfg.get("margin", 0.5)),
             jitter=float(cfg.get("jitter", 0.0)),
@@ -302,7 +310,7 @@ def cmd_export(cfg: dict, out_dir: Path, seed: int) -> int:
         target = frame.gram_matrix
     elif what == "multiplier":
         mu = keyed_weight("mu", cfg.get("mu", UNIT_SPEC), frame.index_set)
-        target = multipliers.multiplier(mu, frame).matrix
+        target = multipliers.multiplier(mu, frame)
     else:
         raise ConfigError(f"unknown export target '{what}'")
     if fmt == "json":

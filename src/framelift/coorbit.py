@@ -57,7 +57,7 @@ def coercivity_check(
     if not np.all(muv > 0):
         raise ValueError("mu must be strictly positive")
     if M is None:
-        M = multiplier(muv, psi).matrix
+        M = multiplier(muv, psi)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_random):
@@ -106,7 +106,7 @@ def lifting_constants(psi: Frame, mu, m=None, p=2, seed: int = 0, detail: bool =
     if not np.all(muv > 0):
         raise ValueError("mu must be strictly positive")
     mv = weight_values(m, psi.n)
-    A, B = _lifting_maps(psi, multiplier(muv, psi).matrix, muv, mv)
+    A, B = _lifting_maps(psi, multiplier(muv, psi), muv, mv)
     c = map_constants(A, B, p, seed)
     if detail:
         c["diagnostics"] = {"mu_min": float(muv.min())}
@@ -195,8 +195,8 @@ def lifting_theorem_pipeline(
         }
 
     # Step (i): the splitting matrix and its invertibility on l^2_sqrt(mu).
-    M_mu = multiplier(muv, psi).matrix
-    M_rec = multiplier(1.0 / muv, psi).matrix
+    M_mu = multiplier(muv, psi)
+    M_rec = multiplier(1.0 / muv, psi)
     O = M_rec @ M_mu
     B_split = invertibility_matrix(O, psi, cross=cross)
     sqmu = np.sqrt(muv)

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import matalg
 from .frames import Frame
-from .multipliers import multiplier
-from .weights import SYMBOL_SPEC, IndexSet, Weight, moderateness_constant, weight_values
+from .weights import SYMBOL_SPEC, IndexSet, Weight, moderateness_constant
 
 GRAM_MATCH_WARN = 1e-8
 
@@ -77,9 +76,6 @@ class FockLattice:
     def index_set(self) -> IndexSet:
         lam = self.points
         return IndexSet(np.column_stack([lam.real, lam.imag]))
-
-    def to_dict(self) -> dict:
-        return {"delta": self.delta, "R": self.R, "jitter": self.jitter, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FockLattice":
@@ -131,16 +127,6 @@ def _coefficients(lam: np.ndarray, degree: int) -> np.ndarray:
     return E
 
 
-def truncation_residual(lattice, Dmax=None) -> float:
-    """max_k (1 - sum_n |c_n|^2): per-kernel coefficient mass beyond Dmax."""
-    lat = lattice if isinstance(lattice, FockLattice) else None
-    lam = lat.points if lat else np.asarray(lattice, dtype=complex)
-    if Dmax is None:
-        Dmax = default_degree(lat.R if lat else float(np.abs(lam).max()))
-    E = _coefficients(lam, Dmax)
-    return float(np.max(1.0 - np.sum(np.abs(E) ** 2, axis=0)))
-
-
 def embed_truncated(lattice: FockLattice, Dmax=None) -> Frame:
     """The kernel system as a frame-candidate in C^{Dmax+1}.
 
@@ -168,20 +154,18 @@ def bulk_frame(lattice: FockLattice, K: int) -> Frame:
     return Frame(_coefficients(lattice.points, K - 1), lattice.index_set())
 
 
-def beurling_density_table(lattice: FockLattice, radii=None) -> list:
+def beurling_density_table(lattice: FockLattice, radii) -> list:
     """Worst-case point count per disk area over a quarter-spacing center grid.
 
-    For each radius r the centers z run over a grid of spacing delta / 4 with
-    |z| <= R - r, so every counted disk stays inside the sampled region; the
-    row value is min_z card(points in B_r(z)) / (pi r^2). Edge effects are
-    reported, not corrected.
+    One row per radius r in ``radii`` with r <= R. Its centers z run over a
+    grid of spacing delta / 4 with |z| <= R - r, so every counted disk stays
+    inside the sampled region; the row value is min_z card(points in
+    B_r(z)) / (pi r^2). Edge effects are reported, not corrected.
     """
     lam = lattice.points
     if len(lam) == 0:
         raise ValueError("density of an empty lattice is undefined")
     R = lattice.R
-    if radii is None:
-        radii = np.geomspace(R / 8, R / 2, 5)
     step = lattice.delta / 4
     rows = []
     for r in radii:
@@ -200,63 +184,9 @@ def beurling_density_table(lattice: FockLattice, radii=None) -> list:
     return rows
 
 
-def beurling_density_lower(lattice: FockLattice, radii=None) -> float:
-    """The table value at the largest admissible radius."""
-    return beurling_density_table(lattice, radii)[-1]["min_density"]
-
-
-def _display_assembly(lam: np.ndarray, mu: np.ndarray, degree: int, half: bool) -> np.ndarray:
-    # Normalized-monomial matrix elements of F -> sum mu_l F(l) e^{pi conj(l) z} w(l),
-    # with weight w = e^{-pi |l|^2} (section display) or e^{-pi |l|^2 / 2} (intro).
-    P = np.zeros((degree + 1, len(lam)), dtype=complex)
-    term = np.ones(len(lam), dtype=complex)
-    P[0] = term
-    for n in range(1, degree + 1):
-        term = term * (np.sqrt(np.pi) * lam) / np.sqrt(n)
-        P[n] = term
-    w = np.exp((-np.pi / 2 if half else -np.pi) * np.abs(lam) ** 2)
-    return np.conj(P) @ ((mu * w)[:, None] * P.T)
-
-
-def fock_multiplier(lattice: FockLattice, mu, Dmax=None, convention: str = "kernel") -> np.ndarray:
-    """Discrete-measure Toeplitz operator on the truncated space.
-
-    convention "kernel" builds it as the frame multiplier of the normalized
-    kernel system (the default; identical to the independent closed-form
-    assembly with the e^{-pi |lambda|^2} reproducing weight). convention
-    "intro" uses the half-exponent weight instead, which rescales the symbol
-    by e^{pi |lambda|^2 / 2}.
-    """
-    if Dmax is None:
-        Dmax = default_degree(lattice.R)
-    lam = lattice.points
-    muv = weight_values(mu, len(lam))
-    if np.any(muv <= 0):
-        raise ValueError("mu must be strictly positive on the lattice")
-    if convention == "kernel":
-        return multiplier(muv, embed_truncated(lattice, Dmax)).matrix
-    if convention == "intro":
-        return _display_assembly(lam, muv, Dmax, half=True)
-    raise ValueError("convention must be 'kernel' or 'intro'")
-
-
-def fock_multiplier_report(lattice: FockLattice, mu, Dmax=None) -> dict:
-    """Cross-check the abstract multiplier against both closed-form assemblies."""
-    if Dmax is None:
-        Dmax = default_degree(lattice.R)
-    lam = lattice.points
-    muv = weight_values(mu, len(lam))
-    abstract = multiplier(muv, embed_truncated(lattice, Dmax)).matrix
-    section = _display_assembly(lam, muv, Dmax, half=False)
-    intro = _display_assembly(lam, muv, Dmax, half=True)
-    rescaled = _display_assembly(lam, muv * np.exp(-np.pi * np.abs(lam) ** 2 / 2), Dmax, half=True)
-    scale = max(1.0, float(np.abs(abstract).max()))
-    return {
-        "residual_section_vs_abstract": float(np.abs(section - abstract).max()) / scale,
-        "residual_intro_rescaled_vs_abstract": float(np.abs(rescaled - abstract).max()) / scale,
-        "intro_max_entry": float(np.abs(intro).max()),
-        "note": "the half-exponent display equals the kernel multiplier with symbol mu e^{pi |lambda|^2 / 2}",
-    }
+def beurling_density_lower(lattice: FockLattice) -> float:
+    """The lower density proxy: the table value at radius R / 2."""
+    return beurling_density_table(lattice, (lattice.R / 2,))[0]["min_density"]
 
 
 class FockFamily:

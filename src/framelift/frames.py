@@ -101,12 +101,6 @@ class Frame:
             raise ValueError(f"expected a vector of length {self.d}")
         return self.analysis_matrix @ f
 
-    def synthesis(self, c) -> np.ndarray:
-        c = np.asarray(c)
-        if c.shape != (self.n,):
-            raise ValueError(f"expected a coefficient sequence of length {self.n}")
-        return self.vectors @ c
-
     def canonical_dual(self) -> "Frame":
         if self._dual is None:
             a, b = self.bounds
@@ -133,26 +127,10 @@ class Frame:
         ).reshape(shape)
         return cls(V, IndexSet.from_dict(d["index_set"]))
 
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-
     @classmethod
     def load_json(cls, path) -> "Frame":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def frame_bounds(frame: Frame) -> tuple:
-    """(A, B) = extreme eigenvalues of S; raises NotAFrameError below threshold."""
-    a, b = frame.bounds
-    if not frame.is_frame:
-        raise NotAFrameError(a, b)
-    return a, b
-
-
-def canonical_dual(frame: Frame) -> Frame:
-    return frame.canonical_dual()
 
 
 def gram(frame: Frame, other: Frame | None = None) -> np.ndarray:
@@ -224,16 +202,6 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     resid["projection_rank"] = int(np.round(np.trace(DdC).real))
     resid["ok"] = all(v < rtol for k, v in resid.items() if k != "projection_rank")
     return resid
-
-
-def reconstruct(frame: Frame, f, via: str = "dual_coefficients") -> np.ndarray:
-    """Both frame reconstructions of f: sum <f,psid_k> psi_k or sum <f,psi_k> psid_k."""
-    dual = frame.canonical_dual()
-    if via == "dual_coefficients":
-        return frame.synthesis(dual.analysis(f))
-    if via == "dual_vectors":
-        return dual.synthesis(frame.analysis(f))
-    raise ValueError(f"unknown reconstruction mode {via!r}")
 
 
 def random_frame(rng: np.random.Generator, n: int, d: int, kind: str = "generic") -> Frame:

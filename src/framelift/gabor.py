@@ -15,7 +15,7 @@ experiment reports both.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,35 +110,27 @@ class TFLattice:
         return IndexSet(self.points / scale, metric=TORUS, period=self.N / scale)
 
 
-@dataclass
-class GaborSystem:
-    window: np.ndarray
-    lattice: TFLattice
-    frame: Frame = field(repr=False)
-
-
-def gabor_system(N: int, a: int, b: int, window=None) -> GaborSystem:
-    """The frame {pi(x, omega) g} over the lattice, columns in point order."""
+def gabor_system(N: int, a: int, b: int) -> Frame:
+    """The frame {pi(x, omega) g} of the Gaussian window g over the lattice
+    aZ_N x bZ_N, columns in point order."""
     lat = TFLattice(N, a, b)
-    g = gaussian_window(N) if window is None else np.asarray(window, dtype=complex)
-    if g.shape != (N,):
-        raise ValueError("window length must equal N")
+    g = gaussian_window(N)
     vecs = np.empty((N, lat.n), dtype=complex)
     for j, (x, w) in enumerate(lat.points):
         vecs[:, j] = tf_shift(g, int(x), int(w))
-    return GaborSystem(window=g, lattice=lat, frame=Frame(vecs, lat.index_set()))
+    return Frame(vecs, lat.index_set())
 
 
-def stft_decay_constant(g: np.ndarray, s: float, normalized: bool = False) -> float:
+def stft_decay_constant(g: np.ndarray, s: float) -> float:
     """Measured C with |V_g g(x, omega)| <= C (1 + dist((x,omega), 0))^{-s}.
 
-    Exhaustive scan over the full grid with the torus metric; the normalized
-    flag rescales coordinates by sqrt(N) so constants compare across N.
+    Exhaustive scan over the full grid with the normalized torus metric:
+    coordinates are divided by sqrt(N), so constants compare across N.
     """
     g = np.asarray(g, dtype=complex)
     N = g.shape[0]
     V = np.abs(stft(g, g))
-    scale = math.sqrt(N) if normalized else 1.0
+    scale = math.sqrt(N)
     t = np.arange(N, dtype=float)
     d2 = (np.minimum(t, N - t) / scale) ** 2  # squared torus distance of x (or omega) to 0
     dist = np.sqrt(d2[:, None] + d2[None, :])
@@ -167,7 +159,7 @@ def _lattice_for(N: int, redundancy, a_ratio, b_ratio) -> TFLattice:
         return TFLattice.balanced(N, redundancy)
     a_ratio = b_ratio if a_ratio is None else a_ratio
     b_ratio = a_ratio if b_ratio is None else b_ratio
-    return TFLattice(N, max(1, N // int(a_ratio)), max(1, N // int(b_ratio)))
+    return TFLattice(N, max(1, N // a_ratio), max(1, N // b_ratio))
 
 
 class GaborFamily:
@@ -192,7 +184,7 @@ class GaborFamily:
 
     def case(self, N: int):
         lat = _lattice_for(N, self.redundancy, self.a_ratio, self.b_ratio)
-        frame = gabor_system(lat.N, lat.a, lat.b).frame
+        frame = gabor_system(lat.N, lat.a, lat.b)
         A, B = frame.bounds
         entry = {
             "N": N,
@@ -210,7 +202,7 @@ class GaborFamily:
         lat = TFLattice(entry["N"], entry["a"], entry["b"])
         window = gaussian_window(lat.N)
         window_decay = {
-            str(se): stft_decay_constant(window, se, normalized=True) for se in (2.0, 4.0, 6.0, 8.0)
+            str(se): stft_decay_constant(window, se) for se in (2.0, 4.0, 6.0, 8.0)
         }
         rep["metadata"]["window_decay_constants"] = window_decay
         rep["metadata"]["interplay"] = moderate_interplay_check(frame, self.t_check, s)

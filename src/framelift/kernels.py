@@ -27,9 +27,9 @@ def pairwise_dist(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def dist_from(pts: np.ndarray, ref: np.ndarray, period: float = 0.0) -> np.ndarray:
-    """Distances from each row of ``pts`` to the single point ``ref``."""
-    diff = np.abs(pts - ref[None, :])
+def dist_to_origin(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
+    """Distances from each row of ``pts`` to the origin."""
+    diff = np.abs(pts)
     if period > 0.0:
         diff = diff % period
         diff = np.minimum(diff, period - diff)
@@ -53,8 +53,3 @@ def moderateness_max_subexp(
     """max over (k,l) of m_k / (exp(alpha * dist_kl**beta) * m_l)."""
     ratio = values[:, None] / values[None, :]
     return float((ratio / np.exp(alpha * dist**beta)).max())
-
-
-def schur_kappa(dist: np.ndarray, s: float) -> float:
-    """max over k of sum_l (1 + dist_kl)**(-s)."""
-    return float(((1.0 + dist) ** (-s)).sum(axis=1).max())

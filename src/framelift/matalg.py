@@ -7,8 +7,8 @@ never membership but the size of the constant and how it scales across a
 family of growing index sets.
 
 Weighted conjugation A^mu = diag(mu) A diag(1/mu) realizes the same operator
-on the weighted space l^2_mu in unweighted coordinates; norms, inverses and
-pseudo-inverses on weighted spaces are computed through it.
+on the weighted space l^2_mu in unweighted coordinates; norms on weighted
+spaces are computed through it.
 
 Induced l^p norms are computed here for the whole package:
 :func:`operator_norm` is exact for p in {1, 2, inf} and a bracket
@@ -28,7 +28,6 @@ is that test on a dense matrix; the splitting matrix of
 
 import csv
 import functools
-import json
 
 import numpy as np
 
@@ -65,25 +64,6 @@ def conjugate(A: np.ndarray, mu) -> np.ndarray:
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse; rank decided at RANK_RTOL * sigma_max."""
     return np.linalg.pinv(np.asarray(A), rcond=RANK_RTOL)
-
-
-def weighted_pseudo_inverse(A: np.ndarray, mu) -> np.ndarray:
-    """Pseudo-inverse of A as an operator on l^2_mu (same weight both sides).
-
-    Least-squares/minimum-norm are taken in the ||diag(mu) . ||_2 norm, which
-    is the pseudo-inverse that commutes with mu-conjugation:
-    conjugate(weighted_pseudo_inverse(A, mu), mu) = pseudo_inverse(conjugate(A, mu)).
-    The plain pseudo-inverse does not commute unless A is invertible.
-    """
-    v = weight_values(mu, np.asarray(A).shape[0])
-    return conjugate(pseudo_inverse(conjugate(A, v)), v**-1)
-
-
-def weighted_adjoint(A: np.ndarray, mu) -> np.ndarray:
-    """Adjoint of A with respect to the l^2_mu inner product."""
-    v = weight_values(mu, np.asarray(A).shape[0])
-    w2 = v**2
-    return (np.asarray(A).conj().T * w2[None, :]) / w2[:, None]
 
 
 def gamma(k) -> float:
@@ -321,24 +301,6 @@ def map_constants(A, B, p, seed: int = 0) -> dict:
     return {"lower": (lower_cert, lo_samp), "upper": (up_samp, upper_cert), "p": p}
 
 
-def schur_constant(idx: IndexSet, s: float) -> float:
-    """kappa = max_k sum_l (1 + dist(k,l))^(-s)."""
-    return kernels.schur_kappa(idx.distance_matrix(), float(s))
-
-
-def schur_product_constant(idx: IndexSet, s: float) -> float:
-    """Tight submultiplicativity constant for decay constants at exponent s.
-
-    kappa2 = max_{k,l} (1+d(k,l))^s sum_j (1+d(k,j))^(-s) (1+d(j,l))^(-s),
-    giving decay_constant(AB, s) <= kappa2 * decay_constant(A, s) *
-    decay_constant(B, s) with equality attainable. Computed via a matrix
-    product; BLAS beats an explicit loop here.
-    """
-    d = idx.distance_matrix()
-    w = (1.0 + d) ** (-float(s))
-    return float(((1.0 + d) ** float(s) * (w @ w)).max())
-
-
 def matrix_to_json(A: np.ndarray) -> dict:
     A = np.asarray(A, dtype=complex)
     return {
@@ -348,23 +310,6 @@ def matrix_to_json(A: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(d: dict) -> np.ndarray:
-    shape = tuple(d["shape"])
-    re = np.asarray(d["real"], dtype=float).reshape(shape)
-    im = np.asarray(d["imag"], dtype=float).reshape(shape)
-    return re + 1j * im
-
-
-def save_matrix_json(A: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(A), fh, sort_keys=True)
-
-
-def load_matrix_json(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))
-
-
 def save_matrix_csv(A: np.ndarray, path_real, path_imag) -> None:
     A = np.asarray(A, dtype=complex)
     for part, path in ((A.real, path_real), (A.imag, path_imag)):
@@ -372,11 +317,3 @@ def save_matrix_csv(A: np.ndarray, path_real, path_imag) -> None:
             writer = csv.writer(fh)
             for row in part:
                 writer.writerow([repr(float(x)) for x in row])
-
-
-def load_matrix_csv(path_real, path_imag) -> np.ndarray:
-    parts = []
-    for path in (path_real, path_imag):
-        with open(path, newline="") as fh:
-            parts.append(np.asarray([[float(x) for x in row] for row in csv.reader(fh)]))
-    return parts[0] + 1j * parts[1]

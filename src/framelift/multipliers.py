@@ -1,10 +1,9 @@
 """Frame multipliers and the Galerkin matrix calculus.
 
-A multiplier is a diagonal matrix sandwiched between analysis and synthesis:
-M_{m,Psi,Phi} = D_Phi diag(m) C_Psi. The Galerkin matrix of an operator O
-relative to a frame pair is Mat^{(Phi,Psi)}(O) = C_Phi O D_Psi, and
-Op^{(Phi,Psi)}(M) = D_Phi M C_Psi maps matrices back to operators; with dual
-slots inside, Op after Mat is the identity on operators.
+A multiplier is a diagonal matrix sandwiched between analysis and synthesis
+of one frame: M_m = D_Psi diag(m) C_Psi, positive when m is. The Galerkin
+matrix of an operator O relative to a frame pair is Mat^{(Phi,Psi)}(O) =
+C_Phi O D_Psi.
 
 Invertibility of O on C^d transfers to invertibility of the n x n matrix
 B_O = Mat(O) + (I - G_{Psi,Psid}) and back; the second summand kills the
@@ -25,29 +24,11 @@ from .frames import Frame, gram
 from .matalg import _Factored, map_constants
 from .weights import weight_values
 
-# Residual below which an ordering passes galerkin_pinv_crosscheck.
-CROSSCHECK_RTOL = 1e-8
 
-
-class Multiplier:
-    def __init__(self, symbol, psi: Frame, phi: Frame | None = None):
-        phi = psi if phi is None else phi
-        if phi.d != psi.d:
-            raise ValueError("frames must share the ambient dimension")
-        if phi.n != psi.n:
-            raise ValueError("frames must have the same number of vectors")
-        self.symbol = weight_values(symbol, psi.n)
-        self.psi = psi
-        self.phi = phi
-        self.matrix = phi.synthesis_matrix @ (self.symbol[:, None] * psi.analysis_matrix)
-
-    def apply(self, f) -> np.ndarray:
-        return self.phi.synthesis(self.symbol * self.psi.analysis(f))
-
-
-def multiplier(symbol, psi: Frame, phi: Frame | None = None) -> Multiplier:
-    """M_{m,Psi,Phi} f = sum_k m_k <f, psi_k> phi_k."""
-    return Multiplier(symbol, psi, phi)
+def multiplier(symbol, psi: Frame) -> np.ndarray:
+    """The d x d matrix of M_m f = sum_k m_k <f, psi_k> psi_k."""
+    m = weight_values(symbol, psi.n)
+    return psi.synthesis_matrix @ (m[:, None] * psi.analysis_matrix)
 
 
 def galerkin(O: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
@@ -71,14 +52,6 @@ def _coefficient_maps(psi: Frame, T, m_out, m_in):
     A = wout[:, None] * (Cd @ np.asarray(T))
     B = win[:, None] * Cd
     return A, B
-
-
-def op_from_matrix(M: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
-    """Op^{(Phi,Psi)}(M) = D_Phi M C_Psi."""
-    M = np.asarray(M)
-    if M.shape != (phi.n, psi.n):
-        raise ValueError("matrix shape does not match the frame pair")
-    return phi.synthesis_matrix @ M @ psi.analysis_matrix
 
 
 class Slots(Enum):
@@ -298,27 +271,6 @@ def invertibility_verdicts(O: np.ndarray, psi: Frame) -> dict:
     """
     cores = {slots.name: _SplitCore(O, psi, slots).invertible() for slots in Slots}
     return {"operator": matalg.is_invertible(O), **cores}
-
-
-def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame) -> dict:
-    """Which dual-slot ordering satisfies Mat(O)^dagger = Mat(O^{-1})?
-
-    Candidate A: pinv(Mat^{(Psid,Phid)}(O)) = Mat^{(Phi,Psi)}(O^{-1}).
-    Candidate B: pinv(Mat^{(Phid,Psid)}(O)) = Mat^{(Psi,Phi)}(O^{-1}).
-    Returns both residuals and the names of the orderings below CROSSCHECK_RTOL.
-    """
-    O = np.asarray(O)
-    Oinv = np.linalg.inv(O)
-    psid = psi.canonical_dual()
-    phid = phi.canonical_dual()
-    res = {}
-    pin_a = matalg.pseudo_inverse(galerkin(O, psid, phid))
-    res["ordering_A"] = float(np.abs(pin_a - galerkin(Oinv, phi, psi)).max())
-    pin_b = matalg.pseudo_inverse(galerkin(O, phid, psid))
-    res["ordering_B"] = float(np.abs(pin_b - galerkin(Oinv, psi, phi)).max())
-    passing = [k for k in ("ordering_A", "ordering_B") if res[k] < CROSSCHECK_RTOL]
-    res["passing"] = passing
-    return res
 
 
 def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list, s: float) -> dict:

@@ -4,8 +4,8 @@ An :class:`IndexSet` is a finite list of points carrying either the Euclidean
 metric or the torus metric of a given period. A :class:`Weight` is a strictly
 positive sequence over such a set. Together they define the norms
 ``||c||_{p,m} = ||m * c||_p`` (with ``p = inf`` as a genuine distinguished
-value) and the diagnostics used throughout: the diagonal lifting map and
-pairwise moderateness constants.
+value), whose row kernel is :func:`lp_norms`, and the pairwise
+moderateness constants.
 
 This module owns weight specs, the JSON objects ``{"type": "constant" |
 "polynomial" | "values", ...}`` that name a weight without its index set:
@@ -14,8 +14,6 @@ spec under a config key for every command and lift family, and
 :func:`weight_values` is the one coercer of weights and symbols to their
 values.
 """
-
-import json
 
 import numpy as np
 
@@ -64,21 +62,13 @@ class IndexSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def distance_matrix(self) -> np.ndarray:
         if self._dists is None:
             self._dists = kernels.pairwise_dist(self.points, self.period or 0.0)
         return self._dists
 
-    def distance_to(self, ref=None) -> np.ndarray:
-        """Distances from every point to ``ref`` (default: the origin)."""
-        if ref is None:
-            ref = np.zeros(self.dim)
-        ref = np.asarray(ref, dtype=float).reshape(self.dim)
-        return kernels.dist_from(self.points, ref, self.period or 0.0)
+    def distance_to_origin(self) -> np.ndarray:
+        return kernels.dist_to_origin(self.points, self.period or 0.0)
 
     def to_dict(self) -> dict:
         d = {"points": self.points.tolist(), "metric": self.metric}
@@ -106,27 +96,14 @@ class Weight:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __mul__(self, other: "Weight") -> "Weight":
-        if isinstance(other, Weight):
-            return Weight(self.values * other.values, self.index_set)
-        return Weight(self.values * float(other), self.index_set)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Weight":
-        return Weight(1.0 / self.values, self.index_set)
-
-    def sqrt(self) -> "Weight":
-        return Weight(np.sqrt(self.values), self.index_set)
-
     @classmethod
     def constant(cls, index_set: IndexSet, c: float = 1.0) -> "Weight":
         return cls(np.full(len(index_set), float(c)), index_set)
 
     @classmethod
-    def polynomial(cls, index_set: IndexSet, t: float, center=None) -> "Weight":
-        """The weight (1 + dist(k, center))^t, default center is the origin."""
-        return cls((1.0 + index_set.distance_to(center)) ** t, index_set)
+    def polynomial(cls, index_set: IndexSet, t: float) -> "Weight":
+        """The weight (1 + dist(k, 0))^t."""
+        return cls((1.0 + index_set.distance_to_origin()) ** t, index_set)
 
     @classmethod
     def from_spec(cls, spec, index_set: IndexSet) -> "Weight":
@@ -151,24 +128,6 @@ class Weight:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad {kind} weight: {exc}") from exc
         raise ValueError(f"unknown weight type {kind!r}")
-
-    def to_dict(self) -> dict:
-        d = self.index_set.to_dict()
-        d["values"] = self.values.tolist()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Weight":
-        return cls(d["values"], IndexSet.from_dict(d))
-
-    @classmethod
-    def load_json(cls, path) -> "Weight":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
 
 
 class SpecError(ValueError):
@@ -209,37 +168,6 @@ def lp_norms(X, p) -> np.ndarray:
     if p == np.inf:
         return a.max(axis=-1)
     return (a**p).sum(axis=-1) ** (1.0 / p)
-
-
-def weighted_norm(c, p, m) -> float:
-    """The norm ||c||_{p,m} = ||m * c||_p for p in [1, inf].
-
-    ``p = np.inf`` (or the string "inf") gives sup_k m_k |c_k|.
-    """
-    c = np.asarray(c)
-    vals = weight_values(m, c.shape[0])
-    if isinstance(p, str):
-        if p != "inf":
-            raise ValueError(f"unknown p {p!r}")
-        p = np.inf
-    if p != np.inf and p < 1:
-        raise ValueError("p must lie in [1, inf]")
-    return float(lp_norms(vals * np.abs(c), p))
-
-
-def diag_lift(c, mu) -> np.ndarray:
-    """The diagonal map c |-> (mu_k c_k): an isometry l^p_{mu m} -> l^p_m."""
-    c = np.asarray(c)
-    vals = weight_values(mu, c.shape[0])
-    return vals * c
-
-
-def holder_conjugate(p):
-    if p == np.inf:
-        return 1.0
-    if p == 1:
-        return np.inf
-    return p / (p - 1.0)
 
 
 def moderateness_constant(m: Weight, t: float, profile: str = "polynomial", beta: float = 1.0) -> float:

@@ -1,0 +1,149 @@
+"""Reference formulas the tests check the package against.
+
+Each one checks a claim of the paper or reads back what a command writes;
+no command computes them, so they live with the tests.
+"""
+
+import csv
+import json
+
+import numpy as np
+
+from framelift import fock
+from framelift.frames import Frame
+from framelift.matalg import pseudo_inverse
+from framelift.multipliers import galerkin, multiplier
+from framelift.weights import IndexSet, lp_norms, weight_values
+
+# Residual below which an ordering passes galerkin_pinv_crosscheck.
+CROSSCHECK_RTOL = 1e-8
+
+
+def op_from_matrix(M: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
+    """Op^{(Phi,Psi)}(M) = D_Phi M C_Psi; with dual slots inside, Op after Mat
+    is the identity on operators."""
+    return phi.synthesis_matrix @ np.asarray(M) @ psi.analysis_matrix
+
+
+def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame) -> dict:
+    """Which dual-slot ordering satisfies Mat(O)^dagger = Mat(O^{-1})?
+
+    Candidate A: pinv(Mat^{(Psid,Phid)}(O)) = Mat^{(Phi,Psi)}(O^{-1}).
+    Candidate B: pinv(Mat^{(Phid,Psid)}(O)) = Mat^{(Psi,Phi)}(O^{-1}).
+    Returns both residuals and the names of the orderings below CROSSCHECK_RTOL.
+    """
+    O = np.asarray(O)
+    Oinv = np.linalg.inv(O)
+    psid, phid = psi.canonical_dual(), phi.canonical_dual()
+    res = {
+        "ordering_A": float(np.abs(pseudo_inverse(galerkin(O, psid, phid)) - galerkin(Oinv, phi, psi)).max()),
+        "ordering_B": float(np.abs(pseudo_inverse(galerkin(O, phid, psid)) - galerkin(Oinv, psi, phi)).max()),
+    }
+    res["passing"] = [k for k in ("ordering_A", "ordering_B") if res[k] < CROSSCHECK_RTOL]
+    return res
+
+
+def weighted_norm(c, p, m) -> float:
+    """The norm ||c||_{p,m} = ||m * c||_p for p in [1, inf].
+
+    ``p = np.inf`` (or the string "inf") gives sup_k m_k |c_k|.
+    """
+    c = np.asarray(c)
+    vals = weight_values(m, c.shape[0])
+    if isinstance(p, str):
+        if p != "inf":
+            raise ValueError(f"unknown p {p!r}")
+        p = np.inf
+    if p != np.inf and p < 1:
+        raise ValueError("p must lie in [1, inf]")
+    return float(lp_norms(vals * np.abs(c), p))
+
+
+def diag_lift(c, mu) -> np.ndarray:
+    """The diagonal map c |-> (mu_k c_k): an isometry l^p_{mu m} -> l^p_m."""
+    c = np.asarray(c)
+    return weight_values(mu, c.shape[0]) * c
+
+
+def schur_constant(idx: IndexSet, s: float) -> float:
+    """kappa = max_k sum_l (1 + dist(k,l))^(-s)."""
+    return float(((1.0 + idx.distance_matrix()) ** (-float(s))).sum(axis=1).max())
+
+
+def schur_product_constant(idx: IndexSet, s: float) -> float:
+    """Tight submultiplicativity constant for decay constants at exponent s.
+
+    kappa2 = max_{k,l} (1+d(k,l))^s sum_j (1+d(k,j))^(-s) (1+d(j,l))^(-s),
+    giving decay_constant(AB, s) <= kappa2 * decay_constant(A, s) *
+    decay_constant(B, s) with equality attainable.
+    """
+    d = idx.distance_matrix()
+    w = (1.0 + d) ** (-float(s))
+    return float(((1.0 + d) ** float(s) * (w @ w)).max())
+
+
+def truncation_residual(lattice: fock.FockLattice, Dmax: int) -> float:
+    """max_k (1 - sum_n |c_n|^2): per-kernel coefficient mass beyond Dmax."""
+    E = fock._coefficients(lattice.points, Dmax)
+    return float(np.max(1.0 - np.sum(np.abs(E) ** 2, axis=0)))
+
+
+def _display_assembly(lam: np.ndarray, mu: np.ndarray, degree: int, half: bool) -> np.ndarray:
+    # Normalized-monomial matrix elements of F -> sum mu_l F(l) e^{pi conj(l) z} w(l),
+    # with weight w = e^{-pi |l|^2} (section display) or e^{-pi |l|^2 / 2} (intro).
+    P = np.zeros((degree + 1, len(lam)), dtype=complex)
+    term = np.ones(len(lam), dtype=complex)
+    P[0] = term
+    for n in range(1, degree + 1):
+        term = term * (np.sqrt(np.pi) * lam) / np.sqrt(n)
+        P[n] = term
+    w = np.exp((-np.pi / 2 if half else -np.pi) * np.abs(lam) ** 2)
+    return np.conj(P) @ ((mu * w)[:, None] * P.T)
+
+
+def fock_multiplier(lattice: fock.FockLattice, mu, Dmax=None) -> np.ndarray:
+    """Discrete-measure Toeplitz operator on the truncated space, built as
+    the frame multiplier of the normalized kernel system."""
+    if Dmax is None:
+        Dmax = fock.default_degree(lattice.R)
+    return multiplier(mu, fock.embed_truncated(lattice, Dmax))
+
+
+def fock_multiplier_report(lattice: fock.FockLattice, mu) -> dict:
+    """The abstract multiplier against both closed-form displays of the paper.
+
+    The section display, with the reproducing weight e^{-pi |lambda|^2},
+    is the kernel multiplier itself; the intro display, with the
+    half-exponent weight, is it with symbol mu e^{pi |lambda|^2 / 2}.
+    """
+    Dmax = fock.default_degree(lattice.R)
+    lam = lattice.points
+    muv = weight_values(mu, len(lam))
+    abstract = fock_multiplier(lattice, muv, Dmax)
+    section = _display_assembly(lam, muv, Dmax, half=False)
+    intro = _display_assembly(lam, muv, Dmax, half=True)
+    rescaled = _display_assembly(lam, muv * np.exp(-np.pi * np.abs(lam) ** 2 / 2), Dmax, half=True)
+    scale = max(1.0, float(np.abs(abstract).max()))
+    return {
+        "residual_section_vs_abstract": float(np.abs(section - abstract).max()) / scale,
+        "residual_intro_rescaled_vs_abstract": float(np.abs(rescaled - abstract).max()) / scale,
+        "intro_max_entry": float(np.abs(intro).max()),
+    }
+
+
+def load_matrix_json(path) -> np.ndarray:
+    """The matrix `framelift export` writes as JSON."""
+    with open(path) as fh:
+        d = json.load(fh)
+    shape = tuple(d["shape"])
+    re, im = (np.asarray(d[part], dtype=float).reshape(shape) for part in ("real", "imag"))
+    return re + 1j * im
+
+
+def load_matrix_csv(path_real, path_imag) -> np.ndarray:
+    """The matrix `framelift export` writes as a pair of CSV files."""
+    parts = []
+    for path in (path_real, path_imag):
+        with open(path, newline="") as fh:
+            parts.append(np.asarray([[float(x) for x in row] for row in csv.reader(fh)]))
+    return parts[0] + 1j * parts[1]

@@ -14,9 +14,10 @@ from framelift import cli
 from framelift.cli import _entry_rows, main
 from framelift.coorbit import FrameFamily, sweep
 from framelift.fock import FockFamily
-from framelift.frames import Frame, random_frame
+from framelift.frames import random_frame
 from framelift.gabor import GaborFamily, gabor_system
 from framelift.weights import UNIT_SPEC, Weight
+from tests.reference import load_matrix_csv, load_matrix_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,7 +75,7 @@ class TestVerify:
         # coercivity_check factors X = diag(sqrt(mu)) C once, with the one
         # thin SVD every coefficient map gets, and the extremes cross-check
         # in residuals reads those singular values.
-        psi = gabor_system(32, 2, 4).frame  # verify_gabor32.json's frame, mu t = 2
+        psi = gabor_system(32, 2, 4)  # verify_gabor32.json's frame, mu t = 2
         X = np.sqrt(Weight.polynomial(psi.index_set, 2.0).values)[:, None] * psi.analysis_matrix
         svd, hits = np.linalg.svd, []
 
@@ -169,17 +170,33 @@ class TestConfigErrors:
             ("lift_fock.json", "R_list", "[2.0, -1]"),
             ("lift_fock.json", "R_list", '["2.0"]'),
             ("lift_fock.json", "R_list", "[true]"),
+            ("lift_gabor.json", "redundancy", "4.7"),
+            ("lift_gabor.json", "redundancy", "0"),
+            ("lift_gabor.json", "redundancy", "true"),
+            ("lift_gabor.json", "a_ratio", "-4"),
+            ("lift_gabor.json", "a_ratio", "true"),
+            ("lift_gabor.json", "a_ratio", "0"),
+            ("lift_gabor.json", "b_ratio", "4.5"),
+            ("lift_fock.json", "delta", "true"),
+            ("verify_onb.json", "frame", '{"type": "onb", "d": true}'),
+            ("verify_onb.json", "frame", '{"type": "gabor", "N": 16.5, "a": 2, "b": 2}'),
+            ("verify_onb.json", "frame", '{"type": "gabor", "N": 16, "a": 2.9, "b": 2}'),
+            ("verify_onb.json", "frame", '{"type": "random", "n": 12.5, "d": 4}'),
+            ("verify_onb.json", "frame", '{"type": "random", "n": 12, "d": 4, "seed": 1.5}'),
         ],
     )
     def test_invalid_size_is_a_config_error(self, tmp_path, capsys, config, key, sizes):
-        # N is an integer and R a finite positive number; anything else is
-        # rejected before any size runs, not coerced.
+        # N, lattice ratios, redundancy and frame sizes are positive
+        # integers, and R and delta finite positive numbers: a bool, a
+        # fraction or a value out of range is rejected before anything runs,
+        # not truncated or divided by.
         text = json.dumps(dict(_read_json(CONFIGS / config), **{key: "@"})).replace('"@"', sizes)
         path = tmp_path / "sizes.json"
         path.write_text(text)
-        assert main(["lift", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        command = "verify" if config.startswith("verify") else "lift"
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "lift_report.json").exists()
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("margin", [-0.5, -1e-9])
     def test_negative_margin_is_a_config_error(self, tmp_path, capsys, margin):
@@ -498,35 +515,32 @@ class TestRows:
 
 
 class TestExport:
-    def test_frame_round_trips_through_export(self, tmp_path):
-        rc = main(
-            ["export", "--config", str(CONFIGS / "export_gabor_frame.json"), "--out", str(tmp_path)]
-        )
-        assert rc == 0
-        out = tmp_path / "gabor16_frame.json"
-        assert out.exists()
-        fr = Frame.load_json(out)
-        assert fr.d == 16
-        assert fr.is_frame
+    def test_exported_frame_reads_back_as_a_json_frame_spec(self, tmp_path):
+        # export_gabor_frame.json exports the Gabor frame N = 16, a = b = 2.
+        exported = CONFIGS / "export_gabor_frame.json"
+        assert main(["export", "--config", str(exported), "--out", str(tmp_path)]) == 0
+        spec = {"type": "json", "path": str(tmp_path / "gabor16_frame.json")}
+        back, want = cli.build_frame(spec, seed=0), gabor_system(16, 2, 2)
+        np.testing.assert_array_equal(back.vectors, want.vectors)
+        idx, want_idx = back.index_set, want.index_set
+        np.testing.assert_array_equal(idx.points, want_idx.points)
+        assert (idx.metric, idx.period) == (want_idx.metric, want_idx.period)
+        # Exporting the read-back frame writes the same bytes again.
+        cfg = {"kind": "export", "what": "frame", "name": "again", "frame": spec}
+        again = _write(tmp_path, "again.json", cfg)
+        assert main(["export", "--config", again, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "gabor16_frame.json").read_bytes()
 
-    def test_gram_csv_is_readable(self, tmp_path):
-        cfg = _write(
-            tmp_path,
-            "gram.json",
-            {
-                "kind": "export",
-                "what": "gram",
-                "format": "csv",
-                "name": "onb_gram",
-                "frame": {"type": "onb", "d": 4},
-            },
-        )
-        rc = main(["export", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == 0
-        for part in ("real", "imag"):
-            with open(tmp_path / f"onb_gram_{part}.csv", newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert len(rows) == 4
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exported_gram_reads_back_exactly(self, tmp_path, fmt):
+        frame = {"type": "gabor", "N": 16, "a": 2, "b": 4}
+        cfg = {"kind": "export", "what": "gram", "format": fmt, "name": "G", "frame": frame}
+        assert main(["export", "--config", _write(tmp_path, "gram.json", cfg), "--out", str(tmp_path)]) == 0
+        if fmt == "json":
+            got = load_matrix_json(tmp_path / "G.json")
+        else:
+            got = load_matrix_csv(tmp_path / "G_real.csv", tmp_path / "G_imag.csv")
+        np.testing.assert_array_equal(got, gabor_system(16, 2, 4).gram_matrix)
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file"

@@ -105,7 +105,7 @@ class TestLiftingConstants:
         # assemble the coefficient maps from scratch and reduce the pencil
         # (A^H A, B^H B) by a Cholesky factor instead of scipy's solver
         Cd = small_frame.canonical_dual().analysis_matrix
-        M = multiplier(mu, small_frame).matrix
+        M = multiplier(mu, small_frame)
         A = (1.0 / np.sqrt(mu))[:, None] * (Cd @ M)
         B = np.sqrt(mu)[:, None] * Cd
         L = np.linalg.cholesky(B.conj().T @ B)
@@ -229,7 +229,7 @@ class TestPipeline:
     def test_one_svd_of_each_coefficient_map(self, monkeypatch, ps):
         # Each n x d map gets one thin SVD, whichever p reads it first.
         psi, mu, m = _gabor(16, 6.0)
-        maps = _lifting_maps(psi, multiplier(mu, psi).matrix, mu, m)
+        maps = _lifting_maps(psi, multiplier(mu, psi), mu, m)
         svd, hits = np.linalg.svd, []
 
         def spy(a, *args, **kwargs):
@@ -252,7 +252,7 @@ class TestPipeline:
 def _gabor(N: int, t_mu: float, t_m: float = 0.0):
     """Gabor frame on Z_N at redundancy 4 with polynomial mu and m."""
     lat = TFLattice.balanced(N, 4)
-    psi = gabor_system(lat.N, lat.a, lat.b).frame
+    psi = gabor_system(lat.N, lat.a, lat.b)
     idx = psi.index_set
     return psi, Weight.polynomial(idx, t_mu).values, Weight.polynomial(idx, t_m).values
 
@@ -267,8 +267,8 @@ def _dense_steps(psi, muv, mv, ps) -> dict:
     """
     n = psi.n
     cross = gram(psi, psi.canonical_dual())
-    M_mu = multiplier(muv, psi).matrix
-    M_rec = multiplier(1.0 / muv, psi).matrix
+    M_mu = multiplier(muv, psi)
+    M_rec = multiplier(1.0 / muv, psi)
 
     def split(O):
         return galerkin(O, psi, psi) + (np.eye(n) - cross)
@@ -397,9 +397,9 @@ class TestLowRankSplitting:
         # 1/sigma_min from a values-only SVD misses the reference, of the
         # k x k core as of the dense conjugated matrix.
         dual = psi.canonical_dual()
-        core = _SplitCore(multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix, psi, w=w)
+        core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=w)
         cross = gram(psi, dual)
-        B_dense = galerkin(multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix, psi, psi)
+        B_dense = galerkin(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, psi)
         B_dense = matalg.conjugate(B_dense + (np.eye(psi.n) - cross), w)
         for K in (core.K, B_dense):
             shortcut = 1.0 / np.linalg.svd(K, compute_uv=False)[-1]

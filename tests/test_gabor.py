@@ -103,12 +103,12 @@ class TestSTFT:
                 assert V[x, w] == pytest.approx(want, abs=1e-12)
 
     def test_frame_analysis_samples_the_stft(self, rng):
-        sys = gabor_system(16, 2, 4)
+        fr = gabor_system(16, 2, 4)
         f = random_vector(rng, 16)
-        V = stft(f, sys.window)
-        coeffs = sys.frame.analysis(f)
-        pts = sys.lattice.points
-        for k in range(sys.frame.n):
+        V = stft(f, gaussian_window(16))
+        coeffs = fr.analysis(f)
+        pts = TFLattice(16, 2, 4).points
+        for k in range(fr.n):
             x, w = int(pts[k, 0]), int(pts[k, 1])
             assert coeffs[k] == pytest.approx(V[x, w], abs=1e-12)
 
@@ -149,17 +149,17 @@ class TestLattice:
 
 class TestGaborFrame:
     def test_z16_square_lattice_bounds(self):
-        A, B = gabor_system(16, 2, 2).frame.bounds
+        A, B = gabor_system(16, 2, 2).bounds
         assert A == pytest.approx(3.970176713771091, rel=1e-9)
         assert B == pytest.approx(4.029934881184299, rel=1e-9)
 
     def test_gram_modulus_depends_on_lattice_difference_only(self):
-        sys = gabor_system(16, 4, 4)
-        G = np.abs(sys.frame.gram_matrix)
-        V = np.abs(stft(sys.window, sys.window))
-        pts = sys.lattice.points.astype(int)
-        for k in range(sys.frame.n):
-            for l in range(sys.frame.n):
+        G = np.abs(gabor_system(16, 4, 4).gram_matrix)
+        g = gaussian_window(16)
+        V = np.abs(stft(g, g))
+        pts = TFLattice(16, 4, 4).points.astype(int)
+        for k in range(len(pts)):
+            for l in range(len(pts)):
                 dx = (pts[l, 0] - pts[k, 0]) % 16
                 dw = (pts[l, 1] - pts[k, 1]) % 16
                 assert G[k, l] == pytest.approx(V[dx, dw], abs=1e-12)
@@ -167,37 +167,35 @@ class TestGaborFrame:
     def test_critical_sampling_with_gaussian_still_spans(self):
         # a*b = N leaves no redundancy; the periodized Gaussian stays a
         # (badly conditioned) basis here, so bounds exist but spread out
-        sys = gabor_system(16, 4, 4)
-        A, B = sys.frame.bounds
+        A, B = gabor_system(16, 4, 4).bounds
         assert 0 < A < B
 
     def test_window_decay_constant_frozen_values(self):
-        assert stft_decay_constant(gaussian_window(16), 4.0, normalized=True) == pytest.approx(
+        assert stft_decay_constant(gaussian_window(16), 4.0) == pytest.approx(
             3.876335964998297, rel=1e-10
         )
-        assert stft_decay_constant(gaussian_window(64), 4.0, normalized=True) == pytest.approx(
+        assert stft_decay_constant(gaussian_window(64), 4.0) == pytest.approx(
             3.878250581674542, rel=1e-10
         )
 
     @pytest.mark.parametrize("N", [16, 64])
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_window_decay_constant_equals_the_pointwise_scan(self, N, normalized):
-        # Reference: one (x, omega) point at a time, with the torus distance
-        # to the origin; the grid computes the same products exactly.
+    def test_window_decay_constant_equals_the_pointwise_scan(self, N):
+        # Reference: one (x, omega) point at a time, with the normalized
+        # torus distance to the origin; the grid computes the same products
+        # exactly.
         g = gaussian_window(N)
         V = np.abs(stft(g, g))
-        scale = np.sqrt(N) if normalized else 1.0
+        scale = np.sqrt(N)
         for s in (2.0, 8.0):
             want = 0.0
             for x in range(N):
                 for w in range(N):
                     dx, dw = (min(c, N - c) / scale for c in (x, w))
                     want = max(want, V[x, w] * (1.0 + np.sqrt(dx**2 + dw**2)) ** s)
-            assert stft_decay_constant(g, s, normalized=normalized) == want
+            assert stft_decay_constant(g, s) == want
 
     def test_moderate_interplay_inequality(self):
-        sys = gabor_system(32, 2, 4)
-        res = moderate_interplay_check(sys.frame, t=2.0, s=4.0)
+        res = moderate_interplay_check(gabor_system(32, 2, 4), t=2.0, s=4.0)
         assert res["ok"]
         assert res["lhs"] <= res["moderateness"] * res["rhs"] + 1e-12
 
@@ -237,8 +235,8 @@ class TestExperiment:
         monkeypatch.setattr(matalg, "decay_constant", counted)
         out = sweep(GaborFamily([16, 32]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)
         for e in out["entries"]:
-            sys_ = gabor_system(e["N"], e["a"], e["b"])
-            want = decay(sys_.frame.gram_matrix, 4.0, sys_.frame.index_set)
+            fr = gabor_system(e["N"], e["a"], e["b"])
+            want = decay(fr.gram_matrix, 4.0, fr.index_set)
             assert e["report"]["decay_profiles"]["G"] == want
             assert out["decay_scaling"]["gram_raw"][str(e["N"])] == want
         # Per size: five Gram profiles in step (ii), two scans in the

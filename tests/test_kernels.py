@@ -38,11 +38,11 @@ def test_pairwise_dist_equals_the_broadcast_formula(rng, dim, period):
     assert np.array_equal(kernels.pairwise_dist(pts, period), np.sqrt((diff * diff).sum(axis=-1)))
 
 
-def test_dist_from_matches_pairwise_row(rng):
-    pts = rng.uniform(0, 10, size=(25, 3))
-    full = kernels.pairwise_dist(pts)
-    row = kernels.dist_from(pts, pts[7])
-    np.testing.assert_allclose(row, full[7], atol=1e-14)
+@pytest.mark.parametrize("period", [0.0, 7.5])
+def test_dist_to_origin_matches_pairwise_row(rng, period):
+    pts = np.vstack([np.zeros(3), rng.uniform(0, 10, size=(25, 3))])
+    full = kernels.pairwise_dist(pts, period)
+    np.testing.assert_allclose(kernels.dist_to_origin(pts[1:], period), full[0, 1:], atol=1e-14)
 
 
 def test_decay_max_is_the_weighted_sup(rng):
@@ -63,10 +63,3 @@ def test_moderateness_profiles(rng):
     sub = kernels.moderateness_max_subexp(vals, dist, 1.0, 1.0)
     want_sub = float((vals[:, None] / (vals[None, :] * np.exp(dist))).max())
     assert sub == pytest.approx(want_sub, rel=1e-14)
-
-
-def test_schur_kappa_is_max_row_sum():
-    pts = np.array([[0.0], [1.0]])
-    dist = kernels.pairwise_dist(pts)
-    # rows are 1/(1+0) + 1/(1+1) = 1.5 each
-    assert kernels.schur_kappa(dist, 1.0) == pytest.approx(1.5)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from tests.test_perfbench_targets import TARGETS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "framelift"
 
@@ -110,3 +111,176 @@ def test_one_call_site_runs_the_pipeline():
     assert {name: count for name, count in sites.items() if count} == {"coorbit": 1}
     [sweep] = [node for node in trees["coorbit"].body if getattr(node, "name", None) == "sweep"]
     assert len(_pipeline_calls(sweep)) == 1
+
+
+# Every name in the package feeds a command: a top-level def, a class or a
+# method stays only if `framelift.cli.main`, or a layer that
+# perfbench/spans.py traces, reaches it through name references.
+
+
+def _module_table(package: Path) -> dict:
+    """Per module: its defs and classes by name, the package names it binds by
+    import (local name -> (module, attribute or None for a module)), the local
+    names of its absolute imports, and its other top-level statements."""
+    table = {}
+    for path in package.glob("*.py"):
+        defs, imports, external, rest = {}, {}, set(), []
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    imports[local] = (node.module, alias.name) if node.module else (alias.name, None)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                external.update((a.asname or a.name).split(".")[0] for a in node.names)
+            else:
+                rest.append(node)
+        table[path.stem] = {"defs": defs, "imports": imports, "external": external, "rest": rest}
+    return table
+
+
+def _resolve_name(table: dict, module: str, name: str):
+    """(module, name) of the def that ``name`` means in ``module``, or None."""
+    while module in table:
+        entry = table[module]
+        if name in entry["defs"]:
+            return module, name
+        if entry["imports"].get(name, (None, None))[1] is None:
+            return None
+        module, name = entry["imports"][name]
+    return None
+
+
+def _methods(cls: ast.ClassDef) -> dict:
+    return {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+
+
+def reached_names(package: Path, roots) -> set:
+    """Every (module, name) the roots reach; a method is (module, "Class.meth").
+
+    A def's body reaches each package def it names, directly or as
+    ``module.attr`` through a ``from . import module``. A reached class
+    reaches its dunder methods, and any other method once some reached code
+    reads an attribute of that name (on anything but an imported module).
+    Top-level statements other than defs and imports run on import, so they
+    are walked too. Names are not told apart by scope, so a local variable
+    that shadows a def keeps it: the walk may keep too much, never too little.
+    """
+    table = _module_table(package)
+    reached, attrs, todo = set(), set(), []
+
+    def reach(key):
+        if key is not None and key not in reached:
+            reached.add(key)
+            todo.append(key)
+
+    def scan(module: str, node):
+        entry = table[module]
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                reach(_resolve_name(table, module, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                base = getattr(sub.value, "id", None)
+                target = entry["imports"].get(base)
+                if target is not None and target[1] is None:
+                    reach(_resolve_name(table, target[0], sub.attr))
+                elif base not in entry["external"]:
+                    attrs.add(sub.attr)
+
+    for module, entry in table.items():
+        if module != "__init__":
+            for node in entry["rest"]:
+                scan(module, node)
+    for key in roots:
+        reach(key)
+    while todo:
+        while todo:
+            module, name = todo.pop()
+            owner, _, method = name.partition(".")
+            node = table[module]["defs"][owner]
+            if method:
+                scan(module, _methods(node)[method])
+                continue
+            if isinstance(node, ast.ClassDef):
+                for part in node.bases + node.keywords + node.decorator_list:
+                    scan(module, part)
+                for stmt in node.body:
+                    if not isinstance(stmt, ast.FunctionDef):
+                        scan(module, stmt)
+                    elif stmt.name.startswith("__"):
+                        reach((module, f"{owner}.{stmt.name}"))
+            else:
+                scan(module, node)
+        for module, entry in table.items():
+            for owner, node in entry["defs"].items():
+                if (module, owner) in reached and isinstance(node, ast.ClassDef):
+                    for method in _methods(node).keys() & attrs:
+                        reach((module, f"{owner}.{method}"))
+    return reached
+
+
+def unreached_names(package: Path, roots) -> list:
+    """Top-level defs, classes and methods of the package that no root reaches."""
+    reached = reached_names(package, roots)
+    out = []
+    for module, entry in _module_table(package).items():
+        for owner, node in entry["defs"].items():
+            methods = _methods(node) if isinstance(node, ast.ClassDef) else {}
+            names = [owner] + [f"{owner}.{m}" for m in methods]
+            out.extend(f"{module}.{name}" for name in names if (module, name) not in reached)
+    return sorted(out)
+
+
+def _command_roots(package: Path) -> list:
+    """cli.main and every target of perfbench/spans.py, as (module, name)."""
+    table = _module_table(package)
+    roots = [("cli", "main")]
+    for modname, attr, _ in TARGETS:
+        module = modname.split(".")[1]
+        owner, _, method = attr.partition(".")
+        roots.append(_resolve_name(table, module, owner))
+        if method:
+            roots.append((module, attr))
+    return roots
+
+
+def test_every_name_feeds_a_command():
+    assert unreached_names(PACKAGE, _command_roots(PACKAGE)) == []
+
+
+def test_all_lists_only_reached_names():
+    table, reached = _module_table(PACKAGE), reached_names(PACKAGE, _command_roots(PACKAGE))
+    [names] = [
+        ast.literal_eval(node.value)
+        for node in table["__init__"]["rest"]
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    imported = [name for name in names if name in table["__init__"]["imports"]]
+    assert [name for name in imported if _resolve_name(table, "__init__", name) not in reached] == []
+
+
+def test_walk_reports_a_dead_def_and_a_dead_method(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import util\n"
+        "from .util import used\n"
+        "def main():\n"
+        "    return used() + util.also()\n"
+        "def dead():\n"
+        "    return 0\n"
+    )
+    (tmp_path / "util.py").write_text(
+        "import numpy as np\n"
+        "def used():\n"
+        "    return np.sqrt(1.0)\n"
+        "def also():\n"
+        "    return Box().get()\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.x = 1\n"
+        "    def get(self):\n"
+        "        return self.x\n"
+        "    def sqrt(self):\n"
+        "        return 2\n"
+    )
+    assert unreached_names(tmp_path, [("cli", "main")]) == ["cli.dead", "util.Box.sqrt"]

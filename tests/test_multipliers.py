@@ -12,15 +12,14 @@ from framelift.multipliers import (
     _coefficient_maps,
     _SplitCore,
     galerkin,
-    galerkin_pinv_crosscheck,
     invertibility_matrix,
     invertibility_verdicts,
     multiplier,
-    op_from_matrix,
     spectral_invariance_suite,
 )
 from framelift.weights import Weight
 from tests.conftest import random_vector
+from tests.reference import galerkin_pinv_crosscheck, op_from_matrix
 
 
 def _random_symbol(rng, n):
@@ -35,31 +34,23 @@ class TestMultiplier:
     def test_onb_multiplier_is_diagonal(self, rng):
         fr = onb(6)
         mu = _random_symbol(rng, 6)
-        np.testing.assert_allclose(multiplier(mu, fr).matrix, np.diag(mu), atol=1e-14)
+        np.testing.assert_allclose(multiplier(mu, fr), np.diag(mu), atol=1e-14)
 
     def test_unit_symbol_gives_frame_operator(self, small_frame):
-        M = multiplier(np.ones(small_frame.n), small_frame).matrix
+        M = multiplier(np.ones(small_frame.n), small_frame)
         np.testing.assert_allclose(M, small_frame.frame_operator, atol=1e-13)
 
     def test_matches_synthesis_diag_analysis(self, rng):
         psi = random_frame(rng, 10, 5)
-        phi = random_frame(rng, 10, 5)
         mu = _random_symbol(rng, 10)
-        M = multiplier(mu, psi, phi).matrix
-        want = phi.synthesis_matrix @ np.diag(mu) @ psi.analysis_matrix
-        np.testing.assert_allclose(M, want, atol=1e-13)
-
-    def test_apply_agrees_with_matrix(self, rng, small_frame):
-        mu = _random_symbol(rng, small_frame.n)
-        mult = multiplier(mu, small_frame)
-        f = random_vector(rng, small_frame.d)
-        np.testing.assert_allclose(mult.apply(f), mult.matrix @ f, atol=1e-13)
+        want = psi.synthesis_matrix @ np.diag(mu) @ psi.analysis_matrix
+        np.testing.assert_allclose(multiplier(mu, psi), want, atol=1e-13)
 
     def test_weight_object_accepted_as_symbol(self, small_frame):
         w = Weight.polynomial(small_frame.index_set, 2.0)
         np.testing.assert_allclose(
-            multiplier(w, small_frame).matrix,
-            multiplier(w.values, small_frame).matrix,
+            multiplier(w, small_frame),
+            multiplier(w.values, small_frame),
         )
 
     def test_symbol_length_mismatch_rejected(self, small_frame):
@@ -70,11 +61,6 @@ class TestMultiplier:
         # Symbols are read like weights; numpy would drop the imaginary part.
         with pytest.raises(ValueError, match="real"):
             multiplier(np.full(small_frame.n, 1 + 1j), small_frame)
-
-    def test_mismatched_frame_pair_rejected(self, rng, small_frame):
-        wrong_d = random_frame(rng, small_frame.n, small_frame.d - 1)
-        with pytest.raises(ValueError):
-            multiplier(np.ones(small_frame.n), small_frame, wrong_d)
 
 
 class TestGalerkin:
@@ -95,7 +81,7 @@ class TestGalerkin:
     def test_composition_collapses_through_gram(self, rng, small_frame):
         mu = _random_symbol(rng, small_frame.n)
         G = small_frame.gram_matrix
-        comp = multiplier(1.0 / mu, small_frame).matrix @ multiplier(mu, small_frame).matrix
+        comp = multiplier(1.0 / mu, small_frame) @ multiplier(mu, small_frame)
         rec = galerkin(comp, small_frame, small_frame)
         want = G @ np.diag(1.0 / mu) @ G @ np.diag(mu) @ G
         np.testing.assert_allclose(rec, want, atol=1e-11)
@@ -103,8 +89,6 @@ class TestGalerkin:
     def test_operator_shape_checked(self, rng, small_frame):
         with pytest.raises(ValueError):
             galerkin(np.eye(small_frame.d + 1), small_frame, small_frame)
-        with pytest.raises(ValueError):
-            op_from_matrix(np.eye(small_frame.n + 2), small_frame, small_frame)
 
     def test_pinv_crosscheck_both_dual_orderings_hold(self, rng):
         psi = random_frame(rng, 12, 6)
@@ -130,7 +114,7 @@ class TestGalerkin:
 class TestInvertibility:
     def test_verdicts_agree_across_slots_invertible(self, rng, small_frame):
         mu = _random_symbol(rng, small_frame.n)
-        M = multiplier(mu, small_frame).matrix
+        M = multiplier(mu, small_frame)
         v = invertibility_verdicts(M, small_frame)
         assert v["operator"] is True
         assert set(v) == {"operator", "PSI_PSI", "PSI_DUAL", "DUAL_PSI", "DUAL_DUAL"}
@@ -164,10 +148,10 @@ class TestInvertibility:
 
     def test_verdicts_make_no_nxn_factorization(self, nxn_factorizations):
         lat = TFLattice.balanced(32, 4)
-        psi = gabor_system(lat.N, lat.a, lat.b).frame
+        psi = gabor_system(lat.N, lat.a, lat.b)
         n = psi.n
         assert (n, psi.d) == (128, 32)
-        M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi).matrix
+        M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi)
         square = nxn_factorizations(n)
         v = invertibility_verdicts(M, psi)
         assert all(v.values())
@@ -263,9 +247,9 @@ def _extended_residual(core, O, psi, slots, w) -> float:
 
 def _gabor_core(N: int, t_mu: float):
     lat = TFLattice.balanced(N, 4)
-    psi = gabor_system(lat.N, lat.a, lat.b).frame
+    psi = gabor_system(lat.N, lat.a, lat.b)
     mu = Weight.polynomial(psi.index_set, t_mu).values
-    O = multiplier(1.0 / mu, psi).matrix @ multiplier(mu, psi).matrix
+    O = multiplier(1.0 / mu, psi) @ multiplier(mu, psi)
     return _SplitCore(O, psi, w=np.sqrt(mu)), O, psi, np.sqrt(mu)
 
 
@@ -327,7 +311,7 @@ class TestCertificate:
 class TestSpectralInvariance:
     def test_suite_reports_constants_per_weight_and_p(self, rng, small_frame):
         mu = _random_symbol(rng, small_frame.n)
-        M = multiplier(mu, small_frame).matrix
+        M = multiplier(mu, small_frame)
         w = Weight.polynomial(small_frame.index_set, 2.0)
         rep = spectral_invariance_suite(M, small_frame, weights=[w], ps=[1, 2, np.inf], s=4.0)
         assert rep["operator_invertible"] is True
@@ -343,7 +327,7 @@ class TestSpectralInvariance:
 
     def test_suite_entries_equal_the_one_shot_norms(self, rng, small_frame):
         mu = _random_symbol(rng, small_frame.n)
-        M = multiplier(mu, small_frame).matrix
+        M = multiplier(mu, small_frame)
         ws = [Weight.constant(small_frame.index_set, 1.0), Weight.polynomial(small_frame.index_set, 1.0)]
         ps = [1, 2, 3, np.inf]
         rep = spectral_invariance_suite(M, small_frame, weights=ws, ps=ps, s=4.0)

@@ -70,7 +70,7 @@ def _hermitian(A):
 @functools.lru_cache(maxsize=None)
 def _frame(N: int, a: int, b: int):
     """The Gabor frame and the Cholesky factor R of S with R^-1, at DPS digits."""
-    psi = gabor_system(N, a, b).frame
+    psi = gabor_system(N, a, b)
     with mp.workdps(DPS):
         R = mp.cholesky(_hermitian(_weighted_outer(psi.vectors, np.ones(psi.n))))
         return psi, R, _lower_inverse(R)
