@@ -41,7 +41,6 @@ from .matalg import (
 from .multipliers import (
     Slots,
     galerkin,
-    invertibility_matrix,
     invertibility_verdicts,
     multiplier,
     spectral_invariance_suite,
@@ -74,7 +73,6 @@ __all__ = [
     "gaussian_window",
     "gram",
     "gram_identities_check",
-    "invertibility_matrix",
     "invertibility_verdicts",
     "lifting_constants",
     "lifting_theorem_pipeline",

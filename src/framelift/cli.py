@@ -119,7 +119,13 @@ def build_frame(spec, seed: int) -> frames.Frame:
         if kind == "gabor":
             return gabor.gabor_system(ints["N"], ints["a"], ints["b"])
         if kind == "fock":
-            return fock_mod.embed_truncated(fock_mod.FockLattice.from_dict(spec))
+            lattice = fock_mod.FockLattice(
+                delta=_parse_nonnegative(spec["delta"], "delta"),
+                R=_parse_nonnegative(spec["R"], "R"),
+                jitter=_parse_nonnegative(spec.get("jitter", 0.0), "jitter"),
+                seed=_parse_seed(spec.get("seed", 1)),
+            )
+            return fock_mod.embed_truncated(lattice)
         if kind == "json":
             return frames.Frame.load_json(spec["path"])
     except (KeyError, ValueError, TypeError, OSError) as exc:
@@ -165,6 +171,8 @@ def _parse_nonnegative(value, key: str) -> float:
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     frame = build_frame(_require(cfg, "frame", dict, "verify"), seed)
+    if not frame.is_frame:
+        raise ConfigError(f"bad frame spec: {frames.NotAFrameError(*frame.bounds)}")
     mu = keyed_weight("mu", cfg.get("mu", UNIT_SPEC), frame.index_set)
     wspecs = cfg.get("weights", [CHECK_SPEC])
     if not isinstance(wspecs, list):
@@ -258,8 +266,8 @@ def _family(cfg: dict, seed: int):
         return fock_mod.FockFamily(
             delta,
             _sizes(cfg, "R_list", kind),
-            margin=float(cfg.get("margin", 0.5)),
-            jitter=float(cfg.get("jitter", 0.0)),
+            margin=_parse_nonnegative(cfg.get("margin", 0.5), "margin"),
+            jitter=_parse_nonnegative(cfg.get("jitter", 0.0), "jitter"),
             seed=seed,
         )
     if kind == "custom-frame":

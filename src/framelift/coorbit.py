@@ -28,11 +28,13 @@ import numpy as np
 from . import matalg
 from .frames import Frame, NotAFrameError, gram
 from .matalg import _Factored, map_constants
-from .multipliers import _coefficient_maps, _SplitCore, invertibility_matrix, multiplier
+from .multipliers import _coefficient_maps, _SplitCore, multiplier
 from .weights import UNIT_SPEC, Weight, keyed_weight, moderateness_constant, weight_values
 
 # Relative residual below which the pipeline's identities (iii) and (v) hold.
 IDENTITY_RTOL = 1e-10
+# Seeded probe vectors on which identities (iii) and (v) are checked.
+PROBES = 4
 # Reporting flag only: a pairwise moderateness constant above this makes the
 # weight behave non-polynomially at desk scale (nothing fails on it).
 MODERATE_FLAG = 1e3
@@ -118,6 +120,39 @@ def _p_key(p) -> str:
     return "inf" if p == np.inf else str(p)
 
 
+def _probe_residuals(psi: Frame, core: _SplitCore, muv, M_mu, M_rec, seed: int) -> tuple:
+    """Residuals of the pipeline's identities (iii) and (v) on PROBES seeded
+    probe vectors V (Freivalds' check), every term applied through n x d
+    factors in O(n d) per probe.
+
+    (iii) B^mu = G^mu G G^mu + I - cross^mu, its left side applied by the
+    certified core's own factors with their weight rescaled to mu, its right
+    side through C, D and the dual synthesis matrix Dd. (v) B_rev = I +
+    C M_mu M_{1/mu} D - C Dd against B^H from the core's factors. Each row
+    of |lhs V - rhs V| is divided by the same row of the moduli of the
+    right side's factors applied to |V|, the componentwise scale of their
+    rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3);
+    each residual is the largest such ratio.
+    """
+    C, D, Dd = psi.analysis_matrix, psi.synthesis_matrix, psi.canonical_dual().synthesis_matrix
+    Ca, Da, Dda = np.abs(C), np.abs(D), np.abs(Dd)
+    draws = np.random.default_rng(seed).standard_normal((2, psi.n, PROBES))
+    V = draws[0] + 1j * draws[1]
+    absV = np.abs(V)
+    mu_c = muv[:, None]
+
+    def gram_mu(X, C, D):  # diag(mu) C D diag(1/mu) X; on moduli, its bound
+        return mu_c * (C @ (D @ (X / mu_c)))
+
+    rhs = gram_mu(C @ (D @ gram_mu(V, C, D)), C, D) + V - gram_mu(V, C, Dd)
+    scale = absV + gram_mu(Ca @ (Da @ gram_mu(absV, Ca, Da)), Ca, Da) + gram_mu(absV, Ca, Dda)
+    step3 = float(np.max(np.abs(core.apply(V, muv) - rhs) / scale))
+    b_rev = V + C @ (M_mu @ (M_rec @ (D @ V))) - C @ (Dd @ V)
+    scale = absV + Ca @ (Da @ gram_mu(Ca @ (Da @ absV), Ca, Da)) + Ca @ (Dda @ absV)
+    step5 = float(np.max(np.abs(b_rev - core.apply_adjoint(V)) / scale))
+    return step3, step5
+
+
 def lifting_theorem_pipeline(
     psi: Frame, mu, m=None, ps=(2,), s: float = 4.0, seed: int = 0
 ) -> dict:
@@ -134,18 +169,29 @@ def lifting_theorem_pipeline(
     number and the certificate's bound r on ||I - B X||_inf as
     ``B_certificate_margin`` (invertible when r < 1); (ii) profile the
     decay of the five Gram matrices the argument rests on; (iii) confirm
-    the conjugation identity B^mu = G^mu G G^mu + I - G_{Psi,Psid}^mu
-    exactly; (iv) condition B on each requested l^p_{m sqrt(mu)}: the p = 2
-    norms of B and B^{-1} come from the core, which step (i) already built
-    when m = 1, and other p read the entries of B and of B^{-1}; (v) check that
-    the reversed composition B_rev = Mat(M_mu M_{1/mu}) + (I - G_{Psi,Psid})
+    the conjugation identity B^mu = G^mu G G^mu + I - G_{Psi,Psid}^mu on
+    PROBES seeded probe vectors (Freivalds' check): the left side is the
+    certified B, applied through the core's own factors with their weight
+    rescaled to mu, the right side is applied through C, D and the dual
+    synthesis matrix, and each row of the difference is divided by the same
+    row of the moduli of the right side's factors applied to the probe's
+    moduli (see :func:`_probe_residuals`); (iv) condition B on each
+    requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} come from
+    the core, which step (i) already built when m = 1; the p = 1 and
+    p = inf norms are the column and row sums of the moduli of the
+    certified B_w and of its certified inverse, read from their factors one
+    row slab at a time, and other p interpolate them with sampled draws
+    applied through the factors; (v) check on the same probes that the
+    reversed composition B_rev = Mat(M_mu M_{1/mu}) + (I - G_{Psi,Psid})
     equals B^H, which holds because M_mu, M_{1/mu} and G_{Psi,Psid} are
-    Hermitian. The residual is scaled by the entrywise bound
-    max(|C| |M_{1/mu}| |M_mu| |D|) + 1. B_rev then inherits the verdict of
-    step (i), and the two verdicts agree exactly when the identity holds.
-    The report then carries lifting constants for every requested p; the
-    multiplier, the coefficient maps and their factorizations are built once
-    and shared across p.
+    Hermitian: B_rev is applied through C, M_mu, M_{1/mu} and D, B^H
+    through the core's factors, and rows are scaled as in (iii). B_rev then
+    inherits the verdict of step (i), and the two verdicts agree exactly
+    when the identity holds. No n x n B, B^{-1} or B_rev is assembled, and
+    no product of two n x n matrices is formed. The report then carries
+    lifting constants for every requested p; the multiplier, the
+    coefficient maps and their factorizations are built once and shared
+    across p.
 
     Returns the report as a dict: its headline ``lower``, ``upper`` and
     ``condition`` (those of p = 2 when requested, else of the first p),
@@ -158,7 +204,6 @@ def lifting_theorem_pipeline(
     mv = weight_values(m, psi.n)
     dual = psi.canonical_dual()
     G = psi.gram_matrix
-    cross = gram(psi, dual)
     idx = psi.index_set
     n = psi.n
 
@@ -177,7 +222,22 @@ def lifting_theorem_pipeline(
         ],
     }
 
+    # Step (i): the splitting matrix and its invertibility on l^2_sqrt(mu).
+    M_mu = multiplier(muv, psi)
+    M_rec = multiplier(1.0 / muv, psi)
+    O = M_rec @ M_mu
+    sqmu = np.sqrt(muv)
+    core = _SplitCore(O, psi, w=sqmu)
+    sv_min, sv_max = core.sigma
+    invertible = core.invertible()
+    verdicts["B_invertible_l2_sqrt_mu"] = invertible
+    residuals["B_sigma_min_over_max"] = sv_min / sv_max
+    residuals["B_certificate_margin"] = core.certificate_margin
+
     # Hypothesis bookkeeping: moderateness of all five weights, flagged only.
+    # One (1 + dist)^s table, held until step (ii) is done, serves these
+    # five scans and the five decay profiles.
+    growth = idx.growth(float(s))
     five = {
         "m": mv,
         "mu": muv,
@@ -194,21 +254,9 @@ def lifting_theorem_pipeline(
             "flagged": bool(cmod > MODERATE_FLAG),
         }
 
-    # Step (i): the splitting matrix and its invertibility on l^2_sqrt(mu).
-    M_mu = multiplier(muv, psi)
-    M_rec = multiplier(1.0 / muv, psi)
-    O = M_rec @ M_mu
-    B_split = invertibility_matrix(O, psi, cross=cross)
-    sqmu = np.sqrt(muv)
-    core = _SplitCore(O, psi, w=sqmu)
-    sv_min, sv_max = core.sigma
-    invertible = core.invertible()
-    verdicts["B_invertible_l2_sqrt_mu"] = invertible
-    residuals["B_sigma_min_over_max"] = sv_min / sv_max
-    residuals["B_certificate_margin"] = core.certificate_margin
-
     # Step (ii): decay profiles of the five Gram matrices, one conjugated
-    # copy alive at a time.
+    # copy alive at a time; the n x n cross-Gram lives for this step only.
+    cross = gram(psi, dual)
     decay_profiles = {}
     for name, mat, wt in (
         ("G", G, None),
@@ -219,15 +267,10 @@ def lifting_theorem_pipeline(
     ):
         prof = mat if wt is None else matalg.conjugate(mat, wt)
         decay_profiles[name] = matalg.decay_constant(prof, s, idx)
-    del prof
+    del prof, mat, cross, growth
 
-    # Step (iii): the conjugation identity, pure matrix algebra.
-    Gmu = matalg.conjugate(G, muv)
-    rhs = Gmu @ G @ Gmu + np.eye(n) - matalg.conjugate(cross, muv)
-    del Gmu
-    lhs = matalg.conjugate(B_split, muv)
-    step3 = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
-    del lhs, rhs
+    # Steps (iii) and (v) on seeded probes, through the factors.
+    step3, step5 = _probe_residuals(psi, core, muv, M_mu, M_rec, seed)
     residuals["step_iii_identity"] = step3
     verdicts["step_iii_ok"] = bool(step3 < IDENTITY_RTOL)
 
@@ -235,8 +278,8 @@ def lifting_theorem_pipeline(
     w_msqmu = mv * sqmu
     core_w = core if np.array_equal(w_msqmu, sqmu) else _SplitCore(O, psi, w=w_msqmu)
     need_entries = any(p != 2 for p in ps)
-    Bw = matalg.conjugate(B_split, w_msqmu) if need_entries else None
-    Bw_inv = core_w.inverse() if need_entries and invertible else None
+    Bw = core_w.matrix() if need_entries else None
+    Bw_inv = core_w.inverse_matrix() if need_entries and invertible else None
     for p in ps:
         fwd = matalg.operator_norm(Bw, p, n2=core_w.sigma[1])
         entry = {"B_norm": fwd}
@@ -246,16 +289,10 @@ def lifting_theorem_pipeline(
             (lo, hi), (rlo, rhi) = (v if isinstance(v, tuple) else (v, v) for v in (fwd, rev))
             entry["condition_bracket"] = (lo * rlo, hi * rhi)
         residuals.setdefault("step_iv", {})[_p_key(p)] = entry
-    del Bw, Bw_inv
+    del Bw, Bw_inv, core, core_w, O, M_rec
 
     # Step (v): the reversed composition is B^H, so it is invertible exactly
     # when B is.
-    B_rev = invertibility_matrix(M_mu @ M_rec, psi, cross=cross)
-    B_rev -= B_split.conj().T
-    C, D = psi.analysis_matrix, psi.synthesis_matrix
-    bound = float((np.abs(C) @ (np.abs(M_rec) @ np.abs(M_mu)) @ np.abs(D)).max()) + 1.0
-    step5 = float(np.abs(B_rev).max()) / bound
-    del B_rev, B_split
     adjoint_ok = bool(step5 < IDENTITY_RTOL)
     residuals["step_v_adjoint_identity"] = step5
     verdicts["B_reverse_invertible"] = invertible and adjoint_ok

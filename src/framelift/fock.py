@@ -77,15 +77,6 @@ class FockLattice:
         lam = self.points
         return IndexSet(np.column_stack([lam.real, lam.imag]))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FockLattice":
-        return cls(
-            delta=float(d["delta"]),
-            R=float(d["R"]),
-            jitter=float(d.get("jitter", 0.0)),
-            seed=int(d.get("seed", 1)),
-        )
-
 
 def fock_gram_exact(points) -> np.ndarray:
     """Closed-form Gram of normalized kernels; Hermitian with unit diagonal.

@@ -154,12 +154,18 @@ def moderate_interplay_check(frame: Frame, t: float, s: float) -> dict:
 
 
 def _lattice_for(N: int, redundancy, a_ratio, b_ratio) -> TFLattice:
-    """a = N / a_ratio, b = N / b_ratio; a ratio given alone stands for both."""
+    """a = N / a_ratio, b = N / b_ratio; a ratio given alone stands for both.
+
+    A ratio above N gives no step, and one that leaves a step not dividing
+    N gives no lattice; either raises ValueError.
+    """
     if a_ratio is None and b_ratio is None:
         return TFLattice.balanced(N, redundancy)
     a_ratio = b_ratio if a_ratio is None else a_ratio
     b_ratio = a_ratio if b_ratio is None else b_ratio
-    return TFLattice(N, max(1, N // a_ratio), max(1, N // b_ratio))
+    if max(a_ratio, b_ratio) > N:
+        raise ValueError(f"lattice ratios {a_ratio}, {b_ratio} exceed N = {N}: no lattice step")
+    return TFLattice(N, N // a_ratio, N // b_ratio)
 
 
 class GaborFamily:

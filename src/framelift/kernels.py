@@ -36,15 +36,20 @@ def dist_to_origin(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def decay_max(absa: np.ndarray, dist: np.ndarray, s: float) -> float:
-    """max over (k,l) of |a_kl| * (1 + dist_kl)**s."""
-    return float((absa * (1.0 + dist) ** s).max())
+def growth_table(dist: np.ndarray, s: float) -> np.ndarray:
+    """(1 + dist_kl)**s over all pairs: the table both scans below read."""
+    return (1.0 + dist) ** s
 
 
-def moderateness_max(values: np.ndarray, dist: np.ndarray, t: float) -> float:
-    """max over (k,l) of m_k / ((1 + dist_kl)**t * m_l)."""
+def decay_max(absa: np.ndarray, growth: np.ndarray) -> float:
+    """max over (k,l) of |a_kl| * (1 + dist_kl)**s, ``growth`` the table at s."""
+    return float((absa * growth).max())
+
+
+def moderateness_max(values: np.ndarray, growth: np.ndarray) -> float:
+    """max over (k,l) of m_k / ((1 + dist_kl)**t * m_l), ``growth`` the table at t."""
     ratio = values[:, None] / values[None, :]
-    return float((ratio / (1.0 + dist) ** t).max())
+    return float((ratio / growth).max())
 
 
 def moderateness_max_subexp(

@@ -28,6 +28,7 @@ is that test on a dense matrix; the splitting matrix of
 
 import csv
 import functools
+import weakref
 
 import numpy as np
 
@@ -41,6 +42,8 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Seeded draws behind the inner side of a bracket: map_constants, operator_norm.
 MAP_SAMPLES = 256
 NORM_SAMPLES = 64
+# Rows of a _SlabMatrix alive at a time when its moduli are summed.
+SLAB_ROWS = 256
 
 
 def decay_constant(A: np.ndarray, s: float, idx: IndexSet) -> float:
@@ -49,7 +52,7 @@ def decay_constant(A: np.ndarray, s: float, idx: IndexSet) -> float:
     n = len(idx)
     if A.shape != (n, n):
         raise ValueError("matrix shape does not match index set size")
-    return kernels.decay_max(np.abs(A).astype(float), idx.distance_matrix(), float(s))
+    return kernels.decay_max(np.abs(A).astype(float), idx.growth(float(s)))
 
 
 def conjugate(A: np.ndarray, mu) -> np.ndarray:
@@ -134,7 +137,49 @@ def is_invertible(A: np.ndarray) -> bool:
     return bool(certificate_margin(A) < 1.0)
 
 
-def _induced_norm_exact(T: np.ndarray, p) -> float:
+class _SlabMatrix:
+    """An n x n matrix held as factors: I + U V with U n x k and V k x n,
+    or U itself when V is None. It is never assembled whole.
+
+    :func:`operator_norm` reads it in place of an array: its exact p = 1
+    and p = inf norms come from :attr:`abs_sums`, and the sampled draws go
+    through :meth:`apply`, so no n x n product is formed at once.
+    """
+
+    def __init__(self, U: np.ndarray, V=None):
+        self.U, self.V = U, V
+        self.n = U.shape[0]
+        self.shape = (self.n, self.n)
+
+    def rows(self, i0: int, i1: int) -> np.ndarray:
+        """Rows i0:i1 of the matrix."""
+        if self.V is None:
+            return self.U[i0:i1]
+        T = self.U[i0:i1] @ self.V
+        T[np.arange(i1 - i0), np.arange(i0, i1)] += 1.0
+        return T
+
+    def apply(self, F: np.ndarray) -> np.ndarray:
+        """F T^T: the matrix applied to each row of F."""
+        if self.V is None:
+            return F @ self.U.T
+        return F + (F @ self.V.T) @ self.U.T
+
+    @functools.cached_property
+    def abs_sums(self) -> tuple:
+        """(max column sum, max row sum) of the moduli, read SLAB_ROWS rows
+        at a time: the exact p = 1 and p = inf norms."""
+        cols, row_max = np.zeros(self.n), 0.0
+        for i0 in range(0, self.n, SLAB_ROWS):
+            a = np.abs(self.rows(i0, min(i0 + SLAB_ROWS, self.n)))
+            cols += a.sum(axis=0)
+            row_max = max(row_max, float(a.sum(axis=1).max()))
+        return float(cols.max()), row_max
+
+
+def _induced_norm_exact(T, p) -> float:
+    if p in (1, np.inf) and isinstance(T, _SlabMatrix):
+        return T.abs_sums[0 if p == 1 else 1]
     if p == 1:
         return float(np.abs(T).sum(axis=0).max())
     if p == np.inf:
@@ -144,23 +189,26 @@ def _induced_norm_exact(T: np.ndarray, p) -> float:
     raise ValueError("exact induced norms only for p in {1, 2, inf}")
 
 
-def sampled_ratios(A: np.ndarray, B, p, n_samples: int, seed: int) -> np.ndarray:
+def sampled_ratios(A, B, p, n_samples: int, seed: int) -> np.ndarray:
     """||A f||_p / ||B f||_p over seeded complex Gaussian draws f.
 
-    B = None is the identity. Row i of the draws is f_i: its real parts,
-    then its imaginary parts, drawn in sample order, so a seed fixes each f_i
-    whatever n_samples is. Draws with B f = 0 are skipped.
+    A is an array or a :class:`_SlabMatrix`; B = None is the identity.
+    Row i of the draws is f_i: its real parts, then its imaginary parts,
+    drawn in sample order, so a seed fixes each f_i whatever n_samples is.
+    Draws with B f = 0 are skipped.
     """
     draws = np.random.default_rng(seed).standard_normal((n_samples, 2, A.shape[1]))
     F = draws[:, 0] + 1j * draws[:, 1]
     den = lp_norms(F if B is None else F @ B.T, p)
     keep = den != 0
-    return lp_norms(F[keep] @ A.T, p) / den[keep]
+    F = F[keep]
+    return lp_norms(A.apply(F) if isinstance(A, _SlabMatrix) else F @ A.T, p) / den[keep]
 
 
-def operator_norm(A: np.ndarray, p, n2=None, seed: int = 0):
+def operator_norm(A, p, n2=None, seed: int = 0):
     """Induced norm of A on l^p. On a weighted space l^p_w, pass
-    ``conjugate(A, w)``.
+    ``conjugate(A, w)``. A is an array or a :class:`_SlabMatrix`, which
+    needs n2 for p = 2 and 1 < p < inf.
 
     p in {1, 2, inf}: exact value as a float. Other p in (1, inf): a
     (lower, upper) bracket; the upper bound interpolates the exact
@@ -172,7 +220,8 @@ def operator_norm(A: np.ndarray, p, n2=None, seed: int = 0):
     """
     if p == 2 and n2 is not None:
         return n2
-    A = np.asarray(A)
+    if not isinstance(A, _SlabMatrix):
+        A = np.asarray(A)
     if p in (1, 2, np.inf):
         return _induced_norm_exact(A, p)
     if not 1 < p < np.inf:
@@ -183,13 +232,15 @@ def operator_norm(A: np.ndarray, p, n2=None, seed: int = 0):
     return (lower, interpolated_upper(A, p, n2))
 
 
-def interpolated_upper(T: np.ndarray, p, n2: float) -> float:
+def interpolated_upper(T, p, n2: float) -> float:
     """Riesz-Thorin bound on the l^p induced norm of T from its exact
     p = 1, inf norms and its 2-norm n2, for 1 < p < inf."""
+    return _riesz_thorin(_induced_norm_exact(T, 1), n2, _induced_norm_exact(T, np.inf), p)
+
+
+def _riesz_thorin(n1: float, n2: float, ninf: float, p) -> float:
     if not 1 < p < np.inf:
         raise ValueError("p must lie in [1, inf]")
-    n1 = _induced_norm_exact(T, 1)
-    ninf = _induced_norm_exact(T, np.inf)
     if p < 2:
         theta = 2.0 - 2.0 / p
         return n1 ** (1 - theta) * n2**theta
@@ -210,6 +261,8 @@ class _Factored:
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix)
+        # Keyed by the map L of L M^+; weak, so two maps never keep each other alive.
+        self._product_sums = weakref.WeakKeyDictionary()
 
     @functools.cached_property
     def _svd(self) -> tuple:
@@ -250,23 +303,39 @@ class _Factored:
         u, s, vh = self._svd
         return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
 
+    def product_sums(self, L: "_Factored") -> tuple:
+        """(max column sum, max row sum) of |L M^+|, the exact p = 1 and
+        p = inf norms of the n x n product, for an injective M.
+
+        The product is formed once per L, whichever p asks first, and only
+        its two sums are kept.
+        """
+        if L not in self._product_sums:
+            T = np.abs(L.matrix @ self.left_inverse)
+            self._product_sums[L] = (float(T.sum(axis=0).max()), float(T.sum(axis=1).max()))
+        return self._product_sums[L]
+
 
 def _factored(M) -> _Factored:
     return M if isinstance(M, _Factored) else _Factored(M)
 
 
-def _product_norm(L: np.ndarray, F: _Factored, p) -> float:
+def _product_norm(L: _Factored, F: _Factored, p) -> float:
     """Induced l^p norm of the n x n product L F^+ (upper end for 1 < p < inf).
 
-    L is n x d and F^+ is the d x n left inverse of an injective map F. The
-    2-norm, needed for 1 < p < inf, is sigma_max of the n x d matrix
-    L F.vs_inv (see :attr:`_Factored.vs_inv`), so no n x n
+    L is an n x d map and F^+ the d x n left inverse of an injective map F.
+    The p = 1 and p = inf norms come from :meth:`_Factored.product_sums`,
+    shared across p. The 2-norm, needed for 1 < p < inf, is sigma_max of the
+    n x d matrix L F.vs_inv (see :attr:`_Factored.vs_inv`), so no n x n
     factorization is needed.
     """
     if p in (1, np.inf):
-        return operator_norm(L @ F.left_inverse, p)
-    n2 = float(np.linalg.svd(L @ F.vs_inv, compute_uv=False)[0])
-    return n2 if p == 2 else interpolated_upper(L @ F.left_inverse, p, n2)
+        return F.product_sums(L)[0 if p == 1 else 1]
+    n2 = float(np.linalg.svd(L.matrix @ F.vs_inv, compute_uv=False)[0])
+    if p == 2:
+        return n2
+    n1, ninf = F.product_sums(L)
+    return _riesz_thorin(n1, n2, ninf, p)
 
 
 def map_constants(A, B, p, seed: int = 0) -> dict:
@@ -293,8 +362,8 @@ def map_constants(A, B, p, seed: int = 0) -> dict:
         lo, hi = float(sv[-1]), float(sv[0])
         return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
     B_inv, A_inv = B.left_inverse, A.left_inverse
-    upper_cert = _product_norm(Am, B, p) if B_inv is not None else np.inf
-    lower_cert = 1.0 / _product_norm(Bm, A, p) if A_inv is not None else 0.0
+    upper_cert = _product_norm(A, B, p) if B_inv is not None else np.inf
+    lower_cert = 1.0 / _product_norm(B, A, p) if A_inv is not None else 0.0
     ratios = sampled_ratios(Am, Bm, p, MAP_SAMPLES, seed)
     up_samp = float(np.max(ratios, initial=0.0))
     lo_samp = float(np.min(ratios, initial=np.inf))

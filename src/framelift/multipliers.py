@@ -8,10 +8,13 @@ C_Phi O D_Psi.
 Invertibility of O on C^d transfers to invertibility of the n x n matrix
 B_O = Mat(O) + (I - G_{Psi,Psid}) and back; the second summand kills the
 coefficient-space directions Mat can never see (ker D_Psi). This module is
-the one owner of B_O: :func:`invertibility_matrix` builds its entries, and
-:class:`_SplitCore` holds it as a k x k core, k = min(n, 2d), from which
-the verdicts of ``verify`` and the factorizations of the lifting pipeline
-are taken without any n x n factorization.
+the one owner of B_O, and no n x n copy of it is ever assembled:
+:class:`_SplitCore` holds it as the identity plus the factors X (n x d) and
+Y (d x n) of a term of rank d, and compresses them to a k x k core,
+k = min(n, 2d). The verdicts of ``verify`` and the lifting pipeline's
+factorizations come from the core; the pipeline's identity checks apply B_O
+and B_O^H to probe vectors through X and Y, and its p = 1 and p = inf norms
+of B_O and B_O^{-1} are read from the factors one row slab at a time.
 """
 
 import functools
@@ -20,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import matalg
-from .frames import Frame, gram
+from .frames import Frame
 from .matalg import _Factored, map_constants
 from .weights import weight_values
 
@@ -65,30 +68,6 @@ class Slots(Enum):
 
 def _pick(frame: Frame, which: str) -> Frame:
     return frame if which == "frame" else frame.canonical_dual()
-
-
-def invertibility_matrix(
-    O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, cross=None
-) -> np.ndarray:
-    """B_O = Mat(O) + (I - G_{Psi,Psid}) with the requested slot assignment.
-
-    O is invertible on C^d exactly when B_O is invertible on C^n, for every
-    slot choice; the default (Psi, Psi) matches the composed-multiplier
-    splitting used by the lifting pipeline. ``cross`` is G_{Psi,Psid} when
-    the caller already holds it (it is read, not changed). The sum is
-    assembled in place as -G, then + 1 on the diagonal, then + Mat(O),
-    which rounds exactly like Mat(O) + (I - G) and holds one n x n
-    temporary fewer.
-    """
-    left, right = (_pick(psi, w) for w in slots.value)
-    if cross is None:
-        out = gram(psi, psi.canonical_dual())
-        np.negative(out, out=out)
-    else:
-        out = np.negative(cross)
-    out[np.diag_indices(psi.n)] += 1.0
-    out += galerkin(O, left, right)
-    return out
 
 
 def _extremes(sv: np.ndarray, n: int) -> tuple:
@@ -143,7 +122,7 @@ class _SplitCore:
             v = v / w
             return P_err(v) + matalg.gamma(2) * (matalg.abs_chain(v, P) + matalg.abs_chain(v, Dd))
 
-        self.n = n
+        self.n, self.w, self.X, self.Y = n, w, X, Y
         if 2 * d >= n:
             self.Q = None
             Xq, Yq = X, Y
@@ -237,15 +216,29 @@ class _SplitCore:
         """
         return _extremes(np.linalg.svd(self.K_inv, compute_uv=False), self.n)[1]
 
-    def inverse(self) -> np.ndarray:
-        """The n x n matrix (diag(w) B_O diag(1/w))^{-1}: K^{-1} itself when
-        Q is None, else I + Q (K^{-1} - I) Q^H."""
+    def matrix(self) -> matalg._SlabMatrix:
+        """B_w = diag(w) B_O diag(1/w) = I + X Y, held as its factors (K
+        itself when Q is None)."""
+        return matalg._SlabMatrix(self.K) if self.Q is None else matalg._SlabMatrix(self.X, self.Y)
+
+    def inverse_matrix(self) -> matalg._SlabMatrix:
+        """The approximate inverse that :meth:`invertible` certifies: K^{-1}
+        itself when Q is None, else I + Q (K^{-1} - I) Q^H, held as the
+        factors Q (K^{-1} - I) and Q^H."""
         if self.Q is None:
-            return self.K_inv
-        core = self.K_inv - np.eye(self.K.shape[0])
-        out = (self.Q @ core) @ self.Q.conj().T
-        out[np.diag_indices(self.n)] += 1.0
-        return out
+            return matalg._SlabMatrix(self.K_inv)
+        return matalg._SlabMatrix(self.Q @ (self.K_inv - np.eye(self.K.shape[0])), self.Q.conj().T)
+
+    def apply(self, V: np.ndarray, w) -> np.ndarray:
+        """diag(w) B_O diag(1/w) V for the columns of V, from X and Y with
+        their weight rescaled to w: O(n d) per column."""
+        r = (weight_values(w, self.n) / self.w)[:, None]
+        return V + r * (self.X @ (self.Y @ (V / r)))
+
+    def apply_adjoint(self, V: np.ndarray) -> np.ndarray:
+        """B_O^H V = V + diag(w) Y^H X^H diag(1/w) V for the columns of V."""
+        w = self.w[:, None]
+        return V + w * (self.Y.conj().T @ (self.X.conj().T @ (V / w)))
 
 
 def _scaled(c: float, *factors):

@@ -15,6 +15,8 @@ spec under a config key for every command and lift family, and
 values.
 """
 
+import weakref
+
 import numpy as np
 
 from . import kernels
@@ -56,6 +58,7 @@ class IndexSet:
         self.metric = metric
         self.period = period
         self._dists = None
+        self._growth = (None, lambda: None)  # (exponent, weak reference to its table)
         if len(np.unique(pts.round(12), axis=0)) != len(pts):
             raise ValueError("index set points must be distinct")
 
@@ -66,6 +69,18 @@ class IndexSet:
         if self._dists is None:
             self._dists = kernels.pairwise_dist(self.points, self.period or 0.0)
         return self._dists
+
+    def growth(self, s: float) -> np.ndarray:
+        """(1 + dist)^s over all pairs, the table the decay and moderateness
+        scans read. The table of the last exponent is reused while a caller
+        holds it, and freed with its last holder, so no n x n table outlives
+        the scans that share it."""
+        exponent, ref = self._growth
+        table = ref() if exponent == s else None
+        if table is None:
+            table = kernels.growth_table(self.distance_matrix(), s)
+            self._growth = (s, weakref.ref(table))
+        return table
 
     def distance_to_origin(self) -> np.ndarray:
         return kernels.dist_to_origin(self.points, self.period or 0.0)
@@ -176,9 +191,9 @@ def moderateness_constant(m: Weight, t: float, profile: str = "polynomial", beta
     profile "polynomial": (1 + dist)^t. profile "subexponential":
     exp(t * dist^beta). Always >= 1 (take k = l).
     """
-    dist = m.index_set.distance_matrix()
     if profile == "polynomial":
-        return kernels.moderateness_max(m.values, dist, float(t))
+        return kernels.moderateness_max(m.values, m.index_set.growth(float(t)))
     if profile == "subexponential":
+        dist = m.index_set.distance_matrix()
         return kernels.moderateness_max_subexp(m.values, dist, float(t), float(beta))
     raise ValueError(f"unknown moderateness profile {profile!r}")

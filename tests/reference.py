@@ -10,9 +10,9 @@ import json
 import numpy as np
 
 from framelift import fock
-from framelift.frames import Frame
+from framelift.frames import Frame, gram
 from framelift.matalg import pseudo_inverse
-from framelift.multipliers import galerkin, multiplier
+from framelift.multipliers import Slots, galerkin, multiplier
 from framelift.weights import IndexSet, lp_norms, weight_values
 
 # Residual below which an ordering passes galerkin_pinv_crosscheck.
@@ -23,6 +23,25 @@ def op_from_matrix(M: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
     """Op^{(Phi,Psi)}(M) = D_Phi M C_Psi; with dual slots inside, Op after Mat
     is the identity on operators."""
     return phi.synthesis_matrix @ np.asarray(M) @ psi.analysis_matrix
+
+
+def invertibility_matrix(O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, cross=None) -> np.ndarray:
+    """B_O = Mat(O) + (I - G_{Psi,Psid}) with the requested slot assignment,
+    assembled as an n x n array: the dense reference for the factors that
+    :class:`framelift.multipliers._SplitCore` holds.
+
+    O is invertible on C^d exactly when B_O is invertible on C^n, for every
+    slot choice. ``cross`` is G_{Psi,Psid} when the caller already holds it
+    (it is read, not changed). The sum is assembled in place as -G, then
+    + 1 on the diagonal, then + Mat(O), which rounds exactly like
+    Mat(O) + (I - G).
+    """
+    left, right = (psi if which == "frame" else psi.canonical_dual() for which in slots.value)
+    out = gram(psi, psi.canonical_dual()) if cross is None else cross.copy()
+    np.negative(out, out=out)
+    out[np.diag_indices(psi.n)] += 1.0
+    out += galerkin(O, left, right)
+    return out
 
 
 def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame) -> dict:

@@ -13,7 +13,7 @@ import pytest
 from framelift import cli
 from framelift.cli import _entry_rows, main
 from framelift.coorbit import FrameFamily, sweep
-from framelift.fock import FockFamily
+from framelift.fock import FockFamily, FockLattice, embed_truncated
 from framelift.frames import random_frame
 from framelift.gabor import GaborFamily, gabor_system
 from framelift.weights import UNIT_SPEC, Weight
@@ -90,6 +90,18 @@ class TestVerify:
         rep = _read_json(tmp_path / "identities.json")
         assert rep["residuals"]["coercivity_extremes_agreement"] <= 1e-13
         assert "extremes_agreement" not in rep["coercivity"]
+
+    def test_family_that_is_not_a_frame_is_a_config_error(self, tmp_path, capsys):
+        # The kernels of a Fock lattice embedded at the default degree span
+        # less than C^{Dmax+1}: the family has no canonical dual.
+        spec = {"type": "fock", "delta": 0.8, "R": 1.5}
+        cfg = _write(tmp_path, "fock.json", {"kind": "verify", "frame": spec})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        lower, upper = cli.build_frame(spec, seed=0).bounds
+        assert err.startswith("config error: bad frame spec: family is not a frame")
+        assert f"{lower:.3e}" in err and f"{upper:.3e}" in err
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestConfigErrors:
@@ -177,7 +189,17 @@ class TestConfigErrors:
             ("lift_gabor.json", "a_ratio", "true"),
             ("lift_gabor.json", "a_ratio", "0"),
             ("lift_gabor.json", "b_ratio", "4.5"),
+            ("lift_gabor.json", "a_ratio", "32"),
+            ("lift_gabor.json", "b_ratio", "17"),
             ("lift_fock.json", "delta", "true"),
+            ("lift_fock.json", "jitter", "true"),
+            ("lift_fock.json", "jitter", "-0.1"),
+            ("lift_fock.json", "margin", "true"),
+            ("lift_fock.json", "margin", '"0.5"'),
+            ("export_gabor_frame.json", "frame", '{"type": "fock", "delta": 0.8, "R": 1.5, "seed": 1.5}'),
+            ("export_gabor_frame.json", "frame", '{"type": "fock", "delta": 0.8, "R": 1.5, "jitter": true}'),
+            ("export_gabor_frame.json", "frame", '{"type": "fock", "delta": true, "R": 1.5}'),
+            ("export_gabor_frame.json", "frame", '{"type": "fock", "delta": 0.8, "R": "1.5"}'),
             ("verify_onb.json", "frame", '{"type": "onb", "d": true}'),
             ("verify_onb.json", "frame", '{"type": "gabor", "N": 16.5, "a": 2, "b": 2}'),
             ("verify_onb.json", "frame", '{"type": "gabor", "N": 16, "a": 2.9, "b": 2}'),
@@ -187,13 +209,14 @@ class TestConfigErrors:
     )
     def test_invalid_size_is_a_config_error(self, tmp_path, capsys, config, key, sizes):
         # N, lattice ratios, redundancy and frame sizes are positive
-        # integers, and R and delta finite positive numbers: a bool, a
-        # fraction or a value out of range is rejected before anything runs,
-        # not truncated or divided by.
+        # integers, a lattice ratio is at most N, seeds are nonnegative
+        # integers, and R, delta, jitter and margin finite nonnegative
+        # numbers: a bool, a string, a fraction or a value out of range is
+        # rejected before anything runs, not truncated, clamped or divided by.
         text = json.dumps(dict(_read_json(CONFIGS / config), **{key: "@"})).replace('"@"', sizes)
         path = tmp_path / "sizes.json"
         path.write_text(text)
-        command = "verify" if config.startswith("verify") else "lift"
+        command = config.split("_")[0] if config.startswith(("verify", "export")) else "lift"
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
@@ -555,6 +578,13 @@ class TestExport:
             ]
         )
         assert rc == 2
+
+    def test_fock_spec_reads_every_field(self):
+        spec = {"type": "fock", "delta": 0.8, "R": 2.0, "jitter": 0.05, "seed": 3}
+        want = embed_truncated(FockLattice(delta=0.8, R=2.0, jitter=0.05, seed=3))
+        back = cli.build_frame(spec, seed=0)
+        np.testing.assert_array_equal(back.vectors, want.vectors)
+        np.testing.assert_array_equal(back.index_set.points, want.index_set.points)
 
 
 class TestDeterminism:

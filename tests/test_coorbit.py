@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from framelift import matalg
+from framelift import coorbit, matalg
 from framelift.coorbit import (
+    IDENTITY_RTOL,
     _lifting_maps,
     coercivity_check,
     lifting_constants,
@@ -17,6 +18,7 @@ from framelift.frames import gram, onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
 from framelift.multipliers import _SplitCore, galerkin, multiplier
 from framelift.weights import Weight
+from tests.reference import invertibility_matrix
 
 
 class TestCoercivity:
@@ -181,6 +183,26 @@ class TestLiftingConstants:
 
         assert c["upper"][1] == pytest.approx(dense(A, B), rel=1e-13)
         assert c["lower"][0] == pytest.approx(1.0 / dense(B, A), rel=1e-13)
+
+    def test_each_product_is_formed_once_whatever_the_ps(self, rng, monkeypatch):
+        # p = 1, 3 and inf all read |A B^+| and |B A^+|: each n x n product is
+        # formed by the first p that needs it, and the others reuse its sums.
+        A, B = (
+            matalg._Factored(rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))) for _ in range(2)
+        )
+        formed, product_sums = [], matalg._Factored.product_sums
+
+        def spy(self, L):
+            if L not in self._product_sums:
+                formed.append((self, L))
+            return product_sums(self, L)
+
+        monkeypatch.setattr(matalg._Factored, "product_sums", spy)
+        c = {p: map_constants(A, B, p) for p in (1, 3, np.inf)}
+        assert formed == [(B, A), (A, B)]
+        for p in (1, np.inf):
+            want = matalg.operator_norm(A.matrix @ np.linalg.pinv(B.matrix), p)
+            assert c[p]["upper"][1] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, np.inf])
     def test_wide_maps_are_not_injective(self, rng, p):
@@ -412,3 +434,121 @@ class TestLowRankSplitting:
         report = lifting_theorem_pipeline(psi, mu, ps=(2,))
         assert report["residuals"]["step_v_adjoint_identity"] <= 1e-14
         assert report["verdicts"]["verdicts_agree"]
+
+
+def _dense_identity_residuals(psi, muv) -> tuple:
+    """Steps (iii) and (v) on the assembled n x n matrices, each entry of the
+    difference divided by the same entry of the moduli of its terms."""
+    n = psi.n
+    eye = np.eye(n)
+    G, cross = psi.gram_matrix, gram(psi, psi.canonical_dual())
+    M_mu, M_rec = multiplier(muv, psi), multiplier(1.0 / muv, psi)
+    B = invertibility_matrix(M_rec @ M_mu, psi)
+    Gmu = matalg.conjugate(G, muv)
+    cross_mu = matalg.conjugate(cross, muv)
+    rhs = Gmu @ G @ Gmu + eye - cross_mu
+    scale = np.abs(Gmu) @ np.abs(G) @ np.abs(Gmu) + np.abs(cross_mu) + eye
+    step3 = float(np.max(np.abs(matalg.conjugate(B, muv) - rhs) / scale))
+    B_rev = invertibility_matrix(M_mu @ M_rec, psi)
+    scale = np.abs(G) @ np.abs(Gmu) @ np.abs(G) + np.abs(cross) + eye
+    step5 = float(np.max(np.abs(B_rev - B.conj().T) / scale))
+    return step3, step5
+
+
+class TestProbeChecks:
+    """Steps (iii) and (v) apply both sides to seeded probes through the factors."""
+
+    def test_perturbed_core_factor_fails_step_iii(self, monkeypatch):
+        # Each row of the residual is scaled by the moduli of all the terms
+        # that form it, so one entry changed by 1e-8 shows above the 1e-10
+        # tolerance on a small frame (n = 6, d = 3), where it weighs most.
+        psi, mu, _ = _random_case(6, 3, False)
+        assert lifting_theorem_pipeline(psi, mu, ps=(2,))["verdicts"]["step_iii_ok"]
+
+        class Perturbed(_SplitCore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.Y = self.Y.copy()
+                self.Y[np.unravel_index(np.argmax(np.abs(self.Y)), self.Y.shape)] *= 1 + 1e-8
+
+        monkeypatch.setattr(coorbit, "_SplitCore", Perturbed)
+        report = lifting_theorem_pipeline(psi, mu, ps=(2,))
+        assert report["residuals"]["step_iii_identity"] > IDENTITY_RTOL
+        assert not report["verdicts"]["step_iii_ok"]
+        assert not report["verdicts"]["all_steps"]
+
+    def test_perturbed_adjoint_side_breaks_verdicts_agree(self, monkeypatch):
+        psi, mu, _ = _random_case(24, 8, False)
+        apply_adjoint = _SplitCore.apply_adjoint
+        monkeypatch.setattr(_SplitCore, "apply_adjoint", lambda self, V: apply_adjoint(self, V) * (1 + 1e-8))
+        report = lifting_theorem_pipeline(psi, mu, ps=(2,))
+        v = report["verdicts"]
+        assert v["step_iii_ok"] and v["B_invertible_l2_sqrt_mu"]
+        assert report["residuals"]["step_v_adjoint_identity"] > IDENTITY_RTOL
+        assert not v["verdicts_agree"]
+        assert not v["B_reverse_invertible"]
+        assert not v["all_steps"]
+
+    @pytest.mark.parametrize("case", [("random", 24, 8), ("random", 12, 8), ("random", 40, 6), ("gabor", 16, 6.0)])
+    def test_probe_verdicts_agree_with_dense_residuals(self, case):
+        kind, a, b = case
+        psi, mu, _ = _gabor(a, b) if kind == "gabor" else _random_case(a, b, False)
+        report = lifting_theorem_pipeline(psi, mu, ps=(2,))
+        step3, step5 = _dense_identity_residuals(psi, mu)
+        assert max(step3, step5) < IDENTITY_RTOL
+        assert report["residuals"]["step_iii_identity"] < 1e-14
+        assert report["residuals"]["step_v_adjoint_identity"] < 1e-14
+        assert report["verdicts"]["step_iii_ok"] == (step3 < IDENTITY_RTOL)
+        assert report["verdicts"]["verdicts_agree"] == (step5 < IDENTITY_RTOL)
+
+    def test_gabor_t6_n64_passes_every_step(self):
+        # Scaled by max|rhs|, the n x n residual of step (iii) was 2.2e-10
+        # here, over the tolerance, though the certificate closes (r = 3.9e-2).
+        psi, mu, _ = _gabor(64, 6.0)
+        report = lifting_theorem_pipeline(psi, mu, ps=(2,))
+        assert report["residuals"]["step_iii_identity"] < 1e-14
+        assert report["verdicts"]["step_iii_ok"]
+        assert report["verdicts"]["all_steps"]
+
+
+def _assembled(core) -> tuple:
+    """B_w = I + X Y and its certified inverse I + Q (K^{-1} - I) Q^H, as n x n arrays."""
+    eye = np.eye(core.n)
+    if core.Q is None:
+        return core.K, core.K_inv
+    inv = eye + core.Q @ (core.K_inv - np.eye(core.K.shape[0])) @ core.Q.conj().T
+    return eye + core.X @ core.Y, inv
+
+
+class TestSlabNorms:
+    """Step (iv)'s p = 1 and p = inf norms come from row slabs of the factors."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [("random", 24, 8, False), ("random", 12, 8, False), ("random", 24, 8, True), ("gabor", 32, 6.0, 0.0)],
+        ids=lambda c: "-".join(str(x) for x in c),
+    )
+    def test_match_dense_norms_of_the_assembled_matrices(self, case, monkeypatch):
+        kind, a, b, c = case
+        psi, mu, m = _gabor(a, b, c) if kind == "gabor" else _random_case(a, b, c)
+        monkeypatch.setattr(matalg, "SLAB_ROWS", 5)  # several slabs, the last one short
+        w = m * np.sqrt(mu)
+        O = multiplier(1.0 / mu, psi) @ multiplier(mu, psi)
+        core = _SplitCore(O, psi, w=w)
+        B_dense, inv_dense = _assembled(core)
+        reference = matalg.conjugate(invertibility_matrix(O, psi), w)
+        report = lifting_theorem_pipeline(psi, mu, m=m, ps=(1, np.inf))
+        for p in (1, np.inf):
+            got = report["residuals"]["step_iv"]["inf" if p == np.inf else "1"]
+            assert matalg.operator_norm(core.matrix(), p) == pytest.approx(matalg.operator_norm(B_dense, p), rel=1e-13)
+            assert got["B_norm"] == pytest.approx(matalg.operator_norm(reference, p), rel=1e-13)
+            want = matalg.operator_norm(inv_dense, p)
+            assert matalg.operator_norm(core.inverse_matrix(), p) == pytest.approx(want, rel=1e-13)
+            assert got["B_inv_norm"] == pytest.approx(want, rel=1e-13)
+
+    def test_sampled_side_goes_through_the_factors(self, rng):
+        psi, mu, m = _random_case(24, 8, True)
+        core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=m * np.sqrt(mu))
+        for slab, dense in zip((core.matrix(), core.inverse_matrix()), _assembled(core)):
+            got = matalg.sampled_ratios(slab, None, 3, 16, seed=4)
+            np.testing.assert_allclose(got, matalg.sampled_ratios(dense, None, 3, 16, seed=4), rtol=1e-13)

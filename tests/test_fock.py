@@ -204,12 +204,6 @@ class TestLattice:
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0
 
-    def test_from_dict_reads_every_field(self):
-        lat = FockLattice(delta=0.8, R=2.0, jitter=0.05, seed=3)
-        back = FockLattice.from_dict({"delta": 0.8, "R": 2.0, "jitter": 0.05, "seed": 3})
-        assert back == lat
-        np.testing.assert_array_equal(back.points, lat.points)
-
     def test_points_are_cached_and_read_only(self):
         lat = FockLattice(delta=0.8, R=2.0)
         assert lat.points is lat.points

@@ -50,14 +50,14 @@ def test_decay_max_is_the_weighted_sup(rng):
     dist = kernels.pairwise_dist(pts)
     absa = np.abs(rng.standard_normal((15, 15)))
     want = float((absa * (1.0 + dist) ** 3.5).max())
-    assert kernels.decay_max(absa, dist, 3.5) == pytest.approx(want, rel=1e-14)
+    assert kernels.decay_max(absa, kernels.growth_table(dist, 3.5)) == want
 
 
 def test_moderateness_profiles(rng):
     pts = np.arange(9, dtype=float)[:, None]
     dist = kernels.pairwise_dist(pts)
     vals = np.exp(pts[:, 0] / 3.0)
-    poly = kernels.moderateness_max(vals, dist, 2.0)
+    poly = kernels.moderateness_max(vals, kernels.growth_table(dist, 2.0))
     want = float((vals[:, None] / (vals[None, :] * (1.0 + dist) ** 2)).max())
     assert poly == pytest.approx(want, rel=1e-14)
     sub = kernels.moderateness_max_subexp(vals, dist, 1.0, 1.0)

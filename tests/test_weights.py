@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelift import kernels
+from framelift.matalg import decay_constant
 from framelift.weights import (
     EUCLIDEAN,
     TORUS,
@@ -149,3 +151,32 @@ class TestModerateness:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             moderateness_constant(Weight.constant(line(3)), 1.0, profile="gaussian")
+
+
+class TestGrowthTable:
+    def test_one_table_serves_decay_and_moderateness(self, monkeypatch):
+        idx = IndexSet(np.random.default_rng(3).uniform(0, 8, size=(30, 2)))
+        dist = idx.distance_matrix()
+        A = np.random.default_rng(4).standard_normal((30, 30))
+        w = Weight(np.exp(np.random.default_rng(5).uniform(-2, 2, 30)), idx)
+        ratio = w.values[:, None] / w.values[None, :]
+        exponents, growth_table = [], kernels.growth_table
+        monkeypatch.setattr(kernels, "growth_table", lambda d, s: exponents.append(s) or growth_table(d, s))
+        held = idx.growth(4.0)
+        # bit for bit the values of (1 + dist)^s formed per call
+        assert decay_constant(A, 4.0, idx) == float((np.abs(A) * (1.0 + dist) ** 4.0).max())
+        assert moderateness_constant(w, 4.0) == float((ratio / (1.0 + dist) ** 4.0).max())
+        assert decay_constant(A.T, 4.0, idx) == float((np.abs(A.T) * (1.0 + dist) ** 4.0).max())
+        assert exponents == [4.0]
+        # a new exponent replaces the table; the held one stays the caller's
+        assert moderateness_constant(w, 2.0) == float((ratio / (1.0 + dist) ** 2.0).max())
+        assert exponents == [4.0, 2.0]
+        assert idx.growth(4.0) is not held
+        assert exponents == [4.0, 2.0, 4.0]
+
+    def test_table_is_freed_with_its_last_holder(self):
+        idx = IndexSet(np.arange(6.0))
+        table = idx.growth(3.0)
+        assert idx.growth(3.0) is table
+        del table
+        assert idx._growth[1]() is None  # the index set keeps no table alive
