@@ -260,7 +260,8 @@ def _family(cfg: dict, seed: int):
     kind = cfg["kind"]
     if kind == "gabor":
         lattice = {key: _parse_positive_int(cfg[key], key) for key in _LATTICE_KEYS if key in cfg}
-        return gabor.GaborFamily(_sizes(cfg, "Ns", kind), t_check=float(cfg.get("t_check", 2.0)), **lattice)
+        t_check = _parse_nonnegative(cfg.get("t_check", 2.0), "t_check")
+        return gabor.GaborFamily(_sizes(cfg, "Ns", kind), t_check=t_check, **lattice)
     if kind == "fock":
         delta = _parse_nonnegative(_require(cfg, "delta", (int, float), kind), "delta")
         return fock_mod.FockFamily(

@@ -13,15 +13,19 @@ def pairwise_dist(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
     """All pairwise distances between rows of ``pts`` (shape (n, D)).
 
     ``period > 0`` selects the torus metric: coordinatewise circular
-    distance modulo ``period``, then the Euclidean norm. The squares are
-    summed one coordinate at a time, so no (n, n, D) temporary is built.
+    distance modulo ``period``, then the Euclidean norm. Each coordinate is
+    reduced into [0, period) once, so a difference already lies in
+    [0, period) and only needs the fold min(diff, period - diff). The
+    squares are summed one coordinate at a time, so no (n, n, D) temporary
+    is built.
     """
     pts = np.asarray(pts, dtype=float)
     sq = np.zeros((pts.shape[0], pts.shape[0]))
     for col in pts.T:
+        if period > 0.0:
+            col = col % period
         diff = np.abs(col[:, None] - col[None, :])
         if period > 0.0:
-            diff %= period
             np.minimum(diff, period - diff, out=diff)
         sq += diff * diff
     return np.sqrt(sq, out=sq)

@@ -15,7 +15,8 @@ Induced l^p norms are computed here for the whole package:
 otherwise, and :func:`sampled_ratios` is the one seeded scan behind the
 inner side of every bracket. :func:`map_constants` owns the constants
 between two coefficient maps, the lifting constants among them: exact
-generalized singular values at p = 2, certified brackets otherwise.
+generalized singular values at p = 2, certified brackets otherwise;
+:func:`upper_constant` is its upper side alone.
 
 Invertibility verdicts are a posteriori certificates (Rump, "Verification
 methods: rigorous results using floating-point arithmetic", Acta Numerica
@@ -263,6 +264,7 @@ class _Factored:
         self.matrix = np.asarray(matrix)
         # Keyed by the map L of L M^+; weak, so two maps never keep each other alive.
         self._product_sums = weakref.WeakKeyDictionary()
+        self._product_svals = weakref.WeakKeyDictionary()
 
     @functools.cached_property
     def _svd(self) -> tuple:
@@ -315,6 +317,14 @@ class _Factored:
             self._product_sums[L] = (float(T.sum(axis=0).max()), float(T.sum(axis=1).max()))
         return self._product_sums[L]
 
+    def product_svals(self, L: "_Factored") -> np.ndarray:
+        """Descending singular values of L M^+ for an injective M, those of
+        the n x d matrix L V diag(1/s) (see :attr:`vs_inv`), computed once
+        per L."""
+        if L not in self._product_svals:
+            self._product_svals[L] = np.linalg.svd(L.matrix @ self.vs_inv, compute_uv=False)
+        return self._product_svals[L]
+
 
 def _factored(M) -> _Factored:
     return M if isinstance(M, _Factored) else _Factored(M)
@@ -325,13 +335,12 @@ def _product_norm(L: _Factored, F: _Factored, p) -> float:
 
     L is an n x d map and F^+ the d x n left inverse of an injective map F.
     The p = 1 and p = inf norms come from :meth:`_Factored.product_sums`,
-    shared across p. The 2-norm, needed for 1 < p < inf, is sigma_max of the
-    n x d matrix L F.vs_inv (see :attr:`_Factored.vs_inv`), so no n x n
-    factorization is needed.
+    the 2-norm, needed for 1 < p < inf, from :meth:`_Factored.product_svals`;
+    both are shared across p, and no n x n factorization is needed.
     """
     if p in (1, np.inf):
         return F.product_sums(L)[0 if p == 1 else 1]
-    n2 = float(np.linalg.svd(L.matrix @ F.vs_inv, compute_uv=False)[0])
+    n2 = float(F.product_svals(L)[0])
     if p == 2:
         return n2
     n1, ninf = F.product_sums(L)
@@ -343,31 +352,56 @@ def map_constants(A, B, p, seed: int = 0) -> dict:
 
     A and B are n x d arrays or :class:`_Factored` maps, which keep their
     factorizations across calls. Returns bracket pairs
-    {"lower": (lo, hi), "upper": (lo, hi)}. For p = 2 with both maps
-    injective the brackets have zero width: the constants are exact
-    generalized singular values, the extreme singular values of the n x d
-    matrix A V diag(1/s) read from B's own thin SVD B = U diag(s) V^H
-    (Van Loan, SIAM J. Numer. Anal. 13, 1976). No Gram matrix A^H A or
-    B^H B is formed, so cond(B) is not squared. The injectivity test is
-    relative, so these do not move when both maps are rescaled. Otherwise
-    the certified sides are ||A B^+||_p and 1 / ||B A^+||_p, with B^+ and A^+ the left inverses
-    of :class:`_Factored`; a map that fails its injectivity test gives the
-    trivial side instead, upper = inf for B and lower = 0 for A. The inner
-    sides come from :func:`sampled_ratios` over MAP_SAMPLES draws.
+    {"lower": (lo, hi), "upper": (lo, hi)}: the upper side is
+    :func:`upper_constant` and the lower side :func:`_lower_constant`, both
+    read from one set of MAP_SAMPLES seeded draws (:func:`sampled_ratios`),
+    which are not made when both sides are exact.
     """
     A, B = _factored(A), _factored(B)
-    Am, Bm = A.matrix, B.matrix
-    if p == 2 and B.injective and A.injective:
-        sv = np.linalg.svd(Am @ B.vs_inv, compute_uv=False)
-        lo, hi = float(sv[-1]), float(sv[0])
-        return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
-    B_inv, A_inv = B.left_inverse, A.left_inverse
-    upper_cert = _product_norm(A, B, p) if B_inv is not None else np.inf
-    lower_cert = 1.0 / _product_norm(B, A, p) if A_inv is not None else 0.0
-    ratios = sampled_ratios(Am, Bm, p, MAP_SAMPLES, seed)
-    up_samp = float(np.max(ratios, initial=0.0))
-    lo_samp = float(np.min(ratios, initial=np.inf))
-    return {"lower": (lower_cert, lo_samp), "upper": (up_samp, upper_cert), "p": p}
+    ratios = None
+    if not (p == 2 and A.injective and B.injective):
+        ratios = sampled_ratios(A.matrix, B.matrix, p, MAP_SAMPLES, seed)
+    upper = upper_constant(A, B, p, seed, ratios)
+    return {"lower": _lower_constant(A, B, p, ratios), "upper": upper, "p": p}
+
+
+def upper_constant(A, B, p, seed: int = 0, ratios=None) -> tuple:
+    """(inner, outer) bracket on the best U with ||Af||_p <= U ||Bf||_p.
+
+    With B injective the outer end is ||A B^+||_p, B^+ the left inverse of
+    :class:`_Factored`; at p = 2 it is exact, sigma_max of the n x d matrix
+    A V diag(1/s) read from B's own thin SVD B = U diag(s) V^H (Van Loan,
+    SIAM J. Numer. Anal. 13, 1976), whatever A is, and both ends are that
+    value. No Gram matrix A^H A or B^H B is formed, so cond(B) is not
+    squared, and A is never factorized. A B that fails its injectivity test
+    gives the trivial outer end, inf. Otherwise the inner end is the largest
+    of ``ratios``, the :func:`sampled_ratios` of MAP_SAMPLES draws seeded
+    by ``seed``, drawn here when not given.
+    """
+    A, B = _factored(A), _factored(B)
+    if p == 2 and B.injective:
+        hi = float(B.product_svals(A)[0])
+        return (hi, hi)
+    if ratios is None:
+        ratios = sampled_ratios(A.matrix, B.matrix, p, MAP_SAMPLES, seed)
+    certified = _product_norm(A, B, p) if B.injective else np.inf
+    return (float(np.max(ratios, initial=0.0)), certified)
+
+
+def _lower_constant(A: _Factored, B: _Factored, p, ratios) -> tuple:
+    """(outer, inner) bracket on the best L with L ||Bf||_p <= ||Af||_p.
+
+    At p = 2 with both maps injective it is exact, sigma_min of A V
+    diag(1/s) as in :func:`upper_constant`; the injectivity tests are
+    relative, so it does not move when both maps are rescaled. Otherwise
+    the outer end is 1 / ||B A^+||_p, or the trivial 0 when A fails its
+    injectivity test, and the inner end is the smallest of ``ratios``.
+    """
+    if p == 2 and A.injective and B.injective:
+        lo = float(B.product_svals(A)[-1])
+        return (lo, lo)
+    certified = 1.0 / _product_norm(B, A, p) if A.injective else 0.0
+    return (certified, float(np.min(ratios, initial=np.inf)))
 
 
 def matrix_to_json(A: np.ndarray) -> dict:

@@ -10,11 +10,15 @@ B_O = Mat(O) + (I - G_{Psi,Psid}) and back; the second summand kills the
 coefficient-space directions Mat can never see (ker D_Psi). This module is
 the one owner of B_O, and no n x n copy of it is ever assembled:
 :class:`_SplitCore` holds it as the identity plus the factors X (n x d) and
-Y (d x n) of a term of rank d, and compresses them to a k x k core,
-k = min(n, 2d). The verdicts of ``verify`` and the lifting pipeline's
+Y (d x n) of a term of rank d, and compresses them to a k x k core:
+k = min(n, d) for a flat weight, whose factors both lie in ran(C), on the
+frame's one QR of C; k = min(n, 2d) otherwise. The verdicts of ``verify``
+(four slot cores on one QR, and no SVD) and the lifting pipeline's
 factorizations come from the core; the pipeline's identity checks apply B_O
 and B_O^H to probe vectors through X and Y, and its p = 1 and p = inf norms
-of B_O and B_O^{-1} are read from the factors one row slab at a time.
+of B_O and B_O^{-1} are read from the factors one row slab at a time. The
+spectral-invariance suite reports upper constants only, so it factorizes
+neither O's coefficient map nor O^{-1}'s.
 """
 
 import functools
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import matalg
 from .frames import Frame
-from .matalg import _Factored, map_constants
+from .matalg import _Factored, upper_constant
 from .weights import weight_values
 
 
@@ -45,7 +49,7 @@ def galerkin(O: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
 def _coefficient_maps(psi: Frame, T, m_out, m_in):
     """The n x d maps A = diag(m_out) C_Psid T and B = diag(m_in) C_Psid.
 
-    Their constants (:func:`map_constants`) are those of T :
+    Their constants (:func:`matalg.map_constants`) are those of T :
     H^p_{m_in} -> H^p_{m_out} over the frame psi.
     """
     dual = psi.canonical_dual()
@@ -89,14 +93,20 @@ class _SplitCore:
     left slot takes S^{-1} = Dd Dd^H, so Z D = L O (R D) - Dd. This
     matrix, rounded nowhere, is the B_O that :meth:`invertible` certifies.
 
-    With X = diag(w) C (n x d) and Y = Z D diag(1/w) (d x n), a thin QR Q
-    of [X, Y^H] has k = 2d < n orthonormal columns spanning both factors,
-    so I + X Y is K = I_k + (Q^H X)(Y Q) on ran(Q) and the identity on its
-    complement. This is the compression behind the Sherman-Morrison-Woodbury
-    formula (Golub & Van Loan, Matrix Computations). The singular values
-    are those of K, plus 1; the inverse is I + Q (K^{-1} - I) Q^H. When
-    2d >= n there is nothing to compress: Q is None and K = I_n + X Y
-    itself. ``w = None`` is the unit weight.
+    With X = diag(w) C (n x d) and Y = Z D diag(1/w) (d x n), any Q with
+    k < n orthonormal columns spanning both ran(X) and ran(Y^H) makes
+    I + X Y equal to K = I_k + (Q^H X)(Y Q) on ran(Q) and the identity on
+    its complement. This is the compression behind the
+    Sherman-Morrison-Woodbury formula (Golub & Van Loan, Matrix
+    Computations). The singular values are those of K, plus 1; the inverse
+    is I + Q (K^{-1} - I) Q^H. Y^H = diag(1/w) C Z^H, so when w is flat
+    (all entries equal) both ranges lie in ran(C): Q is the frame's
+    :attr:`~framelift.frames.Frame.analysis_basis`, one QR of C shared by
+    every core on the frame, and k = d. Otherwise Q is a thin QR of
+    [X, Y^H] and k = 2d. When k >= n there is nothing to compress: Q is
+    None and K = I_n + X Y itself. In float arithmetic Y^H lies in ran(Q)
+    only up to rounding; :meth:`_margin` counts that part, Y - Y Q Q^H,
+    from its computed value. ``w = None`` is the unit weight.
     """
 
     def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None):
@@ -123,14 +133,14 @@ class _SplitCore:
             return P_err(v) + matalg.gamma(2) * (matalg.abs_chain(v, P) + matalg.abs_chain(v, Dd))
 
         self.n, self.w, self.X, self.Y = n, w, X, Y
-        if 2 * d >= n:
+        flat = bool(np.all(w == w[0]))
+        if (d if flat else 2 * d) >= n:
             self.Q = None
             Xq, Yq = X, Y
         else:
-            self.Q = np.linalg.qr(np.hstack([X, Y.conj().T]))[0]
+            self.Q = psi.analysis_basis if flat else np.linalg.qr(np.hstack([X, Y.conj().T]))[0]
             Xq, Yq = self.Q.conj().T @ X, Y @ self.Q
         self.K = np.eye(Xq.shape[0]) + Xq @ Yq
-        self.sigma = _extremes(np.linalg.svd(self.K, compute_uv=False), n)
         try:
             self.K_inv = np.linalg.inv(self.K)
         except np.linalg.LinAlgError:  # B_w may be singular; then no verdict closes
@@ -207,6 +217,12 @@ class _SplitCore:
         return bool(self.certificate_margin < 1.0)
 
     @functools.cached_property
+    def sigma(self) -> tuple:
+        """(sigma_min, sigma_max) of B_w: the extremes of sigma(K), and 1
+        when Q is not None."""
+        return _extremes(np.linalg.svd(self.K, compute_uv=False), self.n)
+
+    @functools.cached_property
     def inverse_norm(self) -> float:
         """||(diag(w) B_O diag(1/w))^{-1}||_2 = max(sigma_max(K^{-1}), 1).
 
@@ -272,6 +288,9 @@ def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list
     The operator acts on C^d; its coorbit condition at (p, m) is measured in
     dual-frame coefficient coordinates. In finite dimensions the verdict
     (invertible or not) must agree across all (p, m); the constants may vary.
+    Each entry is the upper side of :func:`matalg.map_constants` alone
+    (:func:`matalg.upper_constant`): per weight, B is factorized once and
+    neither A nor A_inv is.
     """
     O = np.asarray(O)
     dual = psi.canonical_dual()
@@ -287,8 +306,8 @@ def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list
         A, B = (_Factored(x) for x in _coefficient_maps(psi, O, m, m))
         A_inv = None if inv is None else _Factored(_coefficient_maps(psi, inv, m, m)[0])
         for p in ps:
-            entry = {"norm": map_constants(A, B, p)["upper"], "invertible": report["operator_invertible"]}
+            entry = {"norm": upper_constant(A, B, p), "invertible": report["operator_invertible"]}
             if A_inv is not None:
-                entry["inverse_norm"] = map_constants(A_inv, B, p)["upper"]
+                entry["inverse_norm"] = upper_constant(A_inv, B, p)
             report["constants"][f"w{i}_p{p}"] = entry
     return report

@@ -191,6 +191,9 @@ class TestConfigErrors:
             ("lift_gabor.json", "b_ratio", "4.5"),
             ("lift_gabor.json", "a_ratio", "32"),
             ("lift_gabor.json", "b_ratio", "17"),
+            ("lift_gabor.json", "t_check", "true"),
+            ("lift_gabor.json", "t_check", '"2"'),
+            ("lift_gabor.json", "t_check", "-1"),
             ("lift_fock.json", "delta", "true"),
             ("lift_fock.json", "jitter", "true"),
             ("lift_fock.json", "jitter", "-0.1"),
@@ -210,7 +213,7 @@ class TestConfigErrors:
     def test_invalid_size_is_a_config_error(self, tmp_path, capsys, config, key, sizes):
         # N, lattice ratios, redundancy and frame sizes are positive
         # integers, a lattice ratio is at most N, seeds are nonnegative
-        # integers, and R, delta, jitter and margin finite nonnegative
+        # integers, and R, delta, jitter, margin and t_check finite nonnegative
         # numbers: a bool, a string, a fraction or a value out of range is
         # rejected before anything runs, not truncated, clamped or divided by.
         text = json.dumps(dict(_read_json(CONFIGS / config), **{key: "@"})).replace('"@"', sizes)

@@ -16,7 +16,8 @@ from framelift.coorbit import (
 )
 from framelift.frames import gram, onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
-from framelift.multipliers import _SplitCore, galerkin, multiplier
+from framelift.matalg import upper_constant
+from framelift.multipliers import _coefficient_maps, _SplitCore, galerkin, multiplier
 from framelift.weights import Weight
 from tests.reference import invertibility_matrix
 
@@ -163,6 +164,27 @@ class TestLiftingConstants:
         c = map_constants(A, B, p)
         assert c["lower"][0] == 0.0
         assert 0 < c["lower"][1] <= c["upper"][0] <= c["upper"][1] < np.inf
+
+    @pytest.mark.parametrize("p", [1, 2, 3, np.inf])
+    @pytest.mark.parametrize("case", ["invertible", "singular_T", "deficient_B"])
+    def test_upper_constant_is_the_upper_side_of_map_constants(self, rng, p, case):
+        # Bit for bit, whether A is injective or not; a B that is not has
+        # the trivial upper bound. At p = 2 an injective B makes it exact
+        # whatever A is.
+        psi = random_frame(rng, 12, 5)
+        T = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        if case == "singular_T":
+            T[:, 4] = T[:, 0]
+        m = rng.uniform(0.5, 2.0, 12)
+        A, B = _coefficient_maps(psi, T, m, m)
+        if case == "deficient_B":
+            B[:, 4] = B[:, 0]
+        upper = upper_constant(A, B, p)
+        assert upper == map_constants(A, B, p)["upper"]
+        if case == "deficient_B":
+            assert upper[1] == np.inf
+        elif p == 2:
+            assert upper[0] == upper[1] < np.inf
 
     def test_p3_sides_come_from_the_left_inverse_svd(self, rng, monkeypatch):
         # ||A B^+||_2 is sigma_max(A V diag(1/s)) from B's own SVD: no QR is

@@ -156,9 +156,31 @@ class TestInvertibility:
         assert all(v.values())
         assert square == []
 
+    def test_verdicts_share_one_qr_of_the_analysis_matrix_and_make_no_svd(self, monkeypatch):
+        # verify's four slot cores have the unit weight, so each compresses
+        # onto ran(C) (k = d): one QR of the n x d analysis matrix serves all
+        # four, and invertible() needs no SVD of any core.
+        psi = gabor_system(32, 2, 4)
+        assert (psi.n, psi.d) == (128, 32)
+        M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi)
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a), np.array_equal(a, psi.analysis_matrix)))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        v = invertibility_verdicts(M, psi)
+        assert all(v.values())
+        assert calls == [("qr", (128, 32), True)]
+
 
 def _forbid_qr(monkeypatch):
-    """With 2d >= n the core is I + X Y itself: no QR may be made."""
+    """With k >= n the core is I + X Y itself: no QR may be made."""
 
     def no_qr(*args, **kwargs):
         raise AssertionError("the core made a QR factorization")
@@ -176,13 +198,16 @@ class TestSplitCore:
 
     @pytest.mark.parametrize("n, d", [(24, 8), (14, 8), (8, 8)], ids=["2d<n", "2d>n", "onb"])
     @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
-    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True, "flat"])
     def test_extremes_match_dense_svd(self, n, d, slots, weighted, monkeypatch):
         rng = np.random.default_rng(11 * n + d)
         psi = random_frame(rng, n, d, kind="onb" if n == d else "generic")
         w = rng.uniform(0.5, 2.0, n) if weighted else None
+        if weighted == "flat":
+            w = np.full(n, 3.0)
         O = _random_operator(rng, d)
-        if 2 * d >= n:
+        k = 2 * d if weighted is True else d  # a flat weight needs only ran(C)
+        if k >= n:
             _forbid_qr(monkeypatch)
         core = _SplitCore(O, psi, slots, w)
         B = invertibility_matrix(O, psi, slots)
@@ -198,9 +223,10 @@ class TestSplitCore:
         psi = random_frame(rng, n, d)
         f = random_vector(rng, d)
         O = np.outer(f, f.conj())
-        if 2 * d >= n:
+        if d >= n:  # k = d for the unit weight
             _forbid_qr(monkeypatch)
         core = _SplitCore(O, psi, slots)
+        assert core.K.shape == (d, d)
         lo, hi = _dense_extremes(invertibility_matrix(O, psi, slots))
         assert core.sigma[1] == pytest.approx(hi, rel=1e-10)
         assert core.sigma[0] < 1e-12 * core.sigma[1]
@@ -265,6 +291,22 @@ class TestCertificate:
         w = np.exp(rng.uniform(-4.0, 4.0, n))
         O = _random_operator(rng, d)
         core = _SplitCore(O, psi, slots, w)
+        residual = _extended_residual(core, O, psi, slots, w)
+        assert residual <= core.certificate_margin < 1e-6
+        assert core.invertible()
+
+    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
+    @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
+    def test_margin_bounds_the_residual_of_a_d_dimensional_core(self, n, d, slots):
+        # A flat weight compresses onto the frame's QR of C (k = d). Y^H
+        # lies in ran(C) only up to rounding; the bound counts that part.
+        rng = np.random.default_rng(7 * n + d)
+        psi = random_frame(rng, n, d)
+        w = np.full(n, np.exp(3.0))
+        O = _random_operator(rng, d)
+        core = _SplitCore(O, psi, slots, w)
+        assert core.Q is psi.analysis_basis
+        assert core.K.shape == (d, d)
         residual = _extended_residual(core, O, psi, slots, w)
         assert residual <= core.certificate_margin < 1e-6
         assert core.invertible()
@@ -336,6 +378,26 @@ class TestSpectralInvariance:
                 entry = rep["constants"][f"w{i}_p{p}"]
                 for key, T in (("norm", M), ("inverse_norm", inv)):
                     assert entry[key] == map_constants(*_coefficient_maps(small_frame, T, w, w), p)["upper"]
+
+    def test_suite_factors_only_the_weighted_dual_analysis_map(self, monkeypatch):
+        # Only upper sides are reported: per weight, the one map factorized
+        # is B = diag(m) C_dual, by one thin SVD; neither A nor A_inv is.
+        psi = gabor_system(32, 2, 4)
+        M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi)
+        ws = [Weight.constant(psi.index_set, 1.0), Weight.polynomial(psi.index_set, 1.0)]
+        maps = [(_coefficient_maps(psi, M, w, w), _coefficient_maps(psi, np.linalg.inv(M), w, w)[0]) for w in ws]
+        svd, seen = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            seen.append((np.array(a), kwargs.get("full_matrices", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rep = spectral_invariance_suite(M, psi, weights=ws, ps=[1, 2, 3, np.inf], s=4.0)
+        assert rep["operator_invertible"]
+        for (A, B), A_inv in maps:
+            assert [full for a, full in seen if np.array_equal(a, B)] == [False]
+            assert not any(np.array_equal(a, A) or np.array_equal(a, A_inv) for a, _ in seen)
 
     def test_suite_flags_singular_operator(self, rng, small_frame):
         f = random_vector(rng, small_frame.d)
