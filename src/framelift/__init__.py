@@ -20,7 +20,6 @@ from .fock import (
 from .frames import (
     Frame,
     NotAFrameError,
-    gram,
     gram_identities_check,
     random_frame,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "gabor_system",
     "galerkin",
     "gaussian_window",
-    "gram",
     "gram_identities_check",
     "invertibility_verdicts",
     "lifting_constants",

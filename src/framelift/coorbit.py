@@ -26,10 +26,10 @@ from collections import defaultdict
 import numpy as np
 
 from . import matalg
-from .frames import Frame, NotAFrameError, gram
+from .frames import Frame, NotAFrameError
 from .matalg import _Factored, map_constants
 from .multipliers import _coefficient_maps, _SplitCore, multiplier
-from .weights import UNIT_SPEC, Weight, keyed_weight, moderateness_constant, weight_values
+from .weights import UNIT_SPEC, Weight, keyed_weight, weight_values
 
 # Relative residual below which the pipeline's identities (iii) and (v) hold.
 IDENTITY_RTOL = 1e-10
@@ -154,7 +154,7 @@ def _probe_residuals(psi: Frame, core: _SplitCore, muv, M_mu, M_rec, seed: int) 
 
 
 def lifting_theorem_pipeline(
-    psi: Frame, mu, m=None, ps=(2,), s: float = 4.0, seed: int = 0
+    psi: Frame, mu, m=None, ps=(2,), s: float = 4.0, seed: int = 0, scan=None
 ) -> dict:
     """Run the invertibility-splitting proof as a computation.
 
@@ -168,7 +168,9 @@ def lifting_theorem_pipeline(
     posteriori certificate on its core, reporting sigma_min / sigma_max as a
     number and the certificate's bound r on ||I - B X||_inf as
     ``B_certificate_margin`` (invertible when r < 1); (ii) profile the
-    decay of the five Gram matrices the argument rests on; (iii) confirm
+    decay of the five Gram matrices the argument rests on, with the
+    moderateness of the five weights, in one pass over row slabs
+    (:class:`framelift.matalg.PairScan`); (iii) confirm
     the conjugation identity B^mu = G^mu G G^mu + I - G_{Psi,Psid}^mu on
     PROBES seeded probe vectors (Freivalds' check): the left side is the
     certified B, applied through the core's own factors with their weight
@@ -193,6 +195,11 @@ def lifting_theorem_pipeline(
     coefficient maps and their factorizations are built once and shared
     across p.
 
+    ``scan`` is a :class:`framelift.matalg.PairScan` over psi's n indices
+    that holds the caller's own pair constants: step (ii) adds its ten and
+    runs them all in one pass, and the caller reads its own from
+    ``scan.values``.
+
     Returns the report as a dict: its headline ``lower``, ``upper`` and
     ``condition`` (those of p = 2 when requested, else of the first p),
     ``per_p_results``, ``verdicts``, ``residuals``, ``decay_profiles``,
@@ -203,7 +210,6 @@ def lifting_theorem_pipeline(
         raise ValueError("pipeline precondition failed: mu > 0")
     mv = weight_values(m, psi.n)
     dual = psi.canonical_dual()
-    G = psi.gram_matrix
     idx = psi.index_set
     n = psi.n
 
@@ -234,10 +240,12 @@ def lifting_theorem_pipeline(
     residuals["B_sigma_min_over_max"] = sv_min / sv_max
     residuals["B_certificate_margin"] = core.certificate_margin
 
-    # Hypothesis bookkeeping: moderateness of all five weights, flagged only.
-    # One (1 + dist)^s table, held until step (ii) is done, serves these
-    # five scans and the five decay profiles.
-    growth = idx.growth(float(s))
+    # Hypothesis bookkeeping and step (ii): the moderateness of the five
+    # weights (flagged only) and the decay profiles of the five Gram
+    # matrices, read with the caller's pair constants in one pass over row
+    # slabs that forms each slab's distances, (1 + dist)^s table and rows
+    # of G, Gdual and the cross-Gram once; no n x n matrix is held.
+    scan = matalg.PairScan(n) if scan is None else scan
     five = {
         "m": mv,
         "mu": muv,
@@ -245,29 +253,29 @@ def lifting_theorem_pipeline(
         "m*sqrt(mu)": mv * np.sqrt(muv),
         "m/sqrt(mu)": mv / np.sqrt(muv),
     }
+    # Weight() rejects a product that overflowed or underflowed.
+    moderate = {name: scan.moderateness(Weight(vals, idx).values, s, idx) for name, vals in five.items()}
+    G, Gdual, cross = scan.gram(psi), scan.gram(dual), scan.gram(psi, dual)
+    profiles = {
+        name: scan.decay(mat, s, idx, w)
+        for name, mat, w in (
+            ("G", G, None),
+            ("G^mu", G, muv),
+            ("G^(1/mu)", G, 1.0 / muv),
+            ("Gdual^mu", Gdual, muv),
+            ("cross^mu", cross, muv),
+        )
+    }
+    values = scan.run()
     moderateness = {}
-    for name, vals in five.items():
-        cmod = moderateness_constant(Weight(vals, idx), s)
+    for name, j in moderate.items():
+        cmod = values[j]
         moderateness[name] = {
             "constant": cmod,
-            "max": float(vals.max()),
+            "max": float(five[name].max()),
             "flagged": bool(cmod > MODERATE_FLAG),
         }
-
-    # Step (ii): decay profiles of the five Gram matrices, one conjugated
-    # copy alive at a time; the n x n cross-Gram lives for this step only.
-    cross = gram(psi, dual)
-    decay_profiles = {}
-    for name, mat, wt in (
-        ("G", G, None),
-        ("G^mu", G, muv),
-        ("G^(1/mu)", G, 1.0 / muv),
-        ("Gdual^mu", dual.gram_matrix, muv),
-        ("cross^mu", cross, muv),
-    ):
-        prof = mat if wt is None else matalg.conjugate(mat, wt)
-        decay_profiles[name] = matalg.decay_constant(prof, s, idx)
-    del prof, mat, cross, growth
+    decay_profiles = {name: values[j] for name, j in profiles.items()}
 
     # Steps (iii) and (v) on seeded probes, through the factors.
     step3, step5 = _probe_residuals(psi, core, muv, M_mu, M_rec, seed)
@@ -341,9 +349,13 @@ def sweep(family, mu, m, ps=(2,), s: float = 4.0, seed: int = 0) -> dict:
     - ``case(size)``, which builds the entry header and the frame. A header
       that already has a ``status`` was ruled out by the family, and no
       pipeline runs on it;
-    - ``extras(entry, frame, mu, s)``, run after a successful pipeline with
-      the read symbol: it may add to ``entry["report"]`` and returns this
-      size's value of each per-size table, by table name;
+    - ``extras(entry, frame, mu, s, scan)``, given the read symbol: it adds
+      the size's own pair constants to ``scan``, the
+      :class:`~framelift.matalg.PairScan` that the pipeline's step (ii)
+      runs, so every pair constant of a size is read in one pass over row
+      slabs. It returns ``finish()``, run after a successful pipeline: it
+      may add to ``entry["report"]`` and returns this size's value of each
+      per-size table, by table name;
     - ``fields(s, ps, tables)``, its top-level report fields.
 
     Every table is keyed by ``str(entry[key])``. A frame the pipeline
@@ -358,16 +370,19 @@ def sweep(family, mu, m, ps=(2,), s: float = 4.0, seed: int = 0) -> dict:
         # Read on every size, so a bad spec fails even where no pipeline runs.
         mu_w, m_w = (keyed_weight(key, spec, frame.index_set) for key, spec in (("mu", mu), ("m", m)))
         if "status" not in entry:
+            scan = matalg.PairScan(frame.n)
             try:
-                rep = lifting_theorem_pipeline(frame, mu_w, m=m_w, ps=ps, s=s, seed=seed)
+                finish = family.extras(entry, frame, mu_w, s, scan)
+                rep = lifting_theorem_pipeline(frame, mu_w, m=m_w, ps=ps, s=s, seed=seed, scan=scan)
             except NotAFrameError as exc:
                 entry.update(status="not_a_frame", lower=exc.lower, upper=exc.upper, condition=float("inf"))
             else:
                 entry.update(status="ok", report=rep, condition=rep["condition"])
-                for name, value in family.extras(entry, frame, mu_w, s).items():
+                for name, value in finish().items():
                     tables[name][str(entry[family.key])] = value
-        # Release this size's frame, its cached n x n arrays and the weights'
-        # index set before the next size is built.
+            del scan
+        # Release this size's frame, its dual and the weights' index set
+        # before the next size is built.
         del frame, mu_w, m_w
     conds = [e["condition"] for e in entries if e["status"] == "ok"]
     return {
@@ -390,8 +405,8 @@ class FrameFamily:
     def case(self, n: int):
         return {"size": n}, self.frame
 
-    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float) -> dict:
-        return {}
+    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float, scan: matalg.PairScan):
+        return lambda: {}
 
     def fields(self, s: float, ps: list, tables: dict) -> dict:
         return {}

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import matalg
 from .frames import Frame
-from .weights import SYMBOL_SPEC, IndexSet, Weight, moderateness_constant
+from .weights import SYMBOL_SPEC, IndexSet, Weight
 
 GRAM_MATCH_WARN = 1e-8
 
@@ -78,14 +78,17 @@ class FockLattice:
         return IndexSet(np.column_stack([lam.real, lam.imag]))
 
 
-def fock_gram_exact(points) -> np.ndarray:
+def fock_gram_exact(points, rows=None) -> np.ndarray:
     """Closed-form Gram of normalized kernels; Hermitian with unit diagonal.
 
     Entry (k, l) is <psi_l, psi_k>; its modulus is e^{-pi |l_k - l_l|^2 / 2}.
+    ``rows = (i0, i1)`` gives rows i0:i1 alone, entry for entry those of the
+    whole matrix.
     """
     lam = points.points if isinstance(points, FockLattice) else np.asarray(points, dtype=complex)
     sq = np.abs(lam) ** 2
-    return np.exp(np.pi * lam[:, None] * np.conj(lam[None, :]) - np.pi * (sq[:, None] + sq[None, :]) / 2)
+    k = slice(None) if rows is None else slice(*rows)
+    return np.exp(np.pi * lam[k, None] * np.conj(lam[None, :]) - np.pi * (sq[k, None] + sq[None, :]) / 2)
 
 
 def default_degree(R: float) -> int:
@@ -223,18 +226,23 @@ class FockFamily:
             entry["condition"] = float("inf")
         return entry, bulk_frame(lat, K1)
 
-    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float) -> dict:
-        """The symbol's subexponential constant, then the exact Gram's decay.
+    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float, scan: matalg.PairScan):
+        """The symbol's subexponential constant and the exact Gram's decay,
+        read in the pipeline's pass from row slabs of :func:`fock_gram_exact`.
 
-        The core's index set holds each lattice point as (Re, Im), and the
-        pipeline's moderateness scan already computed its distances.
+        The core's index set holds each lattice point as (Re, Im).
         """
-        entry["report"]["metadata"]["mu_subexponential_constant"] = moderateness_constant(
-            mu, 1.0, profile="subexponential", beta=1.0
-        )
         idx = frame.index_set
-        G = fock_gram_exact(idx.points[:, 0] + 1j * idx.points[:, 1])
-        return {"gram_decay_scaling": {str(se): matalg.decay_constant(G, se, idx) for se in (2.0, s, 6.0)}}
+        lam = idx.points[:, 0] + 1j * idx.points[:, 1]
+        G = scan.matrix("fock_gram", lambda i0, i1, out: fock_gram_exact(lam, (i0, i1)))
+        decay = {str(se): scan.decay(G, se, idx) for se in (2.0, s, 6.0)}
+        subexp = scan.subexponential(mu.values, 1.0, 1.0, idx)
+
+        def finish() -> dict:
+            entry["report"]["metadata"]["mu_subexponential_constant"] = scan.values[subexp]
+            return {"gram_decay_scaling": {key: scan.values[j] for key, j in decay.items()}}
+
+        return finish
 
     def fields(self, s: float, ps: list, tables: dict) -> dict:
         return {

@@ -142,21 +142,19 @@ class Frame:
             return cls.from_dict(json.load(fh))
 
 
-def gram(frame: Frame, other: Frame | None = None) -> np.ndarray:
-    """G_Psi, or the cross-Gram G_{Psi,Phi} = C_Psi D_Phi when ``other`` is given."""
-    if other is None:
-        return frame.gram_matrix
-    if other.d != frame.d:
-        raise ValueError("frames must share the ambient dimension")
-    return frame.analysis_matrix @ other.synthesis_matrix
-
-
 def _rel(err: float, scale: float) -> float:
     return err / max(1.0, scale)
 
 
 def _max_abs(A: np.ndarray) -> float:
     return float(np.abs(A).max())
+
+
+def _max_gap(X: np.ndarray, Y: np.ndarray) -> float:
+    """max|X - Y| for an X the caller no longer needs: X is overwritten by
+    the difference, so no third n x n array is formed."""
+    X -= Y
+    return _max_abs(X)
 
 
 def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
@@ -169,7 +167,7 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     the frame, Cd, Dd those of its canonical dual; each residual is the
     entrywise max modulus of the matrix below, divided by max(1, scale):
 
-        product_identity        C((D Cd) Dd) - P              scale max|G|
+        product_identity        C((D Cd) Dd) - P              scale max_k ||psi_k||^2
         pinv_cross              (U s^-2)((U^H C) D) - P
         pinv_dual               (U s^-4)((U^H C) D) - Cd Dd   scale max|G_Psid|
         idempotent              C((Dd C) Dd) - P
@@ -180,8 +178,10 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
 
     with C = U diag(s) W^H a thin SVD, so G = U s^2 U^H and G^dagger =
     U s^-2 U^H without a rank cut: canonical_dual() has already found
-    S = D C of full rank. ker(D_Psi) = ran(U)^perp, so the last two are 0
-    when n = d. projection_rank is the rounded trace of P = trace(Dd C).
+    S = D C of full rank. By Cauchy-Schwarz, max|G| is its largest diagonal
+    entry max_k ||psi_k||^2, so G itself is not formed. ker(D_Psi) =
+    ran(U)^perp, so the last two are 0 when n = d. projection_rank is the
+    rounded trace of P = trace(Dd C).
     Every matrix product has d among its dimensions, and the SVD of the
     n x d matrix C is the one factorization: no n x n matrix is factorized.
     """
@@ -190,16 +190,20 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     Cd, Dd = dual.analysis_matrix, dual.synthesis_matrix
     n, d = C.shape
     U, s, _ = np.linalg.svd(C, full_matrices=False)
+    UhCD = (U.conj().T @ C) @ D
+    # One n x n array at a time outlives its residual: G_Psid, then P.
+    Gd = Cd @ Dd
+    pinv_dual = _rel(_max_gap((U * s**-4) @ UhCD, Gd), _max_abs(Gd))
+    del Gd
     P = C @ Dd
     DdC = Dd @ C
-    UhCD = (U.conj().T @ C) @ D
-    Gd = Cd @ Dd
+    gram_max = float((D.real**2 + D.imag**2).sum(axis=0).max())  # max_k ||psi_k||^2 = max|G|
     resid = {
-        "product_identity": _rel(_max_abs(C @ ((D @ Cd) @ Dd) - P), _max_abs(C @ D)),
-        "pinv_cross": _max_abs((U * s**-2) @ UhCD - P),
-        "pinv_dual": _rel(_max_abs((U * s**-4) @ UhCD - Gd), _max_abs(Gd)),
-        "idempotent": _max_abs(C @ (DdC @ Dd) - P),
-        "self_adjoint": _max_abs(P - P.conj().T),
+        "product_identity": _rel(_max_gap(C @ ((D @ Cd) @ Dd), P), gram_max),
+        "pinv_cross": _max_gap((U * s**-2) @ UhCD, P),
+        "pinv_dual": pinv_dual,
+        "idempotent": _max_gap(C @ (DdC @ Dd), P),
+        "self_adjoint": _max_gap(P.conj().T, P),  # |P^H - P| = |P - P^H|
         "fixes_analysis_range": _rel(_max_abs(C @ DdC - C), _max_abs(C)),
     }
     if n > d:

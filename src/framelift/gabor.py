@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matalg
 from .frames import Frame
-from .weights import SYMBOL_SPEC, TORUS, IndexSet, Weight, moderateness_constant
+from .weights import SYMBOL_SPEC, TORUS, IndexSet, Weight
 
 WINDOW_PERIODIZATION = 3  # tail terms below 1e-12 for N >= 4
 
@@ -137,20 +137,32 @@ def stft_decay_constant(g: np.ndarray, s: float) -> float:
     return float(np.max(V * (1.0 + dist) ** s))
 
 
+def _interplay(scan: matalg.PairScan, frame: Frame, t: float, s: float):
+    """Add the three constants of :func:`moderate_interplay_check` to
+    ``scan``; returns the reader of its report from the scan's values."""
+    idx = frame.index_set
+    mu = Weight.polynomial(idx, t).values
+    G = scan.gram(frame)
+    lhs, cmod, decay = scan.decay(G, s, idx, mu), scan.moderateness(mu, t, idx), scan.decay(G, s + t, idx)
+
+    def report(values: list) -> dict:
+        rhs = values[cmod] * values[decay]
+        ok = bool(values[lhs] <= rhs * (1 + 1e-12))
+        return {"lhs": values[lhs], "rhs": rhs, "moderateness": values[cmod], "ok": ok}
+
+    return report
+
+
 def moderate_interplay_check(frame: Frame, t: float, s: float) -> dict:
     """decay(G^mu, s) <= moderateness(mu, t) * decay(G, s + t) for mu = w_t.
 
     The pointwise inequality (mu_k / mu_l) |G_kl| <= C_mod (1 + d_kl)^t |G_kl|
     makes this hold for every t-moderate mu; checked here for the polynomial
-    weight itself.
+    weight itself, its three constants read in one pass over row slabs of G.
     """
-    idx = frame.index_set
-    mu = Weight.polynomial(idx, t)
-    G = frame.gram_matrix
-    lhs = matalg.decay_constant(matalg.conjugate(G, mu.values), s, idx)
-    cmod = moderateness_constant(mu, t)
-    rhs = cmod * matalg.decay_constant(G, s + t, idx)
-    return {"lhs": lhs, "rhs": rhs, "moderateness": cmod, "ok": bool(lhs <= rhs * (1 + 1e-12))}
+    scan = matalg.PairScan(frame.n)
+    report = _interplay(scan, frame, t, s)
+    return report(scan.run())
 
 
 def _lattice_for(N: int, redundancy, a_ratio, b_ratio) -> TFLattice:
@@ -202,23 +214,30 @@ class GaborFamily:
         }
         return entry, frame
 
-    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float) -> dict:
-        """Window decay and the interplay check, then the normalized Gram decay."""
-        rep = entry["report"]
+    def extras(self, entry: dict, frame: Frame, mu: Weight, s: float, scan: matalg.PairScan):
+        """The interplay check and the normalized decay of G and the dual
+        Gram, read in the pipeline's pass; then the window decay."""
         lat = TFLattice(entry["N"], entry["a"], entry["b"])
-        window = gaussian_window(lat.N)
-        window_decay = {
-            str(se): stft_decay_constant(window, se) for se in (2.0, 4.0, 6.0, 8.0)
-        }
-        rep["metadata"]["window_decay_constants"] = window_decay
-        rep["metadata"]["interplay"] = moderate_interplay_check(frame, self.t_check, s)
         idx_norm = lat.index_set(normalized=True)
-        return {
-            "gram_normalized": matalg.decay_constant(frame.gram_matrix, s, idx_norm),
-            "dual_gram_normalized": matalg.decay_constant(frame.canonical_dual().gram_matrix, s, idx_norm),
-            "gram_raw": rep["decay_profiles"]["G"],  # G on the raw index set at s, from step (ii)
-            "window_decay": window_decay,
-        }
+        normalized = scan.decay(scan.gram(frame), s, idx_norm)
+        dual_normalized = scan.decay(scan.gram(frame.canonical_dual()), s, idx_norm)
+        interplay = _interplay(scan, frame, self.t_check, s)
+
+        def finish() -> dict:
+            metadata = entry["report"]["metadata"]
+            window = gaussian_window(lat.N)
+            window_decay = {str(se): stft_decay_constant(window, se) for se in (2.0, 4.0, 6.0, 8.0)}
+            metadata["window_decay_constants"] = window_decay
+            metadata["interplay"] = interplay(scan.values)
+            return {
+                "gram_normalized": scan.values[normalized],
+                "dual_gram_normalized": scan.values[dual_normalized],
+                # G on the raw index set at s, from step (ii)
+                "gram_raw": entry["report"]["decay_profiles"]["G"],
+                "window_decay": window_decay,
+            }
+
+        return finish
 
     def fields(self, s: float, ps: list, tables: dict) -> dict:
         decay = {name: tables[name] for name in ("gram_normalized", "dual_gram_normalized", "gram_raw")}

@@ -13,7 +13,8 @@ spaces are computed through it.
 Induced l^p norms are computed here for the whole package:
 :func:`operator_norm` is exact for p in {1, 2, inf} and a bracket
 otherwise, and :func:`sampled_ratios` is the one seeded scan behind the
-inner side of every bracket. :func:`map_constants` owns the constants
+inner side of every bracket; a map pair keeps its draws across p
+(:meth:`_Factored.sampled_ratios`). :func:`map_constants` owns the constants
 between two coefficient maps, the lifting constants among them: exact
 generalized singular values at p = 2, certified brackets otherwise;
 :func:`upper_constant` is its upper side alone.
@@ -43,17 +44,160 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Seeded draws behind the inner side of a bracket: map_constants, operator_norm.
 MAP_SAMPLES = 256
 NORM_SAMPLES = 64
-# Rows of a _SlabMatrix alive at a time when its moduli are summed.
+# Rows alive at a time when a _SlabMatrix's moduli are summed or a PairScan
+# reads its pair constants.
 SLAB_ROWS = 256
 
 
 def decay_constant(A: np.ndarray, s: float, idx: IndexSet) -> float:
-    """Exact minimal C_s with |a_kl| <= C_s (1 + dist(k,l))^(-s)."""
+    """Exact minimal C_s with |a_kl| <= C_s (1 + dist(k,l))^(-s), read by a
+    :class:`PairScan` of the rows of A."""
     A = np.asarray(A)
     n = len(idx)
     if A.shape != (n, n):
         raise ValueError("matrix shape does not match index set size")
-    return kernels.decay_max(np.abs(A).astype(float), idx.growth(float(s)))
+    scan = PairScan(n)
+    j = scan.decay(scan.matrix("A", lambda i0, i1, out: A[i0:i1]), s, idx)
+    return scan.run()[j]
+
+
+def _slabs(n: int) -> list:
+    """Row slabs (i0, i1) of SLAB_ROWS rows covering 0..n-1. A last slab of
+    one row joins the slab before it: a one-row product is a matrix-vector
+    product in BLAS, whose sums may round differently from the same row of
+    the whole product."""
+    starts = list(range(0, n, SLAB_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+class PairScan:
+    """Constants that are maxima over the index pairs (k, l) of n-point index
+    sets, read in one pass over row slabs, so no n x n table is held.
+
+    A request is a decay constant max |(w_k / w_l) a_kl| (1 + d_kl)^s of a
+    registered matrix (:meth:`decay`), a moderateness constant max
+    (m_k / m_l) / (1 + d_kl)^t (:meth:`moderateness`) or its
+    subexponential form max (m_k / m_l) / exp(alpha d_kl^beta)
+    (:meth:`subexponential`). :meth:`run` walks rows i0:i1, SLAB_ROWS at a
+    time (:func:`_slabs`). In each slab it forms every index set's
+    distances, every (index set, exponent) growth table (1 + d)^s, and
+    every matrix's rows and their moduli once, and every request that reads
+    them shares them. Each slab fills the same buffers, carved from one
+    block of O(SLAB_ROWS n) floats that the pass allocates once, so the
+    slabs do not churn the heap. Every constant equals the dense formula
+    on the whole matrix bit for bit: each entry goes through the same
+    elementwise operations, and a max is exact.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._sources = {}  # key -> rows(i0, i1, out)
+        self._requests = []  # (kind, index set, exponent, weight or values, key or beta)
+        self.values = None
+
+    def matrix(self, key, rows):
+        """Register the n x n matrix named by the hashable ``key``.
+
+        rows(i0, i1, out) returns its rows i0:i1; ``out`` is a complex
+        buffer of that shape it may fill. A key already registered keeps its
+        first rows function, so requests on one key share its rows. Returns
+        the key.
+        """
+        self._sources.setdefault(key, rows)
+        return key
+
+    def gram(self, frame, other=None):
+        """Register the cross-Gram G_{Psi,Phi} = C_Psi D_Phi of two frames,
+        given by their d x n ``vectors`` (the Gram matrix G_Psi when
+        ``other`` is None): rows i0:i1 are C_Psi[i0:i1] D_Phi, one product
+        of the slab's vectors with all of Phi's."""
+        other = frame if other is None else other
+
+        def rows(i0, i1, out):
+            return np.matmul(frame.vectors[:, i0:i1].conj().T, other.vectors, out=out)
+
+        return self.matrix(("gram", frame, other), rows)
+
+    def _request(self, kind, idx, exponent, values, extra) -> int:
+        if len(idx) != self.n or (values is not None and np.shape(values) != (self.n,)):
+            raise ValueError("index set or weight length does not match the scan")
+        self._requests.append((kind, idx, float(exponent), values, extra))
+        return len(self._requests) - 1
+
+    def decay(self, key, s: float, idx: IndexSet, w=None) -> int:
+        """Request the decay constant of the matrix ``key`` at s on ``idx``,
+        conjugated by the weight values w (None: not conjugated); returns
+        the request's position in :meth:`run`'s values."""
+        if key not in self._sources:
+            raise KeyError(f"no matrix registered as {key!r}")
+        return self._request("decay", idx, s, None if w is None else np.asarray(w, dtype=float), key)
+
+    def moderateness(self, values, t: float, idx: IndexSet) -> int:
+        """Request the polynomial moderateness constant of the weight values at t."""
+        return self._request("moderate", idx, t, np.asarray(values, dtype=float), None)
+
+    def subexponential(self, values, alpha: float, beta: float, idx: IndexSet) -> int:
+        """Request the subexponential moderateness constant of the weight values."""
+        return self._request("subexp", idx, alpha, np.asarray(values, dtype=float), float(beta))
+
+    def run(self) -> list:
+        """Every requested constant, in request order, also kept as
+        :attr:`values`. The scan then releases its matrices and index sets."""
+        n, requests = self.n, self._requests
+        slabs = _slabs(n)
+        shape = (max(i1 - i0 for i0, i1 in slabs), n)
+        keys = list(dict.fromkeys((req[1], req[2]) for req in requests if req[0] != "subexp"))
+        # One block holds every buffer of the pass: two complex ones (pairs
+        # of floats), the moduli (which first hold each index set's
+        # distances), a scratch buffer and a growth table per (index set,
+        # exponent).
+        size = shape[0] * n
+        block = np.empty((len(keys) + 6) * size)
+        rows_buf, conj_buf = (block[i * size : (i + 2) * size].view(complex).reshape(shape) for i in (0, 2))
+        moduli, scratch, *tables = block[4 * size :].reshape((-1,) + shape)
+        growths = dict(zip(keys, tables))
+        # Per index set: its growth tables and subexponential requests, made
+        # while one buffer holds its distances.
+        per_set = {req[1]: ([], []) for req in requests}
+        for idx, e in growths:
+            per_set[idx][0].append(e)
+        for j, req in enumerate(requests):
+            if req[0] == "subexp":
+                per_set[req[1]][1].append(j)
+        reads = {}  # matrix key -> its decay requests
+        for j, req in enumerate(requests):
+            if req[0] == "decay":
+                reads.setdefault(req[4], []).append(j)
+        maxima = [[] for _ in requests]
+        for i0, i1 in slabs:
+            r = i1 - i0
+            for idx, (exponents, subexp) in per_set.items():
+                d = idx.distances(i0, i1, out=moduli[:r])
+                for e in exponents:
+                    kernels.growth_table(d, e, out=growths[idx, e][:r])
+                for j in subexp:
+                    _, _, alpha, v, beta = requests[j]
+                    maxima[j].append(kernels.moderateness_max_subexp(v, d, alpha, beta, i0))
+            for j, (kind, idx, t, v, _) in enumerate(requests):
+                if kind == "moderate":
+                    maxima[j].append(kernels.moderateness_max(v, growths[idx, t][:r], i0, out=scratch[:r]))
+            for key, js in reads.items():
+                A, absA = self._sources[key](i0, i1, rows_buf[:r]), None
+                for j in js:
+                    _, idx, e, w, _ = requests[j]
+                    if w is None:  # the moduli of the rows, shared by every unweighted request
+                        if absA is None:
+                            absA = np.abs(A, out=moduli[:r])
+                        a = absA
+                    else:  # the rows of diag(w) A diag(1/w), then their moduli
+                        ratio = np.divide(w[i0:i1, None], w[None, :], out=scratch[:r])
+                        a = np.abs(np.multiply(ratio, A, out=conj_buf[:r]), out=scratch[:r])
+                    maxima[j].append(kernels.decay_max(a, growths[idx, e][:r], out=scratch[:r]))
+        self.values = [float(np.max(m)) for m in maxima]
+        self._sources, self._requests = {}, []  # a scan runs once; drop what it read
+        return self.values
 
 
 def conjugate(A: np.ndarray, mu) -> np.ndarray:
@@ -190,20 +334,30 @@ def _induced_norm_exact(T, p) -> float:
     raise ValueError("exact induced norms only for p in {1, 2, inf}")
 
 
+def _draws(n_samples: int, d: int, seed: int) -> np.ndarray:
+    """Seeded complex Gaussian draws, one per row. Row i is f_i: its real
+    parts, then its imaginary parts, drawn in sample order, so a seed fixes
+    each f_i whatever n_samples is."""
+    draws = np.random.default_rng(seed).standard_normal((n_samples, 2, d))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
+def _ratios(AF, BF, p) -> np.ndarray:
+    """||A f||_p / ||B f||_p from the rows of AF = F A^T and BF = F B^T (or
+    their moduli), skipping the draws with B f = 0."""
+    den = lp_norms(BF, p)
+    keep = den != 0
+    return lp_norms(AF[keep], p) / den[keep]
+
+
 def sampled_ratios(A, B, p, n_samples: int, seed: int) -> np.ndarray:
-    """||A f||_p / ||B f||_p over seeded complex Gaussian draws f.
+    """||A f||_p / ||B f||_p over seeded complex Gaussian draws f (:func:`_draws`).
 
     A is an array or a :class:`_SlabMatrix`; B = None is the identity.
-    Row i of the draws is f_i: its real parts, then its imaginary parts,
-    drawn in sample order, so a seed fixes each f_i whatever n_samples is.
     Draws with B f = 0 are skipped.
     """
-    draws = np.random.default_rng(seed).standard_normal((n_samples, 2, A.shape[1]))
-    F = draws[:, 0] + 1j * draws[:, 1]
-    den = lp_norms(F if B is None else F @ B.T, p)
-    keep = den != 0
-    F = F[keep]
-    return lp_norms(A.apply(F) if isinstance(A, _SlabMatrix) else F @ A.T, p) / den[keep]
+    F = _draws(n_samples, A.shape[1], seed)
+    return _ratios(A.apply(F) if isinstance(A, _SlabMatrix) else F @ A.T, F if B is None else F @ B.T, p)
 
 
 def operator_norm(A, p, n2=None, seed: int = 0):
@@ -262,9 +416,12 @@ class _Factored:
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix)
-        # Keyed by the map L of L M^+; weak, so two maps never keep each other alive.
+        # Keyed by the map L of L M^+, or A of ||A f|| / ||M f||; weak, so two
+        # maps never keep each other alive.
         self._product_sums = weakref.WeakKeyDictionary()
         self._product_svals = weakref.WeakKeyDictionary()
+        self._draw_moduli = weakref.WeakKeyDictionary()
+        self._draws = {}  # seed -> (F, |F M^T|)
 
     @functools.cached_property
     def _svd(self) -> tuple:
@@ -317,6 +474,21 @@ class _Factored:
             self._product_sums[L] = (float(T.sum(axis=0).max()), float(T.sum(axis=1).max()))
         return self._product_sums[L]
 
+    def sampled_ratios(self, A: "_Factored", p, seed: int) -> np.ndarray:
+        """:func:`sampled_ratios` of the map pair (A, M) over MAP_SAMPLES draws.
+
+        The draws F and the moduli of F M^T are made once per seed, those of
+        F A^T once per A and seed, so a new p only takes their l^p norms.
+        """
+        if seed not in self._draws:
+            F = _draws(MAP_SAMPLES, self.matrix.shape[1], seed)
+            self._draws[seed] = (F, np.abs(F @ self.matrix.T))
+        F, absMF = self._draws[seed]
+        per_seed = self._draw_moduli.setdefault(A, {})
+        if seed not in per_seed:
+            per_seed[seed] = np.abs(F @ A.matrix.T)
+        return _ratios(per_seed[seed], absMF, p)
+
     def product_svals(self, L: "_Factored") -> np.ndarray:
         """Descending singular values of L M^+ for an injective M, those of
         the n x d matrix L V diag(1/s) (see :attr:`vs_inv`), computed once
@@ -354,13 +526,14 @@ def map_constants(A, B, p, seed: int = 0) -> dict:
     factorizations across calls. Returns bracket pairs
     {"lower": (lo, hi), "upper": (lo, hi)}: the upper side is
     :func:`upper_constant` and the lower side :func:`_lower_constant`, both
-    read from one set of MAP_SAMPLES seeded draws (:func:`sampled_ratios`),
-    which are not made when both sides are exact.
+    read from one set of MAP_SAMPLES seeded draws
+    (:meth:`_Factored.sampled_ratios`), which are not made when both sides
+    are exact.
     """
     A, B = _factored(A), _factored(B)
     ratios = None
     if not (p == 2 and A.injective and B.injective):
-        ratios = sampled_ratios(A.matrix, B.matrix, p, MAP_SAMPLES, seed)
+        ratios = B.sampled_ratios(A, p, seed)
     upper = upper_constant(A, B, p, seed, ratios)
     return {"lower": _lower_constant(A, B, p, ratios), "upper": upper, "p": p}
 
@@ -375,15 +548,15 @@ def upper_constant(A, B, p, seed: int = 0, ratios=None) -> tuple:
     value. No Gram matrix A^H A or B^H B is formed, so cond(B) is not
     squared, and A is never factorized. A B that fails its injectivity test
     gives the trivial outer end, inf. Otherwise the inner end is the largest
-    of ``ratios``, the :func:`sampled_ratios` of MAP_SAMPLES draws seeded
-    by ``seed``, drawn here when not given.
+    of ``ratios``, the :meth:`_Factored.sampled_ratios` of MAP_SAMPLES draws
+    seeded by ``seed``, read here when not given.
     """
     A, B = _factored(A), _factored(B)
     if p == 2 and B.injective:
         hi = float(B.product_svals(A)[0])
         return (hi, hi)
     if ratios is None:
-        ratios = sampled_ratios(A.matrix, B.matrix, p, MAP_SAMPLES, seed)
+        ratios = B.sampled_ratios(A, p, seed)
     certified = _product_norm(A, B, p) if B.injective else np.inf
     return (float(np.max(ratios, initial=0.0)), certified)
 

@@ -294,10 +294,14 @@ def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list
     """
     O = np.asarray(O)
     dual = psi.canonical_dual()
-    g = galerkin(O, psi, dual)
+    # Mat(O) = (C_Psi O) D_Psid, its decay read one row slab at a time.
+    CO, Dd = psi.analysis_matrix @ O, dual.synthesis_matrix
+    scan = matalg.PairScan(psi.n)
+    mat = scan.matrix("galerkin", lambda i0, i1, out: np.matmul(CO[i0:i1], Dd, out=out))
+    decay = scan.decay(mat, s, psi.index_set)
     report = {
         "operator_invertible": matalg.is_invertible(O),
-        "galerkin_decay_constant": matalg.decay_constant(g, s, psi.index_set),
+        "galerkin_decay_constant": scan.run()[decay],
         "constants": {},
     }
     inv = np.linalg.inv(O) if report["operator_invertible"] else None

@@ -15,8 +15,6 @@ spec under a config key for every command and lift family, and
 values.
 """
 
-import weakref
-
 import numpy as np
 
 from . import kernels
@@ -57,30 +55,19 @@ class IndexSet:
         self.points = pts
         self.metric = metric
         self.period = period
-        self._dists = None
-        self._growth = (None, lambda: None)  # (exponent, weak reference to its table)
         if len(np.unique(pts.round(12), axis=0)) != len(pts):
             raise ValueError("index set points must be distinct")
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def distance_matrix(self) -> np.ndarray:
-        if self._dists is None:
-            self._dists = kernels.pairwise_dist(self.points, self.period or 0.0)
-        return self._dists
+    def distances(self, i0: int, i1: int, out=None) -> np.ndarray:
+        """Rows i0:i1 of the distance matrix: from points i0..i1-1 to every point."""
+        return kernels.pairwise_dist(self.points, self.period or 0.0, (i0, i1), out)
 
-    def growth(self, s: float) -> np.ndarray:
-        """(1 + dist)^s over all pairs, the table the decay and moderateness
-        scans read. The table of the last exponent is reused while a caller
-        holds it, and freed with its last holder, so no n x n table outlives
-        the scans that share it."""
-        exponent, ref = self._growth
-        table = ref() if exponent == s else None
-        if table is None:
-            table = kernels.growth_table(self.distance_matrix(), s)
-            self._growth = (s, weakref.ref(table))
-        return table
+    def distance_matrix(self) -> np.ndarray:
+        """All n x n distances, built on each call and kept by no one."""
+        return self.distances(0, len(self))
 
     def distance_to_origin(self) -> np.ndarray:
         return kernels.dist_to_origin(self.points, self.period or 0.0)
@@ -189,11 +176,13 @@ def moderateness_constant(m: Weight, t: float, profile: str = "polynomial", beta
     """Smallest C with m_k <= C * profile(dist(k,l)) * m_l over all pairs.
 
     profile "polynomial": (1 + dist)^t. profile "subexponential":
-    exp(t * dist^beta). Always >= 1 (take k = l).
+    exp(t * dist^beta). Always >= 1 (take k = l). This reads the whole n x n
+    distance matrix at once; the lift and its families read the same
+    constants one row slab at a time (:class:`framelift.matalg.PairScan`).
     """
+    dist = m.index_set.distance_matrix()
     if profile == "polynomial":
-        return kernels.moderateness_max(m.values, m.index_set.growth(float(t)))
+        return kernels.moderateness_max(m.values, kernels.growth_table(dist, float(t)))
     if profile == "subexponential":
-        dist = m.index_set.distance_matrix()
         return kernels.moderateness_max_subexp(m.values, dist, float(t), float(beta))
     raise ValueError(f"unknown moderateness profile {profile!r}")

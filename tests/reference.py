@@ -10,13 +10,22 @@ import json
 import numpy as np
 
 from framelift import fock
-from framelift.frames import Frame, gram
+from framelift.frames import Frame
 from framelift.matalg import pseudo_inverse
 from framelift.multipliers import Slots, galerkin, multiplier
 from framelift.weights import IndexSet, lp_norms, weight_values
 
 # Residual below which an ordering passes galerkin_pinv_crosscheck.
 CROSSCHECK_RTOL = 1e-8
+
+
+def gram(frame: Frame, other: Frame | None = None) -> np.ndarray:
+    """G_Psi, or the cross-Gram G_{Psi,Phi} = C_Psi D_Phi when ``other`` is given."""
+    if other is None:
+        return frame.gram_matrix
+    if other.d != frame.d:
+        raise ValueError("frames must share the ambient dimension")
+    return frame.analysis_matrix @ other.synthesis_matrix
 
 
 def op_from_matrix(M: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
@@ -166,3 +175,22 @@ def load_matrix_csv(path_real, path_imag) -> np.ndarray:
         with open(path, newline="") as fh:
             parts.append(np.asarray([[float(x) for x in row] for row in csv.reader(fh)]))
     return parts[0] + 1j * parts[1]
+
+
+def dense_decay(A: np.ndarray, s: float, idx: IndexSet, w=None) -> float:
+    """max |(w_k / w_l) a_kl| (1 + d_kl)^s over the whole n x n matrix at once,
+    in the operation order of the slab scan."""
+    if w is not None:
+        A = (w[:, None] / w[None, :]) * A
+    return float((np.abs(A) * (1.0 + idx.distance_matrix()) ** s).max())
+
+
+def dense_moderateness(values: np.ndarray, t: float, idx: IndexSet) -> float:
+    """max (m_k / m_l) / (1 + d_kl)^t over the whole n x n table at once."""
+    return float(((values[:, None] / values[None, :]) / (1.0 + idx.distance_matrix()) ** t).max())
+
+
+def dense_subexponential(values: np.ndarray, alpha: float, beta: float, idx: IndexSet) -> float:
+    """max (m_k / m_l) / exp(alpha d_kl^beta) over the whole n x n table at once."""
+    ratio = values[:, None] / values[None, :]
+    return float((ratio / np.exp(alpha * idx.distance_matrix() ** beta)).max())

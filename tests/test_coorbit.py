@@ -14,12 +14,12 @@ from framelift.coorbit import (
     lifting_theorem_pipeline,
     map_constants,
 )
-from framelift.frames import gram, onb, random_frame
+from framelift.frames import onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
 from framelift.matalg import upper_constant
 from framelift.multipliers import _coefficient_maps, _SplitCore, galerkin, multiplier
 from framelift.weights import Weight
-from tests.reference import invertibility_matrix
+from tests.reference import gram, invertibility_matrix
 
 
 class TestCoercivity:
@@ -225,6 +225,29 @@ class TestLiftingConstants:
         for p in (1, np.inf):
             want = matalg.operator_norm(A.matrix @ np.linalg.pinv(B.matrix), p)
             assert c[p]["upper"][1] == pytest.approx(want, rel=1e-12)
+
+    def test_each_map_pair_draws_once_per_seed_whatever_the_ps(self, rng, monkeypatch):
+        # The seeded draws F, |F B^T| and |F A^T| are made by the first p that
+        # needs them; every later p only takes l^p norms, and its inner sides
+        # equal those of draws made afresh for that p. A second map A2 on the
+        # same B reuses F and |F B^T|.
+        A, A2, B = (
+            matalg._Factored(rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))) for _ in range(3)
+        )
+        ps = (1, 3, np.inf)
+        fresh = {p: matalg.sampled_ratios(A.matrix, B.matrix, p, matalg.MAP_SAMPLES, 5) for p in ps}
+        fresh2 = matalg.sampled_ratios(A2.matrix, B.matrix, 1, matalg.MAP_SAMPLES, 5)
+        draws, images, make_draws, ratios = [], [], matalg._draws, matalg._ratios
+        monkeypatch.setattr(matalg, "_draws", lambda *args: draws.append(args) or make_draws(*args))
+        monkeypatch.setattr(matalg, "_ratios", lambda AF, BF, p: images.append(id(AF)) or ratios(AF, BF, p))
+        for p in ps:
+            c = map_constants(A, B, p, seed=5)
+            assert (c["upper"][0], c["lower"][1]) == (fresh[p].max(), fresh[p].min())
+        assert upper_constant(A2, B, 1, seed=5)[0] == fresh2.max()
+        assert draws == [(matalg.MAP_SAMPLES, 4, 5)]
+        assert len(set(images[:3])) == 1 and images[3] != images[0]
+        map_constants(A, B, 1, seed=6)
+        assert len(draws) == 2
 
     @pytest.mark.parametrize("p", [1, 2, np.inf])
     def test_wide_maps_are_not_injective(self, rng, p):

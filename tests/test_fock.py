@@ -246,9 +246,10 @@ class TestExperiment:
         assert e["density_proxy"] == pytest.approx(1.2732395447351628, rel=1e-9)
 
     def test_decay_table_builds_one_gram_per_radius(self, monkeypatch):
-        # The exact Gram and the index set behind gram_decay_scaling serve
-        # every exponent; the index set is the core's, whose distances the
-        # pipeline's moderateness scan already computed.
+        # The exact Gram's rows and the index set's distances behind
+        # gram_decay_scaling serve every exponent, and the pipeline's
+        # moderateness scan shares the same pass: at n < SLAB_ROWS, one slab,
+        # so one block of each.
         counts = {"gram": 0, "dist": 0}
         gram_exact, pairwise_dist = fock.fock_gram_exact, kernels.pairwise_dist
 
@@ -263,7 +264,7 @@ class TestExperiment:
         monkeypatch.setattr(kernels, "pairwise_dist", counted("dist", pairwise_dist))
         out = sweep(FockFamily(0.8, [2.5]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=1)
         assert counts["gram"] == 1
-        assert counts["dist"] <= 2
+        assert counts["dist"] == 1
         lat = FockLattice(0.8, 2.5)
         want = {
             str(se): decay_constant(gram_exact(lat), se, lat.index_set()) for se in (2.0, 4.0, 6.0)

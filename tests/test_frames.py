@@ -7,13 +7,13 @@ from framelift import matalg
 from framelift.frames import (
     Frame,
     NotAFrameError,
-    gram,
     gram_identities_check,
     onb,
     random_frame,
 )
 from framelift.gabor import gabor_system
 from tests.conftest import random_vector
+from tests.reference import gram
 
 
 class TestBasics:

@@ -225,23 +225,20 @@ class TestExperiment:
     def test_raw_gram_decay_is_the_pipeline_profile(self, monkeypatch):
         # gram_raw[N] is step (ii)'s profile of G: the same Gram on the same
         # raw index set at the same s, so the driver does not scan it again.
-        calls = []
-        decay = matalg.decay_constant
-
-        def counted(*args):
-            calls.append(args[1])
-            return decay(*args)
-
-        monkeypatch.setattr(matalg, "decay_constant", counted)
+        requests, passes = [], []
+        decay, run = matalg.PairScan.decay, matalg.PairScan.run
+        monkeypatch.setattr(matalg.PairScan, "decay", lambda self, *a: requests.append(a[1]) or decay(self, *a))
+        monkeypatch.setattr(matalg.PairScan, "run", lambda self: passes.append(self) or run(self))
         out = sweep(GaborFamily([16, 32]), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)
+        # Per size, one pass: the family's four (the normalized G and dual
+        # Gram, two for the interplay check), then step (ii)'s five profiles.
+        assert len(requests) == 9 * 2
+        assert len(passes) == 2
         for e in out["entries"]:
             fr = gabor_system(e["N"], e["a"], e["b"])
-            want = decay(fr.gram_matrix, 4.0, fr.index_set)
+            want = float((np.abs(fr.gram_matrix) * (1.0 + fr.index_set.distance_matrix()) ** 4.0).max())
             assert e["report"]["decay_profiles"]["G"] == want
             assert out["decay_scaling"]["gram_raw"][str(e["N"])] == want
-        # Per size: five Gram profiles in step (ii), two scans in the
-        # interplay check, and the normalized G and dual Gram.
-        assert len(calls) == 9 * 2
 
     def test_critical_lattice_reports_failure_entry(self):
         out = sweep(GaborFamily([16], a_ratio=4, b_ratio=4), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)

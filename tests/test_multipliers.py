@@ -246,10 +246,11 @@ class TestSplitCore:
             assert np.array_equal(cross, held)
 
 
-def _extended_residual(core, O, psi, slots, w) -> float:
+def _extended_residual(core, O, psi, slots, w, dY=None) -> float:
     """||I - B_w Xt||_inf in extended precision, B_w from the same float
-    inputs as the core (C, D, O, the dual synthesis matrix, w) and Xt =
-    I + Q (K^{-1} - I) Q^H from the core's float Q and K^{-1}."""
+    inputs as the core (C, D, O, the dual synthesis matrix, w), plus X dY
+    when a d x n perturbation dY of Y is given, and Xt = I + Q (K^{-1} - I)
+    Q^H from the core's float Q and K^{-1}."""
     LD = np.clongdouble
     n = psi.n
     left, right = slots.value
@@ -261,6 +262,8 @@ def _extended_residual(core, O, psi, slots, w) -> float:
     wl = (np.ones(n) if w is None else w).astype(np.longdouble)
     B = np.eye(n, dtype=LD) + psi.analysis_matrix.astype(LD) @ (P - Dd)
     Bw = (wl[:, None] / wl[None, :]) * B
+    if dY is not None:
+        Bw += core.X.astype(LD) @ dY.astype(LD)
     Kinv = core.K_inv.astype(LD)
     if core.Q is None:
         Xt = Kinv
@@ -309,6 +312,32 @@ class TestCertificate:
         assert core.K.shape == (d, d)
         residual = _extended_residual(core, O, psi, slots, w)
         assert residual <= core.certificate_margin < 1e-6
+        assert core.invertible()
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["k=d", "k=2d"])
+    def test_margin_counts_a_part_of_y_outside_the_range_of_q(self, flat):
+        # After K and K^{-1} are built, Y gains E with E Q = 0, which Yq = Y Q
+        # and K cannot see: only the computed Y - Yq Q^H counts it, and the
+        # margin must still bound the residual of the perturbed B_w.
+        rng = np.random.default_rng(29)
+        psi = random_frame(rng, 24, 8)
+        w = np.full(24, np.exp(3.0)) if flat else np.exp(rng.uniform(-2.0, 2.0, 24))
+        O = _random_operator(rng, 8)
+        perturbation = {}
+
+        class Perturbed(_SplitCore):
+            def _margin(self, X, Y, Xq, Yq, X_err, Y_err):
+                Z = rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
+                E = 1e-8 * np.abs(Y).max() * (Z - (Z @ self.Q) @ self.Q.conj().T)
+                perturbation["E"] = E
+                self.Y = Y + E
+                return super()._margin(X, self.Y, Xq, Yq, X_err, Y_err)
+
+        core = Perturbed(O, psi, Slots.PSI_PSI, w)
+        assert (core.Q is psi.analysis_basis) == flat
+        residual = _extended_residual(core, O, psi, Slots.PSI_PSI, w, perturbation["E"])
+        assert residual > 1e-9  # E, not rounding, sets the residual
+        assert residual <= core.certificate_margin < 1.0
         assert core.invertible()
 
     @pytest.mark.parametrize("N", [16, 32])

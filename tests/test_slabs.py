@@ -1,0 +1,161 @@
+"""Every pair scan streams in row slabs: the lift holds no n x n matrix.
+
+With SLAB_ROWS = 5, every scan runs over several slabs, a short last one
+among them, and each constant must still equal the dense formula on the
+whole matrix bit for bit, on torus and Euclidean index sets alike.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from framelift import matalg
+from framelift.coorbit import FrameFamily, lifting_theorem_pipeline, sweep
+from framelift.fock import FockFamily, FockLattice, bulk_frame, fock_gram_exact
+from framelift.frames import Frame, random_frame
+from framelift.gabor import GaborFamily, TFLattice, gabor_system
+from framelift.multipliers import galerkin, spectral_invariance_suite
+from framelift.weights import SYMBOL_SPEC, UNIT_SPEC, IndexSet, Weight
+from tests.reference import dense_decay, dense_moderateness, dense_subexponential, gram
+
+
+@pytest.fixture
+def slabs_of_five(monkeypatch):
+    monkeypatch.setattr(matalg, "SLAB_ROWS", 5)
+
+
+def test_slabs_cover_the_rows_with_no_one_row_slab(slabs_of_five):
+    assert matalg._slabs(23) == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+    assert matalg._slabs(21) == [(0, 5), (5, 10), (10, 15), (15, 21)]
+    assert matalg._slabs(4) == [(0, 4)]
+    assert matalg._slabs(1) == [(0, 1)]
+
+
+def _gabor_torus():  # n = 36 on the torus Z_12 x Z_12
+    return gabor_system(12, 2, 2)
+
+
+def _random_line():  # n = 23 on the line
+    return random_frame(np.random.default_rng(11), 23, 6)
+
+
+def _fock_plane():  # n = 21 in the plane
+    return bulk_frame(FockLattice(0.8, 2.0), 9)
+
+
+@pytest.mark.parametrize("make", [_gabor_torus, _random_line, _fock_plane], ids=["torus", "line", "plane"])
+def test_pipeline_tables_equal_the_dense_formulas(slabs_of_five, make):
+    psi = make()
+    idx, s = psi.index_set, 3.5
+    assert psi.n % 5 != 0
+    rng = np.random.default_rng(psi.n)
+    muv, mv = np.exp(rng.uniform(-3.0, 3.0, psi.n)), np.exp(rng.uniform(-1.0, 1.0, psi.n))
+    rep = lifting_theorem_pipeline(psi, muv, m=mv, ps=(2,), s=s)
+    dual = psi.canonical_dual()
+    G, Gd, cross = gram(psi), gram(dual), gram(psi, dual)
+    assert rep["decay_profiles"] == {
+        "G": dense_decay(G, s, idx),
+        "G^mu": dense_decay(G, s, idx, muv),
+        "G^(1/mu)": dense_decay(G, s, idx, 1.0 / muv),
+        "Gdual^mu": dense_decay(Gd, s, idx, muv),
+        "cross^mu": dense_decay(cross, s, idx, muv),
+    }
+    sq = np.sqrt(muv)
+    five = {"m": mv, "mu": muv, "sqrt(mu)": sq, "m*sqrt(mu)": mv * sq, "m/sqrt(mu)": mv / sq}
+    assert {name: v["constant"] for name, v in rep["moderateness"].items()} == {
+        name: dense_moderateness(vals, s, idx) for name, vals in five.items()
+    }
+
+
+def test_gabor_extras_equal_the_dense_formulas(slabs_of_five):
+    s, t = 4.0, 2.0
+    out = sweep(GaborFamily([12], a_ratio=6, b_ratio=6, t_check=t), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), s=s)
+    [entry] = out["entries"]
+    lat = TFLattice(12, 2, 2)
+    psi = gabor_system(12, 2, 2)
+    idx, idx_norm = psi.index_set, lat.index_set(normalized=True)
+    G, Gd = gram(psi), gram(psi.canonical_dual())
+    decay = out["decay_scaling"]
+    assert decay["gram_normalized"]["12"] == dense_decay(G, s, idx_norm)
+    assert decay["dual_gram_normalized"]["12"] == dense_decay(Gd, s, idx_norm)
+    assert decay["gram_raw"]["12"] == dense_decay(G, s, idx)
+    mu = Weight.polynomial(idx, t).values
+    cmod = dense_moderateness(mu, t, idx)
+    interplay = entry["report"]["metadata"]["interplay"]
+    assert interplay == {
+        "lhs": dense_decay(G, s, idx, mu),
+        "rhs": cmod * dense_decay(G, s + t, idx),
+        "moderateness": cmod,
+        "ok": True,
+    }
+
+
+def test_fock_extras_equal_the_dense_formulas(slabs_of_five):
+    s = 3.0
+    mu_spec = {"type": "polynomial", "t": 3.0}
+    out = sweep(FockFamily(0.8, [2.0, 2.5]), mu_spec, UNIT_SPEC, ps=(2,), s=s, seed=1)
+    for entry in out["entries"]:
+        idx = FockLattice(0.8, entry["R"]).index_set()
+        assert len(idx) % 5 != 0
+        G = fock_gram_exact(idx.points[:, 0] + 1j * idx.points[:, 1])
+        assert out["gram_decay_scaling"][str(entry["R"])] == {str(se): dense_decay(G, se, idx) for se in (2.0, s, 6.0)}
+        mu = Weight.from_spec(mu_spec, idx).values
+        assert entry["report"]["metadata"]["mu_subexponential_constant"] == dense_subexponential(mu, 1.0, 1.0, idx)
+
+
+def test_fock_gram_rows_are_rows_of_the_whole_matrix():
+    lam = FockLattice(0.8, 2.5, jitter=0.2).points
+    rows = [fock_gram_exact(lam, (i0, min(i0 + 4, len(lam)))) for i0 in range(0, len(lam), 4)]
+    assert np.array_equal(np.vstack(rows), fock_gram_exact(lam))
+
+
+@pytest.mark.parametrize("make", [_gabor_torus, _random_line], ids=["torus", "line"])
+def test_galerkin_decay_equals_the_dense_formula(slabs_of_five, make):
+    psi = make()
+    rng = np.random.default_rng(2)
+    O = rng.standard_normal((psi.d, psi.d)) + 1j * rng.standard_normal((psi.d, psi.d))
+    rep = spectral_invariance_suite(O, psi, [None], [2], 4.0)
+    assert rep["galerkin_decay_constant"] == dense_decay(galerkin(O, psi, psi.canonical_dual()), 4.0, psi.index_set)
+
+
+@pytest.fixture
+def no_dense_tables(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an n x n Gram or distance matrix was read")
+
+    monkeypatch.setattr(Frame, "gram_matrix", property(forbidden))
+    monkeypatch.setattr(IndexSet, "distance_matrix", forbidden)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        GaborFamily([16, 32]),
+        FockFamily(0.8, [2.5, 4.0]),
+        FrameFamily(random_frame(np.random.default_rng(3), 30, 8)),
+    ],
+    ids=["gabor", "fock", "frame"],
+)
+def test_sweep_reads_no_gram_or_distance_matrix(no_dense_tables, family):
+    out = sweep(family, family.mu_default, UNIT_SPEC, ps=(1, 2), seed=0)
+    assert [e["status"] for e in out["entries"]] == ["ok"] * len(family.sizes)
+
+
+def test_pipeline_peak_stays_below_28_nd():
+    # Gabor N = 128: n = 512, d = 128. Holding G, the dual Gram, the
+    # cross-Gram and their conjugated copies whole peaked at 34 n d complex
+    # entries; streaming them in row slabs leaves the peak elsewhere.
+    lat = TFLattice.balanced(128, 4)
+    psi = gabor_system(lat.N, lat.a, lat.b)
+    n, d = psi.n, psi.d
+    assert (n, d) == (512, 128)
+    mu = Weight.polynomial(psi.index_set, 2.0)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        lifting_theorem_pipeline(psi, mu, ps=(1, 2, np.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * n * d * np.dtype(complex).itemsize

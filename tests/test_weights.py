@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelift import kernels
+from framelift import kernels, matalg
 from framelift.matalg import decay_constant
 from framelift.weights import (
     EUCLIDEAN,
@@ -153,30 +153,52 @@ class TestModerateness:
             moderateness_constant(Weight.constant(line(3)), 1.0, profile="gaussian")
 
 
-class TestGrowthTable:
-    def test_one_table_serves_decay_and_moderateness(self, monkeypatch):
-        idx = IndexSet(np.random.default_rng(3).uniform(0, 8, size=(30, 2)))
+class TestPairScanTables:
+    """A PairScan forms each (index set, exponent) table (1 + dist)^s once per
+    row slab and shares it; the index set keeps no table of its own."""
+
+    def test_one_growth_table_per_slab_serves_decay_and_moderateness(self, monkeypatch):
+        monkeypatch.setattr(matalg, "SLAB_ROWS", 7)
+        n = 29  # slabs of 7, 7, 7 and 8 rows: the one-row remainder joins the last
+        idx = IndexSet(np.random.default_rng(3).uniform(0, 8, size=(n, 2)))
         dist = idx.distance_matrix()
-        A = np.random.default_rng(4).standard_normal((30, 30))
-        w = Weight(np.exp(np.random.default_rng(5).uniform(-2, 2, 30)), idx)
+        A = np.random.default_rng(4).standard_normal((n, n))
+        w = Weight(np.exp(np.random.default_rng(5).uniform(-2, 2, n)), idx)
         ratio = w.values[:, None] / w.values[None, :]
         exponents, growth_table = [], kernels.growth_table
-        monkeypatch.setattr(kernels, "growth_table", lambda d, s: exponents.append(s) or growth_table(d, s))
-        held = idx.growth(4.0)
-        # bit for bit the values of (1 + dist)^s formed per call
-        assert decay_constant(A, 4.0, idx) == float((np.abs(A) * (1.0 + dist) ** 4.0).max())
-        assert moderateness_constant(w, 4.0) == float((ratio / (1.0 + dist) ** 4.0).max())
-        assert decay_constant(A.T, 4.0, idx) == float((np.abs(A.T) * (1.0 + dist) ** 4.0).max())
-        assert exponents == [4.0]
-        # a new exponent replaces the table; the held one stays the caller's
-        assert moderateness_constant(w, 2.0) == float((ratio / (1.0 + dist) ** 2.0).max())
-        assert exponents == [4.0, 2.0]
-        assert idx.growth(4.0) is not held
-        assert exponents == [4.0, 2.0, 4.0]
 
-    def test_table_is_freed_with_its_last_holder(self):
-        idx = IndexSet(np.arange(6.0))
-        table = idx.growth(3.0)
-        assert idx.growth(3.0) is table
-        del table
-        assert idx._growth[1]() is None  # the index set keeps no table alive
+        def spy(d, s, out=None):
+            exponents.append((s, len(d)))
+            return growth_table(d, s, out)
+
+        monkeypatch.setattr(kernels, "growth_table", spy)
+        scan = matalg.PairScan(n)
+        a, at = scan.matrix("A", lambda i0, i1, out: A[i0:i1]), scan.matrix("A^T", lambda i0, i1, out: A.T[i0:i1])
+        scan.decay(a, 4.0, idx)
+        scan.moderateness(w.values, 4.0, idx)
+        scan.decay(at, 4.0, idx)
+        scan.moderateness(w.values, 2.0, idx)
+        # bit for bit the values of (1 + dist)^s formed over the whole matrix
+        assert scan.run() == [
+            float((np.abs(A) * (1.0 + dist) ** 4.0).max()),
+            float((ratio / (1.0 + dist) ** 4.0).max()),
+            float((np.abs(A.T) * (1.0 + dist) ** 4.0).max()),
+            float((ratio / (1.0 + dist) ** 2.0).max()),
+        ]
+        assert exponents == [(4.0, 7), (2.0, 7)] * 3 + [(4.0, 8), (2.0, 8)]
+
+    def test_index_set_holds_no_table(self, monkeypatch):
+        monkeypatch.setattr(matalg, "SLAB_ROWS", 4)
+        idx = IndexSet(np.arange(10.0))
+        assert idx.distance_matrix() is not idx.distance_matrix()
+        rows, pairwise_dist = [], kernels.pairwise_dist
+
+        def spy(pts, period, r, out):
+            rows.append(r)
+            return pairwise_dist(pts, period, r, out)
+
+        monkeypatch.setattr(kernels, "pairwise_dist", spy)
+        assert decay_constant(np.ones((10, 10)), 3.0, idx) == 1000.0
+        assert moderateness_constant(Weight.constant(idx), 2.0) == 1.0
+        assert rows == [(0, 4), (4, 8), (8, 10), (0, 10)]
+        assert set(vars(idx)) == {"points", "metric", "period"}
