@@ -19,6 +19,7 @@ import json
 
 import numpy as np
 
+from . import matalg
 from .weights import IndexSet
 
 FRAME_RTOL = 1e-8
@@ -150,11 +151,10 @@ def _max_abs(A: np.ndarray) -> float:
     return float(np.abs(A).max())
 
 
-def _max_gap(X: np.ndarray, Y: np.ndarray) -> float:
-    """max|X - Y| for an X the caller no longer needs: X is overwritten by
-    the difference, so no third n x n array is formed."""
-    X -= Y
-    return _max_abs(X)
+def _gap(rows: np.ndarray, P: np.ndarray, moduli: np.ndarray) -> float:
+    """max|rows - P|; the difference overwrites ``rows`` and its moduli fill
+    ``moduli``, so no array is allocated."""
+    return np.abs(np.subtract(rows, P, out=rows), out=moduli).max()
 
 
 def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
@@ -171,7 +171,7 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
         pinv_cross              (U s^-2)((U^H C) D) - P
         pinv_dual               (U s^-4)((U^H C) D) - Cd Dd   scale max|G_Psid|
         idempotent              C((Dd C) Dd) - P
-        self_adjoint            P - P^H
+        self_adjoint            P^H - P
         fixes_analysis_range    C(Dd C) - C                   scale max|C|
         kills_synthesis_kernel  C(Dd - (Dd U) U^H)
         splitting               D - (D C) Dd
@@ -182,36 +182,81 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     entry max_k ||psi_k||^2, so G itself is not formed. ker(D_Psi) =
     ran(U)^perp, so the last two are 0 when n = d. projection_rank is the
     rounded trace of P = trace(Dd C).
+
     Every matrix product has d among its dimensions, and the SVD of the
-    n x d matrix C is the one factorization: no n x n matrix is factorized.
+    n x d matrix C is the one factorization. No n x n matrix is held: each
+    n x n one is a left n x d factor times a d x n right factor, formed
+    once, and is read in row slabs (:func:`matalg._slabs`) as rows
+    L[i0:i1] R, written into buffers carved from one block that the check
+    allocates once. A row slab of a product rounds like the same rows of
+    the whole product, while a column slab, or Cd D in place of conj(P)^T,
+    need not (BLAS may order the complex multiply-adds differently). So
+    self_adjoint pairs the block P[I, J] of row slab I with P[J, I] read
+    from the rows of slab J, for J >= I: |P^H - P| takes equal values on
+    (i, j) and (j, i). A max is exact, so every residual equals the one
+    read from the whole matrices bit for bit.
     """
     dual = frame.canonical_dual()
     C, D = frame.analysis_matrix, frame.synthesis_matrix
     Cd, Dd = dual.analysis_matrix, dual.synthesis_matrix
     n, d = C.shape
     U, s, _ = np.linalg.svd(C, full_matrices=False)
-    UhCD = (U.conj().T @ C) @ D
-    # One n x n array at a time outlives its residual: G_Psid, then P.
-    Gd = Cd @ Dd
-    pinv_dual = _rel(_max_gap((U * s**-4) @ UhCD, Gd), _max_abs(Gd))
-    del Gd
-    P = C @ Dd
     DdC = Dd @ C
     gram_max = float((D.real**2 + D.imag**2).sum(axis=0).max())  # max_k ||psi_k||^2 = max|G|
+    fixes = _rel(_max_abs(C @ DdC - C), _max_abs(C))
+    splitting = _max_abs(D - (D @ C) @ Dd) if n > d else 0.0
+    # The d x n right factors; each n x n product below is (left rows) @ right.
+    UhCD = (U.conj().T @ C) @ D
+    identity, idempotent = (D @ Cd) @ Dd, DdC @ Dd
+    kernel = Dd - (Dd @ U) @ U.conj().T if n > d else None
+    s2, s4 = s**-2, s**-4
+
+    slabs = matalg._slabs(n)
+    r = max(i1 - i0 for i0, i1 in slabs)
+    # One block holds every buffer: the rows of G_Psid and then of P, the
+    # rows of one product, their moduli, and rows of U s^-k.
+    block = np.empty(5 * r * n + 2 * r * d)
+    P_buf, T_buf = (block[i * r * n : (i + 2) * r * n].view(complex).reshape(r, n) for i in (0, 2))
+    moduli = block[4 * r * n : 5 * r * n].reshape(r, n)
+    Us_buf = block[5 * r * n :].view(complex).reshape(r, d)
+    keys = ("Gd", "pinv_dual", "product_identity", "pinv_cross", "idempotent", "self_adjoint", "kills_synthesis_kernel")
+    maxima = {key: [] for key in keys}
+    for k, (i0, i1) in enumerate(slabs):
+        m = i1 - i0
+        P, T, A, Us, Cr = P_buf[:m], T_buf[:m], moduli[:m], Us_buf[:m], C[i0:i1]
+        np.matmul(Cd[i0:i1], Dd, out=P)  # rows of G_Psid
+        maxima["Gd"].append(np.abs(P, out=A).max())
+        np.multiply(U[i0:i1], s4, out=Us)
+        maxima["pinv_dual"].append(_gap(np.matmul(Us, UhCD, out=T), P, A))
+        np.matmul(Cr, Dd, out=P)  # rows of P
+        maxima["product_identity"].append(_gap(np.matmul(Cr, identity, out=T), P, A))
+        np.multiply(U[i0:i1], s2, out=Us)
+        maxima["pinv_cross"].append(_gap(np.matmul(Us, UhCD, out=T), P, A))
+        maxima["idempotent"].append(_gap(np.matmul(Cr, idempotent, out=T), P, A))
+        if kernel is not None:
+            maxima["kills_synthesis_kernel"].append(np.abs(np.matmul(Cr, kernel, out=T), out=A).max())
+        # Last, as it overwrites P: |P^H - P| on the blocks (I, J >= I) of
+        # this slab I, each P[J, I] read from whole rows of slab J.
+        for j0, j1 in slabs[k:]:
+            rows_J = T_buf[: j1 - j0]
+            if j0 == i0:
+                np.copyto(rows_J, P)
+            else:
+                np.matmul(C[j0:j1], Dd, out=rows_J)
+            conj_JI = np.conjugate(rows_J[:, i0:i1], out=rows_J[:, i0:i1])
+            gap = np.subtract(P[:, j0:j1], conj_JI.T, out=P[:, j0:j1])  # -(P^H - P) on block (I, J)
+            maxima["self_adjoint"].append(np.abs(gap, out=A[:, : j1 - j0]).max())
+    top = {key: float(np.max(v, initial=0.0)) for key, v in maxima.items()}
     resid = {
-        "product_identity": _rel(_max_gap(C @ ((D @ Cd) @ Dd), P), gram_max),
-        "pinv_cross": _max_gap((U * s**-2) @ UhCD, P),
-        "pinv_dual": pinv_dual,
-        "idempotent": _max_gap(C @ (DdC @ Dd), P),
-        "self_adjoint": _max_gap(P.conj().T, P),  # |P^H - P| = |P - P^H|
-        "fixes_analysis_range": _rel(_max_abs(C @ DdC - C), _max_abs(C)),
+        "product_identity": _rel(top["product_identity"], gram_max),
+        "pinv_cross": top["pinv_cross"],
+        "pinv_dual": _rel(top["pinv_dual"], top["Gd"]),
+        "idempotent": top["idempotent"],
+        "self_adjoint": top["self_adjoint"],
+        "fixes_analysis_range": fixes,
+        "kills_synthesis_kernel": top["kills_synthesis_kernel"],
+        "splitting": splitting,
     }
-    if n > d:
-        resid["kills_synthesis_kernel"] = _max_abs(C @ (Dd - (Dd @ U) @ U.conj().T))
-        resid["splitting"] = _max_abs(D - (D @ C) @ Dd)
-    else:
-        resid["kills_synthesis_kernel"] = 0.0
-        resid["splitting"] = 0.0
     resid["projection_rank"] = int(np.round(np.trace(DdC).real))
     resid["ok"] = all(v < rtol for k, v in resid.items() if k != "projection_rank")
     return resid

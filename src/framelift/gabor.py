@@ -41,29 +41,33 @@ def gaussian_window(N: int) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def tf_shift(f: np.ndarray, x: int, omega: int) -> np.ndarray:
-    """pi(x, omega) f (t) = e^{2 pi i omega t / N} f(t - x), indices mod N."""
+def tf_shift(f: np.ndarray, x, omega) -> np.ndarray:
+    """pi(x, omega) f (t) = e^{2 pi i omega t / N} f(t - x), indices mod N.
+
+    x and omega may be integer arrays of one shape; then the result has
+    that shape after its first axis t, pi(x_j, omega_j) f along it.
+    """
     f = np.asarray(f)
     N = f.shape[0]
-    t = np.arange(N)
-    return np.exp(2j * np.pi * (omega % N) * t / N) * np.roll(f, x % N)
+    x, omega = np.asarray(x), np.asarray(omega)
+    t = np.arange(N).reshape((N,) + (1,) * x.ndim)
+    return np.exp(2j * np.pi * (omega % N) * t / N) * f[(t - x) % N]
 
 
 def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Full short-time Fourier transform V[x, omega] = <f, pi(x, omega) g>.
 
-    Computed as one FFT per shift; satisfies the discrete orthogonality
-    relation sum_{x, omega} |V|^2 = N ||f||^2 ||g||^2.
+    Computed as one batched FFT over the rows f conj(g(. - x)), one per
+    shift x; satisfies the discrete orthogonality relation
+    sum_{x, omega} |V|^2 = N ||f||^2 ||g||^2.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     if f.shape != g.shape:
         raise ValueError("stft needs equal lengths")
     N = f.shape[0]
-    V = np.empty((N, N), dtype=complex)
-    for x in range(N):
-        V[x] = np.fft.fft(f * np.conj(np.roll(g, x)))
-    return V
+    t = np.arange(N)
+    return np.fft.fft(f * np.conj(g[(t[None, :] - t[:, None]) % N]), axis=1)
 
 
 @dataclass(frozen=True)
@@ -112,20 +116,20 @@ class TFLattice:
 
 def gabor_system(N: int, a: int, b: int) -> Frame:
     """The frame {pi(x, omega) g} of the Gaussian window g over the lattice
-    aZ_N x bZ_N, columns in point order."""
+    aZ_N x bZ_N, columns in point order, from one :func:`tf_shift` over
+    all points."""
     lat = TFLattice(N, a, b)
-    g = gaussian_window(N)
-    vecs = np.empty((N, lat.n), dtype=complex)
-    for j, (x, w) in enumerate(lat.points):
-        vecs[:, j] = tf_shift(g, int(x), int(w))
-    return Frame(vecs, lat.index_set())
+    x, omega = lat.points.astype(int).T
+    return Frame(tf_shift(gaussian_window(N), x, omega), lat.index_set())
 
 
-def stft_decay_constant(g: np.ndarray, s: float) -> float:
-    """Measured C with |V_g g(x, omega)| <= C (1 + dist((x,omega), 0))^{-s}.
+def stft_decay_constant(g: np.ndarray, exponents) -> list:
+    """Measured C_s with |V_g g(x, omega)| <= C_s (1 + dist((x,omega), 0))^{-s},
+    for each s in ``exponents``.
 
     Exhaustive scan over the full grid with the normalized torus metric:
     coordinates are divided by sqrt(N), so constants compare across N.
+    |V_g g| and the distance table are made once for all exponents.
     """
     g = np.asarray(g, dtype=complex)
     N = g.shape[0]
@@ -134,7 +138,7 @@ def stft_decay_constant(g: np.ndarray, s: float) -> float:
     t = np.arange(N, dtype=float)
     d2 = (np.minimum(t, N - t) / scale) ** 2  # squared torus distance of x (or omega) to 0
     dist = np.sqrt(d2[:, None] + d2[None, :])
-    return float(np.max(V * (1.0 + dist) ** s))
+    return [float(np.max(V * (1.0 + dist) ** s)) for s in exponents]
 
 
 def _interplay(scan: matalg.PairScan, frame: Frame, t: float, s: float):
@@ -225,8 +229,9 @@ class GaborFamily:
 
         def finish() -> dict:
             metadata = entry["report"]["metadata"]
-            window = gaussian_window(lat.N)
-            window_decay = {str(se): stft_decay_constant(window, se) for se in (2.0, 4.0, 6.0, 8.0)}
+            exponents = (2.0, 4.0, 6.0, 8.0)
+            constants = stft_decay_constant(gaussian_window(lat.N), exponents)
+            window_decay = {str(se): c for se, c in zip(exponents, constants)}
             metadata["window_decay_constants"] = window_decay
             metadata["interplay"] = interplay(scan.values)
             return {

@@ -44,8 +44,8 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Seeded draws behind the inner side of a bracket: map_constants, operator_norm.
 MAP_SAMPLES = 256
 NORM_SAMPLES = 64
-# Rows alive at a time when a _SlabMatrix's moduli are summed or a PairScan
-# reads its pair constants.
+# Rows alive at a time when an n x n matrix is read in row slabs: the moduli
+# sums of _moduli_sums, a PairScan's pair constants, the Gram identities.
 SLAB_ROWS = 256
 
 
@@ -149,14 +149,17 @@ class PairScan:
         slabs = _slabs(n)
         shape = (max(i1 - i0 for i0, i1 in slabs), n)
         keys = list(dict.fromkeys((req[1], req[2]) for req in requests if req[0] != "subexp"))
-        # One block holds every buffer of the pass: two complex ones (pairs
-        # of floats), the moduli (which first hold each index set's
-        # distances), a scratch buffer and a growth table per (index set,
-        # exponent).
-        size = shape[0] * n
-        block = np.empty((len(keys) + 6) * size)
-        rows_buf, conj_buf = (block[i * size : (i + 2) * size].view(complex).reshape(shape) for i in (0, 2))
-        moduli, scratch, *tables = block[4 * size :].reshape((-1,) + shape)
+        weighted = any(req[0] == "decay" and req[3] is not None for req in requests)
+        # One block holds every buffer of the pass: one complex buffer (pairs
+        # of floats) for a matrix's rows and, for weighted requests, one for
+        # their conjugated copy; the moduli (which first hold each index
+        # set's distances), a scratch buffer and a growth table per (index
+        # set, exponent).
+        size, n_complex = shape[0] * n, 2 if weighted else 1
+        block = np.empty((len(keys) + 2 + 2 * n_complex) * size)
+        bufs = block[: 2 * n_complex * size].view(complex).reshape((n_complex,) + shape)
+        rows_buf, conj_buf = bufs[0], (bufs[1] if weighted else None)
+        moduli, scratch, *tables = block[2 * n_complex * size :].reshape((-1,) + shape)
         growths = dict(zip(keys, tables))
         # Per index set: its growth tables and subexponential requests, made
         # while one buffer holds its distances.
@@ -282,6 +285,35 @@ def is_invertible(A: np.ndarray) -> bool:
     return bool(certificate_margin(A) < 1.0)
 
 
+def _moduli_sums(n: int, rows) -> tuple:
+    """(max column sum, max row sum) of |T|, the exact p = 1 and p = inf
+    norms of the n x n matrix T, read one :func:`_slabs` slab at a time.
+
+    rows(i0, i1, out) returns rows i0:i1 of T; ``out`` is a complex buffer
+    of that shape it may fill. Both sums equal those of the whole |T| bit
+    for bit: a row sum reads one row, and T.sum(axis=0) adds the rows of
+    |T| one after another, so each slab's rows are added in turn to the
+    running column sums, never summed apart first (the sums start at 0,
+    and 0 + x = x exactly). One block, allocated once, holds the rows,
+    their moduli under a copy of the running sums, and the sums.
+    """
+    slabs = _slabs(n)
+    r = max(i1 - i0 for i0, i1 in slabs)
+    block = np.empty((3 * r + 2) * n)
+    rows_buf = block[: 2 * r * n].view(complex).reshape(r, n)
+    moduli = block[2 * r * n : (3 * r + 1) * n].reshape(r + 1, n)
+    cols = block[(3 * r + 1) * n :]
+    cols.fill(0.0)
+    row_max = []
+    for i0, i1 in slabs:
+        m = i1 - i0
+        a = np.abs(rows(i0, i1, rows_buf[:m]), out=moduli[1 : m + 1])
+        row_max.append(a.sum(axis=1).max())
+        moduli[0] = cols  # [running sums; slab rows], reduced in row order
+        np.add.reduce(moduli[: m + 1], axis=0, out=cols)
+    return float(cols.max()), float(np.max(row_max))
+
+
 class _SlabMatrix:
     """An n x n matrix held as factors: I + U V with U n x k and V k x n,
     or U itself when V is None. It is never assembled whole.
@@ -296,12 +328,13 @@ class _SlabMatrix:
         self.n = U.shape[0]
         self.shape = (self.n, self.n)
 
-    def rows(self, i0: int, i1: int) -> np.ndarray:
-        """Rows i0:i1 of the matrix."""
+    def rows(self, i0: int, i1: int, out: np.ndarray) -> np.ndarray:
+        """Rows i0:i1 of the matrix, written into the complex buffer ``out``
+        when V is given."""
         if self.V is None:
             return self.U[i0:i1]
-        T = self.U[i0:i1] @ self.V
-        T[np.arange(i1 - i0), np.arange(i0, i1)] += 1.0
+        T = np.matmul(self.U[i0:i1], self.V, out=out)
+        T.reshape(-1)[i0 :: self.n + 1] += 1.0  # entries (j, i0 + j): the identity's
         return T
 
     def apply(self, F: np.ndarray) -> np.ndarray:
@@ -312,14 +345,9 @@ class _SlabMatrix:
 
     @functools.cached_property
     def abs_sums(self) -> tuple:
-        """(max column sum, max row sum) of the moduli, read SLAB_ROWS rows
-        at a time: the exact p = 1 and p = inf norms."""
-        cols, row_max = np.zeros(self.n), 0.0
-        for i0 in range(0, self.n, SLAB_ROWS):
-            a = np.abs(self.rows(i0, min(i0 + SLAB_ROWS, self.n)))
-            cols += a.sum(axis=0)
-            row_max = max(row_max, float(a.sum(axis=1).max()))
-        return float(cols.max()), row_max
+        """(max column sum, max row sum) of the moduli, the exact p = 1 and
+        p = inf norms, read in row slabs by :func:`_moduli_sums`."""
+        return _moduli_sums(self.n, self.rows)
 
 
 def _induced_norm_exact(T, p) -> float:
@@ -466,12 +494,14 @@ class _Factored:
         """(max column sum, max row sum) of |L M^+|, the exact p = 1 and
         p = inf norms of the n x n product, for an injective M.
 
-        The product is formed once per L, whichever p asks first, and only
-        its two sums are kept.
+        The product is read once per L, whichever p asks first, as row
+        slabs L[i0:i1] M^+ (:func:`_moduli_sums`), so it is never held
+        whole; only its two sums are kept, equal to those of the whole
+        product bit for bit.
         """
         if L not in self._product_sums:
-            T = np.abs(L.matrix @ self.left_inverse)
-            self._product_sums[L] = (float(T.sum(axis=0).max()), float(T.sum(axis=1).max()))
+            Lm, pinv = L.matrix, self.left_inverse
+            self._product_sums[L] = _moduli_sums(len(Lm), lambda i0, i1, out: np.matmul(Lm[i0:i1], pinv, out=out))
         return self._product_sums[L]
 
     def sampled_ratios(self, A: "_Factored", p, seed: int) -> np.ndarray:

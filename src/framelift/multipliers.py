@@ -282,6 +282,31 @@ def invertibility_verdicts(O: np.ndarray, psi: Frame) -> dict:
     return {"operator": matalg.is_invertible(O), **cores}
 
 
+def _galerkin_decay(O: np.ndarray, psi: Frame, s: float) -> float:
+    """Decay constant at s of Mat(O) = (C_Psi O) D_Psid, read one row slab
+    at a time."""
+    CO, Dd = psi.analysis_matrix @ O, psi.canonical_dual().synthesis_matrix
+    scan = matalg.PairScan(psi.n)
+    mat = scan.matrix("galerkin", lambda i0, i1, out: np.matmul(CO[i0:i1], Dd, out=out))
+    decay = scan.decay(mat, s, psi.index_set)
+    return scan.run()[decay]
+
+
+def _upper_sides(psi: Frame, O: np.ndarray, inv, m, ps: list) -> dict:
+    """Per p, the upper side of O, and of its inverse ``inv`` unless None,
+    on the weight m. B = diag(m) C_Psid is factorized once and shared by
+    both and across p; O's map and the moduli of its draws are released
+    before those of inv are made."""
+    A, B = (_Factored(x) for x in _coefficient_maps(psi, O, m, m))
+    entries = {p: {"norm": upper_constant(A, B, p), "invertible": inv is not None} for p in ps}
+    del A
+    if inv is not None:
+        A_inv = _Factored(_coefficient_maps(psi, inv, m, m)[0])
+        for p in ps:
+            entries[p]["inverse_norm"] = upper_constant(A_inv, B, p)
+    return entries
+
+
 def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list, s: float) -> dict:
     """Condition constants of O on each coefficient-space H^p_m and verdict agreement.
 
@@ -290,28 +315,17 @@ def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list
     (invertible or not) must agree across all (p, m); the constants may vary.
     Each entry is the upper side of :func:`matalg.map_constants` alone
     (:func:`matalg.upper_constant`): per weight, B is factorized once and
-    neither A nor A_inv is.
+    neither A nor A_inv is. No n x n array is held: the Galerkin decay and
+    the p = 1, inf norms of A B^+ are read in row slabs.
     """
     O = np.asarray(O)
-    dual = psi.canonical_dual()
-    # Mat(O) = (C_Psi O) D_Psid, its decay read one row slab at a time.
-    CO, Dd = psi.analysis_matrix @ O, dual.synthesis_matrix
-    scan = matalg.PairScan(psi.n)
-    mat = scan.matrix("galerkin", lambda i0, i1, out: np.matmul(CO[i0:i1], Dd, out=out))
-    decay = scan.decay(mat, s, psi.index_set)
     report = {
         "operator_invertible": matalg.is_invertible(O),
-        "galerkin_decay_constant": scan.run()[decay],
+        "galerkin_decay_constant": _galerkin_decay(O, psi, s),
         "constants": {},
     }
     inv = np.linalg.inv(O) if report["operator_invertible"] else None
     for i, m in enumerate(weights):
-        # B = diag(m) C_Psid is shared by O and O^{-1} and across p.
-        A, B = (_Factored(x) for x in _coefficient_maps(psi, O, m, m))
-        A_inv = None if inv is None else _Factored(_coefficient_maps(psi, inv, m, m)[0])
-        for p in ps:
-            entry = {"norm": upper_constant(A, B, p), "invertible": report["operator_invertible"]}
-            if A_inv is not None:
-                entry["inverse_norm"] = upper_constant(A_inv, B, p)
+        for p, entry in _upper_sides(psi, O, inv, m, ps).items():
             report["constants"][f"w{i}_p{p}"] = entry
     return report

@@ -28,6 +28,52 @@ def gram(frame: Frame, other: Frame | None = None) -> np.ndarray:
     return frame.analysis_matrix @ other.synthesis_matrix
 
 
+def dense_gram_identities(frame: Frame, rtol: float = 1e-10) -> dict:
+    """:func:`framelift.frames.gram_identities_check` with every n x n
+    matrix formed whole, in the same operation order: P = C Dd and G_Psid
+    are held, and each product is formed whole and P subtracted from it in
+    place. The slab route must equal it bit for bit."""
+
+    def max_abs(A):
+        return float(np.abs(A).max())
+
+    def max_gap(X, Y):
+        X -= Y
+        return max_abs(X)
+
+    def rel(err, scale):
+        return err / max(1.0, scale)
+
+    dual = frame.canonical_dual()
+    C, D = frame.analysis_matrix, frame.synthesis_matrix
+    Cd, Dd = dual.analysis_matrix, dual.synthesis_matrix
+    n, d = C.shape
+    U, s, _ = np.linalg.svd(C, full_matrices=False)
+    UhCD = (U.conj().T @ C) @ D
+    Gd = Cd @ Dd
+    pinv_dual = rel(max_gap((U * s**-4) @ UhCD, Gd), max_abs(Gd))
+    P = C @ Dd
+    DdC = Dd @ C
+    gram_max = float((D.real**2 + D.imag**2).sum(axis=0).max())
+    resid = {
+        "product_identity": rel(max_gap(C @ ((D @ Cd) @ Dd), P), gram_max),
+        "pinv_cross": max_gap((U * s**-2) @ UhCD, P),
+        "pinv_dual": pinv_dual,
+        "idempotent": max_gap(C @ (DdC @ Dd), P),
+        "self_adjoint": max_gap(P.conj().T, P),
+        "fixes_analysis_range": rel(max_abs(C @ DdC - C), max_abs(C)),
+    }
+    if n > d:
+        resid["kills_synthesis_kernel"] = max_abs(C @ (Dd - (Dd @ U) @ U.conj().T))
+        resid["splitting"] = max_abs(D - (D @ C) @ Dd)
+    else:
+        resid["kills_synthesis_kernel"] = 0.0
+        resid["splitting"] = 0.0
+    resid["projection_rank"] = int(np.round(np.trace(DdC).real))
+    resid["ok"] = all(v < rtol for k, v in resid.items() if k != "projection_rank")
+    return resid
+
+
 def op_from_matrix(M: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
     """Op^{(Phi,Psi)}(M) = D_Phi M C_Psi; with dual slots inside, Op after Mat
     is the identity on operators."""

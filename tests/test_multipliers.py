@@ -375,7 +375,8 @@ class TestCertificate:
         O = _random_operator(rng, d)
         core = _SplitCore(O, psi, Slots.PSI_PSI, w)
         dense = np.linalg.inv(matalg.conjugate(invertibility_matrix(O, psi), w))
-        np.testing.assert_allclose(core.inverse_matrix().rows(0, n), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+        rows = core.inverse_matrix().rows(0, n, np.empty((n, n), dtype=complex))
+        np.testing.assert_allclose(rows, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
 class TestSpectralInvariance:

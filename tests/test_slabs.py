@@ -1,23 +1,37 @@
-"""Every pair scan streams in row slabs: the lift holds no n x n matrix.
+"""Every n x n quantity streams in row slabs: neither lift nor verify holds
+an n x n matrix.
 
-With SLAB_ROWS = 5, every scan runs over several slabs, a short last one
-among them, and each constant must still equal the dense formula on the
-whole matrix bit for bit, on torus and Euclidean index sets alike.
+With SLAB_ROWS = 5 (or 7), every scan runs over several slabs, a short last
+one among them, and each constant must still equal the dense formula on the
+whole matrix bit for bit, on torus and Euclidean index sets alike: the pair
+scans, the Gram-identity residuals and the p = 1, inf sums of |L F^+| and
+|B_w|. So no report may depend on the slab size.
 """
 
+import filecmp
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from framelift import matalg
+from framelift import cli, matalg
 from framelift.coorbit import FrameFamily, lifting_theorem_pipeline, sweep
 from framelift.fock import FockFamily, FockLattice, bulk_frame, fock_gram_exact
-from framelift.frames import Frame, random_frame
+from framelift.frames import Frame, gram_identities_check, random_frame
 from framelift.gabor import GaborFamily, TFLattice, gabor_system
-from framelift.multipliers import galerkin, spectral_invariance_suite
+from framelift.multipliers import _SplitCore, galerkin, multiplier, spectral_invariance_suite
 from framelift.weights import SYMBOL_SPEC, UNIT_SPEC, IndexSet, Weight
-from tests.reference import dense_decay, dense_moderateness, dense_subexponential, gram
+from tests.reference import (
+    dense_decay,
+    dense_gram_identities,
+    dense_moderateness,
+    dense_subexponential,
+    gram,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -159,3 +173,106 @@ def test_pipeline_peak_stays_below_28_nd():
     finally:
         tracemalloc.stop()
     assert peak < 28 * n * d * np.dtype(complex).itemsize
+
+
+@pytest.fixture(params=[5, 7], ids=["slabs5", "slabs7"])
+def slab_rows(request, monkeypatch):
+    monkeypatch.setattr(matalg, "SLAB_ROWS", request.param)
+    return request.param
+
+
+def _identity_frames():
+    # n = 36 = 1 mod 5 and n = 29 = 1 mod 7 end in a slab that absorbs a
+    # one-row remainder; the Gabor frame has n = 64, the basis n = d.
+    return {
+        "random36": random_frame(np.random.default_rng(36), 36, 8),
+        "random29": random_frame(np.random.default_rng(29), 29, 7),
+        "gabor16": gabor_system(16, 2, 2),
+        "onb12": random_frame(np.random.default_rng(12), 12, 12, kind="onb"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_identity_frames()))
+def test_gram_identities_equal_the_dense_reference(slab_rows, name):
+    frame = _identity_frames()[name]
+    assert gram_identities_check(frame) == dense_gram_identities(frame)
+
+
+def _dense_sums(T) -> tuple:
+    a = np.abs(T)
+    return float(a.sum(axis=0).max()), float(a.sum(axis=1).max())
+
+
+@pytest.mark.parametrize("n, d", [(36, 8), (29, 7)])
+def test_product_sums_equal_the_dense_sums(slab_rows, n, d):
+    rng = np.random.default_rng(n)
+    A, L = (matalg._Factored(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) for _ in range(2))
+    assert A.product_sums(L) == _dense_sums(L.matrix @ A.left_inverse)
+    assert L.product_sums(A) == _dense_sums(A.matrix @ L.left_inverse)
+
+
+def _assembled(slab: matalg._SlabMatrix) -> np.ndarray:
+    """The whole matrix, in the operations of its rows: U V, then + 1 on the diagonal."""
+    if slab.V is None:
+        return slab.U
+    T = slab.U @ slab.V
+    T[np.diag_indices(slab.n)] += 1.0
+    return T
+
+
+@pytest.mark.parametrize("frame", ["random36", "random29", "gabor16"])
+@pytest.mark.parametrize("d_core", [False, True], ids=["core2d", "coreN"])
+def test_abs_sums_equal_the_dense_sums(slab_rows, frame, d_core):
+    psi = _identity_frames()[frame]
+    if d_core:  # 2d >= n: the core is B itself, held as K with V = None
+        psi = Frame(psi.vectors[:, : 2 * psi.d - 1], IndexSet(np.arange(2 * psi.d - 1)))
+    rng = np.random.default_rng(psi.n)
+    O = rng.standard_normal((psi.d, psi.d)) + 1j * rng.standard_normal((psi.d, psi.d)) + 4 * np.eye(psi.d)
+    core = _SplitCore(O, psi, w=np.exp(rng.uniform(-2.0, 2.0, psi.n)))
+    assert (core.Q is None) is d_core
+    for slab in (core.matrix(), core.inverse_matrix()):
+        assert slab.abs_sums == _dense_sums(_assembled(slab))
+
+
+@pytest.mark.parametrize("phase", ["gram_identities_check", "spectral_invariance_suite"])
+def test_verify_phase_peak_stays_below_half_an_n_by_n_array(phase):
+    # n / d = 64: any n x n complex array alone would break the bound,
+    # while the slab buffers (SLAB_ROWS x n) and the n x d factors fit.
+    psi = random_frame(np.random.default_rng(4), 2048, 32)
+    n = psi.n
+    mu = Weight.polynomial(psi.index_set, 2.0)
+    M = multiplier(mu, psi)
+    psi.canonical_dual()  # built before either phase, as verify builds it first
+    weights = [None, Weight.polynomial(psi.index_set, 1.0)]
+    run = {
+        "gram_identities_check": lambda: gram_identities_check(psi),
+        "spectral_invariance_suite": lambda: spectral_invariance_suite(M, psi, weights, [1, 2, np.inf], 4.0),
+    }[phase]
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(complex).itemsize / 2
+
+
+def _run_commands(out: Path, tmp_path: Path) -> None:
+    lift = tmp_path / "lift_gabor_two_sizes.json"
+    lift.write_text(json.dumps({"kind": "gabor", "Ns": [16, 32], "mu": SYMBOL_SPEC, "ps": [1, 2, "inf"], "seed": 0}))
+    assert cli.main(["verify", "--config", str(CONFIGS / "verify_gabor32.json"), "--out", str(out / "verify")]) == 0
+    assert cli.main(["lift", "--config", str(lift), "--out", str(out / "lift")]) == 0
+
+
+def test_reports_do_not_depend_on_the_slab_size(tmp_path, monkeypatch):
+    _run_commands(tmp_path / "default", tmp_path)
+    monkeypatch.setattr(matalg, "SLAB_ROWS", 5)
+    _run_commands(tmp_path / "slabs5", tmp_path)
+    for command in ("verify", "lift"):
+        names = sorted(p.name for p in (tmp_path / "default" / command).iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "slabs5" / command).iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "default" / command, tmp_path / "slabs5" / command, names, shallow=False
+        )
+        assert (mismatch, errors) == ([], [])
