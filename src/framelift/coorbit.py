@@ -62,11 +62,13 @@ def coercivity_check(
         M = multiplier(muv, psi)
     rng = np.random.default_rng(seed)
     worst = 0.0
+    C = psi.analysis_matrix  # a conjugated copy: read once, not once per draw
     for _ in range(n_random):
         f = rng.standard_normal(psi.d) + 1j * rng.standard_normal(psi.d)
         quad = np.vdot(f, M @ f)  # <M f, f> with vdot conjugating its first slot
-        coeff = float(np.sum(muv * np.abs(psi.analysis(f)) ** 2))
+        coeff = float(np.sum(muv * np.abs(C @ f) ** 2))
         worst = max(worst, abs(quad - coeff) / max(1.0, abs(coeff)))
+    del C
     ev = np.linalg.eigvalsh(M)
     # B = diag(sqrt(mu)) C_Psid is the second map of both calls, factored once.
     A, B = _coefficient_maps(psi, M, 1.0 / np.sqrt(muv), np.sqrt(muv))
@@ -135,7 +137,8 @@ def _probe_residuals(psi: Frame, core: _SplitCore, muv, M_mu, M_rec, seed: int) 
     each residual is the largest such ratio.
     """
     C, D, Dd = psi.analysis_matrix, psi.synthesis_matrix, psi.canonical_dual().synthesis_matrix
-    Ca, Da, Dda = np.abs(C), np.abs(D), np.abs(Dd)
+    Da, Dda = np.abs(D), np.abs(Dd)
+    Ca = Da.T  # C = D^H and |conj(x)| = |x|
     draws = np.random.default_rng(seed).standard_normal((2, psi.n, PROBES))
     V = draws[0] + 1j * draws[1]
     absV = np.abs(V)
@@ -195,6 +198,13 @@ def lifting_theorem_pipeline(
     coefficient maps and their factorizations are built once and shared
     across p.
 
+    The steps run in the order (ii), (i), (iii), (iv), (v), so that no core
+    is alive during the pair scan; they are independent, and ``verdicts``
+    and ``residuals`` keep the order (i)-(v). Step (iv) reads the 2-norms
+    from the core, then frees it once B_w and its inverse are held as
+    their factors; a weight m other than 1 frees step (i)'s core before its
+    own is built.
+
     ``scan`` is a :class:`framelift.matalg.PairScan` over psi's n indices
     that holds the caller's own pair constants: step (ii) adds its ten and
     runs them all in one pass, and the caller reads its own from
@@ -228,23 +238,12 @@ def lifting_theorem_pipeline(
         ],
     }
 
-    # Step (i): the splitting matrix and its invertibility on l^2_sqrt(mu).
-    M_mu = multiplier(muv, psi)
-    M_rec = multiplier(1.0 / muv, psi)
-    O = M_rec @ M_mu
-    sqmu = np.sqrt(muv)
-    core = _SplitCore(O, psi, w=sqmu)
-    sv_min, sv_max = core.sigma
-    invertible = core.invertible()
-    verdicts["B_invertible_l2_sqrt_mu"] = invertible
-    residuals["B_sigma_min_over_max"] = sv_min / sv_max
-    residuals["B_certificate_margin"] = core.certificate_margin
-
-    # Hypothesis bookkeeping and step (ii): the moderateness of the five
-    # weights (flagged only) and the decay profiles of the five Gram
-    # matrices, read with the caller's pair constants in one pass over row
-    # slabs that forms each slab's distances, (1 + dist)^s table and rows
-    # of G, Gdual and the cross-Gram once; no n x n matrix is held.
+    # Hypothesis bookkeeping and step (ii), run before any core exists: the
+    # moderateness of the five weights (flagged only) and the decay profiles
+    # of the five Gram matrices, read with the caller's pair constants in
+    # one pass over row slabs that forms each slab's distances,
+    # (1 + dist)^s table and rows of G, Gdual and the cross-Gram once; no
+    # n x n matrix is held.
     scan = matalg.PairScan(n) if scan is None else scan
     five = {
         "m": mv,
@@ -277,6 +276,18 @@ def lifting_theorem_pipeline(
         }
     decay_profiles = {name: values[j] for name, j in profiles.items()}
 
+    # Step (i): the splitting matrix and its invertibility on l^2_sqrt(mu).
+    M_mu = multiplier(muv, psi)
+    M_rec = multiplier(1.0 / muv, psi)
+    O = M_rec @ M_mu
+    sqmu = np.sqrt(muv)
+    core = _SplitCore(O, psi, w=sqmu)
+    sv_min, sv_max = core.sigma
+    invertible = core.invertible()
+    verdicts["B_invertible_l2_sqrt_mu"] = invertible
+    residuals["B_sigma_min_over_max"] = sv_min / sv_max
+    residuals["B_certificate_margin"] = core.certificate_margin
+
     # Steps (iii) and (v) on seeded probes, through the factors.
     step3, step5 = _probe_residuals(psi, core, muv, M_mu, M_rec, seed)
     residuals["step_iii_identity"] = step3
@@ -284,20 +295,27 @@ def lifting_theorem_pipeline(
 
     # Step (iv): condition of B on each requested l^p_{m sqrt(mu)}.
     w_msqmu = mv * sqmu
-    core_w = core if np.array_equal(w_msqmu, sqmu) else _SplitCore(O, psi, w=w_msqmu)
+    if not np.array_equal(w_msqmu, sqmu):
+        core = None  # step (i)'s core is done with: free it before this one is built
+        core = _SplitCore(O, psi, w=w_msqmu)
+    n2 = core.sigma[1]
+    n2_inv = core.inverse_norm if invertible else None
     need_entries = any(p != 2 for p in ps)
-    Bw = core_w.matrix() if need_entries else None
-    Bw_inv = core_w.inverse_matrix() if need_entries and invertible else None
+    Bw = core.matrix() if need_entries else None
+    Bw_inv = core.inverse_matrix() if need_entries and invertible else None
+    # From here on the factors are read only through Bw and Bw_inv: the
+    # core's Q, K and K^{-1} go now.
+    del core, O, M_rec
     for p in ps:
-        fwd = matalg.operator_norm(Bw, p, n2=core_w.sigma[1])
+        fwd = matalg.operator_norm(Bw, p, n2=n2)
         entry = {"B_norm": fwd}
         if invertible:
-            rev = matalg.operator_norm(Bw_inv, p, n2=core_w.inverse_norm)
+            rev = matalg.operator_norm(Bw_inv, p, n2=n2_inv)
             entry["B_inv_norm"] = rev
             (lo, hi), (rlo, rhi) = (v if isinstance(v, tuple) else (v, v) for v in (fwd, rev))
             entry["condition_bracket"] = (lo * rlo, hi * rhi)
         residuals.setdefault("step_iv", {})[_p_key(p)] = entry
-    del Bw, Bw_inv, core, core_w, O, M_rec
+    del Bw, Bw_inv
 
     # Step (v): the reversed composition is B^H, so it is invertible exactly
     # when B is.

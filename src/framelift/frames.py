@@ -105,12 +105,6 @@ class Frame:
         a, b = self.bounds
         return a > FRAME_RTOL * b
 
-    def analysis(self, f) -> np.ndarray:
-        f = np.asarray(f)
-        if f.shape != (self.d,):
-            raise ValueError(f"expected a vector of length {self.d}")
-        return self.analysis_matrix @ f
-
     def canonical_dual(self) -> "Frame":
         if self._dual is None:
             a, b = self.bounds

@@ -46,19 +46,20 @@ def galerkin(O: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
     return phi.analysis_matrix @ O @ psi.synthesis_matrix
 
 
+def _coefficient_map(psi: Frame, T, m) -> np.ndarray:
+    """The n x d map diag(m) C_Psid T; T = None is the identity."""
+    Cd = psi.canonical_dual().analysis_matrix
+    w = weight_values(m, psi.n)[:, None]
+    return w * Cd if T is None else w * (Cd @ np.asarray(T))
+
+
 def _coefficient_maps(psi: Frame, T, m_out, m_in):
     """The n x d maps A = diag(m_out) C_Psid T and B = diag(m_in) C_Psid.
 
     Their constants (:func:`matalg.map_constants`) are those of T :
     H^p_{m_in} -> H^p_{m_out} over the frame psi.
     """
-    dual = psi.canonical_dual()
-    Cd = dual.analysis_matrix
-    wout = weight_values(m_out, psi.n)
-    win = weight_values(m_in, psi.n)
-    A = wout[:, None] * (Cd @ np.asarray(T))
-    B = win[:, None] * Cd
-    return A, B
+    return _coefficient_map(psi, T, m_out), _coefficient_map(psi, None, m_in)
 
 
 class Slots(Enum):
@@ -107,6 +108,13 @@ class _SplitCore:
     None and K = I_n + X Y itself. In float arithmetic Y^H lies in ran(Q)
     only up to rounding; :meth:`_margin` counts that part, Y - Y Q Q^H,
     from its computed value. ``w = None`` is the unit weight.
+
+    What is held: X and Y^H are the two blocks of one column-major n x 2d
+    buffer, X and Y views of it with the layouts of X = diag(w) C and
+    Y = Z D diag(1/w), so the QR of [X, Y^H] reads the buffer itself. Past
+    the constructor the core keeps X, Y, Q (when it is not the frame's),
+    K and K^{-1}; P = L O (R D) lives on only as |P| in Y's error map, and
+    that map, Q^H X and Y Q are freed with the constructor.
     """
 
     def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None):
@@ -125,12 +133,16 @@ class _SplitCore:
             P_err = _left_product_error(L, L_err, P, P_err)
             P = L @ P
         w = weight_values(w, n)
-        X = w[:, None] * psi.analysis_matrix
-        Y = (P - Dd) / w[None, :]
+        # [X, Y^H] in one column-major buffer, X and Y views of its blocks;
+        # Y is conjugated in place, and back, around the QR that reads it.
+        XY = np.empty((n, 2 * d), dtype=complex, order="F")
+        X = np.multiply(w[:, None], psi.analysis_matrix, out=XY[:, :d])
+        Y = np.divide(P - Dd, w[None, :], out=XY[:, d:].T)
+        P = np.abs(P)  # Y's error map reads P only through its moduli
 
         def Y_err(v):  # |Y - fl Y| v: P's rounding, then one in P - Dd and one in / w
             v = v / w
-            return P_err(v) + matalg.gamma(2) * (matalg.abs_chain(v, P) + matalg.abs_chain(v, Dd))
+            return P_err(v) + matalg.gamma(2) * (P @ v + matalg.abs_chain(v, Dd))
 
         self.n, self.w, self.X, self.Y = n, w, X, Y
         flat = bool(np.all(w == w[0]))
@@ -138,7 +150,12 @@ class _SplitCore:
             self.Q = None
             Xq, Yq = X, Y
         else:
-            self.Q = psi.analysis_basis if flat else np.linalg.qr(np.hstack([X, Y.conj().T]))[0]
+            if flat:
+                self.Q = psi.analysis_basis
+            else:
+                np.conjugate(Y, out=Y)
+                self.Q = np.linalg.qr(XY)[0]
+                np.conjugate(Y, out=Y)
             Xq, Yq = self.Q.conj().T @ X, Y @ self.Q
         self.K = np.eye(Xq.shape[0]) + Xq @ Yq
         try:
@@ -168,6 +185,13 @@ class _SplitCore:
         product of moduli is applied to a vector, never formed, so the bound
         costs O(n k (d + k)) and no factorization. With Q = None, Q is the
         identity, Delta = 0 and X_perp, Y_perp are the rounding in X, Y.
+
+        What is held: F, T = Yq K^{-1} and G are formed complex, then kept
+        only as their moduli, and so is Q. The moduli of Y_perp, Delta and
+        X_perp are formed just before the first term that reads each (the
+        first, the third and the fourth) and freed after the last one, so
+        at most one of these n x k or k x k temporaries is alive at a time.
+        The terms are evaluated and summed in the order written above.
         """
         g1, chain = matalg.gamma(1), matalg.abs_chain
         Q, Kinv = self.Q, self.K_inv
@@ -175,6 +199,7 @@ class _SplitCore:
         F = Kinv - np.eye(k)
         T = Yq @ Kinv
         G = F + Xq @ T
+        F, T, G = _modulus(F), _modulus(T), _modulus(G)  # the bound reads only their moduli
         gc_d, gc_k = matalg.gamma_c(d), matalg.gamma_c(k)
 
         def G_bound(v):  # |G| v, G exact
@@ -183,32 +208,37 @@ class _SplitCore:
 
         if Q is None:
             Qabs = Qh = lambda v: v
-            Delta = lambda v: 0.0 * v
-            X_perp, Y_perp = X_err, Y_err
+            Y_perp, X_perp = (lambda: Y_err), (lambda: X_err)
+
+            def Delta():
+                return lambda v: 0.0 * v
         else:
-            Qabs = np.abs(Q)
-            Qh = Qabs.T
-            D_hat = Q.conj().T @ Q - np.eye(k)
-            Xp_hat, Yp_hat = X - Q @ Xq, Y - Yq @ Q.conj().T
+            Q_mod = np.abs(Q)
+            Qabs, Qh = (lambda v: Q_mod @ v), (lambda v: Q_mod.T @ v)
 
-            def Delta(v):
-                return (1 + g1) * chain(v, D_hat) + matalg.gamma_c(self.n) * chain(v, Qh, Qabs)
+            def Y_perp():
+                Yp_hat = _modulus(Y - Yq @ Q.conj().T)
+                return lambda v: (1 + g1) * chain(v, Yp_hat) + gc_k * chain(v, Yq, Qh) + Y_err(v)
 
-            def X_perp(v):
-                return (1 + g1) * chain(v, Xp_hat) + gc_k * chain(v, Qabs, Xq) + X_err(v)
+            def Delta():
+                D_hat, gc_n = _modulus(Q.conj().T @ Q - np.eye(k)), matalg.gamma_c(self.n)
+                return lambda v: (1 + g1) * chain(v, D_hat) + gc_n * chain(v, Qh, Qabs)
 
-            def Y_perp(v):
-                return (1 + g1) * chain(v, Yp_hat) + gc_k * chain(v, Yq, Qh) + Y_err(v)
+            def X_perp():
+                Xp_hat = _modulus(X - Q @ Xq)
+                return lambda v: (1 + g1) * chain(v, Xp_hat) + gc_k * chain(v, Qabs, Xq) + X_err(v)
 
         vq = chain(np.ones(self.n), Qh)
         Fvq = (1 + g1) * chain(vq, F)  # F = K^{-1} - I is rounded on its diagonal
-        terms = (
-            (1 + g1) * chain(1.0 + chain(Fvq, Qabs), X, Y_perp),
-            chain(G_bound(vq), Qabs),
-            chain(Fvq, Qabs, Xq, Yq, Delta),
-            chain(chain(vq, Kinv) + Delta(Fvq), X_perp, Yq),
-        )
-        return matalg.certified_bound(np.max(sum(terms)), 8 * (self.n + d) + 64)
+        # The four terms, in this order, summed in this order.
+        total = (1 + g1) * chain(1.0 + chain(Fvq, Qabs), X, Y_perp())
+        total = total + chain(G_bound(vq), Qabs)
+        delta = Delta()
+        total = total + chain(Fvq, Qabs, Xq, Yq, delta)
+        inner = chain(vq, Kinv) + delta(Fvq)
+        del delta
+        total = total + chain(inner, X_perp(), Yq)
+        return matalg.certified_bound(np.max(total), 8 * (self.n + d) + 64)
 
     def invertible(self) -> bool:
         """Rump's certificate: :attr:`certificate_margin` < 1 proves B_w
@@ -257,6 +287,13 @@ class _SplitCore:
         return V + w * (self.Y.conj().T @ (self.X.conj().T @ (V / w)))
 
 
+def _modulus(A: np.ndarray):
+    """The nonnegative map v -> |A| v for :func:`matalg.abs_chain`, with
+    the moduli taken once and A itself not kept."""
+    A = np.abs(A)
+    return lambda v: A @ v
+
+
 def _scaled(c: float, *factors):
     """The nonnegative map v -> c |F_1| ... |F_m| v."""
     return lambda v: c * matalg.abs_chain(v, *factors)
@@ -296,12 +333,12 @@ def _upper_sides(psi: Frame, O: np.ndarray, inv, m, ps: list) -> dict:
     """Per p, the upper side of O, and of its inverse ``inv`` unless None,
     on the weight m. B = diag(m) C_Psid is factorized once and shared by
     both and across p; O's map and the moduli of its draws are released
-    before those of inv are made."""
+    before inv's map, built alone, and its draws are made."""
     A, B = (_Factored(x) for x in _coefficient_maps(psi, O, m, m))
     entries = {p: {"norm": upper_constant(A, B, p), "invertible": inv is not None} for p in ps}
     del A
     if inv is not None:
-        A_inv = _Factored(_coefficient_maps(psi, inv, m, m)[0])
+        A_inv = _Factored(_coefficient_map(psi, inv, m))
         for p in ps:
             entries[p]["inverse_norm"] = upper_constant(A_inv, B, p)
     return entries

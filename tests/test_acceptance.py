@@ -63,8 +63,8 @@ def test_criterion_1_identity_suite():
 
             f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             scale = np.linalg.norm(f)
-            rec1 = fr.synthesis_matrix @ dual.analysis(f)
-            rec2 = dual.synthesis_matrix @ fr.analysis(f)
+            rec1 = fr.synthesis_matrix @ (dual.analysis_matrix @ f)
+            rec2 = dual.synthesis_matrix @ (fr.analysis_matrix @ f)
             assert _rel(np.linalg.norm(rec1 - f), scale) < 1e-10
             assert _rel(np.linalg.norm(rec2 - f), scale) < 1e-10
 

@@ -182,7 +182,7 @@ class TestReproducing:
         lat = FockLattice(delta=1.0, R=1.0)
         fr = embed_truncated(lat, Dmax=60)
         G = fock_gram_exact(lat.points)
-        coeffs = fr.analysis(fr.synthesis_matrix[:, 2])
+        coeffs = fr.analysis_matrix @ fr.synthesis_matrix[:, 2]
         np.testing.assert_allclose(coeffs, G[:, 2], atol=1e-6)
 
 

@@ -106,7 +106,7 @@ class TestSTFT:
         fr = gabor_system(16, 2, 4)
         f = random_vector(rng, 16)
         V = stft(f, gaussian_window(16))
-        coeffs = fr.analysis(f)
+        coeffs = fr.analysis_matrix @ f
         pts = TFLattice(16, 2, 4).points
         for k in range(fr.n):
             x, w = int(pts[k, 0]), int(pts[k, 1])

@@ -359,6 +359,38 @@ class TestCertificate:
         assert core.certificate_margin > 1.0
         assert not core.invertible()
 
+    @pytest.mark.parametrize(
+        "case, margin, sigma, inverse_norm",
+        [
+            ("gabor32-t6", 0.0007114462832819231, (0.01342640112271667, 18299392.94266976), 74.48012247361149),
+            ("verify32-dual-dual", 1.0042589476328004e-08, (1.0, 474.3835172962559), 1.0),
+            ("random14x8-Q-None", 5.536182633539192e-10, (0.0022980607670503883, 1670.4903111004035), 435.1495027189911),
+        ],
+    )
+    def test_core_numbers_are_pinned(self, case, margin, sigma, inverse_norm):
+        # Exact values of the core's three reported numbers. How the core
+        # holds its factors and temporaries must not move a digit: any
+        # change here is a change of arithmetic, to be argued on its own.
+        # The cores: a weighted Gabor core with k = 2d, a flat slot core of
+        # `verify` on the frame's QR (k = d, dual left slot), and one with
+        # 2d >= n, where Q is None and K is B_w itself.
+        if case == "gabor32-t6":
+            core = _gabor_core(32, 6.0)[0]
+        elif case == "verify32-dual-dual":
+            psi = gabor_system(32, 2, 4)
+            M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi)
+            core = _SplitCore(M, psi, Slots.DUAL_DUAL)
+            assert core.Q is psi.analysis_basis
+        else:
+            rng = np.random.default_rng(78)
+            psi = random_frame(rng, 14, 8)
+            w = np.exp(rng.uniform(-4.0, 4.0, 14))
+            core = _SplitCore(_random_operator(rng, 8), psi, Slots.PSI_DUAL, w)
+            assert core.Q is None
+        assert core.certificate_margin == margin
+        assert core.sigma == sigma
+        assert core.inverse_norm == inverse_norm
+
     def test_exactly_singular_core_gives_infinite_margin(self):
         # On an orthonormal basis with O = 0, B_O = I - C Dd = 0: LAPACK
         # finds K singular, and the margin is inf.

@@ -156,13 +156,18 @@ def test_sweep_reads_no_gram_or_distance_matrix(no_dense_tables, family):
     assert [e["status"] for e in out["entries"]] == ["ok"] * len(family.sizes)
 
 
-def test_pipeline_peak_stays_below_28_nd():
-    # Gabor N = 128: n = 512, d = 128. Holding G, the dual Gram, the
-    # cross-Gram and their conjugated copies whole peaked at 34 n d complex
-    # entries; streaming them in row slabs leaves the peak elsewhere.
+def test_pipeline_peak_stays_below_8_nk():
+    # Gabor N = 128: n = 512, d = 128, and the splitting core has k = 2d =
+    # 256. Holding G, the dual Gram, the cross-Gram and their conjugated
+    # copies whole peaked at 17 n k complex entries; streaming them in row
+    # slabs left the peak in the core's constructor at 9.26 n k. Holding X
+    # and Y^H in the QR's own buffer, the margin's factors as moduli formed
+    # one at a time and running the pair scan before the core takes it to
+    # 7.40 n k, still inside the constructor.
     lat = TFLattice.balanced(128, 4)
     psi = gabor_system(lat.N, lat.a, lat.b)
     n, d = psi.n, psi.d
+    k = 2 * d
     assert (n, d) == (512, 128)
     mu = Weight.polynomial(psi.index_set, 2.0)
     tracemalloc.start()
@@ -172,7 +177,7 @@ def test_pipeline_peak_stays_below_28_nd():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28 * n * d * np.dtype(complex).itemsize
+    assert peak < 8 * n * k * np.dtype(complex).itemsize
 
 
 @pytest.fixture(params=[5, 7], ids=["slabs5", "slabs7"])
