@@ -163,14 +163,20 @@ def lifting_theorem_pipeline(
 
     The splitting matrix is B = Mat(M_{1/mu} M_mu) + (I - G_{Psi,Psid}).
     Since Mat(O) = C O D and G_{Psi,Psid} = C S^{-1} D, it is the identity
-    plus a term of rank d: B = I + C (M_{1/mu} M_mu - S^{-1}) D. Every
-    factorization therefore acts on a k x k core with k <= 2d (see
-    :class:`framelift.multipliers._SplitCore`), never on an n x n matrix.
+    plus a term of rank d: B = I + C Y, Y = (M_{1/mu} M_mu - S^{-1}) D. Its
+    verdict therefore comes from the d x d matrix I + Y C and its p = 2
+    norms from a k x k core with k <= 2d (see
+    :class:`framelift.multipliers._SplitCore`); no n x n matrix is
+    factorized.
 
     Steps: (i) decide invertibility of B on l^2_sqrt(mu) by Rump's a
-    posteriori certificate on its core, reporting sigma_min / sigma_max as a
-    number and the certificate's bound r on ||I - B X||_inf as
-    ``B_certificate_margin`` (invertible when r < 1); (ii) profile the
+    posteriori certificate on its d x d Woodbury core, taken in unweighted
+    coordinates (a diagonal similarity does not change invertibility; see
+    :func:`framelift.multipliers._certificate`), reporting the certificate's
+    bound r on ||I - B Xt||_inf, Xt = I - C W Y, as ``B_certificate_margin``
+    (invertible when r < 1) and sigma_min / sigma_max of B_sqrt(mu) from
+    the k x k core as a number. The verdict stays a float certificate of
+    the n x n B, with every n-dimensional rounding counted; (ii) profile the
     decay of the five Gram matrices the argument rests on, with the
     moderateness of the five weights, in one pass over row slabs
     (:class:`framelift.matalg.PairScan`); (iii) confirm
@@ -182,11 +188,12 @@ def lifting_theorem_pipeline(
     row of the moduli of the right side's factors applied to the probe's
     moduli (see :func:`_probe_residuals`); (iv) condition B on each
     requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} come from
-    the core, which step (i) already built when m = 1; the p = 1 and
-    p = inf norms are the column and row sums of the moduli of the
-    certified B_w and of its certified inverse, read from their factors one
-    row slab at a time, and other p interpolate them with sampled draws
-    applied through the factors; (v) check on the same probes that the
+    the k x k core, which step (i) already built when m = 1; the p = 1 and
+    p = inf norms are the column and row sums of the moduli of B_w and of
+    the Woodbury inverse I - X_w (W Y_w) of step (i)'s certificate, read
+    from their factors (inner dimension d) one row slab at a time, and
+    other p interpolate them with sampled draws applied through the
+    factors; (v) check on the same probes that the
     reversed composition B_rev = Mat(M_mu M_{1/mu}) + (I - G_{Psi,Psid})
     equals B^H, which holds because M_mu, M_{1/mu} and G_{Psi,Psid} are
     Hermitian: B_rev is applied through C, M_mu, M_{1/mu} and D, B^H
@@ -304,7 +311,7 @@ def lifting_theorem_pipeline(
     Bw = core.matrix() if need_entries else None
     Bw_inv = core.inverse_matrix() if need_entries and invertible else None
     # From here on the factors are read only through Bw and Bw_inv: the
-    # core's Q, K and K^{-1} go now.
+    # core's K, K^{-1} and W go now.
     del core, O, M_rec
     for p in ps:
         fwd = matalg.operator_norm(Bw, p, n2=n2)

@@ -54,7 +54,6 @@ class Frame:
         self._G = None
         self._bounds = None
         self._dual = None
-        self._basis = None
 
     @property
     def d(self) -> int:
@@ -83,14 +82,6 @@ class Frame:
         if self._G is None:
             self._G = self.vectors.conj().T @ self.vectors
         return self._G
-
-    @property
-    def analysis_basis(self) -> np.ndarray:
-        """Q of a thin QR of C (n x min(n, d)): orthonormal columns spanning
-        ran(C) when the family spans C^d."""
-        if self._basis is None:
-            self._basis = np.linalg.qr(self.analysis_matrix)[0]
-        return self._basis
 
     @property
     def bounds(self) -> tuple:

@@ -557,12 +557,11 @@ class TestProbeChecks:
 
 
 def _assembled(core) -> tuple:
-    """B_w = I + X Y and its certified inverse I + Q (K^{-1} - I) Q^H, as n x n arrays."""
+    """B_w = I + X_w Y_w (K itself when K is n x n) and its Woodbury inverse
+    I - X_w (W Y_w), as n x n arrays."""
     eye = np.eye(core.n)
-    if core.Q is None:
-        return core.K, core.K_inv
-    inv = eye + core.Q @ (core.K_inv - np.eye(core.K.shape[0])) @ core.Q.conj().T
-    return eye + core.X @ core.Y, inv
+    B = core.K if core.K.shape[0] == core.n else eye + core.X @ core.Y
+    return B, eye - core.X @ (core.W @ core.Y)
 
 
 class TestSlabNorms:

@@ -7,9 +7,12 @@ from framelift import matalg
 from framelift.matalg import map_constants
 from framelift.frames import onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
+from framelift.coorbit import lifting_theorem_pipeline
 from framelift.multipliers import (
     Slots,
+    _certificate,
     _coefficient_maps,
+    _splitting_factor,
     _SplitCore,
     galerkin,
     invertibility_verdicts,
@@ -156,27 +159,20 @@ class TestInvertibility:
         assert all(v.values())
         assert square == []
 
-    def test_verdicts_share_one_qr_of_the_analysis_matrix_and_make_no_svd(self, monkeypatch):
-        # verify's four slot cores have the unit weight, so each compresses
-        # onto ran(C) (k = d): one QR of the n x d analysis matrix serves all
-        # four, and invertible() needs no SVD of any core.
+    def test_verdicts_make_no_qr_and_no_svd(self, monkeypatch):
+        # Each slot verdict is the d x d Woodbury certificate on the analysis
+        # matrix: one d x d inverse, and no QR, SVD or k x k core.
         psi = gabor_system(32, 2, 4)
         assert (psi.n, psi.d) == (128, 32)
         M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi)
-        calls = []
 
-        def spy(name, fn):
-            def wrapper(a, *args, **kwargs):
-                calls.append((name, np.shape(a), np.array_equal(a, psi.analysis_matrix)))
-                return fn(a, *args, **kwargs)
-
-            return wrapper
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the verdicts made a QR or an SVD")
 
         for name in ("qr", "svd"):
-            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+            monkeypatch.setattr(np.linalg, name, forbidden)
         v = invertibility_verdicts(M, psi)
         assert all(v.values())
-        assert calls == [("qr", (128, 32), True)]
 
 
 def _forbid_qr(monkeypatch):
@@ -206,8 +202,7 @@ class TestSplitCore:
         if weighted == "flat":
             w = np.full(n, 3.0)
         O = _random_operator(rng, d)
-        k = 2 * d if weighted is True else d  # a flat weight needs only ran(C)
-        if k >= n:
+        if 2 * d >= n:
             _forbid_qr(monkeypatch)
         core = _SplitCore(O, psi, slots, w)
         B = invertibility_matrix(O, psi, slots)
@@ -223,10 +218,10 @@ class TestSplitCore:
         psi = random_frame(rng, n, d)
         f = random_vector(rng, d)
         O = np.outer(f, f.conj())
-        if d >= n:  # k = d for the unit weight
+        if 2 * d >= n:
             _forbid_qr(monkeypatch)
         core = _SplitCore(O, psi, slots)
-        assert core.K.shape == (d, d)
+        assert core.K.shape == (min(n, 2 * d),) * 2
         lo, hi = _dense_extremes(invertibility_matrix(O, psi, slots))
         assert core.sigma[1] == pytest.approx(hi, rel=1e-10)
         assert core.sigma[0] < 1e-12 * core.sigma[1]
@@ -246,154 +241,201 @@ class TestSplitCore:
             assert np.array_equal(cross, held)
 
 
-def _extended_residual(core, O, psi, slots, w, dY=None) -> float:
-    """||I - B_w Xt||_inf in extended precision, B_w from the same float
-    inputs as the core (C, D, O, the dual synthesis matrix, w), plus X dY
-    when a d x n perturbation dY of Y is given, and Xt = I + Q (K^{-1} - I)
-    Q^H from the core's float Q and K^{-1}."""
+def _woodbury_residual(B, W, Y, psi) -> float:
+    """||I - B Xt||_inf in extended precision (np.clongdouble) for the
+    n x n np.clongdouble B and the Woodbury inverse Xt = I - C W Y of the
+    float W and Y."""
     LD = np.clongdouble
-    n = psi.n
+    eye = np.eye(psi.n, dtype=LD)
+    Xt = eye - psi.analysis_matrix.astype(LD) @ (W.astype(LD) @ Y.astype(LD))
+    return float(np.abs(eye - B @ Xt).sum(axis=1).max())
+
+
+def _extended_residual(W, Y, O, psi, slots, dY=None) -> float:
+    """:func:`_woodbury_residual` of B = I + C Y, formed in np.clongdouble
+    from the same float inputs as the certificate (C, D, O, the dual
+    synthesis matrix), and of Y; with a d x n perturbation dY, of
+    B + C dY and Y + dY."""
+    LD = np.clongdouble
     left, right = slots.value
     Dd = psi.canonical_dual().synthesis_matrix.astype(LD)
     E = (psi.synthesis_matrix if right == "frame" else psi.canonical_dual().synthesis_matrix).astype(LD)
     P = O.astype(LD) @ E
     if left == "dual":
         P = (Dd @ Dd.conj().T) @ P
-    wl = (np.ones(n) if w is None else w).astype(np.longdouble)
-    B = np.eye(n, dtype=LD) + psi.analysis_matrix.astype(LD) @ (P - Dd)
-    Bw = (wl[:, None] / wl[None, :]) * B
+    Z = P - Dd
     if dY is not None:
-        Bw += core.X.astype(LD) @ dY.astype(LD)
-    Kinv = core.K_inv.astype(LD)
-    if core.Q is None:
-        Xt = Kinv
-    else:
-        Q = core.Q.astype(LD)
-        Xt = np.eye(n, dtype=LD) + Q @ (Kinv - np.eye(Kinv.shape[0], dtype=LD)) @ Q.conj().T
-    return float(np.abs(np.eye(n, dtype=LD) - Bw @ Xt).sum(axis=1).max())
+        Z, Y = Z + dY.astype(LD), Y.astype(LD) + dY.astype(LD)
+    B = np.eye(psi.n, dtype=LD) + psi.analysis_matrix.astype(LD) @ Z
+    return _woodbury_residual(B, W, Y, psi)
 
 
-def _gabor_core(N: int, t_mu: float):
+def _certified(O, psi, slots=Slots.PSI_PSI) -> tuple:
+    """(Y, W, r): the float factor Y, the Woodbury core's W and the margin."""
+    Y, Y_err = _splitting_factor(O, psi, slots)
+    return (Y, *_certificate(psi.analysis_matrix, Y, Y_err))
+
+
+def _gabor_case(N: int, t_mu: float):
     lat = TFLattice.balanced(N, 4)
     psi = gabor_system(lat.N, lat.a, lat.b)
     mu = Weight.polynomial(psi.index_set, t_mu).values
-    O = multiplier(1.0 / mu, psi) @ multiplier(mu, psi)
-    return _SplitCore(O, psi, w=np.sqrt(mu)), O, psi, np.sqrt(mu)
+    return multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, np.sqrt(mu)
+
+
+def _gabor_core(N: int, t_mu: float):
+    O, psi, w = _gabor_case(N, t_mu)
+    return _SplitCore(O, psi, w=w), O, psi, w
 
 
 class TestCertificate:
-    """B_O's verdict is Rump's certificate: a bound r on ||I - B_w Xt||_inf below 1."""
+    """B_O's verdict is Rump's certificate on its d x d Woodbury core: a
+    bound r on ||I - B_O Xt||_inf below 1, Xt = I - C W Y."""
 
     @pytest.mark.parametrize("n, d", [(24, 8), (14, 8), (8, 8)], ids=["2d<n", "2d>n", "onb"])
     @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
     def test_margin_bounds_the_extended_precision_residual(self, n, d, slots):
-        # weights over e^-4..e^4 make B_w far from B; the bound still
-        # covers the residual, evaluated with a 64-bit mantissa.
+        # The residual is evaluated with a 64-bit mantissa; the margin, with
+        # every rounding counted, must lie above it.
         rng = np.random.default_rng(5 * n + d)
         psi = random_frame(rng, n, d, kind="onb" if n == d else "generic")
-        w = np.exp(rng.uniform(-4.0, 4.0, n))
         O = _random_operator(rng, d)
-        core = _SplitCore(O, psi, slots, w)
-        residual = _extended_residual(core, O, psi, slots, w)
-        assert residual <= core.certificate_margin < 1e-6
-        assert core.invertible()
+        Y, W, margin = _certified(O, psi, slots)
+        residual = _extended_residual(W, Y, O, psi, slots)
+        assert residual <= margin < 1e-6
 
     @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
     @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
-    def test_margin_bounds_the_residual_of_a_d_dimensional_core(self, n, d, slots):
-        # A flat weight compresses onto the frame's QR of C (k = d). Y^H
-        # lies in ran(C) only up to rounding; the bound counts that part.
+    def test_margin_does_not_depend_on_the_weight(self, n, d, slots):
+        # A diagonal similarity does not change invertibility, so every core
+        # takes the unweighted certificate, whatever its weight.
         rng = np.random.default_rng(7 * n + d)
         psi = random_frame(rng, n, d)
-        w = np.full(n, np.exp(3.0))
         O = _random_operator(rng, d)
-        core = _SplitCore(O, psi, slots, w)
-        assert core.Q is psi.analysis_basis
-        assert core.K.shape == (d, d)
-        residual = _extended_residual(core, O, psi, slots, w)
-        assert residual <= core.certificate_margin < 1e-6
-        assert core.invertible()
+        _, W, margin = _certified(O, psi, slots)
+        for w in (None, np.full(n, np.exp(3.0)), np.exp(rng.uniform(-4.0, 4.0, n))):
+            core = _SplitCore(O, psi, slots, w)
+            assert core.certificate_margin == margin
+            assert np.array_equal(core.W, W)
+            assert core.invertible()
 
-    @pytest.mark.parametrize("flat", [True, False], ids=["k=d", "k=2d"])
-    def test_margin_counts_a_part_of_y_outside_the_range_of_q(self, flat):
-        # After K and K^{-1} are built, Y gains E with E Q = 0, which Yq = Y Q
-        # and K cannot see: only the computed Y - Yq Q^H counts it, and the
-        # margin must still bound the residual of the perturbed B_w.
-        rng = np.random.default_rng(29)
-        psi = random_frame(rng, 24, 8)
-        w = np.full(24, np.exp(3.0)) if flat else np.exp(rng.uniform(-2.0, 2.0, 24))
-        O = _random_operator(rng, 8)
-        perturbation = {}
-
-        class Perturbed(_SplitCore):
-            def _margin(self, X, Y, Xq, Yq, X_err, Y_err):
-                Z = rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
-                E = 1e-8 * np.abs(Y).max() * (Z - (Z @ self.Q) @ self.Q.conj().T)
-                perturbation["E"] = E
-                self.Y = Y + E
-                return super()._margin(X, self.Y, Xq, Yq, X_err, Y_err)
-
-        core = Perturbed(O, psi, Slots.PSI_PSI, w)
-        assert (core.Q is psi.analysis_basis) == flat
-        residual = _extended_residual(core, O, psi, Slots.PSI_PSI, w, perturbation["E"])
+    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
+    @pytest.mark.parametrize("slots", [Slots.PSI_PSI, Slots.DUAL_DUAL], ids=lambda s: s.name)
+    def test_margin_counts_a_perturbation_of_y_made_after_w(self, n, d, slots, monkeypatch):
+        # After W is formed, Y gains E of size 1e-8 max|Y|, so W no longer
+        # inverts I + Y X: the certificate forms G from the Y it is given,
+        # and the margin must still bound the residual of the perturbed B.
+        rng = np.random.default_rng(29 + n)
+        psi = random_frame(rng, n, d)
+        O = _random_operator(rng, d)
+        Y, W, _ = _certified(O, psi, slots)
+        E = 1e-8 * np.abs(Y).max() * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
+        Y_err = _splitting_factor(O, psi, slots)[1]
+        monkeypatch.setattr(np.linalg, "inv", lambda M: W)  # the W of the unperturbed Y
+        W_kept, margin = _certificate(psi.analysis_matrix, Y + E, Y_err)
+        assert W_kept is W
+        residual = _extended_residual(W, Y, O, psi, slots, E)
         assert residual > 1e-9  # E, not rounding, sets the residual
-        assert residual <= core.certificate_margin < 1.0
-        assert core.invertible()
+        assert residual <= margin < 1.0
 
-    @pytest.mark.parametrize("N", [16, 32])
-    def test_ill_conditioned_gabor_splitting_is_certified(self, N):
-        # Gabor, mu = (1+|x|)^6 on l^2_sqrt(mu): sigma_min/sigma_max is
-        # 2.5e-8 at N = 16 and 7.3e-10 at N = 32, and 40-digit mpmath SVDs
-        # agree. The matrix is invertible, and the certificate says so.
-        core, O, psi, w = _gabor_core(N, 6.0)
-        assert core.sigma[0] / core.sigma[1] < 3e-8
-        residual = _extended_residual(core, O, psi, Slots.PSI_PSI, w)
-        assert residual <= core.certificate_margin < 1e-2
-        assert core.invertible()
+    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
+    def test_margin_counts_the_rounding_of_y_x(self, n, d):
+        # B = I + C Y for a Y taken as exact (no error map), O = 1e-6 I: Y X
+        # is -I up to 1e-6, so I + fl(Y X) keeps few of the digits of Y X,
+        # and only the gamma_c(n) |Y| |X| term counts what was lost.
+        rng = np.random.default_rng(3)
+        psi = random_frame(rng, n, d)
+        Y = _splitting_factor(1e-6 * np.eye(d), psi, Slots.PSI_PSI)[0]
+        W, margin = _certificate(psi.analysis_matrix, Y, lambda v: np.zeros(d))
+        LD = np.clongdouble
+        B = np.eye(n, dtype=LD) + psi.analysis_matrix.astype(LD) @ Y.astype(LD)
+        residual = _woodbury_residual(B, W, Y, psi)
+        assert residual > 1e-10
+        assert residual <= margin < 1e-3
+
+    @pytest.mark.parametrize("n, d", [(24, 8), (48, 8)])
+    def test_margin_counts_the_rounding_in_y(self, n, d):
+        # O = S^{-1} in float: B_O = I + C (O D - Dd) is the identity up to
+        # rounding, and the float Y = fl(O D) - Dd is rounding alone, so
+        # Y's error map sets the margin.
+        rng = np.random.default_rng(3)
+        psi = random_frame(rng, n, d)
+        O = np.linalg.inv(psi.frame_operator)
+        Y, W, margin = _certified(O, psi)
+        residual = _extended_residual(W, Y, O, psi, Slots.PSI_PSI)
+        assert residual > 1e-17
+        assert residual <= margin < 1e-10
+
+    @pytest.mark.parametrize("N, t_mu", [(16, 2.0), (32, 2.0), (16, 6.0), (32, 6.0)])
+    def test_gabor_splitting_is_certified(self, N, t_mu):
+        # Gabor, mu = (1+|x|)^t on l^2_sqrt(mu). At t = 6 sigma_min/sigma_max
+        # is 2.5e-8 at N = 16 and 7.3e-10 at N = 32, and 40-digit mpmath
+        # SVDs agree. The matrix is invertible, and the certificate says so.
+        O, psi, _ = _gabor_case(N, t_mu)
+        Y, W, margin = _certified(O, psi)
+        residual = _extended_residual(W, Y, O, psi, Slots.PSI_PSI)
+        assert residual <= margin < 1e-2
 
     def test_float_does_not_close_at_t14(self):
         # mu = (1+|x|)^14: sigma_min/sigma_max is 7.3e-25, and the float
         # residual itself is far above 1, so the verdict stays open.
         core, O, psi, w = _gabor_core(32, 14.0)
-        assert _extended_residual(core, O, psi, Slots.PSI_PSI, w) > 1.0
+        Y = _splitting_factor(O, psi, Slots.PSI_PSI)[0]
+        assert _extended_residual(core.W, Y, O, psi, Slots.PSI_PSI) > 1.0
         assert core.certificate_margin > 1.0
         assert not core.invertible()
 
     @pytest.mark.parametrize(
         "case, margin, sigma, inverse_norm",
         [
-            ("gabor32-t6", 0.0007114462832819231, (0.01342640112271667, 18299392.94266976), 74.48012247361149),
-            ("verify32-dual-dual", 1.0042589476328004e-08, (1.0, 474.3835172962559), 1.0),
-            ("random14x8-Q-None", 5.536182633539192e-10, (0.0022980607670503883, 1670.4903111004035), 435.1495027189911),
+            ("gabor32-t6", 0.0005043599374219882, (0.01342640112271667, 18299392.94266976), 74.48012247361149),
+            ("verify32-dual-dual", 2.3619959584879194e-08, (0.9999999999999993, 474.38351729625583), 1.0000000000000007),
+            ("random14x8-Q-None", 6.873646593046427e-11, (0.0022980607670503883, 1670.4903111004035), 435.1495027189911),
         ],
     )
     def test_core_numbers_are_pinned(self, case, margin, sigma, inverse_norm):
         # Exact values of the core's three reported numbers. How the core
         # holds its factors and temporaries must not move a digit: any
         # change here is a change of arithmetic, to be argued on its own.
-        # The cores: a weighted Gabor core with k = 2d, a flat slot core of
-        # `verify` on the frame's QR (k = d, dual left slot), and one with
-        # 2d >= n, where Q is None and K is B_w itself.
+        # The cores: a weighted Gabor core with k = 2d, a unit-weight slot
+        # core on a Gabor frame (k = 2d: its [X, Y^H] has rank d, so the QR
+        # adds d directions on which K is the identity up to rounding), and
+        # one with 2d >= n, where K is B_w itself.
         if case == "gabor32-t6":
             core = _gabor_core(32, 6.0)[0]
         elif case == "verify32-dual-dual":
             psi = gabor_system(32, 2, 4)
             M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi)
             core = _SplitCore(M, psi, Slots.DUAL_DUAL)
-            assert core.Q is psi.analysis_basis
+            assert core.K.shape == (2 * psi.d,) * 2
         else:
             rng = np.random.default_rng(78)
             psi = random_frame(rng, 14, 8)
             w = np.exp(rng.uniform(-4.0, 4.0, 14))
             core = _SplitCore(_random_operator(rng, 8), psi, Slots.PSI_DUAL, w)
-            assert core.Q is None
+            assert core.K.shape == (14, 14)
         assert core.certificate_margin == margin
         assert core.sigma == sigma
         assert core.inverse_norm == inverse_norm
 
+    def test_constant_symbol_lift_on_a_redundant_frame_matches_dense(self):
+        # A constant mu gives a flat weight: [X, Y^H] has rank d, and the
+        # general QR (k = 2d < n) still compresses B_w exactly.
+        rng = np.random.default_rng(41)
+        psi = random_frame(rng, 40, 8)
+        mu = np.full(psi.n, 3.0)
+        report = lifting_theorem_pipeline(psi, mu, ps=(2,))
+        O = multiplier(1.0 / mu, psi) @ multiplier(mu, psi)
+        lo, hi = _dense_extremes(matalg.conjugate(invertibility_matrix(O, psi), np.sqrt(mu)))
+        assert report["verdicts"]["B_invertible_l2_sqrt_mu"]
+        assert report["residuals"]["B_sigma_min_over_max"] == pytest.approx(lo / hi, rel=1e-12)
+        entry = report["residuals"]["step_iv"]["2"]
+        assert entry["B_norm"] == pytest.approx(hi, rel=1e-12)
+        assert entry["B_inv_norm"] == pytest.approx(1.0 / lo, rel=1e-12)
+
     def test_exactly_singular_core_gives_infinite_margin(self):
         # On an orthonormal basis with O = 0, B_O = I - C Dd = 0: LAPACK
-        # finds K singular, and the margin is inf.
+        # finds I + Y X singular, and the margin is inf.
         psi = onb(4)
         core = _SplitCore(np.zeros((4, 4)), psi)
         assert core.certificate_margin == np.inf
