@@ -178,8 +178,11 @@ def lifting_theorem_pipeline(
     the k x k core as a number. The verdict stays a float certificate of
     the n x n B, with every n-dimensional rounding counted; (ii) profile the
     decay of the five Gram matrices the argument rests on, with the
-    moderateness of the five weights, in one pass over row slabs
-    (:class:`framelift.matalg.PairScan`); (iii) confirm
+    moderateness of the five weights, in one pass of a
+    :class:`framelift.matalg.PairScan`: over row slabs, or, when the
+    caller has declared psi's index order a lattice on which G, the dual
+    Gram and the cross-Gram are covariant (a Gabor system), from row 0 of
+    each and one ratio table per weight; (iii) confirm
     the conjugation identity B^mu = G^mu G G^mu + I - G_{Psi,Psid}^mu on
     PROBES seeded probe vectors (Freivalds' check): the left side is the
     certified B, applied through the core's own factors with their weight
@@ -188,7 +191,9 @@ def lifting_theorem_pipeline(
     row of the moduli of the right side's factors applied to the probe's
     moduli (see :func:`_probe_residuals`); (iv) condition B on each
     requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} come from
-    the k x k core, which step (i) already built when m = 1; the p = 1 and
+    the k x k core, which step (i) already built when m = 1 (for another m
+    a core on m sqrt(mu) reuses step (i)'s certificate, which is
+    unweighted); the p = 1 and
     p = inf norms are the column and row sums of the moduli of B_w and of
     the Woodbury inverse I - X_w (W Y_w) of step (i)'s certificate, read
     from their factors (inner dimension d) one row slab at a time, and
@@ -209,8 +214,8 @@ def lifting_theorem_pipeline(
     is alive during the pair scan; they are independent, and ``verdicts``
     and ``residuals`` keep the order (i)-(v). Step (iv) reads the 2-norms
     from the core, then frees it once B_w and its inverse are held as
-    their factors; a weight m other than 1 frees step (i)'s core before its
-    own is built.
+    their factors; a weight m other than 1 keeps step (i)'s certificate
+    and frees the rest of its core before its own is built.
 
     ``scan`` is a :class:`framelift.matalg.PairScan` over psi's n indices
     that holds the caller's own pair constants: step (ii) adds its ten and
@@ -248,9 +253,9 @@ def lifting_theorem_pipeline(
     # Hypothesis bookkeeping and step (ii), run before any core exists: the
     # moderateness of the five weights (flagged only) and the decay profiles
     # of the five Gram matrices, read with the caller's pair constants in
-    # one pass over row slabs that forms each slab's distances,
-    # (1 + dist)^s table and rows of G, Gdual and the cross-Gram once; no
-    # n x n matrix is held.
+    # one pass that forms each slab's distances, (1 + dist)^s table and
+    # rows of G, Gdual and the cross-Gram once (on a declared lattice, row 0
+    # of each); no n x n matrix is held.
     scan = matalg.PairScan(n) if scan is None else scan
     five = {
         "m": mv,
@@ -303,8 +308,10 @@ def lifting_theorem_pipeline(
     # Step (iv): condition of B on each requested l^p_{m sqrt(mu)}.
     w_msqmu = mv * sqmu
     if not np.array_equal(w_msqmu, sqmu):
-        core = None  # step (i)'s core is done with: free it before this one is built
-        core = _SplitCore(O, psi, w=w_msqmu)
+        # Step (i)'s certificate is unweighted and serves this weight too;
+        # the rest of its core is done with: free it before this one is built.
+        certified, core = (core.W, core.certificate_margin), None
+        core = _SplitCore(O, psi, w=w_msqmu, certified=certified)
     n2 = core.sigma[1]
     n2_inv = core.inverse_norm if invertible else None
     need_entries = any(p != 2 for p in ps)
@@ -377,10 +384,12 @@ def sweep(family, mu, m, ps=(2,), s: float = 4.0, seed: int = 0) -> dict:
     - ``extras(entry, frame, mu, s, scan)``, given the read symbol: it adds
       the size's own pair constants to ``scan``, the
       :class:`~framelift.matalg.PairScan` that the pipeline's step (ii)
-      runs, so every pair constant of a size is read in one pass over row
-      slabs. It returns ``finish()``, run after a successful pipeline: it
-      may add to ``entry["report"]`` and returns this size's value of each
-      per-size table, by table name;
+      runs, so every pair constant of a size is read in one pass, and may
+      declare the frame's index order a lattice on that scan
+      (:meth:`~framelift.matalg.PairScan.on_lattice`). It returns
+      ``finish()``, run after a successful pipeline: it may add to
+      ``entry["report"]`` and returns this size's value of each per-size
+      table, by table name;
     - ``fields(s, ps, tables)``, its top-level report fields.
 
     Every table is keyed by ``str(entry[key])``. A frame the pipeline

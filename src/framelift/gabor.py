@@ -102,8 +102,15 @@ class TFLattice:
         return np.array([(x, w) for x in xs for w in ws], dtype=float)
 
     @property
+    def shape(self) -> tuple:
+        """(P, Q), the numbers of time and of frequency steps: :attr:`points`
+        lists (ix a, iw b) at index k = ix Q + iw."""
+        return self.N // self.a, self.N // self.b
+
+    @property
     def n(self) -> int:
-        return (self.N // self.a) * (self.N // self.b)
+        P, Q = self.shape
+        return P * Q
 
     @property
     def redundancy(self) -> float:
@@ -220,8 +227,15 @@ class GaborFamily:
 
     def extras(self, entry: dict, frame: Frame, mu: Weight, s: float, scan: matalg.PairScan):
         """The interplay check and the normalized decay of G and the dual
-        Gram, read in the pipeline's pass; then the window decay."""
+        Gram, read in the pipeline's pass; then the window decay.
+
+        The frame's index order is its lattice's, so the family declares
+        that lattice on ``scan``: every Gram the pass reads (G, the dual
+        Gram, the cross-Gram) and both torus index sets are covariant on
+        it, and each constant is read from row 0 and one ratio table per
+        weight (:meth:`framelift.matalg.PairScan.on_lattice`)."""
         lat = TFLattice(entry["N"], entry["a"], entry["b"])
+        scan.on_lattice(*lat.shape)
         idx_norm = lat.index_set(normalized=True)
         normalized = scan.decay(scan.gram(frame), s, idx_norm)
         dual_normalized = scan.decay(scan.gram(frame.canonical_dual()), s, idx_norm)

@@ -47,6 +47,10 @@ NORM_SAMPLES = 64
 # Rows alive at a time when an n x n matrix is read in row slabs: the moduli
 # sums of _moduli_sums, a PairScan's pair constants, the Gram identities.
 SLAB_ROWS = 256
+# A PairScan told that its index order is a lattice checks one more row of
+# each table against row 0: entries may differ by this much relative to
+# row 0's largest (gabor_system's float frames reach 8.4e-14 at N = 512).
+LATTICE_RTOL = 1e-9
 
 
 def decay_constant(A: np.ndarray, s: float, idx: IndexSet) -> float:
@@ -72,30 +76,114 @@ def _slabs(n: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
+def _lattice_differences(P: int, Q: int, k: int) -> np.ndarray:
+    """Per column l, the index of the lattice difference l - k on the P x Q
+    torus lattice with index order k = ix Q + iw."""
+    ix, iw = np.divmod(np.arange(P * Q), Q)
+    return ((ix - ix[k]) % P) * Q + (iw - iw[k]) % Q
+
+
+def _check_covariant(row0: np.ndarray, row: np.ndarray, perm: np.ndarray, what: str) -> None:
+    """Raise ValueError unless ``row`` equals ``row0`` permuted by ``perm``,
+    entrywise within LATTICE_RTOL times the largest entry of ``row0``."""
+    gap = float(np.max(np.abs(row - row0[perm])))
+    if not gap <= LATTICE_RTOL * float(np.max(row0)):
+        raise ValueError(f"{what} is not covariant on the declared lattice: rows differ by {gap:.3e}")
+
+
+def _ratio_table(w: np.ndarray, P: int, Q: int) -> np.ndarray:
+    """R(delta) = max_k w_k / w_{k + delta} over the differences delta of the
+    P x Q torus lattice, in the index order k = ix Q + iw.
+
+    Each quotient is the one the slab route forms, and a max is exact. The
+    n^2 quotients are made a block of differences at a time: whole rows of
+    Q differences, at most SLAB_ROWS together, or pieces of SLAB_ROWS
+    differences of one row when Q is larger; so one buffer of at most
+    SLAB_ROWS n floats serves every block. A constant weight has R = 1, its
+    every quotient, with no divide.
+    """
+    n = P * Q
+    if w.min() == w.max():
+        return np.ones(n)
+    W = w.reshape(P, Q)
+    # shifted[x, y] is W moved by the difference (x, y): its entry (ix, iw)
+    # is w at the lattice point (ix + x, iw + y).
+    shifted = np.lib.stride_tricks.sliding_window_view(np.tile(W, (2, 2))[: 2 * P - 1, : 2 * Q - 1], (P, Q))
+    if Q <= SLAB_ROWS:
+        step = SLAB_ROWS // Q
+        blocks = [(x0, min(P, x0 + step), 0, Q) for x0 in range(0, P, step)]
+    else:
+        blocks = [(x, x + 1, y0, min(Q, y0 + SLAB_ROWS)) for x in range(P) for y0 in range(0, Q, SLAB_ROWS)]
+    block = np.empty(min(SLAB_ROWS, n) * n)
+    R = np.empty((P, Q))
+    for x0, x1, y0, y1 in blocks:
+        quotients = block[: (x1 - x0) * (y1 - y0) * n].reshape(x1 - x0, y1 - y0, P, Q)
+        np.divide(W, shifted[x0:x1, y0:y1], out=quotients)
+        R[x0:x1, y0:y1] = quotients.reshape(x1 - x0, y1 - y0, n).max(axis=2)
+    return R.reshape(n)
+
+
 class PairScan:
     """Constants that are maxima over the index pairs (k, l) of n-point index
-    sets, read in one pass over row slabs, so no n x n table is held.
+    sets, read in one pass, so no n x n table is held.
 
     A request is a decay constant max |(w_k / w_l) a_kl| (1 + d_kl)^s of a
     registered matrix (:meth:`decay`), a moderateness constant max
     (m_k / m_l) / (1 + d_kl)^t (:meth:`moderateness`) or its
     subexponential form max (m_k / m_l) / exp(alpha d_kl^beta)
-    (:meth:`subexponential`). :meth:`run` walks rows i0:i1, SLAB_ROWS at a
-    time (:func:`_slabs`). In each slab it forms every index set's
-    distances, every (index set, exponent) growth table (1 + d)^s, and
-    every matrix's rows and their moduli once, and every request that reads
-    them shares them. Each slab fills the same buffers, carved from one
-    block of O(SLAB_ROWS n) floats that the pass allocates once, so the
-    slabs do not churn the heap. Every constant equals the dense formula
-    on the whole matrix bit for bit: each entry goes through the same
-    elementwise operations, and a max is exact.
+    (:meth:`subexponential`). :meth:`run` reads them by one of two routes,
+    which share the request bookkeeping (:meth:`_plan`).
+
+    The slab route walks rows i0:i1, SLAB_ROWS at a time (:func:`_slabs`).
+    In each slab it forms every index set's distances, every (index set,
+    exponent) growth table (1 + d)^s, and every matrix's rows and their
+    moduli once, and every request that reads them shares them. Each slab
+    fills the same buffers, carved from one block of O(SLAB_ROWS n) floats
+    that the pass allocates once, so the slabs do not churn the heap.
+    Every constant equals the dense formula on the whole matrix bit for
+    bit: each entry goes through the same elementwise operations, and a
+    max is exact.
+
+    The lattice route runs once :meth:`on_lattice` has declared the index
+    order a P x Q torus lattice on which every registered matrix and index
+    set is covariant: |a_kl| and d_kl depend only on the lattice difference
+    delta = l - k. The Gram, dual Gram and cross-Gram of a lattice Gabor
+    system and its torus distances are (the canonical dual is the Gabor
+    system of S^{-1} g, since S commutes with the lattice's time-frequency
+    shifts: Groechenig, Foundations of Time-Frequency Analysis, Prop.
+    5.2.1). Each constant is then a max over the n differences,
+
+        decay         max_delta |a_0,delta| R_w(delta) (1 + d_0,delta)^s,
+        moderateness  max_delta R_m(delta) / (1 + d_0,delta)^t,
+
+    read from row 0 of each matrix (its ``rows`` hook) and of each index
+    set, with one ratio table R_w(delta) = max_k w_k / w_{k + delta} per
+    distinct weight (:func:`_ratio_table`), whose real divides are the only
+    O(n^2) work. The declaration is checked, not trusted: row n - 1 of
+    every matrix's moduli and of every index set's distances is compared
+    with row 0 permuted to it (:func:`_check_covariant`), in O(n d), and a
+    table that is not covariant raises ValueError. Division by a positive
+    float is monotone, so it commutes with the max: where the distances are
+    exact (integer torus points), every moderateness constant equals the
+    slab route's bit for bit. Decay constants are those of row 0; they
+    differ from the all-pairs maxima by the rounding of the float matrix.
     """
 
     def __init__(self, n: int):
         self.n = n
         self._sources = {}  # key -> rows(i0, i1, out)
         self._requests = []  # (kind, index set, exponent, weight or values, key or beta)
+        self.lattice = None  # (P, Q) once declared by on_lattice
         self.values = None
+
+    def on_lattice(self, P: int, Q: int) -> None:
+        """Declare the index order the P x Q torus lattice k = ix Q + iw (as
+        in :attr:`framelift.gabor.TFLattice.points`), with every registered
+        matrix and index set covariant on it; :meth:`run` then takes the
+        lattice route."""
+        if P * Q != self.n:
+            raise ValueError(f"a {P} x {Q} lattice does not have the scan's {self.n} points")
+        self.lattice = (int(P), int(Q))
 
     def matrix(self, key, rows):
         """Register the n x n matrix named by the hashable ``key``.
@@ -142,13 +230,36 @@ class PairScan:
         """Request the subexponential moderateness constant of the weight values."""
         return self._request("subexp", idx, alpha, np.asarray(values, dtype=float), float(beta))
 
+    def _plan(self) -> tuple:
+        """The bookkeeping both routes share: per index set, the exponents of
+        its growth tables (1 + d)^e and its subexponential requests, made
+        while its distances are held; per matrix key, its decay requests."""
+        per_set, reads = {}, {}
+        for j, (kind, idx, e, _, key) in enumerate(self._requests):
+            exponents, subexp = per_set.setdefault(idx, ([], []))
+            if kind == "subexp":
+                subexp.append(j)
+            elif e not in exponents:
+                exponents.append(e)
+            if kind == "decay":
+                reads.setdefault(key, []).append(j)
+        return per_set, reads
+
     def run(self) -> list:
         """Every requested constant, in request order, also kept as
         :attr:`values`. The scan then releases its matrices and index sets."""
+        plan = self._plan()
+        maxima = self._lattice_maxima(*plan) if self.lattice else self._slab_maxima(*plan)
+        self.values = [float(np.max(m)) for m in maxima]
+        self._sources, self._requests = {}, []  # a scan runs once; drop what it read
+        return self.values
+
+    def _slab_maxima(self, per_set, reads) -> list:
+        """Per request, its maxima over the row slabs."""
         n, requests = self.n, self._requests
+        keys = [(idx, e) for idx, (exponents, _) in per_set.items() for e in exponents]
         slabs = _slabs(n)
         shape = (max(i1 - i0 for i0, i1 in slabs), n)
-        keys = list(dict.fromkeys((req[1], req[2]) for req in requests if req[0] != "subexp"))
         weighted = any(req[0] == "decay" and req[3] is not None for req in requests)
         # One block holds every buffer of the pass: one complex buffer (pairs
         # of floats) for a matrix's rows and, for weighted requests, one for
@@ -161,18 +272,6 @@ class PairScan:
         rows_buf, conj_buf = bufs[0], (bufs[1] if weighted else None)
         moduli, scratch, *tables = block[2 * n_complex * size :].reshape((-1,) + shape)
         growths = dict(zip(keys, tables))
-        # Per index set: its growth tables and subexponential requests, made
-        # while one buffer holds its distances.
-        per_set = {req[1]: ([], []) for req in requests}
-        for idx, e in growths:
-            per_set[idx][0].append(e)
-        for j, req in enumerate(requests):
-            if req[0] == "subexp":
-                per_set[req[1]][1].append(j)
-        reads = {}  # matrix key -> its decay requests
-        for j, req in enumerate(requests):
-            if req[0] == "decay":
-                reads.setdefault(req[4], []).append(j)
         maxima = [[] for _ in requests]
         for i0, i1 in slabs:
             r = i1 - i0
@@ -198,9 +297,43 @@ class PairScan:
                         ratio = np.divide(w[i0:i1, None], w[None, :], out=scratch[:r])
                         a = np.abs(np.multiply(ratio, A, out=conj_buf[:r]), out=scratch[:r])
                     maxima[j].append(kernels.decay_max(a, growths[idx, e][:r], out=scratch[:r]))
-        self.values = [float(np.max(m)) for m in maxima]
-        self._sources, self._requests = {}, []  # a scan runs once; drop what it read
-        return self.values
+        return maxima
+
+    def _lattice_maxima(self, per_set, reads) -> list:
+        """Per request, its max over the lattice differences, read from row 0
+        of each table after row n - 1 has confirmed the declared lattice."""
+        (P, Q), n, requests = self.lattice, self.n, self._requests
+        last = n - 1
+        perm = _lattice_differences(P, Q, last)
+        ratio_tables = {}  # one per distinct weight, keyed by its values
+
+        def ratios(w):
+            key = w.tobytes()
+            if key not in ratio_tables:
+                ratio_tables[key] = _ratio_table(w, P, Q)
+            return ratio_tables[key]
+
+        maxima, growths = [None] * len(requests), {}
+        for idx, (exponents, subexp) in per_set.items():
+            d = idx.distances(0, 1)[0]
+            _check_covariant(d, idx.distances(last, n)[0], perm, "an index set's distance table")
+            for e in exponents:
+                growths[idx, e] = kernels.growth_table(d, e)
+            for j in subexp:
+                _, _, alpha, v, beta = requests[j]
+                maxima[j] = (ratios(v) / np.exp(alpha * d**beta)).max()
+        for j, (kind, idx, t, v, _) in enumerate(requests):
+            if kind == "moderate":
+                maxima[j] = np.divide(ratios(v), growths[idx, t]).max()
+        rows_buf = np.empty((1, n), dtype=complex)
+        for key, js in reads.items():
+            rows = self._sources[key]
+            a = np.abs(rows(0, 1, rows_buf))[0]
+            _check_covariant(a, np.abs(rows(last, n, rows_buf))[0], perm, "a registered matrix")
+            for j in js:
+                _, idx, e, w, _ = requests[j]
+                maxima[j] = kernels.decay_max(a if w is None else a * ratios(w), growths[idx, e])
+        return maxima
 
 
 def conjugate(A: np.ndarray, mu) -> np.ndarray:

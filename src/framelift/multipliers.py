@@ -85,9 +85,10 @@ def _extremes(sv: np.ndarray, n: int) -> tuple:
     return float(sv.min()), float(sv.max())
 
 
-def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, out=None) -> tuple:
+def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, out=None, error_map: bool = True) -> tuple:
     """(Y, Y_err): the d x n factor Y = L O (R D) - Dd of B_O = I + C Y,
-    written into ``out`` when given, and its error map v -> |Y - fl Y| v.
+    written into ``out`` when given, and its error map v -> |Y - fl Y| v
+    (None when ``error_map`` is false: Y alone is formed).
 
     With L, R in {I, S^{-1}} set by the slots, Mat(O) = C L O R D and
     G_{Psi,Psid} = C S^{-1} D, so B_O = I + C (L O R - S^{-1}) D. Y is
@@ -108,10 +109,13 @@ def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, out=None) -> tupl
     P_err = _scaled(matalg.gamma_c(d), O, RD)
     if left == "dual":
         L = Dd @ Dd.conj().T
-        L_err = _scaled(matalg.gamma_c(n), Dd, Dd.conj().T)
-        P_err = _left_product_error(L, L_err, P, P_err)
+        if error_map:
+            L_err = _scaled(matalg.gamma_c(n), Dd, Dd.conj().T)
+            P_err = _left_product_error(L, L_err, P, P_err)
         P = L @ P
     Y = np.subtract(P, Dd, out=out)
+    if not error_map:
+        return Y, None
     P = np.abs(P)  # the error map reads P only through its moduli
 
     def Y_err(v):  # P's rounding, then one rounding in P - Dd
@@ -189,6 +193,11 @@ class _SplitCore:
     B_w^{-1} = I - X_w W Y_w (X_w = diag(w) X, Y_w = Y diag(1/w), which
     have Y_w X_w = Y X) is held as those factors by :meth:`inverse_matrix`.
 
+    ``certified`` is the (W, certificate margin) of a core of the same O,
+    frame and slots. The certificate is unweighted, so it serves every w:
+    such a core forms Y alone, with no error map and no second
+    certificate.
+
     The p = 2 norms need the singular values of B_w. With Q (n x k, k < n)
     an orthonormal basis of the span of ran(X_w) and ran(Y_w^H), B_w equals
     K = I_k + (Q^H X_w)(Y_w Q) on ran(Q) and the identity on its
@@ -206,14 +215,16 @@ class _SplitCore:
     Past the constructor the core keeps X_w, Y_w, W, K and K^{-1}.
     """
 
-    def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None):
+    def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None, certified=None):
         n, d = psi.n, psi.d
         # [X, Y^H] in one column-major buffer, X and Y views of its blocks.
         XY = np.empty((n, 2 * d), dtype=complex, order="F")
         X = np.conjugate(psi.vectors.T, out=XY[:, :d])  # C = D^H
-        Y, Y_err = _splitting_factor(O, psi, slots, out=XY[:, d:].T)
-        self.W, self.certificate_margin = _certificate(X, Y, Y_err)
+        Y, Y_err = _splitting_factor(O, psi, slots, out=XY[:, d:].T, error_map=certified is None)
+        if certified is None:
+            certified = _certificate(X, Y, Y_err)
         del Y_err
+        self.W, self.certificate_margin = certified
         w = weight_values(w, n)
         np.multiply(w[:, None], X, out=X)
         np.divide(Y, w[None, :], out=Y)

@@ -7,11 +7,12 @@ no command computes them, so they live with the tests.
 import csv
 import json
 
+import mpmath as mp
 import numpy as np
 
-from framelift import fock
+from framelift import fock, gabor
 from framelift.frames import Frame
-from framelift.matalg import pseudo_inverse
+from framelift.matalg import PairScan, pseudo_inverse
 from framelift.multipliers import Slots, galerkin, multiplier
 from framelift.weights import IndexSet, lp_norms, weight_values
 
@@ -240,3 +241,101 @@ def dense_subexponential(values: np.ndarray, alpha: float, beta: float, idx: Ind
     """max (m_k / m_l) / exp(alpha d_kl^beta) over the whole n x n table at once."""
     ratio = values[:, None] / values[None, :]
     return float((ratio / np.exp(alpha * idx.distance_matrix() ** beta)).max())
+
+
+def lattice_differences(P: int, Q: int) -> np.ndarray:
+    """The n x n table of lattice differences l - k on the P x Q torus
+    lattice with index order k = ix Q + iw."""
+    ix, iw = np.divmod(np.arange(P * Q), Q)
+    return ((ix[None, :] - ix[:, None]) % P) * Q + (iw[None, :] - iw[:, None]) % Q
+
+
+def ratio_table(w: np.ndarray, P: int, Q: int) -> np.ndarray:
+    """R(delta) = max_k w_k / w_{k + delta}, read from the whole n x n table of
+    quotients w_k / w_l at once."""
+    R = np.full(P * Q, -np.inf)
+    np.maximum.at(R, lattice_differences(P, Q).ravel(), (w[:, None] / w[None, :]).ravel())
+    return R
+
+
+def lattice_decay(frame: Frame, other: Frame, s: float, idx: IndexSet, P: int, Q: int, w=None) -> float:
+    """max_delta |a_0,delta| R_w(delta) (1 + d_0,delta)^s for the cross-Gram
+    of ``frame`` and ``other``, from its row 0 and row 0 of idx's distances,
+    in the operation order of the lattice scan."""
+    a = np.abs(np.matmul(frame.vectors[:, :1].conj().T, other.vectors)[0])
+    if w is not None:
+        a = a * ratio_table(w, P, Q)
+    return float((a * (1.0 + idx.distances(0, 1)[0]) ** s).max())
+
+
+def _exact_gabor_moduli(N: int, a: int, b: int) -> dict:
+    """|G|, |G_dual| and |G_cross| (n x n, as mpf) of :func:`gabor.gabor_system`
+    on aZ_N x bZ_N, evaluated at the working precision from the periodized
+    Gaussian of :func:`gabor.gaussian_window`: the window, the exact phases
+    e^{2 pi i (omega t mod N) / N}, S, S^{-1}, the dual vectors S^{-1} psi_k
+    and every inner product."""
+    J = gabor.WINDOW_PERIODIZATION
+    g = [mp.fsum(mp.exp(-mp.pi * mp.mpf(t + j * N) ** 2 / N) for j in range(-J, J + 1)) for t in range(N)]
+    norm = mp.sqrt(mp.fsum(x * x for x in g))
+    g = [x / norm for x in g]
+    points = gabor.TFLattice(N, a, b).points.astype(int).tolist()
+    psi = [[mp.expjpi(mp.mpf(2 * ((w * t) % N)) / N) * g[(t - x) % N] for t in range(N)] for x, w in points]
+    S = mp.matrix([[mp.fdot(row_i, row_j, conjugate=True) for row_j in zip(*psi)] for row_i in zip(*psi)])
+    S_inv = mp.inverse(S)
+    dual = [list(S_inv * mp.matrix(v)) for v in psi]
+
+    def moduli(left, right):  # |<right_l, left_k>| at (k, l)
+        return [[abs(mp.fdot(r, lf, conjugate=True)) for r in right] for lf in left]
+
+    return {"G": moduli(psi, psi), "Gdual": moduli(dual, dual), "cross": moduli(psi, dual)}
+
+
+def gabor_decay_oracle(N: int, s: float = 4.0, dps: int = 30) -> dict:
+    """Unweighted decay constants at s of G, the dual Gram and the cross-Gram
+    of the balanced Gabor system on Z_N, on the raw and the normalized torus
+    metric, by three routes:
+
+    - exact: :func:`_exact_gabor_moduli` at ``dps`` digits, with the exact
+      distances, maximized over all n^2 pairs;
+    - lattice: a :class:`PairScan` on the declared lattice, which reads
+      row 0 of each float Gram;
+    - all_pairs: :func:`dense_decay` over the whole float Gram.
+
+    Returns, per "<matrix>/<metric>", the exact value rounded to a float,
+    the relative error of each route and the route that is closer
+    ("lattice", "all_pairs" or "tie").
+    """
+    lat = gabor.TFLattice.balanced(N, 4)
+    psi = gabor.gabor_system(N, lat.a, lat.b)
+    dual = psi.canonical_dual()
+    pairs = {"G": (psi, psi), "Gdual": (dual, dual), "cross": (psi, dual)}
+    metrics = {"raw": lat.index_set(), "normalized": lat.index_set(normalized=True)}
+    scan = PairScan(psi.n)
+    scan.on_lattice(*lat.shape)
+    requests = {
+        (name, metric): scan.decay(scan.gram(*frames), s, idx)
+        for name, frames in pairs.items()
+        for metric, idx in metrics.items()
+    }
+    values = scan.run()
+    # squared raw torus distances: integers, recovered exactly from the floats
+    dist2 = np.rint(metrics["raw"].distance_matrix() ** 2).astype(int)
+    out = {}
+    with mp.workdps(dps):
+        exact_moduli = _exact_gabor_moduli(N, lat.a, lat.b)
+        for metric, idx in metrics.items():
+            scale = 1 if metric == "raw" else mp.sqrt(N)
+            growth = {q: (1 + mp.sqrt(q) / scale) ** mp.mpf(s) for q in np.unique(dist2).tolist()}
+            for name, (left, right) in pairs.items():
+                mod = exact_moduli[name]
+                exact = max(mod[k][l] * growth[int(dist2[k, l])] for k in range(psi.n) for l in range(psi.n))
+                errors = {}
+                for route, value in (
+                    ("lattice", values[requests[name, metric]]),
+                    ("all_pairs", dense_decay(gram(left, right), s, idx)),
+                ):
+                    errors[route] = float(abs(mp.mpf(value) - exact) / exact)
+                lat_err, dense_err = errors["lattice"], errors["all_pairs"]
+                closer = "tie" if lat_err == dense_err else ("lattice" if lat_err < dense_err else "all_pairs")
+                out[f"{name}/{metric}"] = {"exact": float(exact), **errors, "closer": closer}
+    return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from framelift import coorbit, matalg
+from framelift import coorbit, matalg, multipliers
 from framelift.coorbit import (
     IDENTITY_RTOL,
     _lifting_maps,
@@ -306,6 +306,25 @@ class TestPipeline:
         monkeypatch.setattr(np.linalg, "svd", spy)
         lifting_theorem_pipeline(psi, mu, m=m, ps=ps)
         assert sorted(hits) == [0, 1]
+
+    def test_a_weight_m_certifies_once(self, monkeypatch):
+        # The certificate is unweighted: step (iv)'s core on m sqrt(mu)
+        # takes step (i)'s W and margin, which its own certificate would
+        # reproduce bit for bit.
+        psi, mu, m = _gabor(16, 2.0, 1.0)
+        O = multiplier(1.0 / mu, psi) @ multiplier(mu, psi)
+        fresh = _SplitCore(O, psi, w=m * np.sqrt(mu))
+        calls, certificate = [], multipliers._certificate
+        monkeypatch.setattr(multipliers, "_certificate", lambda *a: calls.append(a) or certificate(*a))
+        step_i = _SplitCore(O, psi, w=np.sqrt(mu))
+        reused = _SplitCore(O, psi, w=m * np.sqrt(mu), certified=(step_i.W, step_i.certificate_margin))
+        assert len(calls) == 1
+        assert np.array_equal(reused.W, fresh.W) and reused.certificate_margin == fresh.certificate_margin
+        assert np.array_equal(reused.K, fresh.K)
+        calls.clear()
+        report = lifting_theorem_pipeline(psi, mu, m=m, ps=(1, 2, np.inf))
+        assert len(calls) == 1
+        assert report["verdicts"]["all_steps"]
 
     def test_headline_matches_p2_entry(self, rng):
         fr = random_frame(rng, 9, 4)

@@ -18,6 +18,7 @@ from framelift.gabor import (
 )
 from framelift.weights import SYMBOL_SPEC, UNIT_SPEC
 from tests.conftest import random_vector
+from tests.reference import lattice_decay
 
 
 def _delta(N, j=0):
@@ -144,6 +145,13 @@ class TestLattice:
         assert (pts[:8, 0] == 0).all()
         np.testing.assert_array_equal(pts[:8, 1], 4 * np.arange(8))
 
+    def test_shape_names_the_index_order(self):
+        lat = TFLattice(32, 2, 8)
+        P, Q = lat.shape
+        assert (P, Q) == (16, 4)
+        ix, iw = np.divmod(np.arange(lat.n), Q)
+        np.testing.assert_array_equal(lat.points, np.column_stack([ix * lat.a, iw * lat.b]))
+
     def test_normalized_index_set_rescales_period(self):
         lat = TFLattice(64, 4, 4)
         raw = lat.index_set()
@@ -246,11 +254,16 @@ class TestExperiment:
         # Gram, two for the interplay check), then step (ii)'s five profiles.
         assert len(requests) == 9 * 2
         assert len(passes) == 2
+        # The family declares its lattice, so the pass reads G's row 0: the
+        # profile is the lattice table's value, and the all-pairs maximum
+        # within 1e-12.
         for e in out["entries"]:
             fr = gabor_system(e["N"], e["a"], e["b"])
-            want = float((np.abs(fr.gram_matrix) * (1.0 + fr.index_set.distance_matrix()) ** 4.0).max())
+            want = lattice_decay(fr, fr, 4.0, fr.index_set, *TFLattice(e["N"], e["a"], e["b"]).shape)
             assert e["report"]["decay_profiles"]["G"] == want
             assert out["decay_scaling"]["gram_raw"][str(e["N"])] == want
+            dense = float((np.abs(fr.gram_matrix) * (1.0 + fr.index_set.distance_matrix()) ** 4.0).max())
+            assert want == pytest.approx(dense, rel=1e-12, abs=0)
 
     def test_critical_lattice_reports_failure_entry(self):
         out = sweep(GaborFamily([16], a_ratio=4, b_ratio=4), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), seed=0)

@@ -5,7 +5,10 @@ With SLAB_ROWS = 5 (or 7), every scan runs over several slabs, a short last
 one among them, and each constant must still equal the dense formula on the
 whole matrix bit for bit, on torus and Euclidean index sets alike: the pair
 scans, the Gram-identity residuals and the p = 1, inf sums of |L F^+| and
-|B_w|. So no report may depend on the slab size.
+|B_w|. So no report may depend on the slab size. A Gabor lift's scan reads
+its declared lattice instead (tests/test_lattice_scan.py): its decay
+constants are pinned to the row-0 lattice tables, and to the dense formula
+within 1e-12.
 """
 
 import filecmp
@@ -29,6 +32,7 @@ from tests.reference import (
     dense_moderateness,
     dense_subexponential,
     gram,
+    lattice_decay,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -83,26 +87,34 @@ def test_pipeline_tables_equal_the_dense_formulas(slabs_of_five, make):
 
 
 def test_gabor_extras_equal_the_dense_formulas(slabs_of_five):
+    # The family declares its 6 x 6 lattice, so the pass reads each Gram's
+    # row 0 and one ratio table per weight: every decay constant is the
+    # lattice table's value, and the all-pairs maximum within 1e-12; the
+    # moderateness constant is the dense one bit for bit.
     s, t = 4.0, 2.0
     out = sweep(GaborFamily([12], a_ratio=6, b_ratio=6, t_check=t), SYMBOL_SPEC, UNIT_SPEC, ps=(2,), s=s)
     [entry] = out["entries"]
     lat = TFLattice(12, 2, 2)
+    P, Q = lat.shape
     psi = gabor_system(12, 2, 2)
+    dual = psi.canonical_dual()
     idx, idx_norm = psi.index_set, lat.index_set(normalized=True)
-    G, Gd = gram(psi), gram(psi.canonical_dual())
+    G, Gd = gram(psi), gram(dual)
     decay = out["decay_scaling"]
-    assert decay["gram_normalized"]["12"] == dense_decay(G, s, idx_norm)
-    assert decay["dual_gram_normalized"]["12"] == dense_decay(Gd, s, idx_norm)
-    assert decay["gram_raw"]["12"] == dense_decay(G, s, idx)
+    for name, table, dense in (
+        ("gram_normalized", lattice_decay(psi, psi, s, idx_norm, P, Q), dense_decay(G, s, idx_norm)),
+        ("dual_gram_normalized", lattice_decay(dual, dual, s, idx_norm, P, Q), dense_decay(Gd, s, idx_norm)),
+        ("gram_raw", lattice_decay(psi, psi, s, idx, P, Q), dense_decay(G, s, idx)),
+    ):
+        assert decay[name]["12"] == table
+        assert table == pytest.approx(dense, rel=1e-12, abs=0)
     mu = Weight.polynomial(idx, t).values
     cmod = dense_moderateness(mu, t, idx)
+    lhs, decay_st = lattice_decay(psi, psi, s, idx, P, Q, mu), lattice_decay(psi, psi, s + t, idx, P, Q)
     interplay = entry["report"]["metadata"]["interplay"]
-    assert interplay == {
-        "lhs": dense_decay(G, s, idx, mu),
-        "rhs": cmod * dense_decay(G, s + t, idx),
-        "moderateness": cmod,
-        "ok": True,
-    }
+    assert interplay == {"lhs": lhs, "rhs": cmod * decay_st, "moderateness": cmod, "ok": True}
+    assert lhs == pytest.approx(dense_decay(G, s, idx, mu), rel=1e-12, abs=0)
+    assert decay_st == pytest.approx(dense_decay(G, s + t, idx), rel=1e-12, abs=0)
 
 
 def test_fock_extras_equal_the_dense_formulas(slabs_of_five):
