@@ -175,8 +175,12 @@ def lifting_theorem_pipeline(
     :func:`framelift.multipliers._certificate`), reporting the certificate's
     bound r on ||I - B Xt||_inf, Xt = I - C W Y, as ``B_certificate_margin``
     (invertible when r < 1) and sigma_min / sigma_max of B_sqrt(mu) from
-    the k x k core as a number. The verdict stays a float certificate of
-    the n x n B, with every n-dimensional rounding counted; (ii) profile the
+    the k x k core K as a number: sigma_max(K) and, for a certified core,
+    sigma_min = 1 / sigma_max(K^{-1}), each by Golub-Kahan-Lanczos
+    (:func:`framelift.matalg.sigma_max`), with a values-only SVD of K for
+    the sigma_min of a core the certificate does not pass. The verdict
+    stays a float certificate of the n x n B, with every n-dimensional
+    rounding counted; (ii) profile the
     decay of the five Gram matrices the argument rests on, with the
     moderateness of the five weights, in one pass of a
     :class:`framelift.matalg.PairScan`: over row slabs, or, when the
@@ -190,8 +194,9 @@ def lifting_theorem_pipeline(
     synthesis matrix, and each row of the difference is divided by the same
     row of the moduli of the right side's factors applied to the probe's
     moduli (see :func:`_probe_residuals`); (iv) condition B on each
-    requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} come from
-    the k x k core, which step (i) already built when m = 1 (for another m
+    requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} are
+    sigma_max(K) and sigma_max(K^{-1}) (at least 1 when k < n) of the k x k
+    core, which step (i) already built and read when m = 1 (for another m
     a core on m sqrt(mu) reuses step (i)'s certificate, which is
     unweighted); the p = 1 and
     p = inf norms are the column and row sums of the moduli of B_w and of
@@ -318,7 +323,7 @@ def lifting_theorem_pipeline(
     Bw = core.matrix() if need_entries else None
     Bw_inv = core.inverse_matrix() if need_entries and invertible else None
     # From here on the factors are read only through Bw and Bw_inv: the
-    # core's K, K^{-1} and W go now.
+    # core's K and W go now.
     del core, O, M_rec
     for p in ps:
         fwd = matalg.operator_norm(Bw, p, n2=n2)

@@ -17,7 +17,9 @@ inner side of every bracket; a map pair keeps its draws across p
 (:meth:`_Factored.sampled_ratios`). :func:`map_constants` owns the constants
 between two coefficient maps, the lifting constants among them: exact
 generalized singular values at p = 2, certified brackets otherwise;
-:func:`upper_constant` is its upper side alone.
+:func:`upper_constant` is its upper side alone. :func:`sigma_max` finds a
+2-norm, the largest singular value, by Golub-Kahan-Lanczos in a few
+matrix-vector products where no other singular value is needed.
 
 Invertibility verdicts are a posteriori certificates (Rump, "Verification
 methods: rigorous results using floating-point arithmetic", Acta Numerica
@@ -44,6 +46,9 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Seeded draws behind the inner side of a bracket: map_constants, operator_norm.
 MAP_SAMPLES = 256
 NORM_SAMPLES = 64
+# Golub-Kahan-Lanczos (sigma_max) stops once its top Ritz residual is at most
+# this many times u times the Ritz value.
+LANCZOS_RTOL = 4
 # Rows alive at a time when an n x n matrix is read in row slabs: the moduli
 # sums of _moduli_sums, a PairScan's pair constants, the Gram identities.
 SLAB_ROWS = 256
@@ -493,6 +498,84 @@ def _induced_norm_exact(T, p) -> float:
     if p == 2:
         return float(np.linalg.svd(T, compute_uv=False)[0])
     raise ValueError("exact induced norms only for p in {1, 2, inf}")
+
+
+def sigma_max(A: np.ndarray) -> float:
+    """Largest singular value of the square matrix A by Golub-Kahan-Lanczos
+    bidiagonalization (Golub and Kahan, SIAM J. Numer. Anal. B 2, 1965).
+
+    From a seeded unit start vector v_1 the recurrences
+
+        alpha_j u_j = A v_j - beta_{j-1} u_{j-1},
+        beta_j v_{j+1} = A^H u_j - alpha_j v_j
+
+    build orthonormal U_j and V_j with A V_j = U_j B_j, B_j upper
+    bidiagonal (alpha on the diagonal, beta above it). Each new vector is
+    orthogonalized against all the earlier ones, twice, so both bases stay
+    orthonormal to working precision. The estimate is the top Ritz value
+    theta = sigma_max(B_j), the square root of the top eigenvalue of the
+    real tridiagonal T = B_j^T B_j: with T q = theta^2 q, the Ritz vectors
+    x = V_j q and y = U_j B_j q / theta have A x = theta y and
+    ||A^H y - theta x|| = alpha_j beta_j |q_j| / theta, and some singular
+    value of A lies within that residual of theta. The run stops once the
+    residual is at most LANCZOS_RTOL u theta. Otherwise it stops at step n,
+    where the bidiagonalization is complete and B_n has the singular
+    values of A; an alpha_j or beta_j of exactly 0 (an invariant subspace:
+    the zero matrix, the identity) ends it before. A^H u is applied as
+    conj(conj(u) A), so no transposed copy of A is made, and after j steps
+    the bases hold 2 j n numbers.
+    """
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("sigma_max takes a square matrix")
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n)
+    if np.iscomplexobj(A):  # a real A keeps real vectors, so A is never cast
+        v = v + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    U, V, alphas, betas = [], [], [], []
+    u, beta = np.zeros_like(v), 0.0
+    while True:
+        V.append(v)
+        u = _orthogonalize(A @ v - beta * u, U)
+        alpha = float(np.linalg.norm(u))
+        alphas.append(alpha)
+        if alpha == 0.0:
+            return _top_ritz(alphas, betas)[0]
+        u /= alpha
+        U.append(u)
+        v = _orthogonalize((u.conj() @ A).conj() - alpha * v, V)
+        beta = float(np.linalg.norm(v))
+        betas.append(beta)
+        theta, q_last = _top_ritz(alphas, betas)
+        if alpha * beta * abs(q_last) <= LANCZOS_RTOL * UNIT_ROUNDOFF * theta**2 or len(alphas) == n:
+            return theta
+        v /= beta
+
+
+def _orthogonalize(x: np.ndarray, basis: list) -> np.ndarray:
+    """x minus its projection on the span of the orthonormal vectors in
+    ``basis``, taken twice (classical Gram-Schmidt with one
+    reorthogonalization)."""
+    if basis:
+        R = np.array(basis)
+        for _ in range(2):
+            x = x - (R @ x.conj()).conj() @ R
+    return x
+
+
+def _top_ritz(alphas: list, betas: list) -> tuple:
+    """(sigma_max(B), last entry of its right singular vector) for the upper
+    bidiagonal B with ``alphas`` on the diagonal and the first
+    len(alphas) - 1 ``betas`` above it, from the top eigenpair of the
+    tridiagonal B^T B."""
+    a, b = np.array(alphas), np.array(betas[: len(alphas) - 1])
+    T = np.diag(a**2)
+    T[1:, 1:] += np.diag(b**2)
+    i = np.arange(len(b))
+    T[i, i + 1] = T[i + 1, i] = a[:-1] * b
+    lam, Q = np.linalg.eigh(T)
+    return float(np.sqrt(max(lam[-1], 0.0))), float(Q[-1, -1])
 
 
 def _draws(n_samples: int, d: int, seed: int) -> np.ndarray:

@@ -15,8 +15,10 @@ invertible exactly when the d x d matrix I + Y X is. Every B_O verdict,
 those of ``verify`` and the lifting pipeline's alike, is Rump's certificate
 on that d x d Woodbury core (:func:`_certificate`): no QR, no SVD and no
 n x k array. :class:`_SplitCore` adds what the pipeline's p = 2 norms on a
-weighted space need, a k x k core of B_w (k = min(n, 2d)). The pipeline's
-identity checks apply B_O and B_O^H to probe vectors through X and Y, and
+weighted space need, a k x k core K of B_w (k = min(n, 2d)), whose largest
+singular value and that of K^{-1} come from Golub-Kahan-Lanczos
+(:func:`matalg.sigma_max`). The pipeline's identity checks apply B_O and
+B_O^H to probe vectors through X and Y, and
 its p = 1 and p = inf norms of B_w and of the Woodbury inverse B_w^{-1}
 are read from their factors one row slab at a time. The spectral-invariance suite reports
 upper constants only, so it factorizes neither O's coefficient map nor
@@ -75,14 +77,6 @@ class Slots(Enum):
 
 def _pick(frame: Frame, which: str) -> Frame:
     return frame if which == "frame" else frame.canonical_dual()
-
-
-def _extremes(sv: np.ndarray, n: int) -> tuple:
-    """(sigma_min, sigma_max) of an n x n matrix that is a k x k core with
-    singular values sv on ran(Q) and the identity on its complement."""
-    if sv.shape[0] < n:
-        sv = np.append(sv, 1.0)
-    return float(sv.min()), float(sv.max())
 
 
 def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, out=None, error_map: bool = True) -> tuple:
@@ -198,13 +192,18 @@ class _SplitCore:
     such a core forms Y alone, with no error map and no second
     certificate.
 
-    The p = 2 norms need the singular values of B_w. With Q (n x k, k < n)
-    an orthonormal basis of the span of ran(X_w) and ran(Y_w^H), B_w equals
+    The p = 2 norms need the extreme singular values of B_w. With Q
+    (n x k, k < n) an orthonormal basis of the span of ran(X_w) and
+    ran(Y_w^H), B_w equals
     K = I_k + (Q^H X_w)(Y_w Q) on ran(Q) and the identity on its
     complement: the compression behind the Sherman-Morrison-Woodbury
     formula (Golub & Van Loan, Matrix Computations). Its singular values
     are those of K, plus 1. Q is a thin QR of [X_w, Y_w^H] and k = 2d; when
     2d >= n there is nothing to compress, and K = I_n + X_w Y_w itself.
+    Only sigma_max(K) and sigma_max(K^{-1}) are read, each by
+    Golub-Kahan-Lanczos (:func:`matalg.sigma_max`) in a few matrix-vector
+    products; a values-only SVD of K is made only for the sigma_min of a
+    core the certificate does not pass (:attr:`sigma`).
     ``w = None`` is the unit weight.
 
     What is held: X and Y are written as the two blocks of one column-major
@@ -212,7 +211,8 @@ class _SplitCore:
     they rescaled in place to X_w and Y_w, so the QR of [X_w, Y_w^H] reads
     the buffer itself. The certificate's temporaries and Y's error map
     (with |P|) are freed before the QR is made, and Q after K is formed.
-    Past the constructor the core keeps X_w, Y_w, W, K and K^{-1}.
+    Past the constructor the core keeps X_w, Y_w, W and K; K^{-1} lives
+    only while :attr:`inverse_norm` is read.
     """
 
     def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None, certified=None):
@@ -238,10 +238,6 @@ class _SplitCore:
             Xq, Yq = Q.conj().T @ X, Y @ Q
             del Q
         self.K = np.eye(Xq.shape[0]) + Xq @ Yq
-        try:
-            self.K_inv = np.linalg.inv(self.K)
-        except np.linalg.LinAlgError:  # B_w may be singular
-            self.K_inv = None
 
     def invertible(self) -> bool:
         """Rump's certificate: :attr:`certificate_margin` < 1 proves B_O,
@@ -251,22 +247,39 @@ class _SplitCore:
 
     @functools.cached_property
     def sigma(self) -> tuple:
-        """(sigma_min, sigma_max) of B_w: the extremes of sigma(K), and 1
-        when k < n."""
-        return _extremes(np.linalg.svd(self.K, compute_uv=False), self.n)
+        """(sigma_min, sigma_max) of B_w.
+
+        sigma_max is sigma_max(K) by Golub-Kahan-Lanczos, and at least 1
+        when k < n. A certified core's sigma_min is 1 / :attr:`inverse_norm`,
+        the number step (iv) reports. Where the certificate fails, B_w may
+        be singular, so nothing iterates on an inverse: sigma_min is the
+        smallest value of a values-only SVD of K, and at most 1 when k < n.
+        """
+        top = matalg.sigma_max(self.K)
+        if self.invertible():
+            low = 1.0 / self.inverse_norm
+        else:
+            low = float(np.linalg.svd(self.K, compute_uv=False)[-1])
+        if self.K.shape[0] < self.n:  # B_w is the identity off ran(Q)
+            low, top = min(low, 1.0), max(top, 1.0)
+        return low, top
 
     @functools.cached_property
     def inverse_norm(self) -> float:
-        """||(diag(w) B_O diag(1/w))^{-1}||_2 = max(sigma_max(K^{-1}), 1).
+        """||(diag(w) B_O diag(1/w))^{-1}||_2 = sigma_max(K^{-1}), and at
+        least 1 when k < n, by Golub-Kahan-Lanczos on the explicit K^{-1}.
 
-        Taken from the explicit K^{-1}, not as 1/sigma_min(K): a
+        Taken from the LU-based inverse, not as 1/sigma_min(K): a
         values-only SVD loses relative accuracy in sigma_min when B_O is
-        badly scaled, while the LU-based inverse keeps it. A K that LAPACK
-        finds singular gives inf.
+        badly scaled, while the inverse keeps it. A K that LAPACK finds
+        singular gives inf.
         """
-        if self.K_inv is None:
+        try:
+            K_inv = np.linalg.inv(self.K)
+        except np.linalg.LinAlgError:  # B_w may be singular
             return np.inf
-        return _extremes(np.linalg.svd(self.K_inv, compute_uv=False), self.n)[1]
+        top = matalg.sigma_max(K_inv)
+        return top if self.K.shape[0] == self.n else max(top, 1.0)
 
     def matrix(self) -> matalg._SlabMatrix:
         """B_w = diag(w) B_O diag(1/w) = I + X_w Y_w, held as its factors

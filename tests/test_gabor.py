@@ -7,6 +7,7 @@ from framelift import matalg
 from framelift.coorbit import sweep
 from framelift.frames import NotAFrameError
 from framelift.gabor import (
+    WINDOW_FLOOR,
     GaborFamily,
     TFLattice,
     gabor_system,
@@ -71,7 +72,21 @@ class TestWindow:
             assert g[t] == pytest.approx(g[32 - t])
 
     def test_strictly_positive(self):
-        assert (gaussian_window(24) > 0).all()
+        # Up to N = 256 no entry falls below the floor (the smallest is 2.8e-88).
+        for N in (24, 256):
+            assert (gaussian_window(N) > 0).all()
+
+    @pytest.mark.parametrize("N", [512, 1024])
+    def test_no_entry_below_the_floor(self, N):
+        # Entries below 2^-500 of the largest are zero, so no product of two
+        # entries is subnormal; the window keeps its norm and its symmetry.
+        g = gaussian_window(N)
+        kept = g[g > 0]
+        assert not np.any(kept < WINDOW_FLOOR * g.max())
+        assert kept.min() ** 2 >= np.finfo(float).tiny
+        assert np.count_nonzero(g == 0) > 0
+        assert np.linalg.norm(g) == pytest.approx(1.0)
+        assert np.array_equal(g[1:], g[:0:-1])
 
     def test_tiny_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Weighted conjugation, pseudo-inverses, induced norms, and decay bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,95 @@ class TestOperatorNorm:
             assert matalg.operator_norm(D, p) == pytest.approx(3.0)
         lo, hi = matalg.operator_norm(D, 1.7)
         assert lo <= 3.0 <= hi
+
+
+class _Counted(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def _counted(A: np.ndarray) -> _Counted:
+    A = A.view(_Counted)
+    A.products = 0
+    return A
+
+
+def _graded(rng, n):
+    """A complex matrix with rows and columns scaled over 7 orders of magnitude."""
+    w = np.exp(rng.uniform(-8.0, 8.0, n))
+    return matalg.conjugate(cmat(rng, n), w)
+
+
+class TestSigmaMax:
+    """Golub-Kahan-Lanczos sigma_max against LAPACK's dense SVD."""
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 200])
+    @pytest.mark.parametrize("kind", ["plain", "real", "graded", "identity+low-rank"])
+    def test_matches_dense_svd(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "plain":
+            A = cmat(rng, n)
+        elif kind == "real":
+            A = rng.standard_normal((n, n))
+        elif kind == "graded":
+            A = _graded(rng, n)
+        else:  # I + X Y with inner dimension d >= n/2, as a core with 2d >= n
+            d = max(1, (n + 1) // 2)
+            w = np.exp(rng.uniform(-4.0, 4.0, n))
+            A = np.eye(n) + (w[:, None] * cmat(rng, n, d)) @ (cmat(rng, d, n) / w[None, :])
+        want = np.linalg.svd(A, compute_uv=False)[0]
+        assert matalg.sigma_max(A) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_degenerate_matrices_end_without_a_division_by_zero(self):
+        x, y = cmat(np.random.default_rng(5), 9, 2).T
+        with np.errstate(all="raise"):
+            assert matalg.sigma_max(np.zeros((9, 9))) == 0.0
+            assert matalg.sigma_max(np.eye(9)) == pytest.approx(1.0, rel=1e-15)
+            rank_one = matalg.sigma_max(np.outer(x, y.conj()))
+        assert rank_one == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y), rel=1e-14)
+
+    def test_repeated_calls_are_identical(self, rng):
+        A = _graded(rng, 50)
+        assert matalg.sigma_max(A) == matalg.sigma_max(A) == matalg.sigma_max(A.copy())
+
+    def test_run_ends_within_the_dimension(self):
+        # A separated top value converges in a few steps. On evenly spaced
+        # singular values the residual is still 65 u sigma at step n - 1, and
+        # the run stops at step n, where the bidiagonalization is complete.
+        # Each step takes one product with A and one with A^H.
+        rng = np.random.default_rng(2)
+        n = 40
+        P, Q = (np.linalg.qr(cmat(rng, n))[0] for _ in range(2))
+        separated = _counted((P * np.concatenate([[10.0], rng.uniform(0.0, 1.0, n - 1)])) @ Q.conj().T)
+        assert matalg.sigma_max(separated) == pytest.approx(10.0, rel=1e-14)
+        assert separated.products <= 16
+        even = _counted((P * np.linspace(1.0, 0.5, n)) @ Q.conj().T)
+        assert matalg.sigma_max(even) == pytest.approx(1.0, rel=1e-14)
+        assert even.products == 2 * n
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_holds_no_copy_of_the_matrix(self, dtype):
+        # A k x k copy (A^H, or a complex cast of a real A) would trace
+        # A.nbytes. With a separated top value the run takes a few steps,
+        # and its bases and temporaries stay far below that.
+        rng = np.random.default_rng(9)
+        k = 400
+        A = rng.standard_normal((k, k)) * np.exp(rng.uniform(-8.0, 8.0, k))
+        if dtype is complex:
+            A = A + 1j * rng.standard_normal((k, k))
+        A += 1e3 * np.abs(A).max() * np.outer(rng.standard_normal(k), rng.standard_normal(k))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            matalg.sigma_max(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * A.nbytes
 
 
 class TestDecayConstant:

@@ -388,9 +388,9 @@ class TestCertificate:
     @pytest.mark.parametrize(
         "case, margin, sigma, inverse_norm",
         [
-            ("gabor32-t6", 0.0005043599374219882, (0.01342640112271667, 18299392.94266976), 74.48012247361149),
-            ("verify32-dual-dual", 2.3619959584879194e-08, (0.9999999999999993, 474.38351729625583), 1.0000000000000007),
-            ("random14x8-Q-None", 6.873646593046427e-11, (0.0022980607670503883, 1670.4903111004035), 435.1495027189911),
+            ("gabor32-t6", 0.0005043599374219882, (0.01342640112271973, 18299392.942669757), 74.48012247361147),
+            ("verify32-dual-dual", 2.3619959584879194e-08, (1.0, 474.38351729625595), 1.0),
+            ("random14x8-Q-None", 6.873646593046427e-11, (0.0022980607670503904, 1670.4903111004035), 435.1495027189908),
         ],
     )
     def test_core_numbers_are_pinned(self, case, margin, sigma, inverse_norm):
@@ -400,7 +400,9 @@ class TestCertificate:
         # The cores: a weighted Gabor core with k = 2d, a unit-weight slot
         # core on a Gabor frame (k = 2d: its [X, Y^H] has rank d, so the QR
         # adds d directions on which K is the identity up to rounding), and
-        # one with 2d >= n, where K is B_w itself.
+        # one with 2d >= n, where K is B_w itself. Every pinned sigma and
+        # inverse norm is within 1.2e-15 relative of the 40-digit mpmath
+        # singular values of the float K.
         if case == "gabor32-t6":
             core = _gabor_core(32, 6.0)[0]
         elif case == "verify32-dual-dual":
@@ -417,6 +419,18 @@ class TestCertificate:
         assert core.certificate_margin == margin
         assert core.sigma == sigma
         assert core.inverse_norm == inverse_norm
+
+    def test_certified_core_makes_no_svd(self, monkeypatch):
+        # Both extremes come from Golub-Kahan-Lanczos, and sigma_min is the
+        # reciprocal of the inverse norm step (iv) reports.
+        core = _gabor_core(32, 6.0)[0]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the core made an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert core.invertible()
+        assert core.sigma[0] == 1.0 / core.inverse_norm
 
     def test_constant_symbol_lift_on_a_redundant_frame_matches_dense(self):
         # A constant mu gives a flat weight: [X, Y^H] has rank d, and the

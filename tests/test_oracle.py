@@ -14,6 +14,10 @@ everything after them runs at 50 digits. With x = R y for S = R R^H, the
 pencil is congruent to (Z^H Y_r Z, Y), where Y = R^-1 M_mu R^-H, Y_r =
 R^-1 M_{1/mu} R^-H and Z = R^-1 M_mu R, so only triangular matrices are
 inverted.
+
+The extreme singular values of the splitting core K (see
+:class:`framelift.multipliers._SplitCore`) are checked the same way: the
+float K that framelift holds, with its singular values at 40 digits.
 """
 
 import functools
@@ -24,7 +28,8 @@ import numpy as np
 import pytest
 
 from framelift.coorbit import lifting_constants
-from framelift.gabor import gabor_system
+from framelift.gabor import TFLattice, gabor_system
+from framelift.multipliers import _SplitCore, multiplier
 from framelift.weights import Weight
 
 DPS = 50
@@ -99,3 +104,26 @@ def test_p2_constants_match_mpmath(case):
     lo, hi = lifting_constants(psi, mu, p=2)
     assert lo == pytest.approx(lo_ref, rel=RTOL, abs=0)
     assert hi == pytest.approx(hi_ref, rel=RTOL, abs=0)
+
+
+def test_core_extremes_match_mpmath():
+    # Gabor N = 16 (k = 32), mu = (1+|x|)^6, on l^2_sqrt(mu): sigma_min /
+    # sigma_max is 2.5e-8. The values-only SVD's sigma_min is 8.9e-14 off
+    # the reference, 1/sigma_max(K^-1) 1.6e-16.
+    lat = TFLattice.balanced(16, 4)
+    psi = gabor_system(lat.N, lat.a, lat.b)
+    mu = Weight.polynomial(psi.index_set, 6.0).values
+    core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=np.sqrt(mu))
+    assert core.invertible()
+    with mp.workdps(40):
+        K = mp.matrix([[mp.mpc(x.real, x.imag) for x in row] for row in core.K.tolist()])
+        sv = mp.svd_c(K, compute_uv=False)
+        lo, hi = min(sv), max(sv)
+
+        def err(x):
+            return float(abs(mp.mpf(float(x)) - lo) / lo)
+
+        svd_lo = np.linalg.svd(core.K, compute_uv=False)[-1]
+        assert core.sigma[1] == pytest.approx(float(hi), rel=1e-14, abs=0)
+        assert err(core.sigma[0]) <= err(svd_lo)
+        assert err(core.sigma[0]) <= 1e-14
