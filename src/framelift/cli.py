@@ -1,8 +1,9 @@
 """Command-line driver: verify identities, run lifting experiments, export data.
 
 Design constraints the code must honor:
-- determinism: a fixed config and seed produce byte-identical reports, so
-  JSON is dumped with sorted keys and no timestamps;
+- determinism: a fixed config and seed produce byte-identical reports at
+  a fixed BLAS thread count (threaded products may round in another
+  order), so JSON is dumped with sorted keys and no timestamps;
 - atomicity: every report is written to a temporary file in the target
   directory and renamed into place;
 - exit codes: 0 success, 1 numerical failure (identity above tolerance, or
@@ -169,6 +170,14 @@ def _parse_nonnegative(value, key: str) -> float:
     return float(value)
 
 
+def _parse_file_name(name) -> str:
+    """A bare file name for export: a nonempty string that names no
+    directory, so every file export writes stays inside ``--out``."""
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"'name' must be a bare file name, got {name!r}")
+    return name
+
+
 def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     frame = build_frame(_require(cfg, "frame", dict, "verify"), seed)
     if not frame.is_frame:
@@ -309,7 +318,7 @@ def cmd_export(cfg: dict, out_dir: Path, seed: int) -> int:
     fmt = cfg.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError("format must be 'json' or 'csv'")
-    name = cfg.get("name", what)
+    name = _parse_file_name(cfg.get("name", what))
     if what == "frame":
         if fmt != "json":
             raise ConfigError("frames export as JSON only")

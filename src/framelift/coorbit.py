@@ -201,8 +201,9 @@ def lifting_theorem_pipeline(
     unweighted); the p = 1 and
     p = inf norms are the column and row sums of the moduli of B_w and of
     the Woodbury inverse I - X_w (W Y_w) of step (i)'s certificate, read
-    from their factors (inner dimension d) one row slab at a time, and
-    other p interpolate them with sampled draws applied through the
+    from their factors (inner dimension d, for every k) one row slab at a
+    time, and other p interpolate them, with an inner end from
+    ``matalg.MAP_SAMPLES`` draws seeded by 0 applied through the same
     factors; (v) check on the same probes that the
     reversed composition B_rev = Mat(M_mu M_{1/mu}) + (I - G_{Psi,Psid})
     equals B^H, which holds because M_mu, M_{1/mu} and G_{Psi,Psid} are

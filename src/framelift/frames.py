@@ -46,6 +46,8 @@ class Frame:
         V = np.asarray(vectors, dtype=complex)
         if V.ndim != 2 or V.shape[1] == 0:
             raise ValueError("vectors must be a d x n matrix with n >= 1")
+        if not np.all(np.isfinite(V)):
+            raise ValueError("frame vectors must be finite")
         self.vectors = V
         self.index_set = index_set if index_set is not None else IndexSet(np.arange(V.shape[1]))
         if len(self.index_set) != V.shape[1]:
@@ -117,9 +119,9 @@ class Frame:
     @classmethod
     def from_dict(cls, d: dict) -> "Frame":
         shape = (d["d"], d["n"])
-        V = np.asarray(d["vectors_real"]).reshape(shape) + 1j * np.asarray(
-            d["vectors_imag"]
-        ).reshape(shape)
+        V = np.empty(shape, dtype=complex)  # parts set apart: no 1j * inf = nan + inf j
+        V.real = np.reshape(d["vectors_real"], shape)
+        V.imag = np.reshape(d["vectors_imag"], shape)
         return cls(V, IndexSet.from_dict(d["index_set"]))
 
     @classmethod

@@ -12,11 +12,12 @@ spaces are computed through it.
 
 Induced l^p norms are computed here for the whole package:
 :func:`operator_norm` is exact for p in {1, 2, inf} and a bracket
-otherwise, and :func:`sampled_ratios` is the one seeded scan behind the
-inner side of every bracket; a map pair keeps its draws across p
-(:meth:`_Factored.sampled_ratios`). :func:`map_constants` owns the constants
-between two coefficient maps, the lifting constants among them: exact
-generalized singular values at p = 2, certified brackets otherwise;
+otherwise, and :func:`sampled_ratios` is the one seeded scan, of
+MAP_SAMPLES draws, behind the inner side of every bracket; a map pair
+keeps its draws across p (:meth:`_Factored.sampled_ratios`).
+:func:`map_constants` owns the constants between two coefficient maps,
+the lifting constants among them: exact generalized singular values at
+p = 2, certified brackets otherwise;
 :func:`upper_constant` is its upper side alone. :func:`sigma_max` finds a
 2-norm, the largest singular value, by Golub-Kahan-Lanczos in a few
 matrix-vector products where no other singular value is needed.
@@ -45,7 +46,6 @@ RANK_RTOL = 1e-10
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Seeded draws behind the inner side of a bracket: map_constants, operator_norm.
 MAP_SAMPLES = 256
-NORM_SAMPLES = 64
 # Golub-Kahan-Lanczos (sigma_max) stops once its top Ritz residual is at most
 # this many times u times the Ritz value.
 LANCZOS_RTOL = 4
@@ -453,32 +453,27 @@ def _moduli_sums(n: int, rows) -> tuple:
 
 
 class _SlabMatrix:
-    """An n x n matrix held as factors: I + U V with U n x k and V k x n,
-    or U itself when V is None. It is never assembled whole.
+    """An n x n matrix held as factors: I + U V with U n x k and V k x n.
+    It is never assembled whole.
 
     :func:`operator_norm` reads it in place of an array: its exact p = 1
     and p = inf norms come from :attr:`abs_sums`, and the sampled draws go
     through :meth:`apply`, so no n x n product is formed at once.
     """
 
-    def __init__(self, U: np.ndarray, V=None):
+    def __init__(self, U: np.ndarray, V: np.ndarray):
         self.U, self.V = U, V
         self.n = U.shape[0]
         self.shape = (self.n, self.n)
 
     def rows(self, i0: int, i1: int, out: np.ndarray) -> np.ndarray:
-        """Rows i0:i1 of the matrix, written into the complex buffer ``out``
-        when V is given."""
-        if self.V is None:
-            return self.U[i0:i1]
+        """Rows i0:i1 of the matrix, written into the complex buffer ``out``."""
         T = np.matmul(self.U[i0:i1], self.V, out=out)
         T.reshape(-1)[i0 :: self.n + 1] += 1.0  # entries (j, i0 + j): the identity's
         return T
 
     def apply(self, F: np.ndarray) -> np.ndarray:
         """F T^T: the matrix applied to each row of F."""
-        if self.V is None:
-            return F @ self.U.T
         return F + (F @ self.V.T) @ self.U.T
 
     @functools.cached_property
@@ -604,14 +599,15 @@ def sampled_ratios(A, B, p, n_samples: int, seed: int) -> np.ndarray:
     return _ratios(A.apply(F) if isinstance(A, _SlabMatrix) else F @ A.T, F if B is None else F @ B.T, p)
 
 
-def operator_norm(A, p, n2=None, seed: int = 0):
+def operator_norm(A, p, n2=None):
     """Induced norm of A on l^p. On a weighted space l^p_w, pass
     ``conjugate(A, w)``. A is an array or a :class:`_SlabMatrix`, which
     needs n2 for p = 2 and 1 < p < inf.
 
     p in {1, 2, inf}: exact value as a float. Other p in (1, inf): a
     (lower, upper) bracket; the upper bound interpolates the exact
-    p = 1, 2, inf norms, the lower bound is a scan of NORM_SAMPLES draws.
+    p = 1, 2, inf norms, the lower bound is a scan of MAP_SAMPLES draws
+    seeded by 0, as :func:`map_constants` makes by default.
 
     n2, when given, is the exact 2-norm of A, known without an SVD of it
     (a low-rank update of the identity, a product of thin factors); A is
@@ -627,7 +623,7 @@ def operator_norm(A, p, n2=None, seed: int = 0):
         raise ValueError("p must lie in [1, inf]")
     if n2 is None:
         n2 = _induced_norm_exact(A, 2)
-    lower = float(np.max(sampled_ratios(A, None, p, NORM_SAMPLES, seed), initial=0.0))
+    lower = float(np.max(sampled_ratios(A, None, p, MAP_SAMPLES, 0), initial=0.0))
     return (lower, interpolated_upper(A, p, n2))
 
 

@@ -283,9 +283,7 @@ class _SplitCore:
 
     def matrix(self) -> matalg._SlabMatrix:
         """B_w = diag(w) B_O diag(1/w) = I + X_w Y_w, held as its factors
-        (K itself when K is n x n)."""
-        if self.K.shape[0] == self.n:
-            return matalg._SlabMatrix(self.K)
+        X_w and Y_w: inner dimension d, whatever k is."""
         return matalg._SlabMatrix(self.X, self.Y)
 
     def inverse_matrix(self) -> matalg._SlabMatrix:

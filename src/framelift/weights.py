@@ -44,11 +44,13 @@ class IndexSet:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, D) array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("index set points must be finite")
         if metric not in (EUCLIDEAN, TORUS):
             raise ValueError(f"unknown metric {metric!r}")
         if metric == TORUS:
-            if period is None or period <= 0:
-                raise ValueError("torus metric requires a positive period")
+            if period is None or not 0 < period < np.inf:
+                raise ValueError("torus metric requires a finite positive period")
             period = float(period)
         else:
             period = None

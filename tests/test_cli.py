@@ -356,6 +356,40 @@ class TestConfigErrors:
         assert f"config error: '{key}':" in err
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["verify", "lift", "export"])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("vectors_real", np.nan),
+            ("vectors_imag", np.inf),
+            ("points", np.nan),
+            ("points", -np.inf),
+            ("period", np.nan),
+            ("period", np.inf),
+        ],
+    )
+    def test_non_finite_json_frame_is_a_bad_frame_spec(self, tmp_path, capsys, command, field, bad):
+        # json writes and reads NaN and Infinity.
+        frame = gabor_system(8, 2, 2).to_dict()
+        if field == "points":
+            frame["index_set"]["points"][1][0] = bad
+        elif field == "period":
+            frame["index_set"]["period"] = bad
+        else:
+            frame[field][3] = bad
+        spec = {"type": "json", "path": _write(tmp_path, "frame.json", frame)}
+        cfg = {
+            "verify": {"kind": "verify", "frame": spec},
+            "lift": {"kind": "custom-frame", "frame": spec, "ps": [1, 2]},
+            "export": {"kind": "export", "what": "gram", "name": "G", "frame": spec},
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad frame spec:")
+        assert "finite" in err
+        assert list(out.iterdir()) == []
+
     def test_unknown_frame_type(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -581,6 +615,19 @@ class TestExport:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "name", ["../escaped", "ABSOLUTE", "sub/G", "sub\\G", "", ".", "..", "G\0", ["G"], 3, None]
+    )
+    def test_name_that_is_not_a_bare_file_name_is_a_config_error(self, tmp_path, capsys, name):
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "absolute")
+        (tmp_path / "run" / "out" / "sub").mkdir(parents=True)  # so "sub/G" would be writable
+        cfg = {"kind": "export", "what": "gram", "name": name, "frame": {"type": "onb", "d": 2}}
+        path = _write(tmp_path, "gram.json", cfg)
+        assert main(["export", "--config", path, "--out", str(tmp_path / "run" / "out")]) == 2
+        assert "'name' must be a bare file name" in capsys.readouterr().err
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [Path(path)]
 
     def test_fock_spec_reads_every_field(self):
         spec = {"type": "fock", "delta": 0.8, "R": 2.0, "jitter": 0.05, "seed": 3}

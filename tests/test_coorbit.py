@@ -615,3 +615,19 @@ class TestSlabNorms:
         for slab, dense in zip((core.matrix(), core.inverse_matrix()), _assembled(core)):
             got = matalg.sampled_ratios(slab, None, 3, 16, seed=4)
             np.testing.assert_allclose(got, matalg.sampled_ratios(dense, None, 3, 16, seed=4), rtol=1e-13)
+
+    def test_p3_lower_ends_scan_every_map_sample(self):
+        # Step (iv) scans MAP_SAMPLES draws, whose first 64 are the 64-draw
+        # scan's: each lower end is at least that scan's and stays inside
+        # its bracket.
+        psi, mu, m = _gabor(32, 6.0)
+        core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=np.sqrt(mu))
+        assert core.invertible()
+        report = lifting_theorem_pipeline(psi, mu, ps=(3,))
+        got = report["residuals"]["step_iv"]["3"]
+        for key, slab in (("B_norm", core.matrix()), ("B_inv_norm", core.inverse_matrix())):
+            lower, upper = got[key]
+            assert matalg.sampled_ratios(slab, None, 3, 64, seed=0).max() <= lower <= upper
+            assert lower == matalg.sampled_ratios(slab, None, 3, matalg.MAP_SAMPLES, seed=0).max()
+        (lo, hi), (rlo, rhi) = got["B_norm"], got["B_inv_norm"]
+        assert got["condition_bracket"] == (lo * rlo, hi * rhi)

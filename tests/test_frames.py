@@ -53,6 +53,13 @@ class TestBasics:
         A, B = fr.bounds
         assert (A, B) == pytest.approx((2.0, 2.0), abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_vectors(self, bad):
+        V = np.eye(3, dtype=complex)
+        V[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Frame(V)
+
     def test_gabor_z16_square_lattice_bounds(self):
         fr = gabor_system(16, 2, 2)
         A, B = fr.bounds

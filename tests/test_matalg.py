@@ -133,12 +133,18 @@ class TestOperatorNorm:
         A = cmat(np.random.default_rng(11), 12)
         draws = np.random.default_rng(0)
         best = 0.0
-        for _ in range(64):
+        for _ in range(matalg.MAP_SAMPLES):
             v = draws.standard_normal(12) + 1j * draws.standard_normal(12)
             num = float((np.abs(A @ v) ** 3).sum() ** (1 / 3))
             best = max(best, num / float((np.abs(v) ** 3).sum() ** (1 / 3)))
         lo, _ = matalg.operator_norm(A, 3)
         assert lo == pytest.approx(best, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("d, seed", [(1, 0), (12, 0), (40, 7)])
+    def test_fewer_draws_are_the_first_draws_of_the_scan(self, d, seed):
+        # A seed fixes draw i whatever the count, so a longer scan can only
+        # raise the lower end of a bracket.
+        np.testing.assert_array_equal(matalg._draws(matalg.MAP_SAMPLES, d, seed)[:64], matalg._draws(64, d, seed))
 
     def test_diagonal_matrix_all_p_agree(self):
         D = np.diag([3.0, -1.0, 2.0])

@@ -230,8 +230,6 @@ def test_product_sums_equal_the_dense_sums(slab_rows, n, d):
 
 def _assembled(slab: matalg._SlabMatrix) -> np.ndarray:
     """The whole matrix, in the operations of its rows: U V, then + 1 on the diagonal."""
-    if slab.V is None:
-        return slab.U
     T = slab.U @ slab.V
     T[np.diag_indices(slab.n)] += 1.0
     return T
@@ -241,7 +239,7 @@ def _assembled(slab: matalg._SlabMatrix) -> np.ndarray:
 @pytest.mark.parametrize("d_core", [False, True], ids=["core2d", "coreN"])
 def test_abs_sums_equal_the_dense_sums(slab_rows, frame, d_core):
     psi = _identity_frames()[frame]
-    if d_core:  # 2d >= n: the core is B itself, so B_w is held as K with V = None
+    if d_core:  # 2d >= n: the core K is B_w itself, and B_w is read from X_w and Y_w all the same
         psi = Frame(psi.vectors[:, : 2 * psi.d - 1], IndexSet(np.arange(2 * psi.d - 1)))
     rng = np.random.default_rng(psi.n)
     O = rng.standard_normal((psi.d, psi.d)) + 1j * rng.standard_normal((psi.d, psi.d)) + 4 * np.eye(psi.d)
@@ -249,6 +247,8 @@ def test_abs_sums_equal_the_dense_sums(slab_rows, frame, d_core):
     assert (core.K.shape[0] == psi.n) is d_core
     for slab in (core.matrix(), core.inverse_matrix()):
         assert slab.abs_sums == _dense_sums(_assembled(slab))
+    if d_core:  # the slab sums of the factors equal those of the assembled K bit for bit
+        assert core.matrix().abs_sums == _dense_sums(core.K)
 
 
 @pytest.mark.parametrize("phase", ["gram_identities_check", "spectral_invariance_suite"])

@@ -37,6 +37,16 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet(np.array([[0.0], [1.0]]), metric=TORUS)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IndexSet(np.array([[0.0, 1.0], [bad, 2.0]]))
+
+    @pytest.mark.parametrize("period", [np.nan, np.inf, 0.0, -1.0])
+    def test_torus_period_must_be_finite_and_positive(self, period):
+        with pytest.raises(ValueError, match="finite positive period"):
+            IndexSet(np.array([[0.0], [1.0]]), metric=TORUS, period=period)
+
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
             IndexSet(np.array([[1.0], [1.0]]))
