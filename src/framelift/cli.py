@@ -193,7 +193,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
     identities = frames.gram_identities_check(frame, rtol=tol)
     M = multipliers.multiplier(mu, frame)
     coercivity = coercivity_check(frame, mu, seed=seed, tol=max(tol, 1e-12), M=M)
-    suite = multipliers.spectral_invariance_suite(M, frame, weights, ps, s)
+    suite = multipliers.spectral_invariance_suite(M, frame, weights, ps, s, seed)
 
     residuals = {k: v for k, v in identities.items() if isinstance(v, float)}
     residuals["coercivity_identity"] = coercivity["identity_residual"]

@@ -35,21 +35,22 @@ from .weights import UNIT_SPEC, Weight, keyed_weight, weight_values
 IDENTITY_RTOL = 1e-10
 # Seeded probe vectors on which identities (iii) and (v) are checked.
 PROBES = 4
+# Seeded random vectors on which coercivity_check checks the quadratic form.
+COERCIVITY_DRAWS = 100
 # Reporting flag only: a pairwise moderateness constant above this makes the
 # weight behave non-polynomially at desk scale (nothing fails on it).
 MODERATE_FLAG = 1e3
 
 
-def coercivity_check(
-    psi: Frame, mu, n_random: int = 100, seed: int = 0, tol: float = 1e-12, M=None
-) -> dict:
+def coercivity_check(psi: Frame, mu, seed: int = 0, tol: float = 1e-12, M=None) -> dict:
     """The sesquilinear coercivity identity and its two-sided constants.
 
-    [f,f] = <M_mu f, f> = sum_k mu_k |<f,psi_k>|^2 is checked on random
-    draws; the ambient constants are the eigenvalue extremes of M_mu, and
-    the constants relative to ||f||^2_{H^2_sqrt(mu)} are the p = 2
-    constants of :func:`map_constants` between X = diag(sqrt(mu)) C_Psi and
-    diag(sqrt(mu)) C_Psid, whose Gram matrices are the two quadratic forms.
+    [f,f] = <M_mu f, f> = sum_k mu_k |<f,psi_k>|^2 is checked on
+    COERCIVITY_DRAWS random draws seeded by ``seed``; the ambient constants
+    are the eigenvalue extremes of M_mu, and the constants relative to
+    ||f||^2_{H^2_sqrt(mu)} are the p = 2 constants of :func:`map_constants`
+    between X = diag(sqrt(mu)) C_Psi and diag(sqrt(mu)) C_Psid, whose Gram
+    matrices are the two quadratic forms.
     ``extremes_agreement`` is the relative gap between the eigenvalue
     extremes of M_mu and the squared singular value extremes of X, read
     from the SVD that :func:`map_constants` made of X. ``M`` is the matrix
@@ -63,7 +64,7 @@ def coercivity_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     C = psi.analysis_matrix  # a conjugated copy: read once, not once per draw
-    for _ in range(n_random):
+    for _ in range(COERCIVITY_DRAWS):
         f = rng.standard_normal(psi.d) + 1j * rng.standard_normal(psi.d)
         quad = np.vdot(f, M @ f)  # <M f, f> with vdot conjugating its first slot
         coeff = float(np.sum(muv * np.abs(C @ f) ** 2))
@@ -198,15 +199,17 @@ def lifting_theorem_pipeline(
     sigma_max(K) and sigma_max(K^{-1}) (at least 1 when k < n) of the k x k
     core, which step (i) already built and read when m = 1 (for another m
     a core on m sqrt(mu) reuses step (i)'s certificate, which is
-    unweighted); the p = 1 and
-    p = inf norms are the column and row sums of the moduli of B_w and of
-    the Woodbury inverse I - X_w (W Y_w) of step (i)'s certificate, read
-    from their factors (inner dimension d, for every k) one row slab at a
-    time, and other p interpolate them, with an inner end from
-    ``matalg.MAP_SAMPLES`` draws seeded by 0 applied through the same
-    factors; (v) check on the same probes that the
-    reversed composition B_rev = Mat(M_mu M_{1/mu}) + (I - G_{Psi,Psid})
-    equals B^H, which holds because M_mu, M_{1/mu} and G_{Psi,Psid} are
+    unweighted); every other p is read by two calls of
+    :func:`framelift.matalg.operator_norm`, on the factors (X_w, Y_w) of
+    B_w and (X_w, -(W Y_w)) of the Woodbury inverse of step (i)'s
+    certificate (inner dimension d, for every k): each reads the column
+    and row sums of its matrix's moduli once, the exact p = 1 and p = inf
+    norms, which the upper ends of other p interpolate, and makes one set
+    of ``matalg.MAP_SAMPLES`` draws seeded by 0 for the inner ends of all
+    p outside {1, 2, inf}, each at least 1 when d < n; (v) check on the
+    same probes that the reversed composition
+    B_rev = Mat(M_mu M_{1/mu}) + (I - G_{Psi,Psid}) equals B^H, which
+    holds because M_mu, M_{1/mu} and G_{Psi,Psid} are
     Hermitian: B_rev is applied through C, M_mu, M_{1/mu} and D, B^H
     through the core's factors, and rows are scaled as in (iii). B_rev then
     inherits the verdict of step (i), and the two verdicts agree exactly
@@ -320,22 +323,24 @@ def lifting_theorem_pipeline(
         core = _SplitCore(O, psi, w=w_msqmu, certified=certified)
     n2 = core.sigma[1]
     n2_inv = core.inverse_norm if invertible else None
-    need_entries = any(p != 2 for p in ps)
-    Bw = core.matrix() if need_entries else None
-    Bw_inv = core.inverse_matrix() if need_entries and invertible else None
-    # From here on the factors are read only through Bw and Bw_inv: the
-    # core's K and W go now.
+    # B_w = I + X_w Y_w and its Woodbury inverse I + X_w (-(W Y_w)), read
+    # from their factors; -(W Y_w) is formed only where a p != 2 reads it.
+    X, Y, V_inv = core.X, core.Y, None
+    if invertible and any(p != 2 for p in ps):
+        V_inv = core.W @ Y
+        np.negative(V_inv, out=V_inv)
+    # The core's K and W go now.
     del core, O, M_rec
+    fwd = matalg.operator_norm(X, Y, ps, n2)
+    rev = matalg.operator_norm(X, V_inv, ps, n2_inv) if invertible else None
+    del X, Y, V_inv
     for p in ps:
-        fwd = matalg.operator_norm(Bw, p, n2=n2)
-        entry = {"B_norm": fwd}
+        entry = {"B_norm": fwd[p]}
         if invertible:
-            rev = matalg.operator_norm(Bw_inv, p, n2=n2_inv)
-            entry["B_inv_norm"] = rev
-            (lo, hi), (rlo, rhi) = (v if isinstance(v, tuple) else (v, v) for v in (fwd, rev))
+            entry["B_inv_norm"] = rev[p]
+            (lo, hi), (rlo, rhi) = (v if isinstance(v, tuple) else (v, v) for v in (fwd[p], rev[p]))
             entry["condition_bracket"] = (lo * rlo, hi * rhi)
         residuals.setdefault("step_iv", {})[_p_key(p)] = entry
-    del Bw, Bw_inv
 
     # Step (v): the reversed composition is B^H, so it is invertible exactly
     # when B is.

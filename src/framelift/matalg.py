@@ -10,11 +10,11 @@ Weighted conjugation A^mu = diag(mu) A diag(1/mu) realizes the same operator
 on the weighted space l^2_mu in unweighted coordinates; norms on weighted
 spaces are computed through it.
 
-Induced l^p norms are computed here for the whole package:
-:func:`operator_norm` is exact for p in {1, 2, inf} and a bracket
-otherwise, and :func:`sampled_ratios` is the one seeded scan, of
-MAP_SAMPLES draws, behind the inner side of every bracket; a map pair
-keeps its draws across p (:meth:`_Factored.sampled_ratios`).
+Induced l^p norms are computed here for the whole package. Every inner
+side of a bracket is a scan of MAP_SAMPLES seeded draws (:func:`_draws`),
+made once per matrix for all p. :func:`operator_norm` reads T = I + U V
+from its factors, for every requested p at once: exact for p in
+{1, 2, inf}, a bracket otherwise.
 :func:`map_constants` owns the constants between two coefficient maps,
 the lifting constants among them: exact generalized singular values at
 p = 2, certified brackets otherwise;
@@ -452,49 +452,6 @@ def _moduli_sums(n: int, rows) -> tuple:
     return float(cols.max()), float(np.max(row_max))
 
 
-class _SlabMatrix:
-    """An n x n matrix held as factors: I + U V with U n x k and V k x n.
-    It is never assembled whole.
-
-    :func:`operator_norm` reads it in place of an array: its exact p = 1
-    and p = inf norms come from :attr:`abs_sums`, and the sampled draws go
-    through :meth:`apply`, so no n x n product is formed at once.
-    """
-
-    def __init__(self, U: np.ndarray, V: np.ndarray):
-        self.U, self.V = U, V
-        self.n = U.shape[0]
-        self.shape = (self.n, self.n)
-
-    def rows(self, i0: int, i1: int, out: np.ndarray) -> np.ndarray:
-        """Rows i0:i1 of the matrix, written into the complex buffer ``out``."""
-        T = np.matmul(self.U[i0:i1], self.V, out=out)
-        T.reshape(-1)[i0 :: self.n + 1] += 1.0  # entries (j, i0 + j): the identity's
-        return T
-
-    def apply(self, F: np.ndarray) -> np.ndarray:
-        """F T^T: the matrix applied to each row of F."""
-        return F + (F @ self.V.T) @ self.U.T
-
-    @functools.cached_property
-    def abs_sums(self) -> tuple:
-        """(max column sum, max row sum) of the moduli, the exact p = 1 and
-        p = inf norms, read in row slabs by :func:`_moduli_sums`."""
-        return _moduli_sums(self.n, self.rows)
-
-
-def _induced_norm_exact(T, p) -> float:
-    if p in (1, np.inf) and isinstance(T, _SlabMatrix):
-        return T.abs_sums[0 if p == 1 else 1]
-    if p == 1:
-        return float(np.abs(T).sum(axis=0).max())
-    if p == np.inf:
-        return float(np.abs(T).sum(axis=1).max())
-    if p == 2:
-        return float(np.linalg.svd(T, compute_uv=False)[0])
-    raise ValueError("exact induced norms only for p in {1, 2, inf}")
-
-
 def sigma_max(A: np.ndarray) -> float:
     """Largest singular value of the square matrix A by Golub-Kahan-Lanczos
     bidiagonalization (Golub and Kahan, SIAM J. Numer. Anal. B 2, 1965).
@@ -589,48 +546,49 @@ def _ratios(AF, BF, p) -> np.ndarray:
     return lp_norms(AF[keep], p) / den[keep]
 
 
-def sampled_ratios(A, B, p, n_samples: int, seed: int) -> np.ndarray:
-    """||A f||_p / ||B f||_p over seeded complex Gaussian draws f (:func:`_draws`).
+def operator_norm(U: np.ndarray, V: np.ndarray, ps, n2: float) -> dict:
+    """Induced l^p norms of T = I + U V (U n x k, V k x n) for every p in
+    ``ps``, as {p: norm} for p in {1, 2, inf} and {p: (lower, upper)} for
+    other p in (1, inf). T is read from its factors and never assembled. On
+    a weighted space l^p_w, pass the factors of diag(w) T diag(1/w).
 
-    A is an array or a :class:`_SlabMatrix`; B = None is the identity.
-    Draws with B f = 0 are skipped.
+    p = 2 is n2, T's exact 2-norm, known without reading T (the k x k core
+    of :class:`framelift.multipliers._SplitCore`). When some p != 2, the
+    column and row sums of |T|, the exact p = 1 and p = inf norms, are read
+    once in row slabs (:func:`_moduli_sums`), and the upper end of every
+    other p interpolates the exact p = 1, 2, inf norms. When some p is not
+    in {1, 2, inf}, one set of MAP_SAMPLES draws F seeded by 0, as
+    :func:`map_constants` makes by default, and the moduli of F and of
+    F T^T = F + (F V^T) U^T are made once, and each such p takes its lower
+    end, the largest ratio ||T f||_p / ||f||_p, from them. When k < n, every
+    x in ker V has T x = x, so ||T||_p >= 1 and no lower end is below 1.
+    U and V are read only when some p != 2.
     """
-    F = _draws(n_samples, A.shape[1], seed)
-    return _ratios(A.apply(F) if isinstance(A, _SlabMatrix) else F @ A.T, F if B is None else F @ B.T, p)
+    n, k = U.shape
 
+    def rows(i0, i1, out):  # rows i0:i1 of T: U V, then + 1 on the diagonal
+        T = np.matmul(U[i0:i1], V, out=out)
+        T.reshape(-1)[i0 :: n + 1] += 1.0  # entries (j, i0 + j)
+        return T
 
-def operator_norm(A, p, n2=None):
-    """Induced norm of A on l^p. On a weighted space l^p_w, pass
-    ``conjugate(A, w)``. A is an array or a :class:`_SlabMatrix`, which
-    needs n2 for p = 2 and 1 < p < inf.
-
-    p in {1, 2, inf}: exact value as a float. Other p in (1, inf): a
-    (lower, upper) bracket; the upper bound interpolates the exact
-    p = 1, 2, inf norms, the lower bound is a scan of MAP_SAMPLES draws
-    seeded by 0, as :func:`map_constants` makes by default.
-
-    n2, when given, is the exact 2-norm of A, known without an SVD of it
-    (a low-rank update of the identity, a product of thin factors); A is
-    then not read for p = 2.
-    """
-    if p == 2 and n2 is not None:
-        return n2
-    if not isinstance(A, _SlabMatrix):
-        A = np.asarray(A)
-    if p in (1, 2, np.inf):
-        return _induced_norm_exact(A, p)
-    if not 1 < p < np.inf:
-        raise ValueError("p must lie in [1, inf]")
-    if n2 is None:
-        n2 = _induced_norm_exact(A, 2)
-    lower = float(np.max(sampled_ratios(A, None, p, MAP_SAMPLES, 0), initial=0.0))
-    return (lower, interpolated_upper(A, p, n2))
-
-
-def interpolated_upper(T, p, n2: float) -> float:
-    """Riesz-Thorin bound on the l^p induced norm of T from its exact
-    p = 1, inf norms and its 2-norm n2, for 1 < p < inf."""
-    return _riesz_thorin(_induced_norm_exact(T, 1), n2, _induced_norm_exact(T, np.inf), p)
+    norms, sums, moduli = {}, None, None
+    for p in ps:
+        if p == 2:
+            norms[p] = n2
+            continue
+        if sums is None:
+            sums = _moduli_sums(n, rows)
+        if p in (1, np.inf):
+            norms[p] = sums[0 if p == 1 else 1]
+            continue
+        upper = _riesz_thorin(sums[0], n2, sums[1], p)
+        if moduli is None:
+            F = _draws(MAP_SAMPLES, n, 0)
+            moduli = np.abs(F + (F @ V.T) @ U.T), np.abs(F)
+            del F
+        lower = float(np.max(_ratios(*moduli, p), initial=0.0))
+        norms[p] = (max(lower, 1.0) if k < n else lower, upper)
+    return norms
 
 
 def _riesz_thorin(n1: float, n2: float, ninf: float, p) -> float:
@@ -717,7 +675,8 @@ class _Factored:
         return self._product_sums[L]
 
     def sampled_ratios(self, A: "_Factored", p, seed: int) -> np.ndarray:
-        """:func:`sampled_ratios` of the map pair (A, M) over MAP_SAMPLES draws.
+        """||A f||_p / ||M f||_p over MAP_SAMPLES draws f seeded by
+        ``seed`` (:func:`_draws`), skipping the draws with M f = 0.
 
         The draws F and the moduli of F M^T are made once per seed, those of
         F A^T once per A and seed, so a new p only takes their l^p norms.

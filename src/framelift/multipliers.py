@@ -18,9 +18,9 @@ n x k array. :class:`_SplitCore` adds what the pipeline's p = 2 norms on a
 weighted space need, a k x k core K of B_w (k = min(n, 2d)), whose largest
 singular value and that of K^{-1} come from Golub-Kahan-Lanczos
 (:func:`matalg.sigma_max`). The pipeline's identity checks apply B_O and
-B_O^H to probe vectors through X and Y, and
-its p = 1 and p = inf norms of B_w and of the Woodbury inverse B_w^{-1}
-are read from their factors one row slab at a time. The spectral-invariance suite reports
+B_O^H to probe vectors through X and Y, and its l^p norms of B_w and of
+the Woodbury inverse B_w^{-1} for p != 2 are read from their factors by
+:func:`matalg.operator_norm`. The spectral-invariance suite reports
 upper constants only, so it factorizes neither O's coefficient map nor
 O^{-1}'s.
 """
@@ -183,9 +183,10 @@ class _SplitCore:
     :func:`_splitting_factor`. The verdict is :func:`_certificate` on X and
     Y: a d x d Woodbury core, no QR and no n x k array. A diagonal
     similarity does not change invertibility, so the unweighted certificate
-    decides B_w for every w; it keeps W = inv(I + Y X), and the inverse
+    decides B_w for every w; it keeps W = inv(I + Y X), so the inverse is
     B_w^{-1} = I - X_w W Y_w (X_w = diag(w) X, Y_w = Y diag(1/w), which
-    have Y_w X_w = Y X) is held as those factors by :meth:`inverse_matrix`.
+    have Y_w X_w = Y X). B_w = I + X_w Y_w and B_w^{-1} = I + X_w (-(W Y_w))
+    are read from those factors by :func:`matalg.operator_norm`.
 
     ``certified`` is the (W, certificate margin) of a core of the same O,
     frame and slots. The certificate is unweighted, so it serves every w:
@@ -281,18 +282,6 @@ class _SplitCore:
         top = matalg.sigma_max(K_inv)
         return top if self.K.shape[0] == self.n else max(top, 1.0)
 
-    def matrix(self) -> matalg._SlabMatrix:
-        """B_w = diag(w) B_O diag(1/w) = I + X_w Y_w, held as its factors
-        X_w and Y_w: inner dimension d, whatever k is."""
-        return matalg._SlabMatrix(self.X, self.Y)
-
-    def inverse_matrix(self) -> matalg._SlabMatrix:
-        """The Woodbury inverse I - X_w (W Y_w) of B_w, the weighted form of
-        the approximate inverse that :meth:`invertible` certifies, held as
-        the factors X_w and -(W Y_w): inner dimension d."""
-        V = self.W @ self.Y
-        return matalg._SlabMatrix(self.X, np.negative(V, out=V))
-
     def apply(self, V: np.ndarray, w) -> np.ndarray:
         """diag(w) B_O diag(1/w) V for the columns of V, from X and Y with
         their weight rescaled to w: O(n d) per column."""
@@ -348,22 +337,25 @@ def _galerkin_decay(O: np.ndarray, psi: Frame, s: float) -> float:
     return scan.run()[decay]
 
 
-def _upper_sides(psi: Frame, O: np.ndarray, inv, m, ps: list) -> dict:
+def _upper_sides(psi: Frame, O: np.ndarray, inv, m, ps: list, seed: int) -> dict:
     """Per p, the upper side of O, and of its inverse ``inv`` unless None,
-    on the weight m. B = diag(m) C_Psid is factorized once and shared by
-    both and across p; O's map and the moduli of its draws are released
-    before inv's map, built alone, and its draws are made."""
+    on the weight m, with inner ends from draws seeded by ``seed``.
+    B = diag(m) C_Psid is factorized once and shared by both and across p;
+    O's map and the moduli of its draws are released before inv's map,
+    built alone, and its draws are made."""
     A, B = (_Factored(x) for x in _coefficient_maps(psi, O, m, m))
-    entries = {p: {"norm": upper_constant(A, B, p), "invertible": inv is not None} for p in ps}
+    entries = {p: {"norm": upper_constant(A, B, p, seed), "invertible": inv is not None} for p in ps}
     del A
     if inv is not None:
         A_inv = _Factored(_coefficient_map(psi, inv, m))
         for p in ps:
-            entries[p]["inverse_norm"] = upper_constant(A_inv, B, p)
+            entries[p]["inverse_norm"] = upper_constant(A_inv, B, p, seed)
     return entries
 
 
-def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list, s: float) -> dict:
+def spectral_invariance_suite(
+    O: np.ndarray, psi: Frame, weights: list, ps: list, s: float, seed: int = 0
+) -> dict:
     """Condition constants of O on each coefficient-space H^p_m and verdict agreement.
 
     The operator acts on C^d; its coorbit condition at (p, m) is measured in
@@ -371,8 +363,9 @@ def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list
     (invertible or not) must agree across all (p, m); the constants may vary.
     Each entry is the upper side of :func:`matalg.map_constants` alone
     (:func:`matalg.upper_constant`): per weight, B is factorized once and
-    neither A nor A_inv is. No n x n array is held: the Galerkin decay and
-    the p = 1, inf norms of A B^+ are read in row slabs.
+    neither A nor A_inv is. Every scanned inner end comes from draws seeded
+    by ``seed``. No n x n array is held: the Galerkin decay and the p = 1,
+    inf norms of A B^+ are read in row slabs.
     """
     O = np.asarray(O)
     report = {
@@ -382,6 +375,6 @@ def spectral_invariance_suite(O: np.ndarray, psi: Frame, weights: list, ps: list
     }
     inv = np.linalg.inv(O) if report["operator_invertible"] else None
     for i, m in enumerate(weights):
-        for p, entry in _upper_sides(psi, O, inv, m, ps).items():
+        for p, entry in _upper_sides(psi, O, inv, m, ps, seed).items():
             report["constants"][f"w{i}_p{p}"] = entry
     return report

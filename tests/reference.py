@@ -12,7 +12,7 @@ import numpy as np
 
 from framelift import fock, gabor
 from framelift.frames import Frame
-from framelift.matalg import PairScan, pseudo_inverse
+from framelift.matalg import MAP_SAMPLES, PairScan, _draws, _ratios, _riesz_thorin, pseudo_inverse
 from framelift.multipliers import Slots, galerkin, multiplier
 from framelift.weights import IndexSet, lp_norms, weight_values
 
@@ -98,6 +98,52 @@ def invertibility_matrix(O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI
     out[np.diag_indices(psi.n)] += 1.0
     out += galerkin(O, left, right)
     return out
+
+
+def assembled(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """T = I + U V as an n x n array, in the operations of the rows that
+    :func:`framelift.matalg.operator_norm` reads: U V, then + 1 on the
+    diagonal."""
+    T = U @ V
+    T[np.diag_indices(len(T))] += 1.0
+    return T
+
+
+def sampled_ratios(A: np.ndarray, B, p, n_samples: int, seed: int) -> np.ndarray:
+    """||A f||_p / ||B f||_p over seeded complex Gaussian draws f
+    (:func:`framelift.matalg._draws`) for dense A and B; B = None is the
+    identity. Draws with B f = 0 are skipped."""
+    F = _draws(n_samples, A.shape[1], seed)
+    return _ratios(F @ A.T, F if B is None else F @ B.T, p)
+
+
+def factor_ratios(U: np.ndarray, V: np.ndarray, p, n_samples: int, seed: int) -> np.ndarray:
+    """:func:`sampled_ratios` of T = I + U V, with F T^T formed from the
+    factors as :func:`framelift.matalg.operator_norm` forms it."""
+    F = _draws(n_samples, U.shape[0], seed)
+    return _ratios(F + (F @ V.T) @ U.T, F, p)
+
+
+def induced_norm(A: np.ndarray, p):
+    """Induced l^p norm of the dense matrix A, the reference for
+    :func:`framelift.matalg.operator_norm`: exact for p in {1, 2, inf},
+    otherwise (lower, upper), the largest of :func:`sampled_ratios` over
+    MAP_SAMPLES draws seeded by 0 and :func:`interpolated_upper`."""
+    A = np.asarray(A)
+    if p == 1:
+        return float(np.abs(A).sum(axis=0).max())
+    if p == np.inf:
+        return float(np.abs(A).sum(axis=1).max())
+    if p == 2:
+        return float(np.linalg.svd(A, compute_uv=False)[0])
+    lower = float(np.max(sampled_ratios(A, None, p, MAP_SAMPLES, 0), initial=0.0))
+    return lower, interpolated_upper(A, p)
+
+
+def interpolated_upper(A: np.ndarray, p) -> float:
+    """Riesz-Thorin bound on the l^p induced norm of the dense matrix A from
+    its exact p = 1, 2, inf norms, for 1 < p < inf."""
+    return _riesz_thorin(induced_norm(A, 1), induced_norm(A, 2), induced_norm(A, np.inf), p)
 
 
 def galerkin_pinv_crosscheck(O: np.ndarray, psi: Frame, phi: Frame) -> dict:

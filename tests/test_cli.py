@@ -16,6 +16,8 @@ from framelift.coorbit import FrameFamily, sweep
 from framelift.fock import FockFamily, FockLattice, embed_truncated
 from framelift.frames import random_frame
 from framelift.gabor import GaborFamily, gabor_system
+from framelift.matalg import _Factored, upper_constant
+from framelift.multipliers import _coefficient_maps, multiplier
 from framelift.weights import UNIT_SPEC, Weight
 from tests.reference import load_matrix_csv, load_matrix_json
 
@@ -48,6 +50,22 @@ class TestVerify:
         assert rc == 0
         rep = _read_json(tmp_path / "identities.json")
         assert rep["ok"] is True
+
+    def test_seed_moves_the_spectral_suite_scans(self, tmp_path):
+        # --seed reaches the spectral suite's inner ends, as it reaches the
+        # coercivity draws: each equals upper_constant at the run's seed.
+        config = CONFIGS / "verify_gabor32.json"
+        cfg = _read_json(config)
+        frame = cli.build_frame(cfg["frame"], 0)
+        mu, m = (Weight.from_spec(spec, frame.index_set) for spec in (cfg["mu"], cfg["weights"][0]))
+        A, B = (_Factored(x) for x in _coefficient_maps(frame, multiplier(mu, frame), m, m))
+        inner = {}
+        for seed in (0, 1):
+            out = tmp_path / str(seed)
+            assert main(["verify", "--config", str(config), "--out", str(out), "--seed", str(seed)]) == 0
+            inner[seed] = _read_json(out / "identities.json")["spectral_suite"]["constants"]["w0_p1"]["norm"][0]
+            assert inner[seed] == upper_constant(A, B, 1, seed)[0]
+        assert inner[0] != inner[1]
 
     def test_impossible_tolerance_fails_gracefully(self, tmp_path):
         rc = main(

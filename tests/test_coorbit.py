@@ -19,6 +19,7 @@ from framelift.gabor import TFLattice, gabor_system
 from framelift.matalg import upper_constant
 from framelift.multipliers import _coefficient_maps, _SplitCore, galerkin, multiplier
 from framelift.weights import Weight
+from tests import reference
 from tests.reference import gram, invertibility_matrix
 
 
@@ -40,9 +41,10 @@ class TestCoercivity:
         assert lo == pytest.approx(mu.min(), rel=1e-12)
         assert hi == pytest.approx(mu.max(), rel=1e-12)
 
-    def test_quadratic_form_identity_on_random_vectors(self, rng, small_frame):
+    def test_quadratic_form_identity_on_random_vectors(self, rng, small_frame, monkeypatch):
+        monkeypatch.setattr(coorbit, "COERCIVITY_DRAWS", 50)
         mu = rng.uniform(0.5, 2.0, small_frame.n)
-        res = coercivity_check(small_frame, mu, n_random=50, seed=3)
+        res = coercivity_check(small_frame, mu, seed=3)
         assert res["identity_ok"]
         assert res["identity_residual"] < 1e-12
         assert res["bijective"]
@@ -200,8 +202,7 @@ class TestLiftingConstants:
         c = map_constants(A, B, 3)
 
         def dense(L, R):
-            T = L @ np.linalg.pinv(R)
-            return matalg.interpolated_upper(T, 3, np.linalg.svd(T, compute_uv=False)[0])
+            return reference.interpolated_upper(L @ np.linalg.pinv(R), 3)
 
         assert c["upper"][1] == pytest.approx(dense(A, B), rel=1e-13)
         assert c["lower"][0] == pytest.approx(1.0 / dense(B, A), rel=1e-13)
@@ -223,7 +224,7 @@ class TestLiftingConstants:
         c = {p: map_constants(A, B, p) for p in (1, 3, np.inf)}
         assert formed == [(B, A), (A, B)]
         for p in (1, np.inf):
-            want = matalg.operator_norm(A.matrix @ np.linalg.pinv(B.matrix), p)
+            want = reference.induced_norm(A.matrix @ np.linalg.pinv(B.matrix), p)
             assert c[p]["upper"][1] == pytest.approx(want, rel=1e-12)
 
     def test_each_map_pair_draws_once_per_seed_whatever_the_ps(self, rng, monkeypatch):
@@ -235,8 +236,8 @@ class TestLiftingConstants:
             matalg._Factored(rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))) for _ in range(3)
         )
         ps = (1, 3, np.inf)
-        fresh = {p: matalg.sampled_ratios(A.matrix, B.matrix, p, matalg.MAP_SAMPLES, 5) for p in ps}
-        fresh2 = matalg.sampled_ratios(A2.matrix, B.matrix, 1, matalg.MAP_SAMPLES, 5)
+        fresh = {p: reference.sampled_ratios(A.matrix, B.matrix, p, matalg.MAP_SAMPLES, 5) for p in ps}
+        fresh2 = reference.sampled_ratios(A2.matrix, B.matrix, 1, matalg.MAP_SAMPLES, 5)
         draws, images, make_draws, ratios = [], [], matalg._draws, matalg._ratios
         monkeypatch.setattr(matalg, "_draws", lambda *args: draws.append(args) or make_draws(*args))
         monkeypatch.setattr(matalg, "_ratios", lambda AF, BF, p: images.append(id(AF)) or ratios(AF, BF, p))
@@ -349,7 +350,7 @@ def _dense_steps(psi, muv, mv, ps) -> dict:
     The reference route: SVDs of the mu-conjugated B and B_rev, verdicts
     from the dense certificate with X = inv(B) (matalg.is_invertible),
     B^{-1} from np.linalg.inv, and operator norms of the conjugated B and
-    B^{-1}.
+    B^{-1}, with each sampled lower end raised to 1 when d < n.
     """
     n = psi.n
     cross = gram(psi, psi.canonical_dual())
@@ -368,11 +369,15 @@ def _dense_steps(psi, muv, mv, ps) -> dict:
     ratio, invertible = verdict(B)
     w = mv * np.sqrt(muv)
     B_inv = np.linalg.inv(B) if invertible else None
+    def norm(T, p):  # when d < n, T fixes ker Y, so ||T||_p >= 1
+        v = reference.induced_norm(matalg.conjugate(T, w), p)
+        return (max(v[0], 1.0), v[1]) if isinstance(v, tuple) and psi.d < n else v
+
     step_iv = {}
     for p in ps:
-        entry = {"B_norm": matalg.operator_norm(matalg.conjugate(B, w), p)}
+        entry = {"B_norm": norm(B, p)}
         if invertible:
-            entry["B_inv_norm"] = matalg.operator_norm(matalg.conjugate(B_inv, w), p)
+            entry["B_inv_norm"] = norm(B_inv, p)
         step_iv["inf" if p == np.inf else str(p)] = entry
     return {
         "ratio": ratio,
@@ -583,6 +588,16 @@ def _assembled(core) -> tuple:
     return B, eye - core.X @ (core.W @ core.Y)
 
 
+def _factor_norms(core, ps) -> tuple:
+    """:func:`matalg.operator_norm` of B_w and of its Woodbury inverse, on
+    the core's factors (X_w, Y_w) and (X_w, -(W Y_w)) as step (iv) reads
+    them."""
+    return (
+        matalg.operator_norm(core.X, core.Y, ps, core.sigma[1]),
+        matalg.operator_norm(core.X, -(core.W @ core.Y), ps, core.inverse_norm),
+    )
+
+
 class TestSlabNorms:
     """Step (iv)'s p = 1 and p = inf norms come from row slabs of the factors."""
 
@@ -599,22 +614,25 @@ class TestSlabNorms:
         O = multiplier(1.0 / mu, psi) @ multiplier(mu, psi)
         core = _SplitCore(O, psi, w=w)
         B_dense, inv_dense = _assembled(core)
-        reference = matalg.conjugate(invertibility_matrix(O, psi), w)
+        B_ref = matalg.conjugate(invertibility_matrix(O, psi), w)
         report = lifting_theorem_pipeline(psi, mu, m=m, ps=(1, np.inf))
+        fwd, rev = _factor_norms(core, (1, np.inf))
         for p in (1, np.inf):
             got = report["residuals"]["step_iv"]["inf" if p == np.inf else "1"]
-            assert matalg.operator_norm(core.matrix(), p) == pytest.approx(matalg.operator_norm(B_dense, p), rel=1e-13)
-            assert got["B_norm"] == pytest.approx(matalg.operator_norm(reference, p), rel=1e-13)
-            want = matalg.operator_norm(inv_dense, p)
-            assert matalg.operator_norm(core.inverse_matrix(), p) == pytest.approx(want, rel=1e-13)
+            assert fwd[p] == pytest.approx(reference.induced_norm(B_dense, p), rel=1e-13)
+            assert got["B_norm"] == pytest.approx(reference.induced_norm(B_ref, p), rel=1e-13)
+            want = reference.induced_norm(inv_dense, p)
+            assert rev[p] == pytest.approx(want, rel=1e-13)
             assert got["B_inv_norm"] == pytest.approx(want, rel=1e-13)
 
     def test_sampled_side_goes_through_the_factors(self, rng):
         psi, mu, m = _random_case(24, 8, True)
         core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=m * np.sqrt(mu))
-        for slab, dense in zip((core.matrix(), core.inverse_matrix()), _assembled(core)):
-            got = matalg.sampled_ratios(slab, None, 3, 16, seed=4)
-            np.testing.assert_allclose(got, matalg.sampled_ratios(dense, None, 3, 16, seed=4), rtol=1e-13)
+        factors = ((core.X, core.Y), (core.X, -(core.W @ core.Y)))
+        for (U, V), dense, norms in zip(factors, _assembled(core), _factor_norms(core, (3,))):
+            got = reference.factor_ratios(U, V, 3, 16, seed=4)
+            np.testing.assert_allclose(got, reference.sampled_ratios(dense, None, 3, 16, seed=4), rtol=1e-13)
+            assert norms[3][0] == reference.factor_ratios(U, V, 3, matalg.MAP_SAMPLES, seed=0).max()
 
     def test_p3_lower_ends_scan_every_map_sample(self):
         # Step (iv) scans MAP_SAMPLES draws, whose first 64 are the 64-draw
@@ -625,9 +643,24 @@ class TestSlabNorms:
         assert core.invertible()
         report = lifting_theorem_pipeline(psi, mu, ps=(3,))
         got = report["residuals"]["step_iv"]["3"]
-        for key, slab in (("B_norm", core.matrix()), ("B_inv_norm", core.inverse_matrix())):
+        for key, (U, V) in (("B_norm", (core.X, core.Y)), ("B_inv_norm", (core.X, -(core.W @ core.Y)))):
             lower, upper = got[key]
-            assert matalg.sampled_ratios(slab, None, 3, 64, seed=0).max() <= lower <= upper
-            assert lower == matalg.sampled_ratios(slab, None, 3, matalg.MAP_SAMPLES, seed=0).max()
+            assert reference.factor_ratios(U, V, 3, 64, seed=0).max() <= lower <= upper
+            assert lower == reference.factor_ratios(U, V, 3, matalg.MAP_SAMPLES, seed=0).max()
         (lo, hi), (rlo, rhi) = got["B_norm"], got["B_inv_norm"]
         assert got["condition_bracket"] == (lo * rlo, hi * rhi)
+
+    def test_one_set_of_draws_per_matrix(self, monkeypatch):
+        # p = 1.5 and 3 share one set of draws in dimension n for B_w and one
+        # for its inverse; map_constants draws in dimension d, apart.
+        psi, mu, m = _random_case(24, 8, False)
+        ps = (1, 1.5, 2, 3, np.inf)
+        calls, draws = [], matalg._draws
+        monkeypatch.setattr(matalg, "_draws", lambda *args: calls.append(args) or draws(*args))
+        report = lifting_theorem_pipeline(psi, mu, m=m, ps=ps)
+        assert [args for args in calls if args[1] == psi.n] == [(matalg.MAP_SAMPLES, psi.n, 0)] * 2
+        ref = _dense_steps(psi, mu, m, ps)
+        for key, want in ref["step_iv"].items():
+            got = report["residuals"]["step_iv"][key]
+            for side in ("B_norm", "B_inv_norm"):
+                np.testing.assert_allclose(np.ravel(got[side]), np.ravel(want[side]), rtol=1e-12)

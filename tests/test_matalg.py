@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from framelift import matalg
 from framelift.fock import fock_gram_exact
 from framelift.weights import IndexSet
+from tests import reference
 from tests.reference import schur_constant, schur_product_constant
 
 
@@ -112,33 +113,49 @@ class TestInvertibility:
         assert matalg.gamma_c(4) == pytest.approx(np.sqrt(2) * 10 * u, rel=1e-15)
 
 
+def _identity_plus(A: np.ndarray) -> tuple:
+    """Factors (U, V) = (I, A - I) of A = I + U V."""
+    eye = np.eye(len(A))
+    return eye, A - eye
+
+
 class TestOperatorNorm:
     def test_exact_values_small_matrix(self):
         A = np.array([[1.0, -2.0], [3.0, 4.0]])
-        assert matalg.operator_norm(A, 1) == 6.0  # max column abs sum
-        assert matalg.operator_norm(A, np.inf) == 7.0  # max row abs sum
-        assert matalg.operator_norm(A, 2) == pytest.approx(np.linalg.svd(A, compute_uv=False)[0])
+        n2 = np.linalg.svd(A, compute_uv=False)[0]
+        got = matalg.operator_norm(*_identity_plus(A), [1, 2, np.inf], n2)
+        assert got[1] == reference.induced_norm(A, 1) == 6.0  # max column abs sum
+        assert got[np.inf] == reference.induced_norm(A, np.inf) == 7.0  # max row abs sum
+        assert got[2] == reference.induced_norm(A, 2) == pytest.approx(n2)
 
     def test_intermediate_p_returns_valid_bracket(self, rng):
         A = cmat(rng, 8)
-        lo, hi = matalg.operator_norm(A, 1.5)
+        lo, hi = reference.induced_norm(A, 1.5)
         assert 0 < lo <= hi
+        flo, fhi = matalg.operator_norm(*_identity_plus(A), [1.5], reference.induced_norm(A, 2))[1.5]
+        assert 0 < flo <= fhi
         # the bracket must contain a densely sampled lower estimate
-        dense = matalg.sampled_ratios(A, None, 1.5, 512, seed=5).max()
+        dense = reference.sampled_ratios(A, None, 1.5, 512, seed=5).max()
         assert dense <= hi * (1 + 1e-12)
+        assert dense <= fhi * (1 + 1e-12)
 
     def test_scan_keeps_the_draw_order_of_a_per_vector_loop(self):
         # The reference draws each f as n real parts, then n imaginary parts,
         # and takes one matrix-vector product per draw.
-        A = cmat(np.random.default_rng(11), 12)
+        rng = np.random.default_rng(11)
+        A, U, V = cmat(rng, 12), cmat(rng, 12, 4), cmat(rng, 4, 12)
         draws = np.random.default_rng(0)
-        best = 0.0
+        best, best_T = 0.0, 0.0
         for _ in range(matalg.MAP_SAMPLES):
             v = draws.standard_normal(12) + 1j * draws.standard_normal(12)
-            num = float((np.abs(A @ v) ** 3).sum() ** (1 / 3))
-            best = max(best, num / float((np.abs(v) ** 3).sum() ** (1 / 3)))
-        lo, _ = matalg.operator_norm(A, 3)
+            den = float((np.abs(v) ** 3).sum() ** (1 / 3))
+            best = max(best, float((np.abs(A @ v) ** 3).sum() ** (1 / 3)) / den)
+            best_T = max(best_T, float((np.abs(v + U @ (V @ v)) ** 3).sum() ** (1 / 3)) / den)
+        lo, _ = reference.induced_norm(A, 3)
         assert lo == pytest.approx(best, rel=1e-15, abs=0)
+        T = reference.assembled(U, V)
+        lo, _ = matalg.operator_norm(U, V, [3], reference.induced_norm(T, 2))[3]
+        assert lo == pytest.approx(best_T, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("d, seed", [(1, 0), (12, 0), (40, 7)])
     def test_fewer_draws_are_the_first_draws_of_the_scan(self, d, seed):
@@ -148,10 +165,32 @@ class TestOperatorNorm:
 
     def test_diagonal_matrix_all_p_agree(self):
         D = np.diag([3.0, -1.0, 2.0])
+        got = matalg.operator_norm(*_identity_plus(D), [1, 2, np.inf, 1.7], 3.0)
         for p in (1, 2, np.inf):
-            assert matalg.operator_norm(D, p) == pytest.approx(3.0)
-        lo, hi = matalg.operator_norm(D, 1.7)
-        assert lo <= 3.0 <= hi
+            assert reference.induced_norm(D, p) == pytest.approx(3.0)
+            assert got[p] == pytest.approx(3.0)
+        for lo, hi in (reference.induced_norm(D, 1.7), got[1.7]):
+            assert lo <= 3.0 <= hi
+
+    def test_no_draws_and_no_sums_at_p2_alone(self):
+        # p = 2 is the 2-norm the caller gives: the factors are not read.
+        assert matalg.operator_norm(np.ones((5, 2)), None, [2], 1.25) == {2: 1.25}
+
+    def test_lower_ends_are_at_least_one_when_k_is_below_n(self):
+        # T = I - 0.9 Q Q^H fixes the complement of ran(Q), so ||T||_p >= 1;
+        # the scan alone reads 0.645 at p = 1.5 and 0.636 at p = 3.
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(cmat(rng, 40, 32))[0]
+        U, V = -0.9 * Q, Q.conj().T
+        scan = {p: reference.factor_ratios(U, V, p, matalg.MAP_SAMPLES, 0).max() for p in (1.5, 3)}
+        assert max(scan.values()) < 0.7
+        got = matalg.operator_norm(U, V, [1.5, 3], 1.0)
+        for p in (1.5, 3):
+            lo, hi = got[p]
+            assert 1.0 == lo <= hi
+        # With k = n there is no kernel to fix: T = I - 0.5 I reads 0.5.
+        eye = np.eye(40)
+        assert matalg.operator_norm(eye, -0.5 * eye, [3], 0.5)[3] == pytest.approx((0.5, 0.5), rel=1e-15)
 
 
 class _Counted(np.ndarray):

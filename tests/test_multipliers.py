@@ -21,7 +21,7 @@ from framelift.multipliers import (
 )
 from framelift.weights import Weight
 from tests.conftest import random_vector
-from tests.reference import galerkin_pinv_crosscheck, invertibility_matrix, op_from_matrix
+from tests.reference import assembled, galerkin_pinv_crosscheck, invertibility_matrix, op_from_matrix
 
 
 def _random_symbol(rng, n):
@@ -463,8 +463,8 @@ class TestCertificate:
         O = _random_operator(rng, d)
         core = _SplitCore(O, psi, Slots.PSI_PSI, w)
         dense = np.linalg.inv(matalg.conjugate(invertibility_matrix(O, psi), w))
-        rows = core.inverse_matrix().rows(0, n, np.empty((n, n), dtype=complex))
-        np.testing.assert_allclose(rows, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+        inverse = assembled(core.X, -(core.W @ core.Y))  # the Woodbury inverse I - X_w (W Y_w)
+        np.testing.assert_allclose(inverse, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
 class TestSpectralInvariance:

@@ -27,6 +27,7 @@ from framelift.gabor import GaborFamily, TFLattice, gabor_system
 from framelift.multipliers import _SplitCore, galerkin, multiplier, spectral_invariance_suite
 from framelift.weights import SYMBOL_SPEC, UNIT_SPEC, IndexSet, Weight
 from tests.reference import (
+    assembled,
     dense_decay,
     dense_gram_identities,
     dense_moderateness,
@@ -228,13 +229,6 @@ def test_product_sums_equal_the_dense_sums(slab_rows, n, d):
     assert L.product_sums(A) == _dense_sums(A.matrix @ L.left_inverse)
 
 
-def _assembled(slab: matalg._SlabMatrix) -> np.ndarray:
-    """The whole matrix, in the operations of its rows: U V, then + 1 on the diagonal."""
-    T = slab.U @ slab.V
-    T[np.diag_indices(slab.n)] += 1.0
-    return T
-
-
 @pytest.mark.parametrize("frame", ["random36", "random29", "gabor16"])
 @pytest.mark.parametrize("d_core", [False, True], ids=["core2d", "coreN"])
 def test_abs_sums_equal_the_dense_sums(slab_rows, frame, d_core):
@@ -245,10 +239,12 @@ def test_abs_sums_equal_the_dense_sums(slab_rows, frame, d_core):
     O = rng.standard_normal((psi.d, psi.d)) + 1j * rng.standard_normal((psi.d, psi.d)) + 4 * np.eye(psi.d)
     core = _SplitCore(O, psi, w=np.exp(rng.uniform(-2.0, 2.0, psi.n)))
     assert (core.K.shape[0] == psi.n) is d_core
-    for slab in (core.matrix(), core.inverse_matrix()):
-        assert slab.abs_sums == _dense_sums(_assembled(slab))
+    for U, V in ((core.X, core.Y), (core.X, -(core.W @ core.Y))):  # B_w and its Woodbury inverse
+        norms = matalg.operator_norm(U, V, [1, np.inf], None)
+        assert (norms[1], norms[np.inf]) == _dense_sums(assembled(U, V))
     if d_core:  # the slab sums of the factors equal those of the assembled K bit for bit
-        assert core.matrix().abs_sums == _dense_sums(core.K)
+        norms = matalg.operator_norm(core.X, core.Y, [1, np.inf], None)
+        assert (norms[1], norms[np.inf]) == _dense_sums(core.K)
 
 
 @pytest.mark.parametrize("phase", ["gram_identities_check", "spectral_invariance_suite"])
