@@ -4,8 +4,8 @@ Design constraints the code must honor:
 - determinism: a fixed config and seed produce byte-identical reports at
   a fixed BLAS thread count (threaded products may round in another
   order), so JSON is dumped with sorted keys and no timestamps;
-- atomicity: every report is written to a temporary file in the target
-  directory and renamed into place;
+- atomicity: every file is written through :func:`write_atomic`, to a
+  temporary file in the target directory that is renamed into place;
 - exit codes: 0 success, 1 numerical failure (identity above tolerance, or
   every experiment size failed), 2 config or I/O problem.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fock as fock_mod
-from . import frames, gabor, matalg, multipliers
+from . import frames, gabor, multipliers
 from .coorbit import FrameFamily, _p_key, coercivity_check, sweep
 from .weights import CHECK_SPEC, UNIT_SPEC, SpecError, keyed_weight
 
@@ -49,10 +49,18 @@ def _jsonable(obj):
 
 
 def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, line ends as
+    given, and rename it into place; a failed write or rename removes the
+    temporary file and re-raises."""
     tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _dump_json(path: Path, payload: dict) -> None:
@@ -331,11 +339,15 @@ def cmd_export(cfg: dict, out_dir: Path, seed: int) -> int:
         target = multipliers.multiplier(mu, frame)
     else:
         raise ConfigError(f"unknown export target '{what}'")
+    target = np.asarray(target, dtype=complex)
     if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, **matalg.matrix_to_json(target)}
-        _dump_json(out_dir / f"{name}.json", payload)
-    else:
-        matalg.save_matrix_csv(target, out_dir / f"{name}_real.csv", out_dir / f"{name}_imag.csv")
+        payload = {"shape": target.shape, "real": target.real.ravel(), "imag": target.imag.ravel()}
+        _dump_json(out_dir / f"{name}.json", {"schema_version": SCHEMA_VERSION, **payload})
+        return 0
+    for suffix, part in (("real", target.real), ("imag", target.imag)):
+        # csv.writer's excel dialect: no field here needs quoting, rows end in \r\n
+        text = "".join(",".join(repr(float(x)) for x in row) + "\r\n" for row in part)
+        write_atomic(out_dir / f"{name}_{suffix}.csv", text)
     return 0
 
 
@@ -360,6 +372,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.command != "lift" and cfg["kind"] != args.command:
+            raise ConfigError(f"config kind {cfg['kind']!r} does not run under the '{args.command}' subcommand")
         seed = _parse_seed(args.seed if args.seed is not None else cfg.get("seed", 0))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

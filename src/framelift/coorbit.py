@@ -403,11 +403,14 @@ def sweep(family, mu, m, ps=(2,), s: float = 4.0, seed: int = 0) -> dict:
       table, by table name;
     - ``fields(s, ps, tables)``, its top-level report fields.
 
-    Every table is keyed by ``str(entry[key])``. A frame the pipeline
-    rejects becomes a ``"not_a_frame"`` entry quoting its frame bounds.
+    Every table is keyed by ``str(entry[key])``, so a size listed twice
+    raises ValueError before anything runs. A frame the pipeline rejects
+    becomes a ``"not_a_frame"`` entry quoting its frame bounds.
     ``condition_ratios`` are the ratios of successive headline conditions
     over the entries that ran.
     """
+    if len(set(family.sizes)) < len(family.sizes):
+        raise ValueError(f"'{family.key}' lists a size twice: {list(family.sizes)!r}")
     entries, tables = [], defaultdict(dict)
     for size in family.sizes:
         entry, frame = family.case(size)

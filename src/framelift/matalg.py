@@ -31,7 +31,6 @@ is that test on a dense matrix; the splitting matrix of
 :mod:`framelift.multipliers` runs it on its factors.
 """
 
-import csv
 import functools
 import weakref
 
@@ -101,9 +100,8 @@ def _ratio_table(w: np.ndarray, P: int, Q: int) -> np.ndarray:
     P x Q torus lattice, in the index order k = ix Q + iw.
 
     Each quotient is the one the slab route forms, and a max is exact. The
-    n^2 quotients are made a block of differences at a time: whole rows of
-    Q differences, at most SLAB_ROWS together, or pieces of SLAB_ROWS
-    differences of one row when Q is larger; so one buffer of at most
+    n^2 quotients are made a block of differences at a time: each row of Q
+    differences in pieces of at most SLAB_ROWS, so one buffer of at most
     SLAB_ROWS n floats serves every block. A constant weight has R = 1, its
     every quotient, with no divide.
     """
@@ -114,17 +112,14 @@ def _ratio_table(w: np.ndarray, P: int, Q: int) -> np.ndarray:
     # shifted[x, y] is W moved by the difference (x, y): its entry (ix, iw)
     # is w at the lattice point (ix + x, iw + y).
     shifted = np.lib.stride_tricks.sliding_window_view(np.tile(W, (2, 2))[: 2 * P - 1, : 2 * Q - 1], (P, Q))
-    if Q <= SLAB_ROWS:
-        step = SLAB_ROWS // Q
-        blocks = [(x0, min(P, x0 + step), 0, Q) for x0 in range(0, P, step)]
-    else:
-        blocks = [(x, x + 1, y0, min(Q, y0 + SLAB_ROWS)) for x in range(P) for y0 in range(0, Q, SLAB_ROWS)]
-    block = np.empty(min(SLAB_ROWS, n) * n)
+    block = np.empty(min(SLAB_ROWS, Q) * n)
     R = np.empty((P, Q))
-    for x0, x1, y0, y1 in blocks:
-        quotients = block[: (x1 - x0) * (y1 - y0) * n].reshape(x1 - x0, y1 - y0, P, Q)
-        np.divide(W, shifted[x0:x1, y0:y1], out=quotients)
-        R[x0:x1, y0:y1] = quotients.reshape(x1 - x0, y1 - y0, n).max(axis=2)
+    for x in range(P):
+        for y0 in range(0, Q, SLAB_ROWS):
+            y1 = min(Q, y0 + SLAB_ROWS)
+            quotients = block[: (y1 - y0) * n].reshape(y1 - y0, P, Q)
+            np.divide(W, shifted[x, y0:y1], out=quotients)
+            R[x, y0:y1] = quotients.reshape(y1 - y0, n).max(axis=1)
     return R.reshape(n)
 
 
@@ -378,12 +373,11 @@ def gamma_c(k) -> float:
 
 
 def abs_chain(vec, *factors) -> np.ndarray:
-    """|F_1| |F_2| ... |F_m| vec for nonnegative vec, one matrix-vector
-    product at a time, so no product of the factors is formed. A factor is
-    a matrix, whose moduli are taken, or a callable on vectors, which must
-    already be a nonnegative map."""
+    """|F_1| |F_2| ... |F_m| vec for nonnegative vec and matrices F_i, one
+    matrix-vector product at a time, so no product of the factors is
+    formed."""
     for f in reversed(factors):
-        vec = f(vec) if callable(f) else np.abs(f) @ vec
+        vec = np.abs(f) @ vec
     return vec
 
 
@@ -429,26 +423,24 @@ def _moduli_sums(n: int, rows) -> tuple:
 
     rows(i0, i1, out) returns rows i0:i1 of T; ``out`` is a complex buffer
     of that shape it may fill. Both sums equal those of the whole |T| bit
-    for bit: a row sum reads one row, and T.sum(axis=0) adds the rows of
-    |T| one after another, so each slab's rows are added in turn to the
-    running column sums, never summed apart first (the sums start at 0,
-    and 0 + x = x exactly). One block, allocated once, holds the rows,
-    their moduli under a copy of the running sums, and the sums.
+    for bit: a row sum reads one row, and |T|.sum(axis=0) adds the rows of
+    |T| one after another, so each row is added in turn to the running
+    column sums (which start at 0, and 0 + x = x exactly). One block,
+    allocated once, holds a slab's rows, their moduli and the sums.
     """
     slabs = _slabs(n)
     r = max(i1 - i0 for i0, i1 in slabs)
-    block = np.empty((3 * r + 2) * n)
+    block = np.empty((3 * r + 1) * n)
     rows_buf = block[: 2 * r * n].view(complex).reshape(r, n)
-    moduli = block[2 * r * n : (3 * r + 1) * n].reshape(r + 1, n)
-    cols = block[(3 * r + 1) * n :]
+    moduli = block[2 * r * n : 3 * r * n].reshape(r, n)
+    cols = block[3 * r * n :]
     cols.fill(0.0)
     row_max = []
     for i0, i1 in slabs:
-        m = i1 - i0
-        a = np.abs(rows(i0, i1, rows_buf[:m]), out=moduli[1 : m + 1])
+        a = np.abs(rows(i0, i1, rows_buf[: i1 - i0]), out=moduli[: i1 - i0])
         row_max.append(a.sum(axis=1).max())
-        moduli[0] = cols  # [running sums; slab rows], reduced in row order
-        np.add.reduce(moduli[: m + 1], axis=0, out=cols)
+        for row in a:
+            cols += row
     return float(cols.max()), float(np.max(row_max))
 
 
@@ -777,20 +769,3 @@ def _lower_constant(A: _Factored, B: _Factored, p, ratios) -> tuple:
     certified = 1.0 / _product_norm(B, A, p) if A.injective else 0.0
     return (certified, float(np.min(ratios, initial=np.inf)))
 
-
-def matrix_to_json(A: np.ndarray) -> dict:
-    A = np.asarray(A, dtype=complex)
-    return {
-        "shape": list(A.shape),
-        "real": A.real.ravel().tolist(),
-        "imag": A.imag.ravel().tolist(),
-    }
-
-
-def save_matrix_csv(A: np.ndarray, path_real, path_imag) -> None:
-    A = np.asarray(A, dtype=complex)
-    for part, path in ((A.real, path_real), (A.imag, path_imag)):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in part:
-                writer.writerow([repr(float(x)) for x in row])

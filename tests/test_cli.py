@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report files, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -146,6 +147,37 @@ class TestConfigErrors:
             ["lift", "--config", str(CONFIGS / "invalid_a0.json"), "--out", str(tmp_path)]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "command, config, kind",
+        [
+            ("verify", "export_gabor_frame.json", "export"),
+            ("verify", "lift_gabor.json", "gabor"),
+            ("export", "verify_onb.json", "verify"),
+            ("export", "lift_scalar_onb.json", "custom-frame"),
+        ],
+    )
+    def test_kind_names_its_subcommand(self, tmp_path, capsys, command, config, kind):
+        # verify runs only kind "verify" and export only kind "export"; the
+        # run stops before --out is made.
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"'{kind}'" in err and f"'{command}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, key, sizes", [("lift_gabor.json", "Ns", [16, 16]), ("lift_fock.json", "R_list", [2, 2.0])]
+    )
+    def test_duplicate_size_is_a_config_error(self, tmp_path, capsys, config, key, sizes):
+        # Found after the family has normalized the sizes: R = 2 and 2.0 are one R.
+        cfg = _write(tmp_path, "dup.json", dict(_read_json(CONFIGS / config), **{key: sizes}))
+        out = tmp_path / "out"
+        assert main(["lift", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "twice" in err
+        assert list(out.iterdir()) == []
 
     def test_invalid_p_value(self, tmp_path):
         cfg = _write(
@@ -422,6 +454,21 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+class TestWriteAtomic:
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "identities.json").mkdir(parents=True)
+        assert main(["verify", "--config", str(CONFIGS / "verify_onb.json"), "--out", str(out)]) == 2
+        assert "i/o error: [Errno 21] Is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["identities.json"]
+        assert (out / "identities.json").is_dir()
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_atomic(tmp_path / "report.json", "\ud800")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestLift:
     def test_gabor_experiment_writes_reports_and_table(self, tmp_path):
         rc = main(["lift", "--config", str(CONFIGS / "lift_gabor.json"), "--out", str(tmp_path)])
@@ -619,6 +666,22 @@ class TestExport:
         else:
             got = load_matrix_csv(tmp_path / "G_real.csv", tmp_path / "G_imag.csv")
         np.testing.assert_array_equal(got, gabor_system(16, 2, 4).gram_matrix)
+
+    @pytest.mark.parametrize("what", ["gram", "multiplier"])
+    def test_csv_bytes_are_those_of_csv_writer(self, tmp_path, what):
+        # The excel dialect of csv.writer: repr of each float, rows ended by \r\n.
+        frame = {"type": "gabor", "N": 16, "a": 2, "b": 4}
+        mu = {"type": "polynomial", "t": 2.0}
+        cfg = {"kind": "export", "what": what, "format": "csv", "name": "A", "frame": frame, "mu": mu}
+        assert main(["export", "--config", _write(tmp_path, "a.json", cfg), "--out", str(tmp_path)]) == 0
+        psi = gabor_system(16, 2, 4)
+        A = psi.gram_matrix if what == "gram" else multiplier(Weight.polynomial(psi.index_set, 2.0), psi)
+        for suffix, part in (("real", A.real), ("imag", A.imag)):
+            want = io.StringIO()
+            csv.writer(want).writerows([repr(float(x)) for x in row] for row in part)
+            got = (tmp_path / f"A_{suffix}.csv").read_bytes()
+            assert got == want.getvalue().encode()
+            assert got.count(b"\r\n") == len(part)
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file"

@@ -18,7 +18,7 @@ from framelift.frames import onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
 from framelift.matalg import upper_constant
 from framelift.multipliers import _coefficient_maps, _SplitCore, galerkin, multiplier
-from framelift.weights import Weight
+from framelift.weights import UNIT_SPEC, Weight
 from tests import reference
 from tests.reference import gram, invertibility_matrix
 
@@ -664,3 +664,16 @@ class TestSlabNorms:
             got = report["residuals"]["step_iv"][key]
             for side in ("B_norm", "B_inv_norm"):
                 np.testing.assert_allclose(np.ravel(got[side]), np.ravel(want[side]), rtol=1e-12)
+
+
+class TestSweep:
+    def test_a_size_listed_twice_raises_before_anything_runs(self):
+        # Tables are keyed by size, so a repeated size would merge two runs.
+        class Twice(coorbit.FrameFamily):
+            def case(self, n):
+                raise AssertionError("no size may run")
+
+        family = Twice(onb(4))
+        family.sizes = (4, 4)
+        with pytest.raises(ValueError, match="'size' lists a size twice: \\[4, 4\\]"):
+            coorbit.sweep(family, UNIT_SPEC, UNIT_SPEC)

@@ -79,14 +79,23 @@ def _covariant(P: int, Q: int, rng) -> np.ndarray:
     return c[lattice_differences(P, Q)]
 
 
-@pytest.mark.parametrize(
-    "N, a, b, slab_rows",
-    [(12, 2, 2, 5), (36, 9, 4, 5), (36, 4, 9, 7), (15, 3, 5, 256)],
-    ids=["6x6", "4x9", "9x4", "5x3-one-block"],
-)
+# (N, a, b, SLAB_ROWS) of the table formula cases; each lattice is P x Q.
+TABLE_CASES = [(12, 2, 2, 5), (36, 9, 4, 5), (36, 4, 9, 7), (15, 3, 5, 256)]
+
+
+def test_table_cases_cover_rows_cut_and_rows_whole():
+    # _ratio_table cuts each row of Q differences into pieces of at most
+    # SLAB_ROWS: the cases below hold rows of several pieces (Q > SLAB_ROWS,
+    # one of them a last piece shorter than the others) and rows of one.
+    shapes = [(TFLattice(N, a, b).shape[1], rows) for N, a, b, rows in TABLE_CASES]
+    assert any(Q > rows and Q % rows for Q, rows in shapes)
+    assert any(Q <= rows for Q, rows in shapes)
+
+
+@pytest.mark.parametrize("N, a, b, slab_rows", TABLE_CASES, ids=["6x6", "4x9", "9x4", "5x3-whole-rows"])
 def test_lattice_constants_equal_the_table_formulas(monkeypatch, N, a, b, slab_rows):
     # Q > SLAB_ROWS cuts each row of differences into pieces; Q <= SLAB_ROWS
-    # takes whole rows together, all of them in one block at 256.
+    # makes each row one piece.
     monkeypatch.setattr(matalg, "SLAB_ROWS", slab_rows)
     lat = TFLattice(N, a, b)
     (P, Q), idx = lat.shape, lat.index_set()

@@ -113,6 +113,61 @@ def test_one_call_site_runs_the_pipeline():
     assert len(_pipeline_calls(sweep)) == 1
 
 
+def _writing_opens(tree) -> list:
+    """Line numbers of the open calls under the ast node ``tree`` whose mode
+    may write: one with w, a, x or +, or one not given as a string literal.
+    The mode is the second argument of the builtin open and the first of a
+    method ``.open`` (Path.open); the default mode reads."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        builtin = isinstance(node.func, ast.Name) and node.func.id == "open"
+        if not (builtin or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")):
+            continue
+        at = 1 if builtin else 0
+        mode = node.args[at] if len(node.args) > at else next((k.value for k in node.keywords if k.arg == "mode"), None)
+        if mode is None:
+            continue
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _tree(name: str):
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("name", [m for m in _modules() + ["__init__"] if m != "cli"])
+def test_only_cli_opens_files_to_write(name):
+    assert _writing_opens(_tree(name)) == []
+
+
+def test_cli_writes_only_through_write_atomic():
+    tree = _tree("cli")
+    [write_atomic] = [node for node in tree.body if getattr(node, "name", None) == "write_atomic"]
+    assert _writing_opens(tree) == _writing_opens(write_atomic) != []
+
+
+def test_reader_sees_every_writing_open():
+    src = (
+        "open(p)\n"
+        "open(p, 'r')\n"
+        "open(p, mode='rb')\n"
+        "open(p, 'w')\n"
+        "open(p, mode='a')\n"
+        "p.open('x')\n"
+        "p.open()\n"
+        "open(p, 'r+')\n"
+        "open(p, m)\n"
+        "def f():\n"
+        "    with open(p, 'wb', newline='') as fh:\n"
+        "        pass\n"
+    )
+    assert _writing_opens(ast.parse(src)) == [4, 5, 6, 8, 9, 11]
+
+
 # Every name in the package feeds a command: a top-level def, a class or a
 # method stays only if `framelift.cli.main`, or a layer that
 # perfbench/spans.py traces, reaches it through name references.
