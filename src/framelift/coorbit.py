@@ -54,7 +54,9 @@ def coercivity_check(psi: Frame, mu, seed: int = 0, tol: float = 1e-12, M=None) 
     ``extremes_agreement`` is the relative gap between the eigenvalue
     extremes of M_mu and the squared singular value extremes of X, read
     from the SVD that :func:`map_constants` made of X. ``M`` is the matrix
-    of M_mu when the caller already holds it.
+    of M_mu when the caller already holds it. B is shared by both pairs;
+    the map A of M_mu and its SVD are released before X is built, so one
+    map pair is held at a time.
     """
     muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
@@ -74,10 +76,11 @@ def coercivity_check(psi: Frame, mu, seed: int = 0, tol: float = 1e-12, M=None) 
     # B = diag(sqrt(mu)) C_Psid is the second map of both calls, factored once.
     A, B = _coefficient_maps(psi, M, 1.0 / np.sqrt(muv), np.sqrt(muv))
     B = _Factored(B)
-    X = _Factored(np.sqrt(muv)[:, None] * psi.analysis_matrix)
-    c = map_constants(X, B, 2)
     # sigma_min of M_mu : H^2_sqrt(mu) -> H^2_{1/sqrt(mu)} certifies bijectivity.
     sigma_min = map_constants(A, B, 2)["lower"][0]
+    del A  # and its SVD with it: X below is the one other map held beside B
+    X = _Factored(np.sqrt(muv)[:, None] * psi.analysis_matrix)
+    c = map_constants(X, B, 2)
     # M_mu = X^H X, so its extreme eigenvalues are also the squared extreme
     # singular values of X: a second, independent route to them.
     sv2 = X.singular_values**2

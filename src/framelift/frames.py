@@ -175,7 +175,10 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     n x n one is a left n x d factor times a d x n right factor, formed
     once, and is read in row slabs (:func:`matalg._slabs`) as rows
     L[i0:i1] R, written into buffers carved from one block that the check
-    allocates once. A row slab of a product rounds like the same rows of
+    allocates once. The only n x d left factors held whole are U and C,
+    and C only until the right factors exist: a slab's rows of C and Cd
+    are the conjugated columns D[:, i0:i1]^H and Dd[:, i0:i1]^H, the same
+    numbers. A row slab of a product rounds like the same rows of
     the whole product, while a column slab, or Cd D in place of conj(P)^T,
     need not (BLAS may order the complex multiply-adds differently). So
     self_adjoint pairs the block P[I, J] of row slab I with P[J, I] read
@@ -183,9 +186,8 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     (i, j) and (j, i). A max is exact, so every residual equals the one
     read from the whole matrices bit for bit.
     """
-    dual = frame.canonical_dual()
-    C, D = frame.analysis_matrix, frame.synthesis_matrix
-    Cd, Dd = dual.analysis_matrix, dual.synthesis_matrix
+    D, Dd = frame.synthesis_matrix, frame.canonical_dual().synthesis_matrix
+    C = frame.analysis_matrix
     n, d = C.shape
     U, s, _ = np.linalg.svd(C, full_matrices=False)
     DdC = Dd @ C
@@ -194,9 +196,13 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     splitting = _max_abs(D - (D @ C) @ Dd) if n > d else 0.0
     # The d x n right factors; each n x n product below is (left rows) @ right.
     UhCD = (U.conj().T @ C) @ D
-    identity, idempotent = (D @ Cd) @ Dd, DdC @ Dd
+    del C  # from here on, rows of C and Cd are conjugated columns of D and Dd
+    identity, idempotent = (D @ Dd.conj().T) @ Dd, DdC @ Dd
     kernel = Dd - (Dd @ U) @ U.conj().T if n > d else None
     s2, s4 = s**-2, s**-4
+
+    def rows_of(Z, i0, i1):  # rows i0:i1 of Z^H
+        return Z[:, i0:i1].conj().T
 
     slabs = matalg._slabs(n)
     r = max(i1 - i0 for i0, i1 in slabs)
@@ -210,8 +216,8 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
     maxima = {key: [] for key in keys}
     for k, (i0, i1) in enumerate(slabs):
         m = i1 - i0
-        P, T, A, Us, Cr = P_buf[:m], T_buf[:m], moduli[:m], Us_buf[:m], C[i0:i1]
-        np.matmul(Cd[i0:i1], Dd, out=P)  # rows of G_Psid
+        P, T, A, Us, Cr = P_buf[:m], T_buf[:m], moduli[:m], Us_buf[:m], rows_of(D, i0, i1)
+        np.matmul(rows_of(Dd, i0, i1), Dd, out=P)  # rows of G_Psid
         maxima["Gd"].append(np.abs(P, out=A).max())
         np.multiply(U[i0:i1], s4, out=Us)
         maxima["pinv_dual"].append(_gap(np.matmul(Us, UhCD, out=T), P, A))
@@ -229,7 +235,7 @@ def gram_identities_check(frame: Frame, rtol: float = 1e-10) -> dict:
             if j0 == i0:
                 np.copyto(rows_J, P)
             else:
-                np.matmul(C[j0:j1], Dd, out=rows_J)
+                np.matmul(rows_of(D, j0, j1), Dd, out=rows_J)
             conj_JI = np.conjugate(rows_J[:, i0:i1], out=rows_J[:, i0:i1])
             gap = np.subtract(P[:, j0:j1], conj_JI.T, out=P[:, j0:j1])  # -(P^H - P) on block (I, J)
             maxima["self_adjoint"].append(np.abs(gap, out=A[:, : j1 - j0]).max())

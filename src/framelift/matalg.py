@@ -424,9 +424,11 @@ def _moduli_sums(n: int, rows) -> tuple:
     rows(i0, i1, out) returns rows i0:i1 of T; ``out`` is a complex buffer
     of that shape it may fill. Both sums equal those of the whole |T| bit
     for bit: a row sum reads one row, and |T|.sum(axis=0) adds the rows of
-    |T| one after another, so each row is added in turn to the running
-    column sums (which start at 0, and 0 + x = x exactly). One block,
-    allocated once, holds a slab's rows, their moduli and the sums.
+    |T| one after another. So the running column sums (which start at 0,
+    and 0 + x = x exactly) are added into a slab's first row, and the
+    slab's reduce over its rows, which also adds them in row order, gives
+    the new running sums. One block, allocated once, holds a slab's rows,
+    their moduli and the sums.
     """
     slabs = _slabs(n)
     r = max(i1 - i0 for i0, i1 in slabs)
@@ -439,8 +441,8 @@ def _moduli_sums(n: int, rows) -> tuple:
     for i0, i1 in slabs:
         a = np.abs(rows(i0, i1, rows_buf[: i1 - i0]), out=moduli[: i1 - i0])
         row_max.append(a.sum(axis=1).max())
-        for row in a:
-            cols += row
+        a[0] += cols
+        np.add.reduce(a, axis=0, out=cols)
     return float(cols.max()), float(np.max(row_max))
 
 
@@ -595,7 +597,8 @@ def _riesz_thorin(n1: float, n2: float, ninf: float, p) -> float:
 
 class _Factored:
     """An n x d coefficient map with its one thin SVD M = U diag(s) V^H,
-    made on first use, and what is read from it.
+    made on first use, and what is read from it. U's one reader is
+    :attr:`left_inverse`, so the SVD keeps only s and V^H once that is read.
 
     :func:`map_constants` accepts these in place of arrays, so a caller that
     needs several p for one pair of maps (the lifting pipeline) factors
@@ -646,10 +649,12 @@ class _Factored:
     @functools.cached_property
     def left_inverse(self):
         """The pseudo-inverse V diag(1/s) U^H if the map is injective, with
-        no singular value cut, else None."""
+        no singular value cut, else None. The n x d factor U is released
+        here, injective or not: nothing else reads it."""
+        u, s, vh = self._svd
+        self._svd = (None, s, vh)
         if self.vs_inv is None:
             return None
-        u, s, vh = self._svd
         return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
 
     def product_sums(self, L: "_Factored") -> tuple:

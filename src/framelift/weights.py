@@ -167,11 +167,22 @@ def weight_values(m, n: int) -> np.ndarray:
 
 
 def lp_norms(X, p) -> np.ndarray:
-    """The l^p norm of X along its last axis; p = np.inf gives the max."""
+    """The l^p norm of X along its last axis; p = np.inf gives the max.
+
+    p = 1 is the plain sum of moduli. For 1 < p < inf each row is first
+    divided by its largest modulus m, ||x||_p = m ||x / m||_p: its largest
+    term is then 1, so the sum of powers neither overflows to inf nor
+    underflows to 0 however large p or the entries are. A zero row has
+    norm 0.
+    """
     a = np.abs(X)
     if p == np.inf:
         return a.max(axis=-1)
-    return (a**p).sum(axis=-1) ** (1.0 / p)
+    if p == 1:
+        return a.sum(axis=-1)
+    top = a.max(axis=-1, keepdims=True)
+    np.divide(a, top, out=a, where=top > 0)  # a zero row stays 0
+    return top[..., 0] * (a**p).sum(axis=-1) ** (1.0 / p)
 
 
 def moderateness_constant(m: Weight, t: float, profile: str = "polynomial", beta: float = 1.0) -> float:

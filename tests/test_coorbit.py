@@ -1,5 +1,7 @@
 """Coorbit norms, coercivity, and the lifting constants machinery."""
 
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -73,6 +75,27 @@ class TestCoercivity:
         lo, hi = res["relative_constants"]
         assert lo == pytest.approx(np.sqrt(w.min()), rel=1e-8)
         assert hi == pytest.approx(np.sqrt(w.max()), rel=1e-8)
+
+    def test_map_a_is_released_before_x_is_built(self, small_frame, monkeypatch):
+        # coercivity_check holds one map pair at a time: B = diag(sqrt(mu))
+        # C_Psid is factored beside A, and X = diag(sqrt(mu)) C_Psi only once
+        # A, with the SVD map_constants made of it, is gone.
+        maps, alive, a_alive_at = coorbit._coefficient_maps, [], []
+
+        def spy_maps(*args):
+            A, B = maps(*args)
+            alive.append(weakref.ref(A))
+            return A, B
+
+        def spy_factored(M):
+            a_alive_at.append(alive[-1]() is not None)
+            return matalg._Factored(M)
+
+        monkeypatch.setattr(coorbit, "_coefficient_maps", spy_maps)
+        monkeypatch.setattr(coorbit, "_Factored", spy_factored)
+        res = coercivity_check(small_frame, np.linspace(0.5, 2.5, small_frame.n))
+        assert a_alive_at == [True, False]  # B beside A, then X alone
+        assert res["bijective"]
 
 
 class TestLiftingConstants:
@@ -292,6 +315,19 @@ class TestPipeline:
         fr = onb(4)
         with pytest.raises(ValueError, match="precondition"):
             lifting_theorem_pipeline(fr, np.array([1.0, -1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("p", [200, 1e300])
+    def test_large_p_brackets_are_finite_and_ordered(self, p):
+        # Gabor N = 32 at mu t = 6: unscaled |x|^p overflowed at p = 200, so
+        # the map brackets read nan and step (iv)'s lower ends inf.
+        psi, mu, m = _gabor(32, 6.0)
+        report = lifting_theorem_pipeline(psi, mu, m=m, ps=(2, p))
+        key = coorbit._p_key(p)
+        lower, upper = (report["per_p_results"][key]["brackets"][side] for side in ("lower", "upper"))
+        step_iv = report["residuals"]["step_iv"][key]
+        for lo, hi in (lower, upper, step_iv["B_norm"], step_iv["B_inv_norm"], step_iv["condition_bracket"]):
+            assert np.isfinite([lo, hi]).all()
+            assert 0 < lo <= hi
 
     @pytest.mark.parametrize("ps", [(2,), (1, 2, np.inf), (2, 1, np.inf)], ids=lambda ps: "-".join(map(str, ps)))
     def test_one_svd_of_each_coefficient_map(self, monkeypatch, ps):

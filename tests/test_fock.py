@@ -1,9 +1,11 @@
 """Fock-space coherent frames: exact Grams, truncation, density, lifting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from framelift import fock, kernels
+from framelift import fock, kernels, matalg
 from framelift.coorbit import sweep
 from framelift.fock import (
     FockFamily,
@@ -143,6 +145,41 @@ class TestDensity:
         lat = FockLattice(delta=4.5, R=4.0)
         assert beurling_density_lower(lat) < 0.1
 
+    def test_counts_over_center_blocks_equal_the_whole_table(self, monkeypatch):
+        # From 539 centers at r = 3 / 8 down to the one center at r = R: with
+        # SLAB_ROWS = 5 the 539 are counted in 108 blocks, the last one short.
+        lat = FockLattice(delta=0.8, R=3.0)
+        radii = np.geomspace(3.0 / 8, 3.0, 6)
+        monkeypatch.setattr(matalg, "SLAB_ROWS", 5)
+        got = beurling_density_table(lat, radii)
+        lam, step, want = lat.points, lat.delta / 4, []
+        for r in radii:
+            g = np.arange(-(3.0 - r), 3.0 - r + step / 2, step)
+            zz = (g[:, None] + 1j * g[None, :]).ravel()
+            zz = zz[np.abs(zz) <= 3.0 - r]
+            zz = zz if len(zz) else np.array([0j])
+            cnt = (np.abs(lam[None, :] - zz[:, None]) <= r).sum(axis=1)
+            want.append({"r": float(r), "min_density": float((cnt / (np.pi * r**2)).min())})
+        assert got == want
+
+    def test_points_and_density_build_no_table_across_the_lattice(self):
+        # delta = 0.8, R = 10: n = 489 points and 1947 centers at r = R / 2.
+        # A pairwise distinctness table (n x n) or a centers x n count table
+        # alone breaks these bounds; SLAB_ROWS centers at a time fit.
+        lat = FockLattice(delta=0.8, R=10.0)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            n = len(lat.points)
+            points_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            beurling_density_lower(lat)
+            density_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points_peak < n * n * 4
+        assert density_peak < 3 * matalg.SLAB_ROWS * n * np.dtype(complex).itemsize
+
 
 class TestMultiplier:
     def test_unit_symbol_gives_frame_operator(self):
@@ -203,6 +240,20 @@ class TestLattice:
         c = FockLattice(delta=0.8, R=2.0, jitter=0.1, seed=6).points
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0
+
+    def test_repeated_points_are_rejected(self, monkeypatch):
+        # Jitter 2 moves the origin by delta to the point (delta, 0), the
+        # only coincidence among the five points of the unit disk.
+        class Shift:
+            def uniform(self, lo, hi, size):
+                u = np.zeros(size)
+                u[size[0] // 2, 0] = 0.5
+                return u
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Shift())
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            FockLattice(delta=1.0, R=1.0, jitter=2.0).points
+        assert FockLattice(delta=1.0, R=1.0, jitter=1.0).points[2] == 0.5
 
     def test_points_are_cached_and_read_only(self):
         lat = FockLattice(delta=0.8, R=2.0)

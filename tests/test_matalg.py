@@ -1,6 +1,7 @@
 """Weighted conjugation, pseudo-inverses, induced norms, and decay bookkeeping."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -191,6 +192,39 @@ class TestOperatorNorm:
         # With k = n there is no kernel to fix: T = I - 0.5 I reads 0.5.
         eye = np.eye(40)
         assert matalg.operator_norm(eye, -0.5 * eye, [3], 0.5)[3] == pytest.approx((0.5, 0.5), rel=1e-15)
+
+
+def _arrays(x):
+    """Every array reachable from x through tuples, lists and (weak) dicts."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _arrays(y)
+    elif isinstance(x, (dict, weakref.WeakKeyDictionary)):
+        for y in x.values():
+            yield from _arrays(y)
+
+
+class TestFactored:
+    @pytest.mark.parametrize("injective", [True, False])
+    def test_u_is_released_once_the_left_inverse_is_read(self, rng, injective):
+        # U's one reader is left_inverse; after it, the map holds no n x d
+        # or d x n array but its matrix and its left inverse.
+        n, d = 36, 8
+        M = cmat(rng, n, d)
+        if not injective:
+            M[:, 3] = M[:, 0]
+        F, L = matalg._Factored(M), matalg._Factored(cmat(rng, n, d))
+        s = F.singular_values.copy()
+        assert any(a.shape == (n, d) for a in _arrays(vars(F)) if a is not F.matrix)
+        pinv = F.left_inverse
+        assert (pinv is not None) is injective
+        if injective:
+            F.product_sums(L), F.product_svals(L), F.sampled_ratios(L, 3, 0)
+        wide = [a.shape for a in _arrays(vars(F)) if a.shape in ((n, d), (d, n)) and a is not F.matrix and a is not pinv]
+        assert wide == []
+        assert np.array_equal(F.singular_values, s) and F.injective is injective
 
 
 class _Counted(np.ndarray):

@@ -271,6 +271,27 @@ def test_verify_phase_peak_stays_below_half_an_n_by_n_array(phase):
     assert peak < n * n * np.dtype(complex).itemsize / 2
 
 
+def test_gram_identities_peak_stays_below_11_5_nd():
+    # verify-1024's frame, Gabor N = 128, a = 2, b = 8: n = 1024, d = 128.
+    # The slab block (5 SLAB_ROWS n floats, 5 n d here), U and the four d x n
+    # right factors make 10 n d. Whole conjugated copies of C and Cd held
+    # beside them peaked at 12.69 n d; reading each slab's rows of C and Cd
+    # from D and Dd, with C released once the right factors exist, leaves
+    # 11.07 n d.
+    psi = gabor_system(128, 2, 8)
+    n, d = psi.n, psi.d
+    assert (n, d) == (1024, 128)
+    psi.canonical_dual()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert gram_identities_check(psi)["ok"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.5 * n * d * np.dtype(complex).itemsize
+
+
 def _run_commands(out: Path, tmp_path: Path) -> None:
     lift = tmp_path / "lift_gabor_two_sizes.json"
     lift.write_text(json.dumps({"kind": "gabor", "Ns": [16, 32], "mu": SYMBOL_SPEC, "ps": [1, 2, "inf"], "seed": 0}))

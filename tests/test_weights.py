@@ -12,6 +12,7 @@ from framelift.weights import (
     TORUS,
     IndexSet,
     Weight,
+    lp_norms,
     moderateness_constant,
 )
 from tests.reference import diag_lift, weighted_norm
@@ -123,6 +124,28 @@ class TestWeightedNorm:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             weighted_norm(np.ones(3), 2, np.ones(4))
+
+
+class TestLpNorms:
+    @pytest.mark.parametrize("p", [1.5, 3, 200, 1e300])
+    def test_rows_are_scaled_before_the_power(self, p):
+        # |x|^p of these rows overflows or underflows unscaled; the norm of a
+        # row scaled by a power of two is that power times the norm.
+        x = np.array([[3.0, -4.0, 1.0], [0.0, 0.0, 0.0], [1e-300j, 0.0, 2e-300]])
+        got = lp_norms(np.array([x[0] * 2.0**900, x[1], x[2]]), p)
+        want = lp_norms(x[:1], p)[0]
+        assert got[0] == want * 2.0**900
+        assert got[1] == 0.0
+        assert 2e-300 <= got[2] <= 3e-300  # between the max and the sum of moduli
+        assert 4.0 <= want <= 8.0
+
+    def test_in_range_norms_match_the_plain_formulas(self, rng):
+        # p = 1 and inf are the plain sum and max bit for bit.
+        x = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        assert np.array_equal(lp_norms(x, 1), np.abs(x).sum(axis=-1))
+        assert np.array_equal(lp_norms(x, np.inf), np.abs(x).max(axis=-1))
+        for p in (1.5, 2, 3, 7):
+            np.testing.assert_allclose(lp_norms(x, p), (np.abs(x) ** p).sum(axis=-1) ** (1 / p), rtol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
