@@ -169,7 +169,8 @@ def lifting_theorem_pipeline(
     Since Mat(O) = C O D and G_{Psi,Psid} = C S^{-1} D, it is the identity
     plus a term of rank d: B = I + C Y, Y = (M_{1/mu} M_mu - S^{-1}) D. Its
     verdict therefore comes from the d x d matrix I + Y C and its p = 2
-    norms from a k x k core with k <= 2d (see
+    norms from Golub-Kahan-Lanczos through the Woodbury factors, or, where
+    their product cancels too much, through a k x k core with k <= 2d (see
     :class:`framelift.multipliers._SplitCore`); no n x n matrix is
     factorized.
 
@@ -178,11 +179,14 @@ def lifting_theorem_pipeline(
     coordinates (a diagonal similarity does not change invertibility; see
     :func:`framelift.multipliers._certificate`), reporting the certificate's
     bound r on ||I - B Xt||_inf, Xt = I - C W Y, as ``B_certificate_margin``
-    (invertible when r < 1) and sigma_min / sigma_max of B_sqrt(mu) from
-    the k x k core K as a number: sigma_max(K) and, for a certified core,
-    sigma_min = 1 / sigma_max(K^{-1}), each by Golub-Kahan-Lanczos
-    (:func:`framelift.matalg.sigma_max`), with a values-only SVD of K for
-    the sigma_min of a core the certificate does not pass. The verdict
+    (invertible when r < 1) and sigma_min / sigma_max of B_sqrt(mu) as a
+    number: sigma_max and, for a certified core, sigma_min = 1 / ||B^{-1}||_2,
+    each by Golub-Kahan-Lanczos (:func:`framelift.matalg.sigma_max`). A
+    certified core whose Woodbury product cancels little applies B_w and
+    B_w^{-1} through their factors (the factor route: no QR, no K, no
+    K^{-1}); every other core reads sigma_max(K) and sigma_max(K^{-1}) of
+    its k x k core K, with a values-only SVD of K for the sigma_min of a
+    core the certificate does not pass. The verdict
     stays a float certificate of the n x n B, with every n-dimensional
     rounding counted; (ii) profile the
     decay of the five Gram matrices the argument rests on, with the
@@ -198,11 +202,11 @@ def lifting_theorem_pipeline(
     synthesis matrix, and each row of the difference is divided by the same
     row of the moduli of the right side's factors applied to the probe's
     moduli (see :func:`_probe_residuals`); (iv) condition B on each
-    requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} are
-    sigma_max(K) and sigma_max(K^{-1}) (at least 1 when k < n) of the k x k
-    core, which step (i) already built and read when m = 1 (for another m
-    a core on m sqrt(mu) reuses step (i)'s certificate, which is
-    unweighted); every other p is read by two calls of
+    requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} are those
+    step (i) reads (each at least 1 where B fixes a vector), from the core
+    step (i) already built and read when m = 1 (for another m a core on
+    m sqrt(mu) reuses step (i)'s certificate, which is unweighted, and
+    takes its own route); every other p is read by two calls of
     :func:`framelift.matalg.operator_norm`, on the factors (X_w, Y_w) of
     B_w and (X_w, -(W Y_w)) of the Woodbury inverse of step (i)'s
     certificate (inner dimension d, for every k): each reads the column
@@ -327,11 +331,11 @@ def lifting_theorem_pipeline(
     n2 = core.sigma[1]
     n2_inv = core.inverse_norm if invertible else None
     # B_w = I + X_w Y_w and its Woodbury inverse I + X_w (-(W Y_w)), read
-    # from their factors; -(W Y_w) is formed only where a p != 2 reads it.
+    # from their factors; the core forms -(W Y_w) once, on the factor route
+    # or where a p != 2 reads it.
     X, Y, V_inv = core.X, core.Y, None
     if invertible and any(p != 2 for p in ps):
-        V_inv = core.W @ Y
-        np.negative(V_inv, out=V_inv)
+        V_inv = core.inverse_factor
     # The core's K and W go now.
     del core, O, M_rec
     fwd = matalg.operator_norm(X, Y, ps, n2)

@@ -20,7 +20,8 @@ the lifting constants among them: exact generalized singular values at
 p = 2, certified brackets otherwise;
 :func:`upper_constant` is its upper side alone. :func:`sigma_max` finds a
 2-norm, the largest singular value, by Golub-Kahan-Lanczos in a few
-matrix-vector products where no other singular value is needed.
+products with vectors where no other singular value is needed: of a dense
+matrix, or of I + U V through its factors.
 
 Invertibility verdicts are a posteriori certificates (Rump, "Verification
 methods: rigorous results using floating-point arithmetic", Acta Numerica
@@ -381,6 +382,15 @@ def abs_chain(vec, *factors) -> np.ndarray:
     return vec
 
 
+def abs_norm_bound(*factors) -> float:
+    """sqrt(||N||_1 ||N||_inf), an upper bound on ||N||_2, of the
+    nonnegative product N = |F_1| |F_2| ... |F_m|: its largest column and
+    row sums, each read by :func:`abs_chain`, so N is never formed."""
+    rows = abs_chain(np.ones(factors[-1].shape[1]), *factors)
+    cols = abs_chain(np.ones(factors[0].shape[0]), *(f.T for f in reversed(factors)))
+    return float(np.sqrt(rows.max() * cols.max()))
+
+
 def certified_bound(r: float, depth: int) -> float:
     """r, the float value of a sum of products of nonnegative terms with at
     most ``depth`` roundings on any path, raised to an upper bound on the
@@ -446,9 +456,12 @@ def _moduli_sums(n: int, rows) -> tuple:
     return float(cols.max()), float(np.max(row_max))
 
 
-def sigma_max(A: np.ndarray) -> float:
-    """Largest singular value of the square matrix A by Golub-Kahan-Lanczos
-    bidiagonalization (Golub and Kahan, SIAM J. Numer. Anal. B 2, 1965).
+def sigma_max(apply, apply_adjoint, n: int, real: bool = False) -> float:
+    """Largest singular value of an n x n operator A, given as the maps
+    ``apply`` (v -> A v) and ``apply_adjoint`` (u -> A^H u), by
+    Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J. Numer.
+    Anal. B 2, 1965). :func:`dense_operator` and :func:`identity_plus` give
+    the maps of a dense matrix and of I + U V.
 
     From a seeded unit start vector v_1 the recurrences
 
@@ -467,36 +480,50 @@ def sigma_max(A: np.ndarray) -> float:
     residual is at most LANCZOS_RTOL u theta. Otherwise it stops at step n,
     where the bidiagonalization is complete and B_n has the singular
     values of A; an alpha_j or beta_j of exactly 0 (an invariant subspace:
-    the zero matrix, the identity) ends it before. A^H u is applied as
-    conj(conj(u) A), so no transposed copy of A is made, and after j steps
-    the bases hold 2 j n numbers.
+    the zero matrix, the identity) ends it before. A ``real`` operator
+    gets real vectors, so a real matrix is never cast to complex. After j
+    steps the bases hold 2 j n numbers.
     """
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("sigma_max takes a square matrix")
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
-    if np.iscomplexobj(A):  # a real A keeps real vectors, so A is never cast
+    if not real:
         v = v + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     U, V, alphas, betas = [], [], [], []
     u, beta = np.zeros_like(v), 0.0
     while True:
         V.append(v)
-        u = _orthogonalize(A @ v - beta * u, U)
+        u = _orthogonalize(apply(v) - beta * u, U)
         alpha = float(np.linalg.norm(u))
         alphas.append(alpha)
         if alpha == 0.0:
             return _top_ritz(alphas, betas)[0]
         u /= alpha
         U.append(u)
-        v = _orthogonalize((u.conj() @ A).conj() - alpha * v, V)
+        v = _orthogonalize(apply_adjoint(u) - alpha * v, V)
         beta = float(np.linalg.norm(v))
         betas.append(beta)
         theta, q_last = _top_ritz(alphas, betas)
         if alpha * beta * abs(q_last) <= LANCZOS_RTOL * UNIT_ROUNDOFF * theta**2 or len(alphas) == n:
             return theta
         v /= beta
+
+
+def dense_operator(A: np.ndarray) -> tuple:
+    """The :func:`sigma_max` arguments (apply, apply_adjoint, n, real) of
+    the square matrix A. A^H u is applied as conj(conj(u) A), so no
+    transposed copy of A is made."""
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("sigma_max takes a square matrix")
+    return (lambda v: A @ v), (lambda u: (u.conj() @ A).conj()), n, not np.iscomplexobj(A)
+
+
+def identity_plus(U: np.ndarray, V: np.ndarray) -> tuple:
+    """The :func:`sigma_max` arguments of T = I + U V (U n x k, V k x n),
+    applied through its factors at O(n k) per product and never assembled:
+    T v = v + U (V v), and T^H u = u + conj((conj(u) U) V)."""
+    return (lambda v: v + U @ (V @ v)), (lambda u: u + ((u.conj() @ U) @ V).conj()), U.shape[0], False
 
 
 def _orthogonalize(x: np.ndarray, basis: list) -> np.ndarray:
@@ -546,8 +573,8 @@ def operator_norm(U: np.ndarray, V: np.ndarray, ps, n2: float) -> dict:
     other p in (1, inf). T is read from its factors and never assembled. On
     a weighted space l^p_w, pass the factors of diag(w) T diag(1/w).
 
-    p = 2 is n2, T's exact 2-norm, known without reading T (the k x k core
-    of :class:`framelift.multipliers._SplitCore`). When some p != 2, the
+    p = 2 is n2, T's exact 2-norm, known without reading T (found by
+    :class:`framelift.multipliers._SplitCore`). When some p != 2, the
     column and row sums of |T|, the exact p = 1 and p = inf norms, are read
     once in row slabs (:func:`_moduli_sums`), and the upper end of every
     other p interpolates the exact p = 1, 2, inf norms. When some p is not

@@ -15,10 +15,11 @@ invertible exactly when the d x d matrix I + Y X is. Every B_O verdict,
 those of ``verify`` and the lifting pipeline's alike, is Rump's certificate
 on that d x d Woodbury core (:func:`_certificate`): no QR, no SVD and no
 n x k array. :class:`_SplitCore` adds what the pipeline's p = 2 norms on a
-weighted space need, a k x k core K of B_w (k = min(n, 2d)), whose largest
-singular value and that of K^{-1} come from Golub-Kahan-Lanczos
-(:func:`matalg.sigma_max`). The pipeline's identity checks apply B_O and
-B_O^H to probe vectors through X and Y, and its l^p norms of B_w and of
+weighted space need: sigma_max(B_w) and ||B_w^{-1}||_2 by Golub-Kahan-Lanczos
+(:func:`matalg.sigma_max`), applied through the Woodbury factors of B_w and
+of its inverse where their product cancels little, and otherwise through a
+k x k core K of B_w (k = min(n, 2d)). The pipeline's identity checks apply
+B_O and B_O^H to probe vectors through X and Y, and its l^p norms of B_w and of
 the Woodbury inverse B_w^{-1} for p != 2 are read from their factors by
 :func:`matalg.operator_norm`. The spectral-invariance suite reports
 upper constants only, so it factorizes neither O's coefficient map nor
@@ -34,6 +35,15 @@ from . import matalg
 from .frames import Frame
 from .matalg import _Factored, upper_constant
 from .weights import weight_values
+
+# A certified splitting core reads its p = 2 norms through its Woodbury
+# factors when eta, the cancellation bound of its inverse's product (see
+# _SplitCore), is at most this; any other core keeps its k x k core K. eta
+# is 1.3e-14 to 2.8e-13 on Gabor N = 32...256 at mu t = 2 and at most
+# 6.8e-15 on Fock R = 2.5...8 at t = 6, but 1.1e-12 to 5.8e-10 on Gabor
+# N = 16...64 at t = 6. The bound sits a tenth below the 1e-13 tolerance
+# of the 40-digit oracle tests.
+FACTOR_ROUTE_ETA = 1e-12
 
 
 def multiplier(symbol, psi: Frame) -> np.ndarray:
@@ -176,8 +186,7 @@ def _certificate(X: np.ndarray, Y: np.ndarray, Y_err) -> tuple:
 
 class _SplitCore:
     """B_O for the slot choice ``slots``, certified in unweighted coordinates
-    and held, for its p = 2 norms on l^2_w, as a k x k core of
-    B_w = diag(w) B_O diag(1/w).
+    and read, for its p = 2 norms on l^2_w, as B_w = diag(w) B_O diag(1/w).
 
     B_O = I + X Y with X = C (n x d) and Y = L O (R D) - Dd (d x n) from
     :func:`_splitting_factor`. The verdict is :func:`_certificate` on X and
@@ -185,35 +194,48 @@ class _SplitCore:
     similarity does not change invertibility, so the unweighted certificate
     decides B_w for every w; it keeps W = inv(I + Y X), so the inverse is
     B_w^{-1} = I - X_w W Y_w (X_w = diag(w) X, Y_w = Y diag(1/w), which
-    have Y_w X_w = Y X). B_w = I + X_w Y_w and B_w^{-1} = I + X_w (-(W Y_w))
-    are read from those factors by :func:`matalg.operator_norm`.
+    have Y_w X_w = Y X). B_w = I + X_w Y_w and B_w^{-1} = I + X_w V with
+    V = -(W Y_w) (:attr:`inverse_factor`, formed once) are read from those
+    factors by :func:`matalg.operator_norm`.
 
     ``certified`` is the (W, certificate margin) of a core of the same O,
     frame and slots. The certificate is unweighted, so it serves every w:
     such a core forms Y alone, with no error map and no second
     certificate.
 
-    The p = 2 norms need the extreme singular values of B_w. With Q
-    (n x k, k < n) an orthonormal basis of the span of ran(X_w) and
-    ran(Y_w^H), B_w equals
-    K = I_k + (Q^H X_w)(Y_w Q) on ran(Q) and the identity on its
-    complement: the compression behind the Sherman-Morrison-Woodbury
-    formula (Golub & Van Loan, Matrix Computations). Its singular values
-    are those of K, plus 1. Q is a thin QR of [X_w, Y_w^H] and k = 2d; when
-    2d >= n there is nothing to compress, and K = I_n + X_w Y_w itself.
-    Only sigma_max(K) and sigma_max(K^{-1}) are read, each by
-    Golub-Kahan-Lanczos (:func:`matalg.sigma_max`) in a few matrix-vector
-    products; a values-only SVD of K is made only for the sigma_min of a
-    core the certificate does not pass (:attr:`sigma`).
-    ``w = None`` is the unit weight.
+    The p = 2 norms are sigma_max(B_w) and ||B_w^{-1}||_2, each by
+    Golub-Kahan-Lanczos (:func:`matalg.sigma_max`), on one of two routes:
+
+    - the factor route applies B_w and B_w^{-1} through (X_w, Y_w) and
+      (X_w, V) (:func:`matalg.identity_plus`) at O(n d) per product, and
+      makes no QR, no K and no K^{-1}. It is taken by a certified core
+      whose Woodbury product X_w (W Y_w) cancels little:
+      eta = u ||(|X_w| |W| |Y_w|)||_2 / ||B_w^{-1}||_2, with the 2-norm
+      bounded by sqrt(||.||_1 ||.||_inf) (:func:`matalg.abs_norm_bound`)
+      and the denominator the route's own Lanczos value, is at most
+      FACTOR_ROUTE_ETA. eta bounds the relative error of the products
+      with B_w^{-1}, so ||B_w^{-1}||_2 is then good to about eta.
+    - the K route is every other core's: one whose certificate fails,
+      and a steep certified one. With Q (n x k, k < n) an orthonormal
+      basis of the span of ran(X_w) and ran(Y_w^H), B_w equals
+      K = I_k + (Q^H X_w)(Y_w Q) on ran(Q) and the identity on its
+      complement: the compression behind the Sherman-Morrison-Woodbury
+      formula (Golub & Van Loan, Matrix Computations). Its singular
+      values are those of K, plus 1. Q is a thin QR of [X_w, Y_w^H] and
+      k = 2d; when 2d >= n there is nothing to compress, and
+      K = I_n + X_w Y_w itself. sigma_max(K) and sigma_max(K^{-1}) are
+      read; a values-only SVD of K is made only for the sigma_min of a
+      core the certificate does not pass (:attr:`sigma`).
+
+    ``K`` is None on the factor route. ``w = None`` is the unit weight.
 
     What is held: X and Y are written as the two blocks of one column-major
     n x 2d buffer, X and Y views of it, and certified there; only then are
-    they rescaled in place to X_w and Y_w, so the QR of [X_w, Y_w^H] reads
+    they rescaled in place to X_w and Y_w, so a QR of [X_w, Y_w^H] reads
     the buffer itself. The certificate's temporaries and Y's error map
-    (with |P|) are freed before the QR is made, and Q after K is formed.
-    Past the constructor the core keeps X_w, Y_w, W and K; K^{-1} lives
-    only while :attr:`inverse_norm` is read.
+    (with |P|) are freed before either route runs, and Q after K is formed.
+    Past the constructor the core keeps X_w, Y_w, W, V once formed, and K
+    on the K route; K^{-1} lives only while :attr:`inverse_norm` is read.
     """
 
     def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None, certified=None):
@@ -230,6 +252,13 @@ class _SplitCore:
         np.multiply(w[:, None], X, out=X)
         np.divide(Y, w[None, :], out=Y)
         self.n, self.w, self.X, self.Y = n, w, X, Y
+        self.K = None
+        if self.invertible():
+            inverse_norm = self._at_least_one(matalg.sigma_max(*matalg.identity_plus(X, self.inverse_factor)))
+            eta = matalg.UNIT_ROUNDOFF * matalg.abs_norm_bound(X, self.W, Y) / inverse_norm
+            if eta <= FACTOR_ROUTE_ETA:  # the factor route: no QR, no K
+                self.inverse_norm = inverse_norm  # fills the cached property
+                return
         if 2 * d >= n:
             Xq, Yq = X, Y
         else:  # Y is conjugated in place, and back, around the QR that reads it
@@ -250,37 +279,60 @@ class _SplitCore:
     def sigma(self) -> tuple:
         """(sigma_min, sigma_max) of B_w.
 
-        sigma_max is sigma_max(K) by Golub-Kahan-Lanczos, and at least 1
-        when k < n. A certified core's sigma_min is 1 / :attr:`inverse_norm`,
-        the number step (iv) reports. Where the certificate fails, B_w may
-        be singular, so nothing iterates on an inverse: sigma_min is the
-        smallest value of a values-only SVD of K, and at most 1 when k < n.
+        sigma_max is that of B_w through its factors on the factor route
+        and sigma_max(K) on the K route, by Golub-Kahan-Lanczos; at least 1
+        where B_w fixes a vector. A certified core's sigma_min is
+        1 / :attr:`inverse_norm`, the number step (iv) reports. Where the
+        certificate fails, B_w may be singular, so nothing iterates on an
+        inverse: sigma_min is the smallest value of a values-only SVD of K,
+        and at most 1 when k < n.
         """
-        top = matalg.sigma_max(self.K)
+        if self.K is None:
+            top = matalg.sigma_max(*matalg.identity_plus(self.X, self.Y))
+        else:
+            top = matalg.sigma_max(*matalg.dense_operator(self.K))
         if self.invertible():
             low = 1.0 / self.inverse_norm
         else:
             low = float(np.linalg.svd(self.K, compute_uv=False)[-1])
-        if self.K.shape[0] < self.n:  # B_w is the identity off ran(Q)
-            low, top = min(low, 1.0), max(top, 1.0)
-        return low, top
+        if self._fixes_vectors:
+            low = min(low, 1.0)
+        return low, self._at_least_one(top)
 
     @functools.cached_property
     def inverse_norm(self) -> float:
-        """||(diag(w) B_O diag(1/w))^{-1}||_2 = sigma_max(K^{-1}), and at
-        least 1 when k < n, by Golub-Kahan-Lanczos on the explicit K^{-1}.
+        """||B_w^{-1}||_2, and at least 1 where B_w fixes a vector.
 
-        Taken from the LU-based inverse, not as 1/sigma_min(K): a
-        values-only SVD loses relative accuracy in sigma_min when B_O is
-        badly scaled, while the inverse keeps it. A K that LAPACK finds
-        singular gives inf.
+        The factor route reads it on construction, by Golub-Kahan-Lanczos
+        through (X_w, :attr:`inverse_factor`). The K route reads
+        sigma_max(K^{-1}) on the explicit LU-based inverse, not
+        1/sigma_min(K): a values-only SVD loses relative accuracy in
+        sigma_min when B_O is badly scaled, while the inverse keeps it. A K
+        that LAPACK finds singular gives inf.
         """
         try:
             K_inv = np.linalg.inv(self.K)
         except np.linalg.LinAlgError:  # B_w may be singular
             return np.inf
-        top = matalg.sigma_max(K_inv)
-        return top if self.K.shape[0] == self.n else max(top, 1.0)
+        return self._at_least_one(matalg.sigma_max(*matalg.dense_operator(K_inv)))
+
+    @functools.cached_property
+    def inverse_factor(self) -> np.ndarray:
+        """V = -(W Y_w), the d x n right factor of B_w^{-1} = I + X_w V."""
+        V = self.W @ self.Y
+        return np.negative(V, out=V)
+
+    @property
+    def _fixes_vectors(self) -> bool:
+        """Whether B_w is read as the identity on a nonzero subspace: on
+        ker Y_w when d < n (factor route), on the complement of ran(Q)
+        when k < n (K route)."""
+        return (self.X.shape[1] if self.K is None else self.K.shape[0]) < self.n
+
+    def _at_least_one(self, norm: float) -> float:
+        """A 2-norm of B_w or of its inverse, raised to 1 where B_w fixes a
+        vector (so both norms are at least 1)."""
+        return max(norm, 1.0) if self._fixes_vectors else norm
 
     def apply(self, V: np.ndarray, w) -> np.ndarray:
         """diag(w) B_O diag(1/w) V for the columns of V, from X and Y with

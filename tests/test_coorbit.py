@@ -357,7 +357,8 @@ class TestPipeline:
         reused = _SplitCore(O, psi, w=m * np.sqrt(mu), certified=(step_i.W, step_i.certificate_margin))
         assert len(calls) == 1
         assert np.array_equal(reused.W, fresh.W) and reused.certificate_margin == fresh.certificate_margin
-        assert np.array_equal(reused.K, fresh.K)
+        assert reused.K is None and fresh.K is None  # both on the factor route
+        assert reused.sigma == fresh.sigma and reused.inverse_norm == fresh.inverse_norm
         calls.clear()
         report = lifting_theorem_pipeline(psi, mu, m=m, ps=(1, 2, np.inf))
         assert len(calls) == 1
@@ -494,7 +495,7 @@ class TestLowRankSplitting:
                 bracket = (fwd[0] * rev[0], fwd[-1] * rev[-1])
                 np.testing.assert_allclose(got["condition_bracket"], bracket, rtol=inv_rtol)
 
-    def test_inverse_norm_matches_mpmath_where_the_sigma_min_shortcut_does_not(self):
+    def test_inverse_norm_matches_mpmath_where_the_sigma_min_shortcut_does_not(self, monkeypatch):
         # Gabor N = 8 (n = 32, d = 8), mu = (1+|x|)^4, m = (1+|x|)^2: B on
         # l^2_{m sqrt(mu)} has cond between 1e6 and 1e7, set by the weights.
         psi, mu, m = _gabor(8, 4.0, 2.0)
@@ -521,10 +522,13 @@ class TestLowRankSplitting:
 
         tol = 3e-14
         assert got == pytest.approx(want, rel=tol)
-        # 1/sigma_min from a values-only SVD misses the reference, of the
-        # k x k core as of the dense conjugated matrix.
+        # The K route's inverse norm meets the reference too, while 1/sigma_min
+        # from a values-only SVD misses it, of the k x k core K as of the
+        # dense conjugated matrix.
+        monkeypatch.setattr(multipliers, "FACTOR_ROUTE_ETA", 0.0)
         dual = psi.canonical_dual()
         core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=w)
+        assert core.inverse_norm == pytest.approx(want, rel=tol)
         cross = gram(psi, dual)
         B_dense = galerkin(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, psi)
         B_dense = matalg.conjugate(B_dense + (np.eye(psi.n) - cross), w)
@@ -617,11 +621,9 @@ class TestProbeChecks:
 
 
 def _assembled(core) -> tuple:
-    """B_w = I + X_w Y_w (K itself when K is n x n) and its Woodbury inverse
-    I - X_w (W Y_w), as n x n arrays."""
-    eye = np.eye(core.n)
-    B = core.K if core.K.shape[0] == core.n else eye + core.X @ core.Y
-    return B, eye - core.X @ (core.W @ core.Y)
+    """B_w = I + X_w Y_w (K itself, bit for bit, when K is n x n) and its
+    Woodbury inverse I + X_w (-(W Y_w)), as n x n arrays."""
+    return reference.assembled(core.X, core.Y), reference.assembled(core.X, core.inverse_factor)
 
 
 def _factor_norms(core, ps) -> tuple:
@@ -630,7 +632,7 @@ def _factor_norms(core, ps) -> tuple:
     them."""
     return (
         matalg.operator_norm(core.X, core.Y, ps, core.sigma[1]),
-        matalg.operator_norm(core.X, -(core.W @ core.Y), ps, core.inverse_norm),
+        matalg.operator_norm(core.X, core.inverse_factor, ps, core.inverse_norm),
     )
 
 
@@ -664,7 +666,7 @@ class TestSlabNorms:
     def test_sampled_side_goes_through_the_factors(self, rng):
         psi, mu, m = _random_case(24, 8, True)
         core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=m * np.sqrt(mu))
-        factors = ((core.X, core.Y), (core.X, -(core.W @ core.Y)))
+        factors = ((core.X, core.Y), (core.X, core.inverse_factor))
         for (U, V), dense, norms in zip(factors, _assembled(core), _factor_norms(core, (3,))):
             got = reference.factor_ratios(U, V, 3, 16, seed=4)
             np.testing.assert_allclose(got, reference.sampled_ratios(dense, None, 3, 16, seed=4), rtol=1e-13)

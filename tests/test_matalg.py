@@ -227,19 +227,20 @@ class TestFactored:
         assert np.array_equal(F.singular_values, s) and F.injective is injective
 
 
-class _Counted(np.ndarray):
-    """An array that counts the matrix products it takes part in."""
+def _counted(op: tuple) -> tuple:
+    """sigma_max's arguments ``op`` with a counter of the products with the
+    operator and its adjoint, returned as (op, counter)."""
+    apply, apply_adjoint, n, real = op
+    counter = [0]
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            self.products += 1
-        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+    def count(f):
+        def counted(v):
+            counter[0] += 1
+            return f(v)
 
+        return counted
 
-def _counted(A: np.ndarray) -> _Counted:
-    A = A.view(_Counted)
-    A.products = 0
-    return A
+    return (count(apply), count(apply_adjoint), n, real), counter
 
 
 def _graded(rng, n):
@@ -248,13 +249,29 @@ def _graded(rng, n):
     return matalg.conjugate(cmat(rng, n), w)
 
 
+def _operator(A: np.ndarray, form: str, U=None, V=None) -> tuple:
+    """sigma_max's arguments for A: the dense matrix, or I + U V through the
+    factors, by default U = A - I and V = I."""
+    if form == "dense":
+        return matalg.dense_operator(A)
+    n = A.shape[0]
+    return matalg.identity_plus(A - np.eye(n) if U is None else U, np.eye(n) if V is None else V)
+
+
+@pytest.fixture(params=["dense", "identity+UV"])
+def form(request):
+    return request.param
+
+
 class TestSigmaMax:
-    """Golub-Kahan-Lanczos sigma_max against LAPACK's dense SVD."""
+    """Golub-Kahan-Lanczos sigma_max against LAPACK's dense SVD, on a dense
+    matrix and on the same matrix written as I + U V."""
 
     @pytest.mark.parametrize("n", [1, 7, 60, 200])
     @pytest.mark.parametrize("kind", ["plain", "real", "graded", "identity+low-rank"])
-    def test_matches_dense_svd(self, n, kind):
+    def test_matches_dense_svd(self, n, kind, form):
         rng = np.random.default_rng(n)
+        U = V = None
         if kind == "plain":
             A = cmat(rng, n)
         elif kind == "real":
@@ -264,23 +281,25 @@ class TestSigmaMax:
         else:  # I + X Y with inner dimension d >= n/2, as a core with 2d >= n
             d = max(1, (n + 1) // 2)
             w = np.exp(rng.uniform(-4.0, 4.0, n))
-            A = np.eye(n) + (w[:, None] * cmat(rng, n, d)) @ (cmat(rng, d, n) / w[None, :])
+            U, V = w[:, None] * cmat(rng, n, d), cmat(rng, d, n) / w[None, :]
+            A = np.eye(n) + U @ V
         want = np.linalg.svd(A, compute_uv=False)[0]
-        assert matalg.sigma_max(A) == pytest.approx(want, rel=1e-14, abs=0)
+        assert matalg.sigma_max(*_operator(A, form, U, V)) == pytest.approx(want, rel=1e-14, abs=0)
 
-    def test_degenerate_matrices_end_without_a_division_by_zero(self):
+    def test_degenerate_matrices_end_without_a_division_by_zero(self, form):
         x, y = cmat(np.random.default_rng(5), 9, 2).T
         with np.errstate(all="raise"):
-            assert matalg.sigma_max(np.zeros((9, 9))) == 0.0
-            assert matalg.sigma_max(np.eye(9)) == pytest.approx(1.0, rel=1e-15)
-            rank_one = matalg.sigma_max(np.outer(x, y.conj()))
+            assert matalg.sigma_max(*_operator(np.zeros((9, 9)), form)) == 0.0
+            assert matalg.sigma_max(*_operator(np.eye(9), form)) == pytest.approx(1.0, rel=1e-15)
+            rank_one = matalg.sigma_max(*_operator(np.outer(x, y.conj()), form))
         assert rank_one == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y), rel=1e-14)
 
-    def test_repeated_calls_are_identical(self, rng):
+    def test_repeated_calls_are_identical(self, rng, form):
         A = _graded(rng, 50)
-        assert matalg.sigma_max(A) == matalg.sigma_max(A) == matalg.sigma_max(A.copy())
+        op = _operator(A, form)
+        assert matalg.sigma_max(*op) == matalg.sigma_max(*op) == matalg.sigma_max(*_operator(A.copy(), form))
 
-    def test_run_ends_within_the_dimension(self):
+    def test_run_ends_within_the_dimension(self, form):
         # A separated top value converges in a few steps. On evenly spaced
         # singular values the residual is still 65 u sigma at step n - 1, and
         # the run stops at step n, where the bidiagonalization is complete.
@@ -288,12 +307,12 @@ class TestSigmaMax:
         rng = np.random.default_rng(2)
         n = 40
         P, Q = (np.linalg.qr(cmat(rng, n))[0] for _ in range(2))
-        separated = _counted((P * np.concatenate([[10.0], rng.uniform(0.0, 1.0, n - 1)])) @ Q.conj().T)
-        assert matalg.sigma_max(separated) == pytest.approx(10.0, rel=1e-14)
-        assert separated.products <= 16
-        even = _counted((P * np.linspace(1.0, 0.5, n)) @ Q.conj().T)
-        assert matalg.sigma_max(even) == pytest.approx(1.0, rel=1e-14)
-        assert even.products == 2 * n
+        separated, products = _counted(_operator((P * np.concatenate([[10.0], rng.uniform(0.0, 1.0, n - 1)])) @ Q.conj().T, form))
+        assert matalg.sigma_max(*separated) == pytest.approx(10.0, rel=1e-14)
+        assert products[0] <= 16
+        even, products = _counted(_operator((P * np.linspace(1.0, 0.5, n)) @ Q.conj().T, form))
+        assert matalg.sigma_max(*even) == pytest.approx(1.0, rel=1e-14)
+        assert products[0] == 2 * n
 
     @pytest.mark.parametrize("dtype", [complex, float])
     def test_holds_no_copy_of_the_matrix(self, dtype):
@@ -309,11 +328,41 @@ class TestSigmaMax:
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            matalg.sigma_max(A)
+            matalg.sigma_max(*matalg.dense_operator(A))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * A.nbytes
+
+    def test_identity_plus_holds_no_n_by_n_array(self):
+        # I + U V with n = 2000, k = 8: the n x n I + U V would trace 64 MB;
+        # the run holds its bases (2 n complex numbers a step) and
+        # n-vectors alone.
+        rng = np.random.default_rng(10)
+        n, k = 2000, 8
+        U, V = cmat(rng, n, k), cmat(rng, k, n)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            top = matalg.sigma_max(*matalg.identity_plus(U, V))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * n * n * np.dtype(complex).itemsize
+        # I + U V is the identity off the span Q of ran U and ran V^H.
+        Q = np.linalg.qr(np.hstack([U, V.conj().T]))[0]
+        K = np.eye(2 * k) + (Q.conj().T @ U) @ (V @ Q)
+        assert top == pytest.approx(np.linalg.svd(K, compute_uv=False)[0], rel=1e-14)
+
+
+def test_abs_norm_bound_reads_the_sums_of_the_product_of_moduli(rng):
+    # N = |X| |W| |Y| is 30 x 30 with unequal column and row sums; the
+    # bound is sqrt(max column sum * max row sum), at least ||N||_2.
+    X, W, Y = cmat(rng, 30, 4), cmat(rng, 4, 4), cmat(rng, 4, 30) * np.linspace(0.1, 3.0, 30)
+    N = np.abs(X) @ np.abs(W) @ np.abs(Y)
+    got = matalg.abs_norm_bound(X, W, Y)
+    assert got == pytest.approx(np.sqrt(N.sum(axis=0).max() * N.sum(axis=1).max()), rel=1e-14)
+    assert got >= np.linalg.norm(N, 2)
 
 
 class TestDecayConstant:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from framelift import matalg
+from framelift import matalg, multipliers
 from framelift.matalg import map_constants
 from framelift.frames import onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
@@ -288,6 +288,18 @@ def _gabor_core(N: int, t_mu: float):
     return _SplitCore(O, psi, w=w), O, psi, w
 
 
+def _pinned_core(case: str) -> _SplitCore:
+    if case == "gabor32-t6":
+        return _gabor_core(32, 6.0)[0]
+    if case == "verify32-dual-dual":
+        psi = gabor_system(32, 2, 4)
+        return _SplitCore(multiplier(Weight.polynomial(psi.index_set, 2.0), psi), psi, Slots.DUAL_DUAL)
+    rng = np.random.default_rng(78)
+    psi = random_frame(rng, 14, 8)
+    w = np.exp(rng.uniform(-4.0, 4.0, 14))
+    return _SplitCore(_random_operator(rng, 8), psi, Slots.PSI_DUAL, w)
+
+
 class TestCertificate:
     """B_O's verdict is Rump's certificate on its d x d Woodbury core: a
     bound r on ||I - B_O Xt||_inf below 1, Xt = I - C W Y."""
@@ -393,30 +405,39 @@ class TestCertificate:
             ("random14x8-Q-None", 6.873646593046427e-11, (0.0022980607670503904, 1670.4903111004035), 435.1495027189908),
         ],
     )
-    def test_core_numbers_are_pinned(self, case, margin, sigma, inverse_norm):
-        # Exact values of the core's three reported numbers. How the core
-        # holds its factors and temporaries must not move a digit: any
-        # change here is a change of arithmetic, to be argued on its own.
-        # The cores: a weighted Gabor core with k = 2d, a unit-weight slot
-        # core on a Gabor frame (k = 2d: its [X, Y^H] has rank d, so the QR
-        # adds d directions on which K is the identity up to rounding), and
-        # one with 2d >= n, where K is B_w itself. Every pinned sigma and
-        # inverse norm is within 1.2e-15 relative of the 40-digit mpmath
-        # singular values of the float K.
-        if case == "gabor32-t6":
-            core = _gabor_core(32, 6.0)[0]
-        elif case == "verify32-dual-dual":
-            psi = gabor_system(32, 2, 4)
-            M = multiplier(Weight.polynomial(psi.index_set, 2.0), psi)
-            core = _SplitCore(M, psi, Slots.DUAL_DUAL)
-            assert core.K.shape == (2 * psi.d,) * 2
-        else:
-            rng = np.random.default_rng(78)
-            psi = random_frame(rng, 14, 8)
-            w = np.exp(rng.uniform(-4.0, 4.0, 14))
-            core = _SplitCore(_random_operator(rng, 8), psi, Slots.PSI_DUAL, w)
-            assert core.K.shape == (14, 14)
+    def test_core_numbers_are_pinned(self, k_route, case, margin, sigma, inverse_norm):
+        # Exact values of the core's three reported numbers on the K route.
+        # How the core holds its factors and temporaries must not move a
+        # digit: any change here is a change of arithmetic, to be argued on
+        # its own. The cores: a weighted Gabor core with k = 2d, a
+        # unit-weight slot core on a Gabor frame (k = 2d: its [X, Y^H] has
+        # rank d, so the QR adds d directions on which K is the identity up
+        # to rounding), and one with 2d >= n, where K is B_w itself. Every
+        # pinned sigma and inverse norm is within 1.2e-15 relative of the
+        # 40-digit mpmath singular values of the float K.
+        core = _pinned_core(case)
+        assert core.K.shape == {"gabor32-t6": (64, 64), "verify32-dual-dual": (64, 64)}.get(case, (14, 14))
         assert core.certificate_margin == margin
+        assert core.sigma == sigma
+        assert core.inverse_norm == inverse_norm
+
+    @pytest.mark.parametrize(
+        "case, sigma, inverse_norm",
+        [
+            ("verify32-dual-dual", (1.0, 474.3835172962562), 1.0),
+            ("random14x8-Q-None", (0.0022980607670503887, 1670.4903111004041), 435.14950271899113),
+        ],
+    )
+    def test_factor_route_numbers_are_pinned(self, case, sigma, inverse_norm):
+        # The two cores above whose Woodbury product cancels little take the
+        # factor route by default (gabor32-t6 keeps K: its eta is 2.2e-11).
+        # Against the 40-digit singular values of I + X_w Y_w from the same
+        # float factors, sigma_max sits 3.9e-17 (verify32) and 3.8e-16
+        # (random14x8) off, sigma_min and the inverse norm of random14x8
+        # 2.6e-16 and 2.2e-16; the K route's values sit 4.4e-16, 3.0e-17,
+        # 4.9e-16 and 5.7e-16 off.
+        core = _pinned_core(case)
+        assert core.K is None
         assert core.sigma == sigma
         assert core.inverse_norm == inverse_norm
 
@@ -465,6 +486,69 @@ class TestCertificate:
         dense = np.linalg.inv(matalg.conjugate(invertibility_matrix(O, psi), w))
         inverse = assembled(core.X, -(core.W @ core.Y))  # the Woodbury inverse I - X_w (W Y_w)
         np.testing.assert_allclose(inverse, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+
+class TestRoutes:
+    """A certified core whose Woodbury product cancels little (eta at most
+    FACTOR_ROUTE_ETA) reads its 2-norms through X_w and Y_w; every other core
+    keeps its k x k core K."""
+
+    def test_factor_route_makes_no_qr_no_n_by_n_inverse_and_no_svd(self, monkeypatch):
+        # Gabor N = 64 (n = 256, d = 64), mu t = 2, gabor-ladder's first size.
+        # The one inverse is the certificate's d x d W; each Golub-Kahan-Lanczos
+        # run, of B_w and of its inverse, ends within a few dozen steps.
+        O, psi, w = _gabor_case(64, 2.0)
+        inv = np.linalg.inv
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the factor route made a QR or an SVD")
+
+        def small_inv(a):
+            assert a.shape == (psi.d, psi.d)
+            return inv(a)
+
+        steps, identity_plus = [], matalg.identity_plus
+
+        def counted(U, V):
+            apply, apply_adjoint, n, real = identity_plus(U, V)
+            steps.append(0)
+
+            def step(v):
+                steps[-1] += 1
+                return apply(v)
+
+            return step, apply_adjoint, n, real
+
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", small_inv)
+        monkeypatch.setattr(matalg, "identity_plus", counted)
+        core = _SplitCore(O, psi, w=w)
+        lo, hi = core.sigma
+        assert core.K is None and lo == 1.0 / core.inverse_norm and hi > 1.0
+        assert len(steps) == 2 and max(steps) <= 24
+
+    @pytest.mark.parametrize(
+        "N, t_mu, route", [(64, 2.0, "factors"), (128, 2.0, "factors"), (256, 2.0, "factors"), (32, 6.0, "K"), (64, 6.0, "K")]
+    )
+    def test_route_census(self, N, t_mu, route):
+        # gabor-ladder's three sizes (eta 3.0e-14, 1.1e-13, 2.8e-13) take the
+        # factor route; steep-mix's Gabor t = 6 sizes (eta 2.2e-11, 5.8e-10)
+        # keep K, as a t = 14 core does, whose certificate fails.
+        core = _gabor_core(N, t_mu)[0]
+        assert core.invertible()
+        assert (core.K is None) is (route == "factors")
+
+    def test_eta_decides_the_route(self, monkeypatch):
+        # Gabor t = 6, N = 32 has eta = 2.2e-11: a bound above it sends the
+        # core down the factor route, where both norms stay within 1e-10 of
+        # the K route's.
+        K_core = _gabor_core(32, 6.0)[0]
+        monkeypatch.setattr(multipliers, "FACTOR_ROUTE_ETA", 1e-10)
+        core = _gabor_core(32, 6.0)[0]
+        assert K_core.K is not None and core.K is None
+        assert core.sigma == pytest.approx(K_core.sigma, rel=1e-10, abs=0)
+        assert core.inverse_norm == pytest.approx(K_core.inverse_norm, rel=1e-10, abs=0)
 
 
 class TestSpectralInvariance:

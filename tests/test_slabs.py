@@ -193,6 +193,31 @@ def test_pipeline_peak_stays_below_7_2_nk():
     assert peak < 7.2 * n * k * np.dtype(complex).itemsize
 
 
+def test_splitting_core_peak_stays_below_6_nd():
+    # gabor-ladder's middle size, Gabor N = 128 (n = 512, d = 128), mu t = 2:
+    # step (i)'s core with its sigma and inverse norm, read as the lift reads
+    # them. The K route's n x 2d QR, beside the buffer it reads and the Q it
+    # returns, peaked at 7.45 n d; the factor route holds X_w, Y_w, -(W Y_w)
+    # and its Lanczos bases, 4.77 n d. (The lift's own traced peak, 12.05 n d
+    # in the lifting maps' thin SVDs, is the same on both routes.)
+    lat = TFLattice.balanced(128, 4)
+    psi = gabor_system(lat.N, lat.a, lat.b)
+    n, d = psi.n, psi.d
+    assert (n, d) == (512, 128)
+    mu = Weight.polynomial(psi.index_set, 2.0).values
+    O = multiplier(1.0 / mu, psi) @ multiplier(mu, psi)
+    psi.canonical_dual()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        core = _SplitCore(O, psi, w=np.sqrt(mu))
+        core.sigma, core.inverse_norm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0 * n * d * np.dtype(complex).itemsize
+
+
 @pytest.fixture(params=[5, 7], ids=["slabs5", "slabs7"])
 def slab_rows(request, monkeypatch):
     monkeypatch.setattr(matalg, "SLAB_ROWS", request.param)
@@ -231,7 +256,7 @@ def test_product_sums_equal_the_dense_sums(slab_rows, n, d):
 
 @pytest.mark.parametrize("frame", ["random36", "random29", "gabor16"])
 @pytest.mark.parametrize("d_core", [False, True], ids=["core2d", "coreN"])
-def test_abs_sums_equal_the_dense_sums(slab_rows, frame, d_core):
+def test_abs_sums_equal_the_dense_sums(slab_rows, k_route, frame, d_core):
     psi = _identity_frames()[frame]
     if d_core:  # 2d >= n: the core K is B_w itself, and B_w is read from X_w and Y_w all the same
         psi = Frame(psi.vectors[:, : 2 * psi.d - 1], IndexSet(np.arange(2 * psi.d - 1)))
