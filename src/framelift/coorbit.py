@@ -169,8 +169,7 @@ def lifting_theorem_pipeline(
     Since Mat(O) = C O D and G_{Psi,Psid} = C S^{-1} D, it is the identity
     plus a term of rank d: B = I + C Y, Y = (M_{1/mu} M_mu - S^{-1}) D. Its
     verdict therefore comes from the d x d matrix I + Y C and its p = 2
-    norms from Golub-Kahan-Lanczos through the Woodbury factors, or, where
-    their product cancels too much, through a k x k core with k <= 2d (see
+    norms from Golub-Kahan-Lanczos through the Woodbury factors (see
     :class:`framelift.multipliers._SplitCore`); no n x n matrix is
     factorized.
 
@@ -181,14 +180,13 @@ def lifting_theorem_pipeline(
     bound r on ||I - B Xt||_inf, Xt = I - C W Y, as ``B_certificate_margin``
     (invertible when r < 1) and sigma_min / sigma_max of B_sqrt(mu) as a
     number: sigma_max and, for a certified core, sigma_min = 1 / ||B^{-1}||_2,
-    each by Golub-Kahan-Lanczos (:func:`framelift.matalg.sigma_max`). A
-    certified core whose Woodbury product cancels little applies B_w and
-    B_w^{-1} through their factors (the factor route: no QR, no K, no
-    K^{-1}); every other core reads sigma_max(K) and sigma_max(K^{-1}) of
-    its k x k core K, with a values-only SVD of K for the sigma_min of a
-    core the certificate does not pass. The verdict
-    stays a float certificate of the n x n B, with every n-dimensional
-    rounding counted; (ii) profile the
+    each by Golub-Kahan-Lanczos (:func:`framelift.matalg.sigma_max`) on
+    B_w and B_w^{-1} applied through their Woodbury factors: no QR, no SVD
+    and no inverse but the certificate's d x d one. A core the certificate
+    does not pass has no inverse norm; its sigma_min is the smallest value
+    of a values-only SVD of B_w compressed to k x k, k = min(n, 2d). The
+    verdict stays a float certificate of the n x n B, with every
+    n-dimensional rounding counted; (ii) profile the
     decay of the five Gram matrices the argument rests on, with the
     moderateness of the five weights, in one pass of a
     :class:`framelift.matalg.PairScan`: over row slabs, or, when the
@@ -205,11 +203,11 @@ def lifting_theorem_pipeline(
     requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} are those
     step (i) reads (each at least 1 where B fixes a vector), from the core
     step (i) already built and read when m = 1 (for another m a core on
-    m sqrt(mu) reuses step (i)'s certificate, which is unweighted, and
-    takes its own route); every other p is read by two calls of
+    m sqrt(mu) reuses step (i)'s certificate, which is unweighted); every
+    other p is read by two calls of
     :func:`framelift.matalg.operator_norm`, on the factors (X_w, Y_w) of
     B_w and (X_w, -(W Y_w)) of the Woodbury inverse of step (i)'s
-    certificate (inner dimension d, for every k): each reads the column
+    certificate (inner dimension d): each reads the column
     and row sums of its matrix's moduli once, the exact p = 1 and p = inf
     norms, which the upper ends of other p interpolate, and makes one set
     of ``matalg.MAP_SAMPLES`` draws seeded by 0 for the inner ends of all
@@ -328,15 +326,10 @@ def lifting_theorem_pipeline(
         # the rest of its core is done with: free it before this one is built.
         certified, core = (core.W, core.certificate_margin), None
         core = _SplitCore(O, psi, w=w_msqmu, certified=certified)
-    n2 = core.sigma[1]
-    n2_inv = core.inverse_norm if invertible else None
+    n2, n2_inv = core.sigma[1], core.inverse_norm
     # B_w = I + X_w Y_w and its Woodbury inverse I + X_w (-(W Y_w)), read
-    # from their factors; the core forms -(W Y_w) once, on the factor route
-    # or where a p != 2 reads it.
-    X, Y, V_inv = core.X, core.Y, None
-    if invertible and any(p != 2 for p in ps):
-        V_inv = core.inverse_factor
-    # The core's K and W go now.
+    # from the factors the core holds; its W goes now.
+    X, Y, V_inv = core.X, core.Y, core.inverse_factor
     del core, O, M_rec
     fwd = matalg.operator_norm(X, Y, ps, n2)
     rev = matalg.operator_norm(X, V_inv, ps, n2_inv) if invertible else None

@@ -382,15 +382,6 @@ def abs_chain(vec, *factors) -> np.ndarray:
     return vec
 
 
-def abs_norm_bound(*factors) -> float:
-    """sqrt(||N||_1 ||N||_inf), an upper bound on ||N||_2, of the
-    nonnegative product N = |F_1| |F_2| ... |F_m|: its largest column and
-    row sums, each read by :func:`abs_chain`, so N is never formed."""
-    rows = abs_chain(np.ones(factors[-1].shape[1]), *factors)
-    cols = abs_chain(np.ones(factors[0].shape[0]), *(f.T for f in reversed(factors)))
-    return float(np.sqrt(rows.max() * cols.max()))
-
-
 def certified_bound(r: float, depth: int) -> float:
     """r, the float value of a sum of products of nonnegative terms with at
     most ``depth`` roundings on any path, raised to an upper bound on the
@@ -456,12 +447,11 @@ def _moduli_sums(n: int, rows) -> tuple:
     return float(cols.max()), float(np.max(row_max))
 
 
-def sigma_max(apply, apply_adjoint, n: int, real: bool = False) -> float:
+def sigma_max(apply, apply_adjoint, n: int) -> float:
     """Largest singular value of an n x n operator A, given as the maps
     ``apply`` (v -> A v) and ``apply_adjoint`` (u -> A^H u), by
     Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J. Numer.
-    Anal. B 2, 1965). :func:`dense_operator` and :func:`identity_plus` give
-    the maps of a dense matrix and of I + U V.
+    Anal. B 2, 1965). :func:`identity_plus` gives the maps of I + U V.
 
     From a seeded unit start vector v_1 the recurrences
 
@@ -480,14 +470,11 @@ def sigma_max(apply, apply_adjoint, n: int, real: bool = False) -> float:
     residual is at most LANCZOS_RTOL u theta. Otherwise it stops at step n,
     where the bidiagonalization is complete and B_n has the singular
     values of A; an alpha_j or beta_j of exactly 0 (an invariant subspace:
-    the zero matrix, the identity) ends it before. A ``real`` operator
-    gets real vectors, so a real matrix is never cast to complex. After j
-    steps the bases hold 2 j n numbers.
+    the zero matrix, the identity) ends it before. After j steps the bases
+    hold 2 j n numbers.
     """
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    if not real:
-        v = v + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     U, V, alphas, betas = [], [], [], []
     u, beta = np.zeros_like(v), 0.0
@@ -509,21 +496,11 @@ def sigma_max(apply, apply_adjoint, n: int, real: bool = False) -> float:
         v /= beta
 
 
-def dense_operator(A: np.ndarray) -> tuple:
-    """The :func:`sigma_max` arguments (apply, apply_adjoint, n, real) of
-    the square matrix A. A^H u is applied as conj(conj(u) A), so no
-    transposed copy of A is made."""
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("sigma_max takes a square matrix")
-    return (lambda v: A @ v), (lambda u: (u.conj() @ A).conj()), n, not np.iscomplexobj(A)
-
-
 def identity_plus(U: np.ndarray, V: np.ndarray) -> tuple:
     """The :func:`sigma_max` arguments of T = I + U V (U n x k, V k x n),
     applied through its factors at O(n k) per product and never assembled:
     T v = v + U (V v), and T^H u = u + conj((conj(u) U) V)."""
-    return (lambda v: v + U @ (V @ v)), (lambda u: u + ((u.conj() @ U) @ V).conj()), U.shape[0], False
+    return (lambda v: v + U @ (V @ v)), (lambda u: u + ((u.conj() @ U) @ V).conj()), U.shape[0]
 
 
 def _orthogonalize(x: np.ndarray, basis: list) -> np.ndarray:

@@ -17,13 +17,13 @@ on that d x d Woodbury core (:func:`_certificate`): no QR, no SVD and no
 n x k array. :class:`_SplitCore` adds what the pipeline's p = 2 norms on a
 weighted space need: sigma_max(B_w) and ||B_w^{-1}||_2 by Golub-Kahan-Lanczos
 (:func:`matalg.sigma_max`), applied through the Woodbury factors of B_w and
-of its inverse where their product cancels little, and otherwise through a
-k x k core K of B_w (k = min(n, 2d)). The pipeline's identity checks apply
-B_O and B_O^H to probe vectors through X and Y, and its l^p norms of B_w and of
-the Woodbury inverse B_w^{-1} for p != 2 are read from their factors by
-:func:`matalg.operator_norm`. The spectral-invariance suite reports
-upper constants only, so it factorizes neither O's coefficient map nor
-O^{-1}'s.
+of its inverse; only a core the certificate does not pass compresses B_w to
+a k x k matrix (k = min(n, 2d)), for one values-only SVD of its sigma_min.
+The pipeline's identity checks apply B_O and B_O^H to probe vectors through
+X and Y, and its l^p norms of B_w and of the Woodbury inverse B_w^{-1} for
+p != 2 are read from their factors by :func:`matalg.operator_norm`. The
+spectral-invariance suite reports upper constants only, so it factorizes
+neither O's coefficient map nor O^{-1}'s.
 """
 
 import functools
@@ -35,15 +35,6 @@ from . import matalg
 from .frames import Frame
 from .matalg import _Factored, upper_constant
 from .weights import weight_values
-
-# A certified splitting core reads its p = 2 norms through its Woodbury
-# factors when eta, the cancellation bound of its inverse's product (see
-# _SplitCore), is at most this; any other core keeps its k x k core K. eta
-# is 1.3e-14 to 2.8e-13 on Gabor N = 32...256 at mu t = 2 and at most
-# 6.8e-15 on Fock R = 2.5...8 at t = 6, but 1.1e-12 to 5.8e-10 on Gabor
-# N = 16...64 at t = 6. The bound sits a tenth below the 1e-13 tolerance
-# of the 40-digit oracle tests.
-FACTOR_ROUTE_ETA = 1e-12
 
 
 def multiplier(symbol, psi: Frame) -> np.ndarray:
@@ -89,10 +80,10 @@ def _pick(frame: Frame, which: str) -> Frame:
     return frame if which == "frame" else frame.canonical_dual()
 
 
-def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, out=None, error_map: bool = True) -> tuple:
+def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, error_map: bool = True) -> tuple:
     """(Y, Y_err): the d x n factor Y = L O (R D) - Dd of B_O = I + C Y,
-    written into ``out`` when given, and its error map v -> |Y - fl Y| v
-    (None when ``error_map`` is false: Y alone is formed).
+    and its error map v -> |Y - fl Y| v (None when ``error_map`` is false:
+    Y alone is formed).
 
     With L, R in {I, S^{-1}} set by the slots, Mat(O) = C L O R D and
     G_{Psi,Psid} = C S^{-1} D, so B_O = I + C (L O R - S^{-1}) D. Y is
@@ -117,7 +108,7 @@ def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, out=None, error_m
             L_err = _scaled(matalg.gamma_c(n), Dd, Dd.conj().T)
             P_err = _left_product_error(L, L_err, P, P_err)
         P = L @ P
-    Y = np.subtract(P, Dd, out=out)
+    Y = P - Dd
     if not error_map:
         return Y, None
     P = np.abs(P)  # the error map reads P only through its moduli
@@ -204,46 +195,26 @@ class _SplitCore:
     certificate.
 
     The p = 2 norms are sigma_max(B_w) and ||B_w^{-1}||_2, each by
-    Golub-Kahan-Lanczos (:func:`matalg.sigma_max`), on one of two routes:
+    Golub-Kahan-Lanczos (:func:`matalg.sigma_max`) on B_w and B_w^{-1}
+    applied through (X_w, Y_w) and (X_w, V) (:func:`matalg.identity_plus`)
+    at O(n d) per product. A certified core reads its inverse norm on
+    construction and makes no QR, no SVD and no inverse but the
+    certificate's d x d one: ``inverse_norm`` is ||B_w^{-1}||_2, at least 1
+    where B_w fixes a vector. A core whose certificate fails may be
+    singular, so nothing iterates on an inverse: its ``inverse_norm`` and
+    ``inverse_factor`` are None, and its sigma_min comes from a values-only
+    SVD (:attr:`sigma`).
 
-    - the factor route applies B_w and B_w^{-1} through (X_w, Y_w) and
-      (X_w, V) (:func:`matalg.identity_plus`) at O(n d) per product, and
-      makes no QR, no K and no K^{-1}. It is taken by a certified core
-      whose Woodbury product X_w (W Y_w) cancels little:
-      eta = u ||(|X_w| |W| |Y_w|)||_2 / ||B_w^{-1}||_2, with the 2-norm
-      bounded by sqrt(||.||_1 ||.||_inf) (:func:`matalg.abs_norm_bound`)
-      and the denominator the route's own Lanczos value, is at most
-      FACTOR_ROUTE_ETA. eta bounds the relative error of the products
-      with B_w^{-1}, so ||B_w^{-1}||_2 is then good to about eta.
-    - the K route is every other core's: one whose certificate fails,
-      and a steep certified one. With Q (n x k, k < n) an orthonormal
-      basis of the span of ran(X_w) and ran(Y_w^H), B_w equals
-      K = I_k + (Q^H X_w)(Y_w Q) on ran(Q) and the identity on its
-      complement: the compression behind the Sherman-Morrison-Woodbury
-      formula (Golub & Van Loan, Matrix Computations). Its singular
-      values are those of K, plus 1. Q is a thin QR of [X_w, Y_w^H] and
-      k = 2d; when 2d >= n there is nothing to compress, and
-      K = I_n + X_w Y_w itself. sigma_max(K) and sigma_max(K^{-1}) are
-      read; a values-only SVD of K is made only for the sigma_min of a
-      core the certificate does not pass (:attr:`sigma`).
-
-    ``K`` is None on the factor route. ``w = None`` is the unit weight.
-
-    What is held: X and Y are written as the two blocks of one column-major
-    n x 2d buffer, X and Y views of it, and certified there; only then are
-    they rescaled in place to X_w and Y_w, so a QR of [X_w, Y_w^H] reads
-    the buffer itself. The certificate's temporaries and Y's error map
-    (with |P|) are freed before either route runs, and Q after K is formed.
-    Past the constructor the core keeps X_w, Y_w, W, V once formed, and K
-    on the K route; K^{-1} lives only while :attr:`inverse_norm` is read.
+    ``w = None`` is the unit weight. The certificate's temporaries and Y's
+    error map (with |P|) are freed before either norm is read. Past the
+    constructor the core keeps X_w, Y_w, W and, when certified, V; no
+    n x n or k x k array.
     """
 
     def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None, certified=None):
-        n, d = psi.n, psi.d
-        # [X, Y^H] in one column-major buffer, X and Y views of its blocks.
-        XY = np.empty((n, 2 * d), dtype=complex, order="F")
-        X = np.conjugate(psi.vectors.T, out=XY[:, :d])  # C = D^H
-        Y, Y_err = _splitting_factor(O, psi, slots, out=XY[:, d:].T, error_map=certified is None)
+        n = psi.n
+        X = np.conjugate(psi.vectors.T)  # C = D^H
+        Y, Y_err = _splitting_factor(O, psi, slots, error_map=certified is None)
         if certified is None:
             certified = _certificate(X, Y, Y_err)
         del Y_err
@@ -252,22 +223,11 @@ class _SplitCore:
         np.multiply(w[:, None], X, out=X)
         np.divide(Y, w[None, :], out=Y)
         self.n, self.w, self.X, self.Y = n, w, X, Y
-        self.K = None
+        self.inverse_factor = self.inverse_norm = None
         if self.invertible():
-            inverse_norm = self._at_least_one(matalg.sigma_max(*matalg.identity_plus(X, self.inverse_factor)))
-            eta = matalg.UNIT_ROUNDOFF * matalg.abs_norm_bound(X, self.W, Y) / inverse_norm
-            if eta <= FACTOR_ROUTE_ETA:  # the factor route: no QR, no K
-                self.inverse_norm = inverse_norm  # fills the cached property
-                return
-        if 2 * d >= n:
-            Xq, Yq = X, Y
-        else:  # Y is conjugated in place, and back, around the QR that reads it
-            np.conjugate(Y, out=Y)
-            Q = np.linalg.qr(XY)[0]
-            np.conjugate(Y, out=Y)
-            Xq, Yq = Q.conj().T @ X, Y @ Q
-            del Q
-        self.K = np.eye(Xq.shape[0]) + Xq @ Yq
+            V = self.W @ Y
+            self.inverse_factor = np.negative(V, out=V)
+            self.inverse_norm = self._at_least_one(matalg.sigma_max(*matalg.identity_plus(X, V)))
 
     def invertible(self) -> bool:
         """Rump's certificate: :attr:`certificate_margin` < 1 proves B_O,
@@ -279,55 +239,33 @@ class _SplitCore:
     def sigma(self) -> tuple:
         """(sigma_min, sigma_max) of B_w.
 
-        sigma_max is that of B_w through its factors on the factor route
-        and sigma_max(K) on the K route, by Golub-Kahan-Lanczos; at least 1
-        where B_w fixes a vector. A certified core's sigma_min is
-        1 / :attr:`inverse_norm`, the number step (iv) reports. Where the
-        certificate fails, B_w may be singular, so nothing iterates on an
-        inverse: sigma_min is the smallest value of a values-only SVD of K,
-        and at most 1 when k < n.
+        sigma_max is that of B_w through its factors, by
+        Golub-Kahan-Lanczos; at least 1 where B_w fixes a vector. A
+        certified core's sigma_min is 1 / :attr:`inverse_norm`, the number
+        step (iv) reports. Where the certificate fails, sigma_min is the
+        smallest value of a values-only SVD of K, and at most 1 when d < n.
+        K is B_w itself when 2d >= n. Otherwise it is the k x k compression
+        K = I_k + (Q^H X_w)(Y_w Q), k = 2d, for Q a thin QR factor of
+        [X_w, Y_w^H]: B_w equals K on ran(Q) and the identity on its
+        complement, so its singular values are those of K, plus 1 (the
+        compression behind the Sherman-Morrison-Woodbury formula; Golub &
+        Van Loan, Matrix Computations). K is dropped on return.
         """
-        if self.K is None:
-            top = matalg.sigma_max(*matalg.identity_plus(self.X, self.Y))
-        else:
-            top = matalg.sigma_max(*matalg.dense_operator(self.K))
+        top = self._at_least_one(matalg.sigma_max(*matalg.identity_plus(self.X, self.Y)))
         if self.invertible():
-            low = 1.0 / self.inverse_norm
-        else:
-            low = float(np.linalg.svd(self.K, compute_uv=False)[-1])
-        if self._fixes_vectors:
-            low = min(low, 1.0)
-        return low, self._at_least_one(top)
-
-    @functools.cached_property
-    def inverse_norm(self) -> float:
-        """||B_w^{-1}||_2, and at least 1 where B_w fixes a vector.
-
-        The factor route reads it on construction, by Golub-Kahan-Lanczos
-        through (X_w, :attr:`inverse_factor`). The K route reads
-        sigma_max(K^{-1}) on the explicit LU-based inverse, not
-        1/sigma_min(K): a values-only SVD loses relative accuracy in
-        sigma_min when B_O is badly scaled, while the inverse keeps it. A K
-        that LAPACK finds singular gives inf.
-        """
-        try:
-            K_inv = np.linalg.inv(self.K)
-        except np.linalg.LinAlgError:  # B_w may be singular
-            return np.inf
-        return self._at_least_one(matalg.sigma_max(*matalg.dense_operator(K_inv)))
-
-    @functools.cached_property
-    def inverse_factor(self) -> np.ndarray:
-        """V = -(W Y_w), the d x n right factor of B_w^{-1} = I + X_w V."""
-        V = self.W @ self.Y
-        return np.negative(V, out=V)
+            return 1.0 / self.inverse_norm, top
+        X, Y = self.X, self.Y
+        if 2 * X.shape[1] < self.n:
+            Q = np.linalg.qr(np.hstack([X, Y.conj().T]))[0]
+            X, Y = Q.conj().T @ X, Y @ Q
+        low = float(np.linalg.svd(np.eye(X.shape[0]) + X @ Y, compute_uv=False)[-1])
+        return (min(low, 1.0) if self._fixes_vectors else low), top
 
     @property
     def _fixes_vectors(self) -> bool:
-        """Whether B_w is read as the identity on a nonzero subspace: on
-        ker Y_w when d < n (factor route), on the complement of ran(Q)
-        when k < n (K route)."""
-        return (self.X.shape[1] if self.K is None else self.K.shape[0]) < self.n
+        """Whether B_w is the identity on a nonzero subspace: on ker Y_w,
+        when d < n."""
+        return self.X.shape[1] < self.n
 
     def _at_least_one(self, norm: float) -> float:
         """A 2-norm of B_w or of its inverse, raised to 1 where B_w fixes a

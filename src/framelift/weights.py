@@ -106,8 +106,11 @@ class Weight:
 
     @classmethod
     def polynomial(cls, index_set: IndexSet, t: float) -> "Weight":
-        """The weight (1 + dist(k, 0))^t."""
-        return cls((1.0 + index_set.distance_to_origin()) ** t, index_set)
+        """The weight (1 + dist(k, 0))^t. A power that overflows is inf,
+        which the constructor rejects."""
+        with np.errstate(over="ignore"):
+            values = (1.0 + index_set.distance_to_origin()) ** t
+        return cls(values, index_set)
 
     @classmethod
     def from_spec(cls, spec, index_set: IndexSet) -> "Weight":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from framelift import Frame, multipliers, random_frame
+from framelift import Frame, random_frame
 
 # Factorizations watched by nxn_factorizations. pinv is listed on its own:
 # its internal SVD does not go through the np.linalg.svd attribute.
@@ -25,13 +25,6 @@ def small_frame(rng) -> Frame:
 @pytest.fixture
 def tight_frame(rng) -> Frame:
     return random_frame(rng, 6, 3, kind="tight")
-
-
-@pytest.fixture
-def k_route(monkeypatch):
-    """Every splitting core built in the test keeps its k x k core K: no
-    cancellation bound eta is at most 0."""
-    monkeypatch.setattr(multipliers, "FACTOR_ROUTE_ETA", 0.0)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from framelift import fock, gabor
 from framelift.frames import Frame
 from framelift.matalg import MAP_SAMPLES, PairScan, _draws, _ratios, _riesz_thorin, pseudo_inverse
 from framelift.multipliers import Slots, galerkin, multiplier
-from framelift.weights import IndexSet, lp_norms, weight_values
+from framelift.weights import IndexSet, Weight, lp_norms, weight_values
 
 # Residual below which an ordering passes galerkin_pinv_crosscheck.
 CROSSCHECK_RTOL = 1e-8
@@ -107,6 +107,20 @@ def assembled(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     T = U @ V
     T[np.diag_indices(len(T))] += 1.0
     return T
+
+
+def splitting_case(family: str, size: float, t: float) -> tuple:
+    """(O, psi, mu, sqrt(mu)): the lift's step (i) operator O =
+    M_{1/mu} M_mu, frame, symbol mu = (1+|x|)^t and weight, on a Gabor
+    system at redundancy 4 with N = size, or on steep-mix's Fock family
+    at radius size."""
+    if family == "gabor":
+        lat = gabor.TFLattice.balanced(int(size), 4)
+        psi = gabor.gabor_system(lat.N, lat.a, lat.b)
+    else:
+        psi = fock.FockFamily(0.8, [size], margin=0.5, jitter=0.0, seed=1).case(size)[1]
+    mu = Weight.polynomial(psi.index_set, t).values
+    return multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, mu, np.sqrt(mu)
 
 
 def sampled_ratios(A: np.ndarray, B, p, n_samples: int, seed: int) -> np.ndarray:

@@ -730,25 +730,25 @@ class TestDeterminism:
         assert a == b
 
 
+def _run_module(*args) -> subprocess.CompletedProcess:
+    """``python -m framelift.cli`` with ``args`` in a child process that
+    imports the same framelift sources as this one."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "framelift.cli", *args], capture_output=True, text=True, env=env)
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
-        # The child imports the same framelift sources as this process.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "framelift.cli",
-                "verify",
-                "--config",
-                str(CONFIGS / "verify_onb.json"),
-                "--out",
-                str(tmp_path),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = _run_module("verify", "--config", str(CONFIGS / "verify_onb.json"), "--out", str(tmp_path))
         assert proc.returncode == 0
         assert (tmp_path / "identities.json").exists()
+
+    def test_overflowing_weight_prints_the_config_error_alone(self, tmp_path):
+        # (1 + |x|)^400 overflows on the Gabor index sets: the run ends as a
+        # config error, and numpy's overflow warning does not reach stderr.
+        cfg = _write(tmp_path, "t400.json", dict(_read_json(CONFIGS / "lift_gabor.json"), mu={"type": "polynomial", "t": 400}))
+        proc = _run_module("lift", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("config error: 'mu':")

@@ -357,7 +357,6 @@ class TestPipeline:
         reused = _SplitCore(O, psi, w=m * np.sqrt(mu), certified=(step_i.W, step_i.certificate_margin))
         assert len(calls) == 1
         assert np.array_equal(reused.W, fresh.W) and reused.certificate_margin == fresh.certificate_margin
-        assert reused.K is None and fresh.K is None  # both on the factor route
         assert reused.sigma == fresh.sigma and reused.inverse_norm == fresh.inverse_norm
         calls.clear()
         report = lifting_theorem_pipeline(psi, mu, m=m, ps=(1, 2, np.inf))
@@ -436,7 +435,8 @@ PS = (1, 2, 3, np.inf)
 
 
 class TestLowRankSplitting:
-    """The pipeline factors k x k cores of B = I + C (M_{1/mu} M_mu - S^{-1}) D."""
+    """The pipeline reads B = I + C (M_{1/mu} M_mu - S^{-1}) D through its
+    factors and factorizes no n x n matrix."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_no_nxn_factorization(self, nxn_factorizations, weighted):
@@ -495,7 +495,7 @@ class TestLowRankSplitting:
                 bracket = (fwd[0] * rev[0], fwd[-1] * rev[-1])
                 np.testing.assert_allclose(got["condition_bracket"], bracket, rtol=inv_rtol)
 
-    def test_inverse_norm_matches_mpmath_where_the_sigma_min_shortcut_does_not(self, monkeypatch):
+    def test_inverse_norm_matches_mpmath_where_the_sigma_min_shortcut_does_not(self):
         # Gabor N = 8 (n = 32, d = 8), mu = (1+|x|)^4, m = (1+|x|)^2: B on
         # l^2_{m sqrt(mu)} has cond between 1e6 and 1e7, set by the weights.
         psi, mu, m = _gabor(8, 4.0, 2.0)
@@ -522,19 +522,13 @@ class TestLowRankSplitting:
 
         tol = 3e-14
         assert got == pytest.approx(want, rel=tol)
-        # The K route's inverse norm meets the reference too, while 1/sigma_min
-        # from a values-only SVD misses it, of the k x k core K as of the
-        # dense conjugated matrix.
-        monkeypatch.setattr(multipliers, "FACTOR_ROUTE_ETA", 0.0)
-        dual = psi.canonical_dual()
-        core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=w)
-        assert core.inverse_norm == pytest.approx(want, rel=tol)
-        cross = gram(psi, dual)
+        # 1/sigma_min from a values-only SVD of the dense conjugated matrix
+        # misses it.
+        cross = gram(psi, psi.canonical_dual())
         B_dense = galerkin(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, psi)
         B_dense = matalg.conjugate(B_dense + (np.eye(psi.n) - cross), w)
-        for K in (core.K, B_dense):
-            shortcut = 1.0 / np.linalg.svd(K, compute_uv=False)[-1]
-            assert shortcut != pytest.approx(want, rel=tol)
+        shortcut = 1.0 / np.linalg.svd(B_dense, compute_uv=False)[-1]
+        assert shortcut != pytest.approx(want, rel=tol)
 
     def test_step_v_is_the_adjoint_identity(self):
         # Gabor N = 64, mu = (1+|x|)^14: scaled by max|B| the residual of
@@ -621,8 +615,8 @@ class TestProbeChecks:
 
 
 def _assembled(core) -> tuple:
-    """B_w = I + X_w Y_w (K itself, bit for bit, when K is n x n) and its
-    Woodbury inverse I + X_w (-(W Y_w)), as n x n arrays."""
+    """B_w = I + X_w Y_w and its Woodbury inverse I + X_w (-(W Y_w)), as
+    n x n arrays."""
     return reference.assembled(core.X, core.Y), reference.assembled(core.X, core.inverse_factor)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from framelift import matalg, multipliers
+from framelift import matalg
 from framelift.matalg import map_constants
 from framelift.frames import onb, random_frame
 from framelift.gabor import TFLattice, gabor_system
@@ -21,7 +21,7 @@ from framelift.multipliers import (
 )
 from framelift.weights import Weight
 from tests.conftest import random_vector
-from tests.reference import assembled, galerkin_pinv_crosscheck, invertibility_matrix, op_from_matrix
+from tests.reference import assembled, galerkin_pinv_crosscheck, invertibility_matrix, op_from_matrix, splitting_case
 
 
 def _random_symbol(rng, n):
@@ -190,7 +190,8 @@ def _dense_extremes(B):
 
 
 class TestSplitCore:
-    """The k x k core of B_O against a dense SVD of invertibility_matrix."""
+    """The core's extreme singular values of B_O against a dense SVD of
+    invertibility_matrix."""
 
     @pytest.mark.parametrize("n, d", [(24, 8), (14, 8), (8, 8)], ids=["2d<n", "2d>n", "onb"])
     @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
@@ -221,7 +222,6 @@ class TestSplitCore:
         if 2 * d >= n:
             _forbid_qr(monkeypatch)
         core = _SplitCore(O, psi, slots)
-        assert core.K.shape == (min(n, 2 * d),) * 2
         lo, hi = _dense_extremes(invertibility_matrix(O, psi, slots))
         assert core.sigma[1] == pytest.approx(hi, rel=1e-10)
         assert core.sigma[0] < 1e-12 * core.sigma[1]
@@ -400,62 +400,30 @@ class TestCertificate:
     @pytest.mark.parametrize(
         "case, margin, sigma, inverse_norm",
         [
-            ("gabor32-t6", 0.0005043599374219882, (0.01342640112271973, 18299392.942669757), 74.48012247361147),
-            ("verify32-dual-dual", 2.3619959584879194e-08, (1.0, 474.38351729625595), 1.0),
-            ("random14x8-Q-None", 6.873646593046427e-11, (0.0022980607670503904, 1670.4903111004035), 435.1495027189908),
+            ("gabor32-t6", 0.0005043599374219882, (0.013426401122720272, 18299392.942669757), 74.48012247360846),
+            ("verify32-dual-dual", 2.3619959584879194e-08, (1.0, 474.3835172962562), 1.0),
+            ("random14x8-Q-None", 6.873646593046427e-11, (0.0022980607670503887, 1670.4903111004041), 435.14950271899113),
         ],
     )
-    def test_core_numbers_are_pinned(self, k_route, case, margin, sigma, inverse_norm):
-        # Exact values of the core's three reported numbers on the K route.
-        # How the core holds its factors and temporaries must not move a
-        # digit: any change here is a change of arithmetic, to be argued on
-        # its own. The cores: a weighted Gabor core with k = 2d, a
-        # unit-weight slot core on a Gabor frame (k = 2d: its [X, Y^H] has
-        # rank d, so the QR adds d directions on which K is the identity up
-        # to rounding), and one with 2d >= n, where K is B_w itself. Every
-        # pinned sigma and inverse norm is within 1.2e-15 relative of the
-        # 40-digit mpmath singular values of the float K.
+    def test_core_numbers_are_pinned(self, case, margin, sigma, inverse_norm):
+        # Exact values of the core's three reported numbers. How the core
+        # holds its factors and temporaries must not move a digit: any
+        # change here is a change of arithmetic, to be argued on its own.
+        # The cores: a weighted Gabor core at a steep symbol, a unit-weight
+        # slot core on a Gabor frame, and one with 2d >= n. Against the
+        # 40-digit singular values of I + X_w Y_w from the same float
+        # factors, sigma_max sits 3.9e-17 (verify32) and 3.8e-16
+        # (random14x8) off, sigma_min and the inverse norm of random14x8
+        # 2.6e-16 and 2.2e-16. gabor32-t6 is held to B_w built at 50 digits
+        # from the float frame by tests/test_oracle.py.
         core = _pinned_core(case)
-        assert core.K.shape == {"gabor32-t6": (64, 64), "verify32-dual-dual": (64, 64)}.get(case, (14, 14))
         assert core.certificate_margin == margin
         assert core.sigma == sigma
         assert core.inverse_norm == inverse_norm
 
-    @pytest.mark.parametrize(
-        "case, sigma, inverse_norm",
-        [
-            ("verify32-dual-dual", (1.0, 474.3835172962562), 1.0),
-            ("random14x8-Q-None", (0.0022980607670503887, 1670.4903111004041), 435.14950271899113),
-        ],
-    )
-    def test_factor_route_numbers_are_pinned(self, case, sigma, inverse_norm):
-        # The two cores above whose Woodbury product cancels little take the
-        # factor route by default (gabor32-t6 keeps K: its eta is 2.2e-11).
-        # Against the 40-digit singular values of I + X_w Y_w from the same
-        # float factors, sigma_max sits 3.9e-17 (verify32) and 3.8e-16
-        # (random14x8) off, sigma_min and the inverse norm of random14x8
-        # 2.6e-16 and 2.2e-16; the K route's values sit 4.4e-16, 3.0e-17,
-        # 4.9e-16 and 5.7e-16 off.
-        core = _pinned_core(case)
-        assert core.K is None
-        assert core.sigma == sigma
-        assert core.inverse_norm == inverse_norm
-
-    def test_certified_core_makes_no_svd(self, monkeypatch):
-        # Both extremes come from Golub-Kahan-Lanczos, and sigma_min is the
-        # reciprocal of the inverse norm step (iv) reports.
-        core = _gabor_core(32, 6.0)[0]
-
-        def no_svd(*args, **kwargs):
-            raise AssertionError("the core made an SVD")
-
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
-        assert core.invertible()
-        assert core.sigma[0] == 1.0 / core.inverse_norm
-
     def test_constant_symbol_lift_on_a_redundant_frame_matches_dense(self):
         # A constant mu gives a flat weight: [X, Y^H] has rank d, and the
-        # general QR (k = 2d < n) still compresses B_w exactly.
+        # reads through the factors still give B_w's extremes.
         rng = np.random.default_rng(41)
         psi = random_frame(rng, 40, 8)
         mu = np.full(psi.n, 3.0)
@@ -488,36 +456,45 @@ class TestCertificate:
         np.testing.assert_allclose(inverse, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
-class TestRoutes:
-    """A certified core whose Woodbury product cancels little (eta at most
-    FACTOR_ROUTE_ETA) reads its 2-norms through X_w and Y_w; every other core
-    keeps its k x k core K."""
+class TestFactorizations:
+    """A certified core reads both 2-norms through X_w, Y_w and -(W Y_w);
+    its one factorization is the certificate's d x d inverse. A core whose
+    certificate fails compresses B_w for one values-only SVD and keeps
+    nothing of it."""
 
-    def test_factor_route_makes_no_qr_no_n_by_n_inverse_and_no_svd(self, monkeypatch):
-        # Gabor N = 64 (n = 256, d = 64), mu t = 2, gabor-ladder's first size.
-        # The one inverse is the certificate's d x d W; each Golub-Kahan-Lanczos
-        # run, of B_w and of its inverse, ends within a few dozen steps.
-        O, psi, w = _gabor_case(64, 2.0)
-        inv = np.linalg.inv
+    @pytest.mark.parametrize(
+        "case",
+        [("gabor", N, 2.0) for N in (64, 128, 256)]
+        + [("gabor", N, 6.0) for N in (32, 64)]
+        + [("fock", R, 6.0) for R in (2.5, 4.0, 5.5, 7.0, 8.0)],
+        ids=lambda c: f"{c[0]}-{c[1]:g}-t{c[2]:g}",
+    )
+    def test_workload_cores_factorize_nothing_larger_than_d(self, case, monkeypatch):
+        # Every step (i) core of the three benchmark workloads that the
+        # certificate passes: gabor-ladder's, steep-mix's Gabor t = 6 and
+        # its Fock sizes (2d >= n from R = 5.5 on). The one inverse is the
+        # certificate's d x d W; no QR or SVD is made, and each
+        # Golub-Kahan-Lanczos run, of B_w and of its inverse, ends within a
+        # few dozen steps (13 at most here).
+        O, psi, _, w = splitting_case(*case)
+        inv, identity_plus, steps = np.linalg.inv, matalg.identity_plus, []
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the factor route made a QR or an SVD")
+            raise AssertionError("a certified core made a QR or an SVD")
 
         def small_inv(a):
             assert a.shape == (psi.d, psi.d)
             return inv(a)
 
-        steps, identity_plus = [], matalg.identity_plus
-
         def counted(U, V):
-            apply, apply_adjoint, n, real = identity_plus(U, V)
+            apply, apply_adjoint, n = identity_plus(U, V)
             steps.append(0)
 
             def step(v):
                 steps[-1] += 1
                 return apply(v)
 
-            return step, apply_adjoint, n, real
+            return step, apply_adjoint, n
 
         monkeypatch.setattr(np.linalg, "qr", forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
@@ -525,30 +502,24 @@ class TestRoutes:
         monkeypatch.setattr(matalg, "identity_plus", counted)
         core = _SplitCore(O, psi, w=w)
         lo, hi = core.sigma
-        assert core.K is None and lo == 1.0 / core.inverse_norm and hi > 1.0
+        assert core.invertible() and lo == 1.0 / core.inverse_norm and hi > 1.0
         assert len(steps) == 2 and max(steps) <= 24
 
-    @pytest.mark.parametrize(
-        "N, t_mu, route", [(64, 2.0, "factors"), (128, 2.0, "factors"), (256, 2.0, "factors"), (32, 6.0, "K"), (64, 6.0, "K")]
-    )
-    def test_route_census(self, N, t_mu, route):
-        # gabor-ladder's three sizes (eta 3.0e-14, 1.1e-13, 2.8e-13) take the
-        # factor route; steep-mix's Gabor t = 6 sizes (eta 2.2e-11, 5.8e-10)
-        # keep K, as a t = 14 core does, whose certificate fails.
-        core = _gabor_core(N, t_mu)[0]
-        assert core.invertible()
-        assert (core.K is None) is (route == "factors")
-
-    def test_eta_decides_the_route(self, monkeypatch):
-        # Gabor t = 6, N = 32 has eta = 2.2e-11: a bound above it sends the
-        # core down the factor route, where both norms stay within 1e-10 of
-        # the K route's.
-        K_core = _gabor_core(32, 6.0)[0]
-        monkeypatch.setattr(multipliers, "FACTOR_ROUTE_ETA", 1e-10)
-        core = _gabor_core(32, 6.0)[0]
-        assert K_core.K is not None and core.K is None
-        assert core.sigma == pytest.approx(K_core.sigma, rel=1e-10, abs=0)
-        assert core.inverse_norm == pytest.approx(K_core.inverse_norm, rel=1e-10, abs=0)
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_uncertified_core_holds_no_k_by_k_array(self, N, nxn_factorizations):
+        # Gabor t = 14 (steep-mix's failing rows): sigma compresses B_w to a
+        # 2d x 2d K for its SVD and drops it, so nothing n x n is factorized;
+        # the core keeps its n x d and d x n factors, the d x d W and the
+        # weight alone.
+        core = _gabor_core(N, 14.0)[0]
+        square = nxn_factorizations(core.n)
+        lo, hi = core.sigma
+        assert square == []
+        assert not core.invertible() and 0.0 < lo < 1e-16 * hi
+        assert core.inverse_norm is None and core.inverse_factor is None
+        n, d = core.X.shape
+        shapes = {np.shape(v) for v in vars(core).values() if isinstance(v, np.ndarray)}
+        assert shapes <= {(n, d), (d, n), (d, d), (n,)}
 
 
 class TestSpectralInvariance:

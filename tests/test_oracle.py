@@ -15,12 +15,12 @@ pencil is congruent to (Z^H Y_r Z, Y), where Y = R^-1 M_mu R^-H, Y_r =
 R^-1 M_{1/mu} R^-H and Z = R^-1 M_mu R, so only triangular matrices are
 inverted.
 
-The extreme singular values of the splitting core K (see
-:class:`framelift.multipliers._SplitCore`) are checked the same way: the
-float K that framelift holds, with its singular values at 40 digits. A core
-on the factor route holds no K; its sigma_max(B_w) and ||B_w^-1||_2 are
-checked against B_w = I + C Y built at 40 digits from the float frame
-vectors and symbol values (:func:`splitting_reference`).
+The splitting core (:class:`framelift.multipliers._SplitCore`) reads
+sigma_max(B_w) and ||B_w^-1||_2 through its Woodbury factors. Both are
+checked against B_w = I + C Y built at 50 digits from the float frame
+vectors and symbol values (:func:`splitting_reference`). Where the
+certificate fails, sigma_max alone is checked, against I + X_w Y_w of the
+core's own float factors (:func:`factor_sigma_max`).
 """
 
 import functools
@@ -32,10 +32,10 @@ import numpy as np
 import pytest
 
 from framelift.coorbit import lifting_constants
-from framelift.fock import FockFamily
-from framelift.gabor import TFLattice, gabor_system
-from framelift.multipliers import _SplitCore, multiplier
+from framelift.gabor import gabor_system
+from framelift.multipliers import _SplitCore
 from framelift.weights import Weight
+from tests.reference import splitting_case
 
 DPS = 50
 RTOL = 1e-10
@@ -113,29 +113,6 @@ def test_p2_constants_match_mpmath(case):
     assert hi == pytest.approx(hi_ref, rel=RTOL, abs=0)
 
 
-def test_core_extremes_match_mpmath(k_route):
-    # Gabor N = 16 (k = 32), mu = (1+|x|)^6, on l^2_sqrt(mu): sigma_min /
-    # sigma_max is 2.5e-8. The values-only SVD's sigma_min is 8.9e-14 off
-    # the reference, 1/sigma_max(K^-1) 1.6e-16.
-    lat = TFLattice.balanced(16, 4)
-    psi = gabor_system(lat.N, lat.a, lat.b)
-    mu = Weight.polynomial(psi.index_set, 6.0).values
-    core = _SplitCore(multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, w=np.sqrt(mu))
-    assert core.invertible()
-    with mp.workdps(40):
-        K = mp.matrix([[mp.mpc(x.real, x.imag) for x in row] for row in core.K.tolist()])
-        sv = mp.svd_c(K, compute_uv=False)
-        lo, hi = min(sv), max(sv)
-
-        def err(x):
-            return float(abs(mp.mpf(float(x)) - lo) / lo)
-
-        svd_lo = np.linalg.svd(core.K, compute_uv=False)[-1]
-        assert core.sigma[1] == pytest.approx(float(hi), rel=1e-14, abs=0)
-        assert err(core.sigma[0]) <= err(svd_lo)
-        assert err(core.sigma[0]) <= 1e-14
-
-
 def _reciprocal_squares(w: np.ndarray, bits: int = 300) -> tuple:
     """(s, bits): integers s with s 2^-bits within 2^-bits of 1 / w^2, for
     :func:`_weighted_outer`."""
@@ -143,65 +120,108 @@ def _reciprocal_squares(w: np.ndarray, bits: int = 300) -> tuple:
     return np.array([int(one / Fraction(float(x)) ** 2) for x in w], dtype=object), bits
 
 
-def splitting_reference(psi, mu: np.ndarray, w: np.ndarray) -> tuple:
-    """(sigma_max, ||B_w^-1||_2) at 40 digits of B_w = diag(w) B diag(1/w),
-    B = I + C Z D, Z = M_{1/mu} M_mu - S^-1, built from the float frame
-    vectors and the float values of mu, 1/mu and w, for 2d < n and a w
-    that is not flat.
+def _exact_product(A: np.ndarray, B: np.ndarray):
+    """A B for float matrices, summed exactly in integer arithmetic and
+    rounded once to the working precision."""
+    (Ar, Ai), Ea = _scaled_ints(np.stack([A.real, A.imag]))
+    (Br, Bi), Eb = _scaled_ints(np.stack([B.real, B.imag]))
+    re, im = Ar @ Br - Ai @ Bi, Ar @ Bi + Ai @ Br
+    scale = mp.ldexp(1, -(Ea + Eb))
+    return mp.matrix([[mp.mpc(re[i, j], im[i, j]) * scale for j in range(re.shape[1])] for i in range(re.shape[0])])
 
-    B_w = I + X Y with X = diag(w) C and Y = Z D diag(1/w), so
-    B_w^H B_w - I = N J N^H for N = [X, Y^H] and J = [[0, I], [I, X^H X]].
-    Its nonzero eigenvalues are those of H = L^H J L for the Cholesky
-    factor L of the Gram matrix N^H N, whose blocks are
-    X^H X = V diag(w^2) V^H, Y X = Z S and Y Y^H = Z (V diag(1/w^2) V^H) Z^H
-    (V the synthesis matrix). H's extreme eigenvalues are the Rayleigh
-    quotients rho of its float eigenvectors x after one Newton correction,
-    with H x applied at 40 digits as L^H (J (L x)), each enclosed by the
-    Kato-Temple bound: it lies between rho and rho -+ ||H x - rho x||^2 /
-    gap, the gap taken to the next float eigenvalue less 1e-8 ||H||. An
-    enclosure wider than 1e-30 of the squared singular value 1 + rho fails
-    the call. B_w is the identity on the rest of C^n, so
-    both norms are at least 1.
-    """
+
+def _frame_grams(psi, mu: np.ndarray, w: np.ndarray) -> tuple:
+    """(X^H X, Y X, Y Y^H) at DPS digits for B_w = I + X Y, X = diag(w) C
+    and Y = Z D diag(1/w), Z = M_{1/mu} M_mu - S^-1, built from the float
+    frame vectors and the float values of mu, 1/mu and w: X^H X = V
+    diag(w^2) V^H, Y X = Z S and Y Y^H = Z (V diag(1/w^2) V^H) Z^H (V the
+    synthesis matrix)."""
     V = psi.vectors
-    d = psi.d
-    with mp.workdps(40):
-        S = _hermitian(_weighted_outer(V, np.ones(psi.n)))
-        Ri = _lower_inverse(mp.cholesky(S))
-        Z = _weighted_outer(V, 1.0 / mu) * _weighted_outer(V, mu) - Ri.H * Ri
-        ws, Es = _scaled_ints(w)
-        XX = _hermitian(_weighted_outer(V, None, (ws * ws, 2 * Es)))
-        YX = Z * S
-        YY = _hermitian(Z * _weighted_outer(V, None, _reciprocal_squares(w)) * Z.H)
-        gram = mp.zeros(2 * d, 2 * d)
-        for i in range(d):
-            for j in range(d):
-                gram[i, j], gram[i, d + j], gram[d + i, j], gram[d + i, d + j] = XX[i, j], mp.conj(YX[j, i]), YX[i, j], YY[i, j]
-        L = mp.cholesky(_hermitian(gram))
+    S = _hermitian(_weighted_outer(V, np.ones(psi.n)))
+    Ri = _lower_inverse(mp.cholesky(S))
+    Z = _weighted_outer(V, 1.0 / mu) * _weighted_outer(V, mu) - Ri.H * Ri
+    ws, Es = _scaled_ints(w)
+    XX = _hermitian(_weighted_outer(V, None, (ws * ws, 2 * Es)))
+    YY = _hermitian(Z * _weighted_outer(V, None, _reciprocal_squares(w)) * Z.H)
+    return XX, Z * S, YY
 
-        def apply(x):  # H x = L^H (J (L x))
-            y = L * x
-            top, bottom = y[:d, 0], y[d:, 0]
-            return L.H * _stack(bottom, top + XX * bottom)
 
-        Lf = np.array(L.tolist(), dtype=complex)
-        Jf = np.block([[np.zeros((d, d)), np.eye(d)], [np.eye(d), np.array(XX.tolist(), dtype=complex)]])
-        lam, U = np.linalg.eigh(Lf.conj().T @ Jf @ Lf)
-        margin = 1e-8 * np.abs(lam).max()
-        ends = []
-        for k, nxt, side in ((2 * d - 1, lam[-2] + margin, 1), (0, lam[1] - margin, -1)):
-            x = mp.matrix([mp.mpc(z.real, z.imag) for z in U[:, k]])
-            rho, r = _rayleigh(apply, x)
-            # One Newton step on the float eigenvector: x - sum over the other
-            # eigenpairs of u_j (u_j^H r) / (lam_j - rho).
-            others = np.arange(2 * d) != k
-            rf = np.array(r.tolist(), dtype=complex).ravel()
-            step = U[:, others] @ ((U[:, others].conj().T @ rf) / (lam[others] - float(rho)))
-            rho, r = _rayleigh(apply, x - mp.matrix([mp.mpc(z.real, z.imag) for z in step]))
-            width = mp.norm(r) ** 2 / abs(rho - nxt)
-            assert side * (rho - nxt) > 0 and width <= 1e-30 * (1 + rho)
-            ends.append(1 + rho)
-        return float(max(mp.sqrt(ends[0]), 1)), float(max(1 / mp.sqrt(ends[1]), 1))
+def _squared_extremes(XX, YX, YY, ends=(0, -1)) -> tuple:
+    """The smallest (end 0) and largest (end -1) squared singular values of
+    B = I + X Y on the span of ran(X) and ran(Y^H), for each of ``ends``,
+    given the Gram blocks X^H X, Y X and Y Y^H of N = [X, Y^H] at the
+    working precision.
+
+    B^H B - I = N J N^H with J = [[0, I], [I, X^H X]], so these are 1 + the
+    extreme eigenvalues of H = L^H J L, L the Cholesky factor of N^H N.
+    Each is first sought as the Rayleigh quotient rho of H's float
+    eigenvector after one Newton correction, with H x applied as
+    L^H (J (L x)), and enclosed by the Kato-Temple bound: it lies between
+    rho and rho -+ ||H x - rho x||^2 / gap, the gap taken to the next float
+    eigenvalue less 1e-8 ||H||. Where that enclosure does not close within
+    1e-30 of 1 + rho (a badly scaled B: steep symbols), the eigenvalue is
+    read from a full mp.eighe of H instead.
+    """
+    d = XX.rows
+    gram = mp.zeros(2 * d, 2 * d)
+    for i in range(d):
+        for j in range(d):
+            gram[i, j], gram[i, d + j], gram[d + i, j], gram[d + i, d + j] = XX[i, j], mp.conj(YX[j, i]), YX[i, j], YY[i, j]
+    L = mp.cholesky(_hermitian(gram))
+
+    def apply(x):  # H x = L^H (J (L x))
+        y = L * x
+        top, bottom = y[:d, 0], y[d:, 0]
+        return L.H * _stack(bottom, top + XX * bottom)
+
+    Lf = np.array(L.tolist(), dtype=complex)
+    Jf = np.block([[np.zeros((d, d)), np.eye(d)], [np.eye(d), np.array(XX.tolist(), dtype=complex)]])
+    lam, U = np.linalg.eigh(Lf.conj().T @ Jf @ Lf)
+    margin = 1e-8 * np.abs(lam).max()
+    values, full = [], None
+    for k in ends:
+        k %= 2 * d
+        nxt, side = (lam[1] - margin, -1) if k == 0 else (lam[-2] + margin, 1)
+        x = mp.matrix([mp.mpc(z.real, z.imag) for z in U[:, k]])
+        rho, r = _rayleigh(apply, x)
+        # One Newton step on the float eigenvector: x - sum over the other
+        # eigenpairs of u_j (u_j^H r) / (lam_j - rho).
+        others = np.arange(2 * d) != k
+        rf = np.array(r.tolist(), dtype=complex).ravel()
+        step = U[:, others] @ ((U[:, others].conj().T @ rf) / (lam[others] - float(rho)))
+        rho, r = _rayleigh(apply, x - mp.matrix([mp.mpc(z.real, z.imag) for z in step]))
+        if not (side * (rho - nxt) > 0 and mp.norm(r) ** 2 / abs(rho - nxt) <= 1e-30 * abs(1 + rho)):
+            if full is None:
+                J = mp.zeros(2 * d, 2 * d)
+                for i in range(d):
+                    J[i, d + i] = J[d + i, i] = 1
+                    for j in range(d):
+                        J[d + i, d + j] = XX[i, j]
+                full = sorted(mp.re(e) for e in mp.eighe(_hermitian(L.H * J * L), eigvals_only=True))
+            rho = full[k]
+        values.append(1 + rho)
+    return tuple(values)
+
+
+def splitting_reference(psi, mu: np.ndarray, w: np.ndarray) -> tuple:
+    """(sigma_max, ||B_w^-1||_2) at DPS digits of B_w = diag(w) B diag(1/w),
+    B = I + C Z D, built from the float frame vectors and the float values
+    of mu, 1/mu and w (:func:`_frame_grams`), for 2d < n and a w that is
+    not flat. B_w is the identity on the rest of C^n, so both norms are at
+    least 1."""
+    with mp.workdps(DPS):
+        low, high = _squared_extremes(*_frame_grams(psi, mu, w))
+        return float(max(mp.sqrt(high), 1)), float(max(1 / mp.sqrt(low), 1))
+
+
+def factor_sigma_max(X: np.ndarray, Y: np.ndarray) -> float:
+    """sigma_max at DPS digits of I + X Y for the float factors X (n x d)
+    and Y (d x n), 2d < n, whose Gram blocks are summed exactly. Only the
+    top end is read: where I + X Y may be singular (an uncertified core),
+    the bottom end's enclosure cannot close."""
+    with mp.workdps(DPS):
+        grams = _exact_product(X.conj().T, X), _exact_product(Y, X), _exact_product(Y, Y.conj().T)
+        return float(max(mp.sqrt(_squared_extremes(*grams, ends=(-1,))[0]), 1))
 
 
 def _rayleigh(apply, x) -> tuple:
@@ -217,28 +237,33 @@ def _stack(top, bottom):
     return mp.matrix([top[i] for i in range(top.rows)] + [bottom[i] for i in range(bottom.rows)])
 
 
-def _splitting_case(case: str):
-    """The step (i) core's O, frame, symbol and weight sqrt(mu): Gabor at
-    redundancy 4, mu = (1+|x|)^2, or steep-mix's Fock run, mu = (1+|x|)^6."""
-    family, size = case.split("-")
-    if family == "gabor":
-        lat = TFLattice.balanced(int(size), 4)
-        psi, t = gabor_system(lat.N, lat.a, lat.b), 2.0
-    else:
-        psi, t = FockFamily(0.8, [float(size)], margin=0.5, jitter=0.0, seed=1).case(float(size))[1], 6.0
-    mu = Weight.polynomial(psi.index_set, t).values
-    return multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, mu, np.sqrt(mu)
-
-
-@pytest.mark.parametrize("case", ["gabor-16", "gabor-32", "fock-2.5", "fock-4"])
+@pytest.mark.parametrize(
+    "case",
+    [("gabor", 16, 2.0), ("gabor", 32, 2.0), ("gabor", 16, 6.0), ("gabor", 32, 6.0), ("fock", 2.5, 6.0), ("fock", 4.0, 6.0)],
+    ids=lambda c: f"{c[0]}-{c[1]:g}-t{c[2]:g}",
+)
 def test_factor_route_norms_match_mpmath(case):
-    # Cores whose Woodbury product cancels little read sigma_max(B_w) and
-    # ||B_w^-1||_2 through X_w and Y_w by Golub-Kahan-Lanczos; both lie
-    # within 1e-13 of the 40-digit values of B_w from the float frame.
-    O, psi, mu, w = _splitting_case(case)
+    # A certified core reads sigma_max(B_w) and ||B_w^-1||_2 through X_w,
+    # Y_w and -(W Y_w) by Golub-Kahan-Lanczos; both lie within 1e-13 of the
+    # values of B_w built at DPS digits from the float frame. At t = 6,
+    # sigma_min / sigma_max is 2.5e-8 (N = 16) and 7.3e-10 (N = 32), and the
+    # Kato-Temple enclosure of the small end does not close.
+    O, psi, mu, w = splitting_case(*case)
     core = _SplitCore(O, psi, w=w)
-    assert core.K is None
+    assert core.invertible()
     top, inv = splitting_reference(psi, mu, w)
     assert core.sigma[1] == pytest.approx(top, rel=1e-13, abs=0)
     assert core.inverse_norm == pytest.approx(inv, rel=1e-13, abs=0)
     assert core.sigma[0] == 1.0 / core.inverse_norm
+
+
+def test_uncertified_sigma_max_matches_mpmath():
+    # Gabor N = 16, t = 14: the certificate fails (sigma_min / sigma_max is
+    # below u), and sigma_max(B_w) is read through X_w and Y_w all the same.
+    # It lies within 1e-13 of sigma_max of I + X_w Y_w from the same float
+    # factors. Against B_w built from the float frame it sits 2.0e-13 off,
+    # for the rounding of O = M_{1/mu} M_mu, not of the read.
+    O, psi, mu, w = splitting_case("gabor", 16, 14.0)
+    core = _SplitCore(O, psi, w=w)
+    assert not core.invertible()
+    assert core.sigma[1] == pytest.approx(factor_sigma_max(core.X, core.Y), rel=1e-13, abs=0)

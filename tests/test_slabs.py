@@ -196,10 +196,10 @@ def test_pipeline_peak_stays_below_7_2_nk():
 def test_splitting_core_peak_stays_below_6_nd():
     # gabor-ladder's middle size, Gabor N = 128 (n = 512, d = 128), mu t = 2:
     # step (i)'s core with its sigma and inverse norm, read as the lift reads
-    # them. The K route's n x 2d QR, beside the buffer it reads and the Q it
-    # returns, peaked at 7.45 n d; the factor route holds X_w, Y_w, -(W Y_w)
-    # and its Lanczos bases, 4.77 n d. (The lift's own traced peak, 12.05 n d
-    # in the lifting maps' thin SVDs, is the same on both routes.)
+    # them. The core holds X_w, Y_w, -(W Y_w) and its Lanczos bases,
+    # 4.76 n d; an n x 2d QR beside the buffer it reads and the Q it returns
+    # peaked at 7.45 n d. (The lift's own traced peak, 12.05 n d, is in the
+    # lifting maps' thin SVDs, not in the core.)
     lat = TFLattice.balanced(128, 4)
     psi = gabor_system(lat.N, lat.a, lat.b)
     n, d = psi.n, psi.d
@@ -256,20 +256,16 @@ def test_product_sums_equal_the_dense_sums(slab_rows, n, d):
 
 @pytest.mark.parametrize("frame", ["random36", "random29", "gabor16"])
 @pytest.mark.parametrize("d_core", [False, True], ids=["core2d", "coreN"])
-def test_abs_sums_equal_the_dense_sums(slab_rows, k_route, frame, d_core):
+def test_abs_sums_equal_the_dense_sums(slab_rows, frame, d_core):
     psi = _identity_frames()[frame]
-    if d_core:  # 2d >= n: the core K is B_w itself, and B_w is read from X_w and Y_w all the same
+    if d_core:  # 2d >= n: B_w = I + X_w Y_w is read from its factors all the same
         psi = Frame(psi.vectors[:, : 2 * psi.d - 1], IndexSet(np.arange(2 * psi.d - 1)))
     rng = np.random.default_rng(psi.n)
     O = rng.standard_normal((psi.d, psi.d)) + 1j * rng.standard_normal((psi.d, psi.d)) + 4 * np.eye(psi.d)
     core = _SplitCore(O, psi, w=np.exp(rng.uniform(-2.0, 2.0, psi.n)))
-    assert (core.K.shape[0] == psi.n) is d_core
-    for U, V in ((core.X, core.Y), (core.X, -(core.W @ core.Y))):  # B_w and its Woodbury inverse
+    for U, V in ((core.X, core.Y), (core.X, core.inverse_factor)):  # B_w and its Woodbury inverse
         norms = matalg.operator_norm(U, V, [1, np.inf], None)
         assert (norms[1], norms[np.inf]) == _dense_sums(assembled(U, V))
-    if d_core:  # the slab sums of the factors equal those of the assembled K bit for bit
-        norms = matalg.operator_norm(core.X, core.Y, [1, np.inf], None)
-        assert (norms[1], norms[np.inf]) == _dense_sums(core.K)
 
 
 @pytest.mark.parametrize("phase", ["gram_identities_check", "spectral_invariance_suite"])

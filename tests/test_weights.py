@@ -1,5 +1,7 @@
 """Index sets, weights, weighted norms, and the diagonal isometry."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,14 @@ class TestWeight:
     def test_polynomial_weight_values(self):
         w = Weight.polynomial(line(4), 2.0)
         np.testing.assert_allclose(w.values, [1.0, 4.0, 9.0, 16.0])
+
+    def test_overflowing_polynomial_weight_raises_without_a_warning(self):
+        # 4^600 overflows to inf: the constructor rejects it, and numpy's
+        # overflow warning is not raised on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                Weight.polynomial(line(4), 600.0)
 
 
 class TestWeightedNorm:
