@@ -230,36 +230,22 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int, tol: float) -> int:
 
 
 def _entry_rows(entry: dict, ps: list, size_key: str) -> list:
-    rows = []
-    label = entry[size_key]
-    if entry.get("status") == "ok":
-        per_p = entry["report"]["per_p_results"]
-        for key, res in per_p.items():
-            rows.append(
-                {
-                    "size": label,
-                    "p": key,
-                    "weight": res.get("weight", "m*sqrt(mu)"),
-                    "lower": float(res["lower"]),
-                    "upper": float(res["upper"]),
-                    "condition": float(res["condition"]),
-                    "verdict": "ok" if entry["report"]["verdicts"].get("all_steps") else "fail",
-                }
-            )
-    else:
-        for p in ps:
-            rows.append(
-                {
-                    "size": label,
-                    "p": _p_key(p),
-                    "weight": "m*sqrt(mu)",
-                    "lower": None,
-                    "upper": None,
-                    "condition": float("inf"),
-                    "verdict": "fail",
-                }
-            )
-    return rows
+    """The lifting-table rows of one size, one per p. A size that did not
+    run has no constants, condition inf and verdict fail."""
+    ran = entry.get("status") == "ok"
+    blank = {"lower": None, "upper": None, "condition": float("inf")}
+    per_p = entry["report"]["per_p_results"] if ran else {_p_key(p): blank for p in ps}
+    verdict = "ok" if ran and entry["report"]["verdicts"].get("all_steps") else "fail"
+    return [
+        {
+            "size": entry[size_key],
+            "p": key,
+            "weight": res.get("weight", "m*sqrt(mu)"),
+            **{c: None if res[c] is None else float(res[c]) for c in ("lower", "upper", "condition")},
+            "verdict": verdict,
+        }
+        for key, res in per_p.items()
+    ]
 
 
 def _sizes(cfg: dict, key: str, kind: str) -> list:

@@ -202,11 +202,11 @@ def lifting_theorem_pipeline(
     moduli (see :func:`_probe_residuals`); (iv) condition B on each
     requested l^p_{m sqrt(mu)}: the p = 2 norms of B and B^{-1} are those
     step (i) reads (each at least 1 where B fixes a vector), from the core
-    step (i) already built and read when m = 1 (for another m a core on
-    m sqrt(mu) reuses step (i)'s certificate, which is unweighted); every
-    other p is read by two calls of
+    step (i) already built and read when m = 1 (for another m, a core
+    built the same way on m sqrt(mu), whose unweighted certificate is step
+    (i)'s bit for bit); every other p is read by two calls of
     :func:`framelift.matalg.operator_norm`, on the factors (X_w, Y_w) of
-    B_w and (X_w, -(W Y_w)) of the Woodbury inverse of step (i)'s
+    B_w and (X_w, -(W Y_w)) of the Woodbury inverse of the core's
     certificate (inner dimension d): each reads the column
     and row sums of its matrix's moduli once, the exact p = 1 and p = inf
     norms, which the upper ends of other p interpolate, and makes one set
@@ -228,8 +228,8 @@ def lifting_theorem_pipeline(
     is alive during the pair scan; they are independent, and ``verdicts``
     and ``residuals`` keep the order (i)-(v). Step (iv) reads the 2-norms
     from the core, then frees it once B_w and its inverse are held as
-    their factors; a weight m other than 1 keeps step (i)'s certificate
-    and frees the rest of its core before its own is built.
+    their factors; a weight m other than 1 frees step (i)'s core before
+    its own is built.
 
     ``scan`` is a :class:`framelift.matalg.PairScan` over psi's n indices
     that holds the caller's own pair constants: step (ii) adds its ten and
@@ -322,10 +322,9 @@ def lifting_theorem_pipeline(
     # Step (iv): condition of B on each requested l^p_{m sqrt(mu)}.
     w_msqmu = mv * sqmu
     if not np.array_equal(w_msqmu, sqmu):
-        # Step (i)'s certificate is unweighted and serves this weight too;
-        # the rest of its core is done with: free it before this one is built.
-        certified, core = (core.W, core.certificate_margin), None
-        core = _SplitCore(O, psi, w=w_msqmu, certified=certified)
+        # This weight's own core; step (i)'s is done with and freed first.
+        del core
+        core = _SplitCore(O, psi, w=w_msqmu)
     n2, n2_inv = core.sigma[1], core.inverse_norm
     # B_w = I + X_w Y_w and its Woodbury inverse I + X_w (-(W Y_w)), read
     # from the factors the core holds; its W goes now.

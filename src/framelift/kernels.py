@@ -2,9 +2,13 @@
 
 One numpy implementation per kernel. Every pair scan reads one block of
 rows i0:i1 against all n columns, so a caller can stream an n x n table in
-row slabs; ``out`` takes a caller's buffer of that block's shape. Dense linear
-algebra (eigendecompositions, SVD, matrix products) is not handled here,
-since BLAS/LAPACK already saturate those paths.
+row slabs; ``out`` takes a caller's buffer of that block's shape. A growth
+law g, polynomial (1 + d)^t or subexponential exp(alpha d^beta), is read
+only through its table over a block (:func:`growth_table`,
+:func:`exp_growth_table`), so the decay and moderateness maxima take
+either law. Dense linear algebra (eigendecompositions, SVD, matrix
+products) is not handled here, since BLAS/LAPACK already saturate those
+paths.
 """
 
 import numpy as np
@@ -47,28 +51,32 @@ def dist_to_origin(pts: np.ndarray, period: float = 0.0) -> np.ndarray:
 
 
 def growth_table(dist: np.ndarray, s: float, out=None) -> np.ndarray:
-    """(1 + dist_kl)**s over the pairs of ``dist``: the table both scans below read."""
+    """(1 + dist_kl)**s over the pairs of ``dist``: the polynomial growth law."""
     out = np.add(dist, 1.0, out=out)
     out **= s
     return out
 
 
+def exp_growth_table(dist: np.ndarray, alpha: float, beta: float, out=None) -> np.ndarray:
+    """exp(alpha * dist_kl**beta) over the pairs of ``dist``: the
+    subexponential growth law."""
+    out = np.positive(dist, out=out)  # a copy of dist, then powered in place
+    out **= beta
+    out *= alpha
+    return np.exp(out, out=out)
+
+
 def decay_max(absa: np.ndarray, growth: np.ndarray, out=None) -> float:
-    """max over (k,l) of |a_kl| * (1 + dist_kl)**s, ``growth`` the table at s."""
-    return float(np.multiply(absa, growth, out=out).max())
+    """max over (k,l) of |a_kl| * g(dist_kl), ``growth`` the table of g.
+
+    NaN entries are skipped: the one NaN a weighted decay meets is
+    0 * inf, an entry 0 whose weight ratio or growth overflowed, and it
+    contributes 0 (every row's diagonal entry is a number)."""
+    return float(np.fmax.reduce(np.multiply(absa, growth, out=out), axis=None))
 
 
 def moderateness_max(values: np.ndarray, growth: np.ndarray, i0: int = 0, out=None) -> float:
-    """max over (k,l) of m_k / ((1 + dist_kl)**t * m_l), ``growth`` the table
-    at t of rows k = i0, i0 + 1, ... and every column l."""
+    """max over (k,l) of m_k / (g(dist_kl) * m_l), ``growth`` the table of
+    the growth law g at rows k = i0, i0 + 1, ... and every column l."""
     ratio = np.divide(values[i0 : i0 + growth.shape[0], None], values[None, :], out=out)
     return float(np.divide(ratio, growth, out=ratio).max())
-
-
-def moderateness_max_subexp(
-    values: np.ndarray, dist: np.ndarray, alpha: float, beta: float, i0: int = 0
-) -> float:
-    """max over (k,l) of m_k / (exp(alpha * dist_kl**beta) * m_l), ``dist``
-    the distances of rows k = i0, i0 + 1, ... to every column l."""
-    ratio = values[i0 : i0 + dist.shape[0], None] / values[None, :]
-    return float((ratio / np.exp(alpha * dist**beta)).max())

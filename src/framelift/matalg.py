@@ -129,21 +129,23 @@ class PairScan:
     sets, read in one pass, so no n x n table is held.
 
     A request is a decay constant max |(w_k / w_l) a_kl| (1 + d_kl)^s of a
-    registered matrix (:meth:`decay`), a moderateness constant max
-    (m_k / m_l) / (1 + d_kl)^t (:meth:`moderateness`) or its
-    subexponential form max (m_k / m_l) / exp(alpha d_kl^beta)
-    (:meth:`subexponential`). :meth:`run` reads them by one of two routes,
-    which share the request bookkeeping (:meth:`_plan`).
+    registered matrix (:meth:`decay`) or a moderateness constant max
+    (m_k / m_l) / g(d_kl) for a growth law g: polynomial, (1 + d)^t
+    (:meth:`moderateness`), or subexponential, exp(alpha d^beta)
+    (:meth:`subexponential`). Each request names its index set and its
+    growth law, a kernel of :mod:`framelift.kernels` with its parameters;
+    a decay request's law is the polynomial one at s. :meth:`run` reads
+    them by one of two routes, which share the request bookkeeping
+    (:meth:`_plan`). A weight ratio that overflows is inf, with no warning.
 
     The slab route walks rows i0:i1, SLAB_ROWS at a time (:func:`_slabs`).
     In each slab it forms every index set's distances, every (index set,
-    exponent) growth table (1 + d)^s, and every matrix's rows and their
-    moduli once, and every request that reads them shares them. Each slab
-    fills the same buffers, carved from one block of O(SLAB_ROWS n) floats
-    that the pass allocates once, so the slabs do not churn the heap.
-    Every constant equals the dense formula on the whole matrix bit for
-    bit: each entry goes through the same elementwise operations, and a
-    max is exact.
+    law) growth table, and every matrix's rows and their moduli once, and
+    every request that reads them shares them. Each slab fills the same
+    buffers, carved from one block of O(SLAB_ROWS n) floats that the pass
+    allocates once, so the slabs do not churn the heap. Every constant
+    equals the dense formula on the whole matrix bit for bit: each entry
+    goes through the same elementwise operations, and a max is exact.
 
     The lattice route runs once :meth:`on_lattice` has declared the index
     order a P x Q torus lattice on which every registered matrix and index
@@ -155,7 +157,7 @@ class PairScan:
     5.2.1). Each constant is then a max over the n differences,
 
         decay         max_delta |a_0,delta| R_w(delta) (1 + d_0,delta)^s,
-        moderateness  max_delta R_m(delta) / (1 + d_0,delta)^t,
+        moderateness  max_delta R_m(delta) / g(d_0,delta),
 
     read from row 0 of each matrix (its ``rows`` hook) and of each index
     set, with one ratio table R_w(delta) = max_k w_k / w_{k + delta} per
@@ -173,7 +175,7 @@ class PairScan:
     def __init__(self, n: int):
         self.n = n
         self._sources = {}  # key -> rows(i0, i1, out)
-        self._requests = []  # (kind, index set, exponent, weight or values, key or beta)
+        self._requests = []  # (index set, growth law, weight or values, matrix key; None: moderateness)
         self.lattice = None  # (P, Q) once declared by on_lattice
         self.values = None
 
@@ -209,10 +211,10 @@ class PairScan:
 
         return self.matrix(("gram", frame, other), rows)
 
-    def _request(self, kind, idx, exponent, values, extra) -> int:
+    def _request(self, idx, law, values, key=None) -> int:
         if len(idx) != self.n or (values is not None and np.shape(values) != (self.n,)):
             raise ValueError("index set or weight length does not match the scan")
-        self._requests.append((kind, idx, float(exponent), values, extra))
+        self._requests.append((idx, law, None if values is None else np.asarray(values, dtype=float), key))
         return len(self._requests) - 1
 
     def decay(self, key, s: float, idx: IndexSet, w=None) -> int:
@@ -221,28 +223,26 @@ class PairScan:
         the request's position in :meth:`run`'s values."""
         if key not in self._sources:
             raise KeyError(f"no matrix registered as {key!r}")
-        return self._request("decay", idx, s, None if w is None else np.asarray(w, dtype=float), key)
+        return self._request(idx, (kernels.growth_table, float(s)), w, key)
 
     def moderateness(self, values, t: float, idx: IndexSet) -> int:
         """Request the polynomial moderateness constant of the weight values at t."""
-        return self._request("moderate", idx, t, np.asarray(values, dtype=float), None)
+        return self._request(idx, (kernels.growth_table, float(t)), values)
 
     def subexponential(self, values, alpha: float, beta: float, idx: IndexSet) -> int:
         """Request the subexponential moderateness constant of the weight values."""
-        return self._request("subexp", idx, alpha, np.asarray(values, dtype=float), float(beta))
+        return self._request(idx, (kernels.exp_growth_table, float(alpha), float(beta)), values)
 
     def _plan(self) -> tuple:
-        """The bookkeeping both routes share: per index set, the exponents of
-        its growth tables (1 + d)^e and its subexponential requests, made
-        while its distances are held; per matrix key, its decay requests."""
+        """The bookkeeping both routes share: per index set, the growth laws
+        whose tables are made while its distances are held, in request
+        order; per matrix key, its decay requests."""
         per_set, reads = {}, {}
-        for j, (kind, idx, e, _, key) in enumerate(self._requests):
-            exponents, subexp = per_set.setdefault(idx, ([], []))
-            if kind == "subexp":
-                subexp.append(j)
-            elif e not in exponents:
-                exponents.append(e)
-            if kind == "decay":
+        for j, (idx, law, _, key) in enumerate(self._requests):
+            laws = per_set.setdefault(idx, [])
+            if law not in laws:
+                laws.append(law)
+            if key is not None:
                 reads.setdefault(key, []).append(j)
         return per_set, reads
 
@@ -250,7 +250,8 @@ class PairScan:
         """Every requested constant, in request order, also kept as
         :attr:`values`. The scan then releases its matrices and index sets."""
         plan = self._plan()
-        maxima = self._lattice_maxima(*plan) if self.lattice else self._slab_maxima(*plan)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed ratio is inf
+            maxima = self._lattice_maxima(*plan) if self.lattice else self._slab_maxima(*plan)
         self.values = [float(np.max(m)) for m in maxima]
         self._sources, self._requests = {}, []  # a scan runs once; drop what it read
         return self.values
@@ -258,15 +259,15 @@ class PairScan:
     def _slab_maxima(self, per_set, reads) -> list:
         """Per request, its maxima over the row slabs."""
         n, requests = self.n, self._requests
-        keys = [(idx, e) for idx, (exponents, _) in per_set.items() for e in exponents]
+        keys = [(idx, law) for idx, laws in per_set.items() for law in laws]
         slabs = _slabs(n)
         shape = (max(i1 - i0 for i0, i1 in slabs), n)
-        weighted = any(req[0] == "decay" and req[3] is not None for req in requests)
+        weighted = any(key is not None and w is not None for _, _, w, key in requests)
         # One block holds every buffer of the pass: one complex buffer (pairs
         # of floats) for a matrix's rows and, for weighted requests, one for
         # their conjugated copy; the moduli (which first hold each index
         # set's distances), a scratch buffer and a growth table per (index
-        # set, exponent).
+        # set, law).
         size, n_complex = shape[0] * n, 2 if weighted else 1
         block = np.empty((len(keys) + 2 + 2 * n_complex) * size)
         bufs = block[: 2 * n_complex * size].view(complex).reshape((n_complex,) + shape)
@@ -276,20 +277,17 @@ class PairScan:
         maxima = [[] for _ in requests]
         for i0, i1 in slabs:
             r = i1 - i0
-            for idx, (exponents, subexp) in per_set.items():
+            for idx, laws in per_set.items():
                 d = idx.distances(i0, i1, out=moduli[:r])
-                for e in exponents:
-                    kernels.growth_table(d, e, out=growths[idx, e][:r])
-                for j in subexp:
-                    _, _, alpha, v, beta = requests[j]
-                    maxima[j].append(kernels.moderateness_max_subexp(v, d, alpha, beta, i0))
-            for j, (kind, idx, t, v, _) in enumerate(requests):
-                if kind == "moderate":
-                    maxima[j].append(kernels.moderateness_max(v, growths[idx, t][:r], i0, out=scratch[:r]))
+                for law in laws:
+                    law[0](d, *law[1:], out=growths[idx, law][:r])
+            for j, (idx, law, v, key) in enumerate(requests):
+                if key is None:
+                    maxima[j].append(kernels.moderateness_max(v, growths[idx, law][:r], i0, out=scratch[:r]))
             for key, js in reads.items():
                 A, absA = self._sources[key](i0, i1, rows_buf[:r]), None
                 for j in js:
-                    _, idx, e, w, _ = requests[j]
+                    idx, law, w, _ = requests[j]
                     if w is None:  # the moduli of the rows, shared by every unweighted request
                         if absA is None:
                             absA = np.abs(A, out=moduli[:r])
@@ -297,7 +295,7 @@ class PairScan:
                     else:  # the rows of diag(w) A diag(1/w), then their moduli
                         ratio = np.divide(w[i0:i1, None], w[None, :], out=scratch[:r])
                         a = np.abs(np.multiply(ratio, A, out=conj_buf[:r]), out=scratch[:r])
-                    maxima[j].append(kernels.decay_max(a, growths[idx, e][:r], out=scratch[:r]))
+                    maxima[j].append(kernels.decay_max(a, growths[idx, law][:r], out=scratch[:r]))
         return maxima
 
     def _lattice_maxima(self, per_set, reads) -> list:
@@ -315,25 +313,22 @@ class PairScan:
             return ratio_tables[key]
 
         maxima, growths = [None] * len(requests), {}
-        for idx, (exponents, subexp) in per_set.items():
+        for idx, laws in per_set.items():
             d = idx.distances(0, 1)[0]
             _check_covariant(d, idx.distances(last, n)[0], perm, "an index set's distance table")
-            for e in exponents:
-                growths[idx, e] = kernels.growth_table(d, e)
-            for j in subexp:
-                _, _, alpha, v, beta = requests[j]
-                maxima[j] = (ratios(v) / np.exp(alpha * d**beta)).max()
-        for j, (kind, idx, t, v, _) in enumerate(requests):
-            if kind == "moderate":
-                maxima[j] = np.divide(ratios(v), growths[idx, t]).max()
+            for law in laws:
+                growths[idx, law] = law[0](d, *law[1:])
+        for j, (idx, law, v, key) in enumerate(requests):
+            if key is None:
+                maxima[j] = np.divide(ratios(v), growths[idx, law]).max()
         rows_buf = np.empty((1, n), dtype=complex)
         for key, js in reads.items():
             rows = self._sources[key]
             a = np.abs(rows(0, 1, rows_buf))[0]
             _check_covariant(a, np.abs(rows(last, n, rows_buf))[0], perm, "a registered matrix")
             for j in js:
-                _, idx, e, w, _ = requests[j]
-                maxima[j] = kernels.decay_max(a if w is None else a * ratios(w), growths[idx, e])
+                idx, law, w, _ = requests[j]
+                maxima[j] = kernels.decay_max(a if w is None else a * ratios(w), growths[idx, law])
         return maxima
 
 
@@ -472,19 +467,31 @@ def sigma_max(apply, apply_adjoint, n: int) -> float:
     values of A; an alpha_j or beta_j of exactly 0 (an invariant subspace:
     the zero matrix, the identity) ends it before. After j steps the bases
     hold 2 j n numbers.
+
+    The recurrences square what they read (the norms, B_j^T B_j, theta^2),
+    which overflows once sigma_max passes about 1e154. So when A v_1 has
+    an entry above 2^256, the run is made on A / 2^k, 2^k the power of two
+    just above that entry, and theta is scaled back. A power of two scales
+    every step exactly, and a run that stays below 2^256 is not touched.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    Av, scale = apply(v), 1.0
+    top = float(np.max(np.abs(Av)))
+    if top > 2.0**256:
+        scale = 2.0 ** -np.frexp(top)[1]
+        Av *= scale
+        apply, apply_adjoint = (lambda x, f=apply: scale * f(x)), (lambda x, f=apply_adjoint: scale * f(x))
     U, V, alphas, betas = [], [], [], []
     u, beta = np.zeros_like(v), 0.0
     while True:
         V.append(v)
-        u = _orthogonalize(apply(v) - beta * u, U)
+        u = _orthogonalize(Av - beta * u, U)
         alpha = float(np.linalg.norm(u))
         alphas.append(alpha)
         if alpha == 0.0:
-            return _top_ritz(alphas, betas)[0]
+            return _top_ritz(alphas, betas)[0] / scale
         u /= alpha
         U.append(u)
         v = _orthogonalize(apply_adjoint(u) - alpha * v, V)
@@ -492,8 +499,9 @@ def sigma_max(apply, apply_adjoint, n: int) -> float:
         betas.append(beta)
         theta, q_last = _top_ritz(alphas, betas)
         if alpha * beta * abs(q_last) <= LANCZOS_RTOL * UNIT_ROUNDOFF * theta**2 or len(alphas) == n:
-            return theta
+            return theta / scale
         v /= beta
+        Av = apply(v)
 
 
 def identity_plus(U: np.ndarray, V: np.ndarray) -> tuple:
@@ -551,16 +559,16 @@ def operator_norm(U: np.ndarray, V: np.ndarray, ps, n2: float) -> dict:
     a weighted space l^p_w, pass the factors of diag(w) T diag(1/w).
 
     p = 2 is n2, T's exact 2-norm, known without reading T (found by
-    :class:`framelift.multipliers._SplitCore`). When some p != 2, the
-    column and row sums of |T|, the exact p = 1 and p = inf norms, are read
-    once in row slabs (:func:`_moduli_sums`), and the upper end of every
-    other p interpolates the exact p = 1, 2, inf norms. When some p is not
-    in {1, 2, inf}, one set of MAP_SAMPLES draws F seeded by 0, as
-    :func:`map_constants` makes by default, and the moduli of F and of
-    F T^T = F + (F V^T) U^T are made once, and each such p takes its lower
-    end, the largest ratio ||T f||_p / ||f||_p, from them. When k < n, every
-    x in ker V has T x = x, so ||T||_p >= 1 and no lower end is below 1.
-    U and V are read only when some p != 2.
+    :class:`framelift.multipliers._SplitCore`). Every norm and upper end is
+    :func:`_outer_end`'s, from n2 and the column and row sums of |T|, which
+    are read once in row slabs (:func:`_moduli_sums`) when some p != 2
+    first asks for them. When some p is not in {1, 2, inf}, one set of
+    MAP_SAMPLES draws F seeded by 0, as :func:`map_constants` makes by
+    default, and the moduli of F and of F T^T = F + (F V^T) U^T are made
+    once, and each such p takes its lower end, the largest ratio
+    ||T f||_p / ||f||_p, from them. When k < n, every x in ker V has
+    T x = x, so ||T||_p >= 1 and no lower end is below 1. U and V are read
+    only when some p != 2.
     """
     n, k = U.shape
 
@@ -569,17 +577,13 @@ def operator_norm(U: np.ndarray, V: np.ndarray, ps, n2: float) -> dict:
         T.reshape(-1)[i0 :: n + 1] += 1.0  # entries (j, i0 + j)
         return T
 
-    norms, sums, moduli = {}, None, None
+    sums = functools.cache(lambda: _moduli_sums(n, rows))
+    norms, moduli = {}, None
     for p in ps:
-        if p == 2:
-            norms[p] = n2
+        upper = _outer_end(p, sums, lambda: n2)
+        if p in (1, 2, np.inf):
+            norms[p] = upper
             continue
-        if sums is None:
-            sums = _moduli_sums(n, rows)
-        if p in (1, np.inf):
-            norms[p] = sums[0 if p == 1 else 1]
-            continue
-        upper = _riesz_thorin(sums[0], n2, sums[1], p)
         if moduli is None:
             F = _draws(MAP_SAMPLES, n, 0)
             moduli = np.abs(F + (F @ V.T) @ U.T), np.abs(F)
@@ -587,6 +591,21 @@ def operator_norm(U: np.ndarray, V: np.ndarray, ps, n2: float) -> dict:
         lower = float(np.max(_ratios(*moduli, p), initial=0.0))
         norms[p] = (max(lower, 1.0) if k < n else lower, upper)
     return norms
+
+
+def _outer_end(p, sums, n2) -> float:
+    """The outer end of an n x n operator's l^p norm: the norm itself for p
+    in {1, 2, inf}, and for other p the Riesz-Thorin bound that
+    interpolates those three. ``sums()`` gives the (max column sum, max row
+    sum) of the operator's moduli, its p = 1 and p = inf norms, and
+    ``n2()`` its 2-norm; each is called only when p needs it."""
+    if p in (1, np.inf):
+        return sums()[0 if p == 1 else 1]
+    two = n2()
+    if p == 2:
+        return two
+    n1, ninf = sums()
+    return _riesz_thorin(n1, two, ninf, p)
 
 
 def _riesz_thorin(n1: float, n2: float, ninf: float, p) -> float:
@@ -708,17 +727,12 @@ def _product_norm(L: _Factored, F: _Factored, p) -> float:
     """Induced l^p norm of the n x n product L F^+ (upper end for 1 < p < inf).
 
     L is an n x d map and F^+ the d x n left inverse of an injective map F.
-    The p = 1 and p = inf norms come from :meth:`_Factored.product_sums`,
-    the 2-norm, needed for 1 < p < inf, from :meth:`_Factored.product_svals`;
-    both are shared across p, and no n x n factorization is needed.
+    :func:`_outer_end` reads the p = 1 and p = inf norms from
+    :meth:`_Factored.product_sums` and the 2-norm from
+    :meth:`_Factored.product_svals`; both are shared across p, and no n x n
+    factorization is needed.
     """
-    if p in (1, np.inf):
-        return F.product_sums(L)[0 if p == 1 else 1]
-    n2 = float(F.product_svals(L)[0])
-    if p == 2:
-        return n2
-    n1, ninf = F.product_sums(L)
-    return _riesz_thorin(n1, n2, ninf, p)
+    return _outer_end(p, lambda: F.product_sums(L), lambda: float(F.product_svals(L)[0]))
 
 
 def map_constants(A, B, p, seed: int = 0) -> dict:

@@ -80,10 +80,9 @@ def _pick(frame: Frame, which: str) -> Frame:
     return frame if which == "frame" else frame.canonical_dual()
 
 
-def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, error_map: bool = True) -> tuple:
+def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots) -> tuple:
     """(Y, Y_err): the d x n factor Y = L O (R D) - Dd of B_O = I + C Y,
-    and its error map v -> |Y - fl Y| v (None when ``error_map`` is false:
-    Y alone is formed).
+    and its error map v -> |Y - fl Y| v.
 
     With L, R in {I, S^{-1}} set by the slots, Mat(O) = C L O R D and
     G_{Psi,Psid} = C S^{-1} D, so B_O = I + C (L O R - S^{-1}) D. Y is
@@ -104,13 +103,10 @@ def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots, error_map: bool =
     P_err = _scaled(matalg.gamma_c(d), O, RD)
     if left == "dual":
         L = Dd @ Dd.conj().T
-        if error_map:
-            L_err = _scaled(matalg.gamma_c(n), Dd, Dd.conj().T)
-            P_err = _left_product_error(L, L_err, P, P_err)
+        L_err = _scaled(matalg.gamma_c(n), Dd, Dd.conj().T)
+        P_err = _left_product_error(L, L_err, P, P_err)
         P = L @ P
     Y = P - Dd
-    if not error_map:
-        return Y, None
     P = np.abs(P)  # the error map reads P only through its moduli
 
     def Y_err(v):  # P's rounding, then one rounding in P - Dd
@@ -187,12 +183,9 @@ class _SplitCore:
     B_w^{-1} = I - X_w W Y_w (X_w = diag(w) X, Y_w = Y diag(1/w), which
     have Y_w X_w = Y X). B_w = I + X_w Y_w and B_w^{-1} = I + X_w V with
     V = -(W Y_w) (:attr:`inverse_factor`, formed once) are read from those
-    factors by :func:`matalg.operator_norm`.
-
-    ``certified`` is the (W, certificate margin) of a core of the same O,
-    frame and slots. The certificate is unweighted, so it serves every w:
-    such a core forms Y alone, with no error map and no second
-    certificate.
+    factors by :func:`matalg.operator_norm`. Every core certifies itself,
+    so a core is built one way whatever its weight; two cores of the same
+    O, frame and slots have the same certificate bit for bit.
 
     The p = 2 norms are sigma_max(B_w) and ||B_w^{-1}||_2, each by
     Golub-Kahan-Lanczos (:func:`matalg.sigma_max`) on B_w and B_w^{-1}
@@ -211,14 +204,12 @@ class _SplitCore:
     n x n or k x k array.
     """
 
-    def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None, certified=None):
+    def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None):
         n = psi.n
         X = np.conjugate(psi.vectors.T)  # C = D^H
-        Y, Y_err = _splitting_factor(O, psi, slots, error_map=certified is None)
-        if certified is None:
-            certified = _certificate(X, Y, Y_err)
+        Y, Y_err = _splitting_factor(O, psi, slots)
+        self.W, self.certificate_margin = _certificate(X, Y, Y_err)
         del Y_err
-        self.W, self.certificate_margin = certified
         w = weight_values(w, n)
         np.multiply(w[:, None], X, out=X)
         np.divide(Y, w[None, :], out=Y)

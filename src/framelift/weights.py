@@ -192,13 +192,15 @@ def moderateness_constant(m: Weight, t: float, profile: str = "polynomial", beta
     """Smallest C with m_k <= C * profile(dist(k,l)) * m_l over all pairs.
 
     profile "polynomial": (1 + dist)^t. profile "subexponential":
-    exp(t * dist^beta). Always >= 1 (take k = l). This reads the whole n x n
-    distance matrix at once; the lift and its families read the same
-    constants one row slab at a time (:class:`framelift.matalg.PairScan`).
+    exp(t * dist^beta). Both are read through
+    :func:`framelift.kernels.moderateness_max`. Always >= 1 (take k = l).
+    This reads the whole n x n distance matrix at once; the lift and its
+    families read the same constants one row slab at a time
+    (:class:`framelift.matalg.PairScan`).
     """
     dist = m.index_set.distance_matrix()
     if profile == "polynomial":
         return kernels.moderateness_max(m.values, kernels.growth_table(dist, float(t)))
     if profile == "subexponential":
-        return kernels.moderateness_max_subexp(m.values, dist, float(t), float(beta))
+        return kernels.moderateness_max(m.values, kernels.exp_growth_table(dist, float(t), float(beta)))
     raise ValueError(f"unknown moderateness profile {profile!r}")

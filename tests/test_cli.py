@@ -744,6 +744,40 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert (tmp_path / "identities.json").exists()
 
+    def test_symbol_whose_b_norm_squares_past_overflow_lifts_to_a_report(self, tmp_path):
+        # Gabor N = 32 with mu polynomial t = 100: sigma_max(B_w) is 3.5e175,
+        # whose square overflows. Golub-Kahan runs on B_w scaled by a power
+        # of two, so the size ends as an uncertified report, not an error.
+        spec = {"kind": "gabor", "Ns": [32], "redundancy": 4, "mu": {"type": "polynomial", "t": 100}, "ps": [2]}
+        out = tmp_path / "out"
+        proc = _run_module("lift", "--config", _write(tmp_path, "t100.json", spec), "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = _read_json(out / "lift_N32.json")["entry"]["report"]
+        residuals = report["residuals"]
+        assert residuals["B_certificate_margin"] == np.inf and not report["verdicts"]["all_steps"]
+        assert residuals["step_iv"]["2"]["B_norm"] == pytest.approx(3.45e175, rel=1e-3)
+        with open(out / "lifting_table.csv", newline="") as fh:
+            assert [r["verdict"] for r in csv.DictReader(fh)] == ["fail"]
+
+    def test_overflowing_weight_ratio_leaves_no_nan(self, tmp_path):
+        # mu from 1e-200 to 1e200 on an orthonormal basis: some ratios
+        # mu_k / mu_l overflow. G = I, so each weighted decay profile is 1;
+        # mu's moderateness is inf and flagged.
+        spec = {
+            "kind": "custom-frame",
+            "frame": {"type": "onb", "d": 4},
+            "mu": {"type": "values", "values": [1e-200, 1, 1, 1e200]},
+            "ps": [1, 2, 3, "inf"],
+        }
+        out = tmp_path / "out"
+        proc = _run_module("lift", "--config", _write(tmp_path, "onb.json", spec), "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for path in out.iterdir():
+            assert "NaN" not in path.read_text(), path.name
+        report = _read_json(out / "lift_report.json")["entries"][0]["report"]
+        assert report["decay_profiles"] == {"G": 1.0, "G^mu": 1.0, "G^(1/mu)": 1.0, "Gdual^mu": 1.0, "cross^mu": 1.0}
+        assert report["moderateness"]["mu"]["constant"] == np.inf and report["moderateness"]["mu"]["flagged"]
+
     def test_overflowing_weight_prints_the_config_error_alone(self, tmp_path):
         # (1 + |x|)^400 overflows on the Gabor index sets: the run ends as a
         # config error, and numpy's overflow warning does not reach stderr.

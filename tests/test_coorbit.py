@@ -344,23 +344,30 @@ class TestPipeline:
         lifting_theorem_pipeline(psi, mu, m=m, ps=ps)
         assert sorted(hits) == [0, 1]
 
-    def test_a_weight_m_certifies_once(self, monkeypatch):
-        # The certificate is unweighted: step (iv)'s core on m sqrt(mu)
-        # takes step (i)'s W and margin, which its own certificate would
-        # reproduce bit for bit.
+    def test_a_weight_m_core_recertifies_bit_for_bit(self, monkeypatch):
+        # Every core certifies itself. The certificate is unweighted, so
+        # step (iv)'s core on m sqrt(mu) computes step (i)'s W and margin
+        # again, bit for bit, and its 2-norms equal those of a core built
+        # directly on that weight.
         psi, mu, m = _gabor(16, 2.0, 1.0)
         O = multiplier(1.0 / mu, psi) @ multiplier(mu, psi)
         fresh = _SplitCore(O, psi, w=m * np.sqrt(mu))
-        calls, certificate = [], multipliers._certificate
-        monkeypatch.setattr(multipliers, "_certificate", lambda *a: calls.append(a) or certificate(*a))
         step_i = _SplitCore(O, psi, w=np.sqrt(mu))
-        reused = _SplitCore(O, psi, w=m * np.sqrt(mu), certified=(step_i.W, step_i.certificate_margin))
-        assert len(calls) == 1
-        assert np.array_equal(reused.W, fresh.W) and reused.certificate_margin == fresh.certificate_margin
-        assert reused.sigma == fresh.sigma and reused.inverse_norm == fresh.inverse_norm
-        calls.clear()
+        assert np.array_equal(step_i.W, fresh.W) and step_i.certificate_margin == fresh.certificate_margin
+        calls, certificate = [], multipliers._certificate
+
+        def spy(*args):
+            calls.append(certificate(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(multipliers, "_certificate", spy)
+        cores, split_core = [], coorbit._SplitCore
+        monkeypatch.setattr(coorbit, "_SplitCore", lambda *a, **k: cores.append(split_core(*a, **k)) or cores[-1])
         report = lifting_theorem_pipeline(psi, mu, m=m, ps=(1, 2, np.inf))
-        assert len(calls) == 1
+        assert len(calls) == 2
+        (W0, r0), (W1, r1) = calls
+        assert np.array_equal(W0, W1) and r0 == r1 == fresh.certificate_margin
+        assert cores[1].sigma == fresh.sigma and cores[1].inverse_norm == fresh.inverse_norm
         assert report["verdicts"]["all_steps"]
 
     def test_headline_matches_p2_entry(self, rng):

@@ -77,6 +77,25 @@ def test_moderateness_profiles(rng):
     poly = kernels.moderateness_max(vals, kernels.growth_table(dist, 2.0))
     want = float((vals[:, None] / (vals[None, :] * (1.0 + dist) ** 2)).max())
     assert poly == pytest.approx(want, rel=1e-14)
-    sub = kernels.moderateness_max_subexp(vals, dist, 1.0, 1.0)
+    sub = kernels.moderateness_max(vals, kernels.exp_growth_table(dist, 1.0, 1.0))
     want_sub = float((vals[:, None] / (vals[None, :] * np.exp(dist))).max())
     assert sub == pytest.approx(want_sub, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.7, 0.5), (0.3, 2.0), (2.0, 0.25)])
+def test_exp_growth_table_is_the_subexponential_formula_bit_for_bit(rng, alpha, beta):
+    dist = kernels.pairwise_dist(rng.uniform(0, 9, size=(40, 2)))
+    vals = np.exp(rng.uniform(-3, 3, 40))
+    growth = kernels.exp_growth_table(dist, alpha, beta)
+    assert np.array_equal(growth, np.exp(alpha * dist**beta))
+    out = np.empty((7, 40))  # rows 5:12, written into a caller's buffer
+    assert kernels.exp_growth_table(dist[5:12], alpha, beta, out=out) is out
+    assert np.array_equal(out, growth[5:12])
+    ratio = vals[:, None] / vals[None, :]
+    assert kernels.moderateness_max(vals, growth) == float((ratio / np.exp(alpha * dist**beta)).max())
+
+
+def test_decay_max_skips_the_nan_of_a_zero_entry_times_inf():
+    absa = np.array([[1.0, 0.0], [0.0, 2.0]])
+    with np.errstate(invalid="ignore"):
+        assert kernels.decay_max(absa, np.array([[1.0, np.inf], [np.inf, 1.5]])) == 3.0

@@ -9,6 +9,7 @@ checked, not trusted.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -219,3 +220,21 @@ def test_lattice_route_is_closer_to_the_mpmath_decay_constants():
         assert entry["lattice"] < 1e-14, name
         assert entry["all_pairs"] < 1e-13, name
         assert entry["closer"] == "lattice", name
+
+
+@pytest.mark.parametrize("lattice", [False, True], ids=["slab", "lattice"])
+def test_an_overflowing_weight_ratio_is_inf_and_a_zero_entry_stays_zero(lattice):
+    # w spans 1e-200 to 1e200, so some quotients w_k / w_l overflow. Such a
+    # ratio is inf, with no warning; a zero entry times it contributes 0,
+    # not NaN, so the identity's weighted decay constants read 1.
+    idx = IndexSet([(0, 0), (0, 1), (1, 0), (1, 1)], TORUS, 2.0)  # the 2 x 2 torus lattice
+    w, eye = np.array([1e-200, 1.0, 1.0, 1e200]), np.eye(4, dtype=complex)
+    scan = matalg.PairScan(4)
+    if lattice:
+        scan.on_lattice(2, 2)
+    key = scan.matrix("I", lambda i0, i1, out: eye[i0:i1])
+    js = [scan.decay(key, 4.0, idx, w), scan.decay(key, 4.0, idx, 1.0 / w), scan.moderateness(w, 2.0, idx)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = scan.run()
+    assert [values[j] for j in js] == [1.0, 1.0, np.inf]

@@ -522,6 +522,23 @@ class TestFactorizations:
         assert shapes <= {(n, d), (d, n), (d, d), (n,)}
 
 
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_uncertified_sigma_min_is_at_most_one_when_d_below_n(self, N, monkeypatch):
+        # B_w is the identity on ker Y_w when d < n, so sigma_min(B_w) <= 1
+        # whatever K's values-only SVD returns. Patched to return values
+        # above 1 on this uncertified core, it leaves sigma_min at 1.
+        core = _gabor_core(N, 14.0)[0]
+        assert not core.invertible() and core.X.shape[1] < core.n
+        svd = np.linalg.svd
+
+        def above_one(a, compute_uv=True):
+            assert not compute_uv
+            return 2.0 + svd(a, compute_uv=False)
+
+        monkeypatch.setattr(np.linalg, "svd", above_one)
+        assert core.sigma[0] == 1.0
+
+
 class TestSpectralInvariance:
     def test_suite_reports_constants_per_weight_and_p(self, rng, small_frame):
         mu = _random_symbol(rng, small_frame.n)
