@@ -250,7 +250,9 @@ class PairScan:
         """Every requested constant, in request order, also kept as
         :attr:`values`. The scan then releases its matrices and index sets."""
         plan = self._plan()
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed ratio is inf
+        # A weight ratio that overflows is inf; an entry 0 times it is the
+        # NaN that kernels.decay_max skips.
+        with np.errstate(over="ignore", invalid="ignore"):
             maxima = self._lattice_maxima(*plan) if self.lattice else self._slab_maxima(*plan)
         self.values = [float(np.max(m)) for m in maxima]
         self._sources, self._requests = {}, []  # a scan runs once; drop what it read
