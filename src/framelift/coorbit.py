@@ -176,7 +176,7 @@ def lifting_theorem_pipeline(
     Steps: (i) decide invertibility of B on l^2_sqrt(mu) by Rump's a
     posteriori certificate on its d x d Woodbury core, taken in unweighted
     coordinates (a diagonal similarity does not change invertibility; see
-    :func:`framelift.multipliers._certificate`), reporting the certificate's
+    :func:`framelift.verified.woodbury_certificate`), reporting the certificate's
     bound r on ||I - B Xt||_inf, Xt = I - C W Y, as ``B_certificate_margin``
     (invertible when r < 1) and sigma_min / sigma_max of B_sqrt(mu) as a
     number: sigma_max and, for a certified core, sigma_min = 1 / ||B^{-1}||_2,

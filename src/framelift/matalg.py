@@ -23,13 +23,9 @@ p = 2, certified brackets otherwise;
 products with vectors where no other singular value is needed: of a dense
 matrix, or of I + U V through its factors.
 
-Invertibility verdicts are a posteriori certificates (Rump, "Verification
-methods: rigorous results using floating-point arithmetic", Acta Numerica
-19, 2010): a square matrix A is invertible when an upper bound r on
-||I - A X||_inf, for some approximate inverse X and with every rounding
-made in evaluating the residual counted, is below 1. :func:`is_invertible`
-is that test on a dense matrix; the splitting matrix of
-:mod:`framelift.multipliers` runs it on its factors.
+The rounding model and the invertibility certificates live in
+:mod:`framelift.verified`; matalg reads only its unit roundoff, for the
+stopping rule of :func:`sigma_max`.
 """
 
 import functools
@@ -38,12 +34,11 @@ import weakref
 import numpy as np
 
 from . import kernels
+from .verified import UNIT_ROUNDOFF
 from .weights import IndexSet, lp_norms, weight_values
 
 # Singular values at or below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-10
-# Unit roundoff of IEEE double precision, u = 2^-53.
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Seeded draws behind the inner side of a bracket: map_constants, operator_norm.
 MAP_SAMPLES = 256
 # Golub-Kahan-Lanczos (sigma_max) stops once its top Ritz residual is at most
@@ -346,73 +341,6 @@ def conjugate(A: np.ndarray, mu) -> np.ndarray:
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse; rank decided at RANK_RTOL * sigma_max."""
     return np.linalg.pinv(np.asarray(A), rcond=RANK_RTOL)
-
-
-def gamma(k) -> float:
-    """gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 3): k real roundings compound to at most this
-    relative error."""
-    ku = k * UNIT_ROUNDOFF
-    return ku / (1.0 - ku)
-
-
-def gamma_c(k) -> float:
-    """Entrywise error bound of a complex inner product of length k.
-
-    |fl(x^T y) - x^T y| <= gamma_c(k) |x|^T |y| for complex x, y, in any
-    summation order and with or without fused multiply-adds, provided the
-    product is an ordinary (not Strassen-like) one and nothing underflows.
-    sqrt(2) gamma_{k+2} is Higham's complex bound (Lemma 3.5 and section
-    3.6); BLAS forms real and imaginary parts as real inner products of
-    length 2k, which gives sqrt(2) gamma_{2k}. gamma_c takes
-    sqrt(2) gamma_{2k+2}, above both.
-    """
-    return float(np.sqrt(2.0)) * gamma(2 * k + 2)
-
-
-def abs_chain(vec, *factors) -> np.ndarray:
-    """|F_1| |F_2| ... |F_m| vec for nonnegative vec and matrices F_i, one
-    matrix-vector product at a time, so no product of the factors is
-    formed."""
-    for f in reversed(factors):
-        vec = np.abs(f) @ vec
-    return vec
-
-
-def certified_bound(r: float, depth: int) -> float:
-    """r, the float value of a sum of products of nonnegative terms with at
-    most ``depth`` roundings on any path, raised to an upper bound on the
-    exact value; nan (an overflowed evaluation) becomes inf."""
-    r = float(r) * (1.0 + gamma(depth))
-    return r if np.isfinite(r) else np.inf
-
-
-def certificate_margin(A: np.ndarray) -> float:
-    """Upper bound r on ||I - A X||_inf for the square matrix A, X = inv(A).
-
-    The residual is formed as fl(I - fl(A X)), and its rounding is counted:
-    |R - fl(R)| <= gamma_c(n) |A| |X| + u |fl(R)| entrywise. A that LAPACK
-    finds exactly singular gives r = inf.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("invertibility is decided for square matrices")
-    n = A.shape[0]
-    try:
-        X = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        return np.inf
-    R = np.eye(n) - A @ X
-    one = np.ones(n)
-    r = (1.0 + gamma(1)) * abs_chain(one, R) + gamma_c(n) * abs_chain(one, A, X)
-    return certified_bound(r.max(), 4 * n + 8)
-
-
-def is_invertible(A: np.ndarray) -> bool:
-    """Rump's certificate on a dense square matrix: :func:`certificate_margin`
-    below 1 proves A invertible. A singular A never passes: for it every
-    I - A X has an eigenvalue 1."""
-    return bool(certificate_margin(A) < 1.0)
 
 
 def _moduli_sums(n: int, rows) -> tuple:

@@ -13,8 +13,9 @@ identity plus X Y, with X = C (n x d) and Y (d x n) the factors of a term of
 rank d. In finite dimensions the transfer is Sylvester's identity: B_O is
 invertible exactly when the d x d matrix I + Y X is. Every B_O verdict,
 those of ``verify`` and the lifting pipeline's alike, is Rump's certificate
-on that d x d Woodbury core (:func:`_certificate`): no QR, no SVD and no
-n x k array. :class:`_SplitCore` adds what the pipeline's p = 2 norms on a
+on that d x d Woodbury core (:func:`framelift.verified.woodbury_certificate`,
+fed the error map of Y from :func:`_splitting_factor`): no QR, no SVD and
+no n x k array. :class:`_SplitCore` adds what the pipeline's p = 2 norms on a
 weighted space need: sigma_max(B_w) and ||B_w^{-1}||_2 by Golub-Kahan-Lanczos
 (:func:`matalg.sigma_max`), applied through the Woodbury factors of B_w and
 of its inverse; only a core the certificate does not pass compresses B_w to
@@ -31,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import matalg
+from . import matalg, verified
 from .frames import Frame
 from .matalg import _Factored, upper_constant
 from .weights import weight_values
@@ -100,75 +101,20 @@ def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots) -> tuple:
     Dd = psi.canonical_dual().synthesis_matrix
     RD = _pick(psi, right).synthesis_matrix
     P = O @ RD
-    P_err = _scaled(matalg.gamma_c(d), O, RD)
+    P_err = lambda v: verified.gamma_c(d) * verified.abs_chain(v, O, RD)
     if left == "dual":
-        L = Dd @ Dd.conj().T
-        L_err = _scaled(matalg.gamma_c(n), Dd, Dd.conj().T)
-        P_err = _left_product_error(L, L_err, P, P_err)
+        DdH = Dd.conj().T
+        L = Dd @ DdH
+        L_err = lambda v: verified.gamma_c(n) * verified.abs_chain(v, Dd, DdH)
+        P_err = verified.left_product_error(L, L_err, P, P_err)
         P = L @ P
     Y = P - Dd
     P = np.abs(P)  # the error map reads P only through its moduli
 
     def Y_err(v):  # P's rounding, then one rounding in P - Dd
-        return P_err(v) + matalg.gamma(1) * (P @ v + matalg.abs_chain(v, Dd))
+        return P_err(v) + verified.gamma(1) * (P @ v + verified.abs_chain(v, Dd))
 
     return Y, Y_err
-
-
-def _certificate(X: np.ndarray, Y: np.ndarray, Y_err) -> tuple:
-    """(W, r): Rump's certificate of B = I + X Y through its d x d Woodbury
-    core. r < 1 proves B invertible.
-
-    B is n x n, X n x d and Y d x n float matrices; the B certified is
-    I + X Y_true with |Y_true - Y| <= Y_err entrywise, and X is taken as
-    exact (X = C, the conjugate of the frame's vectors). By Sylvester's
-    identity B is invertible exactly when I + Y X is, and Woodbury's
-    formula gives the approximate inverse Xt = I - X W Y of any d x d W;
-    here W = inv(fl(I + fl(Y X))). Exactly,
-
-        I - B Xt = - X G Y - X (Y_true - Y) Xt,   G = I - (I + Y X) W,
-
-    so r bounds the row sums of |X| |G| |Y| 1 + |X| Y_err(|Xt| 1), with
-    |Xt| 1 <= 1 + |X| |W| |Y| 1 (Xt is defined by exact products, so it
-    carries no rounding). G is read from the computed M = fl(I + H),
-    H = fl(Y X), and G_hat = fl(I - fl(M W)), with every rounding made
-    since the inputs counted:
-
-    - Y X: |H - Y X| <= gamma_c(n) |Y| |X| (see :func:`matalg.gamma_c`);
-    - I + H: one rounding on the diagonal, |I + H - M| <= gamma_1 |M|;
-    - M W: |fl(M W) - M W| <= gamma_c(d) |M| |W|;
-    - I - fl(M W): |I - fl(M W)| <= (1 + gamma_1) |G_hat|.
-
-    Since I + Y X = M + (I + H - M) + (Y X - H),
-
-        |G| <= (1 + gamma_1) |G_hat| + (gamma_c(d) + gamma_1) |M| |W|
-               + gamma_c(n) |Y| |X| |W|,
-
-    and every term is applied to |Y| 1, which makes |W| |Y| 1 shared with
-    the bound on |Xt| 1. Each product of moduli is applied to a vector,
-    never formed, so past H
-    the bound costs O(n d + d^3): one d x d inverse and one d x d product.
-    G_hat is formed from M and W as they are, so the bound holds for
-    whatever matrix the inverse returned. A singular M that LAPACK rejects
-    gives (None, inf). The float evaluation of the bound is
-    raised by :func:`matalg.certified_bound`.
-    """
-    n, d = X.shape
-    M = Y @ X  # H = fl(Y X), then M = fl(I + H) in place
-    M[np.diag_indices(d)] += 1.0
-    try:
-        W = np.linalg.inv(M)
-    except np.linalg.LinAlgError:  # B may be singular; then no verdict closes
-        return None, np.inf
-    G_hat = np.eye(d) - M @ W
-    g1, gc_d, gc_n = matalg.gamma(1), matalg.gamma_c(d), matalg.gamma_c(n)
-    absX, absY = np.abs(X), np.abs(Y)
-    Y1 = absY @ np.ones(n)  # |Y| 1
-    WY1 = np.abs(W) @ Y1  # |W| |Y| 1
-    GY1 = (1 + g1) * (np.abs(G_hat) @ Y1) + (gc_d + g1) * (np.abs(M) @ WY1) + gc_n * (absY @ (absX @ WY1))
-    Xt1 = 1.0 + absX @ WY1  # bounds |Xt| 1
-    total = absX @ (GY1 + Y_err(Xt1))
-    return W, matalg.certified_bound(np.max(total), 8 * (n + d) + 64)
 
 
 class _SplitCore:
@@ -176,8 +122,9 @@ class _SplitCore:
     and read, for its p = 2 norms on l^2_w, as B_w = diag(w) B_O diag(1/w).
 
     B_O = I + X Y with X = C (n x d) and Y = L O (R D) - Dd (d x n) from
-    :func:`_splitting_factor`. The verdict is :func:`_certificate` on X and
-    Y: a d x d Woodbury core, no QR and no n x k array. A diagonal
+    :func:`_splitting_factor`. The verdict is
+    :func:`framelift.verified.woodbury_certificate` on X, Y and Y's error
+    map: a d x d Woodbury core, no QR and no n x k array. A diagonal
     similarity does not change invertibility, so the unweighted certificate
     decides B_w for every w; it keeps W = inv(I + Y X), so the inverse is
     B_w^{-1} = I - X_w W Y_w (X_w = diag(w) X, Y_w = Y diag(1/w), which
@@ -208,7 +155,7 @@ class _SplitCore:
         n = psi.n
         X = np.conjugate(psi.vectors.T)  # C = D^H
         Y, Y_err = _splitting_factor(O, psi, slots)
-        self.W, self.certificate_margin = _certificate(X, Y, Y_err)
+        self.W, self.certificate_margin = verified.woodbury_certificate(X, Y, Y_err)
         del Y_err
         w = weight_values(w, n)
         np.multiply(w[:, None], X, out=X)
@@ -275,26 +222,13 @@ class _SplitCore:
         return V + w * (self.Y.conj().T @ (self.X.conj().T @ (V / w)))
 
 
-def _scaled(c: float, *factors):
-    """The nonnegative map v -> c |F_1| ... |F_m| v."""
-    return lambda v: c * matalg.abs_chain(v, *factors)
-
-
-def _left_product_error(L, L_err, P, P_err):
-    """Error map of fl(L P) against the exact product of the matrices that
-    L and P approximate, given their error maps: gamma_c |L| |P| +
-    L_err |P| + |L| P_err + L_err P_err."""
-    gc = matalg.gamma_c(L.shape[1])
-    absL, absP = np.abs(L), np.abs(P)
-    return lambda v: gc * (absL @ (absP @ v)) + L_err(absP @ v) + absL @ P_err(v) + L_err(P_err(v))
-
-
 def invertibility_verdicts(O: np.ndarray, psi: Frame) -> dict:
     """Invertibility of O on C^d versus of B_O on C^n, for all slot choices.
 
     Every verdict is Rump's certificate: the operator's from the dense
-    d x d matrix (:func:`matalg.is_invertible`), each B_O verdict from its
-    d x d Woodbury core (:func:`_certificate`) on the one analysis matrix
+    d x d matrix (:func:`framelift.verified.dense_certificate`), each B_O
+    verdict from its d x d Woodbury core
+    (:func:`framelift.verified.woodbury_certificate`) on the one analysis matrix
     C. No QR, no SVD and no k x k core is made. The slot verdicts remain
     float certificates of the n x n B_O, with every n-dimensional rounding
     counted: they are this command's numerical test of the invertibility
@@ -304,8 +238,8 @@ def invertibility_verdicts(O: np.ndarray, psi: Frame) -> dict:
     slot_verdicts = {}
     for slots in Slots:
         Y, Y_err = _splitting_factor(O, psi, slots)
-        slot_verdicts[slots.name] = bool(_certificate(C, Y, Y_err)[1] < 1.0)
-    return {"operator": matalg.is_invertible(O), **slot_verdicts}
+        slot_verdicts[slots.name] = bool(verified.woodbury_certificate(C, Y, Y_err)[1] < 1.0)
+    return {"operator": bool(verified.dense_certificate(O)[1] < 1.0), **slot_verdicts}
 
 
 def _galerkin_decay(O: np.ndarray, psi: Frame, s: float) -> float:
@@ -344,17 +278,17 @@ def spectral_invariance_suite(
     (invertible or not) must agree across all (p, m); the constants may vary.
     Each entry is the upper side of :func:`matalg.map_constants` alone
     (:func:`matalg.upper_constant`): per weight, B is factorized once and
-    neither A nor A_inv is. Every scanned inner end comes from draws seeded
-    by ``seed``. No n x n array is held: the Galerkin decay and the p = 1,
+    neither A nor A_inv is. O's verdict and its inverse both come from
+    :func:`framelift.verified.dense_certificate`. Every scanned inner end
+    comes from draws seeded by ``seed``. No n x n array is held: the Galerkin decay and the p = 1,
     inf norms of A B^+ are read in row slabs.
     """
     O = np.asarray(O)
-    report = {
-        "operator_invertible": matalg.is_invertible(O),
-        "galerkin_decay_constant": _galerkin_decay(O, psi, s),
-        "constants": {},
-    }
-    inv = np.linalg.inv(O) if report["operator_invertible"] else None
+    decay = _galerkin_decay(O, psi, s)
+    inv, margin = verified.dense_certificate(O)
+    if not margin < 1.0:  # not certified: no inverse norm is read
+        inv = None
+    report = {"operator_invertible": inv is not None, "galerkin_decay_constant": decay, "constants": {}}
     for i, m in enumerate(weights):
         for p, entry in _upper_sides(psi, O, inv, m, ps, seed).items():
             report["constants"][f"w{i}_p{p}"] = entry

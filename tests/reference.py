@@ -109,6 +109,35 @@ def assembled(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return T
 
 
+def woodbury_residual(B, W, Y, psi) -> float:
+    """||I - B Xt||_inf in extended precision (np.clongdouble) for the
+    n x n np.clongdouble B and the Woodbury inverse Xt = I - C W Y of the
+    float W and Y."""
+    LD = np.clongdouble
+    eye = np.eye(psi.n, dtype=LD)
+    Xt = eye - psi.analysis_matrix.astype(LD) @ (W.astype(LD) @ Y.astype(LD))
+    return float(np.abs(eye - B @ Xt).sum(axis=1).max())
+
+
+def extended_residual(W, Y, O, psi, slots, dY=None) -> float:
+    """:func:`woodbury_residual` of B = I + C Y, formed in np.clongdouble
+    from the same float inputs as the certificate (C, D, O, the dual
+    synthesis matrix), and of Y; with a d x n perturbation dY, of
+    B + C dY and Y + dY."""
+    LD = np.clongdouble
+    left, right = slots.value
+    Dd = psi.canonical_dual().synthesis_matrix.astype(LD)
+    E = (psi.synthesis_matrix if right == "frame" else psi.canonical_dual().synthesis_matrix).astype(LD)
+    P = O.astype(LD) @ E
+    if left == "dual":
+        P = (Dd @ Dd.conj().T) @ P
+    Z = P - Dd
+    if dY is not None:
+        Z, Y = Z + dY.astype(LD), Y.astype(LD) + dY.astype(LD)
+    B = np.eye(psi.n, dtype=LD) + psi.analysis_matrix.astype(LD) @ Z
+    return woodbury_residual(B, W, Y, psi)
+
+
 def splitting_case(family: str, size: float, t: float) -> tuple:
     """(O, psi, mu, sqrt(mu)): the lift's step (i) operator O =
     M_{1/mu} M_mu, frame, symbol mu = (1+|x|)^t and weight, on a Gabor

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from framelift import coorbit, matalg, multipliers
+from framelift import coorbit, matalg, verified
 from framelift.coorbit import (
     IDENTITY_RTOL,
     _lifting_maps,
@@ -354,13 +354,13 @@ class TestPipeline:
         fresh = _SplitCore(O, psi, w=m * np.sqrt(mu))
         step_i = _SplitCore(O, psi, w=np.sqrt(mu))
         assert np.array_equal(step_i.W, fresh.W) and step_i.certificate_margin == fresh.certificate_margin
-        calls, certificate = [], multipliers._certificate
+        calls, certificate = [], verified.woodbury_certificate
 
         def spy(*args):
             calls.append(certificate(*args))
             return calls[-1]
 
-        monkeypatch.setattr(multipliers, "_certificate", spy)
+        monkeypatch.setattr(verified, "woodbury_certificate", spy)
         cores, split_core = [], coorbit._SplitCore
         monkeypatch.setattr(coorbit, "_SplitCore", lambda *a, **k: cores.append(split_core(*a, **k)) or cores[-1])
         report = lifting_theorem_pipeline(psi, mu, m=m, ps=(1, 2, np.inf))
@@ -391,7 +391,7 @@ def _dense_steps(psi, muv, mv, ps) -> dict:
     """Steps (i), (iv) and (v) on the dense n x n splitting matrix.
 
     The reference route: SVDs of the mu-conjugated B and B_rev, verdicts
-    from the dense certificate with X = inv(B) (matalg.is_invertible),
+    from the dense certificate with X = inv(B) (verified.dense_certificate),
     B^{-1} from np.linalg.inv, and operator norms of the conjugated B and
     B^{-1}, with each sampled lower end raised to 1 when d < n.
     """
@@ -406,7 +406,7 @@ def _dense_steps(psi, muv, mv, ps) -> dict:
     def verdict(B):
         Bw = matalg.conjugate(B, np.sqrt(muv))
         sv = np.linalg.svd(Bw, compute_uv=False)
-        return sv[-1] / sv[0], matalg.is_invertible(Bw)
+        return sv[-1] / sv[0], bool(verified.dense_certificate(Bw)[1] < 1.0)
 
     B = split(M_rec @ M_mu)
     ratio, invertible = verdict(B)

@@ -17,7 +17,7 @@ from tests.test_perfbench_targets import TARGETS
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "framelift"
 
 # Bottom to top; a module may import only modules listed before it.
-LAYERS = ("kernels", "weights", "matalg", "frames", "multipliers", "coorbit", "gabor", "fock", "cli")
+LAYERS = ("kernels", "weights", "verified", "matalg", "frames", "multipliers", "coorbit", "gabor", "fock", "cli")
 
 
 def _package_imports(path: Path) -> set:
@@ -166,6 +166,64 @@ def test_reader_sees_every_writing_open():
         "        pass\n"
     )
     assert _writing_opens(ast.parse(src)) == [4, 5, 6, 8, 9, 11]
+
+
+# The rounding model and the certificates built on it have one home:
+# framelift.verified. No other module defines these names (as a def, a class
+# or an assignment, at any depth) or reads a float format by np.finfo.
+ROUNDING_MODEL = (
+    "UNIT_ROUNDOFF",
+    "gamma",
+    "gamma_c",
+    "certified_bound",
+    "abs_chain",
+    "left_product_error",
+    "dense_certificate",
+    "woodbury_certificate",
+)
+
+
+def _rounding_model_sites(tree) -> list:
+    """The names of ROUNDING_MODEL that the ast ``tree`` defines, and
+    "finfo" for each call of a ``finfo``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Call):
+            name = "finfo" if (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "finfo" else None
+        else:
+            continue
+        if name in ROUNDING_MODEL or name == "finfo":
+            found.append(name)
+    return found
+
+
+@pytest.mark.parametrize("name", [m for m in _modules() + ["__init__"] if m != "verified"])
+def test_only_verified_holds_the_rounding_model(name):
+    assert _rounding_model_sites(_tree(name)) == []
+
+
+def test_verified_holds_the_whole_rounding_model():
+    assert set(_rounding_model_sites(_tree("verified"))) == {*ROUNDING_MODEL, "finfo"}
+
+
+def test_reader_sees_every_rounding_model_site():
+    src = (
+        "import numpy as np\n"
+        "from .verified import gamma, UNIT_ROUNDOFF\n"
+        "EPS = np.finfo(float).eps\n"
+        "def f():\n"
+        "    def gamma_c(k):\n"
+        "        return k\n"
+        "    abs_chain = lambda v: v\n"
+        "    return finfo(float), gamma(1) * UNIT_ROUNDOFF\n"
+        "class C:\n"
+        "    certified_bound = 1\n"
+    )
+    assert sorted(_rounding_model_sites(ast.parse(src))) == ["abs_chain", "certified_bound", "finfo", "finfo", "gamma_c"]
 
 
 # Every name in the package feeds a command: a top-level def, a class or a

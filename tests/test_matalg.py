@@ -77,43 +77,6 @@ class TestPseudoInverse:
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
-class TestInvertibility:
-    def test_detects_rank_deficiency(self, rng):
-        A = cmat(rng, 5, 3) @ cmat(rng, 3, 5)
-        assert not matalg.is_invertible(A)
-        assert matalg.is_invertible(A + 2.0 * np.eye(5))
-
-    def test_margin_bounds_the_extended_precision_residual(self, rng):
-        # diag(e^-6..e^6) A spreads the rows over five decades; the bound
-        # covers ||I - A inv(A)||_inf evaluated with a 64-bit mantissa.
-        A = np.exp(rng.uniform(-6.0, 6.0, 12))[:, None] * cmat(rng, 12)
-        X = np.linalg.inv(A).astype(np.clongdouble)
-        R = np.eye(12, dtype=np.clongdouble) - A.astype(np.clongdouble) @ X
-        residual = float(np.abs(R).sum(axis=1).max())
-        assert residual <= matalg.certificate_margin(A) < 1e-8
-        assert matalg.is_invertible(A)
-
-    def test_exactly_singular_matrix_has_infinite_margin(self):
-        assert matalg.certificate_margin(np.zeros((3, 3))) == np.inf
-        assert not matalg.is_invertible(np.zeros((3, 3)))
-
-    def test_ill_conditioned_but_invertible(self):
-        # cond 1e12 is far past any ratio threshold, yet certified.
-        A = np.diag([1.0, 1e-6, 1e-12])
-        assert matalg.certificate_margin(A) < 1e-12
-        assert matalg.is_invertible(A)
-
-    def test_only_square_matrices(self):
-        with pytest.raises(ValueError, match="square"):
-            matalg.certificate_margin(np.ones((2, 3)))
-
-    def test_gamma_constants(self):
-        u = 2.0**-53
-        assert matalg.UNIT_ROUNDOFF == u
-        assert matalg.gamma(3) == pytest.approx(3 * u, rel=1e-15)
-        assert matalg.gamma_c(4) == pytest.approx(np.sqrt(2) * 10 * u, rel=1e-15)
-
-
 def _identity_plus(A: np.ndarray) -> tuple:
     """Factors (U, V) = (I, A - I) of A = I + U V."""
     eye = np.eye(len(A))

@@ -10,7 +10,6 @@ from framelift.gabor import TFLattice, gabor_system
 from framelift.coorbit import lifting_theorem_pipeline
 from framelift.multipliers import (
     Slots,
-    _certificate,
     _coefficient_maps,
     _splitting_factor,
     _SplitCore,
@@ -19,9 +18,17 @@ from framelift.multipliers import (
     multiplier,
     spectral_invariance_suite,
 )
+from framelift.verified import dense_certificate, woodbury_certificate
 from framelift.weights import Weight
 from tests.conftest import random_vector
-from tests.reference import assembled, galerkin_pinv_crosscheck, invertibility_matrix, op_from_matrix, splitting_case
+from tests.reference import (
+    assembled,
+    extended_residual,
+    galerkin_pinv_crosscheck,
+    invertibility_matrix,
+    op_from_matrix,
+    splitting_case,
+)
 
 
 def _random_symbol(rng, n):
@@ -209,7 +216,7 @@ class TestSplitCore:
         B = invertibility_matrix(O, psi, slots)
         lo, hi = _dense_extremes(B if w is None else matalg.conjugate(B, w))
         assert core.sigma == pytest.approx((lo, hi), rel=1e-10, abs=0)
-        assert core.invertible() == matalg.is_invertible(B if w is None else matalg.conjugate(B, w))
+        assert core.invertible() == (dense_certificate(B if w is None else matalg.conjugate(B, w))[1] < 1.0)
         assert core.invertible()
 
     @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
@@ -241,50 +248,8 @@ class TestSplitCore:
             assert np.array_equal(cross, held)
 
 
-def _woodbury_residual(B, W, Y, psi) -> float:
-    """||I - B Xt||_inf in extended precision (np.clongdouble) for the
-    n x n np.clongdouble B and the Woodbury inverse Xt = I - C W Y of the
-    float W and Y."""
-    LD = np.clongdouble
-    eye = np.eye(psi.n, dtype=LD)
-    Xt = eye - psi.analysis_matrix.astype(LD) @ (W.astype(LD) @ Y.astype(LD))
-    return float(np.abs(eye - B @ Xt).sum(axis=1).max())
-
-
-def _extended_residual(W, Y, O, psi, slots, dY=None) -> float:
-    """:func:`_woodbury_residual` of B = I + C Y, formed in np.clongdouble
-    from the same float inputs as the certificate (C, D, O, the dual
-    synthesis matrix), and of Y; with a d x n perturbation dY, of
-    B + C dY and Y + dY."""
-    LD = np.clongdouble
-    left, right = slots.value
-    Dd = psi.canonical_dual().synthesis_matrix.astype(LD)
-    E = (psi.synthesis_matrix if right == "frame" else psi.canonical_dual().synthesis_matrix).astype(LD)
-    P = O.astype(LD) @ E
-    if left == "dual":
-        P = (Dd @ Dd.conj().T) @ P
-    Z = P - Dd
-    if dY is not None:
-        Z, Y = Z + dY.astype(LD), Y.astype(LD) + dY.astype(LD)
-    B = np.eye(psi.n, dtype=LD) + psi.analysis_matrix.astype(LD) @ Z
-    return _woodbury_residual(B, W, Y, psi)
-
-
-def _certified(O, psi, slots=Slots.PSI_PSI) -> tuple:
-    """(Y, W, r): the float factor Y, the Woodbury core's W and the margin."""
-    Y, Y_err = _splitting_factor(O, psi, slots)
-    return (Y, *_certificate(psi.analysis_matrix, Y, Y_err))
-
-
-def _gabor_case(N: int, t_mu: float):
-    lat = TFLattice.balanced(N, 4)
-    psi = gabor_system(lat.N, lat.a, lat.b)
-    mu = Weight.polynomial(psi.index_set, t_mu).values
-    return multiplier(1.0 / mu, psi) @ multiplier(mu, psi), psi, np.sqrt(mu)
-
-
 def _gabor_core(N: int, t_mu: float):
-    O, psi, w = _gabor_case(N, t_mu)
+    O, psi, _, w = splitting_case("gabor", N, t_mu)
     return _SplitCore(O, psi, w=w), O, psi, w
 
 
@@ -301,20 +266,9 @@ def _pinned_core(case: str) -> _SplitCore:
 
 
 class TestCertificate:
-    """B_O's verdict is Rump's certificate on its d x d Woodbury core: a
+    """A split core's verdict is Rump's certificate on its d x d Woodbury
+    core (tests/test_verified.py holds the certificate's own tests): a
     bound r on ||I - B_O Xt||_inf below 1, Xt = I - C W Y."""
-
-    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8), (8, 8)], ids=["2d<n", "2d>n", "onb"])
-    @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
-    def test_margin_bounds_the_extended_precision_residual(self, n, d, slots):
-        # The residual is evaluated with a 64-bit mantissa; the margin, with
-        # every rounding counted, must lie above it.
-        rng = np.random.default_rng(5 * n + d)
-        psi = random_frame(rng, n, d, kind="onb" if n == d else "generic")
-        O = _random_operator(rng, d)
-        Y, W, margin = _certified(O, psi, slots)
-        residual = _extended_residual(W, Y, O, psi, slots)
-        assert residual <= margin < 1e-6
 
     @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
     @pytest.mark.parametrize("slots", list(Slots), ids=lambda s: s.name)
@@ -324,76 +278,20 @@ class TestCertificate:
         rng = np.random.default_rng(7 * n + d)
         psi = random_frame(rng, n, d)
         O = _random_operator(rng, d)
-        _, W, margin = _certified(O, psi, slots)
+        Y, Y_err = _splitting_factor(O, psi, slots)
+        W, margin = woodbury_certificate(psi.analysis_matrix, Y, Y_err)
         for w in (None, np.full(n, np.exp(3.0)), np.exp(rng.uniform(-4.0, 4.0, n))):
             core = _SplitCore(O, psi, slots, w)
             assert core.certificate_margin == margin
             assert np.array_equal(core.W, W)
             assert core.invertible()
 
-    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
-    @pytest.mark.parametrize("slots", [Slots.PSI_PSI, Slots.DUAL_DUAL], ids=lambda s: s.name)
-    def test_margin_counts_a_perturbation_of_y_made_after_w(self, n, d, slots, monkeypatch):
-        # After W is formed, Y gains E of size 1e-8 max|Y|, so W no longer
-        # inverts I + Y X: the certificate forms G from the Y it is given,
-        # and the margin must still bound the residual of the perturbed B.
-        rng = np.random.default_rng(29 + n)
-        psi = random_frame(rng, n, d)
-        O = _random_operator(rng, d)
-        Y, W, _ = _certified(O, psi, slots)
-        E = 1e-8 * np.abs(Y).max() * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
-        Y_err = _splitting_factor(O, psi, slots)[1]
-        monkeypatch.setattr(np.linalg, "inv", lambda M: W)  # the W of the unperturbed Y
-        W_kept, margin = _certificate(psi.analysis_matrix, Y + E, Y_err)
-        assert W_kept is W
-        residual = _extended_residual(W, Y, O, psi, slots, E)
-        assert residual > 1e-9  # E, not rounding, sets the residual
-        assert residual <= margin < 1.0
-
-    @pytest.mark.parametrize("n, d", [(24, 8), (14, 8)], ids=["2d<n", "2d>n"])
-    def test_margin_counts_the_rounding_of_y_x(self, n, d):
-        # B = I + C Y for a Y taken as exact (no error map), O = 1e-6 I: Y X
-        # is -I up to 1e-6, so I + fl(Y X) keeps few of the digits of Y X,
-        # and only the gamma_c(n) |Y| |X| term counts what was lost.
-        rng = np.random.default_rng(3)
-        psi = random_frame(rng, n, d)
-        Y = _splitting_factor(1e-6 * np.eye(d), psi, Slots.PSI_PSI)[0]
-        W, margin = _certificate(psi.analysis_matrix, Y, lambda v: np.zeros(d))
-        LD = np.clongdouble
-        B = np.eye(n, dtype=LD) + psi.analysis_matrix.astype(LD) @ Y.astype(LD)
-        residual = _woodbury_residual(B, W, Y, psi)
-        assert residual > 1e-10
-        assert residual <= margin < 1e-3
-
-    @pytest.mark.parametrize("n, d", [(24, 8), (48, 8)])
-    def test_margin_counts_the_rounding_in_y(self, n, d):
-        # O = S^{-1} in float: B_O = I + C (O D - Dd) is the identity up to
-        # rounding, and the float Y = fl(O D) - Dd is rounding alone, so
-        # Y's error map sets the margin.
-        rng = np.random.default_rng(3)
-        psi = random_frame(rng, n, d)
-        O = np.linalg.inv(psi.frame_operator)
-        Y, W, margin = _certified(O, psi)
-        residual = _extended_residual(W, Y, O, psi, Slots.PSI_PSI)
-        assert residual > 1e-17
-        assert residual <= margin < 1e-10
-
-    @pytest.mark.parametrize("N, t_mu", [(16, 2.0), (32, 2.0), (16, 6.0), (32, 6.0)])
-    def test_gabor_splitting_is_certified(self, N, t_mu):
-        # Gabor, mu = (1+|x|)^t on l^2_sqrt(mu). At t = 6 sigma_min/sigma_max
-        # is 2.5e-8 at N = 16 and 7.3e-10 at N = 32, and 40-digit mpmath
-        # SVDs agree. The matrix is invertible, and the certificate says so.
-        O, psi, _ = _gabor_case(N, t_mu)
-        Y, W, margin = _certified(O, psi)
-        residual = _extended_residual(W, Y, O, psi, Slots.PSI_PSI)
-        assert residual <= margin < 1e-2
-
     def test_float_does_not_close_at_t14(self):
         # mu = (1+|x|)^14: sigma_min/sigma_max is 7.3e-25, and the float
         # residual itself is far above 1, so the verdict stays open.
         core, O, psi, w = _gabor_core(32, 14.0)
         Y = _splitting_factor(O, psi, Slots.PSI_PSI)[0]
-        assert _extended_residual(core.W, Y, O, psi, Slots.PSI_PSI) > 1.0
+        assert extended_residual(core.W, Y, O, psi, Slots.PSI_PSI) > 1.0
         assert core.certificate_margin > 1.0
         assert not core.invertible()
 
