@@ -138,7 +138,9 @@ def _probe_residuals(psi: Frame, core: _SplitCore, muv, M_mu, M_rec, seed: int) 
     of |lhs V - rhs V| is divided by the same row of the moduli of the
     right side's factors applied to |V|, the componentwise scale of their
     rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3);
-    each residual is the largest such ratio.
+    each residual is the largest such ratio. Products that overflow (a
+    steep mu) are evaluated without a warning, and a residual they leave
+    NaN or inf reads inf, so it fails its check.
     """
     C, D, Dd = psi.analysis_matrix, psi.synthesis_matrix, psi.canonical_dual().synthesis_matrix
     Da, Dda = np.abs(D), np.abs(Dd)
@@ -151,13 +153,14 @@ def _probe_residuals(psi: Frame, core: _SplitCore, muv, M_mu, M_rec, seed: int) 
     def gram_mu(X, C, D):  # diag(mu) C D diag(1/mu) X; on moduli, its bound
         return mu_c * (C @ (D @ (X / mu_c)))
 
-    rhs = gram_mu(C @ (D @ gram_mu(V, C, D)), C, D) + V - gram_mu(V, C, Dd)
-    scale = absV + gram_mu(Ca @ (Da @ gram_mu(absV, Ca, Da)), Ca, Da) + gram_mu(absV, Ca, Dda)
-    step3 = float(np.max(np.abs(core.apply(V, muv) - rhs) / scale))
-    b_rev = V + C @ (M_mu @ (M_rec @ (D @ V))) - C @ (Dd @ V)
-    scale = absV + Ca @ (Da @ gram_mu(Ca @ (Da @ absV), Ca, Da)) + Ca @ (Dda @ absV)
-    step5 = float(np.max(np.abs(b_rev - core.apply_adjoint(V)) / scale))
-    return step3, step5
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = gram_mu(C @ (D @ gram_mu(V, C, D)), C, D) + V - gram_mu(V, C, Dd)
+        scale = absV + gram_mu(Ca @ (Da @ gram_mu(absV, Ca, Da)), Ca, Da) + gram_mu(absV, Ca, Dda)
+        step3 = float(np.max(np.abs(core.apply(V, muv) - rhs) / scale))
+        b_rev = V + C @ (M_mu @ (M_rec @ (D @ V))) - C @ (Dd @ V)
+        scale = absV + Ca @ (Da @ gram_mu(Ca @ (Da @ absV), Ca, Da)) + Ca @ (Dda @ absV)
+        step5 = float(np.max(np.abs(b_rev - core.apply_adjoint(V)) / scale))
+    return tuple(r if np.isfinite(r) else np.inf for r in (step3, step5))
 
 
 def lifting_theorem_pipeline(
@@ -404,7 +407,10 @@ def sweep(family, mu, m, ps=(2,), s: float = 4.0, seed: int = 0) -> dict:
 
     Every table is keyed by ``str(entry[key])``, so a size listed twice
     raises ValueError before anything runs. A frame the pipeline rejects
-    becomes a ``"not_a_frame"`` entry quoting its frame bounds.
+    becomes a ``"not_a_frame"`` entry quoting its frame bounds, and a size
+    on which LAPACK fails (``np.linalg.LinAlgError``) a
+    ``"numerical_error"`` entry with the message as its ``note``; the other
+    sizes still run.
     ``condition_ratios`` are the ratios of successive headline conditions
     over the entries that ran.
     """
@@ -423,6 +429,8 @@ def sweep(family, mu, m, ps=(2,), s: float = 4.0, seed: int = 0) -> dict:
                 rep = lifting_theorem_pipeline(frame, mu_w, m=m_w, ps=ps, s=s, seed=seed, scan=scan)
             except NotAFrameError as exc:
                 entry.update(status="not_a_frame", lower=exc.lower, upper=exc.upper, condition=float("inf"))
+            except np.linalg.LinAlgError as exc:
+                entry.update(status="numerical_error", note=str(exc), condition=float("inf"))
             else:
                 entry.update(status="ok", report=rep, condition=rep["condition"])
                 for name, value in finish().items():

@@ -759,6 +759,41 @@ class TestConsoleEntry:
         with open(out / "lifting_table.csv", newline="") as fh:
             assert [r["verdict"] for r in csv.DictReader(fh)] == ["fail"]
 
+    def test_a_numerical_failure_on_one_size_keeps_the_other_sizes(self, tmp_path):
+        # Gabor with mu polynomial t = 170: at N = 32 the Golub-Kahan start
+        # product overflows to inf and LAPACK's eigh fails on the NaN that
+        # follows. That size is a numerical_error entry with fail rows; the
+        # finished N = 16 report is still written, and the run is no config
+        # error.
+        spec = {"kind": "gabor", "Ns": [16, 32], "redundancy": 4, "mu": {"type": "polynomial", "t": 170}, "ps": [1, 2, "inf"]}
+        out = tmp_path / "out"
+        proc = _run_module("lift", "--config", _write(tmp_path, "t170.json", spec), "--out", str(out))
+        assert proc.returncode == 0 and "error:" not in proc.stderr
+        assert _read_json(out / "lift_N16.json")["entry"]["status"] == "ok"
+        entry = _read_json(out / "lift_N32.json")["entry"]
+        assert entry["status"] == "numerical_error" and entry["note"] and entry["condition"] == np.inf
+        assert "report" not in entry
+        assert [e["status"] for e in _read_json(out / "lift_report.json")["entries"]] == ["ok", "numerical_error"]
+        with open(out / "lifting_table.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["size"] == "32"]
+        assert [(r["p"], r["lower"], r["upper"], r["verdict"]) for r in rows] == [
+            (p, "", "", "fail") for p in ("1", "2", "inf")
+        ]
+
+    def test_overflowing_step_iii_probe_reads_inf_not_nan(self, tmp_path):
+        # Gabor N = 32 with mu polynomial t = 150: mu spans about 1e278, so
+        # the probe products of step (iii) overflow and inf - inf would be
+        # NaN. The residual reads inf and fails its check, with no warning.
+        spec = {"kind": "gabor", "Ns": [32], "redundancy": 4, "mu": {"type": "polynomial", "t": 150}, "ps": [2]}
+        out = tmp_path / "out"
+        proc = _run_module("lift", "--config", _write(tmp_path, "t150.json", spec), "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for path in out.iterdir():
+            assert "NaN" not in path.read_text(), path.name
+        report = _read_json(out / "lift_N32.json")["entry"]["report"]
+        assert report["residuals"]["step_iii_identity"] == np.inf
+        assert not report["verdicts"]["step_iii_ok"] and not report["verdicts"]["all_steps"]
+
     def test_overflowing_weight_ratio_leaves_no_nan(self, tmp_path):
         # mu from 1e-200 to 1e200 on an orthonormal basis: some ratios
         # mu_k / mu_l overflow. G = I, so each weighted decay profile is 1;
