@@ -14,8 +14,9 @@ rank d. In finite dimensions the transfer is Sylvester's identity: B_O is
 invertible exactly when the d x d matrix I + Y X is. Every B_O verdict,
 those of ``verify`` and the lifting pipeline's alike, is Rump's certificate
 on that d x d Woodbury core (:func:`framelift.verified.woodbury_certificate`,
-fed the error map of Y from :func:`_splitting_factor`): no QR, no SVD and
-no n x k array. :class:`_SplitCore` adds what the pipeline's p = 2 norms on a
+fed the error map of Y that :func:`_splitting_factor` builds from
+verified's rounding constants and error maps): no QR, no SVD and no
+n x k array. :class:`_SplitCore` adds what the pipeline's p = 2 norms on a
 weighted space need: sigma_max(B_w) and ||B_w^{-1}||_2 by Golub-Kahan-Lanczos
 (:func:`matalg.sigma_max`), applied through the Woodbury factors of B_w and
 of its inverse; only a core the certificate does not pass compresses B_w to
@@ -24,7 +25,8 @@ The pipeline's identity checks apply B_O and B_O^H to probe vectors through
 X and Y, and its l^p norms of B_w and of the Woodbury inverse B_w^{-1} for
 p != 2 are read from their factors by :func:`matalg.operator_norm`. The
 spectral-invariance suite reports upper constants only, so it factorizes
-neither O's coefficient map nor O^{-1}'s.
+neither O's coefficient map nor O^{-1}'s; it takes O^{-1} from O's dense
+certificate (:func:`framelift.verified.dense_certificate`).
 """
 
 import functools

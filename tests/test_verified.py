@@ -15,10 +15,6 @@ def cmat(rng, n, m=None):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
-def _random_operator(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
 def _certified(O, psi, slots=Slots.PSI_PSI) -> tuple:
     """(Y, W, r): the float factor Y, the Woodbury core's W and the margin."""
     Y, Y_err = _splitting_factor(O, psi, slots)
@@ -104,7 +100,7 @@ class TestWoodburyCertificate:
         # every rounding counted, must lie above it.
         rng = np.random.default_rng(5 * n + d)
         psi = random_frame(rng, n, d, kind="onb" if n == d else "generic")
-        O = _random_operator(rng, d)
+        O = cmat(rng, d)
         Y, W, margin = _certified(O, psi, slots)
         residual = extended_residual(W, Y, O, psi, slots)
         assert residual <= margin < 1e-6
@@ -117,7 +113,7 @@ class TestWoodburyCertificate:
         # and the margin must still bound the residual of the perturbed B.
         rng = np.random.default_rng(29 + n)
         psi = random_frame(rng, n, d)
-        O = _random_operator(rng, d)
+        O = cmat(rng, d)
         Y, W, _ = _certified(O, psi, slots)
         E = 1e-8 * np.abs(Y).max() * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
         Y_err = _splitting_factor(O, psi, slots)[1]
@@ -165,9 +161,3 @@ class TestWoodburyCertificate:
         Y, W, margin = _certified(O, psi)
         residual = extended_residual(W, Y, O, psi, Slots.PSI_PSI)
         assert residual <= margin < 1e-2
-
-    def test_singular_core_gives_no_inverse_and_infinite_margin(self):
-        # X Y = -I: the core I + Y X is exactly 0, which LAPACK rejects.
-        X = np.eye(4)[:, :2]
-        W, margin = verified.woodbury_certificate(X, -X.T.copy(), lambda v: np.zeros(2))
-        assert W is None and margin == np.inf
