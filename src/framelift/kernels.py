@@ -6,9 +6,12 @@ row slabs; ``out`` takes a caller's buffer of that block's shape. A growth
 law g, polynomial (1 + d)^t or subexponential exp(alpha d^beta), is read
 only through its table over a block (:func:`growth_table`,
 :func:`exp_growth_table`), so the decay and moderateness maxima take
-either law. Dense linear algebra (eigendecompositions, SVD, matrix
-products) is not handled here, since BLAS/LAPACK already saturate those
-paths.
+either law. The maxima read tables their caller forms: the moduli of a
+matrix's rows, or of its weighted rows (:func:`decay_max`), and rows of
+the quotient table m_k / m_l, or of a lattice's ratio table
+(:func:`moderateness_max`). Dense linear algebra (eigendecompositions,
+SVD, matrix products) is not handled here, since BLAS/LAPACK already
+saturate those paths.
 """
 
 import numpy as np
@@ -75,8 +78,8 @@ def decay_max(absa: np.ndarray, growth: np.ndarray, out=None) -> float:
     return float(np.fmax.reduce(np.multiply(absa, growth, out=out), axis=None))
 
 
-def moderateness_max(values: np.ndarray, growth: np.ndarray, i0: int = 0, out=None) -> float:
-    """max over (k,l) of m_k / (g(dist_kl) * m_l), ``growth`` the table of
-    the growth law g at rows k = i0, i0 + 1, ... and every column l."""
-    ratio = np.divide(values[i0 : i0 + growth.shape[0], None], values[None, :], out=out)
-    return float(np.divide(ratio, growth, out=ratio).max())
+def moderateness_max(ratio: np.ndarray, growth: np.ndarray, out=None) -> float:
+    """max over (k,l) of ratio_kl / g(dist_kl), ``ratio`` rows of the
+    quotient table m_k / m_l and ``growth`` the table of the growth law g
+    over the same pairs; ``out`` may be ``ratio`` itself."""
+    return float(np.divide(ratio, growth, out=out).max())

@@ -129,42 +129,49 @@ class PairScan:
     (:meth:`moderateness`), or subexponential, exp(alpha d^beta)
     (:meth:`subexponential`). Each request names its index set and its
     growth law, a kernel of :mod:`framelift.kernels` with its parameters;
-    a decay request's law is the polynomial one at s. :meth:`run` reads
-    them by one of two routes, which share the request bookkeeping
-    (:meth:`_plan`). A weight ratio that overflows is inf, with no warning.
+    a decay request's law is the polynomial one at s. A weight ratio that
+    overflows is inf, with no warning.
 
-    The slab route walks rows i0:i1, SLAB_ROWS at a time (:func:`_slabs`).
-    In each slab it forms every index set's distances, every (index set,
-    law) growth table, and every matrix's rows and their moduli once, and
-    every request that reads them shares them. Each slab fills the same
+    :meth:`run` is one pass over row ranges i0:i1. In each range it forms
+    every index set's distances, every (index set, law) growth table, and
+    every matrix's rows and their moduli once, and every request that reads
+    them shares them: a moderateness constant is the max of ratio / g
+    (:func:`framelift.kernels.moderateness_max`), a decay constant the max
+    of |a| g, with |ratio a| for a weighted request
+    (:func:`framelift.kernels.decay_max`). Each range fills the same
     buffers, carved from one block of O(SLAB_ROWS n) floats that the pass
-    allocates once, so the slabs do not churn the heap. Every constant
-    equals the dense formula on the whole matrix bit for bit: each entry
-    goes through the same elementwise operations, and a max is exact.
+    allocates once, so the ranges do not churn the heap. The ranges and
+    the weight ratio rows come from one of two row sources (:meth:`_route`).
 
-    The lattice route runs once :meth:`on_lattice` has declared the index
-    order a P x Q torus lattice on which every registered matrix and index
-    set is covariant: |a_kl| and d_kl depend only on the lattice difference
+    Row slabs, by default: rows i0:i1, SLAB_ROWS at a time (:func:`_slabs`),
+    with rows i0:i1 of the quotients w_k / w_l. Every constant equals the
+    dense formula on the whole matrix bit for bit: each entry goes through
+    the same elementwise operations, and a max is exact.
+
+    A lattice, once :meth:`on_lattice` has declared the index order a P x Q
+    torus lattice on which every registered matrix and index set is
+    covariant: |a_kl| and d_kl depend only on the lattice difference
     delta = l - k. The Gram, dual Gram and cross-Gram of a lattice Gabor
     system and its torus distances are (the canonical dual is the Gabor
     system of S^{-1} g, since S commutes with the lattice's time-frequency
     shifts: Groechenig, Foundations of Time-Frequency Analysis, Prop.
     5.2.1). Each constant is then a max over the n differences,
 
-        decay         max_delta |a_0,delta| R_w(delta) (1 + d_0,delta)^s,
+        decay         max_delta |R_w(delta) a_0,delta| (1 + d_0,delta)^s,
         moderateness  max_delta R_m(delta) / g(d_0,delta),
 
-    read from row 0 of each matrix (its ``rows`` hook) and of each index
-    set, with one ratio table R_w(delta) = max_k w_k / w_{k + delta} per
-    distinct weight (:func:`_ratio_table`), whose real divides are the only
-    O(n^2) work. The declaration is checked, not trusted: row n - 1 of
-    every matrix's moduli and of every index set's distances is compared
-    with row 0 permuted to it (:func:`_check_covariant`), in O(n d), and a
-    table that is not covariant raises ValueError. Division by a positive
-    float is monotone, so it commutes with the max: where the distances are
-    exact (integer torus points), every moderateness constant equals the
-    slab route's bit for bit. Decay constants are those of row 0; they
-    differ from the all-pairs maxima by the rounding of the float matrix.
+    so the one range is row 0 of each matrix (its ``rows`` hook) and of
+    each index set, and the ratio row is the table R_w(delta) = max_k w_k /
+    w_{k + delta}, one per distinct weight (:func:`_ratio_table`), whose
+    real divides are the only O(n^2) work. The declaration is checked, not
+    trusted: before the pass, row n - 1 of every matrix's moduli and of
+    every index set's distances is compared with row 0 permuted to it
+    (:func:`_check_covariant`), in O(n d), and a table that is not
+    covariant raises ValueError. Division by a positive float is monotone,
+    so it commutes with the max: where the distances are exact (integer
+    torus points), every moderateness constant equals the slab route's bit
+    for bit. Decay constants are those of row 0; they differ from the
+    all-pairs maxima by the rounding of the float matrix.
     """
 
     def __init__(self, n: int):
@@ -228,105 +235,90 @@ class PairScan:
         """Request the subexponential moderateness constant of the weight values."""
         return self._request(idx, (kernels.exp_growth_table, float(alpha), float(beta)), values)
 
-    def _plan(self) -> tuple:
-        """The bookkeeping both routes share: per index set, the growth laws
-        whose tables are made while its distances are held, in request
-        order; per matrix key, its decay requests."""
-        per_set, reads = {}, {}
-        for j, (idx, law, _, key) in enumerate(self._requests):
-            laws = per_set.setdefault(idx, [])
-            if law not in laws:
-                laws.append(law)
-            if key is not None:
-                reads.setdefault(key, []).append(j)
-        return per_set, reads
-
     def run(self) -> list:
         """Every requested constant, in request order, also kept as
         :attr:`values`. The scan then releases its matrices and index sets."""
-        plan = self._plan()
+        n, requests = self.n, self._requests
+        per_set, reads = {}, {}  # per index set its growth laws, per matrix key its decay requests
+        for j, (idx, law, _, key) in enumerate(requests):
+            per_set.setdefault(idx, {})[law] = None  # a dict keeps the laws' request order
+            if key is not None:
+                reads.setdefault(key, []).append(j)
+        keys = [(idx, law) for idx, laws in per_set.items() for law in laws]
+        weighted = any(key is not None and w is not None for _, _, w, key in requests)
+        maxima = [[] for _ in requests]
         # A weight ratio that overflows is inf; an entry 0 times it is the
         # NaN that kernels.decay_max skips.
         with np.errstate(over="ignore", invalid="ignore"):
-            maxima = self._lattice_maxima(*plan) if self.lattice else self._slab_maxima(*plan)
+            ranges, ratios = self._route(per_set, reads)
+            shape = (max(i1 - i0 for i0, i1 in ranges), n)
+            # One block holds every buffer of the pass: one complex buffer
+            # (pairs of floats) for a matrix's rows and, for weighted
+            # requests, one for their conjugated copy; the moduli (which
+            # first hold each index set's distances), a scratch buffer and a
+            # growth table per (index set, law).
+            size, n_complex = shape[0] * n, 2 if weighted else 1
+            block = np.empty((len(keys) + 2 + 2 * n_complex) * size)
+            bufs = block[: 2 * n_complex * size].view(complex).reshape((n_complex,) + shape)
+            rows_buf, conj_buf = bufs[0], (bufs[1] if weighted else None)
+            moduli, scratch, *tables = block[2 * n_complex * size :].reshape((-1,) + shape)
+            growths = dict(zip(keys, tables))
+            for i0, i1 in ranges:
+                r = i1 - i0
+                for idx, laws in per_set.items():
+                    d = idx.distances(i0, i1, out=moduli[:r])
+                    for law in laws:
+                        law[0](d, *law[1:], out=growths[idx, law][:r])
+                for j, (idx, law, v, key) in enumerate(requests):
+                    if key is None:
+                        ratio = ratios(v, i0, i1, scratch[:r])
+                        maxima[j].append(kernels.moderateness_max(ratio, growths[idx, law][:r], out=scratch[:r]))
+                for key, js in reads.items():
+                    A, absA = self._sources[key](i0, i1, rows_buf[:r]), None
+                    for j in js:
+                        idx, law, w, _ = requests[j]
+                        if w is None:  # the moduli of the rows, shared by every unweighted request
+                            if absA is None:
+                                absA = np.abs(A, out=moduli[:r])
+                            a = absA
+                        else:  # the rows of diag(w) A diag(1/w), then their moduli
+                            ratio = ratios(w, i0, i1, scratch[:r])
+                            a = np.abs(np.multiply(ratio, A, out=conj_buf[:r]), out=scratch[:r])
+                        maxima[j].append(kernels.decay_max(a, growths[idx, law][:r], out=scratch[:r]))
         self.values = [float(np.max(m)) for m in maxima]
         self._sources, self._requests = {}, []  # a scan runs once; drop what it read
         return self.values
 
-    def _slab_maxima(self, per_set, reads) -> list:
-        """Per request, its maxima over the row slabs."""
-        n, requests = self.n, self._requests
-        keys = [(idx, law) for idx, laws in per_set.items() for law in laws]
-        slabs = _slabs(n)
-        shape = (max(i1 - i0 for i0, i1 in slabs), n)
-        weighted = any(key is not None and w is not None for _, _, w, key in requests)
-        # One block holds every buffer of the pass: one complex buffer (pairs
-        # of floats) for a matrix's rows and, for weighted requests, one for
-        # their conjugated copy; the moduli (which first hold each index
-        # set's distances), a scratch buffer and a growth table per (index
-        # set, law).
-        size, n_complex = shape[0] * n, 2 if weighted else 1
-        block = np.empty((len(keys) + 2 + 2 * n_complex) * size)
-        bufs = block[: 2 * n_complex * size].view(complex).reshape((n_complex,) + shape)
-        rows_buf, conj_buf = bufs[0], (bufs[1] if weighted else None)
-        moduli, scratch, *tables = block[2 * n_complex * size :].reshape((-1,) + shape)
-        growths = dict(zip(keys, tables))
-        maxima = [[] for _ in requests]
-        for i0, i1 in slabs:
-            r = i1 - i0
-            for idx, laws in per_set.items():
-                d = idx.distances(i0, i1, out=moduli[:r])
-                for law in laws:
-                    law[0](d, *law[1:], out=growths[idx, law][:r])
-            for j, (idx, law, v, key) in enumerate(requests):
-                if key is None:
-                    maxima[j].append(kernels.moderateness_max(v, growths[idx, law][:r], i0, out=scratch[:r]))
-            for key, js in reads.items():
-                A, absA = self._sources[key](i0, i1, rows_buf[:r]), None
-                for j in js:
-                    idx, law, w, _ = requests[j]
-                    if w is None:  # the moduli of the rows, shared by every unweighted request
-                        if absA is None:
-                            absA = np.abs(A, out=moduli[:r])
-                        a = absA
-                    else:  # the rows of diag(w) A diag(1/w), then their moduli
-                        ratio = np.divide(w[i0:i1, None], w[None, :], out=scratch[:r])
-                        a = np.abs(np.multiply(ratio, A, out=conj_buf[:r]), out=scratch[:r])
-                    maxima[j].append(kernels.decay_max(a, growths[idx, law][:r], out=scratch[:r]))
-        return maxima
+    def _route(self, per_set, reads) -> tuple:
+        """The pass's row ranges and its weight ratio rows ratios(w, i0, i1,
+        out): every row slab and rows i0:i1 of w_k / w_l, or, on a declared
+        lattice, row 0 alone and R_w, once row n - 1 of every index set's
+        distances and of every matrix's moduli has confirmed the lattice."""
+        n = self.n
+        if self.lattice is None:
 
-    def _lattice_maxima(self, per_set, reads) -> list:
-        """Per request, its max over the lattice differences, read from row 0
-        of each table after row n - 1 has confirmed the declared lattice."""
-        (P, Q), n, requests = self.lattice, self.n, self._requests
-        last = n - 1
+            def quotients(w, i0, i1, out):
+                return np.divide(w[i0:i1, None], w[None, :], out=out)
+
+            return _slabs(n), quotients
+        (P, Q), last = self.lattice, n - 1
         perm = _lattice_differences(P, Q, last)
-        ratio_tables = {}  # one per distinct weight, keyed by its values
-
-        def ratios(w):
-            key = w.tobytes()
-            if key not in ratio_tables:
-                ratio_tables[key] = _ratio_table(w, P, Q)
-            return ratio_tables[key]
-
-        maxima, growths = [None] * len(requests), {}
-        for idx, laws in per_set.items():
-            d = idx.distances(0, 1)[0]
-            _check_covariant(d, idx.distances(last, n)[0], perm, "an index set's distance table")
-            for law in laws:
-                growths[idx, law] = law[0](d, *law[1:])
-        for j, (idx, law, v, key) in enumerate(requests):
-            if key is None:
-                maxima[j] = np.divide(ratios(v), growths[idx, law]).max()
-        rows_buf = np.empty((1, n), dtype=complex)
-        for key, js in reads.items():
+        for idx in per_set:
+            _check_covariant(idx.distances(0, 1)[0], idx.distances(last, n)[0], perm, "an index set's distance table")
+        for key in reads:
             rows = self._sources[key]
-            a = np.abs(rows(0, 1, rows_buf))[0]
-            _check_covariant(a, np.abs(rows(last, n, rows_buf))[0], perm, "a registered matrix")
-            for j in js:
-                idx, law, w, _ = requests[j]
-                maxima[j] = kernels.decay_max(a if w is None else a * ratios(w), growths[idx, law])
-        return maxima
+            row0, row = (rows(i, i + 1, np.empty((1, n), dtype=complex)) for i in (0, last))
+            _check_covariant(np.abs(row0[0]), np.abs(row[0]), perm, "a registered matrix")
+            self._sources[key] = lambda i0, i1, out, row0=row0: row0  # the pass reads the checked row 0
+        tables = {}  # one ratio table per distinct weight, keyed by its values
+
+        def ratio_row(w, i0, i1, out):
+            key = w.tobytes()
+            if key not in tables:
+                tables[key] = _ratio_table(w, P, Q)[None, :]
+            return tables[key]
+
+        return [(0, 1)], ratio_row
 
 
 def conjugate(A: np.ndarray, mu) -> np.ndarray:

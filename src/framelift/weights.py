@@ -198,9 +198,9 @@ def moderateness_constant(m: Weight, t: float, profile: str = "polynomial", beta
     families read the same constants one row slab at a time
     (:class:`framelift.matalg.PairScan`).
     """
-    dist = m.index_set.distance_matrix()
+    dist, ratio = m.index_set.distance_matrix(), m.values[:, None] / m.values[None, :]
     if profile == "polynomial":
-        return kernels.moderateness_max(m.values, kernels.growth_table(dist, float(t)))
+        return kernels.moderateness_max(ratio, kernels.growth_table(dist, float(t)), out=ratio)
     if profile == "subexponential":
-        return kernels.moderateness_max(m.values, kernels.exp_growth_table(dist, float(t), float(beta)))
+        return kernels.moderateness_max(ratio, kernels.exp_growth_table(dist, float(t), float(beta)), out=ratio)
     raise ValueError(f"unknown moderateness profile {profile!r}")

@@ -348,13 +348,13 @@ def ratio_table(w: np.ndarray, P: int, Q: int) -> np.ndarray:
 
 
 def lattice_decay(frame: Frame, other: Frame, s: float, idx: IndexSet, P: int, Q: int, w=None) -> float:
-    """max_delta |a_0,delta| R_w(delta) (1 + d_0,delta)^s for the cross-Gram
+    """max_delta |R_w(delta) a_0,delta| (1 + d_0,delta)^s for the cross-Gram
     of ``frame`` and ``other``, from its row 0 and row 0 of idx's distances,
     in the operation order of the lattice scan."""
-    a = np.abs(np.matmul(frame.vectors[:, :1].conj().T, other.vectors)[0])
+    a = np.matmul(frame.vectors[:, :1].conj().T, other.vectors)[0]
     if w is not None:
-        a = a * ratio_table(w, P, Q)
-    return float((a * (1.0 + idx.distances(0, 1)[0]) ** s).max())
+        a = ratio_table(w, P, Q) * a
+    return float((np.abs(a) * (1.0 + idx.distances(0, 1)[0]) ** s).max())
 
 
 def _exact_gabor_moduli(N: int, a: int, b: int) -> dict:

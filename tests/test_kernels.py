@@ -74,10 +74,11 @@ def test_moderateness_profiles(rng):
     pts = np.arange(9, dtype=float)[:, None]
     dist = kernels.pairwise_dist(pts)
     vals = np.exp(pts[:, 0] / 3.0)
-    poly = kernels.moderateness_max(vals, kernels.growth_table(dist, 2.0))
+    ratio = vals[:, None] / vals[None, :]
+    poly = kernels.moderateness_max(ratio, kernels.growth_table(dist, 2.0))
     want = float((vals[:, None] / (vals[None, :] * (1.0 + dist) ** 2)).max())
     assert poly == pytest.approx(want, rel=1e-14)
-    sub = kernels.moderateness_max(vals, kernels.exp_growth_table(dist, 1.0, 1.0))
+    sub = kernels.moderateness_max(ratio, kernels.exp_growth_table(dist, 1.0, 1.0))
     want_sub = float((vals[:, None] / (vals[None, :] * np.exp(dist))).max())
     assert sub == pytest.approx(want_sub, rel=1e-14)
 
@@ -92,7 +93,7 @@ def test_exp_growth_table_is_the_subexponential_formula_bit_for_bit(rng, alpha, 
     assert kernels.exp_growth_table(dist[5:12], alpha, beta, out=out) is out
     assert np.array_equal(out, growth[5:12])
     ratio = vals[:, None] / vals[None, :]
-    assert kernels.moderateness_max(vals, growth) == float((ratio / np.exp(alpha * dist**beta)).max())
+    assert kernels.moderateness_max(ratio, growth) == float((ratio / np.exp(alpha * dist**beta)).max())
 
 
 def test_decay_max_skips_the_nan_of_a_zero_entry_times_inf():

@@ -118,7 +118,7 @@ def test_lattice_constants_equal_the_table_formulas(monkeypatch, N, a, b, slab_r
     values = {name: out[j] for name, j in js.items()}
     growth = (1.0 + idx.distances(0, 1)[0]) ** 3.5
     assert values["decay"] == float((np.abs(A[0]) * growth).max())
-    assert values["decay_w"] == float((np.abs(A[0]) * ratio_table(w, P, Q) * growth).max())
+    assert values["decay_w"] == float((np.abs(ratio_table(w, P, Q) * A[0]) * growth).max())
     assert values["decay_w"] == pytest.approx(dense_decay(A, 3.5, idx, w), rel=DECAY_RTOL, abs=0)
     # Division by a positive float commutes with the max: the dense values
     # bit for bit.
