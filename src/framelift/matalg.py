@@ -395,11 +395,16 @@ def sigma_max(apply, apply_adjoint, n: int) -> float:
     an entry above 2^256, the run is made on A / 2^k, 2^k the power of two
     just above that entry, and theta is scaled back. A power of two scales
     every step exactly, and a run that stays below 2^256 is not touched.
+    A start product that has itself overflowed cannot be rescaled, and it
+    proves nothing about sigma_max: it raises LinAlgError.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    Av, scale = apply(v), 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        Av, scale = apply(v), 1.0
+    if not np.all(np.isfinite(Av)):
+        raise np.linalg.LinAlgError("the Golub-Kahan start product A v_1 overflowed")
     top = float(np.max(np.abs(Av)))
     if top > 2.0**256:
         scale = 2.0 ** -np.frexp(top)[1]

@@ -1,6 +1,7 @@
 """Weighted conjugation, pseudo-inverses, induced norms, and decay bookkeeping."""
 
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -296,6 +297,16 @@ class TestSigmaMax:
         Q = np.linalg.qr(np.hstack([U, V.conj().T]))[0]
         K = np.eye(2 * k) + (Q.conj().T @ U) @ (V @ Q)
         assert top == pytest.approx(np.linalg.svd(K, compute_uv=False)[0], rel=1e-14)
+
+    def test_an_overflowing_start_product_raises_with_no_warning(self):
+        # The first product (I + U V) v_1 overflows: inf cannot be rescaled
+        # and bounds nothing, so the run raises before any warning.
+        rng = np.random.default_rng(11)
+        U, V = 1e300 * cmat(rng, 6, 2), 1e300 * cmat(rng, 2, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="start product A v_1 overflowed"):
+                matalg.sigma_max(*matalg.identity_plus(U, V))
 
 
 class TestDecayConstant:
