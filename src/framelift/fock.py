@@ -226,7 +226,9 @@ class FockFamily:
                 "sub-critical regime (frames require density above one)"
             )
             entry["condition"] = float("inf")
-        return entry, bulk_frame(lat, K1)
+        # _coefficients makes row j alike at every degree, and K1 <= K0: the
+        # core is the verdict frame's first K1 rows.
+        return entry, Frame(verdict_frame.vectors[:K1], verdict_frame.index_set)
 
     def extras(self, entry: dict, frame: Frame, mu: Weight, s: float, scan: matalg.PairScan):
         """The symbol's subexponential constant and the exact Gram's decay,

@@ -116,6 +116,16 @@ class TestTruncation:
         assert b_core <= b_bulk * (1 + 1e-12)
         assert core.is_frame or not bulk.is_frame
 
+    @pytest.mark.parametrize("R, margin", [(2.5, 0.5), (4.0, 1.0), (1.0, 3.0)])
+    def test_the_core_is_the_verdict_frame_cut_to_its_rows(self, R, margin):
+        # FockFamily.case builds one coefficient table, at the verdict's K0,
+        # and cuts the core from it: bit for bit the table at the core's K1.
+        _, core = FockFamily(0.8, [R], margin=margin).case(R)
+        want = bulk_frame(FockLattice(0.8, R), core_dimension(R, margin))
+        assert core.d == core_dimension(R, margin)
+        assert np.array_equal(core.vectors, want.vectors)
+        assert np.array_equal(core.index_set.points, want.index_set.points)
+
     def test_bulk_frame_has_requested_dimension(self):
         lat = FockLattice(delta=0.8, R=1.5)
         fr = bulk_frame(lat, 8)
