@@ -11,10 +11,11 @@ checked, not trusted.
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from framelift import matalg
+from framelift import kernels, matalg
 from framelift.coorbit import sweep
 from framelift.gabor import GaborFamily, TFLattice, gabor_system
 from framelift.weights import SYMBOL_SPEC, TORUS, IndexSet, Weight
@@ -238,3 +239,29 @@ def test_an_overflowing_weight_ratio_is_inf_and_a_zero_entry_stays_zero(lattice)
         warnings.simplefilter("error")
         values = scan.run()
     assert [values[j] for j in js] == [1.0, 1.0, np.inf]
+
+
+def test_weighted_lattice_decay_is_the_correctly_rounded_max():
+    # Gabor N = 128 (n = 512), mu polynomial t = 2, as in a lift's step (ii).
+    # G^mu and G^(1/mu) are read from row 0 of G, one ratio table R_w per
+    # weight and the growth (1 + d_0,delta)^4. The max of those floats'
+    # exact products R_w |a_0,delta| g, at 50 digits and then rounded once,
+    # is what the scan must return: |R_w a| rounds as that product does
+    # here, where |a| R_w is one ulp low.
+    lat = TFLattice.balanced(128, 4)
+    psi = gabor_system(lat.N, lat.a, lat.b)
+    idx, (P, Q) = psi.index_set, lat.shape
+    mu = Weight.from_spec({"type": "polynomial", "t": 2.0}, idx).values
+    scan = matalg.PairScan(psi.n)
+    scan.on_lattice(P, Q)
+    G = scan.gram(psi)
+    js = {"G^mu": scan.decay(G, 4.0, idx, mu), "G^(1/mu)": scan.decay(G, 4.0, idx, 1.0 / mu)}
+    values = scan.run()
+    row0 = np.matmul(psi.vectors[:, :1].conj().T, psi.vectors)[0]
+    growth = kernels.growth_table(idx.distances(0, 1)[0], 4.0)
+    with mp.workdps(50):
+        moduli = [abs(mp.mpc(a.real, a.imag)) for a in row0]
+        for name, w in (("G^mu", mu), ("G^(1/mu)", 1.0 / mu)):
+            R = matalg._ratio_table(w, P, Q)
+            want = max(mp.mpf(r) * m * mp.mpf(g) for r, m, g in zip(R, moduli, growth))
+            assert values[js[name]] == float(want), name
