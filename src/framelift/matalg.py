@@ -293,7 +293,8 @@ class PairScan:
         """The pass's row ranges and its weight ratio rows ratios(w, i0, i1,
         out): every row slab and rows i0:i1 of w_k / w_l, or, on a declared
         lattice, row 0 alone and R_w, once row n - 1 of every index set's
-        distances and of every matrix's moduli has confirmed the lattice."""
+        distances and of every matrix's moduli has confirmed the lattice.
+        Each matrix then hands the pass the row 0 its check read."""
         n = self.n
         if self.lattice is None:
 
