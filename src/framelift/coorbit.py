@@ -56,7 +56,8 @@ def coercivity_check(psi: Frame, mu, seed: int = 0, tol: float = 1e-12, M=None) 
     from the SVD that :func:`map_constants` made of X. ``M`` is the matrix
     of M_mu when the caller already holds it. B is shared by both pairs;
     the map A of M_mu and its SVD are released before X is built, so one
-    map pair is held at a time.
+    map pair is held at a time. Every map is read at p = 2 alone, which
+    reads no left inverse, so no SVD keeps its n x d factor U.
     """
     muv = weight_values(mu, psi.n)
     if not np.all(muv > 0):
@@ -74,12 +75,13 @@ def coercivity_check(psi: Frame, mu, seed: int = 0, tol: float = 1e-12, M=None) 
     del C
     ev = np.linalg.eigvalsh(M)
     # B = diag(sqrt(mu)) C_Psid is the second map of both calls, factored once.
-    A, B = _coefficient_maps(psi, M, 1.0 / np.sqrt(muv), np.sqrt(muv))
-    B = _Factored(B)
+    # Both read p = 2 alone, so no map's left inverse has a reader.
+    A, B = (_Factored(x, readers=0) for x in _coefficient_maps(psi, M, 1.0 / np.sqrt(muv), np.sqrt(muv)))
     # sigma_min of M_mu : H^2_sqrt(mu) -> H^2_{1/sqrt(mu)} certifies bijectivity.
     sigma_min = map_constants(A, B, 2)["lower"][0]
     del A  # and its SVD with it: X below is the one other map held beside B
-    X = _Factored(np.sqrt(muv)[:, None] * psi.analysis_matrix)
+    C = psi.analysis_matrix  # a conjugated copy, scaled in place into X
+    X = _Factored(np.multiply(np.sqrt(muv)[:, None], C, out=C), readers=0)
     c = map_constants(X, B, 2)
     # M_mu = X^H X, so its extreme eigenvalues are also the squared extreme
     # singular values of X: a second, independent route to them.
@@ -126,25 +128,23 @@ def _p_key(p) -> str:
     return "inf" if p == np.inf else str(p)
 
 
-def _probe_residuals(psi: Frame, core: _SplitCore, muv, M_mu, M_rec, seed: int) -> tuple:
-    """Residuals of the pipeline's identities (iii) and (v) on PROBES seeded
-    probe vectors V (Freivalds' check), every term applied through n x d
-    factors in O(n d) per probe.
+def _probe_sides(psi: Frame, muv, M_mu, M_rec, seed: int) -> tuple:
+    """The right sides of the pipeline's identities (iii) and (v) on PROBES
+    seeded probe vectors V (Freivalds' check), with the scales that
+    :func:`_probe_residuals` divides by, every term applied through n x d
+    factors in O(n d) per probe. Returns (V, rhs3, scale3, rhs5, scale5),
+    each n x PROBES.
 
-    (iii) B^mu = G^mu G G^mu + I - cross^mu, its left side applied by the
-    certified core's own factors with their weight rescaled to mu, its right
-    side through C, D and the dual synthesis matrix Dd. (v) B_rev = I +
-    C M_mu M_{1/mu} D - C Dd against B^H from the core's factors. Each row
-    of |lhs V - rhs V| is divided by the same row of the moduli of the
-    right side's factors applied to |V|, the componentwise scale of their
-    rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3);
-    each residual is the largest such ratio. Products that overflow (a
-    steep mu) are evaluated without a warning, and a residual they leave
-    NaN or inf reads inf, so it fails its check.
+    (iii) B^mu = G^mu G G^mu + I - cross^mu, its right side applied through
+    C, D and the dual synthesis matrix Dd. (v) B_rev = I + C M_mu M_{1/mu}
+    D - C Dd. Each scale is the moduli of the right side's factors applied
+    to |V|, the componentwise scale of their rounding (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3). None of this needs a core,
+    so the pipeline reads it before it builds one: the conjugated copy C,
+    and then |D| and |Dd|, come and go while no core holds its factors.
+    Products that overflow (a steep mu) are evaluated without a warning.
     """
     C, D, Dd = psi.analysis_matrix, psi.synthesis_matrix, psi.canonical_dual().synthesis_matrix
-    Da, Dda = np.abs(D), np.abs(Dd)
-    Ca = Da.T  # C = D^H and |conj(x)| = |x|
     draws = np.random.default_rng(seed).standard_normal((2, psi.n, PROBES))
     V = draws[0] + 1j * draws[1]
     absV = np.abs(V)
@@ -154,12 +154,29 @@ def _probe_residuals(psi: Frame, core: _SplitCore, muv, M_mu, M_rec, seed: int) 
         return mu_c * (C @ (D @ (X / mu_c)))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = gram_mu(C @ (D @ gram_mu(V, C, D)), C, D) + V - gram_mu(V, C, Dd)
-        scale = absV + gram_mu(Ca @ (Da @ gram_mu(absV, Ca, Da)), Ca, Da) + gram_mu(absV, Ca, Dda)
-        step3 = float(np.max(np.abs(core.apply(V, muv) - rhs) / scale))
-        b_rev = V + C @ (M_mu @ (M_rec @ (D @ V))) - C @ (Dd @ V)
-        scale = absV + Ca @ (Da @ gram_mu(Ca @ (Da @ absV), Ca, Da)) + Ca @ (Dda @ absV)
-        step5 = float(np.max(np.abs(b_rev - core.apply_adjoint(V)) / scale))
+        rhs3 = gram_mu(C @ (D @ gram_mu(V, C, D)), C, D) + V - gram_mu(V, C, Dd)
+        rhs5 = V + C @ (M_mu @ (M_rec @ (D @ V))) - C @ (Dd @ V)
+        del C
+        Da, Dda = np.abs(D), np.abs(Dd)
+        Ca = Da.T  # C = D^H and |conj(x)| = |x|
+        scale3 = absV + gram_mu(Ca @ (Da @ gram_mu(absV, Ca, Da)), Ca, Da) + gram_mu(absV, Ca, Dda)
+        scale5 = absV + Ca @ (Da @ gram_mu(Ca @ (Da @ absV), Ca, Da)) + Ca @ (Dda @ absV)
+    return V, rhs3, scale3, rhs5, scale5
+
+
+def _probe_residuals(core: _SplitCore, muv, sides: tuple) -> tuple:
+    """Residuals of the pipeline's identities (iii) and (v) on the probes of
+    :func:`_probe_sides`: the left side of (iii) is B^mu applied by the
+    certified core's own factors with their weight rescaled to mu, that of
+    (v) B^H from the core's factors. Each row of |lhs V - rhs V| is divided
+    by the same row of its scale, and each residual is the largest such
+    ratio; one that an overflow leaves NaN or inf reads inf, so it fails
+    its check.
+    """
+    V, rhs3, scale3, rhs5, scale5 = sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        step3 = float(np.max(np.abs(core.apply(V, muv) - rhs3) / scale3))
+        step5 = float(np.max(np.abs(rhs5 - core.apply_adjoint(V)) / scale5))
     return tuple(r if np.isfinite(r) else np.inf for r in (step3, step5))
 
 
@@ -227,12 +244,22 @@ def lifting_theorem_pipeline(
     coefficient maps and their factorizations are built once and shared
     across p.
 
-    The steps run in the order (ii), (i), (iii), (iv), (v), so that no core
-    is alive during the pair scan; they are independent, and ``verdicts``
-    and ``residuals`` keep the order (i)-(v). Step (iv) reads the 2-norms
-    from the core, then frees it once B_w and its inverse are held as
-    their factors; a weight m other than 1 frees step (i)'s core before
-    its own is built.
+    The steps are independent, and ``verdicts`` and ``residuals`` keep the
+    order (i)-(v). They run so that no n x d array outlives its last
+    reader: step (ii) first, so that no core is alive during the pair scan;
+    then the probes' right sides for (iii) and (v), whose conjugated C,
+    |D| and |Dd| come and go before any core is built, and M_{1/mu} with
+    them; then step (i)'s core, which reads the probes' left sides before
+    it forms its inverse factor -(W Y_w) for its inverse norm and drops it
+    again. Step (iv) reads B_w from (X_w, Y_w), re-forms the inverse
+    factor only when some p != 2 reads it, and frees the core and Y_w
+    before reading the inverse; a weight m other than 1 frees step (i)'s
+    core before its own is built. The maps are built last, and M_mu goes
+    once they exist. Each map's left inverse has one reader when some
+    p != 2 asks for it (:class:`framelift.matalg._Factored`):
+    :func:`framelift.matalg.map_constants` reads B's SVD, left inverse and
+    sums, then A's, each left inverse freed before the other map is
+    factored and before the draws.
 
     ``scan`` is a :class:`framelift.matalg.PairScan` over psi's n indices
     that holds the caller's own pair constants: step (ii) adds its ten and
@@ -251,6 +278,9 @@ def lifting_theorem_pipeline(
     dual = psi.canonical_dual()
     idx = psi.index_set
     n = psi.n
+    # p = 2 reads no n x n matrix from its factors: neither |B_w^{-1}| in
+    # step (iv) nor the maps' left inverses.
+    reads_factors = any(p != 2 for p in ps)
 
     verdicts, residuals = {}, {}
     metadata = {
@@ -306,19 +336,23 @@ def lifting_theorem_pipeline(
     decay_profiles = {name: values[j] for name, j in profiles.items()}
 
     # Step (i): the splitting matrix and its invertibility on l^2_sqrt(mu).
+    # The right sides of steps (iii) and (v) are read on seeded probes before
+    # the core exists, and their left sides from the core's X and Y before
+    # it forms its inverse factor.
     M_mu = multiplier(muv, psi)
     M_rec = multiplier(1.0 / muv, psi)
     O = M_rec @ M_mu
+    probes = _probe_sides(psi, muv, M_mu, M_rec, seed)
+    del M_rec
     sqmu = np.sqrt(muv)
     core = _SplitCore(O, psi, w=sqmu)
+    step3, step5 = _probe_residuals(core, muv, probes)
+    del probes
     sv_min, sv_max = core.sigma
     invertible = core.invertible()
     verdicts["B_invertible_l2_sqrt_mu"] = invertible
     residuals["B_sigma_min_over_max"] = sv_min / sv_max
     residuals["B_certificate_margin"] = core.certificate_margin
-
-    # Steps (iii) and (v) on seeded probes, through the factors.
-    step3, step5 = _probe_residuals(psi, core, muv, M_mu, M_rec, seed)
     residuals["step_iii_identity"] = step3
     verdicts["step_iii_ok"] = bool(step3 < IDENTITY_RTOL)
 
@@ -328,14 +362,18 @@ def lifting_theorem_pipeline(
         # This weight's own core; step (i)'s is done with and freed first.
         del core
         core = _SplitCore(O, psi, w=w_msqmu)
+    del O
     n2, n2_inv = core.sigma[1], core.inverse_norm
-    # B_w = I + X_w Y_w and its Woodbury inverse I + X_w (-(W Y_w)), read
-    # from the factors the core holds; its W goes now.
-    X, Y, V_inv = core.X, core.Y, core.inverse_factor
-    del core, O, M_rec
+    # B_w = I + X_w Y_w, then its Woodbury inverse I + X_w (-(W Y_w)), read
+    # from the core's factors one matrix at a time: the inverse factor is
+    # re-formed, when some p != 2 reads it, once B_w's read is done, and
+    # Y_w goes with the core before the inverse is read.
+    X, Y = core.X, core.Y
     fwd = matalg.operator_norm(X, Y, ps, n2)
+    V_inv = core.inverse_factor if reads_factors else None
+    del core, Y
     rev = matalg.operator_norm(X, V_inv, ps, n2_inv) if invertible else None
-    del X, Y, V_inv
+    del X, V_inv
     for p in ps:
         entry = {"B_norm": fwd[p]}
         if invertible:
@@ -352,8 +390,10 @@ def lifting_theorem_pipeline(
     verdicts["verdicts_agree"] = adjoint_ok
 
     # Lifting constants per p, from one multiplier, one pair of coefficient
-    # maps and their factorizations.
-    A, B = (_Factored(x) for x in _lifting_maps(psi, M_mu, muv, mv))
+    # maps and their factorizations. Each map's left inverse has one reader,
+    # the other map, when some p != 2 asks for it, and none otherwise.
+    A, B = (_Factored(x, int(reads_factors)) for x in _lifting_maps(psi, M_mu, muv, mv))
+    del M_mu
     per_p = {}
     for p in ps:
         c = map_constants(A, B, p, seed=seed)

@@ -548,8 +548,17 @@ def _riesz_thorin(n1: float, n2: float, ninf: float, p) -> float:
 
 class _Factored:
     """An n x d coefficient map with its one thin SVD M = U diag(s) V^H,
-    made on first use, and what is read from it. U's one reader is
-    :attr:`left_inverse`, so the SVD keeps only s and V^H once that is read.
+    made on first use, and what is read from it.
+
+    No n x d array it makes outlives its last reader. U's one reader is
+    :attr:`left_inverse`, whose readers are the :meth:`product_sums` reads,
+    one per map L. ``readers`` is how many such L the caller will read,
+    derived from its ps: none when it asks for p = 2 alone, which reads no
+    left inverse. With no reader, the SVD keeps only s and V^H; otherwise U
+    is dropped when the left inverse is formed, and the left inverse once
+    its last reader has its sums. ``readers=None`` keeps the left inverse
+    for the map's life. U is gone by then, so a read past the plan raises
+    RuntimeError.
 
     :func:`map_constants` accepts these in place of arrays, so a caller that
     needs several p for one pair of maps (the lifting pipeline) factors
@@ -558,8 +567,10 @@ class _Factored:
     that needs it is reported as the trivial one.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, readers=None):
         self.matrix = np.asarray(matrix)
+        self._readers_left = readers
+        self._pinv = None
         # Keyed by the map L of L M^+, or A of ||A f|| / ||M f||; weak, so two
         # maps never keep each other alive.
         self._product_sums = weakref.WeakKeyDictionary()
@@ -569,7 +580,8 @@ class _Factored:
 
     @functools.cached_property
     def _svd(self) -> tuple:
-        return np.linalg.svd(self.matrix, full_matrices=False)
+        u, s, vh = np.linalg.svd(self.matrix, full_matrices=False)
+        return (None if self._readers_left == 0 else u), s, vh
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -597,16 +609,21 @@ class _Factored:
         _, s, vh = self._svd
         return vh.conj().T * (1.0 / s)[None, :]
 
-    @functools.cached_property
+    @property
     def left_inverse(self):
         """The pseudo-inverse V diag(1/s) U^H if the map is injective, with
-        no singular value cut, else None. The n x d factor U is released
-        here, injective or not: nothing else reads it."""
+        no singular value cut, else None. The first read releases U,
+        injective or not: nothing else reads it. diag(1/s) U^H is formed in
+        U's own memory, so the product is the one new n x d array."""
         u, s, vh = self._svd
-        self._svd = (None, s, vh)
-        if self.vs_inv is None:
-            return None
-        return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
+        if u is not None:
+            self._svd = (None, s, vh)
+            if self.injective:
+                uh = np.conjugate(u, out=u).T
+                self._pinv = vh.conj().T @ np.multiply((1.0 / s)[:, None], uh, out=uh)
+        elif self._pinv is None and self.injective:
+            raise RuntimeError("the left inverse was read past its last planned reader")
+        return self._pinv
 
     def product_sums(self, L: "_Factored") -> tuple:
         """(max column sum, max row sum) of |L M^+|, the exact p = 1 and
@@ -615,11 +632,16 @@ class _Factored:
         The product is read once per L, whichever p asks first, as row
         slabs L[i0:i1] M^+ (:func:`_moduli_sums`), so it is never held
         whole; only its two sums are kept, equal to those of the whole
-        product bit for bit.
+        product bit for bit. The left inverse is dropped once its last
+        planned reader has read.
         """
         if L not in self._product_sums:
             Lm, pinv = L.matrix, self.left_inverse
             self._product_sums[L] = _moduli_sums(len(Lm), lambda i0, i1, out: np.matmul(Lm[i0:i1], pinv, out=out))
+            if self._readers_left is not None:
+                self._readers_left -= 1
+                if self._readers_left == 0:
+                    self._pinv = None
         return self._product_sums[L]
 
     def sampled_ratios(self, A: "_Factored", p, seed: int) -> np.ndarray:
@@ -668,21 +690,26 @@ def map_constants(A, B, p, seed: int = 0) -> dict:
 
     A and B are n x d arrays or :class:`_Factored` maps, which keep their
     factorizations across calls. Returns bracket pairs
-    {"lower": (lo, hi), "upper": (lo, hi)}: the upper side is
-    :func:`upper_constant` and the lower side :func:`_lower_constant`, both
-    read from one set of MAP_SAMPLES seeded draws
+    {"lower": (lo, hi), "upper": (lo, hi)}: the outer ends are those of
+    :func:`upper_constant` and :func:`_lower_end`, and the inner ends come
+    from one set of MAP_SAMPLES seeded draws
     (:meth:`_Factored.sampled_ratios`), which are not made when both sides
-    are exact.
+    are exact. The reads run one map at a time: B's SVD, its left inverse
+    and the sums of |A B^+|, then A's, so that each map's left inverse,
+    with a planned reader count (:class:`_Factored`), is gone before the
+    other map is factored; the draws come last.
     """
     A, B = _factored(A), _factored(B)
-    ratios = None
-    if not (p == 2 and A.injective and B.injective):
-        ratios = B.sampled_ratios(A, p, seed)
-    upper = upper_constant(A, B, p, seed, ratios)
-    return {"lower": _lower_constant(A, B, p, ratios), "upper": upper, "p": p}
+    hi = _upper_end(A, B, p)
+    lo = _lower_end(A, B, p)
+    if p == 2 and A.injective and B.injective:
+        return {"lower": (lo, lo), "upper": (hi, hi), "p": p}
+    ratios = B.sampled_ratios(A, p, seed)
+    inner = hi if p == 2 and B.injective else float(np.max(ratios, initial=0.0))
+    return {"lower": (lo, float(np.min(ratios, initial=np.inf))), "upper": (inner, hi), "p": p}
 
 
-def upper_constant(A, B, p, seed: int = 0, ratios=None) -> tuple:
+def upper_constant(A, B, p, seed: int = 0) -> tuple:
     """(inner, outer) bracket on the best U with ||Af||_p <= U ||Bf||_p.
 
     With B injective the outer end is ||A B^+||_p, B^+ the left inverse of
@@ -692,31 +719,32 @@ def upper_constant(A, B, p, seed: int = 0, ratios=None) -> tuple:
     value. No Gram matrix A^H A or B^H B is formed, so cond(B) is not
     squared, and A is never factorized. A B that fails its injectivity test
     gives the trivial outer end, inf. Otherwise the inner end is the largest
-    of ``ratios``, the :meth:`_Factored.sampled_ratios` of MAP_SAMPLES draws
-    seeded by ``seed``, read here when not given.
+    of the :meth:`_Factored.sampled_ratios` of MAP_SAMPLES draws seeded by
+    ``seed``, made after the outer end is read.
     """
     A, B = _factored(A), _factored(B)
+    hi = _upper_end(A, B, p)
     if p == 2 and B.injective:
-        hi = float(B.product_svals(A)[0])
         return (hi, hi)
-    if ratios is None:
-        ratios = B.sampled_ratios(A, p, seed)
-    certified = _product_norm(A, B, p) if B.injective else np.inf
-    return (float(np.max(ratios, initial=0.0)), certified)
+    return (float(np.max(B.sampled_ratios(A, p, seed), initial=0.0)), hi)
 
 
-def _lower_constant(A: _Factored, B: _Factored, p, ratios) -> tuple:
-    """(outer, inner) bracket on the best L with L ||Bf||_p <= ||Af||_p.
+def _upper_end(A: _Factored, B: _Factored, p) -> float:
+    """The outer end of :func:`upper_constant`: ||A B^+||_p, or inf when B
+    fails its injectivity test."""
+    return _product_norm(A, B, p) if B.injective else np.inf
+
+
+def _lower_end(A: _Factored, B: _Factored, p) -> float:
+    """The outer end of the bracket on the best L with
+    L ||Bf||_p <= ||Af||_p.
 
     At p = 2 with both maps injective it is exact, sigma_min of A V
     diag(1/s) as in :func:`upper_constant`; the injectivity tests are
     relative, so it does not move when both maps are rescaled. Otherwise
-    the outer end is 1 / ||B A^+||_p, or the trivial 0 when A fails its
-    injectivity test, and the inner end is the smallest of ``ratios``.
+    it is 1 / ||B A^+||_p, or the trivial 0 when A fails its injectivity
+    test.
     """
     if p == 2 and A.injective and B.injective:
-        lo = float(B.product_svals(A)[-1])
-        return (lo, lo)
-    certified = 1.0 / _product_norm(B, A, p) if A.injective else 0.0
-    return (certified, float(np.min(ratios, initial=np.inf)))
-
+        return float(B.product_svals(A)[-1])
+    return 1.0 / _product_norm(B, A, p) if A.injective else 0.0

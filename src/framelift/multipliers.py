@@ -43,7 +43,8 @@ from .weights import weight_values
 def multiplier(symbol, psi: Frame) -> np.ndarray:
     """The d x d matrix of M_m f = sum_k m_k <f, psi_k> psi_k."""
     m = weight_values(symbol, psi.n)
-    return psi.synthesis_matrix @ (m[:, None] * psi.analysis_matrix)
+    C = psi.analysis_matrix  # a conjugated copy, scaled in place
+    return psi.synthesis_matrix @ np.multiply(m[:, None], C, out=C)
 
 
 def galerkin(O: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
@@ -55,10 +56,13 @@ def galerkin(O: np.ndarray, phi: Frame, psi: Frame) -> np.ndarray:
 
 
 def _coefficient_map(psi: Frame, T, m) -> np.ndarray:
-    """The n x d map diag(m) C_Psid T; T = None is the identity."""
-    Cd = psi.canonical_dual().analysis_matrix
-    w = weight_values(m, psi.n)[:, None]
-    return w * Cd if T is None else w * (Cd @ np.asarray(T))
+    """The n x d map diag(m) C_Psid T; T = None is the identity. The
+    weight scales the one new n x d array in place: the conjugated copy
+    C_Psid, or C_Psid T, which it replaces."""
+    M = psi.canonical_dual().analysis_matrix
+    if T is not None:
+        M = M @ np.asarray(T)
+    return np.multiply(weight_values(m, psi.n)[:, None], M, out=M)
 
 
 def _coefficient_maps(psi: Frame, T, m_out, m_in):
@@ -92,8 +96,8 @@ def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots) -> tuple:
     formed from the float inputs D = C^H, O and the dual synthesis matrix
     Dd (= S^{-1} D) alone: R D is D or Dd, S^{-1} D is Dd, and a dual left
     slot takes S^{-1} = Dd Dd^H. The matrix this defines, rounded nowhere,
-    is the B_O that every verdict certifies. P = L O (R D) lives on only as
-    |P| in the error map.
+    is the B_O that every verdict certifies. Y is formed in P = L O (R D)'s
+    own memory, and P lives on only as |P| in the error map.
     """
     O = np.asarray(O)
     if O.shape != (psi.d, psi.d):
@@ -110,11 +114,11 @@ def _splitting_factor(O: np.ndarray, psi: Frame, slots: Slots) -> tuple:
         L_err = lambda v: verified.gamma_c(n) * verified.abs_chain(v, Dd, DdH)
         P_err = verified.left_product_error(L, L_err, P, P_err)
         P = L @ P
-    Y = P - Dd
-    P = np.abs(P)  # the error map reads P only through its moduli
+    absP = np.abs(P)  # the error map reads P only through its moduli
+    Y = np.subtract(P, Dd, out=P)
 
     def Y_err(v):  # P's rounding, then one rounding in P - Dd
-        return P_err(v) + verified.gamma(1) * (P @ v + verified.abs_chain(v, Dd))
+        return P_err(v) + verified.gamma(1) * (absP @ v + verified.abs_chain(v, Dd))
 
     return Y, Y_err
 
@@ -131,26 +135,27 @@ class _SplitCore:
     decides B_w for every w; it keeps W = inv(I + Y X), so the inverse is
     B_w^{-1} = I - X_w W Y_w (X_w = diag(w) X, Y_w = Y diag(1/w), which
     have Y_w X_w = Y X). B_w = I + X_w Y_w and B_w^{-1} = I + X_w V with
-    V = -(W Y_w) (:attr:`inverse_factor`, formed once) are read from those
-    factors by :func:`matalg.operator_norm`. Every core certifies itself,
+    V = -(W Y_w) (:attr:`inverse_factor`, formed for each read) are read
+    from those factors by :func:`matalg.operator_norm`. Every core certifies itself,
     so a core is built one way whatever its weight; two cores of the same
     O, frame and slots have the same certificate bit for bit.
 
     The p = 2 norms are sigma_max(B_w) and ||B_w^{-1}||_2, each by
     Golub-Kahan-Lanczos (:func:`matalg.sigma_max`) on B_w and B_w^{-1}
     applied through (X_w, Y_w) and (X_w, V) (:func:`matalg.identity_plus`)
-    at O(n d) per product. A certified core reads its inverse norm on
-    construction and makes no QR, no SVD and no inverse but the
-    certificate's d x d one: ``inverse_norm`` is ||B_w^{-1}||_2, at least 1
-    where B_w fixes a vector. A core whose certificate fails may be
+    at O(n d) per product. A certified core reads its inverse norm on first
+    use and makes no QR, no SVD and no inverse but the certificate's d x d
+    one: ``inverse_norm`` is ||B_w^{-1}||_2, at least 1 where B_w fixes a
+    vector. A core whose certificate fails may be
     singular, so nothing iterates on an inverse: its ``inverse_norm`` and
     ``inverse_factor`` are None, and its sigma_min comes from a values-only
     SVD (:attr:`sigma`).
 
     ``w = None`` is the unit weight. The certificate's temporaries and Y's
     error map (with |P|) are freed before either norm is read. Past the
-    constructor the core keeps X_w, Y_w, W and, when certified, V; no
-    n x n or k x k array.
+    constructor the core keeps X_w, Y_w and W alone: V lives only while
+    its reader runs, so no n x n, k x k or third n x d array is held
+    between reads.
     """
 
     def __init__(self, O: np.ndarray, psi: Frame, slots: Slots = Slots.PSI_PSI, w=None):
@@ -163,11 +168,24 @@ class _SplitCore:
         np.multiply(w[:, None], X, out=X)
         np.divide(Y, w[None, :], out=Y)
         self.n, self.w, self.X, self.Y = n, w, X, Y
-        self.inverse_factor = self.inverse_norm = None
-        if self.invertible():
-            V = self.W @ Y
-            self.inverse_factor = np.negative(V, out=V)
-            self.inverse_norm = self._at_least_one(matalg.sigma_max(*matalg.identity_plus(X, V)))
+
+    @property
+    def inverse_factor(self):
+        """V = -(W Y_w), so that B_w^{-1} = I + X_w V; None when the
+        certificate fails. Re-formed on every read and held by no core, so
+        V is alive only while its reader is: :attr:`inverse_norm`, or step
+        (iv) of the pipeline once it has read B_w."""
+        if not self.invertible():
+            return None
+        V = self.W @ self.Y
+        return np.negative(V, out=V)
+
+    @functools.cached_property
+    def inverse_norm(self):
+        """||B_w^{-1}||_2 by Golub-Kahan-Lanczos through (X_w, V), at least 1
+        where B_w fixes a vector; None when the certificate fails."""
+        V = self.inverse_factor
+        return None if V is None else self._at_least_one(matalg.sigma_max(*matalg.identity_plus(self.X, V)))
 
     def invertible(self) -> bool:
         """Rump's certificate: :attr:`certificate_margin` < 1 proves B_O,
@@ -259,8 +277,12 @@ def _upper_sides(psi: Frame, O: np.ndarray, inv, m, ps: list, seed: int) -> dict
     on the weight m, with inner ends from draws seeded by ``seed``.
     B = diag(m) C_Psid is factorized once and shared by both and across p;
     O's map and the moduli of its draws are released before inv's map,
-    built alone, and its draws are made."""
-    A, B = (_Factored(x) for x in _coefficient_maps(psi, O, m, m))
+    built alone, and its draws are made. B's left inverse has one reader
+    per map when some p != 2 asks for it, so it is formed once for both
+    and dropped after the last."""
+    readers = (1 if inv is None else 2) if any(p != 2 for p in ps) else 0
+    A, B = _coefficient_maps(psi, O, m, m)
+    A, B = _Factored(A), _Factored(B, readers)
     entries = {p: {"norm": upper_constant(A, B, p, seed), "invertible": inv is not None} for p in ps}
     del A
     if inv is not None:

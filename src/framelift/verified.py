@@ -161,6 +161,7 @@ def woodbury_certificate(X: np.ndarray, Y: np.ndarray, Y_err) -> tuple:
         return None, np.inf
     absX = np.abs(X)
     GY1 = GY1 + gamma_c(n) * (absY @ (absX @ WY1))
+    del absY  # |Y| has no reader past here; Y's error map below has its own moduli
     Xt1 = 1.0 + absX @ WY1  # bounds |Xt| 1
     total = absX @ (GY1 + Y_err(Xt1))
     return W, certified_bound(np.max(total), 8 * (n + d) + 64)

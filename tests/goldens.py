@@ -13,11 +13,13 @@ the exit code, stdout and stderr, and ``out/`` every file the run wrote.
 their goldens under DIR (default: ``tests/goldens``); goldens are written
 by ``record`` alone. ``diff`` compares the goldens under --old (default:
 ``tests/goldens``) with those under --new, or with a fresh run of the
-configs when --new is not given. It prints one line per moved numeric
-field (path, old, new, relative move), one per other moved field, then
-the count and largest relative move per field name, and exits 1 when any
-byte moved. ``tests/test_goldens.py`` compares the shipped configs byte
-for byte.
+configs (default: every ``configs/*.json``) when --new is not given. With
+no configs named it compares every config's golden directory found under
+either side, and a directory found on one side only is one moved field.
+It prints one line per moved numeric field (path, old, new, relative
+move), one per other moved field, then the count and largest relative
+move per field name, and exits 1 when any byte moved.
+``tests/test_goldens.py`` compares the shipped configs byte for byte.
 
 Comparing two checkouts, run each one's ``record --out`` into its own
 directory, then ``diff --old A --new B``.
@@ -76,6 +78,12 @@ def record(configs: list, goldens: Path) -> None:
         run = run_config(config, target / "out")
         (target / RUN_FILE).write_text(json.dumps(run, sort_keys=True, indent=2) + "\n")
         print(f"{config.stem}: exit {run['exit_code']}, {len(list((target / 'out').iterdir()))} files")
+
+
+def golden_names(goldens: Path) -> set:
+    """The config stems with a golden under ``goldens``: each directory
+    that holds a run file."""
+    return {p.parent.name for p in goldens.glob(f"*/{RUN_FILE}")}
 
 
 def golden_files(golden: Path) -> dict:
@@ -196,15 +204,21 @@ def report(moves_by_config: dict) -> int:
 
 def diff(configs: list, old: Path, new) -> int:
     """Compare the goldens of ``configs`` under ``old`` with those under
-    ``new``, or with a fresh record when ``new`` is None."""
+    ``new``, or with a fresh record of them (default: the shipped configs)
+    when ``new`` is None. With no configs, compare every golden found under
+    either side; a golden on one side only is one moved field."""
     with tempfile.TemporaryDirectory() as tmp:
         if new is None:
             new = Path(tmp)
-            record(configs, new)
+            record(configs or shipped_configs(), new)
+        stems = [c.stem for c in configs] or sorted(golden_names(old) | golden_names(new))
         moves = {}
-        for config in configs:
-            a, b = old / config.stem, new / config.stem
-            moves[config.stem] = moved_fields(golden_files(a), golden_files(b))
+        for stem in stems:
+            a, b = old / stem, new / stem
+            if a.is_dir() == b.is_dir():
+                moves[stem] = moved_fields(golden_files(a), golden_files(b))
+            else:
+                moves[stem] = [("golden", *("present" if g.is_dir() else "missing" for g in (a, b)), None)]
         return report(moves)
 
 
@@ -219,9 +233,9 @@ def main(argv=None) -> int:
     dif.add_argument("--new", type=Path, default=None)
     dif.add_argument("configs", nargs="*", type=Path)
     args = parser.parse_args(argv)
-    configs = [c.resolve() for c in args.configs] or shipped_configs()
+    configs = [c.resolve() for c in args.configs]
     if args.action == "record":
-        record(configs, args.out)
+        record(configs or shipped_configs(), args.out)
         return 0
     return 1 if diff(configs, args.old, args.new) else 0
 

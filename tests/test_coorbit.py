@@ -77,25 +77,45 @@ class TestCoercivity:
         assert hi == pytest.approx(np.sqrt(w.max()), rel=1e-8)
 
     def test_map_a_is_released_before_x_is_built(self, small_frame, monkeypatch):
-        # coercivity_check holds one map pair at a time: B = diag(sqrt(mu))
-        # C_Psid is factored beside A, and X = diag(sqrt(mu)) C_Psi only once
-        # A, with the SVD map_constants made of it, is gone.
-        maps, alive, a_alive_at = coorbit._coefficient_maps, [], []
+        # coercivity_check holds one map pair at a time: A and B = diag(sqrt(mu))
+        # C_Psid are factored side by side, and X = diag(sqrt(mu)) C_Psi only
+        # once A, with the SVD map_constants made of it, is gone. Every map is
+        # read at p = 2 alone, so none plans a reader for its left inverse.
+        maps, alive, made = coorbit._coefficient_maps, [], []
 
         def spy_maps(*args):
             A, B = maps(*args)
             alive.append(weakref.ref(A))
             return A, B
 
-        def spy_factored(M):
-            a_alive_at.append(alive[-1]() is not None)
-            return matalg._Factored(M)
+        def spy_factored(M, readers=None):
+            made.append((alive[-1]() is not None, readers))
+            return matalg._Factored(M, readers)
 
         monkeypatch.setattr(coorbit, "_coefficient_maps", spy_maps)
         monkeypatch.setattr(coorbit, "_Factored", spy_factored)
         res = coercivity_check(small_frame, np.linspace(0.5, 2.5, small_frame.n))
-        assert a_alive_at == [True, False]  # B beside A, then X alone
+        assert made == [(True, 0), (True, 0), (False, 0)]  # A beside B, then X alone
         assert res["bijective"]
+
+    def test_no_map_keeps_its_u(self, rng, monkeypatch):
+        # U's one reader is the left inverse, which p = 2 never reads: each of
+        # A, B and X drops its n x d U as its SVD returns, and the check's
+        # numbers are those of maps that keep it.
+        fr = random_frame(rng, 40, 6)
+        mu = rng.uniform(0.5, 2.0, fr.n)
+        made = []
+
+        def spy_factored(M, readers=None):
+            made.append(matalg._Factored(M, readers))
+            return made[-1]
+
+        want = coercivity_check(fr, mu)
+        monkeypatch.setattr(coorbit, "_Factored", spy_factored)
+        assert coercivity_check(fr, mu) == want
+        assert len(made) == 3
+        for F in made:
+            assert F._svd[0] is None and F.matrix.shape == (fr.n, fr.d)
 
 
 class TestLiftingConstants:

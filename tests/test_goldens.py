@@ -64,3 +64,35 @@ def test_a_moved_exit_code_and_table_cell_are_reported(tmp_path):
         ("out/lifting_table.csv[1].lower", 1.0),
         ("run.json.exit_code", float("inf")),
     }
+
+
+def _golden(root, stem, report):
+    out = root / stem / "out"
+    out.mkdir(parents=True)
+    (root / stem / goldens.RUN_FILE).write_text(json.dumps({"command": "lift", "exit_code": 0}) + "\n")
+    (out / "lift_report.json").write_text(json.dumps(report) + "\n")
+
+
+def test_diff_with_no_configs_walks_both_sides(tmp_path, capsys):
+    # Two record --out directories of configs that are not shipped: the diff
+    # walks every golden under either side, and a golden on one side only
+    # is one moved field.
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, value in ((old, 1.0), (new, 1.5)):
+        _golden(root, "same", {"upper": 2.0})
+        _golden(root, "moved", {"upper": value})
+    _golden(old, "gone", {"upper": 3.0})
+    _golden(new, "added", {"upper": 4.0})
+    (new / "not-a-golden").mkdir()
+    assert goldens.main(["diff", "--old", str(old), "--new", str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "added/golden: 'missing' -> 'present' (changed)",
+        "gone/golden: 'present' -> 'missing' (changed)",
+        "moved/out/lift_report.json.upper: 1.0 -> 1.5 (5.000e-01)",
+        "3 fields moved",
+    ]
+    assert goldens.main(["diff", "--old", str(old), "--new", str(old)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "0 fields moved"
+    # Named configs still limit the diff to their goldens.
+    assert goldens.main(["diff", "--old", str(old), "--new", str(new), str(tmp_path / "same.json")]) == 0

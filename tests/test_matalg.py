@@ -190,6 +190,34 @@ class TestFactored:
         assert wide == []
         assert np.array_equal(F.singular_values, s) and F.injective is injective
 
+    def test_left_inverse_is_the_pseudo_inverse_formula_bit_for_bit(self, rng):
+        # Formed in U's own memory, it equals V diag(1/s) U^H evaluated with
+        # fresh temporaries, bit for bit.
+        M = cmat(rng, 40, 9)
+        u, s, vh = np.linalg.svd(M, full_matrices=False)
+        want = vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
+        assert np.array_equal(matalg._Factored(M).left_inverse, want)
+
+    @pytest.mark.parametrize("readers", [0, 1, 2])
+    def test_each_factor_dies_at_its_last_planned_reader(self, rng, readers):
+        # U goes with the SVD when no left inverse has a reader, and the left
+        # inverse after the last of its readers; the sums, the singular values
+        # and the p = 2 products equal those of a map that keeps everything.
+        n, d = 30, 6
+        M = cmat(rng, n, d)
+        Ls = [matalg._Factored(cmat(rng, n, d)) for _ in range(readers)]
+        kept, F = matalg._Factored(M), matalg._Factored(M, readers)
+        assert (F._svd[0] is None) is (readers == 0)
+        assert np.array_equal(F.product_svals(kept), kept.product_svals(kept))
+        for i, L in enumerate(Ls):
+            assert F.product_sums(L) == kept.product_sums(L)
+            assert (F._pinv is None) is (i == readers - 1)
+            assert F.product_sums(L) == kept.product_sums(L)  # read again from the cache
+        assert F._svd[0] is None and F._pinv is None
+        assert not [a for a in _arrays(vars(F)) if a.shape in ((n, d), (d, n)) and a is not F.matrix]
+        with pytest.raises(RuntimeError, match="last planned reader"):
+            F.product_sums(matalg._Factored(cmat(rng, n, d)))
+
 
 def _counted(op: tuple) -> tuple:
     """sigma_max's arguments ``op`` with a counter of the products with the

@@ -403,6 +403,19 @@ class TestFactorizations:
         assert core.invertible() and lo == 1.0 / core.inverse_norm and hi > 1.0
         assert len(steps) == 2 and max(steps) <= 24
 
+    def test_certified_core_holds_no_inverse_factor(self):
+        # -(W Y_w) is formed for each read and kept by no core: after sigma
+        # and the inverse norm the core holds X_w, Y_w, W and its weight, and
+        # every read of inverse_factor is the same product bit for bit.
+        core = _gabor_core(16, 2.0)[0]
+        core.sigma, core.inverse_norm
+        n, d = core.X.shape
+        shapes = sorted(np.shape(v) for v in vars(core).values() if isinstance(v, np.ndarray))
+        assert shapes == sorted([(n, d), (d, n), (d, d), (n,)])
+        V = core.inverse_factor
+        assert V is not core.inverse_factor and np.array_equal(V, core.inverse_factor)
+        assert np.array_equal(V, -(core.W @ core.Y))
+
     @pytest.mark.parametrize("N", [16, 32])
     def test_uncertified_core_holds_no_k_by_k_array(self, N, nxn_factorizations):
         # Gabor t = 14 (steep-mix's failing rows): sigma compresses B_w to a

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framelift import cli, matalg
+from framelift import cli, coorbit, matalg
 from framelift.coorbit import FrameFamily, lifting_theorem_pipeline, sweep
 from framelift.fock import FockFamily, FockLattice, bulk_frame, fock_gram_exact
 from framelift.frames import Frame, gram_identities_check, random_frame
@@ -169,14 +169,19 @@ def test_sweep_reads_no_gram_or_distance_matrix(no_dense_tables, family):
     assert [e["status"] for e in out["entries"]] == ["ok"] * len(family.sizes)
 
 
-def test_pipeline_peak_stays_below_7_2_nk():
+def test_pipeline_peak_stays_below_5_3_nk():
     # Gabor N = 128: n = 512, d = 128, and the splitting core has k = 2d =
     # 256. Holding G, the dual Gram, the cross-Gram and their conjugated
     # copies whole peaked at 17 n k complex entries; streaming them in row
     # slabs left the peak in the core's constructor at 9.26 n k, and holding
     # the core at its factors took it to 7.40 n k. Certifying B through its
-    # d x d Woodbury core, with no n x k array, leaves the core below the
-    # lifting maps' thin SVDs, which now set the peak at 7.03 n k.
+    # d x d Woodbury core, with no n x k array, left the lifting maps' thin
+    # SVDs on top at 7.03 n k, then 6.03 n k. Reading the maps one at a time,
+    # each left inverse gone before the other map is factored and the draws
+    # made last, took the map phase to 4.28 n k: the peak, 5.20 n k, is now
+    # the pair scan's row slabs on this index set, which a Gabor sweep reads
+    # as a lattice instead. (LAPACK's SVD workspace is allocated outside
+    # tracemalloc's view.)
     lat = TFLattice.balanced(128, 4)
     psi = gabor_system(lat.N, lat.a, lat.b)
     n, d = psi.n, psi.d
@@ -190,16 +195,49 @@ def test_pipeline_peak_stays_below_7_2_nk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7.2 * n * k * np.dtype(complex).itemsize
+    assert peak < 5.3 * n * k * np.dtype(complex).itemsize
+
+
+def test_no_left_inverse_is_alive_while_the_other_map_is_factored(monkeypatch):
+    # Gabor N = 64 (n = 256, d = 64), ps 1, 2, inf: B's SVD, its left inverse
+    # and the sums of |A B^+| come first, then A's. So when either thin SVD
+    # with vectors runs, neither map holds a left inverse or a U, and the
+    # draws are made only after both.
+    lat = TFLattice.balanced(64, 4)
+    psi = gabor_system(lat.N, lat.a, lat.b)
+    assert (psi.n, psi.d) == (256, 64)
+    mu = Weight.polynomial(psi.index_set, 2.0)
+    maps, held, draws_at = [], [], []
+    factored, svd, draws = coorbit._Factored, np.linalg.svd, matalg._draws
+
+    def spy_factored(M, readers=None):
+        maps.append(factored(M, readers))
+        return maps[-1]
+
+    def spy_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            held.append([F._pinv is not None or ("_svd" in vars(F) and F._svd[0] is not None) for F in maps])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(coorbit, "_Factored", spy_factored)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(matalg, "_draws", lambda *args: draws_at.append(len(held)) or draws(*args))
+    rep = lifting_theorem_pipeline(psi, mu, ps=(1, 2, np.inf))
+    assert rep["verdicts"]["all_steps"]
+    assert len(maps) == 2 and held == [[False, False], [False, False]]
+    assert draws_at == [2]
+    assert all(F._pinv is None and F._svd[0] is None for F in maps)
 
 
 def test_splitting_core_peak_stays_below_6_nd():
     # gabor-ladder's middle size, Gabor N = 128 (n = 512, d = 128), mu t = 2:
     # step (i)'s core with its sigma and inverse norm, read as the lift reads
-    # them. The core holds X_w, Y_w, -(W Y_w) and its Lanczos bases,
-    # 4.76 n d; an n x 2d QR beside the buffer it reads and the Q it returns
-    # peaked at 7.45 n d. (The lift's own traced peak, 12.05 n d, is in the
-    # lifting maps' thin SVDs, not in the core.)
+    # them. Past its constructor the core holds X_w, Y_w and W; -(W Y_w) is
+    # formed only for a read, here the Lanczos run of the inverse norm, which
+    # with its bases peaks at 4.26 n d (4.52 n d while the core kept it). An
+    # n x 2d QR beside the buffer it reads and the Q it returns peaked at
+    # 7.45 n d. (The lift's own traced peak, 10.41 n d, is in the pair scan,
+    # not in the core.)
     lat = TFLattice.balanced(128, 4)
     psi = gabor_system(lat.N, lat.a, lat.b)
     n, d = psi.n, psi.d
